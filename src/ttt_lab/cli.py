@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import tempfile
-from typing import Optional
 
 import numpy as np
 
@@ -32,11 +31,9 @@ from .io_formats import ParseError, parse_pfm, parse_ply_ascii, parse_tum, \
     write_metrics_csv, write_ply_ascii, write_tum
 from .recall_bench import StateDims, StreamConfig, UnsupportedRuleCombination, \
     compare_rules, curves_to_csv, gate_trace_to_csv, gen_adversarial_task, \
-    gen_recall_task, summary_to_csv
+    gen_recall_task, parse_rule, summary_to_csv
 from .seeding import derive_seed
-from .state_rules import ConfidenceGate, ConstantScalar, DeltaRule, FastWeightMatrix, \
-    FullAttentionAppend, InputScalarSigmoid, LinearAttentionHebbian, PerTokenInputSigmoid, \
-    Ttt3r, VanillaSoftmaxRnn, recon_loss, recon_loss_grad
+from .state_rules import FastWeightMatrix, recon_loss, recon_loss_grad
 from .stitcher import Chunk, split_trajectory, stitch
 
 __all__ = ["main"]
@@ -88,58 +85,9 @@ def _read_bytes(path: str) -> bytes:
         return handle.read()
 
 
-# ---------------------------------------------------------------------------
-# Rule specs: "<rule>[:<gate>]" with gates "input", "per_token",
-# "confidence" or a constant learning rate in (0, 1].
-
-_VALID_RULES = ("full, vanilla, hebbian, delta[:<beta>|:input], "
-                "ttt3r[:<beta>|:input|:per_token|:confidence]")
-
-
-def parse_rule(spec: str):
-    name, _, mode_s = spec.partition(":")
-    plain = {"full": FullAttentionAppend, "vanilla": VanillaSoftmaxRnn,
-             "hebbian": LinearAttentionHebbian}
-    if name in plain:
-        if mode_s:
-            raise UsageError(f"rule {name!r} takes no gate mode, got {spec!r}")
-        return plain[name]()
-    if name not in ("delta", "ttt3r"):
-        raise UsageError(f"unknown rule {spec!r}; valid rules: {_VALID_RULES}")
-    if not mode_s:
-        mode = ConstantScalar(1.0) if name == "delta" else ConfidenceGate("sum")
-    elif mode_s == "input":
-        mode = InputScalarSigmoid()
-    elif mode_s == "per_token":
-        mode = PerTokenInputSigmoid()
-    elif mode_s == "confidence":
-        mode = ConfidenceGate("sum")
-    else:
-        try:
-            value = float(mode_s)
-        except ValueError:
-            raise UsageError(
-                f"unknown gate mode {mode_s!r} in {spec!r}; valid rules: {_VALID_RULES}"
-            ) from None
-        try:
-            mode = ConstantScalar(value)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    return DeltaRule(mode) if name == "delta" else Ttt3r(mode)
-
-
-def _resolve_threads(flag: Optional[int]) -> int:
-    if flag is None:
-        raw = os.environ.get("TTT_LAB_THREADS", "1")
-        try:
-            flag = int(raw)
-        except ValueError:
-            raise UsageError(f"TTT_LAB_THREADS must be an integer, got {raw!r}") from None
-    if flag < 0:
-        raise UsageError("thread count cannot be negative")
-    if flag == 0:
-        return os.cpu_count() or 1
-    return flag
+# --count default per task.  32 is gen_adversarial_task's own true_count:
+# 64 pairs plus the default 8 distractor frames would not fit a key width of 64.
+_DEFAULT_COUNT = {"recall": 64, "adversarial": 32}
 
 
 def _slug(label: str) -> str:
@@ -150,25 +98,29 @@ def _slug(label: str) -> str:
 # Runners.  Each takes (config, out_dir), writes files, returns an exit
 # code.  They are invoked both by the flag handlers and by `rerun`.
 
-def _run_recall(config: dict, out_dir: str, threads: int = 1) -> int:
+def _run_recall(config: dict, out_dir: str) -> int:
     dims = StateDims(*config["dims"])
-    if config["task"] == "adversarial":
-        task = gen_adversarial_task(
-            dims, config["seed"], true_count=config["count"],
-            distractor_count=config["distractors"], frame_size=config["frame_size"],
-        )
-    else:
-        task = gen_recall_task(
-            config["count"], dims, config["key_mode"], config["seed"], config["rho"]
-        )
-    rules = [parse_rule(spec) for spec in config["rules"]]
+    # Rule specs and task arguments that cannot be built are usage errors.
+    try:
+        rules = [parse_rule(spec, config["gate_reduce"]) for spec in config["rules"]]
+        if config["task"] == "adversarial":
+            task = gen_adversarial_task(
+                dims, config["seed"], true_count=config["count"],
+                distractor_count=config["distractors"], frame_size=config["frame_size"],
+            )
+        else:
+            task = gen_recall_task(
+                config["count"], dims, config["key_mode"], config["seed"], config["rho"]
+            )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     period = config["reset_period"] if config["reset_period"] else None
     configs = [
         StreamConfig(rule, dims, reset_period=period, seed=config["seed"],
-                     softmax_scale=config["scale"], gate_reduce=config["gate_reduce"])
+                     softmax_scale=config["scale"])
         for rule in rules
     ]
-    comparison = compare_rules(task, configs, threads=threads)
+    comparison = compare_rules(task, configs)
     files = {
         "curves.csv": curves_to_csv(comparison.curves),
         "summary.csv": summary_to_csv(comparison),
@@ -371,15 +323,13 @@ def _handle_recall(args) -> int:
     rules = [spec.strip() for spec in args.rules.split(",") if spec.strip()]
     if not rules:
         raise UsageError("--rules must name at least one rule")
-    for spec in rules:
-        parse_rule(spec)
     if args.scale is not None and not (args.scale > 0 and math.isfinite(args.scale)):
         raise UsageError(f"--scale must be positive and finite, got {args.scale}")
     if args.reset_period < 0:
         raise UsageError("--reset-period cannot be negative (0 turns resets off)")
     config = {
         "task": args.task,
-        "count": args.count,
+        "count": _DEFAULT_COUNT[args.task] if args.count is None else args.count,
         "distractors": args.distractors,
         "frame_size": args.frame_size,
         "key_mode": args.key_mode,
@@ -391,7 +341,7 @@ def _handle_recall(args) -> int:
         "rules": rules,
         "seed": args.seed,
     }
-    return _run_recall(config, args.out, threads=_resolve_threads(args.threads))
+    return _run_recall(config, args.out)
 
 
 def _handle_gradcheck(args) -> int:
@@ -479,7 +429,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", default="full,vanilla,hebbian,delta,ttt3r",
                    help="comma-separated rule specs, e.g. delta:0.5,ttt3r:confidence")
     p.add_argument("--task", choices=["recall", "adversarial"], default="recall")
-    p.add_argument("--count", type=int, default=64, help="number of stored pairs")
+    p.add_argument("--count", type=int, default=None,
+                   help="number of stored pairs (default 64; 32 with --task adversarial)")
     p.add_argument("--key-mode", choices=["orthonormal", "random_unit", "correlated"],
                    default="orthonormal")
     p.add_argument("--rho", type=float, default=0.9, help="correlated-mode key overlap")
@@ -487,15 +438,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reset-period", type=int, default=0,
                    help="reset the state every P frames (0 = never)")
     p.add_argument("--gate-reduce", choices=["sum", "mean"], default="sum",
-                   help="reduction used by confidence gates")
+                   help="reduce of the ttt3r confidence gate")
     p.add_argument("--scale", type=float, default=None,
                    help="softmax temperature (default 1/sqrt(c))")
     p.add_argument("--distractors", type=int, default=128,
                    help="adversarial task: distractor token count")
     p.add_argument("--frame-size", type=int, default=16,
                    help="adversarial task: identical tokens per distractor frame")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default TTT_LAB_THREADS or 1; 0 = auto)")
     p.set_defaults(handler=_handle_recall)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the update gradient")
@@ -555,16 +504,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnsupportedRuleCombination as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
+    except (UsageError, UnsupportedRuleCombination, FileNotFoundError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

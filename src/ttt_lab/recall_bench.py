@@ -19,9 +19,8 @@ recall, saturated attention reads) hold; the gate map stays seeded.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from .state_rules import (
     KvCache,
     LinearAttentionHebbian,
     ObservationTokens,
+    PerTokenInputSigmoid,
     ProjectionSet,
     RuleKind,
     TokenState,
@@ -66,6 +66,7 @@ __all__ = [
     "gen_recall_task",
     "gen_adversarial_task",
     "rule_label",
+    "parse_rule",
     "run_stream",
     "compare_rules",
     "curves_to_csv",
@@ -179,18 +180,14 @@ class StreamConfig:
     restores the initial state before ingesting frame t for every t > 0
     with t % P == 0, so recall sees only what arrived since the last
     boundary.  softmax_scale None selects the default 1/sqrt(c);
-    exact-recall claims hold at softmax_scale 1.0.  gate_reduce picks
-    the reduction used by confidence gates in this stream (it overrides
-    the reduce carried by a Ttt3r rule's ConfidenceGate mode).
-    batch_size packs that many consecutive stored pairs into one
-    multi-token frame.
+    exact-recall claims hold at softmax_scale 1.0.  batch_size packs
+    that many consecutive stored pairs into one multi-token frame.
     """
 
     rule: RuleKind
     state_dims: StateDims
     reset_period: Optional[int] = None
     softmax_scale: Optional[float] = None
-    gate_reduce: str = "sum"
     seed: int = 0
     batch_size: int = 1
 
@@ -201,8 +198,6 @@ class StreamConfig:
             raise ValueError(f"state dims must be >= 1, got {self.state_dims}")
         if self.softmax_scale is not None and not (self.softmax_scale > 0):
             raise ValueError("softmax_scale must be positive")
-        if self.gate_reduce not in ("sum", "mean"):
-            raise ValueError(f"gate_reduce must be 'sum' or 'mean', got {self.gate_reduce!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
@@ -382,7 +377,6 @@ def gen_adversarial_task(dims: StateDims, seed: int = 0, true_count: int = 32,
 class _Frame:
     keys: np.ndarray      # m x c_k
     values: np.ndarray    # m x c_v
-    is_distractor: bool
 
 
 def _assemble_frames(task: RecallTask, batch_size: int):
@@ -398,17 +392,14 @@ def _assemble_frames(task: RecallTask, batch_size: int):
     for pos, entries in groups.items():
         if not (0 <= pos < total):
             raise ValueError(f"distractor position {pos} outside stream of length {total}")
-        frames[pos] = _Frame(
-            np.array([e.key for e in entries]),
-            np.array([e.value for e in entries]),
-            True,
-        )
+        frames[pos] = _Frame(np.array([e.key for e in entries]),
+                             np.array([e.value for e in entries]))
     pair = 0
     positions = np.empty(task.count, dtype=np.int64)
     for t in range(total):
         if frames[t] is None:
             hi = min(pair + batch_size, task.count)
-            frames[t] = _Frame(task.keys[pair:hi], task.values[pair:hi], False)
+            frames[t] = _Frame(task.keys[pair:hi], task.values[pair:hi])
             positions[pair:hi] = t
             pair = hi
     if pair != task.count:
@@ -416,43 +407,168 @@ def _assemble_frames(task: RecallTask, batch_size: int):
     return frames, positions
 
 
+# ---------------------------------------------------------------------------
+# The rule table: everything the stream knows about a rule lives in its
+# entry, and run_stream, rule_label and parse_rule only look entries up.
+# Entries reach the state_rules kernels through this module's globals at
+# call time, so a kernel wrapped here (as a profiler does) sees every call.
+
+_VALID_RULES = ("full, vanilla, hebbian, delta[:<beta>|:input], "
+                "ttt3r[:<beta>|:input|:per_token|:confidence]")
+
+# Gate modes spelled by name; a constant learning rate is spelled as its value.
+_GATE_NAMES = {InputScalarSigmoid: "input", PerTokenInputSigmoid: "per_token",
+               ConfidenceGate: "confidence"}
+
+
+class _RuleEntry(NamedTuple):
+    """How the stream drives one rule class.
+
+    default_gate: the gate spec a bare rule name means (None: ungated).
+    tokens: the rule reads keys as state-width tokens, so c must be c_k.
+    init(dims, seed): the initial state, built again at every reset.
+    ingester(rule, dims, proj, scale): ingest(state, frame, t) -> (state,
+    gate or None), after rejecting an unsupported gate.
+    read(state, task, t, proj, scale): per-pair squared recall errors.
+    """
+
+    name: str
+    default_gate: Optional[str]
+    tokens: bool
+    init: Callable
+    ingester: Callable
+    read: Callable
+
+
+def _init_tokens(dims: StateDims, seed: int) -> TokenState:
+    rng = np.random.default_rng(derive_seed(seed, "state-init"))
+    return TokenState(rng.uniform(-1.0, 1.0, (dims.n, dims.c)) / math.sqrt(dims.c))
+
+
+def _init_fast_weights(dims: StateDims, seed: int) -> FastWeightMatrix:
+    return FastWeightMatrix.zeros(dims.c_v, dims.c_k)
+
+
+def _full_ingester(rule, dims, proj, scale):
+    return lambda state, frame, t: (
+        update_full_attention(state, ObservationTokens(frame.keys, t), proj), None)
+
+
+def _vanilla_ingester(rule, dims, proj, scale):
+    return lambda state, frame, t: (
+        update_vanilla_rnn(state, ObservationTokens(frame.keys, t), proj, scale), None)
+
+
+def _ttt3r_ingester(rule, dims, proj, scale):
+    return lambda state, frame, t: ttt3r_update(
+        state, ObservationTokens(frame.keys, t), proj, rule.mode, scale)
+
+
+def _hebbian_ingester(rule, dims, proj, scale):
+    def ingest(state, frame, t):
+        for key, value in zip(frame.keys, frame.values):
+            state = hebbian_update(state, key, value)
+        return state, None
+    return ingest
+
+
+def _delta_ingester(rule, dims, proj, scale):
+    mode = rule.mode
+    constant = isinstance(mode, ConstantScalar)
+    if not constant and not isinstance(mode, InputScalarSigmoid):
+        raise UnsupportedRuleCombination(
+            f"unsupported rule/read combination: {rule_label(rule)} "
+            "(the delta rule takes a constant or input gate)"
+        )
+    if not constant and dims.c != dims.c_k:
+        raise UnsupportedRuleCombination(
+            "unsupported rule/read combination: input-sigmoid delta gate needs c == c_k"
+        )
+
+    def ingest(state, frame, t):
+        betas = []
+        for key, value in zip(frame.keys, frame.values):
+            beta = mode.value if constant else float(_sigmoid_open(float(key @ proj.gate_map)))
+            state = delta_rule_update(state, key, value, beta)
+            betas.append(beta)
+        return state, GateVector(np.array(betas))
+    return ingest
+
+
+def _read_cache(state, task, t, proj, scale):
+    queries = QUERY_SATURATION * task.keys
+    reads = read_full_attention(state, ObservationTokens(queries, t), proj, scale)
+    return np.sum((reads - queries - proj.project_v(task.keys)) ** 2, axis=1)
+
+
+def _read_tokens(state, task, t, proj, scale):
+    reads = read_token_state(state, task.keys, proj, scale)
+    return np.sum((reads - proj.project_v(task.keys)) ** 2, axis=1)
+
+
+def _read_fast_weights(state, task, t, proj, scale):
+    reads = np.array([read_fast_weight(state, k) for k in task.keys])
+    return np.sum((reads - task.values) ** 2, axis=1)
+
+
+_RULES = {
+    FullAttentionAppend: _RuleEntry("full", None, True, lambda dims, seed: KvCache(),
+                                    _full_ingester, _read_cache),
+    VanillaSoftmaxRnn: _RuleEntry("vanilla", None, True, _init_tokens,
+                                  _vanilla_ingester, _read_tokens),
+    LinearAttentionHebbian: _RuleEntry("hebbian", None, False, _init_fast_weights,
+                                       _hebbian_ingester, _read_fast_weights),
+    DeltaRule: _RuleEntry("delta", "1", False, _init_fast_weights,
+                          _delta_ingester, _read_fast_weights),
+    Ttt3r: _RuleEntry("ttt3r", "confidence", True, _init_tokens,
+                      _ttt3r_ingester, _read_tokens),
+}
+_RULES_BY_NAME = {entry.name: cls for cls, entry in _RULES.items()}
+_GATES_BY_NAME = {name: cls for cls, name in _GATE_NAMES.items()}
+
+
+def _entry(rule) -> _RuleEntry:
+    entry = _RULES.get(type(rule))
+    if entry is None:
+        raise TypeError(f"unknown rule {rule!r}")
+    return entry
+
+
 def rule_label(rule: RuleKind) -> str:
-    """Canonical short name for a rule, also accepted by the CLI."""
-    if isinstance(rule, FullAttentionAppend):
-        return "full"
-    if isinstance(rule, VanillaSoftmaxRnn):
-        return "vanilla"
-    if isinstance(rule, LinearAttentionHebbian):
-        return "hebbian"
-    if isinstance(rule, DeltaRule):
-        return f"delta:{_mode_label(rule.mode)}"
-    if isinstance(rule, Ttt3r):
-        return f"ttt3r:{_mode_label(rule.mode)}"
-    raise TypeError(f"unknown rule {rule!r}")
+    """Canonical short name for a rule; parse_rule inverts it."""
+    entry = _entry(rule)
+    if entry.default_gate is None:
+        return entry.name
+    gate = _GATE_NAMES.get(type(rule.mode))
+    return f"{entry.name}:{gate if gate is not None else f'{rule.mode.value:g}'}"
 
 
-def _mode_label(mode) -> str:
-    if isinstance(mode, ConstantScalar):
-        return f"{mode.value:g}"
-    if isinstance(mode, InputScalarSigmoid):
-        return "input"
-    if isinstance(mode, ConfidenceGate):
-        return "confidence"
-    return "per_token"
+def parse_rule(spec: str, gate_reduce: str = "sum") -> RuleKind:
+    """The rule a "<rule>[:<gate>]" spec names; ValueError if none.
 
-
-def _delta_beta(mode, key: np.ndarray, proj: ProjectionSet) -> float:
-    if isinstance(mode, ConstantScalar):
-        return mode.value
-    if isinstance(mode, InputScalarSigmoid):
-        if key.shape[0] != proj.c:
-            raise UnsupportedRuleCombination(
-                "unsupported rule/read combination: input-sigmoid delta gate needs c == c_k"
-            )
-        return float(_sigmoid_open(float(key @ proj.gate_map)))
-    raise UnsupportedRuleCombination(
-        f"unsupported rule/read combination: delta rule with {_mode_label(mode)} gate"
-    )
+    Inverse of rule_label.  Labels do not spell a confidence gate's
+    reduce, so gate_reduce supplies it.
+    """
+    name, _, gate = spec.partition(":")
+    cls = _RULES_BY_NAME.get(name)
+    if cls is None:
+        raise ValueError(f"unknown rule {spec!r}; valid rules: {_VALID_RULES}")
+    default_gate = _RULES[cls].default_gate
+    if default_gate is None:
+        if gate:
+            raise ValueError(f"rule {name!r} takes no gate mode, got {spec!r}")
+        return cls()
+    gate = gate or default_gate
+    gate_cls = _GATES_BY_NAME.get(gate)
+    if gate_cls is not None:
+        return cls(gate_cls(gate_reduce) if gate_cls is ConfidenceGate else gate_cls())
+    try:
+        value = float(gate)
+    except ValueError:
+        raise ValueError(
+            f"unknown gate mode {gate!r} in {spec!r}; valid rules: {_VALID_RULES}"
+        ) from None
+    return cls(ConstantScalar(value))
 
 
 def run_stream(task: RecallTask, config: StreamConfig):
@@ -462,119 +578,60 @@ def run_stream(task: RecallTask, config: StreamConfig):
     ungated rules.  Pure in its inputs: the same task and config always
     produce identical outputs.
     """
-    n, c, c_k, c_v = config.state_dims
-    rule = config.rule
-    token_like = isinstance(rule, (FullAttentionAppend, VanillaSoftmaxRnn, Ttt3r))
-    if token_like and c != c_k:
+    dims = config.state_dims
+    entry = _entry(config.rule)
+    if entry.tokens and dims.c != dims.c_k:
         raise UnsupportedRuleCombination(
             f"unsupported rule/read combination: token and cache rules need c == c_k, "
-            f"got c={c}, c_k={c_k}"
+            f"got c={dims.c}, c_k={dims.c_k}"
         )
-    if task.keys.shape[1] != c_k:
-        raise ValueError(f"task key width {task.keys.shape[1]} != c_k {c_k}")
-    if task.values.shape[1] != c_v:
-        raise ValueError(f"task value width {task.values.shape[1]} != c_v {c_v}")
-    if isinstance(rule, Ttt3r) and isinstance(rule.mode, ConfidenceGate):
-        rule = Ttt3r(ConfidenceGate(config.gate_reduce))
-    proj = ProjectionSet.identity(c, seed=derive_seed(config.seed, "projections"))
-    scale = config.softmax_scale
+    if task.keys.shape[1] != dims.c_k:
+        raise ValueError(f"task key width {task.keys.shape[1]} != c_k {dims.c_k}")
+    if task.values.shape[1] != dims.c_v:
+        raise ValueError(f"task value width {task.values.shape[1]} != c_v {dims.c_v}")
+    proj = ProjectionSet.identity(dims.c, seed=derive_seed(config.seed, "projections"))
+    ingest = entry.ingester(config.rule, dims, proj, config.softmax_scale)
     frames, positions = _assemble_frames(task, config.batch_size)
 
-    s0 = None
-    if isinstance(rule, (VanillaSoftmaxRnn, Ttt3r)):
-        init_rng = np.random.default_rng(derive_seed(config.seed, "state-init"))
-        s0 = TokenState(init_rng.uniform(-1.0, 1.0, (n, c)) / math.sqrt(c))
-
-    def initial_state():
-        if isinstance(rule, FullAttentionAppend):
-            return KvCache()
-        if isinstance(rule, (VanillaSoftmaxRnn, Ttt3r)):
-            return s0
-        return FastWeightMatrix.zeros(c_v, c_k)
-
-    state = initial_state()
-    gates = []
+    # Built anew at each reset, not kept: keeping the 4.7 MB state of a
+    # width-768 stream alive cost 100x the page faults under glibc malloc.
+    state, gates = entry.init(dims, config.seed), []
     period = config.reset_period
     for t, frame in enumerate(frames):
         if period is not None and t > 0 and t % period == 0:
-            state = initial_state()
-        if isinstance(rule, FullAttentionAppend):
-            state = update_full_attention(state, ObservationTokens(frame.keys, t), proj)
-        elif isinstance(rule, VanillaSoftmaxRnn):
-            state = update_vanilla_rnn(state, ObservationTokens(frame.keys, t), proj, scale)
-        elif isinstance(rule, Ttt3r):
-            state, gate = ttt3r_update(state, ObservationTokens(frame.keys, t), proj,
-                                       rule.mode, scale)
+            state = entry.init(dims, config.seed)
+        state, gate = ingest(state, frame, t)
+        if gate is not None:
             gates.append(gate)
-        elif isinstance(rule, DeltaRule):
-            betas = []
-            for i in range(frame.keys.shape[0]):
-                beta = _delta_beta(rule.mode, frame.keys[i], proj)
-                state = delta_rule_update(state, frame.keys[i], frame.values[i], beta)
-                betas.append(beta)
-            gates.append(GateVector(np.array(betas)))
-        elif isinstance(rule, LinearAttentionHebbian):
-            for i in range(frame.keys.shape[0]):
-                state = hebbian_update(state, frame.keys[i], frame.values[i])
-        else:
-            raise TypeError(f"unknown rule {rule!r}")
 
+    errors = entry.read(state, task, len(frames), proj, config.softmax_scale)
     label = rule_label(config.rule)
-    if isinstance(rule, FullAttentionAppend):
-        queries = QUERY_SATURATION * task.keys
-        reads = read_full_attention(state, ObservationTokens(queries, len(frames)), proj, scale)
-        recalled = reads - queries
-        targets = proj.project_v(task.keys)
-        errors = np.sum((recalled - targets) ** 2, axis=1)
-    elif isinstance(rule, (VanillaSoftmaxRnn, Ttt3r)):
-        reads = read_token_state(state, task.keys, proj, scale)
-        targets = proj.project_v(task.keys)
-        errors = np.sum((reads - targets) ** 2, axis=1)
-    else:
-        reads = np.array([read_fast_weight(state, k) for k in task.keys])
-        errors = np.sum((reads - task.values) ** 2, axis=1)
-
     curve = ForgettingCurve(label, positions, errors, len(frames))
     return curve, GateTrace(label, tuple(gates))
 
 
-def compare_rules(task: RecallTask, configs: Sequence[StreamConfig], threads: int = 1):
+def compare_rules(task: RecallTask, configs: Sequence[StreamConfig]):
     """Run several configs over one task; results are in config order.
 
-    With threads > 1 the independent streams run on a thread pool; the
-    output is identical to serial execution because each stream is a
-    pure function of (task, config) and results are collected in input
-    order.  Labels of repeated rules get a #k suffix so report rows
-    stay unambiguous.
+    Labels of repeated rules get a #k suffix so report rows stay
+    unambiguous.
     """
     configs = list(configs)
     if not configs:
         raise ValueError("need at least one config")
-    if threads is None or threads < 1:
-        threads = 1
-    if threads == 1 or len(configs) == 1:
-        results = [run_stream(task, cfg) for cfg in configs]
-    else:
-        with ThreadPoolExecutor(max_workers=min(threads, len(configs))) as pool:
-            results = list(pool.map(lambda cfg: run_stream(task, cfg), configs))
-
     seen: dict = {}
-    labels = []
-    curves = []
-    traces = []
-    for curve, trace in results:
-        label = curve.rule_label
-        bump = seen.get(label, 0)
-        seen[label] = bump + 1
-        if bump:
-            label = f"{label}#{bump + 1}"
+    curves, traces = [], []
+    for cfg in configs:
+        curve, trace = run_stream(task, cfg)
+        seen[curve.rule_label] = bump = seen.get(curve.rule_label, 0) + 1
+        if bump > 1:
+            label = f"{curve.rule_label}#{bump}"
             curve = ForgettingCurve(label, curve.positions, curve.sq_errors,
                                     curve.stream_length)
             trace = GateTrace(label, trace.per_frame_gates)
-        labels.append(label)
         curves.append(curve)
         traces.append(trace)
-    return RuleComparison(tuple(curves), tuple(traces), tuple(labels))
+    return RuleComparison(tuple(curves), tuple(traces), tuple(c.rule_label for c in curves))
 
 
 def curves_to_csv(curves: Sequence[ForgettingCurve]) -> str:

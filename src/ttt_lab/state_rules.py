@@ -552,6 +552,12 @@ def _sigmoid_open(z) -> np.ndarray:
     return np.clip(out, _GATE_LO, _GATE_HI)
 
 
+def _confidence_beta(q_s: np.ndarray, k_x: np.ndarray, reduce: str, scale: float) -> np.ndarray:
+    logits = scale * (q_s @ k_x.T)
+    reduced = logits.sum(axis=1) if reduce == "sum" else logits.mean(axis=1)
+    return _sigmoid_open(reduced)
+
+
 def confidence_gate(q_s: np.ndarray, k_x: np.ndarray, reduce: str = "sum", scale=None) -> GateVector:
     """Per-state-token gate beta_i = sigmoid(reduce_j of scale * q_i . k_j).
 
@@ -569,9 +575,7 @@ def confidence_gate(q_s: np.ndarray, k_x: np.ndarray, reduce: str = "sum", scale
         raise ValueError("k_x must contain at least one token")
     if reduce not in ("sum", "mean"):
         raise ValueError(f"reduce must be 'sum' or 'mean', got {reduce!r}")
-    logits = _resolve_scale(scale, q_s.shape[1]) * (q_s @ k_x.T)
-    reduced = logits.sum(axis=1) if reduce == "sum" else logits.mean(axis=1)
-    return GateVector(_sigmoid_open(reduced))
+    return GateVector(_confidence_beta(q_s, k_x, reduce, _resolve_scale(scale, q_s.shape[1])))
 
 
 def _gate_for_mode(mode: BetaMode, s: TokenState, x: ObservationTokens, p: ProjectionSet,
@@ -584,9 +588,7 @@ def _gate_for_mode(mode: BetaMode, s: TokenState, x: ObservationTokens, p: Proje
     if isinstance(mode, PerTokenInputSigmoid):
         return GateVector(_sigmoid_open(s.tokens @ p.gate_map))
     if isinstance(mode, ConfidenceGate):
-        logits = scale * (q_s @ k_x.T)
-        reduced = logits.sum(axis=1) if mode.reduce == "sum" else logits.mean(axis=1)
-        return GateVector(_sigmoid_open(reduced))
+        return GateVector(_confidence_beta(q_s, k_x, mode.reduce, scale))
     raise TypeError(f"unknown gate mode {mode!r}")
 
 

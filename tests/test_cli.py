@@ -4,8 +4,11 @@ Commands run in-process through main(argv) so exit codes and output
 files can be asserted directly.
 """
 
+import argparse
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,20 +110,57 @@ def test_recall_unsupported_combination_is_a_usage_error(tmp_path):
 
 def test_recall_default_flags():
     args = _build_parser().parse_args(["recall", "--out", "x"])
-    assert args.count == 64
+    assert args.count is None          # resolved per task, see below
     assert args.dims == "4,64,64,64"
     assert args.gate_reduce == "sum"
     assert args.reset_period == 0
     assert args.key_mode == "orthonormal"
 
 
-def test_recall_thread_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("TTT_LAB_THREADS", "not-a-number")
-    assert main(["recall", "--out", str(tmp_path / "x"), "--count", "4",
-                 "--dims", "2,8,8,8", "--rules", "vanilla"]) == 2
-    monkeypatch.setenv("TTT_LAB_THREADS", "0")
-    assert main(["recall", "--out", str(tmp_path / "y"), "--count", "4",
-                 "--dims", "2,8,8,8", "--rules", "vanilla"]) == 0
+def test_every_subcommand_runs_with_only_its_required_flags(tmp_path):
+    _write_traj(tmp_path / "t.tum")
+    _write_cloud(tmp_path / "c.ply")
+    _write_depth_dir(tmp_path / "depth")
+    runs = [
+        ["recall", "--out", str(tmp_path / "recall")],
+        ["recall", "--out", str(tmp_path / "adversarial"), "--task", "adversarial"],
+        ["gradcheck", "--out", str(tmp_path / "gradcheck")],
+        ["traj-eval", "--est", str(tmp_path / "t.tum"), "--gt", str(tmp_path / "t.tum"),
+         "--out", str(tmp_path / "traj")],
+        ["depth-eval", "--pred", str(tmp_path / "depth"), "--gt", str(tmp_path / "depth"),
+         "--out", str(tmp_path / "depth-eval")],
+        ["chamfer", "--a", str(tmp_path / "c.ply"), "--b", str(tmp_path / "c.ply"),
+         "--out", str(tmp_path / "chamfer")],
+        ["stitch", "--traj", str(tmp_path / "t.tum"), "--out", str(tmp_path / "stitch")],
+        ["rerun", "--manifest", str(tmp_path / "adversarial" / "manifest.json")],
+    ]
+    for argv in runs:
+        assert main(argv) == 0, argv
+    for name, count in (("recall", 64), ("adversarial", 32)):
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["config"]["count"] == count
+
+
+@pytest.mark.parametrize("flags, edit", [
+    pytest.param(["--count", "0"], {"count": 0}, id="count-0"),
+    pytest.param(["--rho", "1.5"], {"rho": 1.5}, id="rho-1.5"),
+    pytest.param(["--count", "65"], {"count": 65}, id="orthonormal-count-above-c_k"),
+    pytest.param(["--task", "adversarial", "--count", "64"],     # 64 pairs + 8 frames > 64
+                 {"task": "adversarial", "count": 64}, id="adversarial-does-not-fit"),
+])
+@pytest.mark.parametrize("path", ["flags", "manifest"])
+def test_task_argument_errors_are_usage_errors(tmp_path, capsys, flags, edit, path):
+    argv = ["recall", "--out", str(tmp_path / "run"), "--rules", "hebbian", "--count", "4"]
+    if path == "flags":
+        assert main(argv + flags) == 2
+    else:
+        assert main(argv) == 0
+        manifest_path = tmp_path / "run" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"].update(edit)
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["rerun", "--manifest", str(manifest_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
@@ -347,3 +387,32 @@ def test_unknown_subcommand_exits_2(capsys):
 def test_depth_mode_choices_are_enforced(capsys):
     assert main(["depth-eval", "--pred", "p", "--gt", "g", "--out", "o",
                  "--mode", "per-frame"]) == 2
+
+
+def _readme_synopses():
+    """{command: {flag: required}} from the README's CLI synopsis block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```", 2)[1]
+    text = {}
+    for line in block.strip().splitlines():
+        if line.startswith("ttt-lab "):
+            command = line.split()[1]
+            text[command] = ""
+        text[command] += line.replace(f"ttt-lab {command}", "", 1) + " "
+    flag = re.compile(r"--[a-z][a-z-]*")
+    return {
+        command: {f: f in flag.findall(re.sub(r"\[[^\]]*\]", "", synopsis))
+                  for f in flag.findall(synopsis)}
+        for command, synopsis in text.items()
+    }
+
+
+def test_readme_synopsis_matches_the_parser():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        command: {opt: action.required for action in p._actions
+                  for opt in action.option_strings if opt != "--help" and opt.startswith("--")}
+        for command, p in sub.choices.items()
+    }
+    assert _readme_synopses() == flags

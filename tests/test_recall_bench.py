@@ -16,6 +16,7 @@ from ttt_lab.recall_bench import (
     gate_trace_to_csv,
     gen_adversarial_task,
     gen_recall_task,
+    parse_rule,
     rule_label,
     run_stream,
     summary_to_csv,
@@ -174,8 +175,6 @@ def test_stream_config_validation():
     with pytest.raises(ValueError):
         StreamConfig(VanillaSoftmaxRnn(), DIMS16, softmax_scale=0.0)
     with pytest.raises(ValueError):
-        StreamConfig(VanillaSoftmaxRnn(), DIMS16, gate_reduce="max")
-    with pytest.raises(ValueError):
         StreamConfig(VanillaSoftmaxRnn(), DIMS16, batch_size=0)
     with pytest.raises(ValueError):
         StreamConfig(VanillaSoftmaxRnn(), StateDims(0, 16, 16, 16))
@@ -229,13 +228,17 @@ def test_gate_trace_rejects_non_gate_entries():
         GateTrace("x", (np.ones(3),))
 
 
-def test_stream_gate_reduce_overrides_rule_mode():
+def test_stream_honours_the_rules_confidence_reduce():
     task = gen_recall_task(6, DIMS16, "orthonormal", seed=0)
-    rule = Ttt3r(ConfidenceGate("sum"))
-    _, t_sum = run_stream(task, StreamConfig(rule, DIMS16, gate_reduce="sum",
+    _, t_sum = run_stream(task, StreamConfig(Ttt3r(ConfidenceGate("sum")), DIMS16,
                                              batch_size=3))
-    _, t_mean = run_stream(task, StreamConfig(rule, DIMS16, gate_reduce="mean",
+    _, t_mean = run_stream(task, StreamConfig(Ttt3r(ConfidenceGate("mean")), DIMS16,
                                               batch_size=3))
+    # Both streams start from the same state and see the same first frame
+    # of 3 tokens, so its mean-reduced logits are a third of the summed ones.
+    logit = lambda b: np.log(b / (1.0 - b))
+    np.testing.assert_allclose(3.0 * logit(t_mean.per_frame_gates[0].beta),
+                               logit(t_sum.per_frame_gates[0].beta), rtol=1e-9)
     a = np.concatenate([g.beta for g in t_sum.per_frame_gates])
     b = np.concatenate([g.beta for g in t_mean.per_frame_gates])
     assert np.any(a != b)
@@ -369,24 +372,6 @@ def test_adversarial_task_validation():
 # rule comparison
 
 
-def test_compare_rules_matches_serial_execution_bitwise():
-    task = gen_recall_task(12, DIMS16, "orthonormal", seed=1)
-    configs = [
-        StreamConfig(FullAttentionAppend(), DIMS16, softmax_scale=1.0),
-        StreamConfig(VanillaSoftmaxRnn(), DIMS16),
-        StreamConfig(DeltaRule(ConstantScalar(0.5)), DIMS16),
-        StreamConfig(Ttt3r(ConfidenceGate("sum")), DIMS16),
-    ]
-    serial = compare_rules(task, configs, threads=1)
-    threaded = compare_rules(task, configs, threads=4)
-    assert serial.labels == threaded.labels
-    for a, b in zip(serial.curves, threaded.curves):
-        np.testing.assert_array_equal(a.sq_errors, b.sq_errors)
-    for ta, tb in zip(serial.traces, threaded.traces):
-        for ga, gb in zip(ta.per_frame_gates, tb.per_frame_gates):
-            np.testing.assert_array_equal(ga.beta, gb.beta)
-
-
 def test_compare_rules_disambiguates_repeated_labels():
     task = gen_recall_task(4, DIMS16, "orthonormal", seed=1)
     configs = [StreamConfig(VanillaSoftmaxRnn(), DIMS16),
@@ -410,6 +395,24 @@ def test_rule_labels():
     assert rule_label(Ttt3r(ConfidenceGate("sum"))) == "ttt3r:confidence"
     assert rule_label(Ttt3r(InputScalarSigmoid())) == "ttt3r:input"
     assert rule_label(Ttt3r(PerTokenInputSigmoid())) == "ttt3r:per_token"
+
+
+@pytest.mark.parametrize("reduce", ["sum", "mean"])
+def test_parse_rule_inverts_rule_label(reduce):
+    modes = [ConstantScalar(1.0), ConstantScalar(0.5), ConstantScalar(0.125),
+             InputScalarSigmoid(), PerTokenInputSigmoid(), ConfidenceGate(reduce)]
+    rules = [FullAttentionAppend(), VanillaSoftmaxRnn(), LinearAttentionHebbian()]
+    rules += [cls(mode) for cls in (DeltaRule, Ttt3r) for mode in modes]
+    for rule in rules:
+        assert parse_rule(rule_label(rule), reduce) == rule
+    assert parse_rule("delta", reduce) == DeltaRule(ConstantScalar(1.0))
+    assert parse_rule("ttt3r", reduce) == Ttt3r(ConfidenceGate(reduce))
+
+
+def test_parse_rule_rejects_bad_specs():
+    for spec in ("gru", "vanilla:0.5", "delta:high", "delta:1.5", "ttt3r:0"):
+        with pytest.raises(ValueError):
+            parse_rule(spec)
 
 
 # ---------------------------------------------------------------------------
