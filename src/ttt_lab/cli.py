@@ -1,16 +1,18 @@
 """Command-line interface.
 
-Every producing subcommand resolves its flags into a plain config
-dict, runs, and writes its outputs plus a manifest.json into --out.
-The manifest records the command, the fully resolved config and the
-output file names, nothing else (no timestamps, no host details), so
-`ttt-lab rerun --manifest <path>` reproduces every output byte for
-byte as long as the referenced input files are unchanged.
+Every producing subcommand is one function: it checks its flags,
+computes, and writes its outputs plus a manifest.json into --out.
+The manifest records the command, the resolved flags (everything but
+--out) and the output file names, nothing else (no timestamps, no host
+details).  `ttt-lab rerun --manifest <path>` gives that config back to
+the same parser as flags and calls the same function, so it reproduces
+every output byte for byte as long as the referenced input files are
+unchanged, and an edited manifest meets every check a flag does.
 
 Exit codes: 0 success, 1 runtime or tolerance failure (association
 failure, frame-count mismatch, gradient check over tolerance), 2 usage
-errors (bad flags, missing or malformed input files, unsupported rule
-combinations).
+errors (bad flags or manifests, missing or malformed input files,
+unsupported rule combinations).
 """
 
 from __future__ import annotations
@@ -43,6 +45,11 @@ class UsageError(Exception):
     """Bad invocation or unusable input; maps to exit code 2."""
 
 
+def _check(ok, message: str) -> None:
+    if not ok:
+        raise UsageError(message)
+
+
 def _atomic_write(path: str, data) -> None:
     """Write via a temp file and rename so partial files never appear."""
     directory = os.path.dirname(path) or "."
@@ -58,19 +65,19 @@ def _atomic_write(path: str, data) -> None:
         raise
 
 
-def _write_outputs(out_dir: str, command: str, config: dict, files: dict) -> None:
-    os.makedirs(out_dir, exist_ok=True)
+def _write_outputs(args, files: dict) -> None:
+    os.makedirs(args.out, exist_ok=True)
     for name, data in files.items():
-        _atomic_write(os.path.join(out_dir, name), data)
+        _atomic_write(os.path.join(args.out, name), data)
     manifest = {
-        "command": command,
-        "config": config,
+        "command": args.command,
+        "config": {k: v for k, v in vars(args).items() if k not in ("command", "out", "run")},
         "outputs": sorted(files),
         "tool": "ttt-lab",
         "version": __version__,
     }
     _atomic_write(
-        os.path.join(out_dir, "manifest.json"),
+        os.path.join(args.out, "manifest.json"),
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
     )
 
@@ -95,29 +102,46 @@ def _slug(label: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Runners.  Each takes (config, out_dir), writes files, returns an exit
-# code.  They are invoked both by the flag handlers and by `rerun`.
+# Commands.  Each takes the parsed flags, checks them, computes, and
+# writes its outputs plus the manifest.  Flags and `rerun` both land here.
 
-def _run_recall(config: dict, out_dir: str) -> int:
-    dims = StateDims(*config["dims"])
+def _parse_dims(text: str) -> list:
+    parts = text.split(",")
+    _check(len(parts) == 4, f"--dims wants n,c,c_k,c_v, got {text!r}")
+    try:
+        dims = [int(p) for p in parts]
+    except ValueError:
+        raise UsageError(f"--dims wants four integers, got {text!r}") from None
+    _check(min(dims) >= 1, f"--dims entries must be >= 1, got {text!r}")
+    return dims
+
+
+def _run_recall(args) -> int:
+    args.rules = [spec.strip() for spec in args.rules.split(",") if spec.strip()]
+    _check(args.rules, "--rules must name at least one rule")
+    _check(args.scale is None or 0 < args.scale < math.inf,
+           f"--scale must be positive and finite, got {args.scale}")
+    _check(args.reset_period >= 0, "--reset-period cannot be negative (0 turns resets off)")
+    args.dims = _parse_dims(args.dims)
+    if args.count is None:
+        args.count = _DEFAULT_COUNT[args.task]
+    dims = StateDims(*args.dims)
     # Rule specs and task arguments that cannot be built are usage errors.
     try:
-        rules = [parse_rule(spec, config["gate_reduce"]) for spec in config["rules"]]
-        if config["task"] == "adversarial":
+        rules = [parse_rule(spec, args.gate_reduce) for spec in args.rules]
+        if args.task == "adversarial":
             task = gen_adversarial_task(
-                dims, config["seed"], true_count=config["count"],
-                distractor_count=config["distractors"], frame_size=config["frame_size"],
+                dims, args.seed, true_count=args.count,
+                distractor_count=args.distractors, frame_size=args.frame_size,
             )
         else:
-            task = gen_recall_task(
-                config["count"], dims, config["key_mode"], config["seed"], config["rho"]
-            )
+            task = gen_recall_task(args.count, dims, args.key_mode, args.seed, args.rho)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    period = config["reset_period"] if config["reset_period"] else None
+    period = args.reset_period if args.reset_period else None
     configs = [
-        StreamConfig(rule, dims, reset_period=period, seed=config["seed"],
-                     softmax_scale=config["scale"])
+        StreamConfig(rule, dims, reset_period=period, seed=args.seed,
+                     softmax_scale=args.scale)
         for rule in rules
     ]
     comparison = compare_rules(task, configs)
@@ -132,22 +156,23 @@ def _run_recall(config: dict, out_dir: str) -> int:
     files["gates.csv"] = gate_trace_to_csv(gated[0]) if gated else "frame,token,beta\n"
     for trace in gated[1:]:
         files[f"gates_{_slug(trace.rule_label)}.csv"] = gate_trace_to_csv(trace)
-    _write_outputs(out_dir, "recall", config, files)
+    _write_outputs(args, files)
     for label, mean, worst in comparison.summary:
         print(f"{label}: mean_sq_error={mean:.6e} worst_sq_error={worst:.6e}")
     return 0
 
 
-def _run_gradcheck(config: dict, out_dir: str) -> int:
-    rng = np.random.default_rng(derive_seed(config["seed"], "gradcheck"))
-    trials = config["trials"]
-    step = config["step"]
-    tol = config["tol"]
-    max_dim = config["max_dim"]
+def _run_gradcheck(args) -> int:
+    _check(args.trials >= 1, "--trials must be >= 1")
+    _check(0 < args.step < math.inf, "--step must be positive and finite")
+    _check(0 <= args.tol < math.inf, "--tol must be finite and >= 0")
+    _check(args.max_dim >= 1, "--max-dim must be >= 1")
+    rng = np.random.default_rng(derive_seed(args.seed, "gradcheck"))
+    step = args.step
     rows = []
     worst = (-1.0, None)
-    for trial in range(trials):
-        c_k, c_v, m = (int(v) for v in rng.integers(1, max_dim + 1, 3))
+    for trial in range(args.trials):
+        c_k, c_v, m = (int(v) for v in rng.integers(1, args.max_dim + 1, 3))
         s = rng.standard_normal((c_v, c_k))
         keys = rng.standard_normal((c_k, m))
         values = rng.standard_normal((c_v, m))
@@ -163,22 +188,24 @@ def _run_gradcheck(config: dict, out_dir: str) -> int:
                 fd[i, j] = (hi - lo) / (4.0 * step)
         rel = float(np.max(np.abs(grad - fd)) / max(1.0, float(np.max(np.abs(fd)))))
         rows.append((trial, rel))
-        if rel > worst[0]:
+        # A nan error is the worst trial there is: once seen, it stays the worst.
+        if not math.isnan(worst[0]) and not rel <= worst[0]:
             worst = (rel, (s, keys, values))
     max_rel = worst[0]
     lines = ["trial,rel_error"]
     for trial, rel in rows:
         lines.append(f"{trial},{rel!r}")
     files = {"gradcheck.csv": "\n".join(lines) + "\n"}
-    ok = max_rel <= tol
+    ok = max_rel <= args.tol
     if not ok:
         dump = ["name,row,col,value"]
         for name, arr in zip(("s", "keys", "values"), worst[1]):
             for (i, j), v in np.ndenumerate(arr):
                 dump.append(f"{name},{i},{j},{float(v)!r}")
         files["gradcheck_failure.csv"] = "\n".join(dump) + "\n"
-    _write_outputs(out_dir, "gradcheck", config, files)
-    print(f"max relative error {max_rel:.3e} over {trials} trials (tolerance {tol:g})")
+    _write_outputs(args, files)
+    print(f"max relative error {max_rel:.3e} over {args.trials} trials "
+          f"(tolerance {args.tol:g})")
     if not ok:
         print("gradient check FAILED; worst instance dumped to gradcheck_failure.csv",
               file=sys.stderr)
@@ -186,47 +213,44 @@ def _run_gradcheck(config: dict, out_dir: str) -> int:
     return 0
 
 
-def _run_traj_eval(config: dict, out_dir: str) -> int:
-    est = parse_tum(_read_text(config["est"]))
-    gt = parse_tum(_read_text(config["gt"]))
-    pairs = associate(est, gt, config["max_dt"])
+def _run_traj_eval(args) -> int:
+    _check(0 < args.max_dt < math.inf, "--max-dt must be positive and finite")
+    _check(args.rpe_delta >= 1, "--rpe-delta must be >= 1")
+    est = parse_tum(_read_text(args.est))
+    gt = parse_tum(_read_text(args.gt))
+    pairs = associate(est, gt, args.max_dt)
     if len(pairs) < 3:
         raise ValueError(
             f"association produced {len(pairs)} matched pairs; need at least 3"
         )
-    ate_val = ate(est, gt, align=config["align"], max_dt=config["max_dt"])
-    rpe_trans, rpe_rot = rpe(est, gt, delta=config["rpe_delta"], max_dt=config["max_dt"])
+    ate_val = ate(est, gt, align=args.align, max_dt=args.max_dt)
+    rpe_trans, rpe_rot = rpe(est, gt, delta=args.rpe_delta, max_dt=args.max_dt)
     csv = "ate,rpe_trans,rpe_rot\n" + f"{ate_val!r},{rpe_trans!r},{rpe_rot!r}\n"
-    _write_outputs(out_dir, "traj-eval", config, {"traj_eval.csv": csv})
+    _write_outputs(args, {"traj_eval.csv": csv})
     print(f"matched={len(pairs)} ate={ate_val:.6e} "
           f"rpe_trans={rpe_trans:.6e} rpe_rot={rpe_rot:.6e}")
     return 0
 
 
 def _list_pfms(directory: str):
-    if not os.path.isdir(directory):
-        raise UsageError(f"not a directory: {directory}")
+    _check(os.path.isdir(directory), f"not a directory: {directory}")
     names = sorted(n for n in os.listdir(directory) if n.endswith(".pfm"))
-    if not names:
-        raise UsageError(f"no .pfm files in {directory}")
+    _check(names, f"no .pfm files in {directory}")
     return names
 
 
-def _run_depth_eval(config: dict, out_dir: str) -> int:
-    pred_names = _list_pfms(config["pred"])
-    gt_names = _list_pfms(config["gt"])
+def _run_depth_eval(args) -> int:
+    pred_names = _list_pfms(args.pred)
+    gt_names = _list_pfms(args.gt)
     if len(pred_names) != len(gt_names):
         raise ValueError(
             f"frame count mismatch: {len(pred_names)} predictions vs {len(gt_names)} references"
         )
     if pred_names != gt_names:
         raise ValueError("prediction and reference file names do not match")
-    preds = [parse_pfm(_read_bytes(os.path.join(config["pred"], n))) for n in pred_names]
-    gts = [parse_pfm(_read_bytes(os.path.join(config["gt"], n))) for n in gt_names]
-    mode_map = {"seq-scale": "per_sequence_scale", "metric": "metric"}
-    if config["mode"] not in mode_map:
-        raise UsageError(f"unknown depth mode {config['mode']!r}; valid: seq-scale, metric")
-    mode = mode_map[config["mode"]]
+    preds = [parse_pfm(_read_bytes(os.path.join(args.pred, n))) for n in pred_names]
+    gts = [parse_pfm(_read_bytes(os.path.join(args.gt, n))) for n in gt_names]
+    mode = {"seq-scale": "per_sequence_scale", "metric": "metric"}[args.mode]
     scale = None
     if mode == "per_sequence_scale":
         scale = sequence_depth_scale(preds, gts)
@@ -238,33 +262,34 @@ def _run_depth_eval(config: dict, out_dir: str) -> int:
     mean_abs = float(np.mean([m[0] for m in per_frame]))
     mean_d = float(np.mean([m[1] for m in per_frame]))
     lines.append(f"mean,{mean_abs!r},{mean_d!r}")
-    _write_outputs(out_dir, "depth-eval", config, {"depth_eval.csv": "\n".join(lines) + "\n"})
+    _write_outputs(args, {"depth_eval.csv": "\n".join(lines) + "\n"})
     if scale is not None:
         print(f"sequence scale {scale:.6e}")
     print(f"frames={len(per_frame)} abs_rel={mean_abs:.6e} delta_125={mean_d:.6f}")
     return 0
 
 
-def _run_chamfer(config: dict, out_dir: str) -> int:
-    cloud_a = parse_ply_ascii(_read_text(config["a"]))
-    cloud_b = parse_ply_ascii(_read_text(config["b"]))
+def _run_chamfer(args) -> int:
+    cloud_a = parse_ply_ascii(_read_text(args.a))
+    cloud_b = parse_ply_ascii(_read_text(args.b))
     result = chamfer(cloud_a, cloud_b)
     rows = [("accuracy", result.accuracy), ("completeness", result.completeness),
             ("chamfer", result.chamfer)]
     if cloud_a.normals is not None and cloud_b.normals is not None:
         rows.append(("normal_consistency", normal_consistency(cloud_a, cloud_b)))
-    _write_outputs(out_dir, "chamfer", config, {"chamfer.csv": write_metrics_csv(rows)})
+    _write_outputs(args, {"chamfer.csv": write_metrics_csv(rows)})
     for name, value in rows:
         print(f"{name}={value:.6e}")
     return 0
 
 
-def _run_stitch(config: dict, out_dir: str) -> int:
-    traj = parse_tum(_read_text(config["traj"]))
-    chunks = split_trajectory(traj, config["reset_period"])
+def _run_stitch(args) -> int:
+    _check(args.reset_period >= 1, "--reset-period must be >= 1")
+    traj = parse_tum(_read_text(args.traj))
+    chunks = split_trajectory(traj, args.reset_period)
     cloud = None
-    if config["cloud"] is not None:
-        cloud = parse_ply_ascii(_read_text(config["cloud"]))
+    if args.cloud is not None:
+        cloud = parse_ply_ascii(_read_text(args.cloud))
         if len(cloud) < len(chunks):
             raise ValueError(
                 f"cloud has {len(cloud)} points but {len(chunks)} chunks need one each"
@@ -288,132 +313,41 @@ def _run_stitch(config: dict, out_dir: str) -> int:
     rows = [("chunks", float(len(chunks))), ("poses", float(len(stitched))),
             ("ate_vs_input", roundtrip)]
     files["stitch.csv"] = write_metrics_csv(rows)
-    _write_outputs(out_dir, "stitch", config, files)
+    _write_outputs(args, files)
     print(f"chunks={len(chunks)} poses={len(stitched)} ate_vs_input={roundtrip:.3e}")
     return 0
 
 
-_RUNNERS = {
-    "recall": _run_recall,
-    "gradcheck": _run_gradcheck,
-    "traj-eval": _run_traj_eval,
-    "depth-eval": _run_depth_eval,
-    "chamfer": _run_chamfer,
-    "stitch": _run_stitch,
-}
+def _replay(parser: argparse.ArgumentParser, args) -> list:
+    """The argv that re-runs a manifest: its config given back as the command's flags.
 
-
-# ---------------------------------------------------------------------------
-# Flag handlers: resolve argparse namespaces into runner configs.
-
-def _parse_dims(text: str) -> list:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise UsageError(f"--dims wants n,c,c_k,c_v, got {text!r}")
-    try:
-        dims = [int(p) for p in parts]
-    except ValueError:
-        raise UsageError(f"--dims wants four integers, got {text!r}") from None
-    if min(dims) < 1:
-        raise UsageError(f"--dims entries must be >= 1, got {text!r}")
-    return dims
-
-
-def _handle_recall(args) -> int:
-    rules = [spec.strip() for spec in args.rules.split(",") if spec.strip()]
-    if not rules:
-        raise UsageError("--rules must name at least one rule")
-    if args.scale is not None and not (args.scale > 0 and math.isfinite(args.scale)):
-        raise UsageError(f"--scale must be positive and finite, got {args.scale}")
-    if args.reset_period < 0:
-        raise UsageError("--reset-period cannot be negative (0 turns resets off)")
-    config = {
-        "task": args.task,
-        "count": _DEFAULT_COUNT[args.task] if args.count is None else args.count,
-        "distractors": args.distractors,
-        "frame_size": args.frame_size,
-        "key_mode": args.key_mode,
-        "rho": args.rho,
-        "dims": _parse_dims(args.dims),
-        "reset_period": args.reset_period,
-        "scale": args.scale,
-        "gate_reduce": args.gate_reduce,
-        "rules": rules,
-        "seed": args.seed,
-    }
-    return _run_recall(config, args.out)
-
-
-def _handle_gradcheck(args) -> int:
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
-    if not (args.step > 0):
-        raise UsageError("--step must be positive")
-    if args.tol < 0:
-        raise UsageError("--tol cannot be negative")
-    if args.max_dim < 1:
-        raise UsageError("--max-dim must be >= 1")
-    config = {
-        "seed": args.seed,
-        "trials": args.trials,
-        "tol": args.tol,
-        "step": args.step,
-        "max_dim": args.max_dim,
-    }
-    return _run_gradcheck(config, args.out)
-
-
-def _handle_traj_eval(args) -> int:
-    if not (args.max_dt > 0):
-        raise UsageError("--max-dt must be positive")
-    if args.rpe_delta < 1:
-        raise UsageError("--rpe-delta must be >= 1")
-    config = {
-        "est": args.est,
-        "gt": args.gt,
-        "align": args.align,
-        "rpe_delta": args.rpe_delta,
-        "max_dt": args.max_dt,
-    }
-    return _run_traj_eval(config, args.out)
-
-
-def _handle_depth_eval(args) -> int:
-    config = {"pred": args.pred, "gt": args.gt, "mode": args.mode}
-    return _run_depth_eval(config, args.out)
-
-
-def _handle_chamfer(args) -> int:
-    config = {"a": args.a, "b": args.b}
-    return _run_chamfer(config, args.out)
-
-
-def _handle_stitch(args) -> int:
-    if args.reset_period < 1:
-        raise UsageError("--reset-period must be >= 1")
-    config = {"traj": args.traj, "reset_period": args.reset_period, "cloud": args.cloud}
-    return _run_stitch(config, args.out)
-
-
-def _handle_rerun(args) -> int:
+    The parser is the only schema: every flag check, type and choice
+    applies to an edited manifest exactly as it does on the command line.
+    """
     try:
         manifest = json.loads(_read_text(args.manifest))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise UsageError(f"malformed manifest: {exc}") from None
-    if not isinstance(manifest, dict) or "command" not in manifest or "config" not in manifest:
-        raise UsageError("manifest must carry 'command' and 'config' entries")
-    command = manifest["command"]
-    runner = _RUNNERS.get(command)
-    if runner is None:
-        raise UsageError(f"manifest names unknown command {command!r}")
-    config = manifest["config"]
-    if not isinstance(config, dict):
-        raise UsageError("manifest config must be an object")
-    out_dir = args.out if args.out is not None else (os.path.dirname(args.manifest) or ".")
-    try:
-        return runner(config, out_dir)
-    except KeyError as exc:
-        raise UsageError(f"manifest config is missing key {exc}") from None
+    _check(isinstance(manifest, dict), "manifest must be a JSON object")
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    command, config = manifest.get("command"), manifest.get("config")
+    _check(isinstance(command, str) and command in commands and command != "rerun",
+           f"manifest must name a producing command, got {command!r}")
+    _check(isinstance(config, dict), "manifest config must be an object")
+    flags = {a.dest: a.option_strings[0] for a in commands[command]._actions
+             if a.dest not in ("help", "out")}
+    missing, unknown = sorted(flags.keys() - config.keys()), sorted(config.keys() - flags.keys())
+    _check(not missing and not unknown, f"manifest config does not match the {command} "
+           f"flags: missing keys {missing}, unknown keys {unknown}")
+    out = args.out if args.out is not None else (os.path.dirname(args.manifest) or ".")
+    argv = [command, f"--out={out}"]
+    for key, value in config.items():
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        if value is not None:
+            argv.append(f"{flags[key]}={value}")
+    return argv
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -445,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="adversarial task: distractor token count")
     p.add_argument("--frame-size", type=int, default=16,
                    help="adversarial task: identical tokens per distractor frame")
-    p.set_defaults(handler=_handle_recall)
+    p.set_defaults(run=_run_recall)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the update gradient")
     p.add_argument("--out", required=True)
@@ -454,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--max-dim", type=int, default=8)
-    p.set_defaults(handler=_handle_gradcheck)
+    p.set_defaults(run=_run_gradcheck)
 
     p = sub.add_parser("traj-eval", help="ATE and RPE of an estimated trajectory")
     p.add_argument("--est", required=True, help="estimated trajectory (TUM)")
@@ -464,20 +398,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rpe-delta", type=int, default=1)
     p.add_argument("--max-dt", type=float, default=0.02,
                    help="association window in seconds")
-    p.set_defaults(handler=_handle_traj_eval)
+    p.set_defaults(run=_run_traj_eval)
 
     p = sub.add_parser("depth-eval", help="absolute-relative depth error and inlier rate")
     p.add_argument("--pred", required=True, help="directory of predicted .pfm maps")
     p.add_argument("--gt", required=True, help="directory of reference .pfm maps")
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=["seq-scale", "metric"], default="seq-scale")
-    p.set_defaults(handler=_handle_depth_eval)
+    p.set_defaults(run=_run_depth_eval)
 
     p = sub.add_parser("chamfer", help="point-cloud chamfer distance")
     p.add_argument("--a", required=True, help="first cloud (ASCII PLY)")
     p.add_argument("--b", required=True, help="second cloud (ASCII PLY)")
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=_handle_chamfer)
+    p.set_defaults(run=_run_chamfer)
 
     p = sub.add_parser("stitch", help="split a trajectory into chunks and re-stitch it")
     p.add_argument("--traj", required=True, help="trajectory to split (TUM)")
@@ -485,14 +419,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reset-period", type=int, default=100,
                    help="chunk length in frames")
     p.add_argument("--cloud", default=None, help="optional cloud to carry along (PLY)")
-    p.set_defaults(handler=_handle_stitch)
+    p.set_defaults(run=_run_stitch)
 
     p = sub.add_parser("rerun", help="re-execute a run from its manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=None,
                    help="output directory (default: the manifest's directory)")
-    p.set_defaults(handler=_handle_rerun)
-
+    
     return parser
 
 
@@ -500,10 +433,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "rerun":
+            args = parser.parse_args(_replay(parser, args))
+        return args.run(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.handler(args)
     except (UsageError, UnsupportedRuleCombination, FileNotFoundError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

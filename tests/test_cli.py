@@ -5,13 +5,18 @@ files can be asserted directly.
 """
 
 import argparse
+import contextlib
+import io
 import json
+import math
 import os
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ttt_lab.cli import _build_parser, main
 from ttt_lab.geometry_metrics import DepthMap, PointCloud, Pose, Trajectory
@@ -44,6 +49,13 @@ def _write_depth_dir(directory, frames=2, factor=1.0, seed=0):
     for i in range(frames):
         vals = factor * rng.uniform(1.0, 5.0, (4, 5))
         (directory / f"{i:03d}.pfm").write_bytes(write_pfm(DepthMap(5, 4, vals)))
+
+
+def _dests(command):
+    """The config keys a manifest of `command` must carry: its flags' dests minus out."""
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions} - {"help", "out"}
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +151,11 @@ def test_every_subcommand_runs_with_only_its_required_flags(tmp_path):
     for name, count in (("recall", 64), ("adversarial", 32)):
         manifest = json.loads((tmp_path / name / "manifest.json").read_text())
         assert manifest["config"]["count"] == count
+    # rerun replays the config as flags, so its keys must be the flags' dests.
+    for argv in runs[:-1]:
+        manifest = json.loads((Path(argv[argv.index("--out") + 1]) / "manifest.json").read_text())
+        assert manifest["command"] == argv[0]
+        assert set(manifest["config"]) == _dests(argv[0]), argv
 
 
 @pytest.mark.parametrize("flags, edit", [
@@ -161,6 +178,140 @@ def test_task_argument_errors_are_usage_errors(tmp_path, capsys, flags, edit, pa
         manifest_path.write_text(json.dumps(manifest))
         assert main(["rerun", "--manifest", str(manifest_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# flags and rerun agree
+
+_BASE_ARGV = {      # small runs on the inputs test_flags_and_rerun_agree writes
+    "recall": ["recall", "--rules", "hebbian", "--count", "4", "--dims", "2,8,8,8"],
+    "gradcheck": ["gradcheck", "--trials", "2", "--max-dim", "2"],
+    "traj-eval": ["traj-eval", "--est", "t.tum", "--gt", "t.tum"],
+    "depth-eval": ["depth-eval", "--pred", "depth", "--gt", "depth"],
+    "chamfer": ["chamfer", "--a", "c.ply", "--b", "c.ply"],
+    "stitch": ["stitch", "--traj", "t.tum", "--reset-period", "10"],
+}
+_DROP = object()
+
+
+@pytest.mark.parametrize("command, flags, edit, code", [
+    # textual numbers read as their flag text would
+    pytest.param("recall", ["--count", "8"], {"count": "8"}, 0, id="recall-count-text"),
+    pytest.param("recall", ["--dims", "2,8,8,8"], {"dims": "2,8,8,8"}, 0, id="recall-dims-text"),
+    pytest.param("gradcheck", ["--trials", "2"], {"trials": "2"}, 0, id="gradcheck-trials-text"),
+    pytest.param("stitch", ["--reset-period", "5"], {"reset_period": "5"}, 0,
+                 id="stitch-reset-period-text"),
+    # out of range or wrong type
+    pytest.param("recall", ["--dims", "2,8"], {"dims": [2, 8]}, 2, id="recall-dims-short"),
+    pytest.param("recall", ["--task", "bogus"], {"task": "bogus"}, 2, id="recall-task-bogus"),
+    pytest.param("recall", ["--gate-reduce", "max"], {"gate_reduce": "max"}, 2,
+                 id="recall-gate-reduce-max"),
+    pytest.param("recall", ["--rules", ""], {"rules": []}, 2, id="recall-rules-empty"),
+    pytest.param("recall", ["--seed", "True"], {"seed": True}, 2, id="recall-seed-bool"),
+    pytest.param("recall", ["--count", "8.0"], {"count": 8.0}, 2, id="recall-count-float"),
+    pytest.param("recall", ["--scale", "nan"], {"scale": math.nan}, 2, id="recall-scale-nan"),
+    pytest.param("recall", ["--extra", "1"], {"extra": 1}, 2, id="recall-extra-key"),
+    pytest.param("gradcheck", ["--step", "0"], {"step": 0}, 2, id="gradcheck-step-0"),
+    pytest.param("gradcheck", ["--step", "inf"], {"step": math.inf}, 2, id="gradcheck-step-inf"),
+    pytest.param("gradcheck", ["--tol", "nan"], {"tol": math.nan}, 2, id="gradcheck-tol-nan"),
+    pytest.param("gradcheck", ["--tol", "inf"], {"tol": math.inf}, 2, id="gradcheck-tol-inf"),
+    pytest.param("gradcheck", ["--trials", "0"], {"trials": 0}, 2, id="gradcheck-trials-0"),
+    pytest.param("gradcheck", ["--max-dim", "{'a': 2}"], {"max_dim": {"a": 2}}, 2,
+                 id="gradcheck-max-dim-object"),
+    pytest.param("traj-eval", ["--est", "5"], {"est": 5}, 2, id="traj-eval-est-5"),
+    pytest.param("traj-eval", ["--max-dt", "inf"], {"max_dt": math.inf}, 2,
+                 id="traj-eval-max-dt-inf"),
+    pytest.param("traj-eval", ["--max-dt", "nan"], {"max_dt": math.nan}, 2,
+                 id="traj-eval-max-dt-nan"),
+    pytest.param("traj-eval", ["--rpe-delta", "0"], {"rpe_delta": 0}, 2,
+                 id="traj-eval-rpe-delta-0"),
+    pytest.param("depth-eval", ["--mode", "per-frame"], {"mode": "per-frame"}, 2,
+                 id="depth-eval-mode-bogus"),
+    pytest.param("chamfer", ["--a", "none.ply"], {"a": "none.ply"}, 2,
+                 id="chamfer-a-missing-file"),
+    pytest.param("stitch", ["--reset-period", "0"], {"reset_period": 0}, 2,
+                 id="stitch-reset-period-0"),
+    # manifest-only edits: no flag spells them
+    pytest.param("chamfer", None, {"a": None}, 2, id="chamfer-required-null"),
+    pytest.param("recall", None, {"seed": _DROP}, 2, id="recall-missing-key"),
+    pytest.param("stitch", None, {"cloud": _DROP}, 2, id="stitch-missing-key"),
+    pytest.param("recall", None, {"command": ["recall"]}, 2, id="command-unhashable"),
+    pytest.param("gradcheck", None, {"command": "rerun"}, 2, id="command-rerun"),
+])
+def test_flags_and_rerun_agree(tmp_path, monkeypatch, capsys, command, flags, edit, code):
+    monkeypatch.chdir(tmp_path)
+    _write_traj(tmp_path / "t.tum")
+    _write_cloud(tmp_path / "c.ply")
+    _write_depth_dir(tmp_path / "depth")
+    argv = _BASE_ARGV[command]
+    if flags is not None:
+        assert main(argv + ["--out", "flags"] + flags) == code
+    assert main(argv + ["--out", "run"]) == 0
+    manifest = json.loads(Path("run/manifest.json").read_text())
+    target = manifest if "command" in edit else manifest["config"]
+    target.update(edit)
+    for key in [k for k, v in target.items() if v is _DROP]:
+        del target[key]
+    Path("run/manifest.json").write_text(json.dumps(manifest))
+    assert main(["rerun", "--manifest", "run/manifest.json", "--out", "rerun"]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    if code == 0:
+        names = sorted(os.listdir("flags"))
+        assert names == sorted(os.listdir("rerun"))
+        for name in names:
+            assert Path("flags", name).read_bytes() == Path("rerun", name).read_bytes(), name
+
+
+_FUZZ_VALUES = st.one_of(
+    st.integers(-10, 10),
+    st.floats(-10, 10),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["", "x", "0", "3", "-1", "2.5", "nan", "2,4,4,4", "delta,ttt3r",
+                     "adversarial", "mean", "random_unit", "-x"]),
+    st.lists(st.integers(-10, 10), max_size=5),
+    st.dictionaries(st.sampled_from(["a", "b"]), st.integers(-10, 10), max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def tiny_manifests(tmp_path_factory):
+    """Manifests the tool wrote for two tiny runs, keyed by command."""
+    root = tmp_path_factory.mktemp("tiny")
+    manifests = {}
+    for argv in (["recall", "--dims", "2,4,4,4", "--count", "2"],
+                 ["gradcheck", "--trials", "1", "--max-dim", "2"]):
+        out = root / argv[0]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv + ["--out", str(out)]) == 0
+        manifests[argv[0]] = json.loads((out / "manifest.json").read_text())
+    return manifests
+
+
+@pytest.mark.parametrize("command", ["recall", "gradcheck"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fuzzed_manifests_exit_with_a_documented_code(tiny_manifests, command, data):
+    manifest = json.loads(json.dumps(tiny_manifests[command]))
+    config = manifest["config"]
+    edits = data.draw(st.dictionaries(st.sampled_from(sorted(config) + ["extra"]),
+                                      st.one_of(_FUZZ_VALUES, st.just(_DROP)),
+                                      min_size=1, max_size=3))
+    for key, value in edits.items():
+        if value is _DROP:
+            config.pop(key, None)
+        else:
+            config[key] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "manifest.json")
+        with open(path, "w") as handle:
+            json.dump(manifest, handle)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["rerun", "--manifest", path])
+    assert code in (0, 1, 2), edits
+    assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +373,19 @@ def test_gradcheck_zero_tolerance_fails_with_dump(tmp_path, capsys):
     assert code == 1
     assert (out / "gradcheck_failure.csv").exists()
     assert "FAILED" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_gradcheck_nan_error_fails_with_dump(tmp_path, capsys):
+    # A step of 1e300 overflows the loss, so every trial's error is nan.
+    out = tmp_path / "g"
+    code = main(["gradcheck", "--out", str(out), "--trials", "2", "--max-dim", "2",
+                 "--step", "1e300"])
+    assert code == 1
+    rows = (out / "gradcheck.csv").read_text().strip().split("\n")[1:]
+    assert [row.split(",")[1] for row in rows] == ["nan", "nan"]
+    assert (out / "gradcheck_failure.csv").exists()
+    assert "max relative error nan" in capsys.readouterr().out
 
 
 def test_gradcheck_flag_validation(tmp_path):
