@@ -59,7 +59,6 @@ from .geometry_metrics import (
     DegenerateGeometryError,
     DepthMap,
     PointCloud,
-    Pose,
     Sim3Transform,
     Trajectory,
     associate,

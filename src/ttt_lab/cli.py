@@ -11,8 +11,8 @@ unchanged, and an edited manifest meets every check a flag does.
 
 Exit codes: 0 success, 1 runtime or tolerance failure (association
 failure, frame-count mismatch, gradient check over tolerance), 2 usage
-errors (bad flags or manifests, missing or malformed input files,
-unsupported rule combinations).
+errors (bad flags or manifests, missing or malformed input files, a
+directory given as an input file, unsupported rule combinations).
 """
 
 from __future__ import annotations
@@ -299,7 +299,7 @@ def _run_stitch(args) -> int:
         bounds = np.linspace(0, len(cloud), len(chunks) + 1).astype(int)
         localized = []
         for chunk, lo, hi in zip(chunks, bounds[:-1], bounds[1:]):
-            anchor = chunk.anchor.to_matrix()
+            anchor = chunk.anchor.matrices()[0]
             rot_inv = anchor[:3, :3].T
             pts = (cloud.points[lo:hi] - anchor[:3, 3]) @ rot_inv.T
             nrm = None if cloud.normals is None else cloud.normals[lo:hi] @ rot_inv.T
@@ -434,11 +434,18 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "rerun":
-            args = parser.parse_args(_replay(parser, args))
+            replayed = _replay(parser, args)
+            try:
+                args = parser.parse_args(replayed)
+            except SystemExit:
+                print(f"error: the rejected value comes from the config of the manifest "
+                      f"{args.manifest}", file=sys.stderr)
+                raise
         return args.run(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    except (UsageError, UnsupportedRuleCombination, FileNotFoundError, ParseError) as exc:
+    except (UsageError, UnsupportedRuleCombination, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

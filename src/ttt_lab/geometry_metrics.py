@@ -17,11 +17,9 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "DegenerateGeometryError",
-    "Pose",
     "Trajectory",
     "Sim3Transform",
     "PointCloud",
@@ -46,138 +44,131 @@ class DegenerateGeometryError(ValueError):
 
 
 def quat_to_rotmat(q) -> np.ndarray:
-    """Rotation matrix of a unit quaternion (w, x, y, z)."""
+    """Rotation matrices (..., 3, 3) of unit quaternions (..., 4) in (w, x, y, z) order."""
     q = np.asarray(q, dtype=np.float64)
-    if q.shape != (4,):
+    if q.shape[-1:] != (4,):
         raise ValueError(f"quaternion must have 4 components, got shape {q.shape}")
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    return np.stack([
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ], axis=-1).reshape(q.shape[:-1] + (3, 3))
 
 
 def rotmat_to_quat(r) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) of a rotation matrix, with w >= 0.
+    """Unit quaternions (..., 4), (w, x, y, z) with w >= 0, of rotation matrices (..., 3, 3).
 
-    Branches on the largest diagonal combination so the divisor stays
-    well away from zero for every rotation, including 180-degree ones.
+    Each matrix branches on its largest diagonal combination so the
+    divisor stays well away from zero for every rotation, including
+    180-degree ones.  Branch 0 (positive trace) solves for w first,
+    branch k = 1, 2, 3 for the k-th vector component; the other three
+    components are row k of `num` divided by s.
     """
     r = np.asarray(r, dtype=np.float64)
-    if r.shape != (3, 3):
+    if r.shape[-2:] != (3, 3):
         raise ValueError(f"rotation matrix must be 3x3, got shape {r.shape}")
-    t = r[0, 0] + r[1, 1] + r[2, 2]
-    if t > 0:
-        s = math.sqrt(t + 1.0) * 2.0
-        q = np.array([0.25 * s,
-                      (r[2, 1] - r[1, 2]) / s,
-                      (r[0, 2] - r[2, 0]) / s,
-                      (r[1, 0] - r[0, 1]) / s])
-    elif r[0, 0] >= r[1, 1] and r[0, 0] >= r[2, 2]:
-        s = math.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
-        q = np.array([(r[2, 1] - r[1, 2]) / s,
-                      0.25 * s,
-                      (r[0, 1] + r[1, 0]) / s,
-                      (r[0, 2] + r[2, 0]) / s])
-    elif r[1, 1] >= r[2, 2]:
-        s = math.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2]) * 2.0
-        q = np.array([(r[0, 2] - r[2, 0]) / s,
-                      (r[0, 1] + r[1, 0]) / s,
-                      0.25 * s,
-                      (r[1, 2] + r[2, 1]) / s])
-    else:
-        s = math.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1]) * 2.0
-        q = np.array([(r[1, 0] - r[0, 1]) / s,
-                      (r[0, 2] + r[2, 0]) / s,
-                      (r[1, 2] + r[2, 1]) / s,
-                      0.25 * s])
-    q /= np.linalg.norm(q)
-    if q[0] < 0 or (q[0] == 0 and next((v for v in q[1:] if v != 0), 1.0) < 0):
-        q = -q
-    return q
+    m = r.reshape(-1, 3, 3)
+    d0, d1, d2 = m[:, 0, 0], m[:, 1, 1], m[:, 2, 2]
+    t = d0 + d1 + d2
+    branch = np.where(t > 0, 0, np.where((d0 >= d1) & (d0 >= d2), 1, np.where(d1 >= d2, 2, 3)))
+    rows = np.arange(len(m))
+    s_sq = np.stack([t + 1.0, 1.0 + d0 - d1 - d2, 1.0 + d1 - d0 - d2, 1.0 + d2 - d0 - d1], axis=1)
+    s = np.sqrt(s_sq[rows, branch]) * 2.0
+    num = np.empty((len(m), 4, 4))
+    num[:, 1:, 1:] = m + m.transpose(0, 2, 1)
+    num[:, 0, 1:] = num[:, 1:, 0] = np.stack(
+        [m[:, 2, 1] - m[:, 1, 2], m[:, 0, 2] - m[:, 2, 0], m[:, 1, 0] - m[:, 0, 1]], axis=1)
+    q = num[rows, branch] / s[:, None]
+    q[rows, branch] = 0.25 * s
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    # Canonical sign: w > 0, or w == 0 and the first non-zero component > 0.
+    vec = q[:, 1:]
+    first = vec[rows, np.argmax(vec != 0, axis=1)]
+    q[(q[:, 0] < 0) | ((q[:, 0] == 0) & (first < 0))] *= -1.0
+    return q.reshape(r.shape[:-2] + (4,))
 
 
-def se3_inverse(t_mat: np.ndarray) -> np.ndarray:
-    """Closed-form inverse of a rigid 4x4 transform."""
-    r = t_mat[:3, :3]
-    out = np.eye(4)
-    out[:3, :3] = r.T
-    out[:3, 3] = -r.T @ t_mat[:3, 3]
+def se3_inverse(t_mat) -> np.ndarray:
+    """Closed-form inverses of rigid transforms (..., 4, 4)."""
+    t_mat = np.asarray(t_mat, dtype=np.float64)
+    r_t = np.swapaxes(t_mat[..., :3, :3], -1, -2)
+    out = np.zeros(t_mat.shape)
+    out[..., :3, :3] = r_t
+    out[..., :3, 3] = -(r_t @ t_mat[..., :3, 3, None])[..., 0]
+    out[..., 3, 3] = 1.0
     return out
 
 
 @dataclass(frozen=True)
-class Pose:
-    """A timestamped rigid pose: world point = R p + t."""
+class Trajectory:
+    """N >= 1 timestamped rigid poses as columns: world point = R_i p + t_i.
 
-    timestamp: float
-    quat: np.ndarray
-    translation: np.ndarray
+    timestamps is (N,) and strictly increasing, quats (N, 4) unit
+    (w, x, y, z) rotations, translations (N, 3); all finite.  Quaternions
+    must be unit within 1e-9 and are normalized.  The arrays are
+    read-only copies.
+    """
+
+    timestamps: np.ndarray
+    quats: np.ndarray
+    translations: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.quat, dtype=np.float64)
-        t = np.asarray(self.translation, dtype=np.float64)
-        if q.shape != (4,):
-            raise ValueError(f"quaternion must have 4 components, got shape {q.shape}")
-        if t.shape != (3,):
-            raise ValueError(f"translation must have 3 components, got shape {t.shape}")
-        if not np.all(np.isfinite(q)) or not np.all(np.isfinite(t)):
-            raise ValueError("pose contains non-finite entries")
-        norm = np.linalg.norm(q)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"quaternion must be unit within 1e-9, got norm {norm!r}")
-        if not math.isfinite(self.timestamp):
-            raise ValueError("timestamp must be finite")
-        q = q / norm
-        q.setflags(write=False)
-        t = t.copy()
-        t.setflags(write=False)
-        object.__setattr__(self, "quat", q)
-        object.__setattr__(self, "translation", t)
+        ts = np.array(self.timestamps, dtype=np.float64)
+        q = np.array(self.quats, dtype=np.float64)
+        t = np.array(self.translations, dtype=np.float64)
+        if ts.ndim != 1 or ts.size == 0:
+            raise ValueError(
+                f"trajectory must contain at least one pose, got timestamps shape {ts.shape}"
+            )
+        n = ts.shape[0]
+        if q.shape != (n, 4) or t.shape != (n, 3):
+            raise ValueError(
+                f"{n} poses need quats ({n}, 4) and translations ({n}, 3), "
+                f"got {q.shape} and {t.shape}"
+            )
+        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(q)) and np.all(np.isfinite(t))):
+            raise ValueError("trajectory contains non-finite entries")
+        norms = np.linalg.norm(q, axis=1)
+        off = np.abs(norms - 1.0) > 1e-9
+        if np.any(off):
+            raise ValueError(
+                f"quaternion must be unit within 1e-9, got norm {float(norms[np.argmax(off)])!r}"
+            )
+        late = ts[1:] <= ts[:-1]
+        if np.any(late):
+            i = int(np.argmax(late))
+            raise ValueError(
+                f"timestamps must strictly increase, got {float(ts[i])!r} then {float(ts[i + 1])!r}"
+            )
+        q /= norms[:, None]
+        for name, arr in (("timestamps", ts), ("quats", q), ("translations", t)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
-    def to_matrix(self) -> np.ndarray:
-        out = np.eye(4)
-        out[:3, :3] = quat_to_rotmat(self.quat)
-        out[:3, 3] = self.translation
+    def __len__(self) -> int:
+        return self.timestamps.shape[0]
+
+    def __getitem__(self, index: slice) -> "Trajectory":
+        """The poses in a slice, as a trajectory."""
+        return Trajectory(self.timestamps[index], self.quats[index], self.translations[index])
+
+    def matrices(self) -> np.ndarray:
+        """(N, 4, 4) homogeneous pose matrices."""
+        out = np.zeros((len(self), 4, 4))
+        out[:, :3, :3] = quat_to_rotmat(self.quats)
+        out[:, :3, 3] = self.translations
+        out[:, 3, 3] = 1.0
         return out
 
     @classmethod
-    def from_matrix(cls, timestamp: float, t_mat: np.ndarray) -> "Pose":
-        t_mat = np.asarray(t_mat, dtype=np.float64)
-        if t_mat.shape != (4, 4):
-            raise ValueError(f"pose matrix must be 4x4, got shape {t_mat.shape}")
-        return cls(timestamp, rotmat_to_quat(t_mat[:3, :3]), t_mat[:3, 3])
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """A non-empty pose sequence with strictly increasing timestamps."""
-
-    poses: tuple
-
-    def __post_init__(self):
-        poses = tuple(self.poses)
-        if not poses:
-            raise ValueError("trajectory must contain at least one pose")
-        for a, b in zip(poses, poses[1:]):
-            if not (b.timestamp > a.timestamp):
-                raise ValueError(
-                    f"timestamps must strictly increase, got {a.timestamp!r} then {b.timestamp!r}"
-                )
-        object.__setattr__(self, "poses", poses)
-
-    def __len__(self) -> int:
-        return len(self.poses)
-
-    def __iter__(self):
-        return iter(self.poses)
-
-    def timestamps(self) -> np.ndarray:
-        return np.array([p.timestamp for p in self.poses])
-
-    def translations(self) -> np.ndarray:
-        return np.array([p.translation for p in self.poses])
+    def from_matrices(cls, timestamps, mats) -> "Trajectory":
+        """The trajectory of (N, 4, 4) rigid pose matrices at N timestamps."""
+        mats = np.asarray(mats, dtype=np.float64)
+        if mats.ndim != 3 or mats.shape[1:] != (4, 4):
+            raise ValueError(f"pose matrices must be (N, 4, 4), got shape {mats.shape}")
+        return cls(timestamps, rotmat_to_quat(mats[:, :3, :3]), mats[:, :3, 3])
 
 
 @dataclass(frozen=True)
@@ -288,8 +279,8 @@ def associate(est: Trajectory, gt: Trajectory, max_dt: float = 0.02):
     """
     if not (max_dt > 0):
         raise ValueError(f"max_dt must be positive, got {max_dt}")
-    est_ts = est.timestamps()
-    gt_ts = gt.timestamps()
+    est_ts = est.timestamps
+    gt_ts = gt.timestamps
     cands = []
     for i, t in enumerate(est_ts):
         lo = int(np.searchsorted(gt_ts, t - max_dt, side="left"))
@@ -365,8 +356,8 @@ def ate(est: Trajectory, gt: Trajectory, align: str = "sim3", max_dt: float = 0.
     pairs = associate(est, gt, max_dt)
     if not pairs:
         raise ValueError("no matched pose pairs within the association window")
-    p = est.translations()[[i for i, _ in pairs]]
-    g = gt.translations()[[j for _, j in pairs]]
+    p = est.translations[[i for i, _ in pairs]]
+    g = gt.translations[[j for _, j in pairs]]
     if align != "none":
         if len(pairs) < 3:
             raise ValueError(
@@ -382,7 +373,8 @@ def rpe(est: Trajectory, gt: Trajectory, delta: int = 1, max_dt: float = 0.02):
     For each matched index i the residual motion is
     E = (gt_i^-1 gt_{i+delta})^-1 (est_i^-1 est_{i+delta}); returns the
     RMSE of the translation norms and of the rotation angles in
-    degrees.
+    degrees.  The angle is atan2(|vee(R - R^T)| / 2, (tr R - 1) / 2),
+    which stays accurate near zero, where acos of the trace would not.
     """
     if delta < 1:
         raise ValueError(f"delta must be >= 1, got {delta}")
@@ -391,19 +383,18 @@ def rpe(est: Trajectory, gt: Trajectory, delta: int = 1, max_dt: float = 0.02):
         raise ValueError(
             f"need at least delta+1 = {delta + 1} matched pairs, got {len(pairs)}"
         )
-    est_mats = [est.poses[i].to_matrix() for i, _ in pairs]
-    gt_mats = [gt.poses[j].to_matrix() for _, j in pairs]
-    trans_sq = []
-    rot_sq = []
-    for i in range(len(pairs) - delta):
-        gt_rel = se3_inverse(gt_mats[i]) @ gt_mats[i + delta]
-        est_rel = se3_inverse(est_mats[i]) @ est_mats[i + delta]
-        err = se3_inverse(gt_rel) @ est_rel
-        trans_sq.append(float(np.sum(err[:3, 3] ** 2)))
-        cos_angle = (np.trace(err[:3, :3]) - 1.0) / 2.0
-        angle = math.degrees(math.acos(min(1.0, max(-1.0, cos_angle))))
-        rot_sq.append(angle * angle)
-    return float(np.sqrt(np.mean(trans_sq))), float(np.sqrt(np.mean(rot_sq)))
+    est_mats = est.matrices()[[i for i, _ in pairs]]
+    gt_mats = gt.matrices()[[j for _, j in pairs]]
+    est_rel = se3_inverse(est_mats[:-delta]) @ est_mats[delta:]
+    gt_rel = se3_inverse(gt_mats[:-delta]) @ gt_mats[delta:]
+    err = se3_inverse(gt_rel) @ est_rel
+    rot = err[:, :3, :3]
+    vee = np.stack([rot[:, 2, 1] - rot[:, 1, 2], rot[:, 0, 2] - rot[:, 2, 0],
+                    rot[:, 1, 0] - rot[:, 0, 1]], axis=1)
+    cos_angle = (np.trace(rot, axis1=1, axis2=2) - 1.0) / 2.0
+    angle = np.degrees(np.arctan2(np.linalg.norm(vee, axis=1) / 2.0, cos_angle))
+    trans_sq = np.sum(err[:, :3, 3] ** 2, axis=1)
+    return float(np.sqrt(np.mean(trans_sq))), float(np.sqrt(np.mean(angle * angle)))
 
 
 def _valid_mask(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
@@ -480,6 +471,10 @@ def chamfer(a: PointCloud, b: PointCloud) -> ChamferResult:
     neighbour in `b`, completeness the reverse, and chamfer their
     average.  Euclidean (not squared) distances throughout.
     """
+    # Imported here, not at module level: scipy.spatial (with the
+    # scipy.special it loads) takes about 0.4 s to import, which every
+    # CLI command would otherwise pay.
+    from scipy.spatial import cKDTree
     d_ab, _ = cKDTree(b.points).query(a.points)
     d_ba, _ = cKDTree(a.points).query(b.points)
     acc = float(np.mean(d_ab))
@@ -495,6 +490,7 @@ def normal_consistency(a: PointCloud, b: PointCloud) -> float:
     """
     if a.normals is None or b.normals is None:
         raise ValueError("normal consistency needs normals on both clouds")
+    from scipy.spatial import cKDTree  # imported here for the reason given in chamfer
     _, idx_ab = cKDTree(b.points).query(a.points)
     _, idx_ba = cKDTree(a.points).query(b.points)
     ab = float(np.mean(np.abs(np.sum(a.normals * b.normals[idx_ab], axis=1))))

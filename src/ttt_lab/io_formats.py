@@ -9,13 +9,12 @@ PFM) raise UnsupportedFormatError instead of producing garbage.
 
 from __future__ import annotations
 
-import math
 import warnings
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry_metrics import DepthMap, PointCloud, Pose, Trajectory
+from .geometry_metrics import DepthMap, PointCloud, Trajectory
 
 __all__ = [
     "ParseError",
@@ -47,54 +46,60 @@ class UnsupportedFormatError(ParseError):
 # TUM trajectories: "timestamp tx ty tz qx qy qz qw" per line.
 
 def parse_tum(text: str) -> Trajectory:
-    """Parse TUM trajectory text; '#' lines and blank lines are skipped."""
-    poses = []
-    last_ts = None
+    """Parse TUM trajectory text; '#' lines and blank lines are skipped.
+
+    Reports the first offending line: malformed lines stop the scan, and
+    the pose lines before them are checked as columns.
+    """
+    values, linenos, error = [], [], None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = line.split()
         if len(fields) != 8:
-            raise ParseError(
+            error = ParseError(
                 f"expected 8 fields (timestamp tx ty tz qx qy qz qw), got {len(fields)}",
                 lineno,
             )
+            break
         try:
-            ts, tx, ty, tz, qx, qy, qz, qw = (float(f) for f in fields)
+            values.append([float(f) for f in fields])
         except ValueError:
-            raise ParseError(f"non-numeric field in {line!r}", lineno) from None
-        norm = math.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
-        if abs(norm - 1.0) > 1e-3:
-            raise ParseError(
-                f"quaternion norm {norm!r} deviates from 1 by more than 1e-3", lineno
-            )
-        if last_ts is not None and ts <= last_ts:
-            raise ParseError(
-                f"timestamps must strictly increase, got {ts!r} after {last_ts!r}", lineno
-            )
-        last_ts = ts
-        try:
-            poses.append(Pose(ts, np.array([qw, qx, qy, qz]) / norm, (tx, ty, tz)))
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-    if not poses:
-        raise ParseError("empty trajectory: no pose lines found")
-    return Trajectory(tuple(poses))
+            error = ParseError(f"non-numeric field in {raw.strip()!r}", lineno)
+            break
+        linenos.append(lineno)
+    if not linenos:
+        raise error or ParseError("empty trajectory: no pose lines found")
+    data = np.array(values, dtype=np.float64)
+    ts, tx, ty, tz, qx, qy, qz, qw = data.T
+    norm = np.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
+    # A line is judged on its quaternion norm, then its timestamp order, then
+    # finiteness; NaN passes the first two, as a comparison with NaN is false.
+    off_unit = np.abs(norm - 1.0) > 1e-3
+    late = np.r_[False, ts[1:] <= ts[:-1]]
+    bad = off_unit | late | ~np.all(np.isfinite(data), axis=1)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        if off_unit[i]:
+            message = f"quaternion norm {float(norm[i])!r} deviates from 1 by more than 1e-3"
+        elif late[i]:
+            message = (f"timestamps must strictly increase, got {float(ts[i])!r} "
+                       f"after {float(ts[i - 1])!r}")
+        else:
+            message = f"non-finite field in {text.splitlines()[linenos[i] - 1].strip()!r}"
+        raise ParseError(message, linenos[i])
+    if error is not None:
+        raise error
+    return Trajectory(ts, np.stack([qw, qx, qy, qz], axis=1) / norm[:, None], data[:, 1:4])
 
 
 def write_tum(traj: Trajectory) -> str:
     """Render a trajectory in TUM format with 17 significant digits,
     enough for float64 values to survive a write/parse round trip."""
-    lines = ["# ttt-lab trajectory", "# timestamp tx ty tz qx qy qz qw"]
-    for p in traj.poses:
-        w, x, y, z = p.quat
-        tx, ty, tz = p.translation
-        lines.append(
-            f"{p.timestamp:.17g} {tx:.17g} {ty:.17g} {tz:.17g} "
-            f"{x:.17g} {y:.17g} {z:.17g} {w:.17g}"
-        )
-    return "\n".join(lines) + "\n"
+    q = traj.quats
+    rows = np.column_stack([traj.timestamps, traj.translations, q[:, 1:], q[:, :1]])
+    header = "# ttt-lab trajectory\n# timestamp tx ty tz qx qy qz qw\n"
+    return header + (" ".join(["%.17g"] * 8) + "\n") * len(rows) % tuple(rows.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "ObservationTokens",
@@ -62,7 +61,7 @@ __all__ = [
 ]
 
 # Sigmoid outputs are clamped to the largest open subinterval of (0, 1)
-# representable in float64.  Without the clamp, expit(z) rounds to
+# representable in float64.  Without the clamp, sigmoid(z) rounds to
 # exactly 1.0 for z >= 37 and the strict-bounds invariant on gates
 # would fail even though the true value is merely close to 1.
 _GATE_LO = np.nextafter(0.0, 1.0)
@@ -548,7 +547,10 @@ def hebbian_update(s: FastWeightMatrix, key: np.ndarray, value: np.ndarray) -> F
 
 
 def _sigmoid_open(z) -> np.ndarray:
-    out = expit(np.asarray(z, dtype=np.float64))
+    # exp(-z) overflows to inf for z below about -709.8, and 1/(1 + inf) is
+    # the correct limit 0, which the clamp then lifts.
+    with np.errstate(over="ignore"):
+        out = 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=np.float64)))
     return np.clip(out, _GATE_LO, _GATE_HI)
 
 

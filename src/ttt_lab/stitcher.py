@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry_metrics import Pose, PointCloud, Trajectory, se3_inverse
+from .geometry_metrics import PointCloud, Trajectory, quat_to_rotmat, se3_inverse
 
 __all__ = ["StitchError", "Chunk", "stitch", "split_trajectory"]
 
@@ -33,33 +33,22 @@ class StitchError(ValueError):
 
 @dataclass(frozen=True)
 class Chunk:
-    """A local trajectory (first pose = identity) with its global anchor."""
+    """A local trajectory (first pose = identity) with its global anchor,
+    the one-pose trajectory of that first frame."""
 
     trajectory: Trajectory
-    anchor: Pose
+    anchor: Trajectory
     cloud: Optional[PointCloud] = None
 
     def __post_init__(self):
-        first = self.trajectory.poses[0].to_matrix()
-        if (np.max(np.abs(first[:3, :3] - np.eye(3))) > _LOCAL_IDENTITY_TOL
-                or np.max(np.abs(first[:3, 3])) > _LOCAL_IDENTITY_TOL):
+        if len(self.anchor) != 1:
+            raise ValueError(f"chunk anchor must be a single pose, got {len(self.anchor)}")
+        rot = quat_to_rotmat(self.trajectory.quats[0])
+        if (np.max(np.abs(rot - np.eye(3))) > _LOCAL_IDENTITY_TOL
+                or np.max(np.abs(self.trajectory.translations[0])) > _LOCAL_IDENTITY_TOL):
             raise ValueError(
                 f"chunk's first pose must be the identity within {_LOCAL_IDENTITY_TOL}"
             )
-
-
-def _globalize(chunk: Chunk):
-    anchor = chunk.anchor.to_matrix()
-    mats = [anchor @ p.to_matrix() for p in chunk.trajectory.poses]
-    poses = [Pose.from_matrix(p.timestamp, m)
-             for p, m in zip(chunk.trajectory.poses, mats)]
-    cloud = None
-    if chunk.cloud is not None:
-        r = anchor[:3, :3]
-        pts = chunk.cloud.points @ r.T + anchor[:3, 3]
-        nrm = None if chunk.cloud.normals is None else chunk.cloud.normals @ r.T
-        cloud = PointCloud(pts, nrm)
-    return poses, cloud
 
 
 def stitch(chunks: Sequence[Chunk], require_overlap: bool = True):
@@ -78,42 +67,33 @@ def stitch(chunks: Sequence[Chunk], require_overlap: bool = True):
     chunks = list(chunks)
     if not chunks:
         raise ValueError("need at least one chunk")
-    all_poses = []
-    all_points = []
-    all_normals = []
-    have_normals = True
+    timestamps, mats, points, normals = [], [], [], []
     prev_last = None
     for k, chunk in enumerate(chunks):
-        if require_overlap and k > 0:
-            anchor = chunk.anchor.to_matrix()
-            gap = max(
-                float(np.max(np.abs(anchor[:3, :3] - prev_last[:3, :3]))),
-                float(np.max(np.abs(anchor[:3, 3] - prev_last[:3, 3]))),
-            )
+        anchor = chunk.anchor.matrices()[0]
+        skip = int(require_overlap and k > 0)
+        if skip:
+            gap = float(np.max(np.abs(anchor[:3] - prev_last[:3])))
             if gap > _OVERLAP_TOL:
                 raise StitchError(
                     f"chunk {k}: anchor disagrees with the previous chunk's final pose "
                     f"by {gap:.3e} (tolerance {_OVERLAP_TOL})"
                 )
-        poses, cloud = _globalize(chunk)
-        prev_last = poses[-1].to_matrix()
-        if require_overlap and k > 0:
-            poses = poses[1:]
-            if not poses:
+            if len(chunk.trajectory) == 1:
                 raise StitchError(f"chunk {k} has no frames beyond the shared one")
-        all_poses.extend(poses)
-        if cloud is not None:
-            all_points.append(cloud.points)
-            if cloud.normals is None:
-                have_normals = False
-            else:
-                all_normals.append(cloud.normals)
+        world = anchor @ chunk.trajectory.matrices()
+        prev_last = world[-1]
+        timestamps.append(chunk.trajectory.timestamps[skip:])
+        mats.append(world[skip:])
+        if chunk.cloud is not None:
+            r = anchor[:3, :3]
+            points.append(chunk.cloud.points @ r.T + anchor[:3, 3])
+            normals.append(None if chunk.cloud.normals is None else chunk.cloud.normals @ r.T)
     merged = None
-    if all_points:
-        pts = np.vstack(all_points)
-        nrm = np.vstack(all_normals) if (have_normals and all_normals) else None
-        merged = PointCloud(pts, nrm)
-    return Trajectory(tuple(all_poses)), merged
+    if points:
+        nrm = None if any(n is None for n in normals) else np.vstack(normals)
+        merged = PointCloud(np.vstack(points), nrm)
+    return Trajectory.from_matrices(np.concatenate(timestamps), np.concatenate(mats)), merged
 
 
 def split_trajectory(traj: Trajectory, period: int):
@@ -129,13 +109,11 @@ def split_trajectory(traj: Trajectory, period: int):
     n = len(traj)
     if n < 2:
         raise ValueError("need at least 2 poses to split")
+    mats = traj.matrices()
     chunks = []
-    start = 0
-    while start < n - 1:
-        end = min(start + period, n - 1)
-        poses = traj.poses[start:end + 1]
-        origin_inv = se3_inverse(poses[0].to_matrix())
-        local = [Pose.from_matrix(p.timestamp, origin_inv @ p.to_matrix()) for p in poses]
-        chunks.append(Chunk(Trajectory(tuple(local)), poses[0]))
-        start = end
+    for start in range(0, n - 1, period):
+        end = min(start + period, n - 1) + 1
+        local = se3_inverse(mats[start]) @ mats[start:end]
+        chunks.append(Chunk(Trajectory.from_matrices(traj.timestamps[start:end], local),
+                            traj[start:start + 1]))
     return chunks

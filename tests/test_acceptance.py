@@ -15,7 +15,6 @@ from ttt_lab.cli import main
 from ttt_lab.geometry_metrics import (
     DepthMap,
     PointCloud,
-    Pose,
     Trajectory,
     ate,
     chamfer,
@@ -56,6 +55,12 @@ def _rand_quat(rng):
     q = rng.standard_normal(4)
     q /= np.linalg.norm(q)
     return q if q[0] >= 0 else -q
+
+
+def _rand_traj(rng, n):
+    """n poses 0.1 s apart, each a random unit quaternion then a random translation."""
+    draws = [(_rand_quat(rng), rng.standard_normal(3)) for _ in range(n)]
+    return Trajectory(0.1 * np.arange(n), [q for q, _ in draws], [t for _, t in draws])
 
 
 def test_01_gradient_matches_finite_differences():
@@ -203,14 +208,11 @@ def test_08_similarity_alignment_recovers_exact_transforms():
         assert np.max(np.abs(got.translation - t)) <= 1e-8
 
     pts = rng.standard_normal((50, 3))
-    gt = Trajectory(tuple(
-        Pose(0.1 * i, np.array([1.0, 0.0, 0.0, 0.0]), p) for i, p in enumerate(pts)
-    ))
+    identity = np.tile([1.0, 0.0, 0.0, 0.0], (50, 1))
+    gt = Trajectory(0.1 * np.arange(50), identity, pts)
     rot = quat_to_rotmat(_rand_quat(rng))
     est_pts = 1.7 * pts @ rot.T + np.array([3.0, -1.0, 2.0])
-    est = Trajectory(tuple(
-        Pose(0.1 * i, np.array([1.0, 0.0, 0.0, 0.0]), p) for i, p in enumerate(est_pts)
-    ))
+    est = Trajectory(0.1 * np.arange(50), identity, est_pts)
     assert ate(est, gt, align="sim3") <= 1e-9
 
 
@@ -251,10 +253,7 @@ def test_10_depth_modes_agree_on_the_doubled_prediction():
 def test_11_chunked_trajectory_restitches_exactly():
     """acceptance 11: a 300-pose trajectory chunked at period 100 restitches with ATE <= 1e-9"""
     rng = np.random.default_rng(29)
-    poses = tuple(
-        Pose(0.1 * i, _rand_quat(rng), rng.standard_normal(3)) for i in range(300)
-    )
-    traj = Trajectory(poses)
+    traj = _rand_traj(rng, 300)
     chunks = split_trajectory(traj, 100)
     stitched, _ = stitch(chunks)
     assert len(stitched) == 300
@@ -266,10 +265,7 @@ def test_12_every_command_reruns_byte_identically(tmp_path):
     rng = np.random.default_rng(31)
 
     traj_file = tmp_path / "traj.tum"
-    poses = tuple(
-        Pose(0.1 * i, _rand_quat(rng), rng.standard_normal(3)) for i in range(30)
-    )
-    traj_file.write_text(write_tum(Trajectory(poses)))
+    traj_file.write_text(write_tum(_rand_traj(rng, 30)))
 
     cloud_a = tmp_path / "a.ply"
     cloud_b = tmp_path / "b.ply"

@@ -11,6 +11,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttt_lab.cli import _build_parser, main
-from ttt_lab.geometry_metrics import DepthMap, PointCloud, Pose, Trajectory
+from ttt_lab.geometry_metrics import DepthMap, PointCloud, Trajectory
 from ttt_lab.io_formats import write_pfm, write_ply_ascii, write_tum
 
 
@@ -31,11 +33,11 @@ def _rand_quat(rng):
 
 def _write_traj(path, n=30, seed=0, jitter=0.0):
     rng = np.random.default_rng(seed)
-    poses = []
-    for i in range(n):
-        t = rng.standard_normal(3) + jitter * rng.standard_normal(3)
-        poses.append(Pose(0.1 * i, _rand_quat(rng), t))
-    path.write_text(write_tum(Trajectory(tuple(poses))))
+    quats, translations = [], []
+    for _ in range(n):
+        translations.append(rng.standard_normal(3) + jitter * rng.standard_normal(3))
+        quats.append(_rand_quat(rng))
+    path.write_text(write_tum(Trajectory(0.1 * np.arange(n), quats, translations)))
 
 
 def _write_cloud(path, n=20, seed=0):
@@ -341,7 +343,7 @@ def test_rerun_defaults_to_the_manifest_directory(tmp_path):
     assert before == after
 
 
-def test_rerun_rejects_bad_manifests(tmp_path):
+def test_rerun_rejects_bad_manifests(tmp_path, capsys):
     assert main(["rerun", "--manifest", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -352,6 +354,18 @@ def test_rerun_rejects_bad_manifests(tmp_path):
     incomplete = tmp_path / "incomplete.json"
     incomplete.write_text(json.dumps({"command": "recall", "config": {"seed": 1}}))
     assert main(["rerun", "--manifest", str(incomplete)]) == 2
+    # a value the flag parser rejects is traced back to the manifest it came from
+    assert main(["recall", "--out", str(tmp_path / "run"), "--rules", "vanilla",
+                 "--count", "4", "--dims", "2,8,8,8"]) == 0
+    edited = tmp_path / "run" / "manifest.json"
+    manifest = json.loads(edited.read_text())
+    manifest["config"]["seed"] = True
+    edited.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["rerun", "--manifest", str(edited)]) == 2
+    err = capsys.readouterr().err
+    assert "--seed: invalid int value: 'True'" in err
+    assert f"config of the manifest {edited}" in err
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +433,34 @@ def test_traj_eval_missing_file_is_a_usage_error(tmp_path):
                  "--gt", str(gt), "--out", str(tmp_path / "t")]) == 2
 
 
+def test_a_directory_given_as_an_input_file_is_a_usage_error(tmp_path, capsys):
+    gt = tmp_path / "gt.tum"
+    _write_traj(gt)
+    out = str(tmp_path / "t")
+    assert main(["traj-eval", "--est", str(tmp_path), "--gt", str(gt), "--out", out]) == 2
+    assert main(["rerun", "--manifest", str(tmp_path)]) == 2
+    # a path that runs through a regular file
+    assert main(["traj-eval", "--est", str(gt / "est.tum"), "--gt", str(gt), "--out", out]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_no_scipy():
+    import ttt_lab
+    src = os.path.dirname(os.path.dirname(ttt_lab.__file__))
+    code = "import sys, ttt_lab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"
+
+
 def test_traj_eval_without_overlap_is_a_runtime_failure(tmp_path):
     est, gt = tmp_path / "est.tum", tmp_path / "gt.tum"
     _write_traj(gt, seed=0)
     rng = np.random.default_rng(1)
-    poses = tuple(Pose(100.0 + 0.1 * i, _rand_quat(rng), rng.standard_normal(3))
-                  for i in range(10))
-    est.write_text(write_tum(Trajectory(poses)))
+    draws = [(_rand_quat(rng), rng.standard_normal(3)) for _ in range(10)]
+    est.write_text(write_tum(Trajectory(100.0 + 0.1 * np.arange(10),
+                                        [q for q, _ in draws], [t for _, t in draws])))
     assert main(["traj-eval", "--est", str(est), "--gt", str(gt),
                  "--out", str(tmp_path / "t")]) == 1
 

@@ -17,7 +17,6 @@ from ttt_lab.geometry_metrics import (
     DegenerateGeometryError,
     DepthMap,
     PointCloud,
-    Pose,
     Sim3Transform,
     Trajectory,
     associate,
@@ -41,11 +40,16 @@ def _rand_quat(rng):
 
 
 def _traj(translations, quats=None, t0=0.0, dt=0.1):
-    poses = []
-    for i, t in enumerate(translations):
-        q = np.array([1.0, 0.0, 0.0, 0.0]) if quats is None else quats[i]
-        poses.append(Pose(t0 + dt * i, q, np.asarray(t, dtype=float)))
-    return Trajectory(tuple(poses))
+    n = len(translations)
+    if quats is None:
+        quats = np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
+    return Trajectory(t0 + dt * np.arange(n), quats, translations)
+
+
+def _stamps(*timestamps):
+    """Identity poses at the origin, one per timestamp."""
+    n = len(timestamps)
+    return Trajectory(timestamps, np.tile([1.0, 0.0, 0.0, 0.0], (n, 1)), np.zeros((n, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +93,78 @@ def test_rotmat_to_quat_covers_all_trace_branches():
         np.testing.assert_allclose(quat_to_rotmat(q), m, rtol=0, atol=1e-12)
 
 
+def _rotmat_to_quat_one(r):
+    """The per-matrix conversion: the oracle for the batched one."""
+    t = r[0, 0] + r[1, 1] + r[2, 2]
+    if t > 0:
+        s = math.sqrt(t + 1.0) * 2.0
+        q = np.array([0.25 * s, (r[2, 1] - r[1, 2]) / s,
+                      (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s])
+    elif r[0, 0] >= r[1, 1] and r[0, 0] >= r[2, 2]:
+        s = math.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
+        q = np.array([(r[2, 1] - r[1, 2]) / s, 0.25 * s,
+                      (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s])
+    elif r[1, 1] >= r[2, 2]:
+        s = math.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2]) * 2.0
+        q = np.array([(r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s,
+                      0.25 * s, (r[1, 2] + r[2, 1]) / s])
+    else:
+        s = math.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1]) * 2.0
+        q = np.array([(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s,
+                      (r[1, 2] + r[2, 1]) / s, 0.25 * s])
+    q /= np.linalg.norm(q)
+    if q[0] < 0 or (q[0] == 0 and next((v for v in q[1:] if v != 0), 1.0) < 0):
+        q = -q
+    return q
+
+
+def _half_turn(axis):
+    n = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    return 2.0 * np.outer(n, n) - np.eye(3)
+
+
+def test_batched_rotmat_to_quat_matches_the_per_matrix_oracle():
+    rng = np.random.default_rng(13)
+    mats = [
+        np.eye(3),                                                    # trace > 0
+        Rotation.from_euler("x", 179.5, degrees=True).as_matrix(),   # x branch
+        Rotation.from_euler("y", 179.5, degrees=True).as_matrix(),   # y branch
+        Rotation.from_euler("z", 179.5, degrees=True).as_matrix(),   # z branch
+        _half_turn([1, 0, 0]), _half_turn([0, 1, 0]), _half_turn([0, 0, 1]),
+        _half_turn([1, -1, 0]), _half_turn([1, -2, 0]), _half_turn([0, 1, -3]),
+        _half_turn([-2, 1, 1]),
+    ]
+    mats += [quat_to_rotmat(_rand_quat(rng)) for _ in range(40)]
+    mats = np.array(mats)
+    diag = np.diagonal(mats, axis1=1, axis2=2)
+    trace = diag.sum(axis=1)
+    hit = {0 if t > 0 else 1 + int(np.argmax(d)) for t, d in zip(trace, diag)}
+    assert hit == {0, 1, 2, 3}
+    got = rotmat_to_quat(mats)
+    assert got.shape == (len(mats), 4)
+    for q, m in zip(got, mats):
+        np.testing.assert_allclose(q, _rotmat_to_quat_one(m), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(q, rotmat_to_quat(m))
+        nonzero = q[np.abs(q) > 1e-12]
+        assert nonzero[0] > 0  # canonical sign, also when w is 0 on a half turn
+    np.testing.assert_array_equal(rotmat_to_quat(mats.reshape(-1, 1, 3, 3)),
+                                  got.reshape(-1, 1, 4))
+
+
+def test_batched_quat_to_rotmat_and_se3_inverse_match_single_calls():
+    rng = np.random.default_rng(14)
+    quats = np.array([_rand_quat(rng) for _ in range(8)])
+    rots = quat_to_rotmat(quats)
+    mats = np.tile(np.eye(4), (8, 1, 1))
+    mats[:, :3, :3] = rots
+    mats[:, :3, 3] = rng.standard_normal((8, 3))
+    inverses = se3_inverse(mats)
+    for q, r, m, inv in zip(quats, rots, mats, inverses):
+        np.testing.assert_array_equal(r, quat_to_rotmat(q))
+        np.testing.assert_array_equal(inv, se3_inverse(m))
+        np.testing.assert_allclose(inv @ m, np.eye(4), rtol=0, atol=1e-14)
+
+
 def test_se3_inverse():
     rng = np.random.default_rng(2)
     t_mat = np.eye(4)
@@ -103,20 +179,62 @@ def test_se3_inverse():
 
 def test_pose_validation_and_matrix_round_trip():
     with pytest.raises(ValueError):
-        Pose(0.0, np.array([1.0, 1.0, 0.0, 0.0]), np.zeros(3))
+        Trajectory([0.0], [[1.0, 1.0, 0.0, 0.0]], np.zeros((1, 3)))
     rng = np.random.default_rng(3)
-    p = Pose(1.5, _rand_quat(rng), rng.standard_normal(3))
-    back = Pose.from_matrix(p.timestamp, p.to_matrix())
-    np.testing.assert_allclose(back.quat, p.quat, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(back.translation, p.translation, rtol=0, atol=1e-12)
+    p = Trajectory([1.5], [_rand_quat(rng)], [rng.standard_normal(3)])
+    back = Trajectory.from_matrices(p.timestamps, p.matrices())
+    np.testing.assert_allclose(back.quats, p.quats, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(back.translations, p.translations, rtol=0, atol=1e-12)
 
 
 def test_trajectory_requires_increasing_timestamps():
     q = np.array([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        Trajectory((Pose(1.0, q, np.zeros(3)), Pose(1.0, q, np.ones(3))))
+        Trajectory([1.0, 1.0], [q, q], [np.zeros(3), np.ones(3)])
     with pytest.raises(ValueError):
-        Trajectory(())
+        Trajectory([], np.zeros((0, 4)), np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("timestamps, quats, translations", [
+    ([0.0, 1.0], [[1.0, 0, 0, 0]], np.zeros((2, 3))),               # too few quats
+    ([0.0, 1.0], np.tile([1.0, 0, 0, 0], (2, 1)), np.zeros((2, 4))),  # 4-vector translations
+    ([[0.0, 1.0]], np.tile([1.0, 0, 0, 0], (2, 1)), np.zeros((2, 3))),  # 2-D timestamps
+    ([0.0, math.nan], np.tile([1.0, 0, 0, 0], (2, 1)), np.zeros((2, 3))),
+    ([0.0, 1.0], [[1.0, 0, 0, 0], [math.inf, 0, 0, 0]], np.zeros((2, 3))),
+    ([0.0, 1.0], np.tile([1.0, 0, 0, 0], (2, 1)), [[0, 0, 0], [0, math.nan, 0]]),
+    ([0.0, 1.0], [[1.0, 0, 0, 0], [1.0 + 2e-9, 0, 0, 0]], np.zeros((2, 3))),
+])
+def test_trajectory_rejects_bad_columns(timestamps, quats, translations):
+    with pytest.raises(ValueError):
+        Trajectory(timestamps, quats, translations)
+
+
+def test_trajectory_normalizes_and_freezes_its_columns():
+    q = np.array([[1.0 + 5e-10, 0.0, 0.0, 0.0]])
+    traj = Trajectory([0.0], q, [[1.0, 2.0, 3.0]])
+    assert traj.quats[0, 0] == 1.0
+    assert q[0, 0] == 1.0 + 5e-10  # the caller's array is copied, not changed
+    for column in (traj.timestamps, traj.quats, traj.translations):
+        with pytest.raises(ValueError):
+            column[0] = 0.0
+
+
+def test_trajectory_slices_and_matrices():
+    rng = np.random.default_rng(12)
+    traj = Trajectory(np.arange(5.0), [_rand_quat(rng) for _ in range(5)],
+                      rng.standard_normal((5, 3)))
+    mats = traj.matrices()
+    assert mats.shape == (5, 4, 4)
+    for i in range(5):
+        np.testing.assert_array_equal(mats[i, :3, :3], quat_to_rotmat(traj.quats[i]))
+        np.testing.assert_array_equal(mats[i, :3, 3], traj.translations[i])
+        np.testing.assert_array_equal(mats[i, 3], [0.0, 0.0, 0.0, 1.0])
+    part = traj[1:3]
+    assert len(part) == 2
+    np.testing.assert_array_equal(part.timestamps, [1.0, 2.0])
+    np.testing.assert_array_equal(part.translations, traj.translations[1:3])
+    with pytest.raises(ValueError):
+        Trajectory.from_matrices([0.0], np.eye(4))
 
 
 def test_sim3_validation_and_apply():
@@ -140,20 +258,14 @@ def test_sim3_validation_and_apply():
 
 def test_associate_matches_nearest_within_window():
     est = _traj([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
-    q = np.array([1.0, 0.0, 0.0, 0.0])
-    gt = Trajectory((
-        Pose(0.005, q, np.zeros(3)),
-        Pose(0.115, q, np.zeros(3)),
-        Pose(0.5, q, np.zeros(3)),
-    ))
+    gt = _stamps(0.005, 0.115, 0.5)
     pairs = associate(est, gt, max_dt=0.02)
     assert pairs == [(0, 0), (1, 1)]
 
 
 def test_associate_uses_each_pose_once():
-    q = np.array([1.0, 0.0, 0.0, 0.0])
-    est = Trajectory((Pose(0.0, q, np.zeros(3)), Pose(0.011, q, np.zeros(3))))
-    gt = Trajectory((Pose(0.005, q, np.zeros(3)),))
+    est = _stamps(0.0, 0.011)
+    gt = _stamps(0.005)
     pairs = associate(est, gt, max_dt=0.02)
     # the 0.005 reference pose pairs with its nearest estimate only
     assert pairs == [(0, 0)]
@@ -264,14 +376,68 @@ def test_rpe_matches_closed_form_for_single_displaced_pose():
 
 
 def test_rpe_zero_for_identical_trajectories():
-    rng = np.random.default_rng(10)
-    quats = [_rand_quat(rng) for _ in range(12)]
-    pts = rng.standard_normal((12, 3))
-    traj = _traj(pts, quats)
-    for delta in (1, 3):
-        trans, rot = rpe(traj, traj, delta=delta)
-        assert trans <= 1e-12
-        assert rot <= 1e-9
+    # Many seeds: an angle of acos((tr R - 1) / 2) reads a trace one ulp
+    # below 3 as ~1e-6 degrees, which happened at delta 1 for 78 of these 200.
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        quats = [_rand_quat(rng) for _ in range(12)]
+        pts = rng.standard_normal((12, 3))
+        traj = _traj(pts, quats)
+        for delta in (1, 3):
+            trans, rot = rpe(traj, traj, delta=delta)
+            assert trans <= 1e-12
+            assert rot <= 1e-9
+
+
+def _wobbled(traj, rng):
+    """traj with each pose composed with a small random rigid error on the right."""
+    wobble = np.tile(np.eye(4), (len(traj), 1, 1))
+    for w in wobble:
+        w[:3, :3] = Rotation.from_rotvec(0.02 * rng.standard_normal(3)).as_matrix()
+        w[:3, 3] = 0.01 * rng.standard_normal(3)
+    return Trajectory.from_matrices(traj.timestamps, traj.matrices() @ wobble)
+
+
+def _rpe_per_pair(est, gt, delta):
+    """The per-pair 4x4 loop: the oracle for the batched rpe (matched index i = i)."""
+    def matrix(q, t):
+        out = np.eye(4)
+        out[:3, :3] = Rotation.from_quat([q[1], q[2], q[3], q[0]]).as_matrix()
+        out[:3, 3] = t
+        return out
+
+    def inverse(m):
+        out = np.eye(4)
+        out[:3, :3] = m[:3, :3].T
+        out[:3, 3] = -m[:3, :3].T @ m[:3, 3]
+        return out
+
+    est_mats = [matrix(q, t) for q, t in zip(est.quats, est.translations)]
+    gt_mats = [matrix(q, t) for q, t in zip(gt.quats, gt.translations)]
+    trans_sq, rot_sq = [], []
+    for i in range(len(est_mats) - delta):
+        gt_rel = inverse(gt_mats[i]) @ gt_mats[i + delta]
+        est_rel = inverse(est_mats[i]) @ est_mats[i + delta]
+        err = inverse(gt_rel) @ est_rel
+        trans_sq.append(float(np.sum(err[:3, 3] ** 2)))
+        cos_angle = (np.trace(err[:3, :3]) - 1.0) / 2.0
+        angle = math.degrees(math.acos(min(1.0, max(-1.0, cos_angle))))
+        rot_sq.append(angle * angle)
+    return float(np.sqrt(np.mean(trans_sq))), float(np.sqrt(np.mean(rot_sq)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_batched_rpe_matches_the_per_pair_oracle(seed):
+    rng = np.random.default_rng(100 + seed)
+    n = 60
+    gt = _traj(rng.standard_normal((n, 3)), [_rand_quat(rng) for _ in range(n)])
+    est = _wobbled(gt, rng)
+    for delta in (1, 2, 7):
+        got = rpe(est, gt, delta=delta)
+        want = _rpe_per_pair(est, gt, delta)
+        assert want[1] > 0.5  # degrees: acos is well conditioned here
+        assert abs(got[0] - want[0]) <= 1e-12
+        assert abs(got[1] - want[1]) <= 1e-12
 
 
 def test_rpe_is_invariant_to_a_global_rigid_move():
@@ -281,23 +447,14 @@ def test_rpe_is_invariant_to_a_global_rigid_move():
     gt = _traj(pts, quats)
     # estimate = reference composed with a small per-pose pose error, so
     # both RPE components sit well away from the arccos singularity
-    est_poses = []
-    for p in gt:
-        wobble = np.eye(4)
-        wobble[:3, :3] = Rotation.from_rotvec(0.02 * rng.standard_normal(3)).as_matrix()
-        wobble[:3, 3] = 0.01 * rng.standard_normal(3)
-        est_poses.append(Pose.from_matrix(p.timestamp, p.to_matrix() @ wobble))
-    est = Trajectory(tuple(est_poses))
+    est = _wobbled(gt, rng)
 
     world = np.eye(4)
     world[:3, :3] = quat_to_rotmat(_rand_quat(rng))
     world[:3, 3] = rng.standard_normal(3)
 
     def moved(traj):
-        poses = tuple(
-            Pose.from_matrix(p.timestamp, world @ p.to_matrix()) for p in traj
-        )
-        return Trajectory(poses)
+        return Trajectory.from_matrices(traj.timestamps, world @ traj.matrices())
 
     base = rpe(est, gt, delta=2)
     assert base[1] > 0.5  # degrees; comfortably off the singularity

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from ttt_lab.geometry_metrics import DepthMap, PointCloud, Pose, Trajectory
+from ttt_lab.geometry_metrics import DepthMap, PointCloud, Trajectory
 from ttt_lab.io_formats import (
     ParseError,
     UnsupportedFormatError,
@@ -31,20 +31,32 @@ def _rand_quat(rng):
 
 def test_tum_round_trip_is_bitwise_exact_for_1000_poses():
     rng = np.random.default_rng(0)
-    poses = tuple(
-        Pose(0.05 * i, _rand_quat(rng), rng.standard_normal(3)) for i in range(1000)
-    )
-    traj = Trajectory(poses)
+    draws = [(_rand_quat(rng), rng.standard_normal(3)) for _ in range(1000)]
+    traj = Trajectory(0.05 * np.arange(1000), [q for q, _ in draws], [t for _, t in draws])
     back = parse_tum(write_tum(traj))
     assert len(back) == 1000
-    for a, b in zip(traj, back):
-        assert a.timestamp == b.timestamp
-        np.testing.assert_array_equal(a.translation, b.translation)
-        np.testing.assert_allclose(a.quat, b.quat, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(traj.timestamps, back.timestamps)
+    np.testing.assert_array_equal(traj.translations, back.translations)
+    np.testing.assert_allclose(traj.quats, back.quats, rtol=0, atol=1e-15)
+
+
+def test_tum_writer_matches_the_per_line_oracle():
+    rng = np.random.default_rng(4)
+    n = 200
+    quats = np.array([_rand_quat(rng) for _ in range(n)])
+    quats[0] = [0.0, -0.0, 1.0, 0.0]
+    translations = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 1))
+    translations[1] = [-0.0, 0.0, 1e-320]
+    traj = Trajectory(1e9 + 0.05 * np.arange(n), quats, translations)
+    lines = ["# ttt-lab trajectory", "# timestamp tx ty tz qx qy qz qw"]
+    for ts, (w, x, y, z), (tx, ty, tz) in zip(traj.timestamps, traj.quats, traj.translations):
+        lines.append(f"{ts:.17g} {tx:.17g} {ty:.17g} {tz:.17g} "
+                     f"{x:.17g} {y:.17g} {z:.17g} {w:.17g}")
+    assert write_tum(traj) == "\n".join(lines) + "\n"
 
 
 def test_tum_header_names_the_artifact_and_columns():
-    traj = Trajectory((Pose(0.0, np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3)),))
+    traj = Trajectory([0.0], [[1.0, 0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]])
     lines = write_tum(traj).splitlines()
     assert lines[0].startswith("#") and "trajectory" in lines[0]
     assert lines[1] == "# timestamp tx ty tz qx qy qz qw"
@@ -55,7 +67,7 @@ def test_tum_parser_skips_comments_and_blanks():
     text = "# a comment\n\n0.0 1 2 3 0 0 0 1\n  \n0.1 4 5 6 0 0 0 1\n"
     traj = parse_tum(text)
     assert len(traj) == 2
-    np.testing.assert_array_equal(traj.poses[0].translation, [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(traj.translations[0], [1.0, 2.0, 3.0])
 
 
 def test_tum_parser_reports_the_offending_line():
@@ -64,6 +76,34 @@ def test_tum_parser_reports_the_offending_line():
         parse_tum(text)
     assert exc.value.line == 3
     assert "line 3" in str(exc.value)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("0.0 0 0 0 0 0 0 1\n# note\nnan 0 0 0 0 0 0 1\n", 3, "non-finite field in 'nan 0"),
+    ("0.0 0 0 0 0 0 0 1\n0.1 inf 0 0 0 0 0 1\n", 2, "non-finite field in '0.1 inf"),
+    ("0.0 0 0 0 0 0 0 1\n0.1 0 0 0 nan 0 0 1\n", 2, "non-finite field"),
+    ("0.0 0 0 0 0 0 0 1\n0.1 0 0 0 0 0 0 -inf\n", 2, "quaternion norm inf"),
+    ("-inf 0 0 0 0 0 0 1\n", 1, "non-finite field"),
+])
+def test_tum_parser_reports_non_finite_fields_by_line(text, line, message):
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_tum(text)
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("text, line, message", [
+    # a bad quaternion on line 2 is found before the short line 3
+    ("0.0 0 0 0 0 0 0 1\n0.1 0 0 0 0 0 0 2\n0.2 0 0\n", 2, "quaternion norm"),
+    # a short line 2 is found before the bad quaternion on line 3
+    ("0.0 0 0 0 0 0 0 1\n0.1 0 0\n0.2 0 0 0 0 0 0 2\n", 2, "expected 8 fields"),
+    # a repeated timestamp on line 2 before a non-numeric line 4
+    ("0.5 0 0 0 0 0 0 1\n0.5 0 0 0 0 0 0 1\n\nx 0 0 0 0 0 0 1\n", 2, "strictly increase"),
+    ("0.5 0 0 0 0 0 0 1\n0.6 0 0 0 0 0 0 1\n\nx 0 0 0 0 0 0 1\n", 4, "non-numeric"),
+])
+def test_tum_parser_reports_the_first_offending_line(text, line, message):
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_tum(text)
+    assert exc.value.line == line
 
 
 def test_tum_parser_rejects_non_numeric_fields():
@@ -76,7 +116,7 @@ def test_tum_parser_normalizes_slightly_off_quaternions():
     q = np.array([0.0, 0.0, 0.0, 1.0]) * 1.0005
     text = f"0.0 0 0 0 {q[0]} {q[1]} {q[2]} {q[3]}\n"
     traj = parse_tum(text)
-    assert np.linalg.norm(traj.poses[0].quat) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(traj.quats[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tum_parser_rejects_badly_scaled_quaternions():

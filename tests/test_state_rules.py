@@ -526,6 +526,26 @@ def test_confidence_gate_strict_at_saturated_logits():
     assert gate.beta[1] < 1e-15
 
 
+def test_confidence_gate_sigmoid_matches_scipy_expit():
+    # scipy.special.expit serves only as a test oracle; the package does not import
+    # scipy for its sigmoid.  Both compute 1 / (1 + exp(-z)), but numpy's exp and
+    # the C library's differ by up to 1 ulp, and rounding 1 + exp(-z) can multiply
+    # that: by 2 for z > 0.9, and by 4 for z < -36.7, where exp(-z) > 2**53 and its
+    # own ulp is 2.  Nearly every entry is equal or 1 ulp apart.
+    expit = pytest.importorskip("scipy.special").expit
+    z = np.concatenate([np.linspace(-50.0, 50.0, 200001), np.linspace(-800.0, 800.0, 16001),
+                        [-800.0, -40.0, 0.0, 40.0, 800.0]])
+    got = confidence_gate(z[:, None], np.array([[1.0]]), reduce="sum", scale=1.0).beta
+    lo, hi = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
+    want = np.clip(expit(z), lo, hi)
+    np.testing.assert_array_max_ulp(got, want, maxulp=4)
+    apart = np.abs(got.view(np.int64) - want.view(np.int64))
+    assert np.mean(apart == 0) > 0.95
+    assert np.mean(apart <= 1) > 0.99
+    np.testing.assert_array_max_ulp(got[-5:], want[-5:], maxulp=1)  # -800, -40, 0, 40, 800
+    assert got[-5] == lo and got[-3] == 0.5 and got[-1] == hi
+
+
 def test_confidence_gate_reduce_modes_differ_for_multiple_tokens():
     q_s = np.array([[1.0, 0.0]])
     k_x = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])

@@ -5,7 +5,6 @@ import pytest
 
 from ttt_lab.geometry_metrics import (
     PointCloud,
-    Pose,
     Trajectory,
     ate,
     quat_to_rotmat,
@@ -21,10 +20,8 @@ def _rand_quat(rng):
 
 def _rand_traj(n, seed=0):
     rng = np.random.default_rng(seed)
-    poses = tuple(
-        Pose(0.1 * i, _rand_quat(rng), rng.standard_normal(3)) for i in range(n)
-    )
-    return Trajectory(poses)
+    draws = [(_rand_quat(rng), rng.standard_normal(3)) for _ in range(n)]
+    return Trajectory(0.1 * np.arange(n), [q for q, _ in draws], [t for _, t in draws])
 
 
 def test_split_chunks_start_at_identity_and_share_boundaries():
@@ -32,10 +29,33 @@ def test_split_chunks_start_at_identity_and_share_boundaries():
     chunks = split_trajectory(traj, 100)
     assert len(chunks) == 3
     for chunk in chunks:
-        first = chunk.trajectory.poses[0].to_matrix()
+        first = chunk.trajectory.matrices()[0]
         np.testing.assert_allclose(first, np.eye(4), rtol=0, atol=1e-12)
     # consecutive chunks share one frame: timestamps overlap by one
-    assert chunks[0].trajectory.poses[-1].timestamp == chunks[1].trajectory.poses[0].timestamp
+    assert chunks[0].trajectory.timestamps[-1] == chunks[1].trajectory.timestamps[0]
+
+
+def test_split_matches_the_per_pose_oracle():
+    traj = _rand_traj(23, seed=14)
+    mats = []
+    for q, t in zip(traj.quats, traj.translations):
+        m = np.eye(4)
+        m[:3, :3] = quat_to_rotmat(q)
+        m[:3, 3] = t
+        mats.append(m)
+    chunks = split_trajectory(traj, 5)
+    assert len(chunks) == 5
+    for k, chunk in enumerate(chunks):
+        start = 5 * k
+        np.testing.assert_array_equal(chunk.anchor.timestamps, traj.timestamps[start:start + 1])
+        np.testing.assert_allclose(chunk.anchor.quats, traj.quats[start:start + 1],
+                                   rtol=0, atol=1e-15)
+        origin_inv = np.linalg.inv(mats[start])
+        for j, local in enumerate(chunk.trajectory.matrices()):
+            np.testing.assert_allclose(local, origin_inv @ mats[start + j], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(chunk.trajectory.timestamps,
+                                      traj.timestamps[start:start + len(chunk.trajectory)])
+    assert [len(c.trajectory) for c in chunks] == [6, 6, 6, 6, 3]
 
 
 def test_split_then_stitch_reproduces_the_trajectory():
@@ -43,11 +63,10 @@ def test_split_then_stitch_reproduces_the_trajectory():
     stitched, cloud = stitch(split_trajectory(traj, 100))
     assert cloud is None
     assert len(stitched) == len(traj)
-    np.testing.assert_array_equal(stitched.timestamps(), traj.timestamps())
-    np.testing.assert_allclose(stitched.translations(), traj.translations(),
+    np.testing.assert_array_equal(stitched.timestamps, traj.timestamps)
+    np.testing.assert_allclose(stitched.translations, traj.translations,
                                rtol=0, atol=1e-12)
-    for got, want in zip(stitched, traj):
-        np.testing.assert_allclose(got.quat, want.quat, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(stitched.quats, traj.quats, rtol=0, atol=1e-12)
     assert ate(stitched, traj, align="none") <= 1e-12
 
 
@@ -65,14 +84,11 @@ def test_localized_chunks_ignore_the_global_frame():
     world = np.eye(4)
     world[:3, :3] = quat_to_rotmat(_rand_quat(rng))
     world[:3, 3] = rng.standard_normal(3)
-    moved = Trajectory(tuple(
-        Pose.from_matrix(p.timestamp, world @ p.to_matrix()) for p in traj
-    ))
+    moved = Trajectory.from_matrices(traj.timestamps, world @ traj.matrices())
     for a, b in zip(split_trajectory(traj, 10), split_trajectory(moved, 10)):
-        np.testing.assert_allclose(a.trajectory.translations(),
-                                   b.trajectory.translations(), rtol=0, atol=1e-9)
-        for pa, pb in zip(a.trajectory, b.trajectory):
-            np.testing.assert_allclose(pa.quat, pb.quat, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(a.trajectory.translations,
+                                   b.trajectory.translations, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(a.trajectory.quats, b.trajectory.quats, rtol=0, atol=1e-9)
 
 
 def test_single_chunk_round_trip():
@@ -86,10 +102,10 @@ def test_single_chunk_round_trip():
 def test_inconsistent_anchor_is_rejected():
     traj = _rand_traj(30, seed=7)
     chunks = split_trajectory(traj, 10)
-    bad_anchor = Pose(
-        chunks[1].anchor.timestamp,
-        chunks[1].anchor.quat,
-        chunks[1].anchor.translation + np.array([0.01, 0.0, 0.0]),
+    bad_anchor = Trajectory(
+        chunks[1].anchor.timestamps,
+        chunks[1].anchor.quats,
+        chunks[1].anchor.translations + np.array([0.01, 0.0, 0.0]),
     )
     chunks[1] = Chunk(chunks[1].trajectory, bad_anchor, chunks[1].cloud)
     with pytest.raises(StitchError):
@@ -102,23 +118,23 @@ def test_disjoint_chunks_stitch_without_the_overlap_check():
     identity = np.array([1.0, 0.0, 0.0, 0.0])
 
     def local(t0):
-        return Trajectory((
-            Pose(t0, identity, np.zeros(3)),
-            Pose(t0 + 0.1, identity, np.array([1.0, 0.0, 0.0])),
-        ))
+        return Trajectory([t0, t0 + 0.1], [identity, identity], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
 
-    a = Chunk(local(0.0), Pose(0.0, identity, np.zeros(3)))
-    b = Chunk(local(1.0), Pose(1.0, _rand_quat(rng), np.array([5.0, 5.0, 5.0])))
+    a = Chunk(local(0.0), Trajectory([0.0], [identity], [[0.0, 0.0, 0.0]]))
+    b = Chunk(local(1.0), Trajectory([1.0], [_rand_quat(rng)], [[5.0, 5.0, 5.0]]))
     stitched, _ = stitch([a, b], require_overlap=False)
     assert len(stitched) == 4  # nothing dropped
-    np.testing.assert_allclose(stitched.poses[2].translation, [5.0, 5.0, 5.0],
+    np.testing.assert_allclose(stitched.translations[2], [5.0, 5.0, 5.0],
                                rtol=0, atol=1e-12)
 
 
 def test_chunk_requires_identity_first_pose():
     traj = _rand_traj(3, seed=8)
     with pytest.raises(ValueError):
-        Chunk(traj, traj.poses[0])
+        Chunk(traj, traj[:1])
+    local = split_trajectory(traj, 5)[0].trajectory
+    with pytest.raises(ValueError):
+        Chunk(local, traj[:2])  # an anchor is one pose
 
 
 def test_stitch_carries_clouds_through_the_anchors():
@@ -132,7 +148,7 @@ def test_stitch_carries_clouds_through_the_anchors():
         pts = rng.standard_normal((6, 3))
         nrm = np.tile([0.0, 0.0, 1.0], (6, 1))
         with_clouds.append(Chunk(chunk.trajectory, chunk.anchor, PointCloud(pts, nrm)))
-        anchor = chunk.anchor.to_matrix()
+        anchor = chunk.anchor.matrices()[0]
         expect_pts.append(pts @ anchor[:3, :3].T + anchor[:3, 3])
         expect_nrm.append(nrm @ anchor[:3, :3].T)
     stitched, merged = stitch(with_clouds)
@@ -159,7 +175,7 @@ def test_split_validation():
     traj = _rand_traj(10, seed=13)
     with pytest.raises(ValueError):
         split_trajectory(traj, 0)
-    single = Trajectory((traj.poses[0],))
+    single = traj[:1]
     with pytest.raises(ValueError):
         split_trajectory(single, 5)
     with pytest.raises(ValueError):
