@@ -1,10 +1,11 @@
 """Synthetic associative-recall benchmark for the state-update rules.
 
 A task is a sequence of key/value pairs, optionally interleaved with
-distractor frames.  Each rule ingests the stream one frame at a time
-(with optional periodic state resets), then recall is scored per
-position as the squared readout error, which plotted over positions
-gives a forgetting curve.
+distractor frames.  Each rule ingests the stream one reset segment at a
+time (the whole stream when the state is never reset): token and cache
+rules frame by frame, fast-weight rules as one batch of pairs.  Recall
+is then scored per position as the squared readout error, which
+plotted over positions gives a forgetting curve.
 
 Scoring targets: fast-weight rules store the explicit (key, value)
 pair and are scored against the raw value.  Token and cache rules
@@ -427,8 +428,10 @@ class _RuleEntry(NamedTuple):
     default_gate: the gate spec a bare rule name means (None: ungated).
     tokens: the rule reads keys as state-width tokens, so c must be c_k.
     init(dims, seed): the initial state, built again at every reset.
-    ingester(rule, dims, proj, scale): ingest(state, frame, t) -> (state,
-    gate or None), after rejecting an unsupported gate.
+    ingester(rule, dims, proj, scale): ingest(state, frames, t0) -> (state,
+    gates) for one reset segment, the frames numbered from t0, after
+    rejecting an unsupported gate; gates holds one GateVector per frame
+    for gated rules and is empty otherwise.
     read(state, task, t, proj, scale): per-pair squared recall errors.
     """
 
@@ -449,26 +452,39 @@ def _init_fast_weights(dims: StateDims, seed: int) -> FastWeightMatrix:
     return FastWeightMatrix.zeros(dims.c_v, dims.c_k)
 
 
+def _frame_by_frame(step):
+    """A segment ingester that calls step(state, tokens) -> (state, gate or None) per frame."""
+    def ingest(state, frames, t0):
+        gates = []
+        for t, frame in enumerate(frames, t0):
+            state, gate = step(state, ObservationTokens(frame.keys, t))
+            if gate is not None:
+                gates.append(gate)
+        return state, gates
+    return ingest
+
+
 def _full_ingester(rule, dims, proj, scale):
-    return lambda state, frame, t: (
-        update_full_attention(state, ObservationTokens(frame.keys, t), proj), None)
+    return _frame_by_frame(lambda state, x: (update_full_attention(state, x, proj), None))
 
 
 def _vanilla_ingester(rule, dims, proj, scale):
-    return lambda state, frame, t: (
-        update_vanilla_rnn(state, ObservationTokens(frame.keys, t), proj, scale), None)
+    return _frame_by_frame(lambda state, x: (update_vanilla_rnn(state, x, proj, scale), None))
 
 
 def _ttt3r_ingester(rule, dims, proj, scale):
-    return lambda state, frame, t: ttt3r_update(
-        state, ObservationTokens(frame.keys, t), proj, rule.mode, scale)
+    return _frame_by_frame(lambda state, x: ttt3r_update(state, x, proj, rule.mode, scale))
+
+
+def _segment_pairs(frames):
+    """The segment's keys and values, frame after frame, as two row batches."""
+    return (np.concatenate([f.keys for f in frames]),
+            np.concatenate([f.values for f in frames]))
 
 
 def _hebbian_ingester(rule, dims, proj, scale):
-    def ingest(state, frame, t):
-        for key, value in zip(frame.keys, frame.values):
-            state = hebbian_update(state, key, value)
-        return state, None
+    def ingest(state, frames, t0):
+        return hebbian_update(state, *_segment_pairs(frames)), []
     return ingest
 
 
@@ -485,13 +501,12 @@ def _delta_ingester(rule, dims, proj, scale):
             "unsupported rule/read combination: input-sigmoid delta gate needs c == c_k"
         )
 
-    def ingest(state, frame, t):
-        betas = []
-        for key, value in zip(frame.keys, frame.values):
-            beta = mode.value if constant else float(_sigmoid_open(float(key @ proj.gate_map)))
-            state = delta_rule_update(state, key, value, beta)
-            betas.append(beta)
-        return state, GateVector(np.array(betas))
+    def ingest(state, frames, t0):
+        keys, values = _segment_pairs(frames)
+        betas = np.full(len(keys), mode.value) if constant else _sigmoid_open(keys @ proj.gate_map)
+        state = delta_rule_update(state, keys, values, betas)
+        bounds = np.cumsum([len(f.keys) for f in frames[:-1]])
+        return state, [GateVector(b) for b in np.split(betas, bounds)]
     return ingest
 
 
@@ -593,16 +608,15 @@ def run_stream(task: RecallTask, config: StreamConfig):
     ingest = entry.ingester(config.rule, dims, proj, config.softmax_scale)
     frames, positions = _assemble_frames(task, config.batch_size)
 
-    # Built anew at each reset, not kept: keeping the 4.7 MB state of a
-    # width-768 stream alive cost 100x the page faults under glibc malloc.
-    state, gates = entry.init(dims, config.seed), []
-    period = config.reset_period
-    for t, frame in enumerate(frames):
-        if period is not None and t > 0 and t % period == 0:
-            state = entry.init(dims, config.seed)
-        state, gate = ingest(state, frame, t)
-        if gate is not None:
-            gates.append(gate)
+    # One ingest call per reset segment.  The initial state is built anew
+    # for each segment, not kept: keeping the 4.7 MB state of a width-768
+    # stream alive cost 100x the page faults under glibc malloc.
+    period = config.reset_period or len(frames)
+    gates = []
+    for t0 in range(0, len(frames), period):
+        state, segment_gates = ingest(entry.init(dims, config.seed),
+                                      frames[t0:t0 + period], t0)
+        gates += segment_gates
 
     errors = entry.read(state, task, len(frames), proj, config.softmax_scale)
     label = rule_label(config.rule)

@@ -230,15 +230,6 @@ class KvCache:
         return np.vstack([v for _, v in self.entries])
 
 
-def _projection_arrays(c: int, rng: np.random.Generator):
-    bound = 1.0 / math.sqrt(c)
-    w_q = rng.uniform(-bound, bound, (c, c))
-    w_k = rng.uniform(-bound, bound, (c, c))
-    w_v = rng.uniform(-bound, bound, (c, c))
-    gate_map = rng.uniform(-bound, bound, c)
-    return w_q, w_k, w_v, gate_map
-
-
 @dataclass(frozen=True)
 class ProjectionSet:
     """Frozen square projection maps w_q, w_k, w_v plus a gate map vector.
@@ -296,8 +287,9 @@ class ProjectionSet:
         if c < 1:
             raise ValueError("c must be >= 1")
         rng = np.random.default_rng(seed)
-        w_q, w_k, w_v, gate_map = _projection_arrays(c, rng)
-        return cls(w_q, w_k, w_v, gate_map, seed=seed)
+        bound = 1.0 / math.sqrt(c)
+        w_q, w_k, w_v = rng.uniform(-bound, bound, (3, c, c))
+        return cls(w_q, w_k, w_v, rng.uniform(-bound, bound, c), seed=seed)
 
     @classmethod
     def identity(cls, c: int, seed: int = 0) -> "ProjectionSet":
@@ -305,9 +297,20 @@ class ProjectionSet:
         if c < 1:
             raise ValueError("c must be >= 1")
         rng = np.random.default_rng(seed)
-        _, _, _, gate_map = _projection_arrays(c, rng)
+        # Skip the three c x c draws of seeded() (one generator step per
+        # entry), so the gate map is the one seeded() draws.
+        rng.bit_generator.advance(3 * c * c)
+        gate_map = _frozen(rng.uniform(-1.0 / math.sqrt(c), 1.0 / math.sqrt(c), c))
         eye = np.eye(c)
-        return cls(eye, eye, eye, gate_map, seed=seed)
+        eye.setflags(write=False)
+        # Built without __post_init__: one shared read-only identity, and
+        # no c x c validation scans or copies of it.
+        out = object.__new__(cls)
+        for name, value in (("w_q", eye), ("w_k", eye), ("w_v", eye), ("gate_map", gate_map),
+                            ("seed", seed), ("_skip_q", True), ("_skip_k", True),
+                            ("_skip_v", True)):
+            object.__setattr__(out, name, value)
+        return out
 
 
 @dataclass(frozen=True)
@@ -517,33 +520,75 @@ def recon_loss_grad(s: FastWeightMatrix, keys: np.ndarray, values: np.ndarray) -
     return (s.s @ keys - values) @ keys.T
 
 
-def delta_rule_update(s: FastWeightMatrix, key: np.ndarray, value: np.ndarray, beta: float) -> FastWeightMatrix:
-    """One gradient step S' = S - beta (S k - v) k^T for a unit key k."""
-    key = _as_float_vector(key, "key")
-    value = _as_float_vector(value, "value")
-    if key.shape[0] != s.c_k:
-        raise ValueError(f"key length {key.shape[0]} != c_k {s.c_k}")
-    if value.shape[0] != s.c_v:
-        raise ValueError(f"value length {value.shape[0]} != c_v {s.c_v}")
-    norm = np.linalg.norm(key)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"key must be unit-norm within 1e-9, got norm {norm!r}")
-    beta = float(beta)
-    if not (0.0 < beta <= 1.0):
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    residual = s.s @ key - value
-    return FastWeightMatrix(s.s - beta * np.outer(residual, key))
+def _pair_rows(s: FastWeightMatrix, keys, values):
+    """Keys and values as matching n x c_k and n x c_v row batches.
+
+    A 1-D key or value is a batch of one row.  Checked once for the
+    whole batch.
+    """
+    keys = _as_float_matrix(np.atleast_2d(keys), "keys")
+    values = _as_float_matrix(np.atleast_2d(values), "values")
+    if keys.shape[1] != s.c_k:
+        raise ValueError(f"key length {keys.shape[1]} != c_k {s.c_k}")
+    if values.shape[1] != s.c_v:
+        raise ValueError(f"value length {values.shape[1]} != c_v {s.c_v}")
+    if keys.shape[0] != values.shape[0]:
+        raise ValueError(f"{keys.shape[0]} key rows but {values.shape[0]} value rows")
+    return keys, values
 
 
-def hebbian_update(s: FastWeightMatrix, key: np.ndarray, value: np.ndarray) -> FastWeightMatrix:
-    """Accumulate the outer product: S' = S + v k^T."""
-    key = _as_float_vector(key, "key")
-    value = _as_float_vector(value, "value")
-    if key.shape[0] != s.c_k:
-        raise ValueError(f"key length {key.shape[0]} != c_k {s.c_k}")
-    if value.shape[0] != s.c_v:
-        raise ValueError(f"value length {value.shape[0]} != c_v {s.c_v}")
-    return FastWeightMatrix(s.s + np.outer(value, key))
+# Pairs per chunk of the batched delta rule.  A chunk costs one triangular
+# solve and two GEMMs over the state, so the state is read and written
+# once per chunk instead of once per pair.
+_DELTA_CHUNK = 64
+
+
+def delta_rule_update(s: FastWeightMatrix, keys: np.ndarray, values: np.ndarray,
+                      beta) -> FastWeightMatrix:
+    """Delta-rule steps S' = S - beta_i (S k_i - v_i) k_i^T, one per row in order.
+
+    keys (n x c_k, unit rows) and values (n x c_v) are a batch of pairs;
+    a 1-D key and value are a batch of one.  beta is one learning rate
+    in (0, 1] for every pair, or one per pair.
+
+    The pairs are applied in chunks in the chunkwise (UT) form of Yang et
+    al., arXiv 2406.06484: within a chunk the sequential steps add
+    U^T K to S, where U solves the unit lower-triangular system
+    (I + diag(beta) strictlower(K K^T)) U = diag(beta) (V - K S^T).
+    """
+    keys, values = _pair_rows(s, keys, values)
+    n = keys.shape[0]
+    norms = np.sqrt(np.einsum("ij,ij->i", keys, keys))
+    bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-9)
+    if bad.size:
+        raise ValueError(f"key row {bad[0]} must be unit-norm within 1e-9, "
+                         f"got norm {norms[bad[0]]!r}")
+    betas = np.asarray(beta, dtype=np.float64)
+    if betas.ndim == 0:
+        betas = np.full(n, betas)
+    elif betas.shape != (n,):
+        raise ValueError(f"beta must be a scalar or one per pair, got shape {betas.shape} "
+                         f"for {n} pairs")
+    bad = np.flatnonzero(~((betas > 0.0) & (betas <= 1.0)))
+    if bad.size:
+        raise ValueError(f"beta row {bad[0]} must lie in (0, 1], got {betas[bad[0]]}")
+    out = s.s.copy()
+    for lo in range(0, n, _DELTA_CHUNK):
+        k = keys[lo:lo + _DELTA_CHUNK]
+        b = betas[lo:lo + _DELTA_CHUNK, None]
+        system = np.eye(k.shape[0]) + b * np.tril(k @ k.T, -1)
+        u = np.linalg.solve(system, b * (values[lo:lo + _DELTA_CHUNK] - (out @ k.T).T))
+        out += u.T @ k
+    return FastWeightMatrix(out)
+
+
+def hebbian_update(s: FastWeightMatrix, keys: np.ndarray, values: np.ndarray) -> FastWeightMatrix:
+    """Accumulate the outer products of a batch of pairs: S' = S + V^T K.
+
+    A 1-D key and value are a batch of one, S' = S + v k^T.
+    """
+    keys, values = _pair_rows(s, keys, values)
+    return FastWeightMatrix(s.s + values.T @ keys)
 
 
 def _sigmoid_open(z) -> np.ndarray:

@@ -444,14 +444,27 @@ def test_a_directory_given_as_an_input_file_is_a_usage_error(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_importing_the_cli_loads_no_scipy():
+def _scipy_modules_after(code):
+    """The scipy modules loaded after running code in a fresh interpreter."""
     import ttt_lab
     src = os.path.dirname(os.path.dirname(ttt_lab.__file__))
-    code = "import sys, ttt_lab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    probe = code + "\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
     env = dict(os.environ, PYTHONPATH=src)
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip().splitlines()[-1]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    assert _scipy_modules_after("import ttt_lab.cli") == "[]"
+
+
+def test_fast_weight_recall_loads_no_scipy(tmp_path):
+    # The batched delta kernel solves with numpy alone.
+    argv = ["recall", "--out", str(tmp_path / "r"), "--rules", "hebbian,delta,delta:input",
+            "--count", "70", "--dims", "2,8,8,8", "--key-mode", "random_unit"]
+    code = f"import ttt_lab.cli\nassert ttt_lab.cli.main({argv!r}) == 0"
+    assert _scipy_modules_after(code) == "[]"
 
 
 def test_traj_eval_without_overlap_is_a_runtime_failure(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the associative-recall benchmark and its task generators."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from ttt_lab.recall_bench import (
     run_stream,
     summary_to_csv,
 )
+from ttt_lab.recall_bench import _assemble_frames
 from ttt_lab.seeding import derive_seed
 from ttt_lab.state_rules import (
     ConfidenceGate,
@@ -31,6 +34,7 @@ from ttt_lab.state_rules import (
     InputScalarSigmoid,
     LinearAttentionHebbian,
     PerTokenInputSigmoid,
+    ProjectionSet,
     Ttt3r,
     VanillaSoftmaxRnn,
 )
@@ -284,6 +288,65 @@ def test_full_attention_reset_drops_cached_history():
     curve, _ = run_stream(task, cfg)
     assert np.all(curve.sq_errors[4:] <= 1e-16)
     assert np.all(curve.sq_errors[:4] > 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# segment ingest against the per-frame, per-pair oracle
+
+
+def _per_frame_oracle(task, cfg):
+    """Curve errors and per-frame betas of a fast-weight rule stepped pair by pair."""
+    dims = cfg.state_dims
+    gate_map = ProjectionSet.identity(dims.c, seed=derive_seed(cfg.seed, "projections")).gate_map
+    frames, _ = _assemble_frames(task, cfg.batch_size)
+    s, gates = np.zeros((dims.c_v, dims.c_k)), []
+    for t, frame in enumerate(frames):
+        if cfg.reset_period and t and t % cfg.reset_period == 0:
+            s = np.zeros((dims.c_v, dims.c_k))
+        betas = []
+        for k, v in zip(frame.keys, frame.values):
+            if isinstance(cfg.rule, LinearAttentionHebbian):
+                s = s + np.outer(v, k)
+                continue
+            mode = cfg.rule.mode
+            beta = (mode.value if isinstance(mode, ConstantScalar)
+                    else 1.0 / (1.0 + math.exp(-float(k @ gate_map))))
+            s = s - beta * np.outer(s @ k - v, k)
+            betas.append(beta)
+        gates.append(betas)
+    errors = [float(np.sum((s @ k - v) ** 2)) for k, v in zip(task.keys, task.values)]
+    return np.array(errors), gates
+
+
+def _oracle_stream(shape, spec):
+    rule, dims32, dims64 = parse_rule(spec), StateDims(4, 32, 32, 32), StateDims(4, 64, 64, 64)
+    if shape == "reset-not-dividing":
+        # Segments of 70, 70 and 10 frames: one pair each, so a segment
+        # crosses the 64-pair chunk boundary of the delta kernel.
+        return (gen_recall_task(150, dims32, "random_unit", seed=5),
+                StreamConfig(rule, dims32, reset_period=70, seed=3))
+    if shape == "batch-3":
+        # 34 frames of 3 pairs (the last of 1); a frame straddles a chunk boundary.
+        return (gen_recall_task(100, dims32, "correlated", seed=6),
+                StreamConfig(rule, dims32, reset_period=25, batch_size=3, seed=3))
+    return gen_adversarial_task(dims64, seed=7), StreamConfig(rule, dims64, seed=3)
+
+
+@pytest.mark.parametrize("spec", ["hebbian", "delta:1", "delta:input"])
+@pytest.mark.parametrize("shape", ["reset-not-dividing", "batch-3", "adversarial"])
+def test_segment_ingest_matches_the_per_frame_oracle(spec, shape):
+    task, cfg = _oracle_stream(shape, spec)
+    curve, trace = run_stream(task, cfg)
+    errors, gates = _per_frame_oracle(task, cfg)
+    np.testing.assert_allclose(curve.sq_errors, errors, rtol=0, atol=1e-12)
+    if spec == "hebbian":
+        assert trace.per_frame_gates == ()
+        return
+    frames, _ = _assemble_frames(task, cfg.batch_size)
+    assert len(trace) == len(frames) == curve.stream_length
+    for frame, gate, expect in zip(frames, trace.per_frame_gates, gates):
+        assert gate.beta.shape == (frame.keys.shape[0],)
+        np.testing.assert_allclose(gate.beta, expect, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

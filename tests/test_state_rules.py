@@ -496,6 +496,71 @@ def test_hebbian_update_adds_outer_product():
     np.testing.assert_array_equal(out.s, s_arr + np.outer(v, k))
 
 
+def _sequential_delta(s_arr, keys, values, betas):
+    """Per-pair oracle: S <- S - beta (S k - v) k^T, one pair at a time."""
+    s = np.array(s_arr, dtype=np.float64)
+    for k, v, beta in zip(keys, values, betas):
+        s = s - beta * np.outer(s @ k - v, k)
+    return s
+
+
+def _sequential_hebbian(s_arr, keys, values):
+    """Per-pair oracle: S <- S + v k^T, one pair at a time."""
+    s = np.array(s_arr, dtype=np.float64)
+    for k, v in zip(keys, values):
+        s = s + np.outer(v, k)
+    return s
+
+
+def _key_rows(kind, n, c, rng):
+    if kind == "orthonormal":
+        q, _ = np.linalg.qr(rng.standard_normal((c, c)))
+        return q[:n]
+    rows = rng.standard_normal((n, c))
+    if kind == "correlated":   # pairwise overlaps near rho = 0.99
+        base = rng.standard_normal(c)
+        rows = math.sqrt(0.99) * base / np.linalg.norm(base) + math.sqrt(0.01) * rows / math.sqrt(c)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+# n crosses the 64-pair chunk boundary of the batched delta kernel.
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+@pytest.mark.parametrize("kind", ["orthonormal", "random_unit", "correlated"])
+def test_batched_fast_weight_kernels_match_the_per_pair_oracle(n, kind):
+    rng = np.random.default_rng(n)
+    keys = _key_rows(kind, n, 200, rng)
+    values = rng.uniform(-1.0, 1.0, (n, 24))
+    s_arr = rng.standard_normal((24, 200))
+    s = FastWeightMatrix(s_arr)
+    per_row = rng.uniform(0.05, 1.0, n)
+    for beta, betas in ((1.0, np.ones(n)), (0.5, np.full(n, 0.5)), (per_row, per_row)):
+        got = delta_rule_update(s, keys, values, beta).s
+        np.testing.assert_allclose(got, _sequential_delta(s_arr, keys, values, betas),
+                                   rtol=0, atol=1e-12)
+    got = hebbian_update(s, keys, values).s
+    np.testing.assert_allclose(got, _sequential_hebbian(s_arr, keys, values), rtol=0, atol=1e-12)
+
+
+def test_batched_kernels_name_the_offending_row():
+    s = FastWeightMatrix.zeros(2, 4)
+    keys, values = np.eye(4)[:3], np.ones((3, 2))
+    off = keys.copy()
+    off[1] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="key row 1 must be unit-norm"):
+        delta_rule_update(s, off, values, 0.5)
+    for bad in (0.0, 1.1):
+        betas = np.array([0.5, 0.5, bad])
+        with pytest.raises(ValueError, match=r"beta row 2 must lie in \(0, 1\]"):
+            delta_rule_update(s, keys, values, betas)
+    nan_values = values.copy()
+    nan_values[2, 1] = np.nan
+    for update in (hebbian_update, lambda s, k, v: delta_rule_update(s, k, v, 0.5)):
+        with pytest.raises(ValueError, match="3 key rows but 2 value rows"):
+            update(s, keys, values[:2])
+        with pytest.raises(ValueError, match="values contains non-finite"):
+            update(s, keys, nan_values)
+
+
 @settings(max_examples=50, deadline=None)
 @given(hnp.arrays(np.float64, (2, 3), elements=st.floats(-10, 10)),
        hnp.arrays(np.float64, (3,), elements=st.floats(-10, 10)),
