@@ -10,11 +10,9 @@ from .state_rules import (
     DeltaRule,
     FastWeightMatrix,
     FullAttentionAppend,
-    GateVector,
     InputScalarSigmoid,
     KvCache,
     LinearAttentionHebbian,
-    ObservationTokens,
     PerTokenInputSigmoid,
     ProjectionSet,
     TokenState,
@@ -24,7 +22,6 @@ from .state_rules import (
     default_scale,
     delta_rule_update,
     hebbian_update,
-    project,
     read_fast_weight,
     read_full_attention,
     read_token_state,
@@ -37,7 +34,6 @@ from .state_rules import (
 )
 from .recall_bench import (
     QUERY_SATURATION,
-    DistractorEntry,
     ForgettingCurve,
     GateTrace,
     RecallTask,

@@ -1,11 +1,14 @@
 """Synthetic associative-recall benchmark for the state-update rules.
 
 A task is a sequence of key/value pairs, optionally interleaved with
-distractor frames.  Each rule ingests the stream one reset segment at a
-time (the whole stream when the state is never reset): token and cache
-rules frame by frame, fast-weight rules as one batch of pairs.  Recall
-is then scored per position as the squared readout error, which
-plotted over positions gives a forgetting curve.
+distractor frames.  The stream is one key array, one value array and
+the offsets at which its frames start, so a reset segment is a slice of
+rows.  Each rule ingests the stream with one kernel call per reset
+segment (the whole stream when the state is never reset): the token
+rules step through the segment's frames inside the kernel, the cache
+appends the segment as one block, and the fast-weight rules take it as
+one batch of pairs.  Recall is then scored per position as the squared
+readout error, which plotted over positions gives a forgetting curve.
 
 Scoring targets: fast-weight rules store the explicit (key, value)
 pair and are scored against the raw value.  Token and cache rules
@@ -20,7 +23,7 @@ recall, saturated attention reads) hold; the gate map stays seeded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -32,11 +35,9 @@ from .state_rules import (
     DeltaRule,
     FastWeightMatrix,
     FullAttentionAppend,
-    GateVector,
     InputScalarSigmoid,
     KvCache,
     LinearAttentionHebbian,
-    ObservationTokens,
     PerTokenInputSigmoid,
     ProjectionSet,
     RuleKind,
@@ -57,7 +58,6 @@ from .state_rules import _sigmoid_open
 __all__ = [
     "QUERY_SATURATION",
     "StateDims",
-    "DistractorEntry",
     "RecallTask",
     "StreamConfig",
     "ForgettingCurve",
@@ -96,37 +96,22 @@ class StateDims(NamedTuple):
 
 
 @dataclass(frozen=True)
-class DistractorEntry:
-    """One distractor token; entries sharing a position form one frame."""
-
-    position: int
-    key: np.ndarray
-    value: np.ndarray
-
-    def __post_init__(self):
-        key = np.asarray(self.key, dtype=np.float64)
-        value = np.asarray(self.value, dtype=np.float64)
-        if key.ndim != 1 or value.ndim != 1:
-            raise ValueError("distractor key and value must be 1-D")
-        if self.position < 0:
-            raise ValueError("distractor position must be >= 0")
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "value", value)
-
-
-@dataclass(frozen=True)
 class RecallTask:
-    """Keys/values to store plus optional distractor frames.
+    """Keys/values to store plus optional distractor rows.
 
     Keys are unit rows.  In orthonormal mode they are also pairwise
     orthogonal to 1e-9 and their count cannot exceed the key width.
     rho records the target overlap of correlated mode and is None
-    otherwise.
+    otherwise.  Distractors are three row-aligned arrays: frame
+    positions (d, >= 0), keys (d x c_k) and values (d x c_v); rows that
+    share a position form one frame, in row order.  None means none.
     """
 
     keys: np.ndarray
     values: np.ndarray
-    distractors: tuple = ()
+    distractor_positions: Optional[np.ndarray] = None
+    distractor_keys: Optional[np.ndarray] = None
+    distractor_values: Optional[np.ndarray] = None
     key_mode: str = "orthonormal"
     seed: int = 0
     rho: Optional[float] = None
@@ -154,14 +139,32 @@ class RecallTask:
                 raise ValueError("orthonormal mode: keys are not pairwise orthogonal to 1e-9")
         elif self.key_mode not in ("random_unit", "correlated"):
             raise ValueError(f"unknown key_mode {self.key_mode!r}")
-        for d in self.distractors:
-            if d.key.shape[0] != keys.shape[1]:
-                raise ValueError("distractor key width differs from task key width")
-            if d.value.shape[0] != values.shape[1]:
-                raise ValueError("distractor value width differs from task value width")
+        positions = np.asarray(() if self.distractor_positions is None
+                               else self.distractor_positions)
+        if positions.ndim != 1 or (positions.size and positions.dtype.kind not in "iu"):
+            raise ValueError("distractor positions must be a 1-D integer array")
+        d_keys, d_values = (np.empty((0, width)) if rows is None
+                            else np.asarray(rows, dtype=np.float64)
+                            for rows, width in ((self.distractor_keys, keys.shape[1]),
+                                                (self.distractor_values, values.shape[1])))
+        if d_keys.ndim != 2 or d_values.ndim != 2:
+            raise ValueError("distractor keys and values must be 2-D")
+        if not len(positions) == len(d_keys) == len(d_values):
+            raise ValueError(f"{len(positions)} distractor positions but {len(d_keys)} keys "
+                             f"and {len(d_values)} values")
+        if d_keys.shape[1] != keys.shape[1]:
+            raise ValueError("distractor key width differs from task key width")
+        if d_values.shape[1] != values.shape[1]:
+            raise ValueError("distractor value width differs from task value width")
+        negative = np.flatnonzero(positions < 0)
+        if negative.size:
+            raise ValueError(f"distractor row {negative[0]} has negative position "
+                             f"{positions[negative[0]]}")
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "distractors", tuple(self.distractors))
+        object.__setattr__(self, "distractor_positions", positions.astype(np.int64))
+        object.__setattr__(self, "distractor_keys", d_keys)
+        object.__setattr__(self, "distractor_values", d_values)
 
     @property
     def count(self) -> int:
@@ -233,24 +236,29 @@ class ForgettingCurve:
 
 @dataclass(frozen=True)
 class GateTrace:
-    """One GateVector per ingested frame for gated rules, empty otherwise.
+    """The gates of every ingested frame: one flat array plus frame offsets.
 
-    For token rules the vector holds per-state-token gates; for the
-    delta rule it holds the per-pair learning rates of the frame.
+    Frame f's gates are betas[offsets[f]:offsets[f + 1]]: one per state
+    token for token rules, one per pair of the frame for the delta
+    rule.  Ungated rules have no frames: betas is empty, offsets is [0].
     """
 
     rule_label: str
-    per_frame_gates: tuple = ()
+    betas: np.ndarray = field(default_factory=lambda: np.empty(0))
+    offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
 
     def __post_init__(self):
-        gates = tuple(self.per_frame_gates)
-        for g in gates:
-            if not isinstance(g, GateVector):
-                raise TypeError("per_frame_gates must hold GateVector snapshots")
-        object.__setattr__(self, "per_frame_gates", gates)
+        betas = np.asarray(self.betas, dtype=np.float64)
+        offsets = np.asarray(self.offsets, dtype=np.int64)
+        if (betas.ndim != 1 or offsets.ndim != 1 or offsets.size < 1 or offsets[0] != 0
+                or offsets[-1] != betas.size or np.any(np.diff(offsets) < 1)):
+            raise ValueError("gate offsets must rise from 0 to the number of betas, "
+                             "by at least one per frame")
+        object.__setattr__(self, "betas", betas)
+        object.__setattr__(self, "offsets", offsets)
 
     def __len__(self) -> int:
-        return len(self.per_frame_gates)
+        return len(self.offsets) - 1
 
 
 @dataclass(frozen=True)
@@ -283,8 +291,21 @@ def _orthonormal_rows(count: int, dim: int, rng: np.random.Generator) -> np.ndar
     for _ in range(4):
         v = rng.standard_normal(dim)
         v /= np.linalg.norm(v)
-        basis = basis - 2.0 * np.outer(basis @ v, v)
+        # In place, with the exact factor 2 on v: the same bits as
+        # basis - 2 (basis v) v^T without two dim x dim temporaries.
+        basis -= np.outer(basis @ v, 2.0 * v)
     return basis[:count]
+
+
+def _orthonormal_task(*args, **kwargs) -> RecallTask:
+    """A task whose keys the generators made orthonormal by construction.
+
+    It is checked as random_unit, which skips only the O(count^2 c_k)
+    orthogonality check (0.9 s at count 4096), then labelled orthonormal.
+    """
+    task = RecallTask(*args, key_mode="random_unit", **kwargs)
+    object.__setattr__(task, "key_mode", "orthonormal")
+    return task
 
 
 def _unit_rows(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -330,8 +351,10 @@ def gen_recall_task(count: int, dims: StateDims, key_mode: str = "orthonormal",
     else:
         raise ValueError(f"unknown key_mode {key_mode!r}")
     values = rng.uniform(-1.0, 1.0, (count, dims.c_v))
-    return RecallTask(keys, values, (), key_mode, seed,
-                      rho if key_mode == "correlated" else None)
+    if key_mode == "orthonormal":
+        return _orthonormal_task(keys, values, seed=seed)
+    return RecallTask(keys, values, key_mode=key_mode, seed=seed,
+                      rho=rho if key_mode == "correlated" else None)
 
 
 def gen_adversarial_task(dims: StateDims, seed: int = 0, true_count: int = 32,
@@ -364,48 +387,37 @@ def gen_adversarial_task(dims: StateDims, seed: int = 0, true_count: int = 32,
     extra = basis[true_count:]
     values = rng.uniform(-1.0, 1.0, (true_count, dims.c_v))
     k_mean = keys.sum(axis=0) / math.sqrt(true_count)
-    distractors = []
-    for j in range(n_frames):
-        direction = -anti * k_mean + math.sqrt(1.0 - anti * anti) * extra[j]
-        direction /= np.linalg.norm(direction)
-        d_value = rng.uniform(-1.0, 1.0, dims.c_v)
-        for _ in range(frame_size):
-            distractors.append(DistractorEntry(true_count + j, direction, d_value))
-    return RecallTask(keys, values, tuple(distractors), "orthonormal", seed)
+    directions = -anti * k_mean + math.sqrt(1.0 - anti * anti) * extra
+    directions /= np.array([[np.linalg.norm(d)] for d in directions])
+    d_values = rng.uniform(-1.0, 1.0, (n_frames, dims.c_v))
+    return _orthonormal_task(keys, values, np.repeat(true_count + np.arange(n_frames), frame_size),
+                             np.repeat(directions, frame_size, axis=0),
+                             np.repeat(d_values, frame_size, axis=0), seed=seed)
 
 
-@dataclass(frozen=True)
-class _Frame:
-    keys: np.ndarray      # m x c_k
-    values: np.ndarray    # m x c_v
+def _assemble_stream(task: RecallTask, batch_size: int):
+    """The stream as one key array, one value array and frame offsets.
 
-
-def _assemble_frames(task: RecallTask, batch_size: int):
-    """Order the stream: distractor groups at their declared positions,
-    stored pairs filling the remaining slots in batches of batch_size.
-    Returns the frames and each stored pair's frame index."""
-    groups: dict = {}
-    for entry in task.distractors:
-        groups.setdefault(entry.position, []).append(entry)
-    n_pair_frames = -(-task.count // batch_size)
-    total = n_pair_frames + len(groups)
-    frames: list = [None] * total
-    for pos, entries in groups.items():
-        if not (0 <= pos < total):
-            raise ValueError(f"distractor position {pos} outside stream of length {total}")
-        frames[pos] = _Frame(np.array([e.key for e in entries]),
-                             np.array([e.value for e in entries]))
-    pair = 0
-    positions = np.empty(task.count, dtype=np.int64)
-    for t in range(total):
-        if frames[t] is None:
-            hi = min(pair + batch_size, task.count)
-            frames[t] = _Frame(task.keys[pair:hi], task.values[pair:hi])
-            positions[pair:hi] = t
-            pair = hi
-    if pair != task.count:
-        raise ValueError("distractor positions leave no room for all stored pairs")
-    return frames, positions
+    Distractor rows that share a position form the frame at that
+    position; stored pairs fill the other frames in order, batch_size
+    per frame.  Returns keys, values, offsets (frame f is rows
+    offsets[f] to offsets[f + 1]) and each stored pair's frame index.
+    """
+    d_positions = task.distractor_positions
+    d_frames = np.unique(d_positions)
+    total = -(-task.count // batch_size) + len(d_frames)
+    outside = d_positions[d_positions >= total]
+    if outside.size:
+        raise ValueError(f"distractor position {outside[0]} outside stream of length {total}")
+    pair_frames = np.setdiff1d(np.arange(total), d_frames)
+    positions = pair_frames[np.arange(task.count) // batch_size]
+    frame_of_row = np.concatenate((positions, d_positions))
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(frame_of_row, minlength=total))))
+    if not d_positions.size:
+        return task.keys, task.values, offsets, positions
+    order = np.argsort(frame_of_row, kind="stable")
+    return (np.concatenate((task.keys, task.distractor_keys))[order],
+            np.concatenate((task.values, task.distractor_values))[order], offsets, positions)
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +440,13 @@ class _RuleEntry(NamedTuple):
     default_gate: the gate spec a bare rule name means (None: ungated).
     tokens: the rule reads keys as state-width tokens, so c must be c_k.
     init(dims, seed): the initial state, built again at every reset.
-    ingester(rule, dims, proj, scale): ingest(state, frames, t0) -> (state,
-    gates) for one reset segment, the frames numbered from t0, after
-    rejecting an unsupported gate; gates holds one GateVector per frame
-    for gated rules and is empty otherwise.
-    read(state, task, t, proj, scale): per-pair squared recall errors.
+    ingester(rule, dims, proj, scale): ingest(state, keys, values, offsets)
+    -> (state, betas, counts) for one reset segment (its rows, and the
+    rows at which its frames start, followed by the row count), after
+    rejecting an unsupported gate; betas are the segment's gates, frame
+    after frame, and counts the number of gates of each frame (both
+    empty for ungated rules).
+    read(state, task, proj, scale): per-pair squared recall errors.
     """
 
     name: str
@@ -452,40 +466,30 @@ def _init_fast_weights(dims: StateDims, seed: int) -> FastWeightMatrix:
     return FastWeightMatrix.zeros(dims.c_v, dims.c_k)
 
 
-def _frame_by_frame(step):
-    """A segment ingester that calls step(state, tokens) -> (state, gate or None) per frame."""
-    def ingest(state, frames, t0):
-        gates = []
-        for t, frame in enumerate(frames, t0):
-            state, gate = step(state, ObservationTokens(frame.keys, t))
-            if gate is not None:
-                gates.append(gate)
-        return state, gates
-    return ingest
+_NO_GATES = (np.empty(0), np.empty(0, dtype=np.int64))
 
 
 def _full_ingester(rule, dims, proj, scale):
-    return _frame_by_frame(lambda state, x: (update_full_attention(state, x, proj), None))
+    return lambda state, keys, values, offsets: (update_full_attention(state, keys, proj),
+                                                 *_NO_GATES)
 
 
 def _vanilla_ingester(rule, dims, proj, scale):
-    return _frame_by_frame(lambda state, x: (update_vanilla_rnn(state, x, proj, scale), None))
+    def ingest(state, keys, values, offsets):
+        return update_vanilla_rnn(state, keys, proj, scale, offsets=offsets), *_NO_GATES
+    return ingest
 
 
 def _ttt3r_ingester(rule, dims, proj, scale):
-    return _frame_by_frame(lambda state, x: ttt3r_update(state, x, proj, rule.mode, scale))
-
-
-def _segment_pairs(frames):
-    """The segment's keys and values, frame after frame, as two row batches."""
-    return (np.concatenate([f.keys for f in frames]),
-            np.concatenate([f.values for f in frames]))
+    def ingest(state, keys, values, offsets):
+        state, betas = ttt3r_update(state, keys, proj, rule.mode, scale, offsets=offsets)
+        return state, betas.ravel(), np.full(len(betas), dims.n)
+    return ingest
 
 
 def _hebbian_ingester(rule, dims, proj, scale):
-    def ingest(state, frames, t0):
-        return hebbian_update(state, *_segment_pairs(frames)), []
-    return ingest
+    return lambda state, keys, values, offsets: (hebbian_update(state, keys, values),
+                                                 *_NO_GATES)
 
 
 def _delta_ingester(rule, dims, proj, scale):
@@ -501,27 +505,27 @@ def _delta_ingester(rule, dims, proj, scale):
             "unsupported rule/read combination: input-sigmoid delta gate needs c == c_k"
         )
 
-    def ingest(state, frames, t0):
-        keys, values = _segment_pairs(frames)
+    def ingest(state, keys, values, offsets):
         betas = np.full(len(keys), mode.value) if constant else _sigmoid_open(keys @ proj.gate_map)
-        state = delta_rule_update(state, keys, values, betas)
-        bounds = np.cumsum([len(f.keys) for f in frames[:-1]])
-        return state, [GateVector(b) for b in np.split(betas, bounds)]
+        return delta_rule_update(state, keys, values, betas), betas, np.diff(offsets)
     return ingest
 
 
-def _read_cache(state, task, t, proj, scale):
+def _read_cache(state, task, proj, scale):
     queries = QUERY_SATURATION * task.keys
-    reads = read_full_attention(state, ObservationTokens(queries, t), proj, scale)
-    return np.sum((reads - queries - proj.project_v(task.keys)) ** 2, axis=1)
+    # In place on the fresh reads: at width 4096 each temporary is 134 MB.
+    reads = read_full_attention(state, queries, proj, scale)
+    reads -= queries
+    reads -= proj.project_v(task.keys)
+    return np.sum(np.square(reads, out=reads), axis=1)
 
 
-def _read_tokens(state, task, t, proj, scale):
+def _read_tokens(state, task, proj, scale):
     reads = read_token_state(state, task.keys, proj, scale)
     return np.sum((reads - proj.project_v(task.keys)) ** 2, axis=1)
 
 
-def _read_fast_weights(state, task, t, proj, scale):
+def _read_fast_weights(state, task, proj, scale):
     reads = np.array([read_fast_weight(state, k) for k in task.keys])
     return np.sum((reads - task.values) ** 2, axis=1)
 
@@ -606,22 +610,27 @@ def run_stream(task: RecallTask, config: StreamConfig):
         raise ValueError(f"task value width {task.values.shape[1]} != c_v {dims.c_v}")
     proj = ProjectionSet.identity(dims.c, seed=derive_seed(config.seed, "projections"))
     ingest = entry.ingester(config.rule, dims, proj, config.softmax_scale)
-    frames, positions = _assemble_frames(task, config.batch_size)
+    keys, values, offsets, positions = _assemble_stream(task, config.batch_size)
+    n_frames = len(offsets) - 1
 
     # One ingest call per reset segment.  The initial state is built anew
     # for each segment, not kept: keeping the 4.7 MB state of a width-768
     # stream alive cost 100x the page faults under glibc malloc.
-    period = config.reset_period or len(frames)
-    gates = []
-    for t0 in range(0, len(frames), period):
-        state, segment_gates = ingest(entry.init(dims, config.seed),
-                                      frames[t0:t0 + period], t0)
-        gates += segment_gates
+    period = config.reset_period or n_frames
+    betas, counts = [], []
+    for t0 in range(0, n_frames, period):
+        bounds = offsets[t0:t0 + period + 1]
+        lo, hi = bounds[0], bounds[-1]
+        state, segment_betas, segment_counts = ingest(
+            entry.init(dims, config.seed), keys[lo:hi], values[lo:hi], bounds - lo)
+        betas.append(segment_betas)
+        counts.append(segment_counts)
 
-    errors = entry.read(state, task, len(frames), proj, config.softmax_scale)
+    errors = entry.read(state, task, proj, config.softmax_scale)
     label = rule_label(config.rule)
-    curve = ForgettingCurve(label, positions, errors, len(frames))
-    return curve, GateTrace(label, tuple(gates))
+    curve = ForgettingCurve(label, positions, errors, n_frames)
+    gate_offsets = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    return curve, GateTrace(label, np.concatenate(betas), gate_offsets)
 
 
 def compare_rules(task: RecallTask, configs: Sequence[StreamConfig]):
@@ -642,7 +651,7 @@ def compare_rules(task: RecallTask, configs: Sequence[StreamConfig]):
             label = f"{curve.rule_label}#{bump}"
             curve = ForgettingCurve(label, curve.positions, curve.sq_errors,
                                     curve.stream_length)
-            trace = GateTrace(label, trace.per_frame_gates)
+            trace = replace(trace, rule_label=label)
         curves.append(curve)
         traces.append(trace)
     return RuleComparison(tuple(curves), tuple(traces), tuple(c.rule_label for c in curves))
@@ -659,10 +668,12 @@ def curves_to_csv(curves: Sequence[ForgettingCurve]) -> str:
 
 def gate_trace_to_csv(trace: GateTrace) -> str:
     """One row per gate entry: frame,token,beta."""
+    sizes = np.diff(trace.offsets)
+    frames = np.repeat(np.arange(len(sizes)), sizes)
+    tokens = np.arange(trace.betas.size) - np.repeat(trace.offsets[:-1], sizes)
     lines = ["frame,token,beta"]
-    for f, gate in enumerate(trace.per_frame_gates):
-        for i, beta in enumerate(gate.beta):
-            lines.append(f"{f},{i},{float(beta)!r}")
+    lines += [f"{f},{i},{beta!r}"
+              for f, i, beta in zip(frames.tolist(), tokens.tolist(), trace.betas.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -1,7 +1,9 @@
 """Recurrent state-update and read rules over small dense matrices.
 
-A stream of observation token matrices updates a recurrent state, and
-queries read stored associations back out.  Three state layouts are
+A stream of observation tokens updates a recurrent state, and queries
+read stored associations back out.  Every update takes a segment of the
+stream at once: its token rows, and for the token rules the offsets at
+which its frames start.  Three state layouts are
 supported, each with its own update family:
 
 * a growing key/value cache read by softmax cross-attention,
@@ -11,8 +13,8 @@ supported, each with its own update family:
   outer product.
 
 The gated token update with a constant gate of 1.0 reproduces the
-ungated token update exactly; both paths share one increment helper so
-the equivalence holds bit for bit.
+ungated token update exactly; the ungated update is that case of the
+one token kernel, so the equivalence holds bit for bit.
 
 All functions are pure: inputs are never mutated, identical inputs give
 identical outputs, and every array is carried in float64.
@@ -27,12 +29,10 @@ from typing import Union
 import numpy as np
 
 __all__ = [
-    "ObservationTokens",
     "TokenState",
     "FastWeightMatrix",
     "KvCache",
     "ProjectionSet",
-    "GateVector",
     "ConstantScalar",
     "InputScalarSigmoid",
     "PerTokenInputSigmoid",
@@ -45,7 +45,6 @@ __all__ = [
     "Ttt3r",
     "RuleKind",
     "default_scale",
-    "project",
     "softmax_rows",
     "update_full_attention",
     "read_full_attention",
@@ -100,30 +99,6 @@ def _exact_identity(w: np.ndarray) -> bool:
 
 
 @dataclass(frozen=True)
-class ObservationTokens:
-    """One frame of m >= 1 observation tokens, each of width c."""
-
-    tokens: np.ndarray
-    frame_index: int = 0
-
-    def __post_init__(self):
-        arr = _as_float_matrix(self.tokens, "tokens")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"tokens must be non-empty, got shape {arr.shape}")
-        if self.frame_index < 0:
-            raise ValueError("frame_index must be >= 0")
-        object.__setattr__(self, "tokens", _frozen(arr))
-
-    @property
-    def m(self) -> int:
-        return self.tokens.shape[0]
-
-    @property
-    def c(self) -> int:
-        return self.tokens.shape[1]
-
-
-@dataclass(frozen=True)
 class TokenState:
     """A fixed bank of n >= 1 state tokens of width c."""
 
@@ -171,63 +146,32 @@ class FastWeightMatrix:
 
 @dataclass(frozen=True)
 class KvCache:
-    """An append-only sequence of projected (keys, values) frame pairs.
+    """The projected key and value rows of every ingested token, in order.
 
-    One entry per ingested frame: entry i holds the m_i x c key and
-    value matrices of frame i, so len(cache) is the frame count.
+    keys and values are matching m x c read-only arrays, one row per
+    token, so len(cache) is the token count; KvCache() is empty.
     """
 
-    entries: tuple = ()
+    keys: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    values: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
 
     def __post_init__(self):
-        checked = []
-        c = None
-        for i, (k, v) in enumerate(self.entries):
-            k = _as_float_matrix(k, f"cache keys {i}")
-            v = _as_float_matrix(v, f"cache values {i}")
-            if k.shape != v.shape:
-                raise ValueError(
-                    f"cache entry {i}: keys shape {k.shape} != values shape {v.shape}"
-                )
-            if c is None:
-                c = k.shape[1]
-            elif k.shape[1] != c:
-                raise ValueError(f"cache entry {i}: width {k.shape[1]} != {c}")
-            checked.append((_frozen(k), _frozen(v)))
-        object.__setattr__(self, "entries", tuple(checked))
+        keys = _frozen(_as_float_matrix(self.keys, "cache keys"))
+        # Identity maps project keys and values to the same array; one
+        # read-only copy then serves as both.
+        values = keys if self.values is self.keys else _frozen(
+            _as_float_matrix(self.values, "cache values"))
+        if keys.shape != values.shape:
+            raise ValueError(f"cache keys shape {keys.shape} != values shape {values.shape}")
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def appended(self, keys, values) -> "KvCache":
-        """A new cache with one validated entry added at the end.
-
-        Prior entries were validated when this cache was built and are
-        reused as-is, so appending costs O(new entry) instead of the
-        O(cache) revalidation the constructor would do.
-        """
-        i = len(self.entries)
-        k = _frozen(_as_float_matrix(keys, f"cache keys {i}"))
-        v = _frozen(_as_float_matrix(values, f"cache values {i}"))
-        if k.shape != v.shape:
-            raise ValueError(
-                f"cache entry {i}: keys shape {k.shape} != values shape {v.shape}"
-            )
-        if self.entries and k.shape[1] != self.width:
-            raise ValueError(f"cache entry {i}: width {k.shape[1]} != {self.width}")
-        out = object.__new__(KvCache)
-        object.__setattr__(out, "entries", self.entries + ((k, v),))
-        return out
+        return self.keys.shape[0]
 
     @property
     def width(self):
-        return self.entries[0][0].shape[1] if self.entries else None
-
-    def keys(self) -> np.ndarray:
-        return np.vstack([k for k, _ in self.entries])
-
-    def values(self) -> np.ndarray:
-        return np.vstack([v for _, v in self.entries])
+        return self.keys.shape[1] if len(self) else None
 
 
 @dataclass(frozen=True)
@@ -314,21 +258,6 @@ class ProjectionSet:
 
 
 @dataclass(frozen=True)
-class GateVector:
-    """Per-state-token learning rates, each in (0, 1]."""
-
-    beta: np.ndarray
-
-    def __post_init__(self):
-        beta = _as_float_vector(self.beta, "beta")
-        if beta.size < 1:
-            raise ValueError("beta must be non-empty")
-        if np.any(beta <= 0.0) or np.any(beta > 1.0):
-            raise ValueError("beta entries must lie in (0, 1]")
-        object.__setattr__(self, "beta", _frozen(beta))
-
-
-@dataclass(frozen=True)
 class ConstantScalar:
     """Fixed learning rate shared by every state token."""
 
@@ -411,12 +340,45 @@ def _resolve_scale(scale, c: int) -> float:
     return scale
 
 
-def project(x: ObservationTokens, p: ProjectionSet):
-    """Project a frame into query, key and value rows: (X W_q, X W_k, X W_v)."""
-    if x.c != p.c:
-        raise ValueError(f"token width {x.c} does not match projection width {p.c}")
-    t = x.tokens
-    return p.project_q(t), p.project_k(t), p.project_v(t)
+def _token_segment(tokens, c: int, offsets=None):
+    """A segment's tokens (m x c, finite) and frame offsets, checked once.
+
+    offsets are the rows at which the frames start, followed by m:
+    0 = o_0 < o_1 < ... < o_F = m, so frame f is rows o_f to o_(f+1).
+    None is one frame of all m rows.  Errors name the offending row or
+    frame.
+    """
+    arr = np.asarray(tokens, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] < 1:
+        raise ValueError(f"tokens must be a non-empty 2-D array, got shape {arr.shape}")
+    if arr.shape[1] != c:
+        raise ValueError(f"token width {arr.shape[1]} does not match projection width {c}")
+    m = arr.shape[0]
+    off = np.array([0, m]) if offsets is None else np.asarray(offsets)
+    if off.ndim != 1 or off.size < 2 or not np.issubdtype(off.dtype, np.integer):
+        raise ValueError(f"offsets must be a 1-D integer array of at least 2 entries, "
+                         f"got shape {off.shape} and dtype {off.dtype}")
+    if off[0] != 0 or off[-1] != m:
+        raise ValueError(f"offsets must run from 0 to the {m} token rows, "
+                         f"got {off[0]} to {off[-1]}")
+    empty = np.flatnonzero(np.diff(off) < 1)
+    if empty.size:
+        f = empty[0]
+        raise ValueError(f"frame {f} has no rows: offsets {off[f]} then {off[f + 1]}")
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+    if bad.size:
+        frame = np.searchsorted(off, bad[0], side="right") - 1
+        raise ValueError(f"token row {bad[0]} (frame {frame}) contains non-finite entries")
+    return arr, off
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    # Row-wise softmax of logits that are already scaled; after the shift
+    # it works in place on its own copy.
+    w = z - z.max(axis=1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=1, keepdims=True)
+    return w
 
 
 def softmax_rows(logits, scale=1.0) -> np.ndarray:
@@ -433,55 +395,42 @@ def softmax_rows(logits, scale=1.0) -> np.ndarray:
     scale = float(scale)
     if not (scale > 0.0) or not math.isfinite(scale):
         raise ValueError(f"scale must be positive and finite, got {scale}")
-    z = scale * arr
-    z = z - z.max(axis=1, keepdims=True)
-    w = np.exp(z)
-    return w / w.sum(axis=1, keepdims=True)
+    # Scaling by 1.0 is exact, so it is skipped (a full pass at width 4096).
+    return _softmax(arr if scale == 1.0 else scale * arr)
 
 
-def update_full_attention(cache: KvCache, x: ObservationTokens, p: ProjectionSet) -> KvCache:
-    """Append the frame's projected (keys, values) pair as one cache entry."""
-    _, k, v = project(x, p)
-    if len(cache) and cache.width != p.c:
-        raise ValueError(
-            f"cache width {cache.width} does not match projection width {p.c}"
-        )
-    return cache.appended(k, v)
+def update_full_attention(cache: KvCache, tokens, p: ProjectionSet) -> KvCache:
+    """Append a segment's projected key and value rows to the cache as one block."""
+    tokens, _ = _token_segment(tokens, p.c)
+    if len(cache) == 0:
+        return KvCache(p.project_k(tokens), p.project_v(tokens))
+    if cache.width != p.c:
+        raise ValueError(f"cache width {cache.width} does not match projection width {p.c}")
+    return KvCache(np.concatenate((cache.keys, p.project_k(tokens))),
+                   np.concatenate((cache.values, p.project_v(tokens))))
 
 
-def read_full_attention(cache: KvCache, x: ObservationTokens, p: ProjectionSet, scale=None) -> np.ndarray:
+def read_full_attention(cache: KvCache, queries, p: ProjectionSet, scale=None) -> np.ndarray:
     """Residual cross-attention read: X + softmax(Q_x K_cache^T) V_cache."""
     if len(cache) == 0:
         raise ValueError("cannot read from an empty cache")
-    if x.c != p.c:
-        raise ValueError(f"token width {x.c} does not match projection width {p.c}")
-    q = p.project_q(x.tokens)
+    queries, _ = _token_segment(queries, p.c)
     if cache.width != p.c:
         raise ValueError(f"cache width {cache.width} does not match projection width {p.c}")
-    keys = cache.keys()
-    vals = cache.values()
-    weights = softmax_rows(q @ keys.T, _resolve_scale(scale, p.c))
-    return x.tokens + weights @ vals
+    weights = softmax_rows(p.project_q(queries) @ cache.keys.T, _resolve_scale(scale, p.c))
+    out = weights @ cache.values
+    out += queries
+    return out
 
 
-def _token_increment(s: TokenState, x: ObservationTokens, p: ProjectionSet, scale):
-    """Shared attention increment softmax(Q_s K_x^T) V_x and its raw logits."""
-    if s.c != p.c or x.c != p.c:
-        raise ValueError(
-            f"state width {s.c} and token width {x.c} must both match projection width {p.c}"
-        )
-    q_s = p.project_q(s.tokens)
-    k_x = p.project_k(x.tokens)
-    v_x = p.project_v(x.tokens)
-    logits = q_s @ k_x.T
-    increment = softmax_rows(logits, _resolve_scale(scale, p.c)) @ v_x
-    return increment, q_s, k_x
+def update_vanilla_rnn(s: TokenState, tokens, p: ProjectionSet, scale=None, *,
+                       offsets=None) -> TokenState:
+    """Ungated token update S <- S + softmax(Q_s K_x^T) V_x, once per frame.
 
-
-def update_vanilla_rnn(s: TokenState, x: ObservationTokens, p: ProjectionSet, scale=None) -> TokenState:
-    """Ungated token update S' = S + softmax(Q_s K_x^T) V_x."""
-    increment, _, _ = _token_increment(s, x, p, scale)
-    return TokenState(s.tokens + increment)
+    tokens and offsets are one segment, as in ttt3r_update; this is its
+    case of a constant gate of 1.0.
+    """
+    return _token_steps(s, tokens, p, ConstantScalar(1.0), scale, offsets)[0]
 
 
 def recon_loss(s: FastWeightMatrix, keys: np.ndarray, values: np.ndarray) -> float:
@@ -596,16 +545,11 @@ def _sigmoid_open(z) -> np.ndarray:
     # the correct limit 0, which the clamp then lifts.
     with np.errstate(over="ignore"):
         out = 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=np.float64)))
-    return np.clip(out, _GATE_LO, _GATE_HI)
+    return np.minimum(np.maximum(out, _GATE_LO), _GATE_HI)
 
 
-def _confidence_beta(q_s: np.ndarray, k_x: np.ndarray, reduce: str, scale: float) -> np.ndarray:
-    logits = scale * (q_s @ k_x.T)
-    reduced = logits.sum(axis=1) if reduce == "sum" else logits.mean(axis=1)
-    return _sigmoid_open(reduced)
-
-
-def confidence_gate(q_s: np.ndarray, k_x: np.ndarray, reduce: str = "sum", scale=None) -> GateVector:
+def confidence_gate(q_s: np.ndarray, k_x: np.ndarray, reduce: str = "sum",
+                    scale=None) -> np.ndarray:
     """Per-state-token gate beta_i = sigmoid(reduce_j of scale * q_i . k_j).
 
     The same temperature that scales the attention logits feeds the
@@ -622,35 +566,56 @@ def confidence_gate(q_s: np.ndarray, k_x: np.ndarray, reduce: str = "sum", scale
         raise ValueError("k_x must contain at least one token")
     if reduce not in ("sum", "mean"):
         raise ValueError(f"reduce must be 'sum' or 'mean', got {reduce!r}")
-    return GateVector(_confidence_beta(q_s, k_x, reduce, _resolve_scale(scale, q_s.shape[1])))
+    logits = _resolve_scale(scale, q_s.shape[1]) * (q_s @ k_x.T)
+    return _sigmoid_open(logits.sum(axis=1) if reduce == "sum" else logits.mean(axis=1))
 
 
-def _gate_for_mode(mode: BetaMode, s: TokenState, x: ObservationTokens, p: ProjectionSet,
-                   q_s: np.ndarray, k_x: np.ndarray, scale: float) -> GateVector:
+def _frame_gate(mode: BetaMode, p: ProjectionSet, n: int):
+    """gate(state, frame tokens, scaled logits Q_s K_x^T) -> the frame's n betas."""
     if isinstance(mode, ConstantScalar):
-        return GateVector(np.full(s.n, mode.value))
+        beta = np.full(n, mode.value)
+        return lambda s, x, z: beta
     if isinstance(mode, InputScalarSigmoid):
-        shared = _sigmoid_open(float(np.mean(x.tokens @ p.gate_map)))
-        return GateVector(np.full(s.n, shared))
+        return lambda s, x, z: np.full(n, _sigmoid_open(float(np.mean(x @ p.gate_map))))
     if isinstance(mode, PerTokenInputSigmoid):
-        return GateVector(_sigmoid_open(s.tokens @ p.gate_map))
+        return lambda s, x, z: _sigmoid_open(s @ p.gate_map)
     if isinstance(mode, ConfidenceGate):
-        return GateVector(_confidence_beta(q_s, k_x, mode.reduce, scale))
+        if mode.reduce == "sum":
+            return lambda s, x, z: _sigmoid_open(z.sum(axis=1))
+        return lambda s, x, z: _sigmoid_open(z.mean(axis=1))
     raise TypeError(f"unknown gate mode {mode!r}")
 
 
-def ttt3r_update(s: TokenState, x: ObservationTokens, p: ProjectionSet, mode: BetaMode,
-                 scale=None):
-    """Gated token update S' = S + diag(beta) softmax(Q_s K_x^T) V_x.
+def _token_steps(s: TokenState, tokens, p: ProjectionSet, mode: BetaMode, scale, offsets):
+    """The token kernel: one gated step per frame of a segment, in order."""
+    tokens, offsets = _token_segment(tokens, p.c, offsets)
+    if s.c != p.c:
+        raise ValueError(f"state width {s.c} does not match projection width {p.c}")
+    scale = _resolve_scale(scale, p.c)
+    gate = _frame_gate(mode, p, s.n)
+    k_x, v_x = p.project_k(tokens), p.project_v(tokens)
+    bounds = offsets.tolist()
+    state = s.tokens
+    betas = np.empty((len(bounds) - 1, s.n))
+    for f, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        z = scale * (p.project_q(state) @ k_x[lo:hi].T)
+        betas[f] = beta = gate(state, tokens[lo:hi], z)
+        state = state + beta[:, None] * (_softmax(z) @ v_x[lo:hi])
+    return TokenState(state), betas
 
-    Returns (new state, gate vector).  With mode ConstantScalar(1.0)
-    the result is bitwise identical to update_vanilla_rnn, since the
-    increment is computed by the same helper and scaling by 1.0 is
-    exact.
+
+def ttt3r_update(s: TokenState, tokens, p: ProjectionSet, mode: BetaMode, scale=None, *,
+                 offsets=None):
+    """Gated token update S <- S + diag(beta) softmax(Q_s K_x^T) V_x, once per frame.
+
+    tokens (m x c) are one segment of the stream and offsets the rows at
+    which its frames start, followed by m (None: one frame); each frame
+    updates the state in turn.  Returns (new state, betas), one row of n
+    gates per frame.  With mode ConstantScalar(1.0) the state is bitwise
+    identical to update_vanilla_rnn's, since both run this kernel and
+    scaling by 1.0 is exact.
     """
-    increment, q_s, k_x = _token_increment(s, x, p, scale)
-    gate = _gate_for_mode(mode, s, x, p, q_s, k_x, _resolve_scale(scale, p.c))
-    return TokenState(s.tokens + gate.beta[:, None] * increment), gate
+    return _token_steps(s, tokens, p, mode, scale, offsets)
 
 
 def read_token_state(s: TokenState, query: np.ndarray, p: ProjectionSet, scale=None) -> np.ndarray:

@@ -37,7 +37,6 @@ from ttt_lab.state_rules import (
     FastWeightMatrix,
     FullAttentionAppend,
     LinearAttentionHebbian,
-    ObservationTokens,
     ProjectionSet,
     TokenState,
     Ttt3r,
@@ -101,7 +100,7 @@ def test_02_unit_gate_reduces_to_ungated_update():
         m = int(rng.integers(1, 6))
         p = ProjectionSet.seeded(c, seed=int(rng.integers(0, 1 << 31)))
         s = TokenState(rng.standard_normal((n, c)))
-        x = ObservationTokens(rng.standard_normal((m, c)), 0)
+        x = rng.standard_normal((m, c))
         gated, _ = ttt3r_update(s, x, p, ConstantScalar(1.0))
         plain = update_vanilla_rnn(s, x, p)
         worst = max(worst, float(np.max(np.abs(gated.tokens - plain.tokens))))
@@ -113,8 +112,7 @@ def test_03_gate_output_is_strictly_inside_the_unit_interval():
     rng = np.random.default_rng(11)
     logits = rng.uniform(-40.0, 40.0, 10**6 - 4)
     logits = np.concatenate([logits, [-40.0, 40.0, -400.0, 400.0]])
-    gate = confidence_gate(logits[:, None], np.array([[1.0]]), reduce="sum", scale=1.0)
-    beta = gate.beta
+    beta = confidence_gate(logits[:, None], np.array([[1.0]]), reduce="sum", scale=1.0)
     assert beta.shape == (10**6,)
     assert np.all(np.isfinite(beta))
     assert np.all(beta > 0.0), "gate reached 0"
@@ -129,9 +127,9 @@ def test_04_deeply_negative_logits_freeze_the_state():
     s0 = TokenState(rng.uniform(0.5, 1.5, (n, c)))
     s = s0
     for t in range(100):
-        x = ObservationTokens(-2.5 * rng.uniform(0.5, 1.5, (m, c)), t)
+        x = -2.5 * rng.uniform(0.5, 1.5, (m, c))
         # precondition: every reduced logit is at or below -40
-        reduced = (s.tokens @ x.tokens.T).sum(axis=1)
+        reduced = (s.tokens @ x.T).sum(axis=1)
         assert np.all(reduced <= -40.0)
         s_next, _ = ttt3r_update(s, x, p, ConfidenceGate("sum"), scale=1.0)
         step = float(np.max(np.abs(s_next.tokens - s.tokens)))

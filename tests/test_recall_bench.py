@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ttt_lab.recall_bench import (
-    DistractorEntry,
+    QUERY_SATURATION,
     ForgettingCurve,
     GateTrace,
     RecallTask,
@@ -23,14 +23,12 @@ from ttt_lab.recall_bench import (
     run_stream,
     summary_to_csv,
 )
-from ttt_lab.recall_bench import _assemble_frames
 from ttt_lab.seeding import derive_seed
 from ttt_lab.state_rules import (
     ConfidenceGate,
     ConstantScalar,
     DeltaRule,
     FullAttentionAppend,
-    GateVector,
     InputScalarSigmoid,
     LinearAttentionHebbian,
     PerTokenInputSigmoid,
@@ -114,8 +112,36 @@ def test_task_validation():
         gen_recall_task(4, DIMS16, "correlated", rho=1.0)
     eye = np.eye(4)
     with pytest.raises(ValueError):
-        RecallTask(eye[:2], np.ones((2, 3)),
-                   (DistractorEntry(2, np.ones(5), np.ones(3)),))
+        RecallTask(eye[:2], np.ones((2, 3)), [2], np.ones((1, 5)), np.ones((1, 3)))
+    for positions, d_keys, d_values, message in [
+        ([1, 2], np.ones((1, 4)) / 2, np.ones((1, 3)),
+         "2 distractor positions but 1 keys and 1 values"),
+        ([1], np.ones((1, 4)) / 2, np.ones((2, 3)),
+         "1 distractor positions but 1 keys and 2 values"),
+        ([1], np.ones((1, 5)), np.ones((1, 3)), "distractor key width differs"),
+        ([1], np.ones((1, 4)), np.ones((1, 2)), "distractor value width differs"),
+        ([1, -2], np.ones((2, 4)), np.ones((2, 3)), "distractor row 1 has negative position -2"),
+        ([1.5], np.ones((1, 4)), np.ones((1, 3)),
+         "distractor positions must be a 1-D integer array"),
+        ([1], np.ones(4), np.ones((1, 3)), "distractor keys and values must be 2-D"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            RecallTask(eye[:2], np.ones((2, 3)), positions, d_keys, d_values)
+
+
+def test_generated_orthonormal_tasks_pass_the_orthogonality_check():
+    # The generators skip the O(count^2 c_k) check; rebuilding their tasks
+    # from plain arrays runs it.
+    for task in (gen_recall_task(64, StateDims(4, 64, 64, 64), seed=3),
+                 gen_adversarial_task(StateDims(4, 64, 64, 64), seed=3)):
+        rebuilt = RecallTask(task.keys.copy(), task.values, task.distractor_positions,
+                             task.distractor_keys, task.distractor_values, "orthonormal")
+        assert task.key_mode == rebuilt.key_mode == "orthonormal"
+        np.testing.assert_array_equal(rebuilt.keys, task.keys)
+    bent = task.keys.copy()
+    bent[1] = (bent[0] + bent[1]) / math.sqrt(2.0)
+    with pytest.raises(ValueError, match="not pairwise orthogonal"):
+        RecallTask(bent, task.values)
 
 
 def test_task_pairs_property():
@@ -143,28 +169,25 @@ def test_batched_mode_packs_consecutive_pairs():
     curve, trace = run_stream(task, cfg)
     assert curve.stream_length == 3
     np.testing.assert_array_equal(curve.positions, [0, 0, 0, 0, 1, 1, 1, 1, 2, 2])
-    assert [len(g.beta) for g in trace.per_frame_gates] == [4, 4, 2]
+    assert np.diff(trace.offsets).tolist() == [4, 4, 2]
 
 
 def test_distractor_groups_occupy_their_positions():
     eye = np.eye(16)
     d_key = eye[10]
-    entries = (DistractorEntry(1, d_key, np.zeros(16)),
-               DistractorEntry(1, d_key, np.zeros(16)),
-               DistractorEntry(3, d_key, np.zeros(16)))
-    task = RecallTask(eye[:2], np.ones((2, 16)), entries)
+    task = RecallTask(eye[:2], np.ones((2, 16)), [1, 1, 3], np.array([d_key] * 3),
+                      np.zeros((3, 16)))
     curve, trace = run_stream(task, StreamConfig(DeltaRule(ConstantScalar(1.0)), DIMS16))
     # stream: pair0, distractor pair(x2), pair1, distractor
     assert curve.stream_length == 4
     np.testing.assert_array_equal(curve.positions, [0, 2])
-    assert [len(g.beta) for g in trace.per_frame_gates] == [1, 2, 1, 1]
+    assert np.diff(trace.offsets).tolist() == [1, 2, 1, 1]
 
 
 def test_out_of_range_distractor_position_raises():
     eye = np.eye(16)
     # 2 pairs + 1 distractor group = 3 frames, so position 10 is invalid
-    task = RecallTask(eye[:2], np.ones((2, 16)),
-                      (DistractorEntry(10, eye[10], np.zeros(16)),))
+    task = RecallTask(eye[:2], np.ones((2, 16)), [10], eye[10:11], np.zeros((1, 16)))
     with pytest.raises(ValueError):
         run_stream(task, StreamConfig(DeltaRule(ConstantScalar(1.0)), DIMS16))
 
@@ -202,8 +225,7 @@ def test_delta_rule_supports_input_sigmoid_gate():
     task = gen_recall_task(4, DIMS16, "orthonormal", seed=0)
     curve, trace = run_stream(task, StreamConfig(DeltaRule(InputScalarSigmoid()), DIMS16))
     assert len(trace) == 4
-    for g in trace.per_frame_gates:
-        assert np.all(g.beta > 0.0) and np.all(g.beta < 1.0)
+    assert np.all(trace.betas > 0.0) and np.all(trace.betas < 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -215,21 +237,21 @@ def test_ungated_rules_return_empty_trace():
     for rule in (FullAttentionAppend(), VanillaSoftmaxRnn(), LinearAttentionHebbian()):
         _, trace = run_stream(task, StreamConfig(rule, DIMS16, softmax_scale=1.0))
         assert len(trace) == 0
-        assert trace.per_frame_gates == ()
+        assert trace.betas.size == 0 and trace.offsets.tolist() == [0]
 
 
 def test_gated_rules_trace_every_frame():
     task = gen_recall_task(5, DIMS16, "orthonormal", seed=0)
     _, trace = run_stream(task, StreamConfig(Ttt3r(ConfidenceGate("sum")), DIMS16))
     assert len(trace) == 5
-    for g in trace.per_frame_gates:
-        assert isinstance(g, GateVector)
-        assert g.beta.shape == (4,)
+    assert np.diff(trace.offsets).tolist() == [4] * 5
 
 
-def test_gate_trace_rejects_non_gate_entries():
-    with pytest.raises(TypeError):
-        GateTrace("x", (np.ones(3),))
+def test_gate_trace_rejects_offsets_that_do_not_fit():
+    GateTrace("x", np.full(6, 0.5), [0, 2, 6])
+    for offsets in ([0, 2, 5], [1, 6], [0, 4, 4, 6], [], [[0, 6]]):
+        with pytest.raises(ValueError, match="offsets must rise from 0"):
+            GateTrace("x", np.full(6, 0.5), offsets)
 
 
 def test_stream_honours_the_rules_confidence_reduce():
@@ -241,10 +263,10 @@ def test_stream_honours_the_rules_confidence_reduce():
     # Both streams start from the same state and see the same first frame
     # of 3 tokens, so its mean-reduced logits are a third of the summed ones.
     logit = lambda b: np.log(b / (1.0 - b))
-    np.testing.assert_allclose(3.0 * logit(t_mean.per_frame_gates[0].beta),
-                               logit(t_sum.per_frame_gates[0].beta), rtol=1e-9)
-    a = np.concatenate([g.beta for g in t_sum.per_frame_gates])
-    b = np.concatenate([g.beta for g in t_mean.per_frame_gates])
+    np.testing.assert_allclose(3.0 * logit(t_mean.betas[:t_mean.offsets[1]]),
+                               logit(t_sum.betas[:t_sum.offsets[1]]), rtol=1e-9)
+    a = t_sum.betas
+    b = t_mean.betas
     assert np.any(a != b)
 
 
@@ -277,7 +299,7 @@ def test_reset_restores_the_seeded_initial_state():
     task = gen_recall_task(4, DIMS16, "orthonormal", seed=7)
     cfg = StreamConfig(DeltaRule(ConstantScalar(1.0)), DIMS16, reset_period=3)
     curve, _ = run_stream(task, cfg)
-    solo = RecallTask(task.keys[3:], task.values[3:], (), "orthonormal", 7)
+    solo = RecallTask(task.keys[3:], task.values[3:], key_mode="orthonormal", seed=7)
     solo_curve, _ = run_stream(solo, StreamConfig(DeltaRule(ConstantScalar(1.0)), DIMS16))
     assert curve.sq_errors[3] == solo_curve.sq_errors[0]
 
@@ -294,28 +316,101 @@ def test_full_attention_reset_drops_cached_history():
 # segment ingest against the per-frame, per-pair oracle
 
 
+def _oracle_frames(task, batch_size):
+    """The stream's frames as (keys, values) arrays, built from the task alone.
+
+    Distractor rows that share a position form the frame there, in row
+    order; stored pairs fill the other frames in batches.  Also returns
+    each stored pair's frame index.
+    """
+    groups = {}
+    for pos, k, v in zip(task.distractor_positions.tolist(), task.distractor_keys,
+                         task.distractor_values):
+        groups.setdefault(pos, []).append((k, v))
+    frames, positions, pair = [], [], 0
+    while pair < task.count or len(frames) in groups:
+        rows = groups.get(len(frames))
+        if rows is None:
+            rows = list(zip(task.keys[pair:pair + batch_size], task.values[pair:pair + batch_size]))
+            positions += [len(frames)] * len(rows)
+            pair += len(rows)
+        frames.append((np.array([k for k, _ in rows]), np.array([v for _, v in rows])))
+    return frames, np.array(positions)
+
+
+def _oracle_sigmoid(z):
+    with np.errstate(over="ignore"):
+        out = 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=np.float64)))
+    return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+
+
+def _oracle_softmax(z):
+    z = z - z.max(axis=1, keepdims=True)
+    w = np.exp(z)
+    return w / w.sum(axis=1, keepdims=True)
+
+
 def _per_frame_oracle(task, cfg):
-    """Curve errors and per-frame betas of a fast-weight rule stepped pair by pair."""
-    dims = cfg.state_dims
+    """Curve errors, pair positions and per-frame gates of one rule.
+
+    A plain numpy loop over the frames (and over the pairs of a frame
+    for the fast-weight rules), with identity projections as in
+    run_stream; the token and cache rules keep the arithmetic of the
+    per-frame kernels, so they must match bit for bit.
+    """
+    dims, rule = cfg.state_dims, cfg.rule
+    scale = cfg.softmax_scale or 1.0 / math.sqrt(dims.c)
     gate_map = ProjectionSet.identity(dims.c, seed=derive_seed(cfg.seed, "projections")).gate_map
-    frames, _ = _assemble_frames(task, cfg.batch_size)
-    s, gates = np.zeros((dims.c_v, dims.c_k)), []
-    for t, frame in enumerate(frames):
+    frames, positions = _oracle_frames(task, cfg.batch_size)
+    tokens = isinstance(rule, (VanillaSoftmaxRnn, Ttt3r))
+
+    def initial():
+        if isinstance(rule, FullAttentionAppend):
+            return []
+        if tokens:
+            rng = np.random.default_rng(derive_seed(cfg.seed, "state-init"))
+            return rng.uniform(-1.0, 1.0, (dims.n, dims.c)) / math.sqrt(dims.c)
+        return np.zeros((dims.c_v, dims.c_k))
+
+    s, gates = initial(), []
+    for t, (keys, values) in enumerate(frames):
         if cfg.reset_period and t and t % cfg.reset_period == 0:
-            s = np.zeros((dims.c_v, dims.c_k))
-        betas = []
-        for k, v in zip(frame.keys, frame.values):
-            if isinstance(cfg.rule, LinearAttentionHebbian):
-                s = s + np.outer(v, k)
-                continue
-            mode = cfg.rule.mode
-            beta = (mode.value if isinstance(mode, ConstantScalar)
-                    else 1.0 / (1.0 + math.exp(-float(k @ gate_map))))
-            s = s - beta * np.outer(s @ k - v, k)
-            betas.append(beta)
-        gates.append(betas)
-    errors = [float(np.sum((s @ k - v) ** 2)) for k, v in zip(task.keys, task.values)]
-    return np.array(errors), gates
+            s = initial()
+        if isinstance(rule, FullAttentionAppend):
+            s = s + [keys]
+        elif isinstance(rule, VanillaSoftmaxRnn):
+            s = s + _oracle_softmax(scale * (s @ keys.T)) @ keys
+        elif tokens:
+            z = scale * (s @ keys.T)
+            mode = rule.mode
+            if isinstance(mode, InputScalarSigmoid):
+                beta = np.full(dims.n, _oracle_sigmoid(float(np.mean(keys @ gate_map))))
+            else:
+                beta = _oracle_sigmoid(z.sum(axis=1) if mode.reduce == "sum" else z.mean(axis=1))
+            s = s + beta[:, None] * (_oracle_softmax(z) @ keys)
+            gates.append(beta)
+        else:
+            betas = []
+            for k, v in zip(keys, values):
+                if isinstance(rule, LinearAttentionHebbian):
+                    s = s + np.outer(v, k)
+                    continue
+                mode = rule.mode
+                beta = (mode.value if isinstance(mode, ConstantScalar)
+                        else 1.0 / (1.0 + math.exp(-float(k @ gate_map))))
+                s = s - beta * np.outer(s @ k - v, k)
+                betas.append(beta)
+            if betas:
+                gates.append(np.array(betas))
+    if isinstance(rule, FullAttentionAppend):
+        queries, cached = QUERY_SATURATION * task.keys, np.vstack(s)
+        reads = queries + _oracle_softmax(scale * (queries @ cached.T)) @ cached
+        errors = np.sum((reads - queries - task.keys) ** 2, axis=1)
+    elif tokens:
+        errors = np.sum((_oracle_softmax(scale * (task.keys @ s.T)) @ s - task.keys) ** 2, axis=1)
+    else:
+        errors = np.array([float(np.sum((s @ k - v) ** 2)) for k, v in zip(task.keys, task.values)])
+    return errors, positions, gates, len(frames)
 
 
 def _oracle_stream(shape, spec):
@@ -329,24 +424,46 @@ def _oracle_stream(shape, spec):
         # 34 frames of 3 pairs (the last of 1); a frame straddles a chunk boundary.
         return (gen_recall_task(100, dims32, "correlated", seed=6),
                 StreamConfig(rule, dims32, reset_period=25, batch_size=3, seed=3))
+    if shape == "scattered-distractors":
+        # Distinct distractor rows, out of position order, grouped into
+        # frames of 1 to 3 rows among frames of 2 pairs.
+        base = gen_recall_task(40, dims32, "random_unit", seed=8)
+        rng = np.random.default_rng(9)
+        d_keys = rng.standard_normal((7, 32))
+        d_keys /= np.linalg.norm(d_keys, axis=1, keepdims=True)
+        task = RecallTask(base.keys, base.values, [5, 0, 5, 17, 5, 23, 0], d_keys,
+                          rng.uniform(-1.0, 1.0, (7, 32)), "random_unit", 8)
+        return task, StreamConfig(rule, dims32, reset_period=9, batch_size=2, seed=3)
     return gen_adversarial_task(dims64, seed=7), StreamConfig(rule, dims64, seed=3)
 
 
-@pytest.mark.parametrize("spec", ["hebbian", "delta:1", "delta:input"])
-@pytest.mark.parametrize("shape", ["reset-not-dividing", "batch-3", "adversarial"])
+_FAST_WEIGHT_SPECS = ["hebbian", "delta:1", "delta:input"]
+
+
+@pytest.mark.parametrize("spec", _FAST_WEIGHT_SPECS + ["full", "vanilla", "ttt3r:confidence",
+                                                     "ttt3r:input"])
+@pytest.mark.parametrize("shape", ["reset-not-dividing", "batch-3", "adversarial",
+                                   "scattered-distractors"])
 def test_segment_ingest_matches_the_per_frame_oracle(spec, shape):
     task, cfg = _oracle_stream(shape, spec)
     curve, trace = run_stream(task, cfg)
-    errors, gates = _per_frame_oracle(task, cfg)
-    np.testing.assert_allclose(curve.sq_errors, errors, rtol=0, atol=1e-12)
-    if spec == "hebbian":
-        assert trace.per_frame_gates == ()
+    errors, positions, gates, n_frames = _per_frame_oracle(task, cfg)
+    assert curve.stream_length == n_frames
+    np.testing.assert_array_equal(curve.positions, positions)
+    if spec in _FAST_WEIGHT_SPECS:
+        # The chunked kernels reorder the sums: equal up to rounding.
+        np.testing.assert_allclose(curve.sq_errors, errors, rtol=0, atol=1e-12)
+    else:
+        np.testing.assert_array_equal(curve.sq_errors, errors)
+    if not gates:
+        assert len(trace) == 0 and trace.betas.size == 0
         return
-    frames, _ = _assemble_frames(task, cfg.batch_size)
-    assert len(trace) == len(frames) == curve.stream_length
-    for frame, gate, expect in zip(frames, trace.per_frame_gates, gates):
-        assert gate.beta.shape == (frame.keys.shape[0],)
-        np.testing.assert_allclose(gate.beta, expect, rtol=0, atol=1e-12)
+    assert len(trace) == n_frames
+    assert np.diff(trace.offsets).tolist() == [len(g) for g in gates]
+    if spec in _FAST_WEIGHT_SPECS:
+        np.testing.assert_allclose(trace.betas, np.concatenate(gates), rtol=0, atol=1e-12)
+    else:
+        np.testing.assert_array_equal(trace.betas, np.concatenate(gates))
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +515,8 @@ def test_run_stream_is_pure():
     a, ta = run_stream(task, cfg)
     b, tb = run_stream(task, cfg)
     np.testing.assert_array_equal(a.sq_errors, b.sq_errors)
-    for ga, gb in zip(ta.per_frame_gates, tb.per_frame_gates):
-        np.testing.assert_array_equal(ga.beta, gb.beta)
+    np.testing.assert_array_equal(ta.offsets, tb.offsets)
+    np.testing.assert_array_equal(ta.betas, tb.betas)
 
 
 # ---------------------------------------------------------------------------
@@ -410,15 +527,14 @@ def test_adversarial_task_shape():
     dims = StateDims(4, 64, 64, 64)
     task = gen_adversarial_task(dims, seed=0)
     assert task.count == 32
-    assert len(task.distractors) == 128
-    positions = sorted({d.position for d in task.distractors})
+    assert len(task.distractor_positions) == 128
+    positions = sorted(set(task.distractor_positions.tolist()))
     assert positions == list(range(32, 40))
-    for d in task.distractors:
-        assert np.linalg.norm(d.key) == pytest.approx(1.0, abs=1e-9)
+    np.testing.assert_allclose(np.linalg.norm(task.distractor_keys, axis=1), 1.0,
+                               rtol=0, atol=1e-9)
     # distractor directions lean away from the stored keys
     k_mean = task.keys.sum(axis=0)
-    for d in task.distractors:
-        assert float(d.key @ k_mean) < 0.0
+    assert np.all(task.distractor_keys @ k_mean < 0.0)
 
 
 def test_adversarial_task_validation():

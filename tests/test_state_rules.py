@@ -19,10 +19,8 @@ from ttt_lab.state_rules import (
     DeltaRule,
     FastWeightMatrix,
     FullAttentionAppend,
-    GateVector,
     InputScalarSigmoid,
     KvCache,
-    ObservationTokens,
     PerTokenInputSigmoid,
     ProjectionSet,
     TokenState,
@@ -32,7 +30,6 @@ from ttt_lab.state_rules import (
     default_scale,
     delta_rule_update,
     hebbian_update,
-    project,
     read_fast_weight,
     read_full_attention,
     read_token_state,
@@ -161,24 +158,6 @@ def test_projection_seeded_is_deterministic_and_bounded():
     assert np.any(a.w_q != c.w_q)
 
 
-def test_observation_tokens_validation():
-    with pytest.raises(ValueError):
-        ObservationTokens(np.ones(3), 0)
-    with pytest.raises(ValueError):
-        ObservationTokens(np.zeros((0, 3)), 0)
-    with pytest.raises(ValueError):
-        ObservationTokens(np.array([[np.inf, 0.0]]), 0)
-    x = ObservationTokens([[1.0, 2.0]], 4)
-    assert (x.m, x.c, x.frame_index) == (1, 2, 4)
-
-
-def test_gate_vector_accepts_one_and_rejects_outside():
-    GateVector(np.array([1.0, 0.5, 1e-300]))
-    for bad in ([0.0], [-0.1], [1.0 + 1e-9], [np.nan]):
-        with pytest.raises(ValueError):
-            GateVector(np.array(bad))
-
-
 def test_constant_scalar_domain():
     ConstantScalar(1.0)
     ConstantScalar(1e-6)
@@ -207,23 +186,10 @@ def test_state_arrays_are_read_only():
 # full-attention cache
 
 
-def test_cache_grows_one_entry_per_frame():
-    p = ProjectionSet.identity(3)
-    cache = KvCache()
-    assert len(cache) == 0
-    for t in range(4):
-        m = t + 1
-        cache = update_full_attention(cache, ObservationTokens(np.ones((m, 3)), t), p)
-        assert len(cache) == t + 1
-    assert cache.keys().shape == (1 + 2 + 3 + 4, 3)
-    assert cache.values().shape == cache.keys().shape
-    assert cache.width == 3
-
-
 def test_read_from_empty_cache_raises():
     p = ProjectionSet.identity(3)
     with pytest.raises(ValueError):
-        read_full_attention(KvCache(), ObservationTokens(np.ones((1, 3)), 0), p)
+        read_full_attention(KvCache(), np.ones((1, 3)), p)
 
 
 def test_full_attention_read_matches_scalar_loop_oracle():
@@ -231,10 +197,10 @@ def test_full_attention_read_matches_scalar_loop_oracle():
     p = ProjectionSet.seeded(4, seed=2)
     cache = KvCache()
     frames = [rng.standard_normal((m, 4)) for m in (2, 3, 1)]
-    for t, f in enumerate(frames):
-        cache = update_full_attention(cache, ObservationTokens(f, t), p)
+    for f in frames:
+        cache = update_full_attention(cache, f, p)
     x = rng.standard_normal((2, 4))
-    got = read_full_attention(cache, ObservationTokens(x, 3), p, scale=0.7)
+    got = read_full_attention(cache, x, p, scale=0.7)
 
     all_tokens = np.vstack(frames)
     keys = _loop_matmul(all_tokens, p.w_k)
@@ -247,36 +213,41 @@ def test_full_attention_read_matches_scalar_loop_oracle():
 
 def test_cache_rejects_mismatched_widths():
     p = ProjectionSet.identity(3)
-    cache = update_full_attention(KvCache(), ObservationTokens(np.ones((1, 3)), 0), p)
+    cache = update_full_attention(KvCache(), np.ones((1, 3)), p)
     p4 = ProjectionSet.identity(4)
     with pytest.raises(ValueError):
-        update_full_attention(cache, ObservationTokens(np.ones((1, 4)), 1), p4)
+        update_full_attention(cache, np.ones((1, 4)), p4)
     with pytest.raises(ValueError):
-        KvCache(((np.ones((2, 3)), np.ones((3, 3))),))
-
-
-def test_cache_append_equals_full_reconstruction():
-    rng = np.random.default_rng(3)
-    pairs = [(rng.standard_normal((m, 3)), rng.standard_normal((m, 3)))
-             for m in (2, 1, 3)]
-    appended = KvCache()
-    for k, v in pairs:
-        appended = appended.appended(k, v)
-    rebuilt = KvCache(tuple(pairs))
-    assert len(appended) == len(rebuilt) == 3
-    assert np.array_equal(appended.keys(), rebuilt.keys())
-    assert np.array_equal(appended.values(), rebuilt.values())
-    assert not appended.entries[0][0].flags.writeable
+        KvCache(np.ones((2, 3)), np.ones((3, 3)))
 
 
 def test_cache_append_validates_the_new_entry():
-    cache = KvCache(((np.ones((1, 3)), np.ones((1, 3))),))
+    cache = KvCache(np.ones((1, 3)), np.ones((1, 3)))
     with pytest.raises(ValueError, match="width"):
-        cache.appended(np.ones((1, 4)), np.ones((1, 4)))
+        update_full_attention(cache, np.ones((1, 4)), ProjectionSet.identity(4))
     with pytest.raises(ValueError, match="shape"):
-        cache.appended(np.ones((2, 3)), np.ones((1, 3)))
+        KvCache(np.ones((2, 3)), np.ones((1, 3)))
     with pytest.raises(ValueError, match="non-finite"):
-        cache.appended(np.full((1, 3), np.nan), np.ones((1, 3)))
+        update_full_attention(cache, np.full((1, 3), np.nan), ProjectionSet.identity(3))
+
+
+def test_cache_appends_a_segment_as_one_block():
+    rng = np.random.default_rng(4)
+    p = ProjectionSet.seeded(3, seed=2)
+    first, second = rng.standard_normal((4, 3)), rng.standard_normal((2, 3))
+    cache = update_full_attention(KvCache(), first, p)
+    assert len(cache) == 4 and cache.width == 3
+    cache = update_full_attention(cache, second, p)
+    assert len(cache) == 6
+    both = np.vstack([first, second])
+    np.testing.assert_allclose(cache.keys, both @ p.w_k, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(cache.values, both @ p.w_v, rtol=0, atol=1e-15)
+    assert not cache.keys.flags.writeable and not cache.values.flags.writeable
+    # identity maps: one read-only copy of the tokens serves as keys and values
+    shared = update_full_attention(KvCache(), first, ProjectionSet.identity(3))
+    assert shared.keys is shared.values
+    np.testing.assert_array_equal(shared.keys, first)
+    assert len(KvCache()) == 0 and KvCache().width is None
 
 
 def test_identity_projection_maps_reproduce_their_input():
@@ -303,12 +274,12 @@ def test_vanilla_update_matches_scalar_loop_oracle():
     rng = np.random.default_rng(7)
     p = ProjectionSet.seeded(5, seed=11)
     s = TokenState(rng.standard_normal((3, 5)))
-    x = ObservationTokens(rng.standard_normal((4, 5)), 0)
+    x = rng.standard_normal((4, 5))
     got = update_vanilla_rnn(s, x, p, scale=0.4)
 
     q_s = _loop_matmul(s.tokens, p.w_q)
-    k_x = _loop_matmul(x.tokens, p.w_k)
-    v_x = _loop_matmul(x.tokens, p.w_v)
+    k_x = _loop_matmul(x, p.w_k)
+    v_x = _loop_matmul(x, p.w_v)
     weights = _loop_softmax(_loop_matmul(q_s, k_x.T), 0.4)
     expect = s.tokens + _loop_matmul(weights, v_x)
     np.testing.assert_allclose(got.tokens, expect, rtol=0, atol=1e-12)
@@ -319,11 +290,11 @@ def test_vanilla_update_does_not_mutate_inputs():
     s_arr = rng.standard_normal((2, 4))
     x_arr = rng.standard_normal((3, 4))
     s = TokenState(s_arr.copy())
-    x = ObservationTokens(x_arr.copy(), 0)
+    x = x_arr.copy()
     p = ProjectionSet.seeded(4, seed=0)
     update_vanilla_rnn(s, x, p)
     np.testing.assert_array_equal(s.tokens, s_arr)
-    np.testing.assert_array_equal(x.tokens, x_arr)
+    np.testing.assert_array_equal(x, x_arr)
 
 
 def test_gated_update_with_unit_constant_equals_ungated_bitwise():
@@ -334,46 +305,77 @@ def test_gated_update_with_unit_constant_equals_ungated_bitwise():
         m = int(rng.integers(1, 5))
         p = ProjectionSet.seeded(c, seed=int(rng.integers(0, 1 << 31)))
         s = TokenState(rng.standard_normal((n, c)))
-        x = ObservationTokens(rng.standard_normal((m, c)), 0)
-        gated, gate = ttt3r_update(s, x, p, ConstantScalar(1.0))
+        x = rng.standard_normal((m, c))
+        gated, betas = ttt3r_update(s, x, p, ConstantScalar(1.0))
         plain = update_vanilla_rnn(s, x, p)
         np.testing.assert_array_equal(gated.tokens, plain.tokens)
-        np.testing.assert_array_equal(gate.beta, np.ones(n))
+        np.testing.assert_array_equal(betas[0], np.ones(n))
 
 
 def test_gated_update_scales_increment_per_state_token():
     rng = np.random.default_rng(10)
     p = ProjectionSet.seeded(4, seed=1)
     s = TokenState(rng.standard_normal((3, 4)))
-    x = ObservationTokens(rng.standard_normal((2, 4)), 0)
-    half, gate = ttt3r_update(s, x, p, ConstantScalar(0.5))
+    x = rng.standard_normal((2, 4))
+    half, betas = ttt3r_update(s, x, p, ConstantScalar(0.5))
     full = update_vanilla_rnn(s, x, p)
     np.testing.assert_allclose(
         half.tokens - s.tokens, 0.5 * (full.tokens - s.tokens), rtol=0, atol=1e-15
     )
-    np.testing.assert_array_equal(gate.beta, np.full(3, 0.5))
+    np.testing.assert_array_equal(betas[0], np.full(3, 0.5))
 
 
 def test_per_token_gate_squashes_state_rows():
     rng = np.random.default_rng(11)
     p = ProjectionSet.seeded(4, seed=6)
     s = TokenState(rng.standard_normal((3, 4)))
-    x = ObservationTokens(rng.standard_normal((2, 4)), 0)
-    _, gate = ttt3r_update(s, x, p, PerTokenInputSigmoid())
+    x = rng.standard_normal((2, 4))
+    _, betas = ttt3r_update(s, x, p, PerTokenInputSigmoid())
     expect = 1.0 / (1.0 + np.exp(-(s.tokens @ p.gate_map)))
-    np.testing.assert_allclose(gate.beta, expect, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(betas[0], expect, rtol=0, atol=1e-12)
 
 
 def test_input_scalar_gate_is_shared_across_state_rows():
     rng = np.random.default_rng(12)
     p = ProjectionSet.seeded(4, seed=6)
     s = TokenState(rng.standard_normal((3, 4)))
-    x = ObservationTokens(rng.standard_normal((2, 4)), 0)
-    _, gate = ttt3r_update(s, x, p, InputScalarSigmoid())
-    assert gate.beta.shape == (3,)
-    assert np.all(gate.beta == gate.beta[0])
-    expect = 1.0 / (1.0 + np.exp(-float(np.mean(x.tokens @ p.gate_map))))
-    assert gate.beta[0] == pytest.approx(expect, rel=0, abs=1e-12)
+    x = rng.standard_normal((2, 4))
+    _, betas = ttt3r_update(s, x, p, InputScalarSigmoid())
+    beta = betas[0]
+    assert beta.shape == (3,)
+    assert np.all(beta == beta[0])
+    expect = 1.0 / (1.0 + np.exp(-float(np.mean(x @ p.gate_map))))
+    assert beta[0] == pytest.approx(expect, rel=0, abs=1e-12)
+
+
+_GATE_MODES = [ConstantScalar(1.0), ConstantScalar(0.5), InputScalarSigmoid(),
+               PerTokenInputSigmoid(), ConfidenceGate("sum"), ConfidenceGate("mean")]
+
+
+@pytest.mark.parametrize("mode", _GATE_MODES, ids=repr)
+def test_token_segment_equals_one_call_per_frame(mode):
+    # Frames of 1 to 4 tokens.  With identity maps the segment call runs
+    # the very arithmetic of the single-frame calls, so it is bitwise
+    # equal; seeded maps project the segment as one product instead of
+    # one per frame, which is equal up to rounding.
+    rng = np.random.default_rng(21)
+    sizes = [1, 3, 1, 4, 2]
+    tokens = rng.standard_normal((sum(sizes), 6))
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    for p, atol in ((ProjectionSet.identity(6, seed=3), 0.0),
+                    (ProjectionSet.seeded(6, seed=3), 1e-12)):
+        s0 = TokenState(rng.standard_normal((3, 6)))
+        got, got_betas = ttt3r_update(s0, tokens, p, mode, 0.7, offsets=offsets)
+        s, betas = s0, []
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            s, frame_betas = ttt3r_update(s, tokens[lo:hi], p, mode, 0.7)
+            betas.append(frame_betas[0])
+        np.testing.assert_allclose(got.tokens, s.tokens, rtol=0, atol=atol)
+        np.testing.assert_allclose(got_betas, np.array(betas), rtol=0, atol=atol)
+        assert got_betas.shape == (len(sizes), 3)
+        if mode == ConstantScalar(1.0):
+            plain = update_vanilla_rnn(s0, tokens, p, 0.7, offsets=offsets)
+            np.testing.assert_array_equal(plain.tokens, got.tokens)
 
 
 def test_read_token_state_matches_scalar_loop_oracle():
@@ -392,11 +394,11 @@ def test_read_token_state_matches_scalar_loop_oracle():
 def test_project_applies_all_three_maps():
     rng = np.random.default_rng(14)
     p = ProjectionSet.seeded(4, seed=5)
-    x = ObservationTokens(rng.standard_normal((3, 4)), 0)
-    q, k, v = project(x, p)
-    np.testing.assert_allclose(q, x.tokens @ p.w_q, rtol=0, atol=0)
-    np.testing.assert_allclose(k, x.tokens @ p.w_k, rtol=0, atol=0)
-    np.testing.assert_allclose(v, x.tokens @ p.w_v, rtol=0, atol=0)
+    x = rng.standard_normal((3, 4))
+    q, k, v = p.project_q(x), p.project_k(x), p.project_v(x)
+    np.testing.assert_allclose(q, x @ p.w_q, rtol=0, atol=0)
+    np.testing.assert_allclose(k, x @ p.w_k, rtol=0, atol=0)
+    np.testing.assert_allclose(v, x @ p.w_v, rtol=0, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +543,33 @@ def test_batched_fast_weight_kernels_match_the_per_pair_oracle(n, kind):
     np.testing.assert_allclose(got, _sequential_hebbian(s_arr, keys, values), rtol=0, atol=1e-12)
 
 
+_SEGMENT_KERNELS = {
+    "full": lambda x, offsets: update_full_attention(KvCache(), x, ProjectionSet.identity(4)),
+    "vanilla": lambda x, offsets: update_vanilla_rnn(TokenState(np.ones((2, 4))), x,
+                                                     ProjectionSet.identity(4), offsets=offsets),
+    "ttt3r": lambda x, offsets: ttt3r_update(TokenState(np.ones((2, 4))), x,
+                                             ProjectionSet.identity(4), ConfidenceGate(),
+                                             offsets=offsets),
+}
+_NON_FINITE = np.ones((6, 4))
+_NON_FINITE[3, 1] = np.inf
+_FRAMES = [0, 2, 5, 6]   # frames of 2, 3 and 1 rows
+_BAD_SEGMENTS = [
+    # the cache appends the segment as one block, so it takes no offsets
+    ("full", _NON_FINITE, None, r"token row 3 \(frame 0\) contains non-finite"),
+    ("full", np.ones((6, 5)), None, "token width 5 does not match projection width 4"),
+] + [(kernel, *case) for kernel in ("vanilla", "ttt3r") for case in [
+    (_NON_FINITE, _FRAMES, r"token row 3 \(frame 1\) contains non-finite"),
+    (np.ones((6, 5)), _FRAMES, "token width 5 does not match projection width 4"),
+    (np.ones((6, 4)), [0, 2, 5],
+     "offsets must run from 0 to the 6 token rows, got 0 to 5"),
+    (np.ones((6, 4)), [0, 2, 7],
+     "offsets must run from 0 to the 6 token rows, got 0 to 7"),
+    (np.ones((6, 4)), [0, 2, 2, 6], "frame 1 has no rows: offsets 2 then 2"),
+    (np.ones((6, 4)), [0.0, 6.0], "offsets must be a 1-D integer array"),
+]]
+
+
 def test_batched_kernels_name_the_offending_row():
     s = FastWeightMatrix.zeros(2, 4)
     keys, values = np.eye(4)[:3], np.ones((3, 2))
@@ -559,6 +588,10 @@ def test_batched_kernels_name_the_offending_row():
             update(s, keys, values[:2])
         with pytest.raises(ValueError, match="values contains non-finite"):
             update(s, keys, nan_values)
+    # the token and cache kernels take a segment of token rows and frame offsets
+    for kernel, tokens, offsets, message in _BAD_SEGMENTS:
+        with pytest.raises(ValueError, match=message):
+            _SEGMENT_KERNELS[kernel](tokens, offsets)
 
 
 @settings(max_examples=50, deadline=None)
@@ -584,11 +617,11 @@ def test_delta_residual_never_grows(s_arr, k, v, beta):
 def test_confidence_gate_strict_at_saturated_logits():
     q_s = np.array([[40.0], [-40.0], [400.0], [-400.0]])
     k_x = np.array([[1.0]])
-    gate = confidence_gate(q_s, k_x, reduce="sum", scale=1.0)
-    assert np.all(gate.beta > 0.0)
-    assert np.all(gate.beta < 1.0)
-    assert gate.beta[0] > 1.0 - 1e-15
-    assert gate.beta[1] < 1e-15
+    beta = confidence_gate(q_s, k_x, reduce="sum", scale=1.0)
+    assert np.all(beta > 0.0)
+    assert np.all(beta < 1.0)
+    assert beta[0] > 1.0 - 1e-15
+    assert beta[1] < 1e-15
 
 
 def test_confidence_gate_sigmoid_matches_scipy_expit():
@@ -600,7 +633,7 @@ def test_confidence_gate_sigmoid_matches_scipy_expit():
     expit = pytest.importorskip("scipy.special").expit
     z = np.concatenate([np.linspace(-50.0, 50.0, 200001), np.linspace(-800.0, 800.0, 16001),
                         [-800.0, -40.0, 0.0, 40.0, 800.0]])
-    got = confidence_gate(z[:, None], np.array([[1.0]]), reduce="sum", scale=1.0).beta
+    got = confidence_gate(z[:, None], np.array([[1.0]]), reduce="sum", scale=1.0)
     lo, hi = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
     want = np.clip(expit(z), lo, hi)
     np.testing.assert_array_max_ulp(got, want, maxulp=4)
@@ -617,8 +650,8 @@ def test_confidence_gate_reduce_modes_differ_for_multiple_tokens():
     g_sum = confidence_gate(q_s, k_x, reduce="sum", scale=1.0)
     g_mean = confidence_gate(q_s, k_x, reduce="mean", scale=1.0)
     # sum sees logit 3, mean sees logit 1
-    assert g_sum.beta[0] == pytest.approx(1.0 / (1.0 + math.exp(-3.0)), abs=1e-12)
-    assert g_mean.beta[0] == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), abs=1e-12)
+    assert g_sum[0] == pytest.approx(1.0 / (1.0 + math.exp(-3.0)), abs=1e-12)
+    assert g_mean[0] == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), abs=1e-12)
 
 
 def test_confidence_gate_uses_shared_temperature():
@@ -627,7 +660,7 @@ def test_confidence_gate_uses_shared_temperature():
     k_x = rng.standard_normal((2, 4))
     default = confidence_gate(q_s, k_x, reduce="sum")
     explicit = confidence_gate(q_s, k_x, reduce="sum", scale=default_scale(4))
-    np.testing.assert_array_equal(default.beta, explicit.beta)
+    np.testing.assert_array_equal(default, explicit)
 
 
 def test_confidence_gate_validation():
@@ -644,10 +677,10 @@ def test_confidence_gate_validation():
        hnp.arrays(np.float64, (2, 3), elements=st.floats(-1e6, 1e6)),
        st.sampled_from(["sum", "mean"]))
 def test_confidence_gate_always_open_interval(q_s, k_x, reduce):
-    gate = confidence_gate(q_s, k_x, reduce=reduce, scale=1.0)
-    assert np.all(np.isfinite(gate.beta))
-    assert np.all(gate.beta > 0.0)
-    assert np.all(gate.beta < 1.0)
+    beta = confidence_gate(q_s, k_x, reduce=reduce, scale=1.0)
+    assert np.all(np.isfinite(beta))
+    assert np.all(beta > 0.0)
+    assert np.all(beta < 1.0)
 
 
 # ---------------------------------------------------------------------------
