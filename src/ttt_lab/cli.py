@@ -27,8 +27,8 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .geometry_metrics import ate, associate, chamfer, depth_metrics, normal_consistency, \
-    rpe, sequence_depth_scale, PointCloud
+from .geometry_metrics import ate, associate, chamfer, depth_metrics, rpe, \
+    sequence_depth_scale, PointCloud
 from .io_formats import ParseError, parse_pfm, parse_ply_ascii, parse_tum, \
     write_metrics_csv, write_ply_ascii, write_tum
 from .recall_bench import StateDims, StreamConfig, UnsupportedRuleCombination, \
@@ -275,8 +275,8 @@ def _run_chamfer(args) -> int:
     result = chamfer(cloud_a, cloud_b)
     rows = [("accuracy", result.accuracy), ("completeness", result.completeness),
             ("chamfer", result.chamfer)]
-    if cloud_a.normals is not None and cloud_b.normals is not None:
-        rows.append(("normal_consistency", normal_consistency(cloud_a, cloud_b)))
+    if result.normal_consistency is not None:
+        rows.append(("normal_consistency", result.normal_consistency))
     _write_outputs(args, {"chamfer.csv": write_metrics_csv(rows)})
     for name, value in rows:
         print(f"{name}={value:.6e}")

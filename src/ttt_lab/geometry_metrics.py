@@ -268,6 +268,7 @@ class ChamferResult(NamedTuple):
     accuracy: float
     completeness: float
     chamfer: float
+    normal_consistency: Optional[float] = None
 
 
 def associate(est: Trajectory, gt: Trajectory, max_dt: float = 0.02):
@@ -275,30 +276,32 @@ def associate(est: Trajectory, gt: Trajectory, max_dt: float = 0.02):
 
     Candidate pairs are taken in order of increasing |dt| (ties broken
     by index), and a pose already matched is skipped.  Returns index
-    pairs (i_est, j_gt) sorted by estimated-pose index.
+    pairs (i_est, j_gt) sorted by estimated-pose index.  The candidates
+    are built and sorted as arrays; only the greedy skip walks them in
+    Python, once each.
     """
     if not (max_dt > 0):
         raise ValueError(f"max_dt must be positive, got {max_dt}")
     est_ts = est.timestamps
     gt_ts = gt.timestamps
-    cands = []
-    for i, t in enumerate(est_ts):
-        lo = int(np.searchsorted(gt_ts, t - max_dt, side="left"))
-        hi = int(np.searchsorted(gt_ts, t + max_dt, side="right"))
-        for j in range(lo, hi):
-            dt = abs(t - gt_ts[j])
-            if dt <= max_dt:
-                cands.append((dt, i, j))
-    cands.sort()
+    lo = np.searchsorted(gt_ts, est_ts - max_dt, side="left")
+    counts = np.searchsorted(gt_ts, est_ts + max_dt, side="right") - lo
+    i = np.repeat(np.arange(len(est_ts)), counts)
+    # j runs from lo to hi - 1 within each estimated pose's block.
+    j = np.arange(len(i)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    dt = np.abs(est_ts[i] - gt_ts[j])
+    keep = dt <= max_dt
+    i, j, dt = i[keep], j[keep], dt[keep]
+    order = np.lexsort((j, i, dt))
     used_i = set()
     used_j = set()
     pairs = []
-    for _, i, j in cands:
-        if i in used_i or j in used_j:
+    for a, b in zip(i[order].tolist(), j[order].tolist()):
+        if a in used_i or b in used_j:
             continue
-        used_i.add(i)
-        used_j.add(j)
-        pairs.append((i, j))
+        used_i.add(a)
+        used_j.add(b)
+        pairs.append((a, b))
     pairs.sort()
     return pairs
 
@@ -469,30 +472,33 @@ def chamfer(a: PointCloud, b: PointCloud) -> ChamferResult:
 
     accuracy is the mean distance from each point of `a` to its nearest
     neighbour in `b`, completeness the reverse, and chamfer their
-    average.  Euclidean (not squared) distances throughout.
+    average.  Euclidean (not squared) distances throughout.  When both
+    clouds carry normals, normal_consistency is the symmetric mean
+    |n_i . n_match| over the same nearest-neighbour matches (1.0 means
+    parallel normals, whatever their orientation); otherwise it is None.
     """
     # Imported here, not at module level: scipy.spatial (with the
     # scipy.special it loads) takes about 0.4 s to import, which every
     # CLI command would otherwise pay.
     from scipy.spatial import cKDTree
-    d_ab, _ = cKDTree(b.points).query(a.points)
-    d_ba, _ = cKDTree(a.points).query(b.points)
+    d_ab, idx_ab = cKDTree(b.points).query(a.points)
+    d_ba, idx_ba = cKDTree(a.points).query(b.points)
     acc = float(np.mean(d_ab))
     comp = float(np.mean(d_ba))
-    return ChamferResult(acc, comp, 0.5 * (acc + comp))
+    consistency = None
+    if a.normals is not None and b.normals is not None:
+        ab = float(np.mean(np.abs(np.sum(a.normals * b.normals[idx_ab], axis=1))))
+        ba = float(np.mean(np.abs(np.sum(b.normals * a.normals[idx_ba], axis=1))))
+        consistency = 0.5 * (ab + ba)
+    return ChamferResult(acc, comp, 0.5 * (acc + comp), consistency)
 
 
 def normal_consistency(a: PointCloud, b: PointCloud) -> float:
     """Symmetric mean |n_i . n_match| over nearest-neighbour matches.
 
-    Both clouds must carry normals.  The absolute value makes the
-    measure orientation-agnostic; 1.0 means perfectly parallel normals.
+    Both clouds must carry normals; the value is chamfer(a, b)'s
+    normal_consistency.
     """
     if a.normals is None or b.normals is None:
         raise ValueError("normal consistency needs normals on both clouds")
-    from scipy.spatial import cKDTree  # imported here for the reason given in chamfer
-    _, idx_ab = cKDTree(b.points).query(a.points)
-    _, idx_ba = cKDTree(a.points).query(b.points)
-    ab = float(np.mean(np.abs(np.sum(a.normals * b.normals[idx_ab], axis=1))))
-    ba = float(np.mean(np.abs(np.sum(b.normals * a.normals[idx_ba], axis=1))))
-    return 0.5 * (ab + ba)
+    return chamfer(a, b).normal_consistency

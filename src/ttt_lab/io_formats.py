@@ -112,6 +112,42 @@ _PLY_SCALARS = {
 }
 
 
+def _vertex_rows(lines: Sequence[str], start: int, count: int, width: int) -> np.ndarray:
+    """The (count, width) vertex rows that begin at lines[start].
+
+    One np.loadtxt pass reads them first: it converts each token with
+    the same string-to-double routine as float(), so the values are
+    identical.  It skips blank lines and rejects a few tokens float()
+    reads (underscores, non-ASCII digits), so when it fails or returns
+    another shape the rows are scanned one line at a time with float();
+    that scan raises ParseError at the first bad line.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(lines[start:start + count], dtype=np.float64,
+                              comments=None, ndmin=2)
+        if rows.shape == (count, width):
+            return rows
+    except ValueError:
+        pass
+    rows = np.empty((count, width))
+    for r in range(count):
+        lineno = start + r
+        if lineno >= len(lines):
+            raise ParseError(f"file ends after {r} of {count} vertex rows", len(lines))
+        tokens = lines[lineno].split()
+        if len(tokens) != width:
+            raise ParseError(f"expected {width} vertex values, got {len(tokens)}", lineno + 1)
+        try:
+            rows[r] = [float(tok) for tok in tokens]
+        except ValueError:
+            raise ParseError(
+                f"non-numeric vertex value in {lines[lineno]!r}", lineno + 1
+            ) from None
+    return rows
+
+
 def parse_ply_ascii(text: str) -> PointCloud:
     """Parse an ASCII PLY vertex cloud.
 
@@ -209,24 +245,8 @@ def parse_ply_ascii(text: str) -> PointCloud:
                     f"file ends inside element {name!r}: expected {count} rows", len(lines)
                 )
             continue
-        rows = np.empty((count, len(props)))
-        for r in range(count):
-            if cursor >= len(lines):
-                raise ParseError(
-                    f"file ends after {r} of {count} vertex rows", len(lines)
-                )
-            tokens = lines[cursor].split()
-            if len(tokens) != len(props):
-                raise ParseError(
-                    f"expected {len(props)} vertex values, got {len(tokens)}", cursor + 1
-                )
-            try:
-                rows[r] = [float(tok) for tok in tokens]
-            except ValueError:
-                raise ParseError(
-                    f"non-numeric vertex value in {lines[cursor]!r}", cursor + 1
-                ) from None
-            cursor += 1
+        rows = _vertex_rows(lines, cursor, count, len(props))
+        cursor += count
         cols = {nm: rows[:, i] for i, (_, nm) in enumerate(props)}
         points = np.column_stack([cols["x"], cols["y"], cols["z"]])
         if has_n:
@@ -246,22 +266,15 @@ def parse_ply_ascii(text: str) -> PointCloud:
 
 def write_ply_ascii(cloud: PointCloud) -> str:
     """Render a cloud as ASCII PLY; normals are written when present."""
-    n = len(cloud)
-    header = ["ply", "format ascii 1.0", f"element vertex {n}",
+    header = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}",
               "property double x", "property double y", "property double z"]
+    rows = cloud.points
     if cloud.normals is not None:
         header += ["property double nx", "property double ny", "property double nz"]
-    header.append("end_header")
-    lines = header
-    if cloud.normals is None:
-        for p in cloud.points:
-            lines.append(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
-    else:
-        for p, m in zip(cloud.points, cloud.normals):
-            lines.append(
-                f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g} {m[0]:.17g} {m[1]:.17g} {m[2]:.17g}"
-            )
-    return "\n".join(lines) + "\n"
+        rows = np.column_stack([rows, cloud.normals])
+    header.append("end_header\n")
+    row_format = " ".join(["%.17g"] * rows.shape[1]) + "\n"
+    return "\n".join(header) + row_format * len(rows) % tuple(rows.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------

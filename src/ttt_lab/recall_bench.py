@@ -95,6 +95,12 @@ class StateDims(NamedTuple):
     c_v: int
 
 
+def _check_finite_rows(rows: np.ndarray, name: str) -> None:
+    bad = ~np.all(np.isfinite(rows), axis=1)
+    if np.any(bad):
+        raise ValueError(f"{name} row {int(np.argmax(bad))} contains non-finite entries")
+
+
 @dataclass(frozen=True)
 class RecallTask:
     """Keys/values to store plus optional distractor rows.
@@ -125,6 +131,8 @@ class RecallTask:
             raise ValueError(f"{keys.shape[0]} keys but {values.shape[0]} values")
         if keys.shape[0] < 1:
             raise ValueError("task must contain at least one pair")
+        _check_finite_rows(keys, "key")
+        _check_finite_rows(values, "value")
         norms = np.linalg.norm(keys, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise ValueError("all keys must be unit-norm within 1e-9")
@@ -156,6 +164,8 @@ class RecallTask:
             raise ValueError("distractor key width differs from task key width")
         if d_values.shape[1] != values.shape[1]:
             raise ValueError("distractor value width differs from task value width")
+        _check_finite_rows(d_keys, "distractor key")
+        _check_finite_rows(d_values, "distractor value")
         negative = np.flatnonzero(positions < 0)
         if negative.size:
             raise ValueError(f"distractor row {negative[0]} has negative position "
@@ -661,8 +671,9 @@ def curves_to_csv(curves: Sequence[ForgettingCurve]) -> str:
     """One row per stored pair: rule,position,sq_error."""
     lines = ["rule,position,sq_error"]
     for curve in curves:
-        for pos, err in zip(curve.positions, curve.sq_errors):
-            lines.append(f"{curve.rule_label},{int(pos)},{float(err)!r}")
+        label = curve.rule_label
+        lines += [f"{label},{pos},{err!r}"
+                  for pos, err in zip(curve.positions.tolist(), curve.sq_errors.tolist())]
     return "\n".join(lines) + "\n"
 
 

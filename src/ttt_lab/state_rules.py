@@ -387,7 +387,8 @@ def softmax_rows(logits, scale=1.0) -> np.ndarray:
     The row maximum is subtracted before exponentiation, so rows whose
     scaled entries reach +-1000 still produce finite weights.  Every
     output row sums to 1 within 1e-12 and a row of equal logits maps to
-    the uniform distribution.
+    the uniform distribution.  A scale whose product with the logits
+    overflows raises ValueError.
     """
     arr = _as_float_matrix(logits, "logits")
     if arr.shape[1] < 1:
@@ -396,7 +397,13 @@ def softmax_rows(logits, scale=1.0) -> np.ndarray:
     if not (scale > 0.0) or not math.isfinite(scale):
         raise ValueError(f"scale must be positive and finite, got {scale}")
     # Scaling by 1.0 is exact, so it is skipped (a full pass at width 4096).
-    return _softmax(arr if scale == 1.0 else scale * arr)
+    if scale == 1.0:
+        return _softmax(arr)
+    with np.errstate(over="ignore"):
+        scaled = scale * arr
+    if not np.all(np.isfinite(scaled)):
+        raise ValueError(f"scale {scale!r} overflows the scaled logits")
+    return _softmax(scaled)
 
 
 def update_full_attention(cache: KvCache, tokens, p: ProjectionSet) -> KvCache:

@@ -444,6 +444,18 @@ def test_a_directory_given_as_an_input_file_is_a_usage_error(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_overflowing_scale_is_one_error_line_without_numpy_warnings(tmp_path):
+    import ttt_lab
+    src = os.path.dirname(os.path.dirname(ttt_lab.__file__))
+    result = subprocess.run(
+        [sys.executable, "-m", "ttt_lab.cli", "recall", "--scale", "1e308",
+         "--dims", "2,4,4,4", "--count", "2", "--out", str(tmp_path / "run")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == ["error: scale 1e+308 overflows the scaled logits"]
+    assert "RuntimeWarning" not in result.stderr
+
+
 def _scipy_modules_after(code):
     """The scipy modules loaded after running code in a fresh interpreter."""
     import ttt_lab

@@ -3,13 +3,17 @@
 Rotation conversions are cross-checked against scipy's Rotation class,
 the alignment solver against synthetically transformed point sets, RPE
 against a hand-derived closed form, and chamfer against an O(N^2)
-brute-force oracle.
+brute-force oracle.  Association and normal consistency are checked
+against the per-candidate loop and the two-tree computation they
+replaced.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 from ttt_lab.geometry_metrics import (
@@ -275,6 +279,41 @@ def test_associate_empty_when_disjoint():
     est = _traj([[0, 0, 0], [1, 0, 0]])
     gt = _traj([[0, 0, 0], [1, 0, 0]], t0=100.0)
     assert associate(est, gt) == []
+
+
+def _associate_loop(est, gt, max_dt):
+    """The greedy match as a per-pose loop over sorted (dt, i, j) tuples."""
+    cands = []
+    for i, t in enumerate(est.timestamps):
+        lo = int(np.searchsorted(gt.timestamps, t - max_dt, side="left"))
+        hi = int(np.searchsorted(gt.timestamps, t + max_dt, side="right"))
+        for j in range(lo, hi):
+            dt = abs(t - gt.timestamps[j])
+            if dt <= max_dt:
+                cands.append((dt, i, j))
+    cands.sort()
+    used_i, used_j, pairs = set(), set(), []
+    for _, i, j in cands:
+        if i not in used_i and j not in used_j:
+            used_i.add(i)
+            used_j.add(j)
+            pairs.append((i, j))
+    return sorted(pairs)
+
+
+# Timestamps on a 1/64 grid, where differences are exact: ties in |dt|,
+# poses with several candidates and |dt| == max_dt all come up.
+_TICK = 1.0 / 64
+_grid_stamps = st.lists(st.integers(0, 40), min_size=1, max_size=25, unique=True).map(
+    lambda ticks: _stamps(*(_TICK * np.sort(ticks))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_stamps, _grid_stamps, st.sampled_from([0.001, _TICK, 2 * _TICK, 3 * _TICK, 0.2]))
+def test_associate_matches_the_greedy_loop(est, gt, max_dt):
+    pairs = associate(est, gt, max_dt)
+    assert pairs == _associate_loop(est, gt, max_dt)
+    assert all(type(k) is int for pair in pairs for k in pair)
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +632,33 @@ def test_normal_consistency_conventions():
     assert same == pytest.approx(1.0, abs=1e-15)
     assert flipped == pytest.approx(1.0, abs=1e-15)  # orientation-free
     assert ortho == pytest.approx(0.0, abs=1e-15)
+
+
+def _unit_rows(rng, n):
+    rows = rng.standard_normal((n, 3))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def test_chamfer_normal_consistency_equals_the_two_tree_computation():
+    rng = np.random.default_rng(17)
+    for n_a, n_b in ((200, 150), (1, 40), (64, 64)):
+        a = PointCloud(rng.standard_normal((n_a, 3)), _unit_rows(rng, n_a))
+        b = PointCloud(rng.standard_normal((n_b, 3)), _unit_rows(rng, n_b))
+        _, idx_ab = cKDTree(b.points).query(a.points)
+        _, idx_ba = cKDTree(a.points).query(b.points)
+        ab = float(np.mean(np.abs(np.sum(a.normals * b.normals[idx_ab], axis=1))))
+        ba = float(np.mean(np.abs(np.sum(b.normals * a.normals[idx_ba], axis=1))))
+        result = chamfer(a, b)
+        assert result.normal_consistency == 0.5 * (ab + ba)
+        assert normal_consistency(a, b) == result.normal_consistency
+        assert result[:3] == chamfer(PointCloud(a.points), PointCloud(b.points))[:3]
+
+
+def test_chamfer_leaves_normal_consistency_empty_without_normals():
+    pts = np.zeros((1, 3))
+    z = np.array([[0.0, 0.0, 1.0]])
+    assert chamfer(PointCloud(pts), PointCloud(pts, z)).normal_consistency is None
+    assert chamfer(PointCloud(pts, z), PointCloud(pts)).normal_consistency is None
 
 
 def test_normal_consistency_requires_normals():

@@ -1,6 +1,7 @@
 """Tests for the TUM, PLY, PFM and CSV readers and writers."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,76 @@ def test_ply_zero_normal_is_rejected():
             "0 0 0 0 0 0\n")
     with pytest.raises(ParseError, match="zero-length"):
         parse_ply_ascii(text)
+
+
+_XYZ_HEADER = ("ply\nformat ascii 1.0\nelement vertex {}\n"
+               "property double x\nproperty double y\nproperty double z\nend_header\n")
+
+
+@pytest.mark.parametrize("body, line, message", [
+    ("0 0 0\n\n1 1 1\n", 9, "expected 3 vertex values, got 0"),
+    ("0 0 0\n1 # 1\n2 2 2\n", 9, "non-numeric vertex value in '1 # 1'"),
+    ("0 0 0\n1 1\n2 2 2\n", 9, "expected 3 vertex values, got 2"),
+    ("0 0 0\n1 1 1\n2 2 2 2\n", 10, "expected 3 vertex values, got 4"),
+    ("0 0 0\n# 1 1\n2 2 2\n", 9, "non-numeric vertex value"),
+])
+def test_ply_bad_body_row_reports_its_line(body, line, message):
+    with pytest.raises(ParseError, match=message) as exc:
+        parse_ply_ascii(_XYZ_HEADER.format(3) + body)
+    assert exc.value.line == line
+
+
+def test_ply_body_of_blank_lines_raises_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="got 0") as exc:
+            parse_ply_ascii(_XYZ_HEADER.format(2) + "\n  \n")
+    assert exc.value.line == 8
+
+
+def test_ply_reads_every_token_float_reads():
+    # numpy's bulk read rejects underscores and non-ASCII digits; the row
+    # scan still reads them as float() does.
+    cloud = parse_ply_ascii(_XYZ_HEADER.format(2) + "1_0 2 3\n\u0661\u0662 5 0\n")
+    np.testing.assert_array_equal(cloud.points, [[10.0, 2.0, 3.0], [12.0, 5.0, 0.0]])
+
+
+def test_ply_values_are_bit_exact_against_float():
+    rng = np.random.default_rng(5)
+    exponents = rng.integers(-300, 301, (400, 3))
+    tokens = [[f"{m:.17g}e{e}" for m, e in zip(rng.uniform(-9.99, 9.99, 3), row)]
+              for row in exponents]
+    tokens[0] = ["1e300", "-1e-300", "4.9e-324"]
+    tokens[1] = ["-0", "2.2250738585072014e-308", "1.7976931348623157e+308"]
+    cloud = parse_ply_ascii(_XYZ_HEADER.format(len(tokens))
+                            + "".join(" ".join(row) + "\n" for row in tokens))
+    expected = np.array([[float(tok) for tok in row] for row in tokens])
+    assert cloud.points.tobytes() == expected.tobytes()
+
+
+def _ply_writer_oracle(cloud):
+    lines = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}",
+             "property double x", "property double y", "property double z"]
+    if cloud.normals is not None:
+        lines += ["property double nx", "property double ny", "property double nz"]
+    lines.append("end_header")
+    if cloud.normals is None:
+        lines += [f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}" for p in cloud.points]
+    else:
+        lines += [f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g} {m[0]:.17g} {m[1]:.17g} {m[2]:.17g}"
+                  for p, m in zip(cloud.points, cloud.normals)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("with_normals", [False, True])
+def test_ply_writer_matches_the_per_row_oracle(with_normals):
+    rng = np.random.default_rng(6)
+    points = rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-300, 300, (300, 1))
+    points[0] = [-0.0, 0.0, 1e-320]
+    normals = rng.standard_normal((300, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    cloud = PointCloud(points, normals if with_normals else None)
+    assert write_ply_ascii(cloud) == _ply_writer_oracle(cloud)
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,26 @@ def test_task_validation():
             RecallTask(eye[:2], np.ones((2, 3)), positions, d_keys, d_values)
 
 
+def test_task_rejects_non_finite_rows():
+    keys = np.eye(4)[:3]
+    nan_key = keys.copy()
+    nan_key[1, 0] = np.nan
+    inf_value = np.ones((3, 2))
+    inf_value[2, 1] = np.inf
+    nan_distractor = np.array([[0.0, 1.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0]])
+    for args, message in [
+        ((nan_key, np.ones((3, 2))), "key row 1 contains non-finite entries"),
+        ((keys, inf_value), "value row 2 contains non-finite entries"),
+        ((keys, np.ones((3, 2)), [0, 1], nan_distractor, np.ones((2, 2))),
+         "distractor key row 1 contains non-finite entries"),
+        ((keys, np.ones((3, 2)), [0], keys[:1], np.array([[1.0, -np.inf]])),
+         "distractor value row 0 contains non-finite entries"),
+    ]:
+        for key_mode in ("orthonormal", "random_unit"):
+            with pytest.raises(ValueError, match=message):
+                RecallTask(*args, key_mode=key_mode)
+
+
 def test_generated_orthonormal_tasks_pass_the_orthogonality_check():
     # The generators skip the O(count^2 c_k) check; rebuilding their tasks
     # from plain arrays runs it.
@@ -610,6 +630,19 @@ def test_curves_csv_schema_and_roundtrip():
         assert rule == "delta:1"
         assert int(p) == pos
         assert float(e) == err  # repr round-trips float64 exactly
+
+
+def test_curves_csv_matches_the_per_row_oracle():
+    task = gen_recall_task(24, DIMS16, "random_unit", seed=2)
+    curves = [run_stream(task, StreamConfig(rule, DIMS16, reset_period=5))[0]
+              for rule in (LinearAttentionHebbian(), DeltaRule(ConstantScalar(0.5)))]
+    curves.append(ForgettingCurve("edge", np.array([0, 7, 2**40]),
+                                  np.array([0.0, 5e-324, 1.7976931348623157e308]), 3))
+    lines = ["rule,position,sq_error"]
+    for curve in curves:
+        for pos, err in zip(curve.positions, curve.sq_errors):
+            lines.append(f"{curve.rule_label},{int(pos)},{float(err)!r}")
+    assert curves_to_csv(curves) == "\n".join(lines) + "\n"
 
 
 def test_gate_trace_csv_schema():

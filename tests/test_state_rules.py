@@ -112,6 +112,8 @@ def test_softmax_rejects_bad_scale_and_nonfinite_input():
         softmax_rows(np.ones((2, 2)), scale=-1.0)
     with pytest.raises(ValueError):
         softmax_rows(np.array([[np.nan, 1.0]]))
+    with pytest.raises(ValueError, match="scale 1e\\+308 overflows"):
+        softmax_rows(np.array([[1.0, 10.0]]), scale=1e308)
 
 
 @settings(max_examples=50, deadline=None)
