@@ -8,14 +8,12 @@ from .state_rules import (
     ConfidenceGate,
     ConstantScalar,
     DeltaRule,
-    FastWeightMatrix,
     FullAttentionAppend,
     InputScalarSigmoid,
     KvCache,
     LinearAttentionHebbian,
     PerTokenInputSigmoid,
     ProjectionSet,
-    TokenState,
     Ttt3r,
     VanillaSoftmaxRnn,
     confidence_gate,

@@ -35,7 +35,7 @@ from .recall_bench import StateDims, StreamConfig, UnsupportedRuleCombination, \
     compare_rules, curves_to_csv, gate_trace_to_csv, gen_adversarial_task, \
     gen_recall_task, parse_rule, summary_to_csv
 from .seeding import derive_seed
-from .state_rules import FastWeightMatrix, recon_loss, recon_loss_grad
+from .state_rules import recon_loss, recon_loss_grad
 from .stitcher import Chunk, split_trajectory, stitch
 
 __all__ = ["main"]
@@ -176,15 +176,15 @@ def _run_gradcheck(args) -> int:
         s = rng.standard_normal((c_v, c_k))
         keys = rng.standard_normal((c_k, m))
         values = rng.standard_normal((c_v, m))
-        state = FastWeightMatrix(s)
-        grad = recon_loss_grad(state, keys, values)
+        # The draws are columns; the loss takes the pairs as rows.
+        grad = recon_loss_grad(s, keys.T, values.T)
         fd = np.empty_like(grad)
         for i in range(c_v):
             for j in range(c_k):
                 bump = np.zeros_like(s)
                 bump[i, j] = step
-                hi = recon_loss(FastWeightMatrix(s + bump), keys, values)
-                lo = recon_loss(FastWeightMatrix(s - bump), keys, values)
+                hi = recon_loss(s + bump, keys.T, values.T)
+                lo = recon_loss(s - bump, keys.T, values.T)
                 fd[i, j] = (hi - lo) / (4.0 * step)
         rel = float(np.max(np.abs(grad - fd)) / max(1.0, float(np.max(np.abs(fd)))))
         rows.append((trial, rel))

@@ -222,6 +222,8 @@ class PointCloud:
                 raise ValueError(
                     f"normals shape {nrm.shape} does not match points shape {pts.shape}"
                 )
+            if not np.all(np.isfinite(nrm)):
+                raise ValueError("normals contain non-finite entries")
             lengths = np.linalg.norm(nrm, axis=1)
             if np.any(np.abs(lengths - 1.0) > 1e-6):
                 raise ValueError("normals must be unit-norm within 1e-6")

@@ -251,6 +251,9 @@ def parse_ply_ascii(text: str) -> PointCloud:
         points = np.column_stack([cols["x"], cols["y"], cols["z"]])
         if has_n:
             normals = np.column_stack([cols["nx"], cols["ny"], cols["nz"]])
+            bad = np.flatnonzero(~np.isfinite(normals).all(axis=1))
+            if bad.size:
+                raise ParseError("non-finite normal in vertex data", cursor - count + bad[0] + 1)
             lengths = np.linalg.norm(normals, axis=1)
             if np.any(lengths == 0):
                 raise ParseError("zero-length normal in vertex data")

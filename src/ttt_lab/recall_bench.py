@@ -33,7 +33,6 @@ from .state_rules import (
     ConfidenceGate,
     ConstantScalar,
     DeltaRule,
-    FastWeightMatrix,
     FullAttentionAppend,
     InputScalarSigmoid,
     KvCache,
@@ -41,7 +40,6 @@ from .state_rules import (
     PerTokenInputSigmoid,
     ProjectionSet,
     RuleKind,
-    TokenState,
     Ttt3r,
     VanillaSoftmaxRnn,
     delta_rule_update,
@@ -180,11 +178,6 @@ class RecallTask:
     def count(self) -> int:
         return self.keys.shape[0]
 
-    @property
-    def pairs(self):
-        """The stored (key, value) pairs in storage order."""
-        return tuple(zip(self.keys, self.values))
-
 
 @dataclass(frozen=True)
 class StreamConfig:
@@ -277,7 +270,6 @@ class RuleComparison:
 
     curves: tuple
     traces: tuple
-    labels: tuple
 
     @property
     def summary(self):
@@ -467,13 +459,13 @@ class _RuleEntry(NamedTuple):
     read: Callable
 
 
-def _init_tokens(dims: StateDims, seed: int) -> TokenState:
+def _init_tokens(dims: StateDims, seed: int) -> np.ndarray:
     rng = np.random.default_rng(derive_seed(seed, "state-init"))
-    return TokenState(rng.uniform(-1.0, 1.0, (dims.n, dims.c)) / math.sqrt(dims.c))
+    return rng.uniform(-1.0, 1.0, (dims.n, dims.c)) / math.sqrt(dims.c)
 
 
-def _init_fast_weights(dims: StateDims, seed: int) -> FastWeightMatrix:
-    return FastWeightMatrix.zeros(dims.c_v, dims.c_k)
+def _init_fast_weights(dims: StateDims, seed: int) -> np.ndarray:
+    return np.zeros((dims.c_v, dims.c_k))
 
 
 _NO_GATES = (np.empty(0), np.empty(0, dtype=np.int64))
@@ -664,7 +656,7 @@ def compare_rules(task: RecallTask, configs: Sequence[StreamConfig]):
             trace = replace(trace, rule_label=label)
         curves.append(curve)
         traces.append(trace)
-    return RuleComparison(tuple(curves), tuple(traces), tuple(c.rule_label for c in curves))
+    return RuleComparison(tuple(curves), tuple(traces))
 
 
 def curves_to_csv(curves: Sequence[ForgettingCurve]) -> str:

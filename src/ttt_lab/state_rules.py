@@ -12,6 +12,13 @@ supported, each with its own update family:
 * a fast-weight matrix updated by the delta rule or a plain Hebbian
   outer product.
 
+The token state and the fast-weight state are plain float64 arrays:
+n x c (n state tokens of width c) and c_v x c_k.  Each update and read
+checks its state once at entry and returns a new array.  Key/value
+pairs are rows everywhere: the delta and Hebbian writes and the
+reconstruction objective recon_loss/recon_loss_grad all take keys as
+m x c_k rows and values as m x c_v rows.
+
 The gated token update with a constant gate of 1.0 reproduces the
 ungated token update exactly; the ungated update is that case of the
 one token kernel, so the equivalence holds bit for bit.
@@ -29,8 +36,6 @@ from typing import Union
 import numpy as np
 
 __all__ = [
-    "TokenState",
-    "FastWeightMatrix",
     "KvCache",
     "ProjectionSet",
     "ConstantScalar",
@@ -67,12 +72,26 @@ _GATE_LO = np.nextafter(0.0, 1.0)
 _GATE_HI = np.nextafter(1.0, 0.0)
 
 
-def _as_float_matrix(value, name: str) -> np.ndarray:
+def _as_float_matrix(value, name: str, finite: bool = True) -> np.ndarray:
     arr = np.asarray(value, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a 2-D array, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if finite and arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
+    return arr
+
+
+def _state(value, name: str, width=None, finite: bool = True) -> np.ndarray:
+    """A state as a non-empty 2-D float64 array, checked once at entry.
+
+    It is finite unless finite=False and has `width` columns if given.
+    It is not copied: kernels build their result as a new array.
+    """
+    arr = _as_float_matrix(value, name, finite)
+    if arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError(f"{name} must be non-empty, got shape {arr.shape}")
+    if width is not None and arr.shape[1] != width:
+        raise ValueError(f"{name} width {arr.shape[1]} does not match projection width {width}")
     return arr
 
 
@@ -96,52 +115,6 @@ def _exact_identity(w: np.ndarray) -> bool:
     return np.count_nonzero(w) == w.shape[0] and bool(
         np.all(np.diagonal(w) == 1.0)
     )
-
-
-@dataclass(frozen=True)
-class TokenState:
-    """A fixed bank of n >= 1 state tokens of width c."""
-
-    tokens: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_float_matrix(self.tokens, "state tokens")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"state tokens must be non-empty, got shape {arr.shape}")
-        object.__setattr__(self, "tokens", _frozen(arr))
-
-    @property
-    def n(self) -> int:
-        return self.tokens.shape[0]
-
-    @property
-    def c(self) -> int:
-        return self.tokens.shape[1]
-
-
-@dataclass(frozen=True)
-class FastWeightMatrix:
-    """A c_v x c_k associative weight matrix."""
-
-    s: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_float_matrix(self.s, "fast-weight matrix")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"fast-weight matrix must be non-empty, got {arr.shape}")
-        object.__setattr__(self, "s", _frozen(arr))
-
-    @classmethod
-    def zeros(cls, c_v: int, c_k: int) -> "FastWeightMatrix":
-        return cls(np.zeros((c_v, c_k)))
-
-    @property
-    def c_v(self) -> int:
-        return self.s.shape[0]
-
-    @property
-    def c_k(self) -> int:
-        return self.s.shape[1]
 
 
 @dataclass(frozen=True)
@@ -430,67 +403,49 @@ def read_full_attention(cache: KvCache, queries, p: ProjectionSet, scale=None) -
     return out
 
 
-def update_vanilla_rnn(s: TokenState, tokens, p: ProjectionSet, scale=None, *,
-                       offsets=None) -> TokenState:
+def update_vanilla_rnn(s, tokens, p: ProjectionSet, scale=None, *, offsets=None) -> np.ndarray:
     """Ungated token update S <- S + softmax(Q_s K_x^T) V_x, once per frame.
 
-    tokens and offsets are one segment, as in ttt3r_update; this is its
-    case of a constant gate of 1.0.
+    s is the n x c state and tokens and offsets are one segment, as in
+    ttt3r_update; this is its case of a constant gate of 1.0.
     """
     return _token_steps(s, tokens, p, ConstantScalar(1.0), scale, offsets)[0]
 
 
-def recon_loss(s: FastWeightMatrix, keys: np.ndarray, values: np.ndarray) -> float:
-    """Reconstruction objective ||S K - V||_F^2 for column-stacked K and V."""
-    keys = _as_float_matrix(keys, "keys")
-    values = _as_float_matrix(values, "values")
-    if keys.shape[0] != s.c_k:
-        raise ValueError(f"keys have {keys.shape[0]} rows, expected {s.c_k}")
-    if values.shape[0] != s.c_v:
-        raise ValueError(f"values have {values.shape[0]} rows, expected {s.c_v}")
-    if keys.shape[1] != values.shape[1]:
-        raise ValueError(
-            f"keys and values must pair up: {keys.shape[1]} vs {values.shape[1]} columns"
-        )
-    r = s.s @ keys - values
+def _pair_rows(s, keys, values):
+    """The c_v x c_k state and keys and values as matching m x c_k and m x c_v rows.
+
+    A 1-D key or value is a batch of one row.  Checked once for the
+    whole batch.
+    """
+    s = _state(s, "fast-weight state")
+    keys = _as_float_matrix(np.atleast_2d(keys), "keys")
+    values = _as_float_matrix(np.atleast_2d(values), "values")
+    if keys.shape[1] != s.shape[1]:
+        raise ValueError(f"key length {keys.shape[1]} != c_k {s.shape[1]}")
+    if values.shape[1] != s.shape[0]:
+        raise ValueError(f"value length {values.shape[1]} != c_v {s.shape[0]}")
+    if keys.shape[0] != values.shape[0]:
+        raise ValueError(f"{keys.shape[0]} key rows but {values.shape[0]} value rows")
+    return s, keys, values
+
+
+def recon_loss(s, keys, values) -> float:
+    """Reconstruction objective ||S K^T - V^T||_F^2 for key rows K and value rows V."""
+    s, keys, values = _pair_rows(s, keys, values)
+    r = s @ keys.T - values.T
     return float(np.sum(r * r))
 
 
-def recon_loss_grad(s: FastWeightMatrix, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Gradient (S K - V) K^T of half the reconstruction objective.
+def recon_loss_grad(s, keys, values) -> np.ndarray:
+    """Gradient (S K^T - V^T) K of half the reconstruction objective.
 
     With a single unit key this is exactly the delta-rule correction
     direction (S k - v) k^T, which is what ties the update to gradient
     descent on the reconstruction objective.
     """
-    keys = _as_float_matrix(keys, "keys")
-    values = _as_float_matrix(values, "values")
-    if keys.shape[0] != s.c_k or values.shape[0] != s.c_v:
-        raise ValueError(
-            f"gradient dims mismatch: S is {s.c_v}x{s.c_k}, K {keys.shape}, V {values.shape}"
-        )
-    if keys.shape[1] != values.shape[1]:
-        raise ValueError(
-            f"keys and values must pair up: {keys.shape[1]} vs {values.shape[1]} columns"
-        )
-    return (s.s @ keys - values) @ keys.T
-
-
-def _pair_rows(s: FastWeightMatrix, keys, values):
-    """Keys and values as matching n x c_k and n x c_v row batches.
-
-    A 1-D key or value is a batch of one row.  Checked once for the
-    whole batch.
-    """
-    keys = _as_float_matrix(np.atleast_2d(keys), "keys")
-    values = _as_float_matrix(np.atleast_2d(values), "values")
-    if keys.shape[1] != s.c_k:
-        raise ValueError(f"key length {keys.shape[1]} != c_k {s.c_k}")
-    if values.shape[1] != s.c_v:
-        raise ValueError(f"value length {values.shape[1]} != c_v {s.c_v}")
-    if keys.shape[0] != values.shape[0]:
-        raise ValueError(f"{keys.shape[0]} key rows but {values.shape[0]} value rows")
-    return keys, values
+    s, keys, values = _pair_rows(s, keys, values)
+    return (s @ keys.T - values.T) @ keys
 
 
 # Pairs per chunk of the batched delta rule.  A chunk costs one triangular
@@ -499,8 +454,7 @@ def _pair_rows(s: FastWeightMatrix, keys, values):
 _DELTA_CHUNK = 64
 
 
-def delta_rule_update(s: FastWeightMatrix, keys: np.ndarray, values: np.ndarray,
-                      beta) -> FastWeightMatrix:
+def delta_rule_update(s, keys, values, beta) -> np.ndarray:
     """Delta-rule steps S' = S - beta_i (S k_i - v_i) k_i^T, one per row in order.
 
     keys (n x c_k, unit rows) and values (n x c_v) are a batch of pairs;
@@ -512,7 +466,7 @@ def delta_rule_update(s: FastWeightMatrix, keys: np.ndarray, values: np.ndarray,
     U^T K to S, where U solves the unit lower-triangular system
     (I + diag(beta) strictlower(K K^T)) U = diag(beta) (V - K S^T).
     """
-    keys, values = _pair_rows(s, keys, values)
+    s, keys, values = _pair_rows(s, keys, values)
     n = keys.shape[0]
     norms = np.sqrt(np.einsum("ij,ij->i", keys, keys))
     bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-9)
@@ -528,23 +482,23 @@ def delta_rule_update(s: FastWeightMatrix, keys: np.ndarray, values: np.ndarray,
     bad = np.flatnonzero(~((betas > 0.0) & (betas <= 1.0)))
     if bad.size:
         raise ValueError(f"beta row {bad[0]} must lie in (0, 1], got {betas[bad[0]]}")
-    out = s.s.copy()
+    out = s.copy()
     for lo in range(0, n, _DELTA_CHUNK):
         k = keys[lo:lo + _DELTA_CHUNK]
         b = betas[lo:lo + _DELTA_CHUNK, None]
         system = np.eye(k.shape[0]) + b * np.tril(k @ k.T, -1)
         u = np.linalg.solve(system, b * (values[lo:lo + _DELTA_CHUNK] - (out @ k.T).T))
         out += u.T @ k
-    return FastWeightMatrix(out)
+    return out
 
 
-def hebbian_update(s: FastWeightMatrix, keys: np.ndarray, values: np.ndarray) -> FastWeightMatrix:
+def hebbian_update(s, keys, values) -> np.ndarray:
     """Accumulate the outer products of a batch of pairs: S' = S + V^T K.
 
     A 1-D key and value are a batch of one, S' = S + v k^T.
     """
-    keys, values = _pair_rows(s, keys, values)
-    return FastWeightMatrix(s.s + values.T @ keys)
+    s, keys, values = _pair_rows(s, keys, values)
+    return s + values.T @ keys
 
 
 def _sigmoid_open(z) -> np.ndarray:
@@ -593,54 +547,63 @@ def _frame_gate(mode: BetaMode, p: ProjectionSet, n: int):
     raise TypeError(f"unknown gate mode {mode!r}")
 
 
-def _token_steps(s: TokenState, tokens, p: ProjectionSet, mode: BetaMode, scale, offsets):
+def _token_steps(s, tokens, p: ProjectionSet, mode: BetaMode, scale, offsets):
     """The token kernel: one gated step per frame of a segment, in order."""
     tokens, offsets = _token_segment(tokens, p.c, offsets)
-    if s.c != p.c:
-        raise ValueError(f"state width {s.c} does not match projection width {p.c}")
+    state = _state(s, "state", p.c)
+    n = state.shape[0]
     scale = _resolve_scale(scale, p.c)
-    gate = _frame_gate(mode, p, s.n)
+    gate = _frame_gate(mode, p, n)
     k_x, v_x = p.project_k(tokens), p.project_v(tokens)
     bounds = offsets.tolist()
-    state = s.tokens
-    betas = np.empty((len(bounds) - 1, s.n))
+    betas = np.empty((len(bounds) - 1, n))
     for f, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         z = scale * (p.project_q(state) @ k_x[lo:hi].T)
         betas[f] = beta = gate(state, tokens[lo:hi], z)
         state = state + beta[:, None] * (_softmax(z) @ v_x[lo:hi])
-    return TokenState(state), betas
+    return state, betas
 
 
-def ttt3r_update(s: TokenState, tokens, p: ProjectionSet, mode: BetaMode, scale=None, *,
-                 offsets=None):
+def ttt3r_update(s, tokens, p: ProjectionSet, mode: BetaMode, scale=None, *, offsets=None):
     """Gated token update S <- S + diag(beta) softmax(Q_s K_x^T) V_x, once per frame.
 
-    tokens (m x c) are one segment of the stream and offsets the rows at
-    which its frames start, followed by m (None: one frame); each frame
-    updates the state in turn.  Returns (new state, betas), one row of n
-    gates per frame.  With mode ConstantScalar(1.0) the state is bitwise
-    identical to update_vanilla_rnn's, since both run this kernel and
-    scaling by 1.0 is exact.
+    s is the n x c state.  tokens (m x c) are one segment of the stream
+    and offsets the rows at which its frames start, followed by m (None:
+    one frame); each frame updates the state in turn.  Returns (new
+    state, betas), one row of n gates per frame.  With mode
+    ConstantScalar(1.0) the state is bitwise identical to
+    update_vanilla_rnn's, since both run this kernel and scaling by 1.0
+    is exact.
     """
     return _token_steps(s, tokens, p, mode, scale, offsets)
 
 
-def read_token_state(s: TokenState, query: np.ndarray, p: ProjectionSet, scale=None) -> np.ndarray:
-    """Attend queries over the state: softmax(Q W_q (S W_k)^T) (S W_v)."""
+def read_token_state(s, query, p: ProjectionSet, scale=None) -> np.ndarray:
+    """Attend queries over the n x c state: softmax(Q W_q (S W_k)^T) (S W_v)."""
+    s = _state(s, "state", p.c)
     query = _as_float_matrix(query, "query")
-    if query.shape[1] != p.c or s.c != p.c:
-        raise ValueError(
-            f"query width {query.shape[1]} and state width {s.c} must match projection width {p.c}"
-        )
+    if query.shape[1] != p.c:
+        raise ValueError(f"query width {query.shape[1]} does not match projection width {p.c}")
     q = p.project_q(query)
-    k_s = p.project_k(s.tokens)
-    v_s = p.project_v(s.tokens)
+    k_s = p.project_k(s)
+    v_s = p.project_v(s)
     return softmax_rows(q @ k_s.T, _resolve_scale(scale, p.c)) @ v_s
 
 
-def read_fast_weight(s: FastWeightMatrix, query: np.ndarray) -> np.ndarray:
-    """Linear readout S q of a fast-weight matrix."""
-    query = _as_float_vector(query, "query")
-    if query.shape[0] != s.c_k:
-        raise ValueError(f"query length {query.shape[0]} != c_k {s.c_k}")
-    return s.s @ query
+def read_fast_weight(s, query) -> np.ndarray:
+    """Linear readout S q of a c_v x c_k fast-weight state.
+
+    A non-finite entry anywhere in S or q reaches S q (inf * 0 and
+    nan * 0 are nan), so the c_v entries of the result are checked
+    instead of scanning the whole state on every read.
+    """
+    s = _state(s, "fast-weight state", finite=False)
+    query = np.asarray(query, dtype=np.float64)
+    if query.shape != (s.shape[1],):
+        raise ValueError(f"query must have shape ({s.shape[1]},), got {query.shape}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = s @ query
+    if not np.isfinite(out).all():
+        raise ValueError("S q is not finite: the state or the query holds non-finite "
+                         "entries, or the product overflows")
+    return out

@@ -34,11 +34,9 @@ from ttt_lab.state_rules import (
     ConfidenceGate,
     ConstantScalar,
     DeltaRule,
-    FastWeightMatrix,
     FullAttentionAppend,
     LinearAttentionHebbian,
     ProjectionSet,
-    TokenState,
     Ttt3r,
     VanillaSoftmaxRnn,
     confidence_gate,
@@ -72,15 +70,15 @@ def test_01_gradient_matches_finite_differences():
         s_arr = rng.standard_normal((c_v, c_k))
         keys = rng.standard_normal((c_k, m))
         values = rng.standard_normal((c_v, m))
-        grad = recon_loss_grad(FastWeightMatrix(s_arr), keys, values)
+        grad = recon_loss_grad(s_arr, keys.T, values.T)
         step = 1e-5
         fd = np.zeros_like(grad)
         for i in range(c_v):
             for j in range(c_k):
                 bump = np.zeros_like(s_arr)
                 bump[i, j] = step
-                hi = recon_loss(FastWeightMatrix(s_arr + bump), keys, values)
-                lo = recon_loss(FastWeightMatrix(s_arr - bump), keys, values)
+                hi = recon_loss(s_arr + bump, keys.T, values.T)
+                lo = recon_loss(s_arr - bump, keys.T, values.T)
                 # divide by 4: the gradient is of HALF the squared error
                 fd[i, j] = (hi - lo) / (4.0 * step)
         rel = float(np.max(np.abs(grad - fd)) / max(1.0, float(np.max(np.abs(fd)))))
@@ -99,11 +97,11 @@ def test_02_unit_gate_reduces_to_ungated_update():
         n = int(rng.integers(1, 6))
         m = int(rng.integers(1, 6))
         p = ProjectionSet.seeded(c, seed=int(rng.integers(0, 1 << 31)))
-        s = TokenState(rng.standard_normal((n, c)))
+        s = rng.standard_normal((n, c))
         x = rng.standard_normal((m, c))
         gated, _ = ttt3r_update(s, x, p, ConstantScalar(1.0))
         plain = update_vanilla_rnn(s, x, p)
-        worst = max(worst, float(np.max(np.abs(gated.tokens - plain.tokens))))
+        worst = max(worst, float(np.max(np.abs(gated - plain))))
     assert worst <= 1e-12, f"max deviation {worst:.3e} exceeds 1e-12"
 
 
@@ -124,18 +122,18 @@ def test_04_deeply_negative_logits_freeze_the_state():
     rng = np.random.default_rng(13)
     n, c, m = 4, 64, 2
     p = ProjectionSet.identity(c, seed=0)
-    s0 = TokenState(rng.uniform(0.5, 1.5, (n, c)))
+    s0 = rng.uniform(0.5, 1.5, (n, c))
     s = s0
     for t in range(100):
         x = -2.5 * rng.uniform(0.5, 1.5, (m, c))
         # precondition: every reduced logit is at or below -40
-        reduced = (s.tokens @ x.T).sum(axis=1)
+        reduced = (s @ x.T).sum(axis=1)
         assert np.all(reduced <= -40.0)
         s_next, _ = ttt3r_update(s, x, p, ConfidenceGate("sum"), scale=1.0)
-        step = float(np.max(np.abs(s_next.tokens - s.tokens)))
+        step = float(np.max(np.abs(s_next - s)))
         assert step <= 1e-12, f"single-update drift {step:.3e} exceeds 1e-12"
         s = s_next
-    total = float(np.max(np.abs(s.tokens - s0.tokens)))
+    total = float(np.max(np.abs(s - s0)))
     assert total <= 1e-12, f"accumulated drift {total:.3e} exceeds 1e-12"
 
 

@@ -564,6 +564,22 @@ def test_chamfer_empty_cloud_is_a_usage_error(tmp_path):
                  "--out", str(tmp_path / "c")]) == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_chamfer_rejects_a_non_finite_normal(tmp_path, capsys, bad):
+    a = tmp_path / "a.ply"
+    a.write_text("ply\nformat ascii 1.0\nelement vertex 1\n"
+                 "property float x\nproperty float y\nproperty float z\n"
+                 "property float nx\nproperty float ny\nproperty float nz\nend_header\n"
+                 f"0 0 0 {bad} 0 1\n")
+    b = tmp_path / "b.ply"
+    _write_cloud(b)
+    assert main(["chamfer", "--a", str(a), "--b", str(b),
+                 "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "c" / "chamfer.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # stitch
 

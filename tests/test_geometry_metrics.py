@@ -634,6 +634,14 @@ def test_normal_consistency_conventions():
     assert ortho == pytest.approx(0.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_point_cloud_rejects_non_finite_normals(bad):
+    normals = np.tile([0.0, 0.0, 1.0], (2, 1))
+    normals[1, 0] = bad
+    with pytest.raises(ValueError, match="normals contain non-finite entries"):
+        PointCloud(np.zeros((2, 3)), normals)
+
+
 def _unit_rows(rng, n):
     rows = rng.standard_normal((n, 3))
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)

