@@ -35,7 +35,6 @@ from .recall_bench import (
     ForgettingCurve,
     GateTrace,
     RecallTask,
-    RuleComparison,
     StateDims,
     StreamConfig,
     UnsupportedRuleCombination,
@@ -51,7 +50,6 @@ from .recall_bench import (
 from .geometry_metrics import (
     ChamferResult,
     DegenerateGeometryError,
-    DepthMap,
     PointCloud,
     Sim3Transform,
     Trajectory,

@@ -144,21 +144,19 @@ def _run_recall(args) -> int:
                      softmax_scale=args.scale)
         for rule in rules
     ]
-    comparison = compare_rules(task, configs)
-    files = {
-        "curves.csv": curves_to_csv(comparison.curves),
-        "summary.csv": summary_to_csv(comparison),
-    }
+    curves, traces = compare_rules(task, configs)
+    files = {"curves.csv": curves_to_csv(curves), "summary.csv": summary_to_csv(curves)}
     # gates.csv carries the first gated rule's trace (its schema has no
     # rule column); further gated rules land in gates_<label>.csv and
     # the file is header-only when no gated rule ran.
-    gated = [trace for trace in comparison.traces if len(trace)]
+    gated = [trace for trace in traces if len(trace)]
     files["gates.csv"] = gate_trace_to_csv(gated[0]) if gated else "frame,token,beta\n"
     for trace in gated[1:]:
         files[f"gates_{_slug(trace.rule_label)}.csv"] = gate_trace_to_csv(trace)
     _write_outputs(args, files)
-    for label, mean, worst in comparison.summary:
-        print(f"{label}: mean_sq_error={mean:.6e} worst_sq_error={worst:.6e}")
+    for curve in curves:
+        print(f"{curve.rule_label}: mean_sq_error={curve.mean_sq_error:.6e} "
+              f"worst_sq_error={curve.worst_sq_error:.6e}")
     return 0
 
 

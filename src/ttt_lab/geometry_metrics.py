@@ -6,8 +6,9 @@ similarity alignment, absolute and relative trajectory errors, scaled
 depth metrics, and nearest-neighbour point-cloud distances.
 
 Conventions: quaternions are stored (w, x, y, z) and unit; poses map
-camera/local coordinates into the world frame; depth maps are row-major
-with row 0 the top image row.
+camera/local coordinates into the world frame; depth maps are plain
+H x W float64 arrays with row 0 the top image row, where non-finite and
+non-positive pixels mark invalid pixels (the metrics decide validity).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "Trajectory",
     "Sim3Transform",
     "PointCloud",
-    "DepthMap",
     "ChamferResult",
     "quat_to_rotmat",
     "rotmat_to_quat",
@@ -235,37 +235,6 @@ class PointCloud:
         return self.points.shape[0]
 
 
-@dataclass(frozen=True)
-class DepthMap:
-    """Row-major depth image; row 0 is the top row.
-
-    Non-positive and non-finite entries are allowed and mark invalid
-    pixels; the metrics decide validity, not the container.
-    """
-
-    width: int
-    height: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"depth map must be at least 1x1, got {self.width}x{self.height}")
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim == 1:
-            if arr.shape[0] != self.width * self.height:
-                raise ValueError(
-                    f"flat buffer has {arr.shape[0]} values, expected {self.width * self.height}"
-                )
-            arr = arr.reshape(self.height, self.width)
-        elif arr.shape != (self.height, self.width):
-            raise ValueError(
-                f"values shape {arr.shape} does not match {self.height}x{self.width}"
-            )
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-
 class ChamferResult(NamedTuple):
     accuracy: float
     completeness: float
@@ -402,30 +371,39 @@ def rpe(est: Trajectory, gt: Trajectory, delta: int = 1, max_dt: float = 0.02):
     return float(np.sqrt(np.mean(trans_sq))), float(np.sqrt(np.mean(angle * angle)))
 
 
+def _depth_maps(*maps) -> list:
+    """Depth maps as float64 arrays, checked once: 2-D, non-empty, one shape."""
+    arrays = [np.asarray(m, dtype=np.float64) for m in maps]
+    for arr in arrays:
+        if arr.ndim != 2 or arr.size == 0:
+            raise ValueError(f"depth map must be a non-empty H x W array, got shape {arr.shape}")
+        if arr.shape != arrays[0].shape:
+            (h, w), (h2, w2) = arrays[0].shape, arr.shape
+            raise ValueError(f"depth map sizes differ: {w}x{h} vs {w2}x{h2}")
+    return arrays
+
+
 def _valid_mask(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     return np.isfinite(pred) & (pred > 0) & np.isfinite(gt) & (gt > 0)
 
 
-def depth_metrics(pred: DepthMap, gt: DepthMap, mode: str = "metric",
-                  scale: Optional[float] = None):
+def depth_metrics(pred, gt, mode: str = "metric", scale: Optional[float] = None):
     """Mean absolute relative error and the delta < 1.25 inlier fraction.
 
     mode "metric" compares raw values; mode "per_sequence_scale"
     multiplies the prediction by `scale`, or by median(gt)/median(pred)
-    over this map's valid pixels when no scale is given.  Pixels are
-    valid where both maps are finite and positive.
+    over this map's valid pixels when no scale is given.  pred and gt
+    are H x W arrays of one shape; pixels are valid where both maps are
+    finite and positive.
     """
     if mode not in ("metric", "per_sequence_scale"):
         raise ValueError(f"mode must be 'metric' or 'per_sequence_scale', got {mode!r}")
-    if (pred.width, pred.height) != (gt.width, gt.height):
-        raise ValueError(
-            f"depth map sizes differ: {pred.width}x{pred.height} vs {gt.width}x{gt.height}"
-        )
-    mask = _valid_mask(pred.values, gt.values)
+    pred, gt = _depth_maps(pred, gt)
+    mask = _valid_mask(pred, gt)
     if not np.any(mask):
         raise ValueError("no valid pixels shared by prediction and reference")
-    p = pred.values[mask]
-    g = gt.values[mask]
+    p = pred[mask]
+    g = gt[mask]
     if mode == "metric":
         if scale is not None:
             raise ValueError("scale only applies in per_sequence_scale mode")
@@ -444,11 +422,12 @@ def depth_metrics(pred: DepthMap, gt: DepthMap, mode: str = "metric",
     return abs_rel, delta_125
 
 
-def sequence_depth_scale(preds: Sequence[DepthMap], gts: Sequence[DepthMap]) -> float:
+def sequence_depth_scale(preds: Sequence, gts: Sequence) -> float:
     """One shared scale for a sequence: median(gt) / median(pred).
 
     Medians are taken over the valid pixels pooled across all frames,
-    so a single scale serves every map of the sequence.
+    so a single scale serves every map of the sequence.  Each prediction
+    has the shape of its reference.
     """
     if len(preds) != len(gts) or not preds:
         raise ValueError(
@@ -457,11 +436,10 @@ def sequence_depth_scale(preds: Sequence[DepthMap], gts: Sequence[DepthMap]) -> 
     p_all = []
     g_all = []
     for pred, gt in zip(preds, gts):
-        if (pred.width, pred.height) != (gt.width, gt.height):
-            raise ValueError("depth map sizes differ within the sequence")
-        mask = _valid_mask(pred.values, gt.values)
-        p_all.append(pred.values[mask])
-        g_all.append(gt.values[mask])
+        pred, gt = _depth_maps(pred, gt)
+        mask = _valid_mask(pred, gt)
+        p_all.append(pred[mask])
+        g_all.append(gt[mask])
     p_all = np.concatenate(p_all)
     g_all = np.concatenate(g_all)
     if p_all.size == 0:

@@ -1,7 +1,8 @@
 """Readers and writers for TUM trajectories, ASCII PLY clouds and PFM depth.
 
-Parsers take text or bytes and return the geometry containers; writers
-return text or bytes for the caller to put on disk.  Parse failures
+Parsers take text or bytes and return the geometry containers (a depth
+map is a plain H x W float64 array, row 0 the top row); writers return
+text or bytes for the caller to put on disk.  Parse failures
 raise ParseError carrying the 1-based line number where the problem
 was found.  Formats we deliberately do not read (binary PLY, color
 PFM) raise UnsupportedFormatError instead of producing garbage.
@@ -14,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry_metrics import DepthMap, PointCloud, Trajectory
+from .geometry_metrics import PointCloud, Trajectory, _depth_maps
 
 __all__ = [
     "ParseError",
@@ -294,8 +295,8 @@ def _pfm_token(buf: bytes, pos: int) -> Tuple[bytes, int]:
     return buf[start:pos], pos
 
 
-def parse_pfm(data: bytes) -> DepthMap:
-    """Parse a grayscale PFM image into a top-down DepthMap.
+def parse_pfm(data: bytes) -> np.ndarray:
+    """Parse a grayscale PFM image into an H x W float64 array, top row first.
 
     The scale line's sign encodes endianness (negative = little).
     Exactly one whitespace byte separates the header from the payload;
@@ -330,13 +331,14 @@ def parse_pfm(data: bytes) -> DepthMap:
         )
     dtype = "<f4" if scale < 0 else ">f4"
     rows = np.frombuffer(payload, dtype=dtype).reshape(height, width)
-    return DepthMap(width, height, np.flipud(rows).astype(np.float64))
+    return np.flipud(rows).astype(np.float64)
 
 
-def write_pfm(depth: DepthMap) -> bytes:
-    """Render a depth map as little-endian grayscale PFM (scale -1.0)."""
-    header = f"Pf\n{depth.width} {depth.height}\n-1.0\n".encode("ascii")
-    return header + np.flipud(depth.values).astype("<f4").tobytes()
+def write_pfm(depth) -> bytes:
+    """Render an H x W depth map as little-endian grayscale PFM (scale -1.0)."""
+    (depth,) = _depth_maps(depth)
+    header = f"Pf\n{depth.shape[1]} {depth.shape[0]}\n-1.0\n".encode("ascii")
+    return header + np.flipud(depth).astype("<f4").tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 """Synthetic associative-recall benchmark for the state-update rules.
 
 A task is a sequence of key/value pairs, optionally interleaved with
-distractor frames.  The stream is one key array, one value array and
-the offsets at which its frames start, so a reset segment is a slice of
-rows.  Each rule ingests the stream with one kernel call per reset
-segment (the whole stream when the state is never reset): the token
-rules step through the segment's frames inside the kernel, the cache
-appends the segment as one block, and the fast-weight rules take it as
-one batch of pairs.  Recall is then scored per position as the squared
-readout error, which plotted over positions gives a forgetting curve.
+distractor frames.  RecallTask is plain data, five arrays: the key and
+value rows and the distractors' positions, keys and values; the
+generators' key_mode, seed and rho shape the draw and are not stored.
+The stream is one key array, one value array and the offsets at which
+its frames start, so a reset segment is a slice of rows.  Each rule
+ingests the stream with one kernel call per reset segment (the whole
+stream when the state is never reset): the token rules step through the
+segment's frames inside the kernel, the cache appends the segment as one
+block, and the fast-weight rules take it as one batch of pairs.  Recall
+is then scored per position as the squared readout error, which plotted
+over positions gives a forgetting curve; the fast-weight rules read
+every stored key in one read_fast_weight call.
 
 Scoring targets: fast-weight rules store the explicit (key, value)
 pair and are scored against the raw value.  Token and cache rules
@@ -60,7 +64,6 @@ __all__ = [
     "StreamConfig",
     "ForgettingCurve",
     "GateTrace",
-    "RuleComparison",
     "UnsupportedRuleCombination",
     "gen_recall_task",
     "gen_adversarial_task",
@@ -103,12 +106,11 @@ def _check_finite_rows(rows: np.ndarray, name: str) -> None:
 class RecallTask:
     """Keys/values to store plus optional distractor rows.
 
-    Keys are unit rows.  In orthonormal mode they are also pairwise
-    orthogonal to 1e-9 and their count cannot exceed the key width.
-    rho records the target overlap of correlated mode and is None
-    otherwise.  Distractors are three row-aligned arrays: frame
-    positions (d, >= 0), keys (d x c_k) and values (d x c_v); rows that
-    share a position form one frame, in row order.  None means none.
+    Keys (count x c_k) are finite unit rows and values (count x c_v)
+    finite rows; the task does not record how its keys were drawn.
+    Distractors are three row-aligned arrays: frame positions (d, >= 0),
+    keys (d x c_k) and values (d x c_v); rows that share a position form
+    one frame, in row order.  None means none.
     """
 
     keys: np.ndarray
@@ -116,9 +118,6 @@ class RecallTask:
     distractor_positions: Optional[np.ndarray] = None
     distractor_keys: Optional[np.ndarray] = None
     distractor_values: Optional[np.ndarray] = None
-    key_mode: str = "orthonormal"
-    seed: int = 0
-    rho: Optional[float] = None
 
     def __post_init__(self):
         keys = np.asarray(self.keys, dtype=np.float64)
@@ -134,17 +133,6 @@ class RecallTask:
         norms = np.linalg.norm(keys, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise ValueError("all keys must be unit-norm within 1e-9")
-        if self.key_mode == "orthonormal":
-            if keys.shape[0] > keys.shape[1]:
-                raise ValueError(
-                    f"orthonormal mode: count {keys.shape[0]} exceeds key width {keys.shape[1]}"
-                )
-            gram = keys @ keys.T
-            off = gram - np.diag(np.diag(gram))
-            if np.max(np.abs(off)) > 1e-9:
-                raise ValueError("orthonormal mode: keys are not pairwise orthogonal to 1e-9")
-        elif self.key_mode not in ("random_unit", "correlated"):
-            raise ValueError(f"unknown key_mode {self.key_mode!r}")
         positions = np.asarray(() if self.distractor_positions is None
                                else self.distractor_positions)
         if positions.ndim != 1 or (positions.size and positions.dtype.kind not in "iu"):
@@ -264,18 +252,6 @@ class GateTrace:
         return len(self.offsets) - 1
 
 
-@dataclass(frozen=True)
-class RuleComparison:
-    """Curves, gate traces and summary rows for a batch of configs."""
-
-    curves: tuple
-    traces: tuple
-
-    @property
-    def summary(self):
-        return [(c.rule_label, c.mean_sq_error, c.worst_sq_error) for c in self.curves]
-
-
 def _orthonormal_rows(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     """Exactly orthonormal rows: a signed permutation mixed by reflections.
 
@@ -297,17 +273,6 @@ def _orthonormal_rows(count: int, dim: int, rng: np.random.Generator) -> np.ndar
         # basis - 2 (basis v) v^T without two dim x dim temporaries.
         basis -= np.outer(basis @ v, 2.0 * v)
     return basis[:count]
-
-
-def _orthonormal_task(*args, **kwargs) -> RecallTask:
-    """A task whose keys the generators made orthonormal by construction.
-
-    It is checked as random_unit, which skips only the O(count^2 c_k)
-    orthogonality check (0.9 s at count 4096), then labelled orthonormal.
-    """
-    task = RecallTask(*args, key_mode="random_unit", **kwargs)
-    object.__setattr__(task, "key_mode", "orthonormal")
-    return task
 
 
 def _unit_rows(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -352,32 +317,30 @@ def gen_recall_task(count: int, dims: StateDims, key_mode: str = "orthonormal",
         keys = _correlated_rows(count, dims.c_k, rho, rng)
     else:
         raise ValueError(f"unknown key_mode {key_mode!r}")
-    values = rng.uniform(-1.0, 1.0, (count, dims.c_v))
-    if key_mode == "orthonormal":
-        return _orthonormal_task(keys, values, seed=seed)
-    return RecallTask(keys, values, key_mode=key_mode, seed=seed,
-                      rho=rho if key_mode == "correlated" else None)
+    return RecallTask(keys, rng.uniform(-1.0, 1.0, (count, dims.c_v)))
+
+
+# Each adversarial distractor direction is -_ANTI times the mean stored
+# key direction plus sqrt(1 - _ANTI^2) times a fresh orthonormal direction.
+_ANTI = 0.12
 
 
 def gen_adversarial_task(dims: StateDims, seed: int = 0, true_count: int = 32,
-                         distractor_count: int = 128, frame_size: int = 16,
-                         anti: float = 0.12) -> RecallTask:
+                         distractor_count: int = 128, frame_size: int = 16) -> RecallTask:
     """A retention stress task: true pairs followed by bursty distractors.
 
     The stream stores `true_count` orthonormal pairs, then appends
     distractor frames of `frame_size` identical tokens each (the
     low-texture analogue: many tokens, no new content).  Every
-    distractor direction carries a small component *against* the mean
-    stored key, so a confidence gate sees strongly negative reduced
-    logits and nearly freezes the state, while an ungated update keeps
-    overwriting it.
+    distractor direction carries a small component (_ANTI) *against*
+    the mean stored key, so a confidence gate sees strongly negative
+    reduced logits and nearly freezes the state, while an ungated update
+    keeps overwriting it.
     """
     if true_count < 1 or distractor_count < 1:
         raise ValueError("true_count and distractor_count must be >= 1")
     if frame_size < 1 or distractor_count % frame_size:
         raise ValueError("distractor_count must be a positive multiple of frame_size")
-    if not (0.0 < anti < 1.0):
-        raise ValueError(f"anti must lie in (0, 1), got {anti}")
     n_frames = distractor_count // frame_size
     if true_count + n_frames > dims.c_k:
         raise ValueError(
@@ -389,12 +352,12 @@ def gen_adversarial_task(dims: StateDims, seed: int = 0, true_count: int = 32,
     extra = basis[true_count:]
     values = rng.uniform(-1.0, 1.0, (true_count, dims.c_v))
     k_mean = keys.sum(axis=0) / math.sqrt(true_count)
-    directions = -anti * k_mean + math.sqrt(1.0 - anti * anti) * extra
+    directions = -_ANTI * k_mean + math.sqrt(1.0 - _ANTI * _ANTI) * extra
     directions /= np.array([[np.linalg.norm(d)] for d in directions])
     d_values = rng.uniform(-1.0, 1.0, (n_frames, dims.c_v))
-    return _orthonormal_task(keys, values, np.repeat(true_count + np.arange(n_frames), frame_size),
-                             np.repeat(directions, frame_size, axis=0),
-                             np.repeat(d_values, frame_size, axis=0), seed=seed)
+    return RecallTask(keys, values, np.repeat(true_count + np.arange(n_frames), frame_size),
+                      np.repeat(directions, frame_size, axis=0),
+                      np.repeat(d_values, frame_size, axis=0))
 
 
 def _assemble_stream(task: RecallTask, batch_size: int):
@@ -528,8 +491,7 @@ def _read_tokens(state, task, proj, scale):
 
 
 def _read_fast_weights(state, task, proj, scale):
-    reads = np.array([read_fast_weight(state, k) for k in task.keys])
-    return np.sum((reads - task.values) ** 2, axis=1)
+    return np.sum((read_fast_weight(state, task.keys) - task.values) ** 2, axis=1)
 
 
 _RULES = {
@@ -636,7 +598,7 @@ def run_stream(task: RecallTask, config: StreamConfig):
 
 
 def compare_rules(task: RecallTask, configs: Sequence[StreamConfig]):
-    """Run several configs over one task; results are in config order.
+    """Run several configs over one task: (curves, traces), in config order.
 
     Labels of repeated rules get a #k suffix so report rows stay
     unambiguous.
@@ -656,7 +618,7 @@ def compare_rules(task: RecallTask, configs: Sequence[StreamConfig]):
             trace = replace(trace, rule_label=label)
         curves.append(curve)
         traces.append(trace)
-    return RuleComparison(tuple(curves), tuple(traces))
+    return curves, traces
 
 
 def curves_to_csv(curves: Sequence[ForgettingCurve]) -> str:
@@ -680,9 +642,8 @@ def gate_trace_to_csv(trace: GateTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def summary_to_csv(comparison: RuleComparison) -> str:
+def summary_to_csv(curves: Sequence[ForgettingCurve]) -> str:
     """One row per rule: rule,mean_sq_error,worst_sq_error."""
-    lines = ["rule,mean_sq_error,worst_sq_error"]
-    for label, mean, worst in comparison.summary:
-        lines.append(f"{label},{mean!r},{worst!r}")
+    lines = ["rule,mean_sq_error,worst_sq_error"] + [
+        f"{c.rule_label},{c.mean_sq_error!r},{c.worst_sq_error!r}" for c in curves]
     return "\n".join(lines) + "\n"

@@ -13,6 +13,8 @@ same child seed on every platform.
 
 from __future__ import annotations
 
+__all__ = ["derive_seed"]
+
 _MASK = (1 << 64) - 1
 
 _FNV_OFFSET = 0xCBF29CE484222325

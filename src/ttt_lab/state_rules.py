@@ -17,7 +17,8 @@ n x c (n state tokens of width c) and c_v x c_k.  Each update and read
 checks its state once at entry and returns a new array.  Key/value
 pairs are rows everywhere: the delta and Hebbian writes and the
 reconstruction objective recon_loss/recon_loss_grad all take keys as
-m x c_k rows and values as m x c_v rows.
+m x c_k rows and values as m x c_v rows, and read_fast_weight takes
+its queries as m x c_k rows.
 
 The gated token update with a constant gate of 1.0 reproduces the
 ungated token update exactly; the ungated update is that case of the
@@ -590,19 +591,23 @@ def read_token_state(s, query, p: ProjectionSet, scale=None) -> np.ndarray:
     return softmax_rows(q @ k_s.T, _resolve_scale(scale, p.c)) @ v_s
 
 
-def read_fast_weight(s, query) -> np.ndarray:
-    """Linear readout S q of a c_v x c_k fast-weight state.
+def read_fast_weight(s, queries) -> np.ndarray:
+    """Linear readouts S q of a c_v x c_k fast-weight state: m x c_k rows in, m x c_v out.
 
-    A non-finite entry anywhere in S or q reaches S q (inf * 0 and
-    nan * 0 are nan), so the c_v entries of the result are checked
+    m >= 1, and a 1-D query gives one c_v vector.  Each row is one
+    matrix-vector product with the bits of S @ q (one GEMM over the
+    batch would not keep them).  A non-finite entry in S or q reaches
+    S q (inf * 0 and nan * 0 are nan), so the result is checked
     instead of scanning the whole state on every read.
     """
     s = _state(s, "fast-weight state", finite=False)
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != (s.shape[1],):
-        raise ValueError(f"query must have shape ({s.shape[1]},), got {query.shape}")
+    queries = np.asarray(queries, dtype=np.float64)
+    c_k = s.shape[1]
+    if queries.ndim not in (1, 2) or queries.shape[-1] != c_k or queries.size == 0:
+        raise ValueError(f"query must have shape ({c_k},) or (m, {c_k}) with m >= 1, "
+                         f"got {queries.shape}")
     with np.errstate(invalid="ignore", over="ignore"):
-        out = s @ query
+        out = np.matmul(s, queries[..., None])[..., 0]
     if not np.isfinite(out).all():
         raise ValueError("S q is not finite: the state or the query holds non-finite "
                          "entries, or the product overflows")

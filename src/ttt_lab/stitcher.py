@@ -51,15 +51,13 @@ class Chunk:
             )
 
 
-def stitch(chunks: Sequence[Chunk], require_overlap: bool = True):
+def stitch(chunks: Sequence[Chunk]):
     """Compose chunks into one global trajectory and merged cloud.
 
-    With require_overlap (the default) each chunk after the first must
-    re-observe the previous chunk's final frame: its anchor has to
-    coincide with that frame's globalized pose within 1e-6, and the
-    duplicated frame is dropped from the output.  With
-    require_overlap=False the anchors are taken as authoritative and
-    nothing is checked or dropped.
+    Each chunk after the first must re-observe the previous chunk's
+    final frame: its anchor has to coincide with that frame's
+    globalized pose within 1e-6, and the duplicated frame is dropped
+    from the output.
 
     Returns (trajectory, cloud); the cloud is None when no chunk
     carries one.
@@ -71,7 +69,7 @@ def stitch(chunks: Sequence[Chunk], require_overlap: bool = True):
     prev_last = None
     for k, chunk in enumerate(chunks):
         anchor = chunk.anchor.matrices()[0]
-        skip = int(require_overlap and k > 0)
+        skip = int(k > 0)
         if skip:
             gap = float(np.max(np.abs(anchor[:3] - prev_last[:3])))
             if gap > _OVERLAP_TOL:

@@ -13,7 +13,6 @@ import numpy as np
 
 from ttt_lab.cli import main
 from ttt_lab.geometry_metrics import (
-    DepthMap,
     PointCloud,
     Trajectory,
     ate,
@@ -234,8 +233,8 @@ def test_10_depth_modes_agree_on_the_doubled_prediction():
     """acceptance 10: pred = 2x gt gives (1.0, 0.0) in metric mode and (<= 1e-12, 1.0) with a sequence scale"""
     rng = np.random.default_rng(23)
     gt_vals = rng.uniform(0.5, 8.0, (48, 64))
-    gt = DepthMap(64, 48, gt_vals)
-    pred = DepthMap(64, 48, 2.0 * gt_vals)
+    gt = gt_vals
+    pred = 2.0 * gt_vals
 
     abs_rel, d125 = depth_metrics(pred, gt, mode="metric")
     assert abs_rel == 1.0
@@ -272,9 +271,9 @@ def test_12_every_command_reruns_byte_identically(tmp_path):
         os.makedirs(tmp_path / sub)
     for i in range(2):
         vals = rng.uniform(1.0, 5.0, (4, 5))
-        (tmp_path / "gtd" / f"{i}.pfm").write_bytes(write_pfm(DepthMap(5, 4, vals)))
+        (tmp_path / "gtd" / f"{i}.pfm").write_bytes(write_pfm(vals))
         (tmp_path / "predd" / f"{i}.pfm").write_bytes(
-            write_pfm(DepthMap(5, 4, 2.0 * vals))
+            write_pfm(2.0 * vals)
         )
 
     commands = {

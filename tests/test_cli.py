@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttt_lab.cli import _build_parser, main
-from ttt_lab.geometry_metrics import DepthMap, PointCloud, Trajectory
+from ttt_lab.geometry_metrics import PointCloud, Trajectory
 from ttt_lab.io_formats import write_pfm, write_ply_ascii, write_tum
 
 
@@ -50,7 +50,7 @@ def _write_depth_dir(directory, frames=2, factor=1.0, seed=0):
     rng = np.random.default_rng(seed)
     for i in range(frames):
         vals = factor * rng.uniform(1.0, 5.0, (4, 5))
-        (directory / f"{i:03d}.pfm").write_bytes(write_pfm(DepthMap(5, 4, vals)))
+        (directory / f"{i:03d}.pfm").write_bytes(write_pfm(vals))
 
 
 def _dests(command):

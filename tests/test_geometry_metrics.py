@@ -9,6 +9,7 @@ replaced.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from scipy.spatial.transform import Rotation
 from ttt_lab.geometry_metrics import (
     ChamferResult,
     DegenerateGeometryError,
-    DepthMap,
     PointCloud,
     Sim3Transform,
     Trajectory,
@@ -35,6 +35,7 @@ from ttt_lab.geometry_metrics import (
     sequence_depth_scale,
     umeyama_sim3,
 )
+from ttt_lab.io_formats import write_pfm
 
 
 def _rand_quat(rng):
@@ -516,26 +517,22 @@ def test_rpe_validates_delta():
 
 def test_depth_metric_mode_on_doubled_prediction():
     rng = np.random.default_rng(12)
-    gt_vals = rng.uniform(1.0, 5.0, (6, 8))
-    gt = DepthMap(8, 6, gt_vals)
-    pred = DepthMap(8, 6, 2.0 * gt_vals)
-    abs_rel, d125 = depth_metrics(pred, gt, mode="metric")
+    gt = rng.uniform(1.0, 5.0, (6, 8))
+    abs_rel, d125 = depth_metrics(2.0 * gt, gt, mode="metric")
     assert abs_rel == pytest.approx(1.0, abs=1e-15)
     assert d125 == 0.0
 
 
 def test_depth_seq_scale_mode_on_doubled_prediction():
     rng = np.random.default_rng(13)
-    gt_vals = rng.uniform(1.0, 5.0, (6, 8))
-    gt = DepthMap(8, 6, gt_vals)
-    pred = DepthMap(8, 6, 2.0 * gt_vals)
-    abs_rel, d125 = depth_metrics(pred, gt, mode="per_sequence_scale")
+    gt = rng.uniform(1.0, 5.0, (6, 8))
+    abs_rel, d125 = depth_metrics(2.0 * gt, gt, mode="per_sequence_scale")
     assert abs_rel <= 1e-12
     assert d125 == 1.0
 
 
 def test_depth_metric_mode_rejects_external_scale():
-    gt = DepthMap(2, 2, np.ones((2, 2)))
+    gt = np.ones((2, 2))
     with pytest.raises(ValueError):
         depth_metrics(gt, gt, mode="metric", scale=0.5)
     with pytest.raises(ValueError):
@@ -543,36 +540,74 @@ def test_depth_metric_mode_rejects_external_scale():
 
 
 def test_depth_invalid_pixels_are_excluded():
-    gt_vals = np.array([[1.0, 2.0], [0.0, np.nan]])
-    pred_vals = np.array([[2.0, 4.0], [100.0, 100.0]])
-    abs_rel, d125 = depth_metrics(DepthMap(2, 2, pred_vals), DepthMap(2, 2, gt_vals),
-                                  mode="metric")
+    gt = np.array([[1.0, 2.0], [0.0, np.nan]])
+    pred = np.array([[2.0, 4.0], [100.0, 100.0]])
+    abs_rel, d125 = depth_metrics(pred, gt, mode="metric")
     # only the first row is valid; both pixels are off by a factor 2
     assert abs_rel == pytest.approx(1.0, abs=1e-15)
     assert d125 == 0.0
 
 
 def test_depth_no_valid_pixels_raises():
-    gt = DepthMap(2, 1, np.array([[0.0, -1.0]]))
-    pred = DepthMap(2, 1, np.array([[1.0, 1.0]]))
+    gt = np.array([[0.0, -1.0]])
+    pred = np.array([[1.0, 1.0]])
     with pytest.raises(ValueError):
         depth_metrics(pred, gt, mode="metric")
 
 
 def test_sequence_scale_pools_pixels_before_the_median():
-    gt1 = DepthMap(3, 1, np.array([[1.0, 2.0, 3.0]]))
-    pred1 = DepthMap(3, 1, np.array([[2.0, 4.0, 6.0]]))
-    gt2 = DepthMap(3, 1, np.array([[10.0, 20.0, 30.0]]))
-    pred2 = DepthMap(3, 1, np.array([[20.0, 40.0, 60.0]]))
-    scale = sequence_depth_scale([pred1, pred2], [gt1, gt2])
+    gt1 = np.array([[1.0, 2.0, 3.0]])
+    gt2 = np.array([[10.0, 20.0, 30.0]])
+    scale = sequence_depth_scale([2.0 * gt1, 2.0 * gt2], [gt1, gt2])
     assert scale == pytest.approx(0.5, abs=1e-15)
 
 
-def test_depth_map_accepts_flat_values_and_checks_size():
-    flat = DepthMap(3, 2, np.arange(6, dtype=float))
-    assert flat.values.shape == (2, 3)
-    with pytest.raises(ValueError):
-        DepthMap(3, 2, np.arange(5, dtype=float))
+def _depth_calls(bad, good):
+    """Every depth-map entry point, given `bad` in one slot and `good` elsewhere."""
+    return [lambda: depth_metrics(bad, good), lambda: depth_metrics(good, bad),
+            lambda: depth_metrics(good, bad, mode="per_sequence_scale"),
+            lambda: sequence_depth_scale([good, bad], [good, good]),
+            lambda: sequence_depth_scale([good], [bad])]
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.ones(6), r"depth map must be a non-empty H x W array, got shape \(6,\)"),
+    (np.ones((0, 3)), r"depth map must be a non-empty H x W array, got shape \(0, 3\)"),
+    (np.ones((2, 0)), r"depth map must be a non-empty H x W array, got shape \(2, 0\)"),
+    (np.ones((2, 3, 1)), r"depth map must be a non-empty H x W array, got shape \(2, 3, 1\)"),
+])
+def test_depth_maps_must_be_non_empty_2d_arrays(bad, message):
+    calls = _depth_calls(bad, np.ones((2, 3))) + [lambda: write_pfm(bad)]
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
+def test_depth_map_shapes_must_match():
+    good = np.ones((2, 3))
+    for call in _depth_calls(np.ones((3, 2)), good):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"depth map sizes differ: (3x2 vs 2x3|2x3 vs 3x2)"):
+                call()
+
+
+def test_depth_functions_do_not_write_to_their_inputs():
+    rng = np.random.default_rng(14)
+    gt = rng.uniform(1.0, 5.0, (4, 5))
+    gt[0, 0], gt[1, 1], gt[2, 2] = 0.0, np.nan, -np.inf
+    pred = 1.5 * gt
+    originals = gt.copy(), pred.copy()
+    for arr in (gt, pred):
+        arr.setflags(write=False)
+    depth_metrics(pred, gt)
+    depth_metrics(pred, gt, mode="per_sequence_scale")
+    sequence_depth_scale([pred, pred], [gt, gt])
+    write_pfm(pred)
+    np.testing.assert_array_equal(gt, originals[0])
+    np.testing.assert_array_equal(pred, originals[1])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ttt_lab.geometry_metrics import DepthMap, PointCloud, Trajectory
+from ttt_lab.geometry_metrics import PointCloud, Trajectory
 from ttt_lab.io_formats import (
     ParseError,
     UnsupportedFormatError,
@@ -345,15 +345,17 @@ def test_ply_writer_matches_the_per_row_oracle(with_normals):
 
 def test_pfm_round_trip_is_bit_exact():
     rng = np.random.default_rng(3)
-    vals = rng.uniform(0.1, 10.0, (2, 2)).astype(np.float32).astype(np.float64)
-    back = parse_pfm(write_pfm(DepthMap(2, 2, vals)))
-    assert (back.width, back.height) == (2, 2)
-    np.testing.assert_array_equal(back.values, vals)
+    vals = rng.uniform(0.1, 10.0, (3, 2)).astype(np.float32).astype(np.float64)
+    # invalid pixels are carried, not rejected
+    vals[0, 1], vals[1, 0], vals[2, 0], vals[2, 1] = 0.0, -2.5, np.nan, -np.inf
+    back = parse_pfm(write_pfm(vals))
+    assert back.dtype == np.float64 and back.shape == (3, 2)
+    assert back.tobytes() == vals.tobytes()
 
 
 def test_pfm_writer_emits_bottom_up_little_endian_payload():
     # top row 1.0, bottom row 2.0; the file stores the bottom row first
-    data = write_pfm(DepthMap(1, 2, np.array([[1.0], [2.0]])))
+    data = write_pfm(np.array([[1.0], [2.0]]))
     expect = b"Pf\n1 2\n-1.0\n" + struct.pack("<f", 2.0) + struct.pack("<f", 1.0)
     assert data == expect
 
@@ -361,13 +363,13 @@ def test_pfm_writer_emits_bottom_up_little_endian_payload():
 def test_pfm_parser_flips_rows_back_to_top_down():
     data = b"Pf\n1 2\n-1.0\n" + struct.pack("<f", 5.0) + struct.pack("<f", 7.0)
     depth = parse_pfm(data)
-    np.testing.assert_array_equal(depth.values, [[7.0], [5.0]])
+    np.testing.assert_array_equal(depth, [[7.0], [5.0]])
 
 
 def test_pfm_positive_scale_means_big_endian():
     data = b"Pf\n1 1\n1.0\n" + struct.pack(">f", 3.5)
     depth = parse_pfm(data)
-    assert depth.values[0, 0] == 3.5
+    assert depth[0, 0] == 3.5
 
 
 def test_pfm_color_variant_is_unsupported():

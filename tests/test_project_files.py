@@ -1,17 +1,23 @@
-"""Files outside the package that lean on its public API.
+"""Files that lean on the package's public API.
 
-The README's python quick start is run as written, and every traced
-layer target of the benchmark harness (bench/traced.py) must name a
-function that exists, so a renamed or removed function fails here
-rather than only as a FLAG line in a benchmark run.
+The README's python quick start is run as written, every traced layer
+target of the benchmark harness (bench/traced.py) must name a function
+that exists, and every module's __all__ and the package's re-exports
+must name what the modules define, so a renamed or removed function
+fails here rather than only as a FLAG line in a benchmark run or an
+ImportError at `from ttt_lab.x import *`.
 """
 
+import ast
 import contextlib
 import importlib
 import io
+import pkgutil
 import re
 import sys
 from pathlib import Path
+
+import ttt_lab
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,3 +50,17 @@ def test_traced_layer_targets_resolve_in_the_package():
             if owner is None:
                 missing.append(target)
     assert missing == []
+
+
+def test_every_exported_name_exists():
+    exported = {}
+    for info in pkgutil.iter_modules(ttt_lab.__path__):
+        module = importlib.import_module(f"ttt_lab.{info.name}")
+        exported[info.name] = names = set(getattr(module, "__all__", ()))
+        missing = sorted(name for name in names if not hasattr(module, name))
+        assert missing == [], f"ttt_lab.{info.name}.__all__ names what it lacks"
+    init = ast.parse(Path(ttt_lab.__file__).read_text())
+    unlisted = [(node.module, alias.name) for node in ast.walk(init)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names if alias.name not in exported.get(node.module, ())]
+    assert unlisted == []

@@ -1,5 +1,6 @@
 """Tests for the associative-recall benchmark and its task generators."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -70,12 +71,10 @@ def test_orthonormal_mode_rejects_overfull_count():
 def test_random_unit_keys_have_unit_norm():
     task = gen_recall_task(40, DIMS16, "random_unit", seed=1)
     np.testing.assert_allclose(np.linalg.norm(task.keys, axis=1), 1.0, rtol=0, atol=1e-12)
-    assert task.rho is None
 
 
 def test_correlated_keys_have_requested_overlap():
     task = gen_recall_task(16, DIMS16, "correlated", seed=2, rho=0.9)
-    assert task.rho == 0.9
     gram = task.keys @ task.keys.T
     off = gram[~np.eye(16, dtype=bool)]
     assert 0.8 <= float(np.mean(np.abs(off))) <= 0.95
@@ -104,8 +103,6 @@ def test_task_generation_is_pure_in_the_seed():
 def test_task_validation():
     with pytest.raises(ValueError):
         RecallTask(np.ones((2, 4)), np.ones((2, 4)))  # keys not unit
-    with pytest.raises(ValueError):
-        RecallTask(np.full((2, 4), 0.5), np.ones((2, 4)), key_mode="orthonormal")
     with pytest.raises(ValueError):
         gen_recall_task(0, DIMS16)
     with pytest.raises(ValueError):
@@ -144,24 +141,25 @@ def test_task_rejects_non_finite_rows():
         ((keys, np.ones((3, 2)), [0], keys[:1], np.array([[1.0, -np.inf]])),
          "distractor value row 0 contains non-finite entries"),
     ]:
-        for key_mode in ("orthonormal", "random_unit"):
-            with pytest.raises(ValueError, match=message):
-                RecallTask(*args, key_mode=key_mode)
+        with pytest.raises(ValueError, match=message):
+            RecallTask(*args)
 
 
-def test_generated_orthonormal_tasks_pass_the_orthogonality_check():
-    # The generators skip the O(count^2 c_k) check; rebuilding their tasks
-    # from plain arrays runs it.
+def test_generated_orthonormal_keys_are_pairwise_orthogonal():
+    # RecallTask checks unit norms only; orthogonality is the generators'
+    # promise, so the check lives here.
     for task in (gen_recall_task(64, StateDims(4, 64, 64, 64), seed=3),
                  gen_adversarial_task(StateDims(4, 64, 64, 64), seed=3)):
+        gram = task.keys @ task.keys.T
+        np.testing.assert_allclose(gram, np.eye(len(gram)), rtol=0, atol=1e-9)
         rebuilt = RecallTask(task.keys.copy(), task.values, task.distractor_positions,
-                             task.distractor_keys, task.distractor_values, "orthonormal")
-        assert task.key_mode == rebuilt.key_mode == "orthonormal"
+                             task.distractor_keys, task.distractor_values)
         np.testing.assert_array_equal(rebuilt.keys, task.keys)
-    bent = task.keys.copy()
-    bent[1] = (bent[0] + bent[1]) / math.sqrt(2.0)
-    with pytest.raises(ValueError, match="not pairwise orthogonal"):
-        RecallTask(bent, task.values)
+
+
+def test_recall_task_is_five_arrays():
+    assert [f.name for f in dataclasses.fields(RecallTask)] == [
+        "keys", "values", "distractor_positions", "distractor_keys", "distractor_values"]
 
 
 def test_task_pairs_property():
@@ -319,7 +317,7 @@ def test_reset_restores_the_seeded_initial_state():
     task = gen_recall_task(4, DIMS16, "orthonormal", seed=7)
     cfg = StreamConfig(DeltaRule(ConstantScalar(1.0)), DIMS16, reset_period=3)
     curve, _ = run_stream(task, cfg)
-    solo = RecallTask(task.keys[3:], task.values[3:], key_mode="orthonormal", seed=7)
+    solo = RecallTask(task.keys[3:], task.values[3:])
     solo_curve, _ = run_stream(solo, StreamConfig(DeltaRule(ConstantScalar(1.0)), DIMS16))
     assert curve.sq_errors[3] == solo_curve.sq_errors[0]
 
@@ -452,7 +450,7 @@ def _oracle_stream(shape, spec):
         d_keys = rng.standard_normal((7, 32))
         d_keys /= np.linalg.norm(d_keys, axis=1, keepdims=True)
         task = RecallTask(base.keys, base.values, [5, 0, 5, 17, 5, 23, 0], d_keys,
-                          rng.uniform(-1.0, 1.0, (7, 32)), "random_unit", 8)
+                          rng.uniform(-1.0, 1.0, (7, 32)))
         return task, StreamConfig(rule, dims32, reset_period=9, batch_size=2, seed=3)
     return gen_adversarial_task(dims64, seed=7), StreamConfig(rule, dims64, seed=3)
 
@@ -563,8 +561,6 @@ def test_adversarial_task_validation():
         gen_adversarial_task(dims, distractor_count=100, frame_size=16)
     with pytest.raises(ValueError):
         gen_adversarial_task(StateDims(4, 16, 16, 16))  # not enough directions
-    with pytest.raises(ValueError):
-        gen_adversarial_task(dims, anti=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -575,9 +571,9 @@ def test_compare_rules_disambiguates_repeated_labels():
     task = gen_recall_task(4, DIMS16, "orthonormal", seed=1)
     configs = [StreamConfig(VanillaSoftmaxRnn(), DIMS16),
                StreamConfig(VanillaSoftmaxRnn(), DIMS16, softmax_scale=1.0)]
-    cmp = compare_rules(task, configs)
-    assert tuple(c.rule_label for c in cmp.curves) == ("vanilla", "vanilla#2")
-    assert cmp.curves[1].rule_label == "vanilla#2"
+    curves, _ = compare_rules(task, configs)
+    assert tuple(c.rule_label for c in curves) == ("vanilla", "vanilla#2")
+    assert curves[1].rule_label == "vanilla#2"
 
 
 def test_compare_rules_requires_configs():
@@ -658,13 +654,13 @@ def test_gate_trace_csv_schema():
 
 def test_summary_csv_schema():
     task = gen_recall_task(3, DIMS16, "orthonormal", seed=1)
-    cmp = compare_rules(task, [StreamConfig(DeltaRule(ConstantScalar(1.0)), DIMS16)])
-    lines = summary_to_csv(cmp).strip().split("\n")
+    curves, _ = compare_rules(task, [StreamConfig(DeltaRule(ConstantScalar(1.0)), DIMS16)])
+    lines = summary_to_csv(curves).strip().split("\n")
     assert lines[0] == "rule,mean_sq_error,worst_sq_error"
     rule, mean, worst = lines[1].split(",")
     assert rule == "delta:1"
-    assert float(mean) == cmp.curves[0].mean_sq_error
-    assert float(worst) == cmp.curves[0].worst_sq_error
+    assert float(mean) == curves[0].mean_sq_error
+    assert float(worst) == curves[0].worst_sq_error
 
 
 def test_forgetting_curve_validation():

@@ -459,6 +459,44 @@ def test_loss_is_squared_residual_norm():
     assert recon_loss(s, keys, values) == pytest.approx(20.0, rel=0, abs=0)
 
 
+# recon_loss and recon_loss_grad of seed-1 draws (S 5 x 7, K 6 x 7, V 6 x 5),
+# frozen from the row form S K^T - V^T.  The residual (K S^T - V)^T is the
+# same matrix in exact arithmetic but moves the loss to ...a21p+7 here, so
+# an order change in the loss cannot pass unseen.
+_RECON_LOSS_HEX = "0x1.39dac14537a23p+7"
+_RECON_GRAD_HEX = [
+    ["0x1.fdf7b838dac93p+0", "-0x1.2c08023675cd0p-1", "-0x1.787161867f888p+0",
+     "-0x1.528c51ef09dd7p-1", "-0x1.10ce19a5c8344p-1", "0x1.d4b7334a9f9efp-1",
+     "-0x1.506b78af6e5d0p+0"],
+    ["-0x1.a4b8a25e297c3p+1", "-0x1.0e5dab448ac7ep+0", "-0x1.ec83ccdcec643p+0",
+     "-0x1.d4196eaa7cb96p-2", "0x1.0ea9ea13c2328p+1", "-0x1.ad8fef05ad3ecp+2",
+     "0x1.509ca2e954fc9p+0"],
+    ["-0x1.5d0f5991f98a0p+2", "0x1.e2f2d159a2406p+0", "0x1.410dd5e00fecfp+2",
+     "-0x1.1bd1b9d9f943bp+1", "-0x1.7ab67c9c7c8ccp-2", "-0x1.6f00d9100f107p+1",
+     "0x1.4d2ede3bd2791p+1"],
+    ["-0x1.a83b65e79d370p+2", "0x1.1ba3d41cd66ebp+2", "0x1.33f7e3fc76afdp+3",
+     "-0x1.aa8562ee971eep+2", "-0x1.39e62d90428edp+0", "0x1.e1daa8519c9ddp+0",
+     "0x1.614367eb79b24p+1"],
+    ["-0x1.091014883fa76p+0", "0x1.41a32d8e53697p+1", "0x1.1981cdbd129e8p+4",
+     "-0x1.674259acca139p+1", "-0x1.293528f991d01p+2", "0x1.09666d7bc5fb9p+4",
+     "0x1.8df7bb550a94dp+2"],
+]
+
+
+def _recon_draws():
+    rng = np.random.default_rng(1)
+    return rng.standard_normal((5, 7)), rng.standard_normal((6, 7)), rng.standard_normal((6, 5))
+
+
+def test_recon_loss_bits_are_frozen():
+    assert recon_loss(*_recon_draws()).hex() == _RECON_LOSS_HEX
+
+
+def test_recon_loss_grad_bits_are_frozen():
+    grad = recon_loss_grad(*_recon_draws())
+    assert [[v.hex() for v in row] for row in grad.tolist()] == _RECON_GRAD_HEX
+
+
 def test_gradient_shape_validation():
     s = np.zeros((2, 3))
     with pytest.raises(ValueError):
@@ -506,12 +544,31 @@ def test_delta_full_step_writes_value_exactly():
 
 def test_read_fast_weight_checks_its_query():
     s = np.ones((3, 4))
-    for bad in (np.ones(5), np.ones((1, 4))):
+    for bad in (np.ones(5), np.ones((0, 4)), np.ones((2, 5)), np.ones((2, 1, 4)),
+                np.float64(1.0)):
         with pytest.raises(ValueError, match=r"query must have shape \(4,\)"):
             read_fast_weight(s, bad)
+    np.testing.assert_array_equal(read_fast_weight(s, np.ones((1, 4))), [[4.0, 4.0, 4.0]])
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="S q is not finite"):
             read_fast_weight(s, np.array([0.0, bad, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("c_v, c_k", [(1, 1), (3, 4), (7, 5), (16, 16), (64, 64),
+                                      (33, 100), (768, 768)])
+def test_batched_read_gives_each_row_the_bits_of_s_q(c_v, c_k):
+    rng = np.random.default_rng(c_v * 1000 + c_k)
+    s = rng.standard_normal((c_v, c_k))
+    queries = rng.standard_normal((19, c_k))
+    per_row = np.array([s @ q for q in queries])
+    for batch in (queries, np.asfortranarray(queries)):
+        out = read_fast_weight(s, batch)
+        assert out.shape == (19, c_v)
+        assert out.tobytes() == per_row.tobytes()
+    # a row read alone (as a batch of one, or 1-D) has the bits it has in a batch
+    for i in (0, 7, 18):
+        assert read_fast_weight(s, queries[i:i + 1]).tobytes() == per_row[i].tobytes()
+        assert read_fast_weight(s, queries[i]).tobytes() == per_row[i].tobytes()
 
 
 def test_delta_rejects_non_unit_key_and_bad_beta():

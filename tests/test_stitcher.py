@@ -112,22 +112,6 @@ def test_inconsistent_anchor_is_rejected():
         stitch(chunks)
 
 
-def test_disjoint_chunks_stitch_without_the_overlap_check():
-    # two chunks covering separate time ranges; anchors are authoritative
-    rng = np.random.default_rng(20)
-    identity = np.array([1.0, 0.0, 0.0, 0.0])
-
-    def local(t0):
-        return Trajectory([t0, t0 + 0.1], [identity, identity], [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-
-    a = Chunk(local(0.0), Trajectory([0.0], [identity], [[0.0, 0.0, 0.0]]))
-    b = Chunk(local(1.0), Trajectory([1.0], [_rand_quat(rng)], [[5.0, 5.0, 5.0]]))
-    stitched, _ = stitch([a, b], require_overlap=False)
-    assert len(stitched) == 4  # nothing dropped
-    np.testing.assert_allclose(stitched.translations[2], [5.0, 5.0, 5.0],
-                               rtol=0, atol=1e-12)
-
-
 def test_chunk_requires_identity_first_pose():
     traj = _rand_traj(3, seed=8)
     with pytest.raises(ValueError):
