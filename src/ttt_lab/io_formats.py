@@ -335,10 +335,20 @@ def parse_pfm(data: bytes) -> np.ndarray:
 
 
 def write_pfm(depth) -> bytes:
-    """Render an H x W depth map as little-endian grayscale PFM (scale -1.0)."""
+    """Render an H x W depth map as little-endian grayscale PFM (scale -1.0).
+
+    NaN and +-inf pixels are written as they are; a finite pixel beyond
+    the float32 range raises ValueError.
+    """
     (depth,) = _depth_maps(depth)
+    with np.errstate(over="ignore"):
+        single = depth.astype("<f4")
+    over = np.argwhere(np.isinf(single) & np.isfinite(depth))
+    if over.size:
+        r, c = over[0]
+        raise ValueError(f"depth {float(depth[r, c])!r} at row {r}, column {c} overflows float32")
     header = f"Pf\n{depth.shape[1]} {depth.shape[0]}\n-1.0\n".encode("ascii")
-    return header + np.flipud(depth).astype("<f4").tobytes()
+    return header + np.flipud(single).tobytes()
 
 
 # ---------------------------------------------------------------------------

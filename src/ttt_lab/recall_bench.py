@@ -39,7 +39,6 @@ from .state_rules import (
     DeltaRule,
     FullAttentionAppend,
     InputScalarSigmoid,
-    KvCache,
     LinearAttentionHebbian,
     PerTokenInputSigmoid,
     ProjectionSet,
@@ -76,7 +75,7 @@ __all__ = [
     "summary_to_csv",
 ]
 
-# Recall queries into the key/value cache are scaled by this factor so
+# Recall queries into the full-attention cache are scaled by this factor so
 # the softmax saturates onto the matching key: with orthonormal keys
 # and unit temperature the off-match attention mass is about
 # T * exp(-QUERY_SATURATION), i.e. below 1e-13 even at T = 4096.
@@ -495,7 +494,8 @@ def _read_fast_weights(state, task, proj, scale):
 
 
 _RULES = {
-    FullAttentionAppend: _RuleEntry("full", None, True, lambda dims, seed: KvCache(),
+    FullAttentionAppend: _RuleEntry("full", None, True,
+                                    lambda dims, seed: np.empty((0, dims.c)),
                                     _full_ingester, _read_cache),
     VanillaSoftmaxRnn: _RuleEntry("vanilla", None, True, _init_tokens,
                                   _vanilla_ingester, _read_tokens),

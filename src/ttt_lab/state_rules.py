@@ -6,18 +6,21 @@ stream at once: its token rows, and for the token rules the offsets at
 which its frames start.  Three state layouts are
 supported, each with its own update family:
 
-* a growing key/value cache read by softmax cross-attention,
+* the token rows seen since the last reset, read by softmax
+  cross-attention (full attention, the limiting case of a token state),
 * a fixed bank of state tokens updated by softmax attention over the
   incoming tokens (optionally scaled per state token by a gate vector),
 * a fast-weight matrix updated by the delta rule or a plain Hebbian
   outer product.
 
-The token state and the fast-weight state are plain float64 arrays:
-n x c (n state tokens of width c) and c_v x c_k.  Each update and read
-checks its state once at entry and returns a new array.  Key/value
-pairs are rows everywhere: the delta and Hebbian writes and the
-reconstruction objective recon_loss/recon_loss_grad all take keys as
-m x c_k rows and values as m x c_v rows, and read_fast_weight takes
+Every state is a plain float64 array: the m x c cache (m may be 0), the
+n x c token state (n state tokens of width c) and the c_v x c_k
+fast-weight state.  Each update and read checks its state once at
+entry and returns a new array.  The cache is read through the token
+read, so both reads attend over state rows projected by w_k and w_v.
+Key/value pairs are rows everywhere: the delta and Hebbian writes and
+the reconstruction objective recon_loss/recon_loss_grad all take keys
+as m x c_k rows and values as m x c_v rows, and read_fast_weight takes
 its queries as m x c_k rows.
 
 The gated token update with a constant gate of 1.0 reproduces the
@@ -37,7 +40,6 @@ from typing import Union
 import numpy as np
 
 __all__ = [
-    "KvCache",
     "ProjectionSet",
     "ConstantScalar",
     "InputScalarSigmoid",
@@ -82,14 +84,16 @@ def _as_float_matrix(value, name: str, finite: bool = True) -> np.ndarray:
     return arr
 
 
-def _state(value, name: str, width=None, finite: bool = True) -> np.ndarray:
-    """A state as a non-empty 2-D float64 array, checked once at entry.
+def _state(value, name: str, width=None, finite: bool = True,
+           empty: bool = False) -> np.ndarray:
+    """A state as a 2-D float64 array, checked once at entry.
 
-    It is finite unless finite=False and has `width` columns if given.
-    It is not copied: kernels build their result as a new array.
+    It is non-empty (only the rows may be 0, if empty=True), finite
+    unless finite=False, and has `width` columns if given.  It is not
+    copied: kernels build their result as a new array.
     """
     arr = _as_float_matrix(value, name, finite)
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
+    if arr.shape[0] < (0 if empty else 1) or arr.shape[1] < 1:
         raise ValueError(f"{name} must be non-empty, got shape {arr.shape}")
     if width is not None and arr.shape[1] != width:
         raise ValueError(f"{name} width {arr.shape[1]} does not match projection width {width}")
@@ -111,43 +115,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exact_identity(w: np.ndarray) -> bool:
-    # exactly c nonzeros, all of them 1.0 on the diagonal
-    return np.count_nonzero(w) == w.shape[0] and bool(
-        np.all(np.diagonal(w) == 1.0)
-    )
-
-
-@dataclass(frozen=True)
-class KvCache:
-    """The projected key and value rows of every ingested token, in order.
-
-    keys and values are matching m x c read-only arrays, one row per
-    token, so len(cache) is the token count; KvCache() is empty.
-    """
-
-    keys: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-    values: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-
-    def __post_init__(self):
-        keys = _frozen(_as_float_matrix(self.keys, "cache keys"))
-        # Identity maps project keys and values to the same array; one
-        # read-only copy then serves as both.
-        values = keys if self.values is self.keys else _frozen(
-            _as_float_matrix(self.values, "cache values"))
-        if keys.shape != values.shape:
-            raise ValueError(f"cache keys shape {keys.shape} != values shape {values.shape}")
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.keys.shape[0]
-
-    @property
-    def width(self):
-        return self.keys.shape[1] if len(self) else None
-
-
 @dataclass(frozen=True)
 class ProjectionSet:
     """Frozen square projection maps w_q, w_k, w_v plus a gate map vector.
@@ -160,7 +127,10 @@ class ProjectionSet:
     w_k: np.ndarray
     w_v: np.ndarray
     gate_map: np.ndarray
-    seed: int = 0
+    # Set only by identity(): multiplying by an exact identity reproduces
+    # the operand, so the products are skipped; at width 4096 that saves
+    # a 134 MB matrix scan per call without changing any result.
+    _identity = False
 
     def __post_init__(self):
         w_q = _as_float_matrix(self.w_q, "w_q")
@@ -179,25 +149,19 @@ class ProjectionSet:
         object.__setattr__(self, "w_k", _frozen(w_k))
         object.__setattr__(self, "w_v", _frozen(w_v))
         object.__setattr__(self, "gate_map", _frozen(gate_map))
-        object.__setattr__(self, "_skip_q", _exact_identity(self.w_q))
-        object.__setattr__(self, "_skip_k", _exact_identity(self.w_k))
-        object.__setattr__(self, "_skip_v", _exact_identity(self.w_v))
 
     @property
     def c(self) -> int:
         return self.w_q.shape[0]
 
-    # Multiplying by an exact identity reproduces the operand, so the
-    # product is skipped; at width 4096 that saves a 134 MB matrix scan
-    # per call without changing any result.
     def project_q(self, tokens: np.ndarray) -> np.ndarray:
-        return tokens if self._skip_q else tokens @ self.w_q
+        return tokens if self._identity else tokens @ self.w_q
 
     def project_k(self, tokens: np.ndarray) -> np.ndarray:
-        return tokens if self._skip_k else tokens @ self.w_k
+        return tokens if self._identity else tokens @ self.w_k
 
     def project_v(self, tokens: np.ndarray) -> np.ndarray:
-        return tokens if self._skip_v else tokens @ self.w_v
+        return tokens if self._identity else tokens @ self.w_v
 
     @classmethod
     def seeded(cls, c: int, seed: int) -> "ProjectionSet":
@@ -207,7 +171,7 @@ class ProjectionSet:
         rng = np.random.default_rng(seed)
         bound = 1.0 / math.sqrt(c)
         w_q, w_k, w_v = rng.uniform(-bound, bound, (3, c, c))
-        return cls(w_q, w_k, w_v, rng.uniform(-bound, bound, c), seed=seed)
+        return cls(w_q, w_k, w_v, rng.uniform(-bound, bound, c))
 
     @classmethod
     def identity(cls, c: int, seed: int = 0) -> "ProjectionSet":
@@ -225,8 +189,7 @@ class ProjectionSet:
         # no c x c validation scans or copies of it.
         out = object.__new__(cls)
         for name, value in (("w_q", eye), ("w_k", eye), ("w_v", eye), ("gate_map", gate_map),
-                            ("seed", seed), ("_skip_q", True), ("_skip_k", True),
-                            ("_skip_v", True)):
+                            ("_identity", True)):
             object.__setattr__(out, name, value)
         return out
 
@@ -268,7 +231,7 @@ BetaMode = Union[ConstantScalar, InputScalarSigmoid, PerTokenInputSigmoid, Confi
 
 @dataclass(frozen=True)
 class FullAttentionAppend:
-    """Append projected tokens to a key/value cache; read by cross-attention."""
+    """Append tokens to the cache of rows since the last reset; read by cross-attention."""
 
 
 @dataclass(frozen=True)
@@ -380,26 +343,19 @@ def softmax_rows(logits, scale=1.0) -> np.ndarray:
     return _softmax(scaled)
 
 
-def update_full_attention(cache: KvCache, tokens, p: ProjectionSet) -> KvCache:
-    """Append a segment's projected key and value rows to the cache as one block."""
+def update_full_attention(cache, tokens, p: ProjectionSet) -> np.ndarray:
+    """Append a segment's token rows to the m x c cache as one block.
+
+    The cache holds the raw token rows since the last reset (m may be
+    0); the read projects them, as it projects a token state.
+    """
     tokens, _ = _token_segment(tokens, p.c)
-    if len(cache) == 0:
-        return KvCache(p.project_k(tokens), p.project_v(tokens))
-    if cache.width != p.c:
-        raise ValueError(f"cache width {cache.width} does not match projection width {p.c}")
-    return KvCache(np.concatenate((cache.keys, p.project_k(tokens))),
-                   np.concatenate((cache.values, p.project_v(tokens))))
+    return np.concatenate((_state(cache, "cache", p.c, empty=True), tokens))
 
 
-def read_full_attention(cache: KvCache, queries, p: ProjectionSet, scale=None) -> np.ndarray:
-    """Residual cross-attention read: X + softmax(Q_x K_cache^T) V_cache."""
-    if len(cache) == 0:
-        raise ValueError("cannot read from an empty cache")
-    queries, _ = _token_segment(queries, p.c)
-    if cache.width != p.c:
-        raise ValueError(f"cache width {cache.width} does not match projection width {p.c}")
-    weights = softmax_rows(p.project_q(queries) @ cache.keys.T, _resolve_scale(scale, p.c))
-    out = weights @ cache.values
+def read_full_attention(cache, queries, p: ProjectionSet, scale=None) -> np.ndarray:
+    """Residual cross-attention read over a non-empty cache: X + read_token_state(cache, X)."""
+    out = read_token_state(cache, queries, p, scale)
     out += queries
     return out
 
@@ -528,7 +484,12 @@ def confidence_gate(q_s: np.ndarray, k_x: np.ndarray, reduce: str = "sum",
         raise ValueError("k_x must contain at least one token")
     if reduce not in ("sum", "mean"):
         raise ValueError(f"reduce must be 'sum' or 'mean', got {reduce!r}")
-    logits = _resolve_scale(scale, q_s.shape[1]) * (q_s @ k_x.T)
+    return _confidence(_resolve_scale(scale, q_s.shape[1]) * (q_s @ k_x.T), reduce)
+
+
+def _confidence(logits: np.ndarray, reduce: str) -> np.ndarray:
+    # Reduce each row of scaled logits and squash it: the confidence gate of
+    # confidence_gate and of the token kernel alike.
     return _sigmoid_open(logits.sum(axis=1) if reduce == "sum" else logits.mean(axis=1))
 
 
@@ -542,9 +503,7 @@ def _frame_gate(mode: BetaMode, p: ProjectionSet, n: int):
     if isinstance(mode, PerTokenInputSigmoid):
         return lambda s, x, z: _sigmoid_open(s @ p.gate_map)
     if isinstance(mode, ConfidenceGate):
-        if mode.reduce == "sum":
-            return lambda s, x, z: _sigmoid_open(z.sum(axis=1))
-        return lambda s, x, z: _sigmoid_open(z.mean(axis=1))
+        return lambda s, x, z: _confidence(z, mode.reduce)
     raise TypeError(f"unknown gate mode {mode!r}")
 
 
@@ -582,9 +541,7 @@ def ttt3r_update(s, tokens, p: ProjectionSet, mode: BetaMode, scale=None, *, off
 def read_token_state(s, query, p: ProjectionSet, scale=None) -> np.ndarray:
     """Attend queries over the n x c state: softmax(Q W_q (S W_k)^T) (S W_v)."""
     s = _state(s, "state", p.c)
-    query = _as_float_matrix(query, "query")
-    if query.shape[1] != p.c:
-        raise ValueError(f"query width {query.shape[1]} does not match projection width {p.c}")
+    query, _ = _token_segment(query, p.c)
     q = p.project_q(query)
     k_s = p.project_k(s)
     v_s = p.project_v(s)

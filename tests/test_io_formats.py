@@ -353,6 +353,18 @@ def test_pfm_round_trip_is_bit_exact():
     assert back.tobytes() == vals.tobytes()
 
 
+def test_pfm_writer_rejects_a_finite_depth_beyond_float32():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"depth 1e\+300 at row 0, column 0 overflows float32"):
+            write_pfm(np.array([[1e300, 2.0]]))
+        vals = np.array([[np.nan, np.inf], [-np.inf, -1e300]])
+        with pytest.raises(ValueError, match="row 1, column 1"):
+            write_pfm(vals)
+        vals[1, 1] = 3.0
+        assert parse_pfm(write_pfm(vals)).tobytes() == vals.tobytes()
+
+
 def test_pfm_writer_emits_bottom_up_little_endian_payload():
     # top row 1.0, bottom row 2.0; the file stores the bottom row first
     data = write_pfm(np.array([[1.0], [2.0]]))

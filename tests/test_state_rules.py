@@ -20,7 +20,6 @@ from ttt_lab.state_rules import (
     DeltaRule,
     FullAttentionAppend,
     InputScalarSigmoid,
-    KvCache,
     PerTokenInputSigmoid,
     ProjectionSet,
     Ttt3r,
@@ -181,13 +180,13 @@ def test_confidence_gate_mode_rejects_unknown_reduce():
 def test_read_from_empty_cache_raises():
     p = ProjectionSet.identity(3)
     with pytest.raises(ValueError):
-        read_full_attention(KvCache(), np.ones((1, 3)), p)
+        read_full_attention(np.empty((0, 3)), np.ones((1, 3)), p)
 
 
 def test_full_attention_read_matches_scalar_loop_oracle():
     rng = np.random.default_rng(5)
     p = ProjectionSet.seeded(4, seed=2)
-    cache = KvCache()
+    cache = np.empty((0, 4))
     frames = [rng.standard_normal((m, 4)) for m in (2, 3, 1)]
     for f in frames:
         cache = update_full_attention(cache, f, p)
@@ -205,41 +204,43 @@ def test_full_attention_read_matches_scalar_loop_oracle():
 
 def test_cache_rejects_mismatched_widths():
     p = ProjectionSet.identity(3)
-    cache = update_full_attention(KvCache(), np.ones((1, 3)), p)
+    cache = update_full_attention(np.empty((0, 3)), np.ones((1, 3)), p)
     p4 = ProjectionSet.identity(4)
     with pytest.raises(ValueError):
         update_full_attention(cache, np.ones((1, 4)), p4)
-    with pytest.raises(ValueError):
-        KvCache(np.ones((2, 3)), np.ones((3, 3)))
 
 
 def test_cache_append_validates_the_new_entry():
-    cache = KvCache(np.ones((1, 3)), np.ones((1, 3)))
+    cache = np.ones((1, 3))
     with pytest.raises(ValueError, match="width"):
         update_full_attention(cache, np.ones((1, 4)), ProjectionSet.identity(4))
-    with pytest.raises(ValueError, match="shape"):
-        KvCache(np.ones((2, 3)), np.ones((1, 3)))
     with pytest.raises(ValueError, match="non-finite"):
         update_full_attention(cache, np.full((1, 3), np.nan), ProjectionSet.identity(3))
+
+
+def test_cache_append_checks_the_cache():
+    p, tokens = ProjectionSet.identity(3), np.ones((2, 3))
+    non_finite = np.ones((2, 3))
+    non_finite[1, 0] = np.inf
+    for cache, message in ((np.ones(3), "cache must be a 2-D array"),
+                           (np.ones((2, 4)), "cache width 4 does not match projection width 3"),
+                           (non_finite, "cache contains non-finite entries")):
+        with pytest.raises(ValueError, match=message):
+            update_full_attention(cache, tokens, p)
+    for cache in (np.empty((0, 3)), np.ones((1, 3))):
+        out = update_full_attention(cache, tokens, p)
+        assert not np.shares_memory(out, cache) and not np.shares_memory(out, tokens)
 
 
 def test_cache_appends_a_segment_as_one_block():
     rng = np.random.default_rng(4)
     p = ProjectionSet.seeded(3, seed=2)
     first, second = rng.standard_normal((4, 3)), rng.standard_normal((2, 3))
-    cache = update_full_attention(KvCache(), first, p)
-    assert len(cache) == 4 and cache.width == 3
+    cache = update_full_attention(np.empty((0, 3)), first, p)
+    assert cache.shape == (4, 3)
     cache = update_full_attention(cache, second, p)
-    assert len(cache) == 6
-    both = np.vstack([first, second])
-    np.testing.assert_allclose(cache.keys, both @ p.w_k, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(cache.values, both @ p.w_v, rtol=0, atol=1e-15)
-    assert not cache.keys.flags.writeable and not cache.values.flags.writeable
-    # identity maps: one read-only copy of the tokens serves as keys and values
-    shared = update_full_attention(KvCache(), first, ProjectionSet.identity(3))
-    assert shared.keys is shared.values
-    np.testing.assert_array_equal(shared.keys, first)
-    assert len(KvCache()) == 0 and KvCache().width is None
+    # the cache keeps the raw token rows; the read projects them
+    np.testing.assert_array_equal(cache, np.vstack([first, second]))
 
 
 def test_identity_projection_maps_reproduce_their_input():
@@ -252,7 +253,7 @@ def test_identity_projection_maps_reproduce_their_input():
     assert not np.array_equal(ps.project_q(t), t)
     np.testing.assert_allclose(ps.project_q(t), _loop_matmul(t, ps.w_q),
                                rtol=0, atol=1e-12)
-    # an identity handed in as plain data is still recognized
+    # an identity handed in as plain data is multiplied, and x @ I == x for finite x
     eye = np.eye(6)
     manual = ProjectionSet(eye, eye, eye, np.zeros(6))
     assert np.array_equal(manual.project_k(t), t)
@@ -279,7 +280,7 @@ def test_vanilla_update_matches_scalar_loop_oracle():
 
 # name -> (state kind, call(state, x, p)); x is 3 unit rows of width 4.
 # Token states are 2 x 4, fast-weight states 3 x 4 (c_v x c_k), and the
-# cache holds the projected rows of x.
+# cache holds the rows of x.
 _STATE_KERNELS = {
     "full": ("cache", lambda s, x, p: update_full_attention(s, x, p)),
     "vanilla": ("tokens", lambda s, x, p: update_vanilla_rnn(s, x, p)),
@@ -300,19 +301,18 @@ def test_vanilla_update_does_not_mutate_inputs(name):
     kind, call = _STATE_KERNELS[name]
     p = ProjectionSet.seeded(4, seed=0)
     s_arr = {"tokens": rng.standard_normal((2, 4)), "fast": rng.standard_normal((3, 4)),
-             "cache": x_arr @ p.w_k}[kind]
-    s = KvCache(s_arr, s_arr) if kind == "cache" else s_arr.copy()
+             "cache": x_arr}[kind]
+    s = s_arr.copy()
     x = x_arr.copy()
     out = call(s, x, p)
-    np.testing.assert_array_equal(s.keys if kind == "cache" else s, s_arr)
+    np.testing.assert_array_equal(s, s_arr)
     np.testing.assert_array_equal(x, x_arr)
     if not name.startswith("read"):
-        new, old = (out.keys, s.keys) if kind == "cache" else (out, s)
-        assert isinstance(new, np.ndarray) and not np.shares_memory(new, old)
+        assert isinstance(out, np.ndarray) and not np.shares_memory(out, s)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("name", [n for n in _STATE_KERNELS if n not in ("full", "read_full")])
+@pytest.mark.parametrize("name", list(_STATE_KERNELS))
 def test_kernels_reject_a_non_finite_state(name, bad):
     kind, call = _STATE_KERNELS[name]
     x = np.eye(4)[1:]   # read_fast_weight's query is e_1: column 2 meets a 0
@@ -637,7 +637,8 @@ def test_batched_fast_weight_kernels_match_the_per_pair_oracle(n, kind):
 
 
 _SEGMENT_KERNELS = {
-    "full": lambda x, offsets: update_full_attention(KvCache(), x, ProjectionSet.identity(4)),
+    "full": lambda x, offsets: update_full_attention(np.empty((0, 4)), x,
+                                                     ProjectionSet.identity(4)),
     "vanilla": lambda x, offsets: update_vanilla_rnn(np.ones((2, 4)), x,
                                                      ProjectionSet.identity(4), offsets=offsets),
     "ttt3r": lambda x, offsets: ttt3r_update(np.ones((2, 4)), x,
@@ -754,6 +755,17 @@ def test_confidence_gate_uses_shared_temperature():
     default = confidence_gate(q_s, k_x, reduce="sum")
     explicit = confidence_gate(q_s, k_x, reduce="sum", scale=default_scale(4))
     np.testing.assert_array_equal(default, explicit)
+
+
+@pytest.mark.parametrize("reduce", ["sum", "mean"])
+def test_kernel_confidence_gates_are_confidence_gate_bit_for_bit(reduce):
+    # The gates the stream records are the public gate's, on a frame of 4 tokens.
+    rng = np.random.default_rng(22)
+    s, x = rng.standard_normal((3, 5)), rng.standard_normal((4, 5))
+    for p in (ProjectionSet.identity(5, seed=1), ProjectionSet.seeded(5, seed=1)):
+        _, betas = ttt3r_update(s, x, p, ConfidenceGate(reduce), 0.7)
+        want = confidence_gate(p.project_q(s), p.project_k(x), reduce, 0.7)
+        np.testing.assert_array_equal(betas[0], want)
 
 
 def test_confidence_gate_validation():
