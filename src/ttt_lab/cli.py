@@ -31,9 +31,8 @@ from .geometry_metrics import ate, associate, chamfer, depth_metrics, rpe, \
     sequence_depth_scale, PointCloud
 from .io_formats import ParseError, parse_pfm, parse_ply_ascii, parse_tum, \
     write_metrics_csv, write_ply_ascii, write_tum
-from .recall_bench import StateDims, StreamConfig, UnsupportedRuleCombination, \
-    compare_rules, curves_to_csv, gate_trace_to_csv, gen_adversarial_task, \
-    gen_recall_task, parse_rule, summary_to_csv
+from .recall_bench import StateDims, StreamConfig, compare_rules, curves_to_csv, \
+    gate_trace_to_csv, gen_adversarial_task, gen_recall_task, summary_to_csv
 from .seeding import derive_seed
 from .state_rules import recon_loss, recon_loss_grad
 from .stitcher import Chunk, split_trajectory, stitch
@@ -126,9 +125,12 @@ def _run_recall(args) -> int:
     if args.count is None:
         args.count = _DEFAULT_COUNT[args.task]
     dims = StateDims(*args.dims)
+    period = args.reset_period if args.reset_period else None
     # Rule specs and task arguments that cannot be built are usage errors.
     try:
-        rules = [parse_rule(spec, args.gate_reduce) for spec in args.rules]
+        configs = [StreamConfig(spec, dims, reset_period=period, seed=args.seed,
+                                softmax_scale=args.scale, gate_reduce=args.gate_reduce)
+                   for spec in args.rules]
         if args.task == "adversarial":
             task = gen_adversarial_task(
                 dims, args.seed, true_count=args.count,
@@ -138,12 +140,6 @@ def _run_recall(args) -> int:
             task = gen_recall_task(args.count, dims, args.key_mode, args.seed, args.rho)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    period = args.reset_period if args.reset_period else None
-    configs = [
-        StreamConfig(rule, dims, reset_period=period, seed=args.seed,
-                     softmax_scale=args.scale)
-        for rule in rules
-    ]
     curves, traces = compare_rules(task, configs)
     files = {"curves.csv": curves_to_csv(curves), "summary.csv": summary_to_csv(curves)}
     # gates.csv carries the first gated rule's trace (its schema has no
@@ -442,8 +438,8 @@ def main(argv=None) -> int:
         return args.run(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    except (UsageError, UnsupportedRuleCombination, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError, ParseError) as exc:
+    except (UsageError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

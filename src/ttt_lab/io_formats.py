@@ -10,6 +10,7 @@ PFM) raise UnsupportedFormatError instead of producing garbage.
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Optional, Sequence, Tuple
 
@@ -298,7 +299,8 @@ def _pfm_token(buf: bytes, pos: int) -> Tuple[bytes, int]:
 def parse_pfm(data: bytes) -> np.ndarray:
     """Parse a grayscale PFM image into an H x W float64 array, top row first.
 
-    The scale line's sign encodes endianness (negative = little).
+    The scale line is finite and non-zero, and its sign encodes
+    endianness (negative = little).
     Exactly one whitespace byte separates the header from the payload;
     the payload must hold exactly width*height float32 samples.
     """
@@ -321,8 +323,8 @@ def parse_pfm(data: bytes) -> np.ndarray:
         scale = float(scale_tok)
     except ValueError:
         raise ParseError(f"bad PFM scale {scale_tok!r}") from None
-    if scale == 0:
-        raise ParseError("PFM scale must be non-zero")
+    if scale == 0 or not math.isfinite(scale):
+        raise ParseError(f"PFM scale must be finite and non-zero, got {scale_tok!r}")
     payload = data[pos + 1:]
     expected = 4 * width * height
     if len(payload) != expected:

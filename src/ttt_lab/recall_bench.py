@@ -1,5 +1,10 @@
 """Synthetic associative-recall benchmark for the state-update rules.
 
+A rule is named by its spec, "<rule>[:<gate>]".  StreamConfig checks
+the spec once and keeps its canonical form, the label of the rule's
+report rows; one table keyed by rule name holds what the stream does
+with each rule.
+
 A task is a sequence of key/value pairs, optionally interleaved with
 distractor frames.  RecallTask is plain data, five arrays: the key and
 value rows and the distractors' positions, keys and values; the
@@ -36,15 +41,9 @@ from .seeding import derive_seed
 from .state_rules import (
     ConfidenceGate,
     ConstantScalar,
-    DeltaRule,
-    FullAttentionAppend,
     InputScalarSigmoid,
-    LinearAttentionHebbian,
     PerTokenInputSigmoid,
     ProjectionSet,
-    RuleKind,
-    Ttt3r,
-    VanillaSoftmaxRnn,
     delta_rule_update,
     hebbian_update,
     read_fast_weight,
@@ -54,7 +53,7 @@ from .state_rules import (
     update_full_attention,
     update_vanilla_rnn,
 )
-from .state_rules import _sigmoid_open
+from .state_rules import _resolve_scale, _sigmoid_open
 
 __all__ = [
     "QUERY_SATURATION",
@@ -66,8 +65,6 @@ __all__ = [
     "UnsupportedRuleCombination",
     "gen_recall_task",
     "gen_adversarial_task",
-    "rule_label",
-    "parse_rule",
     "run_stream",
     "compare_rules",
     "curves_to_csv",
@@ -170,30 +167,49 @@ class RecallTask:
 class StreamConfig:
     """How one rule runs over a task.
 
-    reset_period None means the state is never reset; a period P >= 1
-    restores the initial state before ingesting frame t for every t > 0
-    with t % P == 0, so recall sees only what arrived since the last
-    boundary.  softmax_scale None selects the default 1/sqrt(c);
-    exact-recall claims hold at softmax_scale 1.0.  batch_size packs
-    that many consecutive stored pairs into one multi-token frame.
+    rule is a "<rule>[:<gate>]" spec, checked here once and stored in
+    the canonical form of _parse ("delta" becomes "delta:1", "ttt3r"
+    becomes "ttt3r:confidence").  gate_reduce ("sum" or "mean") reduces
+    a confidence gate's logits.  reset_period None means the state is
+    never reset; a period P >= 1 restores the initial state before
+    ingesting frame t for every t > 0 with t % P == 0, so recall sees
+    only what arrived since the last boundary.  softmax_scale None
+    selects the default 1/sqrt(c); exact-recall claims hold at
+    softmax_scale 1.0.  batch_size packs that many consecutive stored
+    pairs into one multi-token frame.
     """
 
-    rule: RuleKind
+    rule: str
     state_dims: StateDims
     reset_period: Optional[int] = None
     softmax_scale: Optional[float] = None
     seed: int = 0
     batch_size: int = 1
+    gate_reduce: str = "sum"
 
     def __post_init__(self):
+        dims = self.state_dims
         if self.reset_period is not None and self.reset_period < 1:
             raise ValueError("reset_period must be >= 1 when set")
-        if min(self.state_dims) < 1:
-            raise ValueError(f"state dims must be >= 1, got {self.state_dims}")
-        if self.softmax_scale is not None and not (self.softmax_scale > 0):
-            raise ValueError("softmax_scale must be positive")
+        if min(dims) < 1:
+            raise ValueError(f"state dims must be >= 1, got {dims}")
+        if self.softmax_scale is not None:
+            _resolve_scale(self.softmax_scale, dims.c)
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        ConfidenceGate(self.gate_reduce)
+        spec, entry, mode = _parse(self.rule, self.gate_reduce)
+        if entry.tokens and dims.c != dims.c_k:
+            raise UnsupportedRuleCombination(
+                f"unsupported rule/read combination: token and cache rules need c == c_k, "
+                f"got c={dims.c}, c_k={dims.c_k}"
+            )
+        # The input gate maps keys through the c-wide gate map.
+        if isinstance(mode, InputScalarSigmoid) and dims.c != dims.c_k:
+            raise UnsupportedRuleCombination(
+                "unsupported rule/read combination: input-sigmoid delta gate needs c == c_k"
+            )
+        object.__setattr__(self, "rule", spec)
 
 
 @dataclass(frozen=True)
@@ -385,39 +401,40 @@ def _assemble_stream(task: RecallTask, batch_size: int):
 
 
 # ---------------------------------------------------------------------------
-# The rule table: everything the stream knows about a rule lives in its
-# entry, and run_stream, rule_label and parse_rule only look entries up.
-# Entries reach the state_rules kernels through this module's globals at
-# call time, so a kernel wrapped here (as a profiler does) sees every call.
+# The rule table, keyed by rule name: everything the stream knows about a
+# rule lives in its entry, which _parse looks up.  Entries reach the
+# state_rules kernels through this module's globals at call time, so a
+# kernel wrapped here (as a profiler does) sees every call.
 
 _VALID_RULES = ("full, vanilla, hebbian, delta[:<beta>|:input], "
                 "ttt3r[:<beta>|:input|:per_token|:confidence]")
 
 # Gate modes spelled by name; a constant learning rate is spelled as its value.
-_GATE_NAMES = {InputScalarSigmoid: "input", PerTokenInputSigmoid: "per_token",
-               ConfidenceGate: "confidence"}
+_GATES_BY_NAME = {"input": InputScalarSigmoid, "per_token": PerTokenInputSigmoid,
+                  "confidence": ConfidenceGate}
 
 
 class _RuleEntry(NamedTuple):
-    """How the stream drives one rule class.
+    """How the stream drives one rule.
 
-    default_gate: the gate spec a bare rule name means (None: ungated).
+    default_gate: the gate a bare rule name means (None: ungated).
+    gates: the gate mode types the rule takes.
     tokens: the rule reads keys as state-width tokens, so c must be c_k.
     init(dims, seed): the initial state, built again at every reset.
-    ingester(rule, dims, proj, scale): ingest(state, keys, values, offsets)
+    ingest(state, keys, values, offsets, mode, dims, proj, scale)
     -> (state, betas, counts) for one reset segment (its rows, and the
-    rows at which its frames start, followed by the row count), after
-    rejecting an unsupported gate; betas are the segment's gates, frame
-    after frame, and counts the number of gates of each frame (both
-    empty for ungated rules).
+    rows at which its frames start, followed by the row count) under
+    gate mode `mode` (None if ungated); betas are the segment's gates,
+    frame after frame, and counts the number of gates of each frame
+    (both empty for ungated rules).
     read(state, task, proj, scale): per-pair squared recall errors.
     """
 
-    name: str
     default_gate: Optional[str]
+    gates: tuple
     tokens: bool
     init: Callable
-    ingester: Callable
+    ingest: Callable
     read: Callable
 
 
@@ -433,46 +450,27 @@ def _init_fast_weights(dims: StateDims, seed: int) -> np.ndarray:
 _NO_GATES = (np.empty(0), np.empty(0, dtype=np.int64))
 
 
-def _full_ingester(rule, dims, proj, scale):
-    return lambda state, keys, values, offsets: (update_full_attention(state, keys, proj),
-                                                 *_NO_GATES)
+def _ingest_full(state, keys, values, offsets, mode, dims, proj, scale):
+    return update_full_attention(state, keys, proj), *_NO_GATES
 
 
-def _vanilla_ingester(rule, dims, proj, scale):
-    def ingest(state, keys, values, offsets):
-        return update_vanilla_rnn(state, keys, proj, scale, offsets=offsets), *_NO_GATES
-    return ingest
+def _ingest_vanilla(state, keys, values, offsets, mode, dims, proj, scale):
+    return update_vanilla_rnn(state, keys, proj, scale, offsets=offsets), *_NO_GATES
 
 
-def _ttt3r_ingester(rule, dims, proj, scale):
-    def ingest(state, keys, values, offsets):
-        state, betas = ttt3r_update(state, keys, proj, rule.mode, scale, offsets=offsets)
-        return state, betas.ravel(), np.full(len(betas), dims.n)
-    return ingest
+def _ingest_ttt3r(state, keys, values, offsets, mode, dims, proj, scale):
+    state, betas = ttt3r_update(state, keys, proj, mode, scale, offsets=offsets)
+    return state, betas.ravel(), np.full(len(betas), dims.n)
 
 
-def _hebbian_ingester(rule, dims, proj, scale):
-    return lambda state, keys, values, offsets: (hebbian_update(state, keys, values),
-                                                 *_NO_GATES)
+def _ingest_hebbian(state, keys, values, offsets, mode, dims, proj, scale):
+    return hebbian_update(state, keys, values), *_NO_GATES
 
 
-def _delta_ingester(rule, dims, proj, scale):
-    mode = rule.mode
-    constant = isinstance(mode, ConstantScalar)
-    if not constant and not isinstance(mode, InputScalarSigmoid):
-        raise UnsupportedRuleCombination(
-            f"unsupported rule/read combination: {rule_label(rule)} "
-            "(the delta rule takes a constant or input gate)"
-        )
-    if not constant and dims.c != dims.c_k:
-        raise UnsupportedRuleCombination(
-            "unsupported rule/read combination: input-sigmoid delta gate needs c == c_k"
-        )
-
-    def ingest(state, keys, values, offsets):
-        betas = np.full(len(keys), mode.value) if constant else _sigmoid_open(keys @ proj.gate_map)
-        return delta_rule_update(state, keys, values, betas), betas, np.diff(offsets)
-    return ingest
+def _ingest_delta(state, keys, values, offsets, mode, dims, proj, scale):
+    betas = (np.full(len(keys), mode.value) if isinstance(mode, ConstantScalar)
+             else _sigmoid_open(keys @ proj.gate_map))
+    return delta_rule_update(state, keys, values, betas), betas, np.diff(offsets)
 
 
 def _read_cache(state, task, proj, scale):
@@ -494,64 +492,59 @@ def _read_fast_weights(state, task, proj, scale):
 
 
 _RULES = {
-    FullAttentionAppend: _RuleEntry("full", None, True,
-                                    lambda dims, seed: np.empty((0, dims.c)),
-                                    _full_ingester, _read_cache),
-    VanillaSoftmaxRnn: _RuleEntry("vanilla", None, True, _init_tokens,
-                                  _vanilla_ingester, _read_tokens),
-    LinearAttentionHebbian: _RuleEntry("hebbian", None, False, _init_fast_weights,
-                                       _hebbian_ingester, _read_fast_weights),
-    DeltaRule: _RuleEntry("delta", "1", False, _init_fast_weights,
-                          _delta_ingester, _read_fast_weights),
-    Ttt3r: _RuleEntry("ttt3r", "confidence", True, _init_tokens,
-                      _ttt3r_ingester, _read_tokens),
+    "full": _RuleEntry(None, (), True, lambda dims, seed: np.empty((0, dims.c)),
+                       _ingest_full, _read_cache),
+    "vanilla": _RuleEntry(None, (), True, _init_tokens, _ingest_vanilla, _read_tokens),
+    "hebbian": _RuleEntry(None, (), False, _init_fast_weights, _ingest_hebbian,
+                          _read_fast_weights),
+    "delta": _RuleEntry("1", (ConstantScalar, InputScalarSigmoid), False,
+                        _init_fast_weights, _ingest_delta, _read_fast_weights),
+    "ttt3r": _RuleEntry("confidence", (ConstantScalar, *_GATES_BY_NAME.values()), True,
+                        _init_tokens, _ingest_ttt3r, _read_tokens),
 }
-_RULES_BY_NAME = {entry.name: cls for cls, entry in _RULES.items()}
-_GATES_BY_NAME = {name: cls for cls, name in _GATE_NAMES.items()}
 
 
-def _entry(rule) -> _RuleEntry:
-    entry = _RULES.get(type(rule))
-    if entry is None:
-        raise TypeError(f"unknown rule {rule!r}")
-    return entry
+def _parse(spec: str, gate_reduce: str):
+    """(canonical spec, table entry, gate mode) of a "<rule>[:<gate>]" spec.
 
-
-def rule_label(rule: RuleKind) -> str:
-    """Canonical short name for a rule; parse_rule inverts it."""
-    entry = _entry(rule)
-    if entry.default_gate is None:
-        return entry.name
-    gate = _GATE_NAMES.get(type(rule.mode))
-    return f"{entry.name}:{gate if gate is not None else f'{rule.mode.value:g}'}"
-
-
-def parse_rule(spec: str, gate_reduce: str = "sum") -> RuleKind:
-    """The rule a "<rule>[:<gate>]" spec names; ValueError if none.
-
-    Inverse of rule_label.  Labels do not spell a confidence gate's
-    reduce, so gate_reduce supplies it.
+    A bare name means the rule's default gate, and an ungated rule has
+    mode None.  The canonical spec is the label of the rule's report
+    rows: it names the gate, and spells a constant as f"{beta:g}", or
+    as its repr where that does not read back as the same float.
+    Parsing it gives the same entry and mode.  ValueError if the spec
+    names no rule or no gate, or gates an ungated rule;
+    UnsupportedRuleCombination if the rule does not take the gate.
     """
     name, _, gate = spec.partition(":")
-    cls = _RULES_BY_NAME.get(name)
-    if cls is None:
+    entry = _RULES.get(name)
+    if entry is None:
         raise ValueError(f"unknown rule {spec!r}; valid rules: {_VALID_RULES}")
-    default_gate = _RULES[cls].default_gate
-    if default_gate is None:
+    if entry.default_gate is None:
         if gate:
             raise ValueError(f"rule {name!r} takes no gate mode, got {spec!r}")
-        return cls()
-    gate = gate or default_gate
-    gate_cls = _GATES_BY_NAME.get(gate)
-    if gate_cls is not None:
-        return cls(gate_cls(gate_reduce) if gate_cls is ConfidenceGate else gate_cls())
-    try:
-        value = float(gate)
-    except ValueError:
-        raise ValueError(
-            f"unknown gate mode {gate!r} in {spec!r}; valid rules: {_VALID_RULES}"
-        ) from None
-    return cls(ConstantScalar(value))
+        return name, entry, None
+    gate = gate or entry.default_gate
+    if gate in _GATES_BY_NAME:
+        cls = _GATES_BY_NAME[gate]
+        mode = cls(gate_reduce) if cls is ConfidenceGate else cls()
+    else:
+        try:
+            value = float(gate)
+        except ValueError:
+            raise ValueError(
+                f"unknown gate mode {gate!r} in {spec!r}; valid rules: {_VALID_RULES}"
+            ) from None
+        mode = ConstantScalar(value)
+        gate = f"{value:g}" if float(f"{value:g}") == value else repr(value)
+    label = f"{name}:{gate}"
+    if type(mode) not in entry.gates:
+        takes = " or ".join(gate_name for gate_name, cls in
+                            (("constant", ConstantScalar), *_GATES_BY_NAME.items())
+                            if cls in entry.gates)
+        raise UnsupportedRuleCombination(
+            f"unsupported rule/read combination: {label} (the {name} rule takes a {takes} gate)"
+        )
+    return label, entry, mode
 
 
 def run_stream(task: RecallTask, config: StreamConfig):
@@ -562,18 +555,12 @@ def run_stream(task: RecallTask, config: StreamConfig):
     produce identical outputs.
     """
     dims = config.state_dims
-    entry = _entry(config.rule)
-    if entry.tokens and dims.c != dims.c_k:
-        raise UnsupportedRuleCombination(
-            f"unsupported rule/read combination: token and cache rules need c == c_k, "
-            f"got c={dims.c}, c_k={dims.c_k}"
-        )
+    _, entry, mode = _parse(config.rule, config.gate_reduce)
     if task.keys.shape[1] != dims.c_k:
         raise ValueError(f"task key width {task.keys.shape[1]} != c_k {dims.c_k}")
     if task.values.shape[1] != dims.c_v:
         raise ValueError(f"task value width {task.values.shape[1]} != c_v {dims.c_v}")
     proj = ProjectionSet.identity(dims.c, seed=derive_seed(config.seed, "projections"))
-    ingest = entry.ingester(config.rule, dims, proj, config.softmax_scale)
     keys, values, offsets, positions = _assemble_stream(task, config.batch_size)
     n_frames = len(offsets) - 1
 
@@ -585,16 +572,16 @@ def run_stream(task: RecallTask, config: StreamConfig):
     for t0 in range(0, n_frames, period):
         bounds = offsets[t0:t0 + period + 1]
         lo, hi = bounds[0], bounds[-1]
-        state, segment_betas, segment_counts = ingest(
-            entry.init(dims, config.seed), keys[lo:hi], values[lo:hi], bounds - lo)
+        state, segment_betas, segment_counts = entry.ingest(
+            entry.init(dims, config.seed), keys[lo:hi], values[lo:hi], bounds - lo,
+            mode, dims, proj, config.softmax_scale)
         betas.append(segment_betas)
         counts.append(segment_counts)
 
     errors = entry.read(state, task, proj, config.softmax_scale)
-    label = rule_label(config.rule)
-    curve = ForgettingCurve(label, positions, errors, n_frames)
+    curve = ForgettingCurve(config.rule, positions, errors, n_frames)
     gate_offsets = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    return curve, GateTrace(label, np.concatenate(betas), gate_offsets)
+    return curve, GateTrace(config.rule, np.concatenate(betas), gate_offsets)
 
 
 def compare_rules(task: RecallTask, configs: Sequence[StreamConfig]):

@@ -34,7 +34,7 @@ identical outputs, and every array is carried in float64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -46,12 +46,6 @@ __all__ = [
     "PerTokenInputSigmoid",
     "ConfidenceGate",
     "BetaMode",
-    "FullAttentionAppend",
-    "VanillaSoftmaxRnn",
-    "LinearAttentionHebbian",
-    "DeltaRule",
-    "Ttt3r",
-    "RuleKind",
     "default_scale",
     "softmax_rows",
     "update_full_attention",
@@ -115,12 +109,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionSet:
     """Frozen square projection maps w_q, w_k, w_v plus a gate map vector.
 
     The projections are "slow weights": they are fixed for the lifetime
-    of a stream while the state plays the role of fast weights.
+    of a stream while the state plays the role of fast weights.  Sets
+    compare by identity: == on the map arrays has no single truth value.
     """
 
     w_q: np.ndarray
@@ -227,38 +222,6 @@ class ConfidenceGate:
 
 
 BetaMode = Union[ConstantScalar, InputScalarSigmoid, PerTokenInputSigmoid, ConfidenceGate]
-
-
-@dataclass(frozen=True)
-class FullAttentionAppend:
-    """Append tokens to the cache of rows since the last reset; read by cross-attention."""
-
-
-@dataclass(frozen=True)
-class VanillaSoftmaxRnn:
-    """Additive softmax-attention update of a fixed token state."""
-
-
-@dataclass(frozen=True)
-class LinearAttentionHebbian:
-    """Fast-weight outer-product accumulation without forgetting."""
-
-
-@dataclass(frozen=True)
-class DeltaRule:
-    """Fast-weight correction step S' = S - beta (S k - v) k^T."""
-
-    mode: BetaMode = field(default_factory=ConstantScalar)
-
-
-@dataclass(frozen=True)
-class Ttt3r:
-    """Gated token-state update S' = S + diag(beta) softmax(Q_s K_x^T) V_x."""
-
-    mode: BetaMode = field(default_factory=lambda: ConfidenceGate())
-
-
-RuleKind = Union[FullAttentionAppend, VanillaSoftmaxRnn, LinearAttentionHebbian, DeltaRule, Ttt3r]
 
 
 def default_scale(c: int) -> float:

@@ -95,6 +95,25 @@ def test_recall_extra_gated_rules_get_their_own_files(tmp_path):
     assert (out / "gates_ttt3r_confidence.csv").exists()
 
 
+def test_recall_labels_every_spelling_of_a_rule_canonically(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["recall", "--out", str(out), "--count", "4", "--dims", "2,8,8,8",
+                 "--rules", "delta,delta:0.50,ttt3r,ttt3r:1.0,ttt3r:confidence,hebbian"])
+    assert code == 0
+    labels = ["delta:1", "delta:0.5", "ttt3r:confidence", "ttt3r:1", "ttt3r:confidence#2",
+              "hebbian"]
+    curves = (out / "curves.csv").read_text().strip().split("\n")[1:]
+    assert [row.split(",")[0] for row in curves] == [label for label in labels
+                                                    for _ in range(4)]
+    summary = (out / "summary.csv").read_text().strip().split("\n")[1:]
+    assert [row.split(",")[0] for row in summary] == labels
+    assert sorted(p.name for p in out.glob("gates*.csv")) == [
+        "gates.csv", "gates_delta_0.5.csv", "gates_ttt3r_1.csv", "gates_ttt3r_confidence.csv",
+        "gates_ttt3r_confidence_2.csv"]
+    stdout = capsys.readouterr().out.strip().split("\n")
+    assert [line.split(": ")[0] for line in stdout] == labels
+
+
 def test_recall_unknown_rule_lists_valid_rules(tmp_path, capsys):
     code = main(["recall", "--out", str(tmp_path / "x"), "--rules", "gru"])
     assert code == 2
@@ -538,6 +557,20 @@ def test_depth_eval_missing_directory_is_a_usage_error(tmp_path):
     empty.mkdir()
     assert main(["depth-eval", "--pred", str(empty),
                  "--gt", str(tmp_path / "gt"), "--out", str(tmp_path / "d")]) == 2
+
+
+def test_depth_eval_non_finite_pfm_scale_is_a_usage_error(tmp_path, capsys):
+    _write_depth_dir(tmp_path / "gt")
+    _write_depth_dir(tmp_path / "pred")
+    frame = tmp_path / "pred" / "001.pfm"
+    frame.write_bytes(frame.read_bytes().replace(b"\n-1.0\n", b"\n-nan\n", 1))
+    capsys.readouterr()
+    assert main(["depth-eval", "--pred", str(tmp_path / "pred"),
+                 "--gt", str(tmp_path / "gt"), "--out", str(tmp_path / "d")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: PFM scale must be finite and non-zero, got b'-nan'\n"
+    assert not (tmp_path / "d").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -384,6 +384,15 @@ def test_pfm_positive_scale_means_big_endian():
     assert depth[0, 0] == 3.5
 
 
+@pytest.mark.parametrize("token", [b"nan", b"-nan", b"inf", b"-inf"])
+def test_pfm_rejects_a_non_finite_scale(token):
+    # Without the check a NaN scale, for which scale < 0 is False, reads
+    # this little-endian 2.0 as big-endian, 8.97e-44.
+    data = b"Pf\n1 1\n" + token + b"\n" + struct.pack("<f", 2.0)
+    with pytest.raises(ParseError, match=f"PFM scale must be finite and non-zero, got {token!r}"):
+        parse_pfm(data)
+
+
 def test_pfm_color_variant_is_unsupported():
     data = b"PF\n1 1\n-1.0\n" + b"\x00" * 12
     with pytest.raises(UnsupportedFormatError):

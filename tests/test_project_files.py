@@ -5,7 +5,9 @@ target of the benchmark harness (bench/traced.py) must name a function
 that exists, and every module's __all__ must name what the module
 defines, so a renamed or removed function fails here rather than only
 as a FLAG line in a benchmark run or an ImportError at
-`from ttt_lab.x import *`.  The package root binds no public name but
+`from ttt_lab.x import *`.  The rule-spec grammar of the recall error
+messages, which the README copies, must name every rule and gate of
+the rule table.  The package root binds no public name but
 its submodules, so each name has one import path.
 """
 
@@ -62,3 +64,21 @@ def test_every_exported_name_exists():
         assert missing == [], f"ttt_lab.{info.name}.__all__ names what it lacks"
     bound = {name for name in vars(ttt_lab) if not name.startswith("_")}
     assert bound <= submodules and ttt_lab.__version__
+
+
+def test_the_rule_spec_grammar_names_every_rule_and_gate():
+    from ttt_lab import recall_bench
+    from ttt_lab.state_rules import ConstantScalar
+
+    readme = (ROOT / "README.md").read_text()
+    grammar = {}
+    for item in recall_bench._VALID_RULES.split(", "):
+        name, gates = re.fullmatch(r"(\w+)(?:\[(.*)\])?", item).groups()
+        grammar[name] = set(gates.replace(":", "").split("|")) if gates else set()
+        assert f"`{item}`" in readme
+    table = {}
+    for name, entry in recall_bench._RULES.items():
+        named = {gate for gate, cls in recall_bench._GATES_BY_NAME.items() if cls in entry.gates}
+        table[name] = named | ({"<beta>"} if ConstantScalar in entry.gates else set())
+    assert grammar == table
+    assert set(recall_bench._GATES_BY_NAME) <= set().union(*grammar.values())

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,24 +20,11 @@ from ttt_lab.recall_bench import (
     gate_trace_to_csv,
     gen_adversarial_task,
     gen_recall_task,
-    parse_rule,
-    rule_label,
     run_stream,
     summary_to_csv,
 )
 from ttt_lab.seeding import derive_seed
-from ttt_lab.state_rules import (
-    ConfidenceGate,
-    ConstantScalar,
-    DeltaRule,
-    FullAttentionAppend,
-    InputScalarSigmoid,
-    LinearAttentionHebbian,
-    PerTokenInputSigmoid,
-    ProjectionSet,
-    Ttt3r,
-    VanillaSoftmaxRnn,
-)
+from ttt_lab.state_rules import ProjectionSet
 
 DIMS16 = StateDims(4, 16, 16, 16)
 
@@ -176,14 +164,14 @@ def test_task_pairs_property():
 
 def test_stored_pairs_land_one_per_frame_by_default():
     task = gen_recall_task(6, DIMS16, "orthonormal", seed=0)
-    curve, _ = run_stream(task, StreamConfig(DeltaRule(ConstantScalar(1.0)), DIMS16))
+    curve, _ = run_stream(task, StreamConfig("delta", DIMS16))
     np.testing.assert_array_equal(curve.positions, np.arange(6))
     assert curve.stream_length == 6
 
 
 def test_batched_mode_packs_consecutive_pairs():
     task = gen_recall_task(10, DIMS16, "orthonormal", seed=0)
-    cfg = StreamConfig(DeltaRule(ConstantScalar(1.0)), DIMS16, batch_size=4)
+    cfg = StreamConfig("delta", DIMS16, batch_size=4)
     curve, trace = run_stream(task, cfg)
     assert curve.stream_length == 3
     np.testing.assert_array_equal(curve.positions, [0, 0, 0, 0, 1, 1, 1, 1, 2, 2])
@@ -195,7 +183,7 @@ def test_distractor_groups_occupy_their_positions():
     d_key = eye[10]
     task = RecallTask(eye[:2], np.ones((2, 16)), [1, 1, 3], np.array([d_key] * 3),
                       np.zeros((3, 16)))
-    curve, trace = run_stream(task, StreamConfig(DeltaRule(ConstantScalar(1.0)), DIMS16))
+    curve, trace = run_stream(task, StreamConfig("delta", DIMS16))
     # stream: pair0, distractor pair(x2), pair1, distractor
     assert curve.stream_length == 4
     np.testing.assert_array_equal(curve.positions, [0, 2])
@@ -207,7 +195,7 @@ def test_out_of_range_distractor_position_raises():
     # 2 pairs + 1 distractor group = 3 frames, so position 10 is invalid
     task = RecallTask(eye[:2], np.ones((2, 16)), [10], eye[10:11], np.zeros((1, 16)))
     with pytest.raises(ValueError):
-        run_stream(task, StreamConfig(DeltaRule(ConstantScalar(1.0)), DIMS16))
+        run_stream(task, StreamConfig("delta", DIMS16))
 
 
 # ---------------------------------------------------------------------------
@@ -216,32 +204,30 @@ def test_out_of_range_distractor_position_raises():
 
 def test_stream_config_validation():
     with pytest.raises(ValueError):
-        StreamConfig(VanillaSoftmaxRnn(), DIMS16, reset_period=0)
+        StreamConfig("vanilla", DIMS16, reset_period=0)
+    for scale in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"scale must be positive and finite, got {scale}"):
+            StreamConfig("vanilla", DIMS16, softmax_scale=scale)
     with pytest.raises(ValueError):
-        StreamConfig(VanillaSoftmaxRnn(), DIMS16, softmax_scale=0.0)
+        StreamConfig("vanilla", DIMS16, batch_size=0)
     with pytest.raises(ValueError):
-        StreamConfig(VanillaSoftmaxRnn(), DIMS16, batch_size=0)
-    with pytest.raises(ValueError):
-        StreamConfig(VanillaSoftmaxRnn(), StateDims(0, 16, 16, 16))
+        StreamConfig("vanilla", StateDims(0, 16, 16, 16))
 
 
 def test_token_rules_require_matching_state_and_key_width():
-    task = gen_recall_task(4, StateDims(2, 8, 16, 16), "orthonormal", seed=0)
-    cfg = StreamConfig(VanillaSoftmaxRnn(), StateDims(2, 8, 16, 16))
     with pytest.raises(UnsupportedRuleCombination):
-        run_stream(task, cfg)
+        StreamConfig("vanilla", StateDims(2, 8, 16, 16))
 
 
 def test_delta_rule_rejects_state_dependent_gates():
-    task = gen_recall_task(4, DIMS16, "orthonormal", seed=0)
-    for mode in (ConfidenceGate("sum"), PerTokenInputSigmoid()):
+    for spec in ("delta:confidence", "delta:per_token"):
         with pytest.raises(UnsupportedRuleCombination):
-            run_stream(task, StreamConfig(DeltaRule(mode), DIMS16))
+            StreamConfig(spec, DIMS16)
 
 
 def test_delta_rule_supports_input_sigmoid_gate():
     task = gen_recall_task(4, DIMS16, "orthonormal", seed=0)
-    curve, trace = run_stream(task, StreamConfig(DeltaRule(InputScalarSigmoid()), DIMS16))
+    curve, trace = run_stream(task, StreamConfig("delta:input", DIMS16))
     assert len(trace) == 4
     assert np.all(trace.betas > 0.0) and np.all(trace.betas < 1.0)
 
@@ -252,7 +238,7 @@ def test_delta_rule_supports_input_sigmoid_gate():
 
 def test_ungated_rules_return_empty_trace():
     task = gen_recall_task(4, DIMS16, "orthonormal", seed=0)
-    for rule in (FullAttentionAppend(), VanillaSoftmaxRnn(), LinearAttentionHebbian()):
+    for rule in ("full", "vanilla", "hebbian"):
         _, trace = run_stream(task, StreamConfig(rule, DIMS16, softmax_scale=1.0))
         assert len(trace) == 0
         assert trace.betas.size == 0 and trace.offsets.tolist() == [0]
@@ -260,7 +246,7 @@ def test_ungated_rules_return_empty_trace():
 
 def test_gated_rules_trace_every_frame():
     task = gen_recall_task(5, DIMS16, "orthonormal", seed=0)
-    _, trace = run_stream(task, StreamConfig(Ttt3r(ConfidenceGate("sum")), DIMS16))
+    _, trace = run_stream(task, StreamConfig("ttt3r", DIMS16))
     assert len(trace) == 5
     assert np.diff(trace.offsets).tolist() == [4] * 5
 
@@ -274,10 +260,9 @@ def test_gate_trace_rejects_offsets_that_do_not_fit():
 
 def test_stream_honours_the_rules_confidence_reduce():
     task = gen_recall_task(6, DIMS16, "orthonormal", seed=0)
-    _, t_sum = run_stream(task, StreamConfig(Ttt3r(ConfidenceGate("sum")), DIMS16,
-                                             batch_size=3))
-    _, t_mean = run_stream(task, StreamConfig(Ttt3r(ConfidenceGate("mean")), DIMS16,
-                                              batch_size=3))
+    _, t_sum = run_stream(task, StreamConfig("ttt3r", DIMS16, batch_size=3))
+    _, t_mean = run_stream(task, StreamConfig("ttt3r", DIMS16, batch_size=3,
+                                              gate_reduce="mean"))
     # Both streams start from the same state and see the same first frame
     # of 3 tokens, so its mean-reduced logits are a third of the summed ones.
     logit = lambda b: np.log(b / (1.0 - b))
@@ -294,7 +279,7 @@ def test_stream_honours_the_rules_confidence_reduce():
 
 def test_reset_every_frame_keeps_only_the_last_frame():
     task = gen_recall_task(8, DIMS16, "orthonormal", seed=3)
-    cfg = StreamConfig(DeltaRule(ConstantScalar(1.0)), DIMS16, reset_period=1)
+    cfg = StreamConfig("delta", DIMS16, reset_period=1)
     curve, _ = run_stream(task, cfg)
     # wiped pairs read back as zero, so their error is exactly ||v||^2
     expect = np.sum(task.values**2, axis=1)
@@ -304,8 +289,8 @@ def test_reset_every_frame_keeps_only_the_last_frame():
 
 def test_reset_longer_than_stream_changes_nothing():
     task = gen_recall_task(8, DIMS16, "orthonormal", seed=3)
-    base = StreamConfig(Ttt3r(ConfidenceGate("sum")), DIMS16)
-    huge = StreamConfig(Ttt3r(ConfidenceGate("sum")), DIMS16, reset_period=1000)
+    base = StreamConfig("ttt3r", DIMS16)
+    huge = StreamConfig("ttt3r", DIMS16, reset_period=1000)
     a, _ = run_stream(task, base)
     b, _ = run_stream(task, huge)
     np.testing.assert_array_equal(a.sq_errors, b.sq_errors)
@@ -315,16 +300,16 @@ def test_reset_restores_the_seeded_initial_state():
     # with P = count, the last window sees only the final pair, so the
     # stream behaves like a fresh one-pair stream for that pair
     task = gen_recall_task(4, DIMS16, "orthonormal", seed=7)
-    cfg = StreamConfig(DeltaRule(ConstantScalar(1.0)), DIMS16, reset_period=3)
+    cfg = StreamConfig("delta", DIMS16, reset_period=3)
     curve, _ = run_stream(task, cfg)
     solo = RecallTask(task.keys[3:], task.values[3:])
-    solo_curve, _ = run_stream(solo, StreamConfig(DeltaRule(ConstantScalar(1.0)), DIMS16))
+    solo_curve, _ = run_stream(solo, StreamConfig("delta", DIMS16))
     assert curve.sq_errors[3] == solo_curve.sq_errors[0]
 
 
 def test_full_attention_reset_drops_cached_history():
     task = gen_recall_task(8, DIMS16, "orthonormal", seed=3)
-    cfg = StreamConfig(FullAttentionAppend(), DIMS16, reset_period=4, softmax_scale=1.0)
+    cfg = StreamConfig("full", DIMS16, reset_period=4, softmax_scale=1.0)
     curve, _ = run_stream(task, cfg)
     assert np.all(curve.sq_errors[4:] <= 1e-16)
     assert np.all(curve.sq_errors[:4] > 1e-3)
@@ -374,16 +359,18 @@ def _per_frame_oracle(task, cfg):
     A plain numpy loop over the frames (and over the pairs of a frame
     for the fast-weight rules), with identity projections as in
     run_stream; the token and cache rules keep the arithmetic of the
-    per-frame kernels, so they must match bit for bit.
+    per-frame kernels, so they must match bit for bit.  It reads the
+    rule name and gate off the canonical spec itself.
     """
-    dims, rule = cfg.state_dims, cfg.rule
+    dims = cfg.state_dims
+    name, _, gate = cfg.rule.partition(":")
     scale = cfg.softmax_scale or 1.0 / math.sqrt(dims.c)
     gate_map = ProjectionSet.identity(dims.c, seed=derive_seed(cfg.seed, "projections")).gate_map
     frames, positions = _oracle_frames(task, cfg.batch_size)
-    tokens = isinstance(rule, (VanillaSoftmaxRnn, Ttt3r))
+    tokens = name in ("vanilla", "ttt3r")
 
     def initial():
-        if isinstance(rule, FullAttentionAppend):
+        if name == "full":
             return []
         if tokens:
             rng = np.random.default_rng(derive_seed(cfg.seed, "state-init"))
@@ -394,33 +381,33 @@ def _per_frame_oracle(task, cfg):
     for t, (keys, values) in enumerate(frames):
         if cfg.reset_period and t and t % cfg.reset_period == 0:
             s = initial()
-        if isinstance(rule, FullAttentionAppend):
+        if name == "full":
             s = s + [keys]
-        elif isinstance(rule, VanillaSoftmaxRnn):
+        elif name == "vanilla":
             s = s + _oracle_softmax(scale * (s @ keys.T)) @ keys
         elif tokens:
             z = scale * (s @ keys.T)
-            mode = rule.mode
-            if isinstance(mode, InputScalarSigmoid):
+            if gate == "input":
                 beta = np.full(dims.n, _oracle_sigmoid(float(np.mean(keys @ gate_map))))
             else:
-                beta = _oracle_sigmoid(z.sum(axis=1) if mode.reduce == "sum" else z.mean(axis=1))
+                assert gate == "confidence"
+                beta = _oracle_sigmoid(z.sum(axis=1) if cfg.gate_reduce == "sum"
+                                       else z.mean(axis=1))
             s = s + beta[:, None] * (_oracle_softmax(z) @ keys)
             gates.append(beta)
         else:
             betas = []
             for k, v in zip(keys, values):
-                if isinstance(rule, LinearAttentionHebbian):
+                if name == "hebbian":
                     s = s + np.outer(v, k)
                     continue
-                mode = rule.mode
-                beta = (mode.value if isinstance(mode, ConstantScalar)
-                        else 1.0 / (1.0 + math.exp(-float(k @ gate_map))))
+                beta = (1.0 / (1.0 + math.exp(-float(k @ gate_map))) if gate == "input"
+                        else float(gate))
                 s = s - beta * np.outer(s @ k - v, k)
                 betas.append(beta)
             if betas:
                 gates.append(np.array(betas))
-    if isinstance(rule, FullAttentionAppend):
+    if name == "full":
         queries, cached = QUERY_SATURATION * task.keys, np.vstack(s)
         reads = queries + _oracle_softmax(scale * (queries @ cached.T)) @ cached
         errors = np.sum((reads - queries - task.keys) ** 2, axis=1)
@@ -431,8 +418,8 @@ def _per_frame_oracle(task, cfg):
     return errors, positions, gates, len(frames)
 
 
-def _oracle_stream(shape, spec):
-    rule, dims32, dims64 = parse_rule(spec), StateDims(4, 32, 32, 32), StateDims(4, 64, 64, 64)
+def _oracle_stream(shape, rule):
+    dims32, dims64 = StateDims(4, 32, 32, 32), StateDims(4, 64, 64, 64)
     if shape == "reset-not-dividing":
         # Segments of 70, 70 and 10 frames: one pair each, so a segment
         # crosses the 64-pair chunk boundary of the delta kernel.
@@ -490,19 +477,19 @@ def test_segment_ingest_matches_the_per_frame_oracle(spec, shape):
 
 def test_delta_rule_is_exact_at_orthonormal_capacity():
     task = gen_recall_task(16, DIMS16, "orthonormal", seed=0)
-    curve, _ = run_stream(task, StreamConfig(DeltaRule(ConstantScalar(1.0)), DIMS16))
+    curve, _ = run_stream(task, StreamConfig("delta", DIMS16))
     assert curve.worst_sq_error <= 1e-20
 
 
 def test_hebbian_matches_delta_on_orthonormal_keys():
     task = gen_recall_task(16, DIMS16, "orthonormal", seed=0)
-    curve, _ = run_stream(task, StreamConfig(LinearAttentionHebbian(), DIMS16))
+    curve, _ = run_stream(task, StreamConfig("hebbian", DIMS16))
     assert curve.worst_sq_error <= 1e-20
 
 
 def test_full_attention_recall_is_exact_at_unit_scale():
     task = gen_recall_task(16, DIMS16, "orthonormal", seed=0)
-    cfg = StreamConfig(FullAttentionAppend(), DIMS16, softmax_scale=1.0)
+    cfg = StreamConfig("full", DIMS16, softmax_scale=1.0)
     curve, _ = run_stream(task, cfg)
     assert curve.worst_sq_error <= 1e-16
 
@@ -513,8 +500,8 @@ def test_random_unit_overload_degrades_delta_recall():
         dims = DIMS16
         small = gen_recall_task(8, dims, "random_unit", seed=seed)
         big = gen_recall_task(64, dims, "random_unit", seed=seed)
-        c_small, _ = run_stream(small, StreamConfig(DeltaRule(ConstantScalar(1.0)), dims))
-        c_big, _ = run_stream(big, StreamConfig(DeltaRule(ConstantScalar(1.0)), dims))
+        c_small, _ = run_stream(small, StreamConfig("delta", dims))
+        c_big, _ = run_stream(big, StreamConfig("delta", dims))
         lo.append(c_small.mean_sq_error)
         hi.append(c_big.mean_sq_error)
     assert np.mean(hi) > 5.0 * np.mean(lo)
@@ -522,14 +509,14 @@ def test_random_unit_overload_degrades_delta_recall():
 
 def test_gated_and_ungated_token_rules_coincide_at_unit_gate():
     task = gen_recall_task(12, DIMS16, "orthonormal", seed=4)
-    a, _ = run_stream(task, StreamConfig(Ttt3r(ConstantScalar(1.0)), DIMS16))
-    b, _ = run_stream(task, StreamConfig(VanillaSoftmaxRnn(), DIMS16))
+    a, _ = run_stream(task, StreamConfig("ttt3r:1", DIMS16))
+    b, _ = run_stream(task, StreamConfig("vanilla", DIMS16))
     np.testing.assert_array_equal(a.sq_errors, b.sq_errors)
 
 
 def test_run_stream_is_pure():
     task = gen_recall_task(6, DIMS16, "orthonormal", seed=9)
-    cfg = StreamConfig(Ttt3r(ConfidenceGate("mean")), DIMS16)
+    cfg = StreamConfig("ttt3r", DIMS16, gate_reduce="mean")
     a, ta = run_stream(task, cfg)
     b, tb = run_stream(task, cfg)
     np.testing.assert_array_equal(a.sq_errors, b.sq_errors)
@@ -569,8 +556,8 @@ def test_adversarial_task_validation():
 
 def test_compare_rules_disambiguates_repeated_labels():
     task = gen_recall_task(4, DIMS16, "orthonormal", seed=1)
-    configs = [StreamConfig(VanillaSoftmaxRnn(), DIMS16),
-               StreamConfig(VanillaSoftmaxRnn(), DIMS16, softmax_scale=1.0)]
+    configs = [StreamConfig("vanilla", DIMS16),
+               StreamConfig("vanilla", DIMS16, softmax_scale=1.0)]
     curves, _ = compare_rules(task, configs)
     assert tuple(c.rule_label for c in curves) == ("vanilla", "vanilla#2")
     assert curves[1].rule_label == "vanilla#2"
@@ -583,31 +570,70 @@ def test_compare_rules_requires_configs():
 
 
 def test_rule_labels():
-    assert rule_label(FullAttentionAppend()) == "full"
-    assert rule_label(VanillaSoftmaxRnn()) == "vanilla"
-    assert rule_label(LinearAttentionHebbian()) == "hebbian"
-    assert rule_label(DeltaRule(ConstantScalar(0.5))) == "delta:0.5"
-    assert rule_label(Ttt3r(ConfidenceGate("sum"))) == "ttt3r:confidence"
-    assert rule_label(Ttt3r(InputScalarSigmoid())) == "ttt3r:input"
-    assert rule_label(Ttt3r(PerTokenInputSigmoid())) == "ttt3r:per_token"
+    for spec, label in [("full", "full"), ("vanilla", "vanilla"), ("hebbian", "hebbian"),
+                        ("delta", "delta:1"), ("delta:", "delta:1"), ("delta:1.0", "delta:1"),
+                        ("delta:0.50", "delta:0.5"), ("delta:input", "delta:input"),
+                        ("ttt3r", "ttt3r:confidence"), ("ttt3r:1e-3", "ttt3r:0.001"),
+                        ("ttt3r:input", "ttt3r:input"), ("ttt3r:per_token", "ttt3r:per_token"),
+                        ("ttt3r:confidence", "ttt3r:confidence"),
+                        # :g would round to 0.123457, so the label keeps the repr
+                        ("delta:0.1234567891", "delta:0.1234567891")]:
+        assert StreamConfig(spec, DIMS16).rule == label
 
 
 @pytest.mark.parametrize("reduce", ["sum", "mean"])
-def test_parse_rule_inverts_rule_label(reduce):
-    modes = [ConstantScalar(1.0), ConstantScalar(0.5), ConstantScalar(0.125),
-             InputScalarSigmoid(), PerTokenInputSigmoid(), ConfidenceGate(reduce)]
-    rules = [FullAttentionAppend(), VanillaSoftmaxRnn(), LinearAttentionHebbian()]
-    rules += [cls(mode) for cls in (DeltaRule, Ttt3r) for mode in modes]
-    for rule in rules:
-        assert parse_rule(rule_label(rule), reduce) == rule
-    assert parse_rule("delta", reduce) == DeltaRule(ConstantScalar(1.0))
-    assert parse_rule("ttt3r", reduce) == Ttt3r(ConfidenceGate(reduce))
+def test_canonical_spec_names_the_same_rule(reduce):
+    specs = ["full", "vanilla", "hebbian", "delta", "delta:0.5", "delta:0.125", "delta:input",
+             "delta:0.1234567891", "ttt3r", "ttt3r:1", "ttt3r:0.5", "ttt3r:input",
+             "ttt3r:per_token", "ttt3r:confidence", "ttt3r:3e-300"]
+    for spec in specs:
+        cfg = StreamConfig(spec, DIMS16, gate_reduce=reduce)
+        assert StreamConfig(cfg.rule, DIMS16, gate_reduce=reduce) == cfg
+        assert dataclasses.replace(cfg) == cfg
+        gate = spec.partition(":")[2]
+        if gate[:1].isdigit():
+            # a constant rate reads back as the same float
+            assert float(cfg.rule.partition(":")[2]) == float(gate)
 
 
-def test_parse_rule_rejects_bad_specs():
-    for spec in ("gru", "vanilla:0.5", "delta:high", "delta:1.5", "ttt3r:0"):
-        with pytest.raises(ValueError):
-            parse_rule(spec)
+def test_stream_config_rejects_bad_specs():
+    valid = ("valid rules: full, vanilla, hebbian, delta[:<beta>|:input], "
+             "ttt3r[:<beta>|:input|:per_token|:confidence]")
+    for spec, message in [
+        ("gru", f"unknown rule 'gru'; {valid}"),
+        ("delta0.5", f"unknown rule 'delta0.5'; {valid}"),
+        ("vanilla:0.5", "rule 'vanilla' takes no gate mode, got 'vanilla:0.5'"),
+        ("full:confidence", "rule 'full' takes no gate mode, got 'full:confidence'"),
+        ("delta:high", f"unknown gate mode 'high' in 'delta:high'; {valid}"),
+        ("ttt3r:Input", f"unknown gate mode 'Input' in 'ttt3r:Input'; {valid}"),
+        ("delta:1.5", "constant gate must lie in (0, 1], got 1.5"),
+        ("ttt3r:0", "constant gate must lie in (0, 1], got 0.0"),
+        ("delta:nan", "constant gate must lie in (0, 1], got nan"),
+        ("ttt3r:-inf", "constant gate must lie in (0, 1], got -inf"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            StreamConfig(spec, DIMS16)
+    with pytest.raises(ValueError, match="reduce must be 'sum' or 'mean', got 'max'"):
+        StreamConfig("hebbian", DIMS16, gate_reduce="max")
+
+
+def test_unsupported_combinations_raise_when_the_config_is_built():
+    narrow = StateDims(2, 8, 16, 16)
+    for spec, dims, message in [
+        ("delta:confidence", DIMS16,
+         "delta:confidence (the delta rule takes a constant or input gate)"),
+        ("delta:per_token", DIMS16,
+         "delta:per_token (the delta rule takes a constant or input gate)"),
+        ("delta:input", narrow, "input-sigmoid delta gate needs c == c_k"),
+    ] + [(spec, narrow, "token and cache rules need c == c_k, got c=8, c_k=16")
+         for spec in ("full", "vanilla", "ttt3r", "ttt3r:0.5", "ttt3r:input",
+                      "ttt3r:per_token")]:
+        with pytest.raises(UnsupportedRuleCombination,
+                           match=re.escape(f"unsupported rule/read combination: {message}")):
+            StreamConfig(spec, dims)
+    # The fast-weight rules read keys of their own width.
+    for spec in ("hebbian", "delta", "delta:0.5"):
+        assert StreamConfig(spec, narrow).rule.startswith(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +642,7 @@ def test_parse_rule_rejects_bad_specs():
 
 def test_curves_csv_schema_and_roundtrip():
     task = gen_recall_task(3, DIMS16, "orthonormal", seed=1)
-    curve, _ = run_stream(task, StreamConfig(DeltaRule(ConstantScalar(1.0)), DIMS16))
+    curve, _ = run_stream(task, StreamConfig("delta", DIMS16))
     text = curves_to_csv([curve])
     lines = text.strip().split("\n")
     assert lines[0] == "rule,position,sq_error"
@@ -631,7 +657,7 @@ def test_curves_csv_schema_and_roundtrip():
 def test_curves_csv_matches_the_per_row_oracle():
     task = gen_recall_task(24, DIMS16, "random_unit", seed=2)
     curves = [run_stream(task, StreamConfig(rule, DIMS16, reset_period=5))[0]
-              for rule in (LinearAttentionHebbian(), DeltaRule(ConstantScalar(0.5)))]
+              for rule in ("hebbian", "delta:0.5")]
     curves.append(ForgettingCurve("edge", np.array([0, 7, 2**40]),
                                   np.array([0.0, 5e-324, 1.7976931348623157e308]), 3))
     lines = ["rule,position,sq_error"]
@@ -643,7 +669,7 @@ def test_curves_csv_matches_the_per_row_oracle():
 
 def test_gate_trace_csv_schema():
     task = gen_recall_task(3, DIMS16, "orthonormal", seed=1)
-    _, trace = run_stream(task, StreamConfig(Ttt3r(ConfidenceGate("sum")), DIMS16))
+    _, trace = run_stream(task, StreamConfig("ttt3r", DIMS16))
     lines = gate_trace_to_csv(trace).strip().split("\n")
     assert lines[0] == "frame,token,beta"
     assert len(lines) == 1 + 3 * 4
@@ -654,7 +680,7 @@ def test_gate_trace_csv_schema():
 
 def test_summary_csv_schema():
     task = gen_recall_task(3, DIMS16, "orthonormal", seed=1)
-    curves, _ = compare_rules(task, [StreamConfig(DeltaRule(ConstantScalar(1.0)), DIMS16)])
+    curves, _ = compare_rules(task, [StreamConfig("delta", DIMS16)])
     lines = summary_to_csv(curves).strip().split("\n")
     assert lines[0] == "rule,mean_sq_error,worst_sq_error"
     rule, mean, worst = lines[1].split(",")

@@ -17,13 +17,9 @@ from hypothesis.extra import numpy as hnp
 from ttt_lab.state_rules import (
     ConfidenceGate,
     ConstantScalar,
-    DeltaRule,
-    FullAttentionAppend,
     InputScalarSigmoid,
     PerTokenInputSigmoid,
     ProjectionSet,
-    Ttt3r,
-    VanillaSoftmaxRnn,
     confidence_gate,
     default_scale,
     delta_rule_update,
@@ -789,11 +785,17 @@ def test_confidence_gate_always_open_interval(q_s, k_x, reduce):
 
 
 # ---------------------------------------------------------------------------
-# rule kind containers
+# gate modes and projection sets as values
 
 
 def test_rule_kinds_are_value_objects():
-    assert DeltaRule(ConstantScalar(0.5)) == DeltaRule(ConstantScalar(0.5))
-    assert Ttt3r(ConfidenceGate("sum")) == Ttt3r(ConfidenceGate("sum"))
-    assert FullAttentionAppend() == FullAttentionAppend()
-    assert VanillaSoftmaxRnn() != FullAttentionAppend()
+    assert ConstantScalar(0.5) == ConstantScalar(0.5)
+    assert ConfidenceGate("sum") == ConfidenceGate("sum")
+
+
+def test_projection_sets_compare_by_identity():
+    p, q = ProjectionSet.seeded(4, 0), ProjectionSet.seeded(4, 0)
+    assert (p == p) is True
+    assert (p == q) is False and (p != q) is True
+    assert (ProjectionSet.identity(4) == ProjectionSet.identity(4)) is False
+    assert len({p, q, p}) == 2
