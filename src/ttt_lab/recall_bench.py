@@ -11,13 +11,18 @@ value rows and the distractors' positions, keys and values; the
 generators' key_mode, seed and rho shape the draw and are not stored.
 The stream is one key array, one value array and the offsets at which
 its frames start, so a reset segment is a slice of rows.  Each rule
-ingests the stream with one kernel call per reset segment (the whole
-stream when the state is never reset): the token rules step through the
-segment's frames inside the kernel, the cache appends the segment as one
-block, and the fast-weight rules take it as one batch of pairs.  Recall
-is then scored per position as the squared readout error, which plotted
-over positions gives a forgetting curve; the fast-weight rules read
-every stored key in one read_fast_weight call.
+ingests only what its outputs read.  The readout sees the state after
+the last reset segment, so full, vanilla, hebbian and delta run their
+kernel once, on that segment: the token rule steps through its frames
+inside the kernel, the cache appends it as one block, and the
+fast-weight rules take it as one batch of pairs.  The delta gates of
+the other segments never read the state, so they are computed without
+the kernel.  The ttt3r gates can read the state, and the gate trace
+holds every frame's, so ttt3r steps every segment: segments with the
+same frame layout go through one stacked kernel call, frame by frame in
+lockstep.  Recall is then scored per position as the squared readout
+error, which plotted over positions gives a forgetting curve; the
+fast-weight rules read every stored key in one read_fast_weight call.
 
 Scoring targets: fast-weight rules store the explicit (key, value)
 pair and are scored against the raw value.  Token and cache rules
@@ -32,6 +37,7 @@ recall, saturated attention reads) hold; the gate map stays seeded.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -53,7 +59,7 @@ from .state_rules import (
     update_full_attention,
     update_vanilla_rnn,
 )
-from .state_rules import _resolve_scale, _sigmoid_open
+from .state_rules import _check_unit_rows, _resolve_scale, _sigmoid_open
 
 __all__ = [
     "QUERY_SATURATION",
@@ -176,7 +182,8 @@ class StreamConfig:
     only what arrived since the last boundary.  softmax_scale None
     selects the default 1/sqrt(c); exact-recall claims hold at
     softmax_scale 1.0.  batch_size packs that many consecutive stored
-    pairs into one multi-token frame.
+    pairs into one multi-token frame.  reset_period, seed and batch_size
+    must be integers.
     """
 
     rule: str
@@ -189,6 +196,11 @@ class StreamConfig:
 
     def __post_init__(self):
         dims = self.state_dims
+        for name in ("reset_period", "seed", "batch_size"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.reset_period is not None and self.reset_period < 1:
             raise ValueError("reset_period must be >= 1 when set")
         if min(dims) < 1:
@@ -420,13 +432,15 @@ class _RuleEntry(NamedTuple):
     default_gate: the gate a bare rule name means (None: ungated).
     gates: the gate mode types the rule takes.
     tokens: the rule reads keys as state-width tokens, so c must be c_k.
-    init(dims, seed): the initial state, built again at every reset.
-    ingest(state, keys, values, offsets, mode, dims, proj, scale)
-    -> (state, betas, counts) for one reset segment (its rows, and the
-    rows at which its frames start, followed by the row count) under
-    gate mode `mode` (None if ungated); betas are the segment's gates,
-    frame after frame, and counts the number of gates of each frame
-    (both empty for ungated rules).
+    init(dims, seed): the initial state, which every reset restores.
+    ingest(state, keys, values, offsets, starts, mode, dims, proj, scale)
+    -> (state, betas, counts) for the whole stream (its rows, the rows
+    at which its frames start followed by the row count, and the frames
+    at which its reset segments start) from the initial state `state`
+    under gate mode `mode` (None if ungated).  The state is the one
+    after the last segment; betas are the gates of every frame, frame
+    after frame, and counts the number of gates of each frame (both
+    empty for ungated rules).
     read(state, task, proj, scale): per-pair squared recall errors.
     """
 
@@ -449,28 +463,79 @@ def _init_fast_weights(dims: StateDims, seed: int) -> np.ndarray:
 
 _NO_GATES = (np.empty(0), np.empty(0, dtype=np.int64))
 
+# Stacked states of one lockstep ttt3r call stay within this many bytes
+# (one state at least).  Without a cap, width 768 with a reset every
+# frame would stack 768 states.
+_STACK_BYTES = 8 << 20
 
-def _ingest_full(state, keys, values, offsets, mode, dims, proj, scale):
+
+def _last_segment(keys, values, offsets, starts):
+    """The last reset segment: its keys, values and frame offsets from row 0."""
+    bounds = offsets[starts[-1]:]
+    lo = bounds[0]
+    return keys[lo:], values[lo:], bounds - lo
+
+
+def _ingest_full(state, keys, values, offsets, starts, mode, dims, proj, scale):
+    keys, _, _ = _last_segment(keys, values, offsets, starts)
     return update_full_attention(state, keys, proj), *_NO_GATES
 
 
-def _ingest_vanilla(state, keys, values, offsets, mode, dims, proj, scale):
-    return update_vanilla_rnn(state, keys, proj, scale, offsets=offsets), *_NO_GATES
+def _ingest_vanilla(state, keys, values, offsets, starts, mode, dims, proj, scale):
+    keys, _, bounds = _last_segment(keys, values, offsets, starts)
+    return update_vanilla_rnn(state, keys, proj, scale, offsets=bounds), *_NO_GATES
 
 
-def _ingest_ttt3r(state, keys, values, offsets, mode, dims, proj, scale):
-    state, betas = ttt3r_update(state, keys, proj, mode, scale, offsets=offsets)
-    return state, betas.ravel(), np.full(len(betas), dims.n)
-
-
-def _ingest_hebbian(state, keys, values, offsets, mode, dims, proj, scale):
+def _ingest_hebbian(state, keys, values, offsets, starts, mode, dims, proj, scale):
+    keys, values, _ = _last_segment(keys, values, offsets, starts)
     return hebbian_update(state, keys, values), *_NO_GATES
 
 
-def _ingest_delta(state, keys, values, offsets, mode, dims, proj, scale):
-    betas = (np.full(len(keys), mode.value) if isinstance(mode, ConstantScalar)
-             else _sigmoid_open(keys @ proj.gate_map))
-    return delta_rule_update(state, keys, values, betas), betas, np.diff(offsets)
+def _ingest_delta(state, keys, values, offsets, starts, mode, dims, proj, scale):
+    # Every row is checked, as the kernel would check it in its segment.
+    _check_unit_rows(keys, "stream key")
+    if isinstance(mode, ConstantScalar):
+        betas = np.full(len(keys), mode.value)
+    else:
+        # One product per segment, as the kernel took them: a product over
+        # the whole stream rounds some rows differently.
+        rows = [*offsets[starts].tolist(), len(keys)]
+        betas = np.concatenate([_sigmoid_open(keys[lo:hi] @ proj.gate_map)
+                                for lo, hi in zip(rows, rows[1:])])
+    lo = offsets[starts[-1]]
+    return (delta_rule_update(state, keys[lo:], values[lo:], betas[lo:]), betas,
+            np.diff(offsets))
+
+
+def _ingest_ttt3r(state, keys, values, offsets, starts, mode, dims, proj, scale):
+    # Segments whose frames start at the same rows, relative to the
+    # segment, share a layout and step in lockstep: one stacked call per
+    # layout (per _STACK_BYTES of stacked states).  Consecutive segments
+    # of a layout are a view of the stream; others are gathered.
+    ends = [*starts[1:].tolist(), len(offsets) - 1]
+    layouts = {}
+    for segment, (t0, t1) in enumerate(zip(starts.tolist(), ends)):
+        bounds = offsets[t0:t1 + 1] - offsets[t0]
+        layouts.setdefault(bounds.tobytes(), (bounds, []))[1].append(segment)
+    betas = np.empty((len(offsets) - 1, dims.n))
+    cap = max(1, _STACK_BYTES // state.nbytes)
+    for bounds, members in layouts.values():
+        frames = np.arange(len(bounds) - 1)
+        for i in range(0, len(members), cap):
+            group = members[i:i + cap]
+            first_rows, length = offsets[starts[group]], bounds[-1]
+            if group[-1] - group[0] == len(group) - 1:
+                lo = first_rows[0]
+                tokens = keys[lo:lo + len(group) * length].reshape(len(group), length, -1)
+            else:
+                tokens = keys[first_rows[:, None] + np.arange(length)]
+            stacked, group_betas = ttt3r_update(
+                np.broadcast_to(state, (len(group), *state.shape)), tokens, proj, mode, scale,
+                offsets=bounds)
+            betas[starts[group][:, None] + frames] = group_betas
+            if group[-1] == len(starts) - 1:
+                last = stacked[-1]
+    return last, betas.ravel(), np.full(len(betas), dims.n)
 
 
 def _read_cache(state, task, proj, scale):
@@ -563,25 +628,12 @@ def run_stream(task: RecallTask, config: StreamConfig):
     proj = ProjectionSet.identity(dims.c, seed=derive_seed(config.seed, "projections"))
     keys, values, offsets, positions = _assemble_stream(task, config.batch_size)
     n_frames = len(offsets) - 1
-
-    # One ingest call per reset segment.  The initial state is built anew
-    # for each segment, not kept: keeping the 4.7 MB state of a width-768
-    # stream alive cost 100x the page faults under glibc malloc.
-    period = config.reset_period or n_frames
-    betas, counts = [], []
-    for t0 in range(0, n_frames, period):
-        bounds = offsets[t0:t0 + period + 1]
-        lo, hi = bounds[0], bounds[-1]
-        state, segment_betas, segment_counts = entry.ingest(
-            entry.init(dims, config.seed), keys[lo:hi], values[lo:hi], bounds - lo,
-            mode, dims, proj, config.softmax_scale)
-        betas.append(segment_betas)
-        counts.append(segment_counts)
-
+    starts = np.arange(0, n_frames, config.reset_period or n_frames)
+    state, betas, counts = entry.ingest(entry.init(dims, config.seed), keys, values, offsets,
+                                        starts, mode, dims, proj, config.softmax_scale)
     errors = entry.read(state, task, proj, config.softmax_scale)
     curve = ForgettingCurve(config.rule, positions, errors, n_frames)
-    gate_offsets = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    return curve, GateTrace(config.rule, np.concatenate(betas), gate_offsets)
+    return curve, GateTrace(config.rule, betas, np.concatenate(([0], np.cumsum(counts))))
 
 
 def compare_rules(task: RecallTask, configs: Sequence[StreamConfig]):

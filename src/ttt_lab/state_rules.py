@@ -3,8 +3,10 @@
 A stream of observation tokens updates a recurrent state, and queries
 read stored associations back out.  Every update takes a segment of the
 stream at once: its token rows, and for the token rules the offsets at
-which its frames start.  Three state layouts are
-supported, each with its own update family:
+which its frames start.  The token updates also take a stack of
+segments that share those offsets, along a leading axis, and step them
+in lockstep.  Three state layouts are supported, each with its own
+update family:
 
 * the token rows seen since the last reset, read by softmax
   cross-attention (full attention, the limiting case of a token state),
@@ -69,28 +71,31 @@ _GATE_LO = np.nextafter(0.0, 1.0)
 _GATE_HI = np.nextafter(1.0, 0.0)
 
 
-def _as_float_matrix(value, name: str, finite: bool = True) -> np.ndarray:
+def _as_float_matrix(value, name: str, finite: bool = True, ndim: int = 2) -> np.ndarray:
     arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be a 2-D array, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be a {ndim}-D array, got shape {arr.shape}")
     if finite and arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
 
 def _state(value, name: str, width=None, finite: bool = True,
-           empty: bool = False) -> np.ndarray:
+           empty: bool = False, batch=None) -> np.ndarray:
     """A state as a 2-D float64 array, checked once at entry.
 
     It is non-empty (only the rows may be 0, if empty=True), finite
-    unless finite=False, and has `width` columns if given.  It is not
+    unless finite=False, and has `width` columns if given.  With batch
+    B it is a stack of B such states, B x rows x width.  It is not
     copied: kernels build their result as a new array.
     """
-    arr = _as_float_matrix(value, name, finite)
-    if arr.shape[0] < (0 if empty else 1) or arr.shape[1] < 1:
+    arr = _as_float_matrix(value, name, finite, 2 if batch is None else 3)
+    if arr.shape[-2] < (0 if empty else 1) or arr.shape[-1] < 1:
         raise ValueError(f"{name} must be non-empty, got shape {arr.shape}")
-    if width is not None and arr.shape[1] != width:
-        raise ValueError(f"{name} width {arr.shape[1]} does not match projection width {width}")
+    if width is not None and arr.shape[-1] != width:
+        raise ValueError(f"{name} width {arr.shape[-1]} does not match projection width {width}")
+    if batch is not None and arr.shape[0] != batch:
+        raise ValueError(f"{arr.shape[0]} stacked {name}s for {batch} stacked segments")
     return arr
 
 
@@ -240,20 +245,22 @@ def _resolve_scale(scale, c: int) -> float:
     return scale
 
 
-def _token_segment(tokens, c: int, offsets=None):
+def _token_segment(tokens, c: int, offsets=None, stacked: bool = False):
     """A segment's tokens (m x c, finite) and frame offsets, checked once.
 
     offsets are the rows at which the frames start, followed by m:
     0 = o_0 < o_1 < ... < o_F = m, so frame f is rows o_f to o_(f+1).
-    None is one frame of all m rows.  Errors name the offending row or
-    frame.
+    None is one frame of all m rows.  If stacked, tokens may also be
+    B x m x c: B segments that share the offsets.  Errors name the
+    offending row or frame (and segment).
     """
     arr = np.asarray(tokens, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1:
-        raise ValueError(f"tokens must be a non-empty 2-D array, got shape {arr.shape}")
-    if arr.shape[1] != c:
-        raise ValueError(f"token width {arr.shape[1]} does not match projection width {c}")
-    m = arr.shape[0]
+    if arr.ndim not in ((2, 3) if stacked else (2,)) or 0 in arr.shape[:-1]:
+        raise ValueError(f"tokens must be a non-empty {'2-D or 3-D' if stacked else '2-D'} "
+                         f"array, got shape {arr.shape}")
+    if arr.shape[-1] != c:
+        raise ValueError(f"token width {arr.shape[-1]} does not match projection width {c}")
+    m = arr.shape[-2]
     off = np.array([0, m]) if offsets is None else np.asarray(offsets)
     if off.ndim != 1 or off.size < 2 or not np.issubdtype(off.dtype, np.integer):
         raise ValueError(f"offsets must be a 1-D integer array of at least 2 entries, "
@@ -265,19 +272,21 @@ def _token_segment(tokens, c: int, offsets=None):
     if empty.size:
         f = empty[0]
         raise ValueError(f"frame {f} has no rows: offsets {off[f]} then {off[f + 1]}")
-    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
-    if bad.size:
-        frame = np.searchsorted(off, bad[0], side="right") - 1
-        raise ValueError(f"token row {bad[0]} (frame {frame}) contains non-finite entries")
+    finite = np.isfinite(arr).all(axis=-1)
+    if not finite.all():
+        *segment, row = np.argwhere(~finite)[0].tolist()
+        frame = np.searchsorted(off, row, side="right") - 1
+        where = f" of segment {segment[0]}" if segment else ""
+        raise ValueError(f"token row {row} (frame {frame}){where} contains non-finite entries")
     return arr, off
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    # Row-wise softmax of logits that are already scaled; after the shift
-    # it works in place on its own copy.
-    w = z - z.max(axis=1, keepdims=True)
+    # Softmax along the last axis of logits that are already scaled; after
+    # the shift it works in place on its own copy.
+    w = z - z.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
-    w /= w.sum(axis=1, keepdims=True)
+    w /= w.sum(axis=-1, keepdims=True)
     return w
 
 
@@ -326,7 +335,8 @@ def read_full_attention(cache, queries, p: ProjectionSet, scale=None) -> np.ndar
 def update_vanilla_rnn(s, tokens, p: ProjectionSet, scale=None, *, offsets=None) -> np.ndarray:
     """Ungated token update S <- S + softmax(Q_s K_x^T) V_x, once per frame.
 
-    s is the n x c state and tokens and offsets are one segment, as in
+    s is the n x c state and tokens and offsets are one segment, or a
+    B x n x c stack of states and B x m x c stack of segments, as in
     ttt3r_update; this is its case of a constant gate of 1.0.
     """
     return _token_steps(s, tokens, p, ConstantScalar(1.0), scale, offsets)[0]
@@ -368,6 +378,15 @@ def recon_loss_grad(s, keys, values) -> np.ndarray:
     return (s @ keys.T - values.T) @ keys
 
 
+def _check_unit_rows(keys: np.ndarray, name: str) -> None:
+    # The delta rule's contraction argument needs unit keys.
+    norms = np.sqrt(np.einsum("ij,ij->i", keys, keys))
+    bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-9)
+    if bad.size:
+        raise ValueError(f"{name} row {bad[0]} must be unit-norm within 1e-9, "
+                         f"got norm {float(norms[bad[0]])}")
+
+
 # Pairs per chunk of the batched delta rule.  A chunk costs one triangular
 # solve and two GEMMs over the state, so the state is read and written
 # once per chunk instead of once per pair.
@@ -388,11 +407,7 @@ def delta_rule_update(s, keys, values, beta) -> np.ndarray:
     """
     s, keys, values = _pair_rows(s, keys, values)
     n = keys.shape[0]
-    norms = np.sqrt(np.einsum("ij,ij->i", keys, keys))
-    bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-9)
-    if bad.size:
-        raise ValueError(f"key row {bad[0]} must be unit-norm within 1e-9, "
-                         f"got norm {norms[bad[0]]!r}")
+    _check_unit_rows(keys, "key")
     betas = np.asarray(beta, dtype=np.float64)
     if betas.ndim == 0:
         betas = np.full(n, betas)
@@ -453,16 +468,20 @@ def confidence_gate(q_s: np.ndarray, k_x: np.ndarray, reduce: str = "sum",
 def _confidence(logits: np.ndarray, reduce: str) -> np.ndarray:
     # Reduce each row of scaled logits and squash it: the confidence gate of
     # confidence_gate and of the token kernel alike.
-    return _sigmoid_open(logits.sum(axis=1) if reduce == "sum" else logits.mean(axis=1))
+    return _sigmoid_open(logits.sum(axis=-1) if reduce == "sum" else logits.mean(axis=-1))
 
 
 def _frame_gate(mode: BetaMode, p: ProjectionSet, n: int):
-    """gate(state, frame tokens, scaled logits Q_s K_x^T) -> the frame's n betas."""
+    """gate(states, frame tokens, scaled logits Q_s K_x^T) -> the frame's betas.
+
+    The arguments are stacked along a leading segment axis, and so are
+    the betas: B x n, or B x 1 for a gate shared by the n state tokens.
+    """
     if isinstance(mode, ConstantScalar):
         beta = np.full(n, mode.value)
         return lambda s, x, z: beta
     if isinstance(mode, InputScalarSigmoid):
-        return lambda s, x, z: np.full(n, _sigmoid_open(float(np.mean(x @ p.gate_map))))
+        return lambda s, x, z: _sigmoid_open(np.mean(x @ p.gate_map, axis=-1))[:, None]
     if isinstance(mode, PerTokenInputSigmoid):
         return lambda s, x, z: _sigmoid_open(s @ p.gate_map)
     if isinstance(mode, ConfidenceGate):
@@ -471,20 +490,29 @@ def _frame_gate(mode: BetaMode, p: ProjectionSet, n: int):
 
 
 def _token_steps(s, tokens, p: ProjectionSet, mode: BetaMode, scale, offsets):
-    """The token kernel: one gated step per frame of a segment, in order."""
-    tokens, offsets = _token_segment(tokens, p.c, offsets)
-    state = _state(s, "state", p.c)
-    n = state.shape[0]
+    """The token kernel: one gated step per frame of a segment, in order.
+
+    A 2-D call is a stack of one segment.  Frame f of every stacked
+    segment steps at once; numpy's stacked matmul runs the 2-D BLAS
+    product once per segment, so each segment gets the bits of its own
+    2-D call.
+    """
+    tokens, offsets = _token_segment(tokens, p.c, offsets, stacked=True)
+    stacked = tokens.ndim == 3
+    state = _state(s, "state", p.c, batch=len(tokens) if stacked else None)
+    if not stacked:
+        state, tokens = state[None], tokens[None]
+    n = state.shape[1]
     scale = _resolve_scale(scale, p.c)
     gate = _frame_gate(mode, p, n)
     k_x, v_x = p.project_k(tokens), p.project_v(tokens)
     bounds = offsets.tolist()
-    betas = np.empty((len(bounds) - 1, n))
+    betas = np.empty((len(tokens), len(bounds) - 1, n))
     for f, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        z = scale * (p.project_q(state) @ k_x[lo:hi].T)
-        betas[f] = beta = gate(state, tokens[lo:hi], z)
-        state = state + beta[:, None] * (_softmax(z) @ v_x[lo:hi])
-    return state, betas
+        z = scale * (p.project_q(state) @ k_x[:, lo:hi].transpose(0, 2, 1))
+        betas[:, f] = beta = gate(state, tokens[:, lo:hi], z)
+        state = state + beta[..., None] * (_softmax(z) @ v_x[:, lo:hi])
+    return (state, betas) if stacked else (state[0], betas[0])
 
 
 def ttt3r_update(s, tokens, p: ProjectionSet, mode: BetaMode, scale=None, *, offsets=None):
@@ -493,8 +521,13 @@ def ttt3r_update(s, tokens, p: ProjectionSet, mode: BetaMode, scale=None, *, off
     s is the n x c state.  tokens (m x c) are one segment of the stream
     and offsets the rows at which its frames start, followed by m (None:
     one frame); each frame updates the state in turn.  Returns (new
-    state, betas), one row of n gates per frame.  With mode
-    ConstantScalar(1.0) the state is bitwise identical to
+    state, betas), one row of n gates per frame.
+
+    With a leading axis, s is a B x n x c stack of states and tokens a
+    B x m x c stack of segments that share the offsets; segment b
+    updates state b, and the result is (B x n x c states, B x F x n
+    betas), each slice bitwise equal to the 2-D call on that segment.
+    With mode ConstantScalar(1.0) the state is bitwise identical to
     update_vanilla_rnn's, since both run this kernel and scaling by 1.0
     is exact.
     """

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from ttt_lab import recall_bench
 from ttt_lab.recall_bench import (
     QUERY_SATURATION,
     ForgettingCurve,
@@ -23,8 +24,9 @@ from ttt_lab.recall_bench import (
     run_stream,
     summary_to_csv,
 )
+from ttt_lab.recall_bench import _assemble_stream, _parse
 from ttt_lab.seeding import derive_seed
-from ttt_lab.state_rules import ProjectionSet
+from ttt_lab.state_rules import ProjectionSet, ttt3r_update
 
 DIMS16 = StateDims(4, 16, 16, 16)
 
@@ -205,6 +207,16 @@ def test_out_of_range_distractor_position_raises():
 def test_stream_config_validation():
     with pytest.raises(ValueError):
         StreamConfig("vanilla", DIMS16, reset_period=0)
+    for field in ("reset_period", "seed", "batch_size"):
+        for value in (2.5, 2.0, "3", True):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer, got "
+                                                 f"{re.escape(repr(value))}$"):
+                StreamConfig("delta", DIMS16, **{field: value})
+    task = gen_recall_task(6, DIMS16, "orthonormal", seed=0)
+    a, _ = run_stream(task, StreamConfig("delta", DIMS16, reset_period=np.int64(4),
+                                         batch_size=np.int32(2)))
+    b, _ = run_stream(task, StreamConfig("delta", DIMS16, reset_period=4, batch_size=2))
+    np.testing.assert_array_equal(a.sq_errors, b.sq_errors)
     for scale in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match=f"scale must be positive and finite, got {scale}"):
             StreamConfig("vanilla", DIMS16, softmax_scale=scale)
@@ -389,10 +401,13 @@ def _per_frame_oracle(task, cfg):
             z = scale * (s @ keys.T)
             if gate == "input":
                 beta = np.full(dims.n, _oracle_sigmoid(float(np.mean(keys @ gate_map))))
-            else:
-                assert gate == "confidence"
+            elif gate == "per_token":
+                beta = _oracle_sigmoid(s @ gate_map)
+            elif gate == "confidence":
                 beta = _oracle_sigmoid(z.sum(axis=1) if cfg.gate_reduce == "sum"
                                        else z.mean(axis=1))
+            else:
+                beta = np.full(dims.n, float(gate))
             s = s + beta[:, None] * (_oracle_softmax(z) @ keys)
             gates.append(beta)
         else:
@@ -443,32 +458,144 @@ def _oracle_stream(shape, rule):
 
 
 _FAST_WEIGHT_SPECS = ["hebbian", "delta:1", "delta:input"]
+_SHAPES = ["reset-not-dividing", "batch-3", "adversarial", "scattered-distractors"]
 
 
-@pytest.mark.parametrize("spec", _FAST_WEIGHT_SPECS + ["full", "vanilla", "ttt3r:confidence",
-                                                     "ttt3r:input"])
-@pytest.mark.parametrize("shape", ["reset-not-dividing", "batch-3", "adversarial",
-                                   "scattered-distractors"])
-def test_segment_ingest_matches_the_per_frame_oracle(spec, shape):
-    task, cfg = _oracle_stream(shape, spec)
+def _assert_matches_the_oracle(task, cfg):
     curve, trace = run_stream(task, cfg)
     errors, positions, gates, n_frames = _per_frame_oracle(task, cfg)
+    exact = cfg.rule not in _FAST_WEIGHT_SPECS
     assert curve.stream_length == n_frames
     np.testing.assert_array_equal(curve.positions, positions)
-    if spec in _FAST_WEIGHT_SPECS:
+    if exact:
+        np.testing.assert_array_equal(curve.sq_errors, errors)
+    else:
         # The chunked kernels reorder the sums: equal up to rounding.
         np.testing.assert_allclose(curve.sq_errors, errors, rtol=0, atol=1e-12)
-    else:
-        np.testing.assert_array_equal(curve.sq_errors, errors)
     if not gates:
         assert len(trace) == 0 and trace.betas.size == 0
         return
     assert len(trace) == n_frames
     assert np.diff(trace.offsets).tolist() == [len(g) for g in gates]
-    if spec in _FAST_WEIGHT_SPECS:
-        np.testing.assert_allclose(trace.betas, np.concatenate(gates), rtol=0, atol=1e-12)
-    else:
+    if exact:
         np.testing.assert_array_equal(trace.betas, np.concatenate(gates))
+    else:
+        np.testing.assert_allclose(trace.betas, np.concatenate(gates), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", _FAST_WEIGHT_SPECS + ["full", "vanilla", "ttt3r:confidence",
+                                                     "ttt3r:input", "ttt3r:per_token",
+                                                     "ttt3r:0.5"])
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_segment_ingest_matches_the_per_frame_oracle(spec, shape):
+    _assert_matches_the_oracle(*_oracle_stream(shape, spec))
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+def test_mean_reduced_confidence_ingest_matches_the_per_frame_oracle(shape):
+    task, cfg = _oracle_stream(shape, "ttt3r")
+    _assert_matches_the_oracle(task, dataclasses.replace(cfg, gate_reduce="mean"))
+
+
+def _lockstep_stream():
+    """16 reset segments of 5 frames in three layouts, two of them gathered.
+
+    A 3-row distractor frame sits at frame 2 of segments 2 and 9, the
+    other segments hold one pair per frame, and the last segment is
+    ragged (3 frames).
+    """
+    base = gen_recall_task(76, DIMS16, "random_unit", seed=11)
+    rng = np.random.default_rng(12)
+    d_keys = rng.standard_normal((6, 16))
+    d_keys /= np.linalg.norm(d_keys, axis=1, keepdims=True)
+    task = RecallTask(base.keys, base.values, [12] * 3 + [47] * 3, d_keys,
+                      rng.uniform(-1.0, 1.0, (6, 16)))
+    return task, 5
+
+
+def _per_segment_ttt3r(task, cfg):
+    """The ttt3r kernel called once per reset segment on 2-D arrays."""
+    keys, _, offsets, _ = _assemble_stream(task, cfg.batch_size)
+    _, entry, mode = _parse(cfg.rule, cfg.gate_reduce)
+    proj = ProjectionSet.identity(cfg.state_dims.c, seed=derive_seed(cfg.seed, "projections"))
+    betas = []
+    for t0 in range(0, len(offsets) - 1, cfg.reset_period):
+        bounds = offsets[t0:t0 + cfg.reset_period + 1]
+        state, segment_betas = ttt3r_update(entry.init(cfg.state_dims, cfg.seed),
+                                            keys[bounds[0]:bounds[-1]], proj, mode,
+                                            cfg.softmax_scale, offsets=bounds - bounds[0])
+        betas.append(segment_betas.ravel())
+    return state, np.concatenate(betas)
+
+
+@pytest.mark.parametrize("spec", ["ttt3r:confidence", "ttt3r:input", "ttt3r:per_token",
+                                  "ttt3r:0.5"])
+def test_lockstep_ttt3r_equals_per_segment_calls(spec, monkeypatch):
+    # Multi-token distractor frames, gathered layouts and a ragged last
+    # segment; with a cap of 4 stacked states a layout also splits, and
+    # its chunk of segments 5 to 8 is a view of the stream.
+    task, period = _lockstep_stream()
+    cfg = StreamConfig(spec, DIMS16, reset_period=period, seed=2)
+    keys, values, offsets, _ = _assemble_stream(task, 1)
+    _, entry, mode = _parse(cfg.rule, cfg.gate_reduce)
+    proj = ProjectionSet.identity(16, seed=derive_seed(2, "projections"))
+    want_state, want_betas = _per_segment_ttt3r(task, cfg)
+    for cap in (recall_bench._STACK_BYTES, 4 * DIMS16.n * DIMS16.c * 8):
+        monkeypatch.setattr(recall_bench, "_STACK_BYTES", cap)
+        state, betas, counts = entry.ingest(
+            entry.init(DIMS16, 2), keys, values, offsets,
+            np.arange(0, len(offsets) - 1, period), mode, DIMS16, proj, None)
+        np.testing.assert_array_equal(state, want_state)
+        np.testing.assert_array_equal(betas, want_betas)
+        assert counts.tolist() == [DIMS16.n] * (len(offsets) - 1)
+
+
+_KERNELS = ["update_full_attention", "update_vanilla_rnn", "hebbian_update",
+            "delta_rule_update", "ttt3r_update"]
+
+
+def test_kernel_calls_per_stream(monkeypatch):
+    # Counted through the module globals the rule table calls at run
+    # time, so no timing is involved.
+    task, period = _lockstep_stream()
+    calls = dict.fromkeys(_KERNELS, 0)
+
+    def counting(name, kernel):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    for name in _KERNELS:
+        monkeypatch.setattr(recall_bench, name, counting(name, getattr(recall_bench, name)))
+    specs = ["full", "vanilla", "hebbian", "delta", "delta:input", "ttt3r"]
+    runs = {}
+    for spec in specs:
+        runs[spec] = run_stream(task, StreamConfig(spec, DIMS16, reset_period=period))
+    assert calls == {"update_full_attention": 1, "update_vanilla_rnn": 1, "hebbian_update": 1,
+                     "delta_rule_update": 2, "ttt3r_update": 3}
+    # A cap of 4 stacked states splits the 13-segment layout into 4 calls.
+    monkeypatch.setattr(recall_bench, "_STACK_BYTES", 4 * DIMS16.n * DIMS16.c * 8)
+    calls.update(dict.fromkeys(_KERNELS, 0))
+    curve, trace = run_stream(task, StreamConfig("ttt3r", DIMS16, reset_period=period))
+    assert calls["ttt3r_update"] == 6
+    np.testing.assert_array_equal(curve.sq_errors, runs["ttt3r"][0].sq_errors)
+    np.testing.assert_array_equal(trace.betas, runs["ttt3r"][1].betas)
+    np.testing.assert_array_equal(trace.offsets, runs["ttt3r"][1].offsets)
+
+
+def test_delta_checks_every_stream_key_for_unit_norm():
+    # The bad key lies in the first of four segments, which the kernel
+    # never sees: only the last segment's state is read.
+    task = gen_recall_task(12, DIMS16, "orthonormal", seed=0)
+    for position, row in ((0, 0), (5, 5)):
+        bad = RecallTask(task.keys, task.values, [position], 2.0 * task.keys[:1],
+                         task.values[:1])
+        for spec in ("delta", "delta:input"):
+            with pytest.raises(ValueError, match=f"^stream key row {row} must be unit-norm "
+                                                 r"within 1e-9, got norm 2\.0$"):
+                run_stream(bad, StreamConfig(spec, DIMS16, reset_period=4))
+        run_stream(bad, StreamConfig("hebbian", DIMS16, reset_period=4))
 
 
 # ---------------------------------------------------------------------------

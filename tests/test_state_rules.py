@@ -401,6 +401,77 @@ def test_token_segment_equals_one_call_per_frame(mode):
             np.testing.assert_array_equal(plain, got)
 
 
+@pytest.mark.parametrize("mode", _GATE_MODES, ids=repr)
+def test_stacked_token_update_equals_per_segment_calls(mode):
+    # Frames of 1 to 4 tokens; each stacked segment must get the bits of
+    # its own 2-D call, with identity and seeded maps, and from one
+    # broadcast initial state as from distinct ones.
+    rng = np.random.default_rng(22)
+    sizes = [2, 1, 4, 1, 3]
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    tokens = rng.standard_normal((5, offsets[-1], 6))
+    for p in (ProjectionSet.identity(6, seed=3), ProjectionSet.seeded(6, seed=3)):
+        s0 = rng.standard_normal((3, 6))
+        for states in (np.broadcast_to(s0, (5, 3, 6)), rng.standard_normal((5, 3, 6))):
+            got, got_betas = ttt3r_update(states, tokens, p, mode, 0.7, offsets=offsets)
+            assert got.shape == (5, 3, 6) and got_betas.shape == (5, len(sizes), 3)
+            for b in range(5):
+                want, want_betas = ttt3r_update(states[b], tokens[b], p, mode, 0.7,
+                                                offsets=offsets)
+                np.testing.assert_array_equal(got[b], want)
+                np.testing.assert_array_equal(got_betas[b], want_betas)
+            if mode == ConstantScalar(1.0):
+                plain = update_vanilla_rnn(states, tokens, p, 0.7, offsets=offsets)
+                np.testing.assert_array_equal(plain, got)
+
+
+@pytest.mark.parametrize("c", [4, 16, 64, 200, 768])
+def test_stacked_matmul_gives_each_slice_the_bits_of_its_2d_product(c):
+    # The lockstep token kernel rests on this: numpy's stacked matmul runs
+    # the 2-D BLAS routine once per slice, for each product the kernel
+    # takes (logits, attention-weighted values, gate-map responses and
+    # projections), including stride-0 and sliced stacks.
+    rng = np.random.default_rng(c)
+    g = rng.standard_normal(c)
+    w = rng.standard_normal((c, c))
+    for frame in (1, 2, 7, 64):
+        s = rng.standard_normal((5, 4, c))
+        x = rng.standard_normal((5, frame + 3, c))[:, 1:frame + 1]
+        z = rng.standard_normal((5, 4, frame))
+        shared = np.broadcast_to(s[0], s.shape)
+        stacked = [(s @ x.transpose(0, 2, 1), lambda b: s[b] @ x[b].T),
+                   (shared @ x.transpose(0, 2, 1), lambda b: s[0] @ x[b].T),
+                   (z @ x, lambda b: z[b] @ x[b]),
+                   (x @ g, lambda b: x[b] @ g),
+                   (s @ g, lambda b: s[b] @ g),
+                   (x @ w, lambda b: x[b] @ w)]
+        for product, per_slice in stacked:
+            for b in range(5):
+                np.testing.assert_array_equal(product[b], per_slice(b))
+
+
+def test_stacked_token_update_checks_its_stack():
+    p = ProjectionSet.identity(4)
+    tokens = np.ones((2, 6, 4))
+    offsets = [0, 2, 5, 6]
+    with pytest.raises(ValueError, match="3 stacked states for 2 stacked segments"):
+        ttt3r_update(np.ones((3, 2, 4)), tokens, p, ConfidenceGate(), offsets=offsets)
+    with pytest.raises(ValueError, match="state must be a 3-D array"):
+        ttt3r_update(np.ones((2, 4)), tokens, p, ConfidenceGate(), offsets=offsets)
+    with pytest.raises(ValueError, match="state must be a 2-D array"):
+        ttt3r_update(np.ones((2, 2, 4)), tokens[0], p, ConfidenceGate(), offsets=offsets)
+    with pytest.raises(ValueError, match=r"tokens must be a non-empty 2-D or 3-D array, "
+                                         r"got shape \(0, 6, 4\)"):
+        ttt3r_update(np.ones((0, 2, 4)), tokens[:0], p, ConfidenceGate(), offsets=offsets)
+    bad = tokens.copy()
+    bad[1, 3, 2] = np.nan
+    with pytest.raises(ValueError, match=r"token row 3 \(frame 1\) of segment 1 contains "
+                                         "non-finite"):
+        update_vanilla_rnn(np.ones((2, 2, 4)), bad, p, offsets=offsets)
+    with pytest.raises(ValueError, match="tokens must be a non-empty 2-D array"):
+        read_token_state(np.ones((2, 4)), tokens, p)
+
+
 def test_read_token_state_matches_scalar_loop_oracle():
     rng = np.random.default_rng(13)
     p = ProjectionSet.seeded(4, seed=3)
@@ -667,6 +738,9 @@ def test_batched_kernels_name_the_offending_row():
     off[1] *= 1.0 + 1e-6
     with pytest.raises(ValueError, match="key row 1 must be unit-norm"):
         delta_rule_update(s, off, values, 0.5)
+    with pytest.raises(ValueError, match=r"key row 2 must be unit-norm within 1e-9, "
+                                         r"got norm 2\.0$"):
+        delta_rule_update(s, keys * [[1.0], [1.0], [2.0]], values, 0.5)
     for bad in (0.0, 1.1):
         betas = np.array([0.5, 0.5, bad])
         with pytest.raises(ValueError, match=r"beta row 2 must lie in \(0, 1\]"):
