@@ -27,7 +27,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .geometry_metrics import ate, associate, chamfer, depth_metrics, rpe, \
+from .geometry_metrics import _depth_maps, ate, associate, chamfer, depth_metrics, rpe, \
     sequence_depth_scale, PointCloud
 from .io_formats import ParseError, parse_pfm, parse_ply_ascii, parse_tum, \
     write_metrics_csv, write_ply_ascii, write_tum
@@ -242,14 +242,22 @@ def _run_depth_eval(args) -> int:
         )
     if pred_names != gt_names:
         raise ValueError("prediction and reference file names do not match")
-    preds = [parse_pfm(_read_bytes(os.path.join(args.pred, n))) for n in pred_names]
-    gts = [parse_pfm(_read_bytes(os.path.join(args.gt, n))) for n in gt_names]
+
+    def maps(directory):
+        return (parse_pfm(_read_bytes(os.path.join(directory, n))) for n in pred_names)
+
+    # Maps are parsed when read, so one pair is held at a time.  The first
+    # pass parses and shape-checks every pair before any metric is computed;
+    # the second parses each pair again for its metrics.
     mode = {"seq-scale": "per_sequence_scale", "metric": "metric"}[args.mode]
     scale = None
     if mode == "per_sequence_scale":
-        scale = sequence_depth_scale(preds, gts)
+        scale = sequence_depth_scale(maps(args.pred), maps(args.gt))
+    else:
+        for pred, gt in zip(maps(args.pred), maps(args.gt)):
+            _depth_maps(pred, gt)
     per_frame = [depth_metrics(p, g, mode=mode, scale=scale)
-                 for p, g in zip(preds, gts)]
+                 for p, g in zip(maps(args.pred), maps(args.gt))]
     lines = ["frame,abs_rel,delta_125"]
     for name, (abs_rel, d125) in zip(pred_names, per_frame):
         lines.append(f"{name},{abs_rel!r},{d125!r}")

@@ -13,9 +13,10 @@ non-positive pixels mark invalid pixels (the metrics decide validity).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -422,29 +423,50 @@ def depth_metrics(pred, gt, mode: str = "metric", scale: Optional[float] = None)
     return abs_rel, delta_125
 
 
-def sequence_depth_scale(preds: Sequence, gts: Sequence) -> float:
+def _compact(pixels: np.ndarray) -> np.ndarray:
+    """The pixels as float32 when that keeps every value exactly, else unchanged."""
+    with np.errstate(over="ignore"):
+        single = pixels.astype(np.float32)
+    return single if np.array_equal(single, pixels) else pixels
+
+
+def _pooled_median(parts: list) -> np.float64:
+    """Median of the parts joined as one float64 pool; empties `parts`."""
+    pool = np.concatenate(parts, dtype=np.float64)
+    parts.clear()
+    return np.median(pool, overwrite_input=True)
+
+
+_END = object()
+
+
+def sequence_depth_scale(preds: Iterable, gts: Iterable) -> float:
     """One shared scale for a sequence: median(gt) / median(pred).
 
     Medians are taken over the valid pixels pooled across all frames,
     so a single scale serves every map of the sequence.  Each prediction
-    has the shape of its reference.
+    has the shape of its reference.  preds and gts may be any iterables,
+    generators included: one map pair is held at a time, and each
+    frame's valid pixels are kept as float32 where that is exact (PFM
+    samples always are), else as float64.  The medians see the float64
+    values, so the scale is the one a float64 pool would give.
     """
-    if len(preds) != len(gts) or not preds:
-        raise ValueError(
-            f"need matching non-empty map lists, got {len(preds)} and {len(gts)}"
-        )
-    p_all = []
-    g_all = []
-    for pred, gt in zip(preds, gts):
+    p_parts, g_parts = [], []
+    n_pred = n_gt = 0
+    for pred, gt in itertools.zip_longest(preds, gts, fillvalue=_END):
+        n_pred += pred is not _END
+        n_gt += gt is not _END
+        if n_pred != n_gt:
+            continue
         pred, gt = _depth_maps(pred, gt)
         mask = _valid_mask(pred, gt)
-        p_all.append(pred[mask])
-        g_all.append(gt[mask])
-    p_all = np.concatenate(p_all)
-    g_all = np.concatenate(g_all)
-    if p_all.size == 0:
+        p_parts.append(_compact(pred[mask]))
+        g_parts.append(_compact(gt[mask]))
+    if n_pred != n_gt or not n_pred:
+        raise ValueError(f"need matching non-empty map lists, got {n_pred} and {n_gt}")
+    if not any(part.size for part in p_parts):
         raise ValueError("no valid pixels in the whole sequence")
-    return float(np.median(g_all) / np.median(p_all))
+    return float(_pooled_median(g_parts) / _pooled_median(p_parts))
 
 
 def chamfer(a: PointCloud, b: PointCloud) -> ChamferResult:

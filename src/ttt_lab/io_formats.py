@@ -47,14 +47,14 @@ class UnsupportedFormatError(ParseError):
 # ---------------------------------------------------------------------------
 # TUM trajectories: "timestamp tx ty tz qx qy qz qw" per line.
 
-def parse_tum(text: str) -> Trajectory:
-    """Parse TUM trajectory text; '#' lines and blank lines are skipped.
+def _tum_scan(lines: Sequence[str]):
+    """Pose rows, their 1-based line numbers, and the first malformed line's error.
 
-    Reports the first offending line: malformed lines stop the scan, and
-    the pose lines before them are checked as columns.
+    Reads one line at a time with float() and stops at the first line
+    that does not hold eight numbers.
     """
     values, linenos, error = [], [], None
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(lines, 1):
         fields = raw.split()
         if not fields or fields[0].startswith("#"):
             continue
@@ -70,11 +70,37 @@ def parse_tum(text: str) -> Trajectory:
             error = ParseError(f"non-numeric field in {raw.strip()!r}", lineno)
             break
         linenos.append(lineno)
+    return np.array(values, dtype=np.float64), linenos, error
+
+
+def parse_tum(text: str) -> Trajectory:
+    """Parse TUM trajectory text; '#' lines and blank lines are skipped.
+
+    Reports the first offending line: malformed lines stop the scan, and
+    the pose lines before them are checked as columns.  The pose lines
+    are read with one np.loadtxt pass, which converts each token with
+    the same routine as float(); when that pass fails or does not give
+    eight columns per line, they are scanned one line at a time
+    (_tum_scan), which finds the malformed line.
+    """
+    lines = text.splitlines()
+    # A line is skipped when str.split() would find no field or a first
+    # field starting with '#'; lstrip() strips the same whitespace.
+    linenos = [i for i, raw in enumerate(lines, 1) if raw.lstrip()[:1] not in ("", "#")]
+    data, error = None, None
+    if linenos:
+        try:
+            data = np.loadtxt([lines[i - 1] for i in linenos], dtype=np.float64,
+                              comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if data is None or data.shape != (len(linenos), 8):
+        data, linenos, error = _tum_scan(lines)
     if not linenos:
         raise error or ParseError("empty trajectory: no pose lines found")
-    data = np.array(values, dtype=np.float64)
     ts, tx, ty, tz, qx, qy, qz, qw = data.T
-    norm = np.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
+    with np.errstate(over="ignore"):   # a huge quaternion's norm is inf, and it fails below
+        norm = np.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
     # A line is judged on its quaternion norm, then its timestamp order, then
     # finiteness; NaN passes the first two, as a comparison with NaN is false.
     off_unit = np.abs(norm - 1.0) > 1e-3
@@ -88,7 +114,7 @@ def parse_tum(text: str) -> Trajectory:
             message = (f"timestamps must strictly increase, got {float(ts[i])!r} "
                        f"after {float(ts[i - 1])!r}")
         else:
-            message = f"non-finite field in {text.splitlines()[linenos[i] - 1].strip()!r}"
+            message = f"non-finite field in {lines[linenos[i] - 1].strip()!r}"
         raise ParseError(message, linenos[i])
     if error is not None:
         raise error

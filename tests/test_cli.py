@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttt_lab.cli import _build_parser, main
-from ttt_lab.geometry_metrics import PointCloud, Trajectory
-from ttt_lab.io_formats import write_pfm, write_ply_ascii, write_tum
+from ttt_lab.geometry_metrics import PointCloud, Trajectory, depth_metrics, \
+    sequence_depth_scale
+from ttt_lab.io_formats import parse_pfm, write_pfm, write_ply_ascii, write_tum
 
 
 def _rand_quat(rng):
@@ -557,6 +559,93 @@ def test_depth_eval_missing_directory_is_a_usage_error(tmp_path):
     empty.mkdir()
     assert main(["depth-eval", "--pred", str(empty),
                  "--gt", str(tmp_path / "gt"), "--out", str(tmp_path / "d")]) == 2
+
+
+def _write_special_depth_dirs(root, frames, shape=(6, 7), invalid=0.2, seed=0):
+    """pred/ and gt/ maps whose pixels are zero, negative, NaN or infinite
+    with probability `invalid` each."""
+    rng = np.random.default_rng(seed)
+    specials = [0.0, -2.5, np.nan, np.inf, -np.inf]
+    for sub in ("pred", "gt"):
+        (root / sub).mkdir()
+    for i in range(frames):
+        for sub in ("pred", "gt"):
+            vals = rng.lognormal(0.0, 1.0, shape)
+            hit = rng.random(shape) < invalid
+            vals[hit] = rng.choice(specials, size=int(hit.sum()))
+            (root / sub / f"{i:03d}.pfm").write_bytes(write_pfm(vals))
+
+
+def _depth_eval_oracle(pred_dir, gt_dir, mode):
+    """depth_eval.csv and stdout from every map parsed up front, as one batch."""
+    names = sorted(os.listdir(pred_dir))
+    preds = [parse_pfm((pred_dir / n).read_bytes()) for n in names]
+    gts = [parse_pfm((gt_dir / n).read_bytes()) for n in names]
+    metric_mode = {"seq-scale": "per_sequence_scale", "metric": "metric"}[mode]
+    scale = sequence_depth_scale(preds, gts) if mode == "seq-scale" else None
+    per_frame = [depth_metrics(p, g, mode=metric_mode, scale=scale) for p, g in zip(preds, gts)]
+    mean_abs = float(np.mean([m[0] for m in per_frame]))
+    mean_d = float(np.mean([m[1] for m in per_frame]))
+    lines = ["frame,abs_rel,delta_125"]
+    lines += [f"{n},{a!r},{d!r}" for n, (a, d) in zip(names, per_frame)]
+    lines.append(f"mean,{mean_abs!r},{mean_d!r}")
+    stdout = f"sequence scale {scale:.6e}\n" if scale is not None else ""
+    stdout += f"frames={len(per_frame)} abs_rel={mean_abs:.6e} delta_125={mean_d:.6f}\n"
+    return "\n".join(lines) + "\n", stdout
+
+
+@pytest.mark.parametrize("mode", ["seq-scale", "metric"])
+def test_streamed_depth_eval_matches_the_in_memory_oracle(tmp_path, capsys, mode):
+    _write_special_depth_dirs(tmp_path, frames=7)
+    csv, stdout = _depth_eval_oracle(tmp_path / "pred", tmp_path / "gt", mode)
+    capsys.readouterr()
+    assert main(["depth-eval", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+                 "--out", str(tmp_path / "d"), "--mode", mode]) == 0
+    assert (tmp_path / "d" / "depth_eval.csv").read_text() == csv
+    assert capsys.readouterr() == (stdout, "")
+    # A frame with no valid pixel fails the run as it always did: exit 1, no output.
+    (tmp_path / "gt" / "003.pfm").write_bytes(write_pfm(np.full((6, 7), -1.0)))
+    assert main(["depth-eval", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+                 "--out", str(tmp_path / "e"), "--mode", mode]) == 1
+    assert capsys.readouterr() == (
+        "", "error: no valid pixels shared by prediction and reference\n")
+    assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize("mode, bound", [("seq-scale", 2.0), ("metric", 0.5)])
+def test_depth_eval_holds_one_map_pair_at_a_time(tmp_path, mode, bound):
+    frames, height, width = 30, 64, 80
+    _write_special_depth_dirs(tmp_path, frames, shape=(height, width), invalid=0.01)
+    sequence_bytes = 2 * frames * height * width * 8
+    argv = ["depth-eval", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+            "--out", str(tmp_path / "d"), "--mode", mode]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < bound * sequence_bytes
+
+
+@pytest.mark.parametrize("mode", ["seq-scale", "metric"])
+def test_depth_eval_malformed_last_reference_is_a_usage_error(tmp_path, capsys, mode):
+    _write_depth_dir(tmp_path / "gt", frames=3)
+    _write_depth_dir(tmp_path / "pred", frames=3)
+    # Every file is parsed before any metric: the first frame, which no metric
+    # could score, does not hide the malformed file after it.
+    (tmp_path / "gt" / "000.pfm").write_bytes(write_pfm(np.full((4, 5), -1.0)))
+    last = tmp_path / "gt" / "002.pfm"
+    last.write_bytes(last.read_bytes()[:-4])
+    capsys.readouterr()
+    assert main(["depth-eval", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+                 "--out", str(tmp_path / "d"), "--mode", mode]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: PFM payload holds 76 bytes, header implies 80\n"
+    assert not (tmp_path / "d").exists()
 
 
 def test_depth_eval_non_finite_pfm_scale_is_a_usage_error(tmp_path, capsys):

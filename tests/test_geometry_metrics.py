@@ -562,6 +562,54 @@ def test_sequence_scale_pools_pixels_before_the_median():
     assert scale == pytest.approx(0.5, abs=1e-15)
 
 
+@st.composite
+def _depth_sequence(draw):
+    """(preds, gts): maps of one shape, some holding only float32 values, some not,
+    with zero, negative, NaN and infinite pixels mixed in."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    frames = draw(st.integers(1, 6))
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    rng = np.random.default_rng(seed)
+    specials = np.array([0.0, -1.0, np.nan, np.inf, -np.inf])
+    maps = []
+    for _ in range(2 * frames):
+        m = rng.lognormal(0.0, 2.0, shape)
+        if rng.random() < 0.5:
+            m = m.astype(np.float32).astype(np.float64)
+        hit = rng.random(shape) < rng.choice([0.0, 0.3, 1.0])
+        m[hit] = rng.choice(specials, size=int(hit.sum()))
+        maps.append(m)
+    return maps[:frames], maps[frames:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_depth_sequence())
+def test_sequence_scale_streams_generators_with_the_float64_pool_bits(maps):
+    preds, gts = maps
+    masks = [np.isfinite(p) & (p > 0) & np.isfinite(g) & (g > 0) for p, g in zip(preds, gts)]
+    if not any(m.any() for m in masks):
+        with pytest.raises(ValueError, match="no valid pixels in the whole sequence"):
+            sequence_depth_scale(iter(preds), iter(gts))
+        return
+    pooled_p = np.concatenate([p[m] for p, m in zip(preds, masks)])
+    pooled_g = np.concatenate([g[m] for g, m in zip(gts, masks)])
+    expected = float(np.median(pooled_g) / np.median(pooled_p))
+    got = sequence_depth_scale((p for p in preds), (g for g in gts))
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+    assert sequence_depth_scale(preds, gts) == got
+
+
+def test_sequence_scale_counts_the_frames_of_iterables():
+    a = np.ones((2, 3))
+    for preds, gts, counts in [([a, a, a, a], [a, a], "4 and 2"), ([a], [a, a, a], "1 and 3"),
+                               ([], [], "0 and 0")]:
+        for p, g in [(preds, gts), (iter(preds), iter(gts))]:
+            with pytest.raises(ValueError, match=f"need matching non-empty map lists, got {counts}"):
+                sequence_depth_scale(p, g)
+    with pytest.raises(ValueError, match="no valid pixels in the whole sequence"):
+        sequence_depth_scale(iter([a, -a]), iter([-a, a]))
+
+
 def _depth_calls(bad, good):
     """Every depth-map entry point, given `bad` in one slot and `good` elsewhere."""
     return [lambda: depth_metrics(bad, good), lambda: depth_metrics(good, bad),

@@ -2,9 +2,11 @@
 
 import struct
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ttt_lab.geometry_metrics import PointCloud, Trajectory
 from ttt_lab.io_formats import (
@@ -100,11 +102,57 @@ def test_tum_parser_reports_non_finite_fields_by_line(text, line, message):
     # a repeated timestamp on line 2 before a non-numeric line 4
     ("0.5 0 0 0 0 0 0 1\n0.5 0 0 0 0 0 0 1\n\nx 0 0 0 0 0 0 1\n", 2, "strictly increase"),
     ("0.5 0 0 0 0 0 0 1\n0.6 0 0 0 0 0 0 1\n\nx 0 0 0 0 0 0 1\n", 4, "non-numeric"),
+    # a '#' after data is not a comment, and a ninth field is not ignored
+    ("0.0 0 0 0 0 0 0 1\n0.1 0 0 0 0 0 0 1 # note\n", 2, "expected 8 fields .*, got 10"),
+    ("0.0 0 0 0 0 0 0 1#note\n", 1, "non-numeric field in '0.0 0 0 0 0 0 0 1#note'"),
+    ("0.0 0 0 0 0 0 0 1 9\n0.1 0 0 0 0 0 0 1 9\n", 1, "expected 8 fields .*, got 9"),
+    # a finite quaternion whose squared norm overflows
+    ("0.0 0 0 0 0 0 0 1\n0.1 0 0 0 0 0 0 2.5e+300\n", 2, "quaternion norm inf deviates"),
 ])
 def test_tum_parser_reports_the_first_offending_line(text, line, message):
     with pytest.raises(ParseError, match=message) as exc:
         parse_tum(text)
     assert exc.value.line == line
+
+
+# Numbers float() reads, repeated so that whole poses come up often, then
+# tokens that are not numbers to np.loadtxt, to float() or to either.
+_TUM_TOKENS = 3 * ["0", "-0.0", "1e-320", "+1.5", ".5", "5.", "2.5e+300"] + [
+    "1e400", "nan", "-inf", "1_0", "0x10", "1d5", "#1", "1#", "x"]
+
+
+_tum_rows = st.lists(st.one_of(
+    st.lists(st.sampled_from(_TUM_TOKENS), min_size=3, max_size=3).map(lambda t: ("pose", t)),
+    st.lists(st.sampled_from(_TUM_TOKENS), min_size=7, max_size=9).map(lambda t: ("raw", t)),
+    st.sampled_from(["", "  ", "# comment", "  #x 1 2"]).map(lambda t: ("text", t)),
+), min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tum_rows, st.sampled_from([" ", "\t", "  ", "\u3000", "\xa0"]))
+def test_tum_parser_matches_its_line_scan(rows, sep):
+    """The np.loadtxt pass gives what the line-by-line scan alone gives: the
+    same bits, or the same error on the same line."""
+    lines = []
+    for k, (kind, row) in enumerate(rows):
+        if kind == "pose":   # a unit quaternion and a rising timestamp around the tokens
+            row = [repr(0.25 * k)] + row + ["0", "0", "0", "1"]
+        lines.append(row if kind == "text" else sep.join(row))
+    text = "\n".join(lines)
+
+    def outcome():
+        try:
+            traj = parse_tum(text)
+        except ParseError as exc:
+            return str(exc), exc.line
+        return traj.timestamps.tobytes(), traj.quats.tobytes(), traj.translations.tobytes()
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = outcome()
+        with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+            scanned = outcome()
+    assert fast == scanned
 
 
 def test_tum_parser_rejects_non_numeric_fields():
