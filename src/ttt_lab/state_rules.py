@@ -544,14 +544,23 @@ def read_token_state(s, query, p: ProjectionSet, scale=None) -> np.ndarray:
     return softmax_rows(q @ k_s.T, _resolve_scale(scale, p.c)) @ v_s
 
 
+# Queries per column block of a fast-weight read.  Each block is one
+# c_k x 64 S @ Q_b^T GEMM, zero-padded if short, so the state is streamed
+# once per block instead of once per query, and a row's bits depend on
+# neither the batch size nor its place in the block.  (With Q_b @ S^T
+# they do depend on that place.)
+_READ_BLOCK = 64
+
+
 def read_fast_weight(s, queries) -> np.ndarray:
     """Linear readouts S q of a c_v x c_k fast-weight state: m x c_k rows in, m x c_v out.
 
-    m >= 1, and a 1-D query gives one c_v vector.  Each row is one
-    matrix-vector product with the bits of S @ q (one GEMM over the
-    batch would not keep them).  A non-finite entry in S or q reaches
-    S q (inf * 0 and nan * 0 are nan), so the result is checked
-    instead of scanning the whole state on every read.
+    m >= 1, and a 1-D query gives one c_v vector.  The queries are read
+    in zero-padded column blocks of 64, one S @ Q_b^T GEMM per block, so
+    a row has the same bits alone or in any batch, and lies within
+    c_k * 2^-52 * (|S| |q|) of S @ q elementwise.  A non-finite entry in
+    S or q reaches S q (inf * 0 and nan * 0 are nan), so the result is
+    checked instead of scanning the whole state on every read.
     """
     s = _state(s, "fast-weight state", finite=False)
     queries = np.asarray(queries, dtype=np.float64)
@@ -559,9 +568,17 @@ def read_fast_weight(s, queries) -> np.ndarray:
     if queries.ndim not in (1, 2) or queries.shape[-1] != c_k or queries.size == 0:
         raise ValueError(f"query must have shape ({c_k},) or (m, {c_k}) with m >= 1, "
                          f"got {queries.shape}")
+    rows = queries.reshape(-1, c_k)
+    out = np.empty((rows.shape[0], s.shape[0]))
+    block = np.zeros((c_k, _READ_BLOCK))
     with np.errstate(invalid="ignore", over="ignore"):
-        out = np.matmul(s, queries[..., None])[..., 0]
+        for lo in range(0, rows.shape[0], _READ_BLOCK):
+            part = rows[lo:lo + _READ_BLOCK]
+            n = part.shape[0]
+            block[:, :n] = part.T
+            block[:, n:] = 0.0
+            out[lo:lo + n] = (s @ block)[:, :n].T
     if not np.isfinite(out).all():
         raise ValueError("S q is not finite: the state or the query holds non-finite "
                          "entries, or the product overflows")
-    return out
+    return out if queries.ndim == 2 else out[0]

@@ -308,15 +308,21 @@ def test_reset_longer_than_stream_changes_nothing():
     np.testing.assert_array_equal(a.sq_errors, b.sq_errors)
 
 
-def test_reset_restores_the_seeded_initial_state():
-    # with P = count, the last window sees only the final pair, so the
-    # stream behaves like a fresh one-pair stream for that pair
-    task = gen_recall_task(4, DIMS16, "orthonormal", seed=7)
-    cfg = StreamConfig("delta", DIMS16, reset_period=3)
+@pytest.mark.parametrize("dims, count", [(DIMS16, 4), (StateDims(4, 16, 768, 771), 64)],
+                         ids=["dims16", "wide"])
+@pytest.mark.parametrize("rule", ["hebbian", "delta:1"])
+def test_reset_restores_the_seeded_initial_state(rule, dims, count):
+    # with P = count - 1, the last window sees only the final pair, so the
+    # stream behaves like a fresh one-pair stream for that pair.  The
+    # fast-weight read takes that pair's key at position count - 1 of a
+    # 64-query block, and the solo stream at position 0; at the wide dims,
+    # position 63 is one where a Q_b @ S^T block gives other bits.
+    task = gen_recall_task(count, dims, "orthonormal", seed=7)
+    cfg = StreamConfig(rule, dims, reset_period=count - 1)
     curve, _ = run_stream(task, cfg)
-    solo = RecallTask(task.keys[3:], task.values[3:])
-    solo_curve, _ = run_stream(solo, StreamConfig("delta", DIMS16))
-    assert curve.sq_errors[3] == solo_curve.sq_errors[0]
+    solo = RecallTask(task.keys[-1:], task.values[-1:])
+    solo_curve, _ = run_stream(solo, StreamConfig(rule, dims))
+    assert curve.sq_errors[-1] == solo_curve.sq_errors[0]
 
 
 def test_full_attention_reset_drops_cached_history():

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ttt_lab.state_rules import (
@@ -621,21 +621,88 @@ def test_read_fast_weight_checks_its_query():
             read_fast_weight(s, np.array([0.0, bad, 0.0, 0.0]))
 
 
+def test_read_fast_weight_finds_non_finite_readouts_through_padded_blocks():
+    # Queries are read in zero-padded blocks of 64, so a 65-row batch ends
+    # in a block with 63 zero columns.  The padding must neither hide a
+    # non-finite readout nor make one.
+    for bad in (np.nan, np.inf, -np.inf):
+        s = np.ones((3, 4))
+        s[1, 2] = bad
+        for q in (np.eye(4)[0], np.eye(4)[:1], np.tile(np.eye(4)[0], (65, 1))):
+            with pytest.raises(ValueError, match="S q is not finite"):
+                read_fast_weight(s, q)   # bad * 0 is nan
+        q = np.ones((65, 4))
+        q[64, 1] = bad                   # the last block's only real row
+        with pytest.raises(ValueError, match="S q is not finite"):
+            read_fast_weight(np.ones((3, 4)), q)
+    q = np.zeros((65, 4))
+    q[30, 0] = 1e300
+    with pytest.raises(ValueError, match="S q is not finite"):
+        read_fast_weight(np.full((3, 4), 1e300), q)   # 1e300 * 1e300 overflows
+    s = np.full((3, 4), 1e300)
+    for m in (1, 63, 64, 65, 129):
+        out = read_fast_weight(s, np.full((m, 4), 1e-300))
+        assert out.shape == (m, 3) and np.all(out == 4.0)
+
+
+def _assert_near_s_q(s, queries, out):
+    """Each row lies within c_k 2^-52 (|Q| |S|^T) of the per-row gemv S @ q.
+
+    Both the read and S @ q are float64 dot products of length c_k, each within
+    c_k 2^-53 (|q| . |s_i|) of the exact value, so the bound is that
+    standard dot-product error bound taken once for each side.
+    """
+    oracle = np.array([s @ q for q in queries])
+    bound = s.shape[1] * 2.0 ** -52 * (np.abs(queries) @ np.abs(s).T)
+    assert np.all(np.abs(out - oracle) <= bound)
+
+
 @pytest.mark.parametrize("c_v, c_k", [(1, 1), (3, 4), (7, 5), (16, 16), (64, 64),
-                                      (33, 100), (768, 768)])
+                                      (33, 100), (768, 768), (771, 768), (103, 100)])
 def test_batched_read_gives_each_row_the_bits_of_s_q(c_v, c_k):
+    # A row read in any batch has the bits of its own read, alone, and is
+    # within the dot-product error bound of S @ q.  (771, 768) and
+    # (103, 100) are shapes where, with OpenBLAS, a Q_b @ S^T block gives
+    # some rows bits that depend on their place in the block.
     rng = np.random.default_rng(c_v * 1000 + c_k)
     s = rng.standard_normal((c_v, c_k))
-    queries = rng.standard_normal((19, c_k))
-    per_row = np.array([s @ q for q in queries])
+    queries = rng.standard_normal((130, c_k))
+    alone = np.array([read_fast_weight(s, q) for q in queries])
+    for i, q in enumerate(queries):
+        assert read_fast_weight(s, q[None]).tobytes() == alone[i].tobytes()
     for batch in (queries, np.asfortranarray(queries)):
         out = read_fast_weight(s, batch)
-        assert out.shape == (19, c_v)
-        assert out.tobytes() == per_row.tobytes()
-    # a row read alone (as a batch of one, or 1-D) has the bits it has in a batch
-    for i in (0, 7, 18):
-        assert read_fast_weight(s, queries[i:i + 1]).tobytes() == per_row[i].tobytes()
-        assert read_fast_weight(s, queries[i]).tobytes() == per_row[i].tobytes()
+        assert out.shape == (130, c_v)
+        assert out.tobytes() == alone.tobytes()
+        for k in (1, 63, 64, 65, 129):
+            assert read_fast_weight(s, batch[:k]).tobytes() == out[:k].tobytes()
+    _assert_near_s_q(s, queries, alone)
+
+
+_BLOCK_EDGES = (63, 64, 65, 128, 129)
+
+
+@settings(max_examples=40, deadline=None)
+@given(c_v=st.one_of(st.sampled_from(_BLOCK_EDGES), st.integers(1, 300)),
+       c_k=st.one_of(st.sampled_from(_BLOCK_EDGES), st.integers(1, 300)),
+       m=st.one_of(st.sampled_from(_BLOCK_EDGES), st.integers(1, 200)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(c_v=63, c_k=64, m=65, seed=0)
+@example(c_v=64, c_k=65, m=128, seed=1)
+@example(c_v=65, c_k=128, m=129, seed=2)
+@example(c_v=128, c_k=129, m=63, seed=3)
+@example(c_v=129, c_k=63, m=64, seed=4)
+def test_read_fast_weight_rows_keep_their_lone_bits_in_any_layout(c_v, c_k, m, seed):
+    rng = np.random.default_rng(seed)
+    s = rng.standard_normal((c_v, c_k))
+    base = rng.standard_normal((2 * m, 2 * c_k))
+    batches = (np.ascontiguousarray(base[:m, :c_k]), np.asfortranarray(base[:m, :c_k]),
+               base[::2, :c_k], base[:m, ::2])
+    for batch in batches:
+        out = read_fast_weight(s, batch)
+        for i in range(m):
+            assert out[i].tobytes() == read_fast_weight(s, batch[i]).tobytes()
+        _assert_near_s_q(s, batch, out)
 
 
 def test_delta_rejects_non_unit_key_and_bad_beta():
