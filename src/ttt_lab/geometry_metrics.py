@@ -469,6 +469,208 @@ def sequence_depth_scale(preds: Iterable, gts: Iterable) -> float:
     return float(_pooled_median(g_parts) / _pooled_median(p_parts))
 
 
+# Exact nearest neighbours on a uniform grid.  Sizes bound every temporary.
+_GRID_FILL = 2.0        # aimed-at reference points per occupied cell
+_GRID_CAP = 8           # at most this many cells per reference point
+_GRID_COARSEN = 2.0     # cell growth for queries a grid could not settle
+_GRID_PAIRS = 1 << 16   # candidate (or brute-force) distances held at once
+_GRID_CHUNK = 4096      # queries per chunk
+_GRID_SLACK = 1e-12     # relative margin on the search bound, far above rounding
+_GRID_MIN_CELL = 2.0 ** -500  # smaller cells would square into subnormals
+_COLUMNS = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])
+
+
+def _cell_size(ref: np.ndarray, lo: np.ndarray, span: np.ndarray) -> float:
+    """Grid cell edge for ref; inf puts every point in one cell.
+
+    It starts from the edge that gives one cell per point over the axes
+    whose span exceeds it, then rescales by the share of those cells
+    that are occupied, as for a sampled surface, towards _GRID_FILL
+    points per occupied cell, within _GRID_CAP cells a point.
+    """
+    n = len(ref)
+    axes = span > 0
+    h = math.inf
+    while axes.any():
+        h = math.exp((float(np.sum(np.log(span[axes]))) - math.log(n)) / int(axes.sum()))
+        if np.all(span[axes] >= h):
+            break
+        axes &= span >= h
+    if not _GRID_MIN_CELL < h < math.inf:
+        return math.inf
+    dims = np.floor(span / h) + 1
+    occupied = np.count_nonzero(np.bincount(_cell_ids(ref, lo, h, dims)))
+    h *= math.sqrt(_GRID_FILL * occupied / n)
+    while np.prod(np.floor(span / h) + 1) > _GRID_CAP * n:
+        h *= 1.25
+    return h if h > _GRID_MIN_CELL else math.inf
+
+
+def _cells(points: np.ndarray, lo: np.ndarray, h: float, dims: np.ndarray):
+    """Cell coordinates of points, unrounded and as clipped integers."""
+    t = (points - lo) / h
+    return t, np.clip(np.floor(t), 0, dims - 1).astype(np.int64)
+
+
+def _cell_ids(points: np.ndarray, lo: np.ndarray, h: float, dims: np.ndarray):
+    cell = _cells(points, lo, h, dims)[1]
+    return (cell[:, 0] * int(dims[1]) + cell[:, 1]) * int(dims[2]) + cell[:, 2]
+
+
+def _brute_nearest(ref: np.ndarray, qry: np.ndarray):
+    """Squared distance to and index of each query's nearest ref point, in blocks."""
+    d2 = np.full(len(qry), np.inf)
+    idx = np.zeros(len(qry), dtype=np.int64)
+    q_block = min(len(qry), 256)
+    r_block = max(1, _GRID_PAIRS // q_block)
+    for q0 in range(0, len(qry), q_block):
+        q = qry[q0:q0 + q_block, :, None]
+        best, arg = d2[q0:q0 + q_block], idx[q0:q0 + q_block]
+        for r0 in range(0, len(ref), r_block):
+            r = ref[r0:r0 + r_block].T
+            block = r[0] - q[:, 0]
+            block *= block
+            for axis in (1, 2):
+                d = r[axis] - q[:, axis]
+                d *= d
+                block += d
+            j = block.argmin(axis=1)
+            nearest = block[np.arange(len(j)), j]
+            closer = nearest < best        # strict: the lower index wins a tie
+            best[closer] = nearest[closer]
+            arg[closer] = j[closer] + r0
+    return d2, idx
+
+
+def _scan_runs(ref_xyz: list, perm: np.ndarray, q: list, first: np.ndarray,
+               count: np.ndarray):
+    """Each query's nearest squared distance over its runs of sorted ref points.
+
+    Row i of first and count gives the start and length of query i's
+    runs.  Returns the distances (inf for no candidate) and the lowest
+    original index among each query's ties.
+    """
+    per_query = count.sum(axis=1)
+    runs = count.ravel()
+    pos = np.repeat(first.ravel() - (np.cumsum(runs) - runs), runs)
+    pos += np.arange(len(pos))
+    pair_d2 = ref_xyz[0][pos] - np.repeat(q[0], per_query)
+    pair_d2 *= pair_d2
+    for axis in (1, 2):
+        d = ref_xyz[axis][pos] - np.repeat(q[axis], per_query)
+        d *= d
+        pair_d2 += d
+    ends = np.cumsum(per_query)
+    some = per_query > 0
+    best = np.full(len(per_query), np.inf)
+    best[some] = np.minimum.reduceat(pair_d2, (ends - per_query)[some])
+    hits = np.flatnonzero(pair_d2 == np.repeat(best, per_query))
+    arg = np.full(len(per_query), len(perm))
+    np.minimum.at(arg, np.searchsorted(ends, hits, "right"), perm[pos[hits]])
+    return best, arg
+
+
+def _grid_pass(ref: np.ndarray, qry: np.ndarray, lo: np.ndarray, span: np.ndarray,
+               h: float):
+    """One search on a grid of cells of edge h.
+
+    Returns each query's best squared distance and index over the
+    3x3x3 cells around its own, whether that match is settled (strictly
+    closer than any point outside those cells could be), and whether
+    its scan would pass _GRID_PAIRS distances and was skipped.
+    """
+    dims = np.floor(span / h) + 1
+    nx, ny, nz = (int(d) for d in dims)
+    ref_ids = _cell_ids(ref, lo, h, dims)
+    perm = np.argsort(ref_ids)
+    ref_xyz = [np.ascontiguousarray(ref[perm, axis]) for axis in range(3)]
+    starts = np.zeros(nx * ny * nz + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ref_ids, minlength=len(starts) - 1), out=starts[1:])
+    del ref_ids
+    order = np.argsort(_cell_ids(qry, lo, h, dims))
+    qry_xyz = [np.ascontiguousarray(qry[order, axis]) for axis in range(3)]
+    d2 = np.empty(len(qry))
+    idx = np.empty(len(qry), dtype=np.int64)
+    settled = np.empty(len(qry), dtype=bool)
+    over = np.empty(len(qry), dtype=bool)
+    for c0 in range(0, len(qry), _GRID_CHUNK):
+        sel = order[c0:c0 + _GRID_CHUNK]
+        q = [column[c0:c0 + _GRID_CHUNK] for column in qry_xyz]
+        t, cell = _cells(np.column_stack(q), lo, h, dims)
+        # The 9 runs: columns (x + i, y + j), z-cells z - 1 .. z + 1.
+        cx = cell[:, :1] + _COLUMNS[:, 0]
+        cy = cell[:, 1:2] + _COLUMNS[:, 1]
+        inside = (cx >= 0) & (cx < nx) & (cy >= 0) & (cy < ny)
+        base = (np.clip(cx, 0, nx - 1) * ny + np.clip(cy, 0, ny - 1)) * nz
+        first = starts[base + np.maximum(cell[:, 2:] - 1, 0)]
+        count = np.where(inside, starts[base + np.minimum(cell[:, 2:] + 1, nz - 1) + 1] - first, 0)
+        # No point outside the runs is closer than the gap to the block's
+        # faces, in cells; the slack covers the rounding of t and of distances.
+        low = np.where(cell >= 2, t - (cell - 1), np.inf)
+        high = np.where(cell + 2 <= dims - 1, (cell + 2) - t, np.inf)
+        gap = np.minimum(low, high) * (1 - _GRID_SLACK) - _GRID_SLACK * (2 * dims + 2)
+        bound = h * gap.min(axis=1) * (1 - _GRID_SLACK)
+        big = count.sum(axis=1) > _GRID_PAIRS
+        count[big] = 0
+        ends = np.cumsum(count.sum(axis=1))
+        best = np.empty(len(sel))
+        arg = np.empty(len(sel), dtype=np.int64)
+        i = 0
+        while i < len(sel):  # sub-chunks of at most _GRID_PAIRS distances
+            j = int(np.searchsorted(ends, (ends[i - 1] if i else 0) + _GRID_PAIRS, "right"))
+            best[i:j], arg[i:j] = _scan_runs(ref_xyz, perm, [c[i:j] for c in q],
+                                             first[i:j], count[i:j])
+            i = j
+        d2[sel], idx[sel], over[sel] = best, arg, big
+        # With one cell every scan was exhaustive.
+        settled[sel] = ((np.sqrt(best) < bound) | (nx * ny * nz == 1)) & ~big
+    return d2, idx, settled, over
+
+
+def _nearest(ref: np.ndarray, qry: np.ndarray):
+    """Squared distance to and index of each query's nearest ref point, exactly.
+
+    Squares are summed x, then y, then z, as cKDTree sums them, so the
+    square roots have its bits; a tie goes to the lowest index.  ref is
+    hashed into a grid; each query scans the 3x3x3 cells around its own
+    as 9 runs of z-cells and keeps its best match if that is strictly
+    closer than any point outside them could be.  The other queries
+    search again on grids of coarser cells, and those whose scan would
+    pass _GRID_PAIRS distances are brute-forced.  Coordinates must be
+    small enough that no squared distance overflows.
+    """
+    lo = ref.min(axis=0)
+    span = ref.max(axis=0) - lo
+    h = _cell_size(ref, lo, span)
+    d2 = np.empty(len(qry))
+    idx = np.empty(len(qry), dtype=np.int64)
+    todo, brute = np.arange(len(qry)), []
+    while len(todo):
+        best, arg, settled, over = _grid_pass(ref, qry[todo], lo, span, h)
+        d2[todo[settled]], idx[todo[settled]] = best[settled], arg[settled]
+        brute.append(todo[over])
+        todo = todo[~settled & ~over]
+        h *= _GRID_COARSEN
+    brute = np.concatenate(brute)
+    if len(brute):
+        d2[brute], idx[brute] = _brute_nearest(ref, qry[brute])
+    return d2, idx
+
+
+def _unoverflowed(a: np.ndarray, b: np.ndarray):
+    """Both clouds and the factor that undoes their scaling.
+
+    Below 2**510 in magnitude no coordinate difference, nor a sum of
+    three squared ones, overflows, and the clouds are returned as they
+    are.  Otherwise both are scaled by the one power of two that brings
+    them below it.
+    """
+    shift = math.frexp(max(np.abs(a).max(), np.abs(b).max()))[1] - 510
+    if shift <= 0:
+        return a, b, 1.0
+    return np.ldexp(a, -shift), np.ldexp(b, -shift), 2.0 ** shift
+
+
 def chamfer(a: PointCloud, b: PointCloud) -> ChamferResult:
     """Symmetric nearest-neighbour distance between two clouds.
 
@@ -478,15 +680,15 @@ def chamfer(a: PointCloud, b: PointCloud) -> ChamferResult:
     clouds carry normals, normal_consistency is the symmetric mean
     |n_i . n_match| over the same nearest-neighbour matches (1.0 means
     parallel normals, whatever their orientation); otherwise it is None.
+    A match tied in distance goes to the lowest index.  Clouds too large
+    to square are measured scaled by a power of two, so every distance
+    is finite unless it exceeds the largest float.
     """
-    # Imported here, not at module level: scipy.spatial (with the
-    # scipy.special it loads) takes about 0.4 s to import, which every
-    # CLI command would otherwise pay.
-    from scipy.spatial import cKDTree
-    d_ab, idx_ab = cKDTree(b.points).query(a.points)
-    d_ba, idx_ba = cKDTree(a.points).query(b.points)
-    acc = float(np.mean(d_ab))
-    comp = float(np.mean(d_ba))
+    pa, pb, scale = _unoverflowed(a.points, b.points)
+    d2_ab, idx_ab = _nearest(pb, pa)
+    d2_ba, idx_ba = _nearest(pa, pb)
+    acc = float(np.mean(np.sqrt(d2_ab))) * scale
+    comp = float(np.mean(np.sqrt(d2_ba))) * scale
     consistency = None
     if a.normals is not None and b.normals is not None:
         ab = float(np.mean(np.abs(np.sum(a.normals * b.normals[idx_ab], axis=1))))

@@ -492,6 +492,16 @@ def test_importing_the_cli_loads_no_scipy():
     assert _scipy_modules_after("import ttt_lab.cli") == "[]"
 
 
+def test_chamfer_loads_no_scipy(tmp_path):
+    # The nearest-neighbour search is numpy's grid, not scipy's KD-tree.
+    a, b = tmp_path / "a.ply", tmp_path / "b.ply"
+    _write_cloud(a, seed=0)
+    _write_cloud(b, seed=1)
+    argv = ["chamfer", "--a", str(a), "--b", str(b), "--out", str(tmp_path / "c")]
+    code = f"import ttt_lab.cli\nassert ttt_lab.cli.main({argv!r}) == 0"
+    assert _scipy_modules_after(code) == "[]"
+
+
 def test_fast_weight_recall_loads_no_scipy(tmp_path):
     # The batched delta kernel solves with numpy alone.
     argv = ["recall", "--out", str(tmp_path / "r"), "--rules", "hebbian,delta,delta:input",
@@ -700,6 +710,31 @@ def test_chamfer_rejects_a_non_finite_normal(tmp_path, capsys, bad):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not (tmp_path / "c" / "chamfer.csv").exists()
+
+
+@pytest.mark.parametrize("normals", [False, True], ids=["points", "normals"])
+def test_chamfer_of_clouds_too_large_to_square(tmp_path, normals):
+    # |1e200 - (-1e200)|^2 overflows; the distance 2e200 does not.
+    properties = "property double x\nproperty double y\nproperty double z\n"
+    if normals:
+        properties += "property double nx\nproperty double ny\nproperty double nz\n"
+    for name, x in (("a.ply", "1e200"), ("b.ply", "-1e200")):
+        row = f"{x} 0 0" + (" 0 0 1" if normals else "")
+        (tmp_path / name).write_text("ply\nformat ascii 1.0\nelement vertex 1\n"
+                                     f"{properties}end_header\n{row}\n")
+    import ttt_lab
+    src = os.path.dirname(os.path.dirname(ttt_lab.__file__))
+    result = subprocess.run(
+        [sys.executable, "-m", "ttt_lab.cli", "chamfer", "--a", str(tmp_path / "a.ply"),
+         "--b", str(tmp_path / "b.ply"), "--out", str(tmp_path / "c")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    expected = ["accuracy=2.000000e+200", "completeness=2.000000e+200",
+                "chamfer=2.000000e+200"]
+    if normals:
+        expected.append("normal_consistency=1.000000e+00")
+    assert result.stdout.splitlines() == expected
+    assert "RuntimeWarning" not in result.stderr
 
 
 # ---------------------------------------------------------------------------

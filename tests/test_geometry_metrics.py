@@ -3,13 +3,16 @@
 Rotation conversions are cross-checked against scipy's Rotation class,
 the alignment solver against synthetically transformed point sets, RPE
 against a hand-derived closed form, and chamfer against an O(N^2)
-brute-force oracle.  Association and normal consistency are checked
-against the per-candidate loop and the two-tree computation they
-replaced.
+brute-force oracle.  The grid nearest-neighbour search is checked bit
+for bit against a brute-force oracle and against scipy's cKDTree, which
+serves only as a test oracle.  Association and normal consistency are
+checked against the per-candidate loop and the two-tree computation
+they replaced.
 """
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
+from ttt_lab import geometry_metrics
 from ttt_lab.geometry_metrics import (
     ChamferResult,
     DegenerateGeometryError,
@@ -743,6 +747,74 @@ def test_chamfer_normal_consistency_equals_the_two_tree_computation():
         assert result.normal_consistency == 0.5 * (ab + ba)
         assert normal_consistency(a, b) == result.normal_consistency
         assert result[:3] == chamfer(PointCloud(a.points), PointCloud(b.points))[:3]
+
+
+def _oracle_nearest(ref, qry):
+    """Brute force: squares summed x, then y, then z; the first minimum wins."""
+    diff = ref[None, :, :] - qry[:, None, :]
+    d2 = diff[..., 0] * diff[..., 0]
+    d2 = d2 + diff[..., 1] * diff[..., 1]
+    d2 = d2 + diff[..., 2] * diff[..., 2]
+    idx = d2.argmin(axis=1)
+    return d2[np.arange(len(qry)), idx], idx
+
+
+_coord = st.one_of(st.integers(-3, 3).map(float),
+                   st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False))
+_rows = st.lists(st.tuples(_coord, _coord, _coord), min_size=1, max_size=30).map(
+    lambda rows: np.array(rows, dtype=np.float64))
+_SHAPES = {
+    "free": lambda p: p,
+    "one point": lambda p: p[:1],
+    "duplicates": lambda p: np.repeat(p[:1], len(p), axis=0),
+    "collinear": lambda p: np.column_stack([p[:, 0], np.broadcast_to(p[0, 1:], (len(p), 2))]),
+    "coplanar": lambda p: np.column_stack([p[:, :2], np.full(len(p), p[0, 2])]),
+    # Two clusters 1e-8 wide, 100 apart: the cell cap binds.
+    "far clusters": lambda p: 1e-9 * p + 100.0 * (np.arange(len(p)) % 2)[:, None],
+}
+
+
+@settings(max_examples=250, deadline=None)
+@given(_rows, _rows, st.sampled_from(sorted(_SHAPES)), st.booleans(),
+       st.sampled_from([1.0, 1e-150, 1e150]), st.booleans())
+def test_grid_nearest_equals_the_brute_force_oracle(ref, qry, shape, far, scale, small_blocks):
+    ref = _SHAPES[shape](ref)
+    qry = np.vstack([qry + (1e3 if far else 0.0), ref])  # exact matches tie
+    ref, qry = scale * ref, scale * qry
+    # Small blocks push the search through its chunking and brute force.
+    budget = (5, 7) if small_blocks else (geometry_metrics._GRID_CHUNK,
+                                          geometry_metrics._GRID_PAIRS)
+    with mock.patch.multiple(geometry_metrics, _GRID_CHUNK=budget[0], _GRID_PAIRS=budget[1]):
+        d2, idx = geometry_metrics._nearest(ref, qry)
+    want_d2, want_idx = _oracle_nearest(ref, qry)
+    assert d2.tobytes() == want_d2.tobytes()
+    np.testing.assert_array_equal(idx, want_idx)
+
+
+def test_grid_nearest_has_the_bits_of_ckdtree_on_a_noisy_sphere():
+    # Built like the recon-eval clouds: two samples of the unit sphere,
+    # the second with radial noise.
+    rng = np.random.default_rng(18)
+    a = _unit_rows(rng, 20_000)
+    b = _unit_rows(rng, 20_000) * (1.0 + 0.001 * rng.standard_normal((20_000, 1)))
+    for ref, qry in ((a, b), (b, a)):
+        d2, idx = geometry_metrics._nearest(ref, qry)
+        want_d, want_idx = cKDTree(ref).query(qry)
+        assert np.sqrt(d2).tobytes() == want_d.tobytes()
+        np.testing.assert_array_equal(idx, want_idx)
+
+
+def test_chamfer_of_huge_clouds_is_the_scaled_chamfer():
+    # Beyond 2**510 both clouds are measured scaled by one power of two,
+    # which is exact, so every metric is the unscaled one times 2**600.
+    rng = np.random.default_rng(19)
+    a = PointCloud(rng.standard_normal((50, 3)), _unit_rows(rng, 50))
+    b = PointCloud(rng.standard_normal((70, 3)), _unit_rows(rng, 70))
+    small = chamfer(a, b)
+    huge = chamfer(PointCloud(np.ldexp(a.points, 600), a.normals),
+                   PointCloud(np.ldexp(b.points, 600), b.normals))
+    assert huge[:3] == tuple(x * 2.0 ** 600 for x in small[:3])
+    assert huge.normal_consistency == small.normal_consistency
 
 
 def test_chamfer_leaves_normal_consistency_empty_without_normals():
