@@ -21,8 +21,10 @@ the kernel.  The ttt3r gates can read the state, and the gate trace
 holds every frame's, so ttt3r steps every segment: segments with the
 same frame layout go through one stacked kernel call, frame by frame in
 lockstep.  Recall is then scored per position as the squared readout
-error, which plotted over positions gives a forgetting curve; the
-fast-weight rules read every stored key in one read_fast_weight call.
+error, which plotted over positions gives a forgetting curve.  Scoring
+is one loop over fixed blocks of stored keys: each rule reads a block,
+and the loop differences, squares and sums its rows in place, so a run
+holds the task, one state and one block.
 
 Scoring targets: fast-weight rules store the explicit (key, value)
 pair and are scored against the raw value.  Token and cache rules
@@ -132,9 +134,7 @@ class RecallTask:
             raise ValueError("task must contain at least one pair")
         _check_finite_rows(keys, "key")
         _check_finite_rows(values, "value")
-        norms = np.linalg.norm(keys, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ValueError("all keys must be unit-norm within 1e-9")
+        _check_unit_rows(keys, "key")
         positions = np.asarray(() if self.distractor_positions is None
                                else self.distractor_positions)
         if positions.ndim != 1 or (positions.size and positions.dtype.kind not in "iu"):
@@ -296,9 +296,12 @@ def _orthonormal_rows(count: int, dim: int, rng: np.random.Generator) -> np.ndar
     for _ in range(4):
         v = rng.standard_normal(dim)
         v /= np.linalg.norm(v)
-        # In place, with the exact factor 2 on v: the same bits as
-        # basis - 2 (basis v) v^T without two dim x dim temporaries.
-        basis -= np.outer(basis @ v, 2.0 * v)
+        # In place, 64 rows at a time, with the exact factor 2 on v: the
+        # same bits as basis - 2 (basis v) v^T without a dim x dim
+        # temporary.
+        projected, v = basis @ v, 2.0 * v
+        for lo in range(0, dim, 64):
+            basis[lo:lo + 64] -= np.outer(projected[lo:lo + 64], v)
     return basis[:count]
 
 
@@ -441,7 +444,8 @@ class _RuleEntry(NamedTuple):
     after the last segment; betas are the gates of every frame, frame
     after frame, and counts the number of gates of each frame (both
     empty for ungated rules).
-    read(state, task, proj, scale): per-pair squared recall errors.
+    read(state, keys, proj, scale): the rows recalled for a block of
+    stored keys, as a new array that the scoring loop overwrites.
     """
 
     default_gate: Optional[str]
@@ -462,6 +466,12 @@ def _init_fast_weights(dims: StateDims, seed: int) -> np.ndarray:
 
 
 _NO_GATES = (np.empty(0), np.empty(0, dtype=np.int64))
+
+# Stored keys are scored in blocks of a multiple of 64 rows (64 at least,
+# like a fast-weight read's query block) whose query rows, logits over
+# the state's rows and recalled rows stay within this many bytes.
+# Without blocks, a read at width 4096 holds count x 4096 arrays.
+_SCORE_BYTES = 1 << 20
 
 # Stacked states of one lockstep ttt3r call stay within this many bytes
 # (one state at least).  Without a cap, width 768 with a reset every
@@ -538,22 +548,22 @@ def _ingest_ttt3r(state, keys, values, offsets, starts, mode, dims, proj, scale)
     return last, betas.ravel(), np.full(len(betas), dims.n)
 
 
-def _read_cache(state, task, proj, scale):
-    queries = QUERY_SATURATION * task.keys
-    # In place on the fresh reads: at width 4096 each temporary is 134 MB.
+def _read_cache(state, keys, proj, scale):
+    # The residual read adds the saturated queries to the attended values;
+    # they are taken off again in place, so the block's one query array
+    # and one read are all it holds.
+    queries = QUERY_SATURATION * keys
     reads = read_full_attention(state, queries, proj, scale)
     reads -= queries
-    reads -= proj.project_v(task.keys)
-    return np.sum(np.square(reads, out=reads), axis=1)
+    return reads
 
 
-def _read_tokens(state, task, proj, scale):
-    reads = read_token_state(state, task.keys, proj, scale)
-    return np.sum((reads - proj.project_v(task.keys)) ** 2, axis=1)
+def _read_tokens(state, keys, proj, scale):
+    return read_token_state(state, keys, proj, scale)
 
 
-def _read_fast_weights(state, task, proj, scale):
-    return np.sum((read_fast_weight(state, task.keys) - task.values) ** 2, axis=1)
+def _read_fast_weights(state, keys, proj, scale):
+    return read_fast_weight(state, keys)
 
 
 _RULES = {
@@ -631,7 +641,16 @@ def run_stream(task: RecallTask, config: StreamConfig):
     starts = np.arange(0, n_frames, config.reset_period or n_frames)
     state, betas, counts = entry.ingest(entry.init(dims, config.seed), keys, values, offsets,
                                         starts, mode, dims, proj, config.softmax_scale)
-    errors = entry.read(state, task, proj, config.softmax_scale)
+    # Each block's recalled rows are differenced from their targets,
+    # squared and summed in place.
+    row_bytes = 8 * (state.shape[0] + dims.c_k + dims.c_v)
+    rows = 64 * max(1, _SCORE_BYTES // (64 * row_bytes))
+    errors = np.empty(task.count)
+    for lo in range(0, task.count, rows):
+        block = slice(lo, lo + rows)
+        recalled = entry.read(state, task.keys[block], proj, config.softmax_scale)
+        recalled -= proj.project_v(task.keys[block]) if entry.tokens else task.values[block]
+        np.sum(np.square(recalled, out=recalled), axis=1, out=errors[block])
     curve = ForgettingCurve(config.rule, positions, errors, n_frames)
     return curve, GateTrace(config.rule, betas, np.concatenate(([0], np.cumsum(counts))))
 

@@ -183,10 +183,13 @@ class ProjectionSet:
         # entry), so the gate map is the one seeded() draws.
         rng.bit_generator.advance(3 * c * c)
         gate_map = _frozen(rng.uniform(-1.0 / math.sqrt(c), 1.0 / math.sqrt(c), c))
-        eye = np.eye(c)
-        eye.setflags(write=False)
-        # Built without __post_init__: one shared read-only identity, and
-        # no c x c validation scans or copies of it.
+        # np.eye(c)'s values as a read-only O(c) view: row i of the
+        # windows over a 2c - 1 buffer, read from the last, is one at i.
+        ones = np.zeros(2 * c - 1)
+        ones[c - 1] = 1.0
+        eye = np.lib.stride_tricks.sliding_window_view(ones, c)[::-1]
+        # Built without __post_init__: one shared identity, and no c x c
+        # validation scans or copies of it.
         out = object.__new__(cls)
         for name, value in (("w_q", eye), ("w_k", eye), ("w_v", eye), ("gate_map", gate_map),
                             ("_identity", True)):
@@ -281,13 +284,19 @@ def _token_segment(tokens, c: int, offsets=None, stacked: bool = False):
     return arr, off
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    # Softmax along the last axis of logits that are already scaled; after
-    # the shift it works in place on its own copy.
-    w = z - z.max(axis=-1, keepdims=True)
-    np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
-    return w
+def _softmax(z: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    # Softmax of scale * z along the last axis, in place: z holds finite
+    # logits that the caller owns and no longer reads.  Scaling by 1.0 is
+    # exact, so it is skipped (a full pass at width 4096).
+    if scale != 1.0:
+        with np.errstate(over="ignore"):
+            z *= scale
+        if not np.isfinite(z).all():
+            raise ValueError(f"scale {scale!r} overflows the scaled logits")
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def softmax_rows(logits, scale=1.0) -> np.ndarray:
@@ -305,14 +314,7 @@ def softmax_rows(logits, scale=1.0) -> np.ndarray:
     scale = float(scale)
     if not (scale > 0.0) or not math.isfinite(scale):
         raise ValueError(f"scale must be positive and finite, got {scale}")
-    # Scaling by 1.0 is exact, so it is skipped (a full pass at width 4096).
-    if scale == 1.0:
-        return _softmax(arr)
-    with np.errstate(over="ignore"):
-        scaled = scale * arr
-    if not np.all(np.isfinite(scaled)):
-        raise ValueError(f"scale {scale!r} overflows the scaled logits")
-    return _softmax(scaled)
+    return _softmax(arr.copy(), scale)
 
 
 def update_full_attention(cache, tokens, p: ProjectionSet) -> np.ndarray:
@@ -392,6 +394,11 @@ def _check_unit_rows(keys: np.ndarray, name: str) -> None:
 # once per chunk instead of once per pair.
 _DELTA_CHUNK = 64
 
+# A chunk's U^T K is added to the state in blocks of state rows, a multiple
+# of 64 rows (64 at least) whose product stays within this many bytes: at
+# width 768 that is 64 rows, where one product would be a 4.7 MB temporary.
+_UPDATE_BYTES = 1 << 19
+
 
 def delta_rule_update(s, keys, values, beta) -> np.ndarray:
     """Delta-rule steps S' = S - beta_i (S k_i - v_i) k_i^T, one per row in order.
@@ -418,12 +425,21 @@ def delta_rule_update(s, keys, values, beta) -> np.ndarray:
     if bad.size:
         raise ValueError(f"beta row {bad[0]} must lie in (0, 1], got {betas[bad[0]]}")
     out = s.copy()
+    c_v, c_k = out.shape
+    rows = 64 * max(1, _UPDATE_BYTES // (64 * 8 * c_k))
     for lo in range(0, n, _DELTA_CHUNK):
         k = keys[lo:lo + _DELTA_CHUNK]
         b = betas[lo:lo + _DELTA_CHUNK, None]
         system = np.eye(k.shape[0]) + b * np.tril(k @ k.T, -1)
         u = np.linalg.solve(system, b * (values[lo:lo + _DELTA_CHUNK] - (out @ k.T).T))
-        out += u.T @ k
+        # One GEMM per block of rows.  Every block has the same number of
+        # rows (or all c_v): a short last block is taken from the end,
+        # overlapping the one before, and only its new rows are added.
+        # numpy computes a one-row product as a matrix-vector product,
+        # with other bits.
+        for r in range(0, c_v, rows):
+            first = max(0, min(r, c_v - rows))
+            out[r:r + rows] += (u[:, first:r + rows].T @ k)[r - first:]
     return out
 
 
@@ -433,7 +449,11 @@ def hebbian_update(s, keys, values) -> np.ndarray:
     A 1-D key and value are a batch of one, S' = S + v k^T.
     """
     s, keys, values = _pair_rows(s, keys, values)
-    return s + values.T @ keys
+    # S is added into the product, not the product into a copy of S: one
+    # c_v x c_k array instead of two, and addition is commutative.
+    out = values.T @ keys
+    out += s
+    return out
 
 
 def _sigmoid_open(z) -> np.ndarray:
@@ -538,10 +558,11 @@ def read_token_state(s, query, p: ProjectionSet, scale=None) -> np.ndarray:
     """Attend queries over the n x c state: softmax(Q W_q (S W_k)^T) (S W_v)."""
     s = _state(s, "state", p.c)
     query, _ = _token_segment(query, p.c)
-    q = p.project_q(query)
-    k_s = p.project_k(s)
-    v_s = p.project_v(s)
-    return softmax_rows(q @ k_s.T, _resolve_scale(scale, p.c)) @ v_s
+    logits = p.project_q(query) @ p.project_k(s).T
+    # Finite inputs can still overflow in the product.
+    if not np.isfinite(logits).all():
+        raise ValueError("logits contains non-finite entries")
+    return _softmax(logits, _resolve_scale(scale, p.c)) @ p.project_v(s)
 
 
 # Queries per column block of a fast-weight read.  Each block is one

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,8 +92,13 @@ def test_task_generation_is_pure_in_the_seed():
 
 
 def test_task_validation():
-    with pytest.raises(ValueError):
-        RecallTask(np.ones((2, 4)), np.ones((2, 4)))  # keys not unit
+    with pytest.raises(ValueError,
+                       match=r"^key row 0 must be unit-norm within 1e-9, got norm 2\.0$"):
+        RecallTask(np.ones((2, 4)), np.ones((2, 4)))
+    keys = np.eye(4)[:3]
+    keys[2] *= 1.0 + 1e-8
+    with pytest.raises(ValueError, match=r"^key row 2 must be unit-norm within 1e-9"):
+        RecallTask(keys, np.ones((3, 4)))
     with pytest.raises(ValueError):
         gen_recall_task(0, DIMS16)
     with pytest.raises(ValueError):
@@ -602,6 +608,71 @@ def test_delta_checks_every_stream_key_for_unit_norm():
                                                  r"within 1e-9, got norm 2\.0$"):
                 run_stream(bad, StreamConfig(spec, DIMS16, reset_period=4))
         run_stream(bad, StreamConfig("hebbian", DIMS16, reset_period=4))
+
+
+# ---------------------------------------------------------------------------
+# scoring in blocks of stored keys
+
+_RULE_NAMES = ("full", "vanilla", "hebbian", "delta", "ttt3r")
+
+
+@pytest.mark.parametrize("dims, key_mode, count, period, exact", [
+    (StateDims(4, 64, 64, 64), "random_unit", 1473, 64, ("full", "hebbian", "delta")),
+    (StateDims(4, 768, 768, 768), "orthonormal", 129, None, ("full", "hebbian", "delta")),
+    (StateDims(3, 130, 130, 65), "random_unit", 1025, 7, ("hebbian", "delta")),
+], ids=["recall-long", "recall-wide", "cache-moves"])
+def test_blocked_scoring_against_the_whole_batch_read(monkeypatch, dims, key_mode, count,
+                                                       period, exact):
+    # The benchmark's two recall shapes at reduced counts, and a shape
+    # where the cache rows move, scored in 64-row blocks, in the stock
+    # blocks and in one block of every key (the whole-batch read).  Each
+    # count is one past a multiple of 64, so the last 64-row block is one
+    # key, which numpy reads by matrix-vector products.  A fast-weight
+    # read gives a row its bits in any batch.  OpenBLAS rounds the token
+    # and cache reads' products by the block's row count; the cache read
+    # keeps its bits at the benchmark's shapes only.
+    task = gen_recall_task(count, dims, key_mode, seed=0)
+    for rule in _RULE_NAMES:
+        runs = []
+        for budget in (1, recall_bench._SCORE_BYTES, 1 << 40):
+            monkeypatch.setattr(recall_bench, "_SCORE_BYTES", budget)
+            runs.append(run_stream(task, StreamConfig(rule, dims, reset_period=period))[0])
+        whole = runs[-1].sq_errors
+        for curve in runs[:-1]:
+            if rule in exact:
+                assert curve.sq_errors.tobytes() == whole.tobytes()
+            else:
+                # Each logit is a length-c dot product, and two orders of
+                # one agree within c 2^-53 of its absolute terms each way;
+                # errors near 0 get the 1e-12 of the per-frame oracle.
+                np.testing.assert_allclose(curve.sq_errors, whole, rtol=dims.c * 2.0 ** -52,
+                                           atol=1e-12)
+
+
+@pytest.mark.parametrize("rule", _RULE_NAMES)
+def test_run_stream_holds_the_task_one_state_and_one_block(rule):
+    # Above the live task, run_stream holds a few states and one block of
+    # the scoring loop, so from 512 to 4096 stored pairs its peak grows by
+    # less than one block.  Whole-batch reads held count x c arrays: 4 MB
+    # each at 4096 pairs.
+    dims = StateDims(4, 128, 128, 128)
+    state_rows = {"full": 256, "vanilla": 4, "ttt3r": 4}.get(rule, 128)
+    state_bytes = 8 * state_rows * 128
+    block_bytes = recall_bench._SCORE_BYTES   # 64 rows are below it at these dims
+    cfg = StreamConfig(rule, dims, reset_period=256)
+    # The first run in a process imports numpy modules lazily.
+    run_stream(gen_recall_task(8, dims, "random_unit", seed=0), cfg)
+    peaks = {}
+    for count in (512, 4096):
+        task = gen_recall_task(count, dims, "random_unit", seed=0)
+        tracemalloc.start()
+        try:
+            run_stream(task, cfg)
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[4096] < 4 * state_bytes + 2 * block_bytes
+    assert peaks[4096] - peaks[512] < block_bytes
 
 
 # ---------------------------------------------------------------------------

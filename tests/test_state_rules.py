@@ -7,6 +7,7 @@ evaluated offline in 50-digit arithmetic.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -140,6 +141,34 @@ def test_projection_identity_uses_unit_maps_and_seeded_gate():
     assert p.gate_map.shape == (5,)
     assert np.any(p.gate_map != 0)
     np.testing.assert_array_equal(p.gate_map, ProjectionSet.identity(5, seed=9).gate_map)
+
+
+@pytest.mark.parametrize("c", [1, 2, 5, 64, 130])
+def test_identity_maps_are_a_read_only_eye(c):
+    p = ProjectionSet.identity(c, seed=4)
+    x = np.random.default_rng(c).standard_normal((7, c))
+    x[0, 0] = -0.0
+    for w in (p.w_q, p.w_k, p.w_v):
+        assert w.shape == (c, c) and w.dtype == np.float64
+        np.testing.assert_array_equal(w, np.eye(c))
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0, 0] = 2.0
+        assert (x @ w).tobytes() == (x @ np.eye(c)).tobytes()
+        assert (w @ x.T).tobytes() == (np.eye(c) @ x.T).tobytes()
+        np.testing.assert_array_equal(x @ w, x)
+
+
+def test_identity_maps_hold_o_of_c_memory():
+    # np.eye(4096) alone is 134 MB.
+    tracemalloc.start()
+    try:
+        p = ProjectionSet.identity(4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert p.w_q[4095, 4095] == 1.0 and p.w_v[0, 4095] == 0.0
 
 
 def test_projection_seeded_is_deterministic_and_bounded():
@@ -724,6 +753,37 @@ def test_hebbian_update_adds_outer_product():
     v = rng.standard_normal(3)
     out = hebbian_update(s_arr, k, v)
     np.testing.assert_array_equal(out, s_arr + np.outer(v, k))
+
+
+def _one_gemm_delta(s_arr, keys, values, betas):
+    """The chunkwise delta rule with U^T K added to S by one GEMM per chunk."""
+    out = np.array(s_arr, dtype=np.float64)
+    for lo in range(0, len(keys), 64):
+        k, b = keys[lo:lo + 64], betas[lo:lo + 64, None]
+        system = np.eye(len(k)) + b * np.tril(k @ k.T, -1)
+        u = np.linalg.solve(system, b * (values[lo:lo + 64] - (out @ k.T).T))
+        out += u.T @ k
+    return out
+
+
+# The benchmark's state shapes (c_v, c_k) = (64, 64) and (768, 768), and
+# c_v just past a block of rows, with chunks of 64 pairs and a short one.
+# At some other shapes, e.g. 126 x 137, two OpenBLAS threads split the one
+# GEMM so that an edge column rounds differently from one thread, and from
+# the row blocks (which round alike for one and two threads); the per-pair
+# bound holds there as everywhere.
+@pytest.mark.parametrize("c_v, c_k, n", [(64, 64, 130), (768, 768, 130), (1025, 64, 130),
+                                         (129, 1024, 70), (833, 768, 65), (1, 257, 65)])
+def test_row_blocked_delta_keeps_the_one_gemm_bits(c_v, c_k, n):
+    rng = np.random.default_rng(c_v + c_k)
+    keys = _key_rows("random_unit", n, c_k, rng)
+    values = rng.uniform(-1.0, 1.0, (n, c_v))
+    s_arr = 0.1 * rng.standard_normal((c_v, c_k))
+    betas = rng.uniform(0.05, 1.0, n)
+    got = delta_rule_update(s_arr, keys, values, betas)
+    assert got.tobytes() == _one_gemm_delta(s_arr, keys, values, betas).tobytes()
+    np.testing.assert_allclose(got, _sequential_delta(s_arr, keys, values, betas),
+                               rtol=0, atol=1e-12)
 
 
 def _sequential_delta(s_arr, keys, values, betas):
