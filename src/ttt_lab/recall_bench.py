@@ -5,26 +5,28 @@ the spec once and keeps its canonical form, the label of the rule's
 report rows; one table keyed by rule name holds what the stream does
 with each rule.
 
-A task is a sequence of key/value pairs, optionally interleaved with
-distractor frames.  RecallTask is plain data, five arrays: the key and
-value rows and the distractors' positions, keys and values; the
-generators' key_mode, seed and rho shape the draw and are not stored.
-The stream is one key array, one value array and the offsets at which
-its frames start, so a reset segment is a slice of rows.  Each rule
-ingests only what its outputs read.  The readout sees the state after
-the last reset segment, so full, vanilla, hebbian and delta run their
-kernel once, on that segment: the token rule steps through its frames
-inside the kernel, the cache appends it as one block, and the
-fast-weight rules take it as one batch of pairs.  The delta gates of
-the other segments never read the state, so they are computed without
-the kernel.  The ttt3r gates can read the state, and the gate trace
-holds every frame's, so ttt3r steps every segment: segments with the
-same frame layout go through one stacked kernel call, frame by frame in
-lockstep.  Recall is then scored per position as the squared readout
-error, which plotted over positions gives a forgetting curve.  Scoring
-is one loop over fixed blocks of stored keys: each rule reads a block,
-and the loop differences, squares and sums its rows in place, so a run
-holds the task, one state and one block.
+A task is a sequence of key/value pairs, one per frame, optionally
+followed by distractor frames of equal size.  RecallTask is plain data,
+four arrays: the key and value rows and the distractor frames' keys and
+values; the generators' key_mode, seed and rho shape the draw and are
+not stored.  The stream is one key array, one value array and the
+offsets at which its frames start, so a reset segment is a slice of
+rows.  Each rule ingests only what its outputs read.  The readout sees
+the state after the last reset segment, so full, vanilla, hebbian and
+delta run their kernel once, on that segment: the token rule steps
+through its frames inside the kernel, the cache appends it as one
+block, and the fast-weight rules take it as one batch of pairs.  The
+delta gates of the other segments never read the state, so they are
+computed without the kernel.  The ttt3r gates can read the state, and
+the gate trace holds every frame's, so ttt3r steps every segment:
+consecutive segments with the same frame layout go through one stacked
+kernel call, frame by frame in lockstep.  With the distractors after
+the pairs, the segments of a layout are consecutive.  Recall is then
+scored per position as the squared readout error, which plotted over
+positions gives a forgetting curve.  Scoring is one loop over fixed
+blocks of stored keys: each rule reads a block, and the loop
+differences, squares and sums its rows in place, so a run holds the
+task, one state and one block.
 
 Scoring targets: fast-weight rules store the explicit (key, value)
 pair and are scored against the raw value.  Token and cache rules
@@ -38,6 +40,7 @@ recall, saturated attention reads) hold; the gate map stays seeded.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -101,25 +104,25 @@ class StateDims(NamedTuple):
 
 
 def _check_finite_rows(rows: np.ndarray, name: str) -> None:
-    bad = ~np.all(np.isfinite(rows), axis=1)
+    bad = ~np.all(np.isfinite(rows), axis=-1)
     if np.any(bad):
         raise ValueError(f"{name} row {int(np.argmax(bad))} contains non-finite entries")
 
 
 @dataclass(frozen=True)
 class RecallTask:
-    """Keys/values to store plus optional distractor rows.
+    """Keys/values to store plus optional distractor frames that follow them.
 
     Keys (count x c_k) are finite unit rows and values (count x c_v)
     finite rows; the task does not record how its keys were drawn.
-    Distractors are three row-aligned arrays: frame positions (d, >= 0),
-    keys (d x c_k) and values (d x c_v); rows that share a position form
-    one frame, in row order.  None means none.
+    Pair i is frame i of the stream.  Distractors are F frames of r
+    rows that follow the pairs: keys (F x r x c_k), finite unit rows,
+    and values (F x r x c_v), finite rows; a bad row is named by its
+    index counted frame after frame.  None means none.
     """
 
     keys: np.ndarray
     values: np.ndarray
-    distractor_positions: Optional[np.ndarray] = None
     distractor_keys: Optional[np.ndarray] = None
     distractor_values: Optional[np.ndarray] = None
 
@@ -135,32 +138,26 @@ class RecallTask:
         _check_finite_rows(keys, "key")
         _check_finite_rows(values, "value")
         _check_unit_rows(keys, "key")
-        positions = np.asarray(() if self.distractor_positions is None
-                               else self.distractor_positions)
-        if positions.ndim != 1 or (positions.size and positions.dtype.kind not in "iu"):
-            raise ValueError("distractor positions must be a 1-D integer array")
-        d_keys, d_values = (np.empty((0, width)) if rows is None
+        d_keys, d_values = (np.empty((0, 0, width)) if rows is None
                             else np.asarray(rows, dtype=np.float64)
                             for rows, width in ((self.distractor_keys, keys.shape[1]),
                                                 (self.distractor_values, values.shape[1])))
-        if d_keys.ndim != 2 or d_values.ndim != 2:
-            raise ValueError("distractor keys and values must be 2-D")
-        if not len(positions) == len(d_keys) == len(d_values):
-            raise ValueError(f"{len(positions)} distractor positions but {len(d_keys)} keys "
-                             f"and {len(d_values)} values")
-        if d_keys.shape[1] != keys.shape[1]:
+        if d_keys.ndim != 3 or d_values.ndim != 3:
+            raise ValueError("distractor keys and values must be 3-D: frames x rows x width")
+        if d_keys.shape[:2] != d_values.shape[:2]:
+            raise ValueError("distractor keys are {} x {} frames x rows but values are {} x {}"
+                             .format(*d_keys.shape[:2], *d_values.shape[:2]))
+        if len(d_keys) and d_keys.shape[1] < 1:
+            raise ValueError("distractor frames must hold at least one row")
+        if d_keys.shape[2] != keys.shape[1]:
             raise ValueError("distractor key width differs from task key width")
-        if d_values.shape[1] != values.shape[1]:
+        if d_values.shape[2] != values.shape[1]:
             raise ValueError("distractor value width differs from task value width")
         _check_finite_rows(d_keys, "distractor key")
         _check_finite_rows(d_values, "distractor value")
-        negative = np.flatnonzero(positions < 0)
-        if negative.size:
-            raise ValueError(f"distractor row {negative[0]} has negative position "
-                             f"{positions[negative[0]]}")
+        _check_unit_rows(d_keys.reshape(-1, keys.shape[1]), "distractor key")
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "distractor_positions", positions.astype(np.int64))
         object.__setattr__(self, "distractor_keys", d_keys)
         object.__setattr__(self, "distractor_values", d_values)
 
@@ -181,9 +178,7 @@ class StreamConfig:
     ingesting frame t for every t > 0 with t % P == 0, so recall sees
     only what arrived since the last boundary.  softmax_scale None
     selects the default 1/sqrt(c); exact-recall claims hold at
-    softmax_scale 1.0.  batch_size packs that many consecutive stored
-    pairs into one multi-token frame.  reset_period, seed and batch_size
-    must be integers.
+    softmax_scale 1.0.  reset_period and seed must be integers.
     """
 
     rule: str
@@ -191,12 +186,11 @@ class StreamConfig:
     reset_period: Optional[int] = None
     softmax_scale: Optional[float] = None
     seed: int = 0
-    batch_size: int = 1
     gate_reduce: str = "sum"
 
     def __post_init__(self):
         dims = self.state_dims
-        for name in ("reset_period", "seed", "batch_size"):
+        for name in ("reset_period", "seed"):
             value = getattr(self, name)
             if value is not None and (isinstance(value, bool)
                                       or not isinstance(value, numbers.Integral)):
@@ -207,8 +201,6 @@ class StreamConfig:
             raise ValueError(f"state dims must be >= 1, got {dims}")
         if self.softmax_scale is not None:
             _resolve_scale(self.softmax_scale, dims.c)
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         ConfidenceGate(self.gate_reduce)
         spec, entry, mode = _parse(self.rule, self.gate_reduce)
         if entry.tokens and dims.c != dims.c_k:
@@ -226,21 +218,18 @@ class StreamConfig:
 
 @dataclass(frozen=True)
 class ForgettingCurve:
-    """Squared recall error of each stored pair, by stream position."""
+    """Squared recall error of each stored pair; pair i sits at stream position i."""
 
     rule_label: str
-    positions: np.ndarray
     sq_errors: np.ndarray
     stream_length: int
 
     def __post_init__(self):
-        positions = np.asarray(self.positions, dtype=np.int64)
         sq_errors = np.asarray(self.sq_errors, dtype=np.float64)
-        if positions.shape != sq_errors.shape or positions.ndim != 1:
-            raise ValueError("positions and sq_errors must be matching 1-D arrays")
+        if sq_errors.ndim != 1:
+            raise ValueError("sq_errors must be a 1-D array")
         if not np.all(np.isfinite(sq_errors)) or np.any(sq_errors < 0):
             raise ValueError("squared errors must be finite and nonnegative")
-        object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "sq_errors", sq_errors)
 
     @property
@@ -385,34 +374,24 @@ def gen_adversarial_task(dims: StateDims, seed: int = 0, true_count: int = 32,
     directions = -_ANTI * k_mean + math.sqrt(1.0 - _ANTI * _ANTI) * extra
     directions /= np.array([[np.linalg.norm(d)] for d in directions])
     d_values = rng.uniform(-1.0, 1.0, (n_frames, dims.c_v))
-    return RecallTask(keys, values, np.repeat(true_count + np.arange(n_frames), frame_size),
-                      np.repeat(directions, frame_size, axis=0),
-                      np.repeat(d_values, frame_size, axis=0))
+    return RecallTask(keys, values, np.repeat(directions[:, None], frame_size, axis=1),
+                      np.repeat(d_values[:, None], frame_size, axis=1))
 
 
-def _assemble_stream(task: RecallTask, batch_size: int):
+def _assemble_stream(task: RecallTask):
     """The stream as one key array, one value array and frame offsets.
 
-    Distractor rows that share a position form the frame at that
-    position; stored pairs fill the other frames in order, batch_size
-    per frame.  Returns keys, values, offsets (frame f is rows
-    offsets[f] to offsets[f + 1]) and each stored pair's frame index.
+    Pair i is frame i, and the distractor frames follow; frame f is rows
+    offsets[f] to offsets[f + 1].  Without distractors the task's own
+    arrays are the stream.
     """
-    d_positions = task.distractor_positions
-    d_frames = np.unique(d_positions)
-    total = -(-task.count // batch_size) + len(d_frames)
-    outside = d_positions[d_positions >= total]
-    if outside.size:
-        raise ValueError(f"distractor position {outside[0]} outside stream of length {total}")
-    pair_frames = np.setdiff1d(np.arange(total), d_frames)
-    positions = pair_frames[np.arange(task.count) // batch_size]
-    frame_of_row = np.concatenate((positions, d_positions))
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(frame_of_row, minlength=total))))
-    if not d_positions.size:
-        return task.keys, task.values, offsets, positions
-    order = np.argsort(frame_of_row, kind="stable")
-    return (np.concatenate((task.keys, task.distractor_keys))[order],
-            np.concatenate((task.values, task.distractor_values))[order], offsets, positions)
+    frames, rows, _ = task.distractor_keys.shape
+    offsets = np.concatenate((np.arange(task.count), task.count + rows * np.arange(frames + 1)))
+    if not frames:
+        return task.keys, task.values, offsets
+    return (np.concatenate((task.keys, task.distractor_keys.reshape(-1, task.keys.shape[1]))),
+            np.concatenate((task.values, task.distractor_values.reshape(-1, task.values.shape[1]))),
+            offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +481,6 @@ def _ingest_hebbian(state, keys, values, offsets, starts, mode, dims, proj, scal
 
 
 def _ingest_delta(state, keys, values, offsets, starts, mode, dims, proj, scale):
-    # Every row is checked, as the kernel would check it in its segment.
-    _check_unit_rows(keys, "stream key")
     if isinstance(mode, ConstantScalar):
         betas = np.full(len(keys), mode.value)
     else:
@@ -518,34 +495,27 @@ def _ingest_delta(state, keys, values, offsets, starts, mode, dims, proj, scale)
 
 
 def _ingest_ttt3r(state, keys, values, offsets, starts, mode, dims, proj, scale):
-    # Segments whose frames start at the same rows, relative to the
-    # segment, share a layout and step in lockstep: one stacked call per
-    # layout (per _STACK_BYTES of stacked states).  Consecutive segments
-    # of a layout are a view of the stream; others are gathered.
+    # A run of consecutive segments whose frames start at the same rows,
+    # relative to the segment, shares a layout and steps in lockstep: one
+    # stacked call per run (per _STACK_BYTES of stacked states) on a view
+    # of the stream.  With the distractors after the pairs, each layout
+    # is one run.
     ends = [*starts[1:].tolist(), len(offsets) - 1]
-    layouts = {}
-    for segment, (t0, t1) in enumerate(zip(starts.tolist(), ends)):
-        bounds = offsets[t0:t1 + 1] - offsets[t0]
-        layouts.setdefault(bounds.tobytes(), (bounds, []))[1].append(segment)
+    layouts = [offsets[t0:t1 + 1] - offsets[t0] for t0, t1 in zip(starts.tolist(), ends)]
     betas = np.empty((len(offsets) - 1, dims.n))
     cap = max(1, _STACK_BYTES // state.nbytes)
-    for bounds, members in layouts.values():
-        frames = np.arange(len(bounds) - 1)
-        for i in range(0, len(members), cap):
-            group = members[i:i + cap]
-            first_rows, length = offsets[starts[group]], bounds[-1]
-            if group[-1] - group[0] == len(group) - 1:
-                lo = first_rows[0]
-                tokens = keys[lo:lo + len(group) * length].reshape(len(group), length, -1)
-            else:
-                tokens = keys[first_rows[:, None] + np.arange(length)]
+    first = 0
+    for _, run in itertools.groupby(layouts, np.ndarray.tobytes):
+        bounds, end = layouts[first], first + len(list(run))
+        for lo in range(first, end, cap):
+            group, length = starts[lo:min(lo + cap, end)], bounds[-1]
+            tokens = keys[offsets[group[0]]:offsets[group[0]] + len(group) * length]
             stacked, group_betas = ttt3r_update(
-                np.broadcast_to(state, (len(group), *state.shape)), tokens, proj, mode, scale,
-                offsets=bounds)
-            betas[starts[group][:, None] + frames] = group_betas
-            if group[-1] == len(starts) - 1:
-                last = stacked[-1]
-    return last, betas.ravel(), np.full(len(betas), dims.n)
+                np.broadcast_to(state, (len(group), *state.shape)),
+                tokens.reshape(len(group), length, -1), proj, mode, scale, offsets=bounds)
+            betas[group[:, None] + np.arange(len(bounds) - 1)] = group_betas
+        first = end
+    return stacked[-1], betas.ravel(), np.full(len(betas), dims.n)
 
 
 def _read_cache(state, keys, proj, scale):
@@ -636,7 +606,7 @@ def run_stream(task: RecallTask, config: StreamConfig):
     if task.values.shape[1] != dims.c_v:
         raise ValueError(f"task value width {task.values.shape[1]} != c_v {dims.c_v}")
     proj = ProjectionSet.identity(dims.c, seed=derive_seed(config.seed, "projections"))
-    keys, values, offsets, positions = _assemble_stream(task, config.batch_size)
+    keys, values, offsets = _assemble_stream(task)
     n_frames = len(offsets) - 1
     starts = np.arange(0, n_frames, config.reset_period or n_frames)
     state, betas, counts = entry.ingest(entry.init(dims, config.seed), keys, values, offsets,
@@ -651,7 +621,7 @@ def run_stream(task: RecallTask, config: StreamConfig):
         recalled = entry.read(state, task.keys[block], proj, config.softmax_scale)
         recalled -= proj.project_v(task.keys[block]) if entry.tokens else task.values[block]
         np.sum(np.square(recalled, out=recalled), axis=1, out=errors[block])
-    curve = ForgettingCurve(config.rule, positions, errors, n_frames)
+    curve = ForgettingCurve(config.rule, errors, n_frames)
     return curve, GateTrace(config.rule, betas, np.concatenate(([0], np.cumsum(counts))))
 
 
@@ -671,9 +641,7 @@ def compare_rules(task: RecallTask, configs: Sequence[StreamConfig]):
         seen[curve.rule_label] = bump = seen.get(curve.rule_label, 0) + 1
         if bump > 1:
             label = f"{curve.rule_label}#{bump}"
-            curve = ForgettingCurve(label, curve.positions, curve.sq_errors,
-                                    curve.stream_length)
-            trace = replace(trace, rule_label=label)
+            curve, trace = replace(curve, rule_label=label), replace(trace, rule_label=label)
         curves.append(curve)
         traces.append(trace)
     return curves, traces
@@ -685,7 +653,7 @@ def curves_to_csv(curves: Sequence[ForgettingCurve]) -> str:
     for curve in curves:
         label = curve.rule_label
         lines += [f"{label},{pos},{err!r}"
-                  for pos, err in zip(curve.positions.tolist(), curve.sq_errors.tolist())]
+                  for pos, err in enumerate(curve.sq_errors.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -7,11 +7,13 @@ defines, so a renamed or removed function fails here rather than only
 as a FLAG line in a benchmark run or an ImportError at
 `from ttt_lab.x import *`.  The rule-spec grammar of the recall error
 messages, which the README copies, must name every rule and gate of
-the rule table.  The package root binds no public name but
+the rule table, and the README's recall section must name every field
+of RecallTask and StreamConfig.  The package root binds no public name but
 its submodules, so each name has one import path.
 """
 
 import contextlib
+import dataclasses
 import importlib
 import io
 import pkgutil
@@ -82,3 +84,14 @@ def test_the_rule_spec_grammar_names_every_rule_and_gate():
         table[name] = named | ({"<beta>"} if ConstantScalar in entry.gates else set())
     assert grammar == table
     assert set(recall_bench._GATES_BY_NAME) <= set().union(*grammar.values())
+
+
+def test_the_recall_section_names_every_task_and_config_field():
+    from ttt_lab.recall_bench import RecallTask, StreamConfig
+
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("## Associative-recall benchmark"):]
+    section = section[:section.index("\n## ", 1)]
+    missing = [f"{cls.__name__}.{field.name}" for cls in (RecallTask, StreamConfig)
+               for field in dataclasses.fields(cls) if f"`{field.name}`" not in section]
+    assert missing == []
