@@ -450,7 +450,7 @@ def main(argv=None) -> int:
             ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -159,7 +159,8 @@ def _vertex_rows(lines: Sequence[str], start: int, count: int, width: int) -> np
             return rows
     except ValueError:
         pass
-    rows = np.empty((count, width))
+    # Sized by the lines present: a header may declare more rows than the file holds.
+    rows = np.empty((min(count, len(lines) - start), width))
     for r in range(count):
         lineno = start + r
         if lineno >= len(lines):

@@ -1,9 +1,9 @@
 """Synthetic associative-recall benchmark for the state-update rules.
 
-A rule is named by its spec, "<rule>[:<gate>]".  StreamConfig checks
-the spec once and keeps its canonical form, the label of the rule's
-report rows; one table keyed by rule name holds what the stream does
-with each rule.
+A rule is named by its spec, "<rule>[:<gate>]", its gate a rate or a
+name in state_rules.GATES.  StreamConfig checks the spec once and keeps
+its canonical form, the label of the rule's report rows; one table keyed
+by rule name holds what the stream does with each rule and its gates.
 
 A task is a sequence of key/value pairs, one per frame, optionally
 followed by distractor frames of equal size.  RecallTask is plain data,
@@ -50,13 +50,11 @@ import numpy as np
 
 from .seeding import derive_seed
 from .state_rules import (
-    ConfidenceGate,
-    ConstantScalar,
-    InputScalarSigmoid,
-    PerTokenInputSigmoid,
+    GATES,
     ProjectionSet,
     delta_rule_update,
     hebbian_update,
+    lookup_gate,
     read_fast_weight,
     read_full_attention,
     read_token_state,
@@ -64,7 +62,7 @@ from .state_rules import (
     update_full_attention,
     update_vanilla_rnn,
 )
-from .state_rules import _check_unit_rows, _resolve_scale, _sigmoid_open
+from .state_rules import _check_reduce, _check_unit_rows, _resolve_scale, _sigmoid_open
 
 __all__ = [
     "QUERY_SATURATION",
@@ -201,15 +199,15 @@ class StreamConfig:
             raise ValueError(f"state dims must be >= 1, got {dims}")
         if self.softmax_scale is not None:
             _resolve_scale(self.softmax_scale, dims.c)
-        ConfidenceGate(self.gate_reduce)
-        spec, entry, mode = _parse(self.rule, self.gate_reduce)
+        _check_reduce(self.gate_reduce)
+        spec, entry, gate = _parse(self.rule)
         if entry.tokens and dims.c != dims.c_k:
             raise UnsupportedRuleCombination(
                 f"unsupported rule/read combination: token and cache rules need c == c_k, "
                 f"got c={dims.c}, c_k={dims.c_k}"
             )
         # The input gate maps keys through the c-wide gate map.
-        if isinstance(mode, InputScalarSigmoid) and dims.c != dims.c_k:
+        if gate == "input" and dims.c != dims.c_k:
             raise UnsupportedRuleCombination(
                 "unsupported rule/read combination: input-sigmoid delta gate needs c == c_k"
             )
@@ -403,26 +401,22 @@ def _assemble_stream(task: RecallTask):
 _VALID_RULES = ("full, vanilla, hebbian, delta[:<beta>|:input], "
                 "ttt3r[:<beta>|:input|:per_token|:confidence]")
 
-# Gate modes spelled by name; a constant learning rate is spelled as its value.
-_GATES_BY_NAME = {"input": InputScalarSigmoid, "per_token": PerTokenInputSigmoid,
-                  "confidence": ConfidenceGate}
-
 
 class _RuleEntry(NamedTuple):
     """How the stream drives one rule.
 
     default_gate: the gate a bare rule name means (None: ungated).
-    gates: the gate mode types the rule takes.
+    gates: the gate kinds the rule takes ("constant" or names in GATES).
     tokens: the rule reads keys as state-width tokens, so c must be c_k.
     init(dims, seed): the initial state, which every reset restores.
-    ingest(state, keys, values, offsets, starts, mode, dims, proj, scale)
+    ingest(state, keys, values, offsets, starts, gate, config, proj)
     -> (state, betas, counts) for the whole stream (its rows, the rows
     at which its frames start followed by the row count, and the frames
     at which its reset segments start) from the initial state `state`
-    under gate mode `mode` (None if ungated).  The state is the one
-    after the last segment; betas are the gates of every frame, frame
-    after frame, and counts the number of gates of each frame (both
-    empty for ungated rules).
+    under `gate` (as _parse returns it) and the StreamConfig.  The state
+    is the one after the last segment; betas are the gates of every
+    frame, frame after frame, and counts the number of gates of each
+    frame (both empty for ungated rules).
     read(state, keys, proj, scale): the rows recalled for a block of
     stored keys, as a new array that the scoring loop overwrites.
     """
@@ -448,7 +442,9 @@ _NO_GATES = (np.empty(0), np.empty(0, dtype=np.int64))
 
 # Stored keys are scored in blocks of a multiple of 64 rows (64 at least,
 # like a fast-weight read's query block) whose query rows, logits over
-# the state's rows and recalled rows stay within this many bytes.
+# the state's rows and recalled rows stay within this many bytes, or a
+# third of the state's if more, as every block reads the whole state: a
+# 4096-wide cache is read in 448-row blocks, 768-wide states in 64.
 # Without blocks, a read at width 4096 holds count x 4096 arrays.
 _SCORE_BYTES = 1 << 20
 
@@ -465,36 +461,37 @@ def _last_segment(keys, values, offsets, starts):
     return keys[lo:], values[lo:], bounds - lo
 
 
-def _ingest_full(state, keys, values, offsets, starts, mode, dims, proj, scale):
+def _ingest_full(state, keys, values, offsets, starts, gate, config, proj):
     keys, _, _ = _last_segment(keys, values, offsets, starts)
     return update_full_attention(state, keys, proj), *_NO_GATES
 
 
-def _ingest_vanilla(state, keys, values, offsets, starts, mode, dims, proj, scale):
+def _ingest_vanilla(state, keys, values, offsets, starts, gate, config, proj):
     keys, _, bounds = _last_segment(keys, values, offsets, starts)
-    return update_vanilla_rnn(state, keys, proj, scale, offsets=bounds), *_NO_GATES
+    return (update_vanilla_rnn(state, keys, proj, config.softmax_scale, offsets=bounds),
+            *_NO_GATES)
 
 
-def _ingest_hebbian(state, keys, values, offsets, starts, mode, dims, proj, scale):
+def _ingest_hebbian(state, keys, values, offsets, starts, gate, config, proj):
     keys, values, _ = _last_segment(keys, values, offsets, starts)
     return hebbian_update(state, keys, values), *_NO_GATES
 
 
-def _ingest_delta(state, keys, values, offsets, starts, mode, dims, proj, scale):
-    if isinstance(mode, ConstantScalar):
-        betas = np.full(len(keys), mode.value)
-    else:
+def _ingest_delta(state, keys, values, offsets, starts, gate, config, proj):
+    if gate == "input":
         # One product per segment, as the kernel took them: a product over
         # the whole stream rounds some rows differently.
         rows = [*offsets[starts].tolist(), len(keys)]
         betas = np.concatenate([_sigmoid_open(keys[lo:hi] @ proj.gate_map)
                                 for lo, hi in zip(rows, rows[1:])])
+    else:
+        betas = np.full(len(keys), gate)
     lo = offsets[starts[-1]]
     return (delta_rule_update(state, keys[lo:], values[lo:], betas[lo:]), betas,
             np.diff(offsets))
 
 
-def _ingest_ttt3r(state, keys, values, offsets, starts, mode, dims, proj, scale):
+def _ingest_ttt3r(state, keys, values, offsets, starts, gate, config, proj):
     # A run of consecutive segments whose frames start at the same rows,
     # relative to the segment, shares a layout and steps in lockstep: one
     # stacked call per run (per _STACK_BYTES of stacked states) on a view
@@ -502,7 +499,7 @@ def _ingest_ttt3r(state, keys, values, offsets, starts, mode, dims, proj, scale)
     # is one run.
     ends = [*starts[1:].tolist(), len(offsets) - 1]
     layouts = [offsets[t0:t1 + 1] - offsets[t0] for t0, t1 in zip(starts.tolist(), ends)]
-    betas = np.empty((len(offsets) - 1, dims.n))
+    betas = np.empty((len(offsets) - 1, config.state_dims.n))
     cap = max(1, _STACK_BYTES // state.nbytes)
     first = 0
     for _, run in itertools.groupby(layouts, np.ndarray.tobytes):
@@ -512,10 +509,11 @@ def _ingest_ttt3r(state, keys, values, offsets, starts, mode, dims, proj, scale)
             tokens = keys[offsets[group[0]]:offsets[group[0]] + len(group) * length]
             stacked, group_betas = ttt3r_update(
                 np.broadcast_to(state, (len(group), *state.shape)),
-                tokens.reshape(len(group), length, -1), proj, mode, scale, offsets=bounds)
+                tokens.reshape(len(group), length, -1), proj, gate, config.softmax_scale,
+                offsets=bounds, reduce=config.gate_reduce)
             betas[group[:, None] + np.arange(len(bounds) - 1)] = group_betas
         first = end
-    return stacked[-1], betas.ravel(), np.full(len(betas), dims.n)
+    return stacked[-1], betas.ravel(), np.full(len(betas), betas.shape[1])
 
 
 def _read_cache(state, keys, proj, scale):
@@ -542,21 +540,22 @@ _RULES = {
     "vanilla": _RuleEntry(None, (), True, _init_tokens, _ingest_vanilla, _read_tokens),
     "hebbian": _RuleEntry(None, (), False, _init_fast_weights, _ingest_hebbian,
                           _read_fast_weights),
-    "delta": _RuleEntry("1", (ConstantScalar, InputScalarSigmoid), False,
-                        _init_fast_weights, _ingest_delta, _read_fast_weights),
-    "ttt3r": _RuleEntry("confidence", (ConstantScalar, *_GATES_BY_NAME.values()), True,
-                        _init_tokens, _ingest_ttt3r, _read_tokens),
+    "delta": _RuleEntry("1", ("constant", "input"), False, _init_fast_weights, _ingest_delta,
+                        _read_fast_weights),
+    "ttt3r": _RuleEntry("confidence", ("constant", *GATES), True, _init_tokens, _ingest_ttt3r,
+                        _read_tokens),
 }
 
 
-def _parse(spec: str, gate_reduce: str):
-    """(canonical spec, table entry, gate mode) of a "<rule>[:<gate>]" spec.
+def _parse(spec: str):
+    """(canonical spec, table entry, gate) of a "<rule>[:<gate>]" spec.
 
     A bare name means the rule's default gate, and an ungated rule has
-    mode None.  The canonical spec is the label of the rule's report
+    gate None; otherwise the gate is a name in GATES or a constant rate
+    as a float.  The canonical spec is the label of the rule's report
     rows: it names the gate, and spells a constant as f"{beta:g}", or
     as its repr where that does not read back as the same float.
-    Parsing it gives the same entry and mode.  ValueError if the spec
+    Parsing it gives the same entry and gate.  ValueError if the spec
     names no rule or no gate, or gates an ungated rule;
     UnsupportedRuleCombination if the rule does not take the gate.
     """
@@ -568,28 +567,22 @@ def _parse(spec: str, gate_reduce: str):
         if gate:
             raise ValueError(f"rule {name!r} takes no gate mode, got {spec!r}")
         return name, entry, None
-    gate = gate or entry.default_gate
-    if gate in _GATES_BY_NAME:
-        cls = _GATES_BY_NAME[gate]
-        mode = cls(gate_reduce) if cls is ConfidenceGate else cls()
-    else:
+    gate = label = gate or entry.default_gate
+    if gate not in GATES:
         try:
-            value = float(gate)
+            gate = float(gate)
         except ValueError:
             raise ValueError(
                 f"unknown gate mode {gate!r} in {spec!r}; valid rules: {_VALID_RULES}"
             ) from None
-        mode = ConstantScalar(value)
-        gate = f"{value:g}" if float(f"{value:g}") == value else repr(value)
-    label = f"{name}:{gate}"
-    if type(mode) not in entry.gates:
-        takes = " or ".join(gate_name for gate_name, cls in
-                            (("constant", ConstantScalar), *_GATES_BY_NAME.items())
-                            if cls in entry.gates)
+        label = f"{gate:g}" if float(f"{gate:g}") == gate else repr(gate)
+    kind, _ = lookup_gate(gate)
+    label = f"{name}:{label}"
+    if kind not in entry.gates:
         raise UnsupportedRuleCombination(
-            f"unsupported rule/read combination: {label} (the {name} rule takes a {takes} gate)"
-        )
-    return label, entry, mode
+            f"unsupported rule/read combination: {label} "
+            f"(the {name} rule takes a {' or '.join(entry.gates)} gate)")
+    return label, entry, gate
 
 
 def run_stream(task: RecallTask, config: StreamConfig):
@@ -600,7 +593,7 @@ def run_stream(task: RecallTask, config: StreamConfig):
     produce identical outputs.
     """
     dims = config.state_dims
-    _, entry, mode = _parse(config.rule, config.gate_reduce)
+    _, entry, gate = _parse(config.rule)
     if task.keys.shape[1] != dims.c_k:
         raise ValueError(f"task key width {task.keys.shape[1]} != c_k {dims.c_k}")
     if task.values.shape[1] != dims.c_v:
@@ -610,11 +603,12 @@ def run_stream(task: RecallTask, config: StreamConfig):
     n_frames = len(offsets) - 1
     starts = np.arange(0, n_frames, config.reset_period or n_frames)
     state, betas, counts = entry.ingest(entry.init(dims, config.seed), keys, values, offsets,
-                                        starts, mode, dims, proj, config.softmax_scale)
+                                        starts, gate, config, proj)
     # Each block's recalled rows are differenced from their targets,
     # squared and summed in place.
     row_bytes = 8 * (state.shape[0] + dims.c_k + dims.c_v)
-    rows = 64 * max(1, _SCORE_BYTES // (64 * row_bytes))
+    budget = max(_SCORE_BYTES, state.nbytes // 3)
+    rows = 64 * max(1, budget // (64 * row_bytes))
     errors = np.empty(task.count)
     for lo in range(0, task.count, rows):
         block = slice(lo, lo + rows)

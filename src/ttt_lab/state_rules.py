@@ -25,9 +25,10 @@ the reconstruction objective recon_loss/recon_loss_grad all take keys
 as m x c_k rows and values as m x c_v rows, and read_fast_weight takes
 its queries as m x c_k rows.
 
-The gated token update with a constant gate of 1.0 reproduces the
-ungated token update exactly; the ungated update is that case of the
-one token kernel, so the equivalence holds bit for bit.
+A gate is a constant learning rate in (0, 1] or a name in GATES, as the
+rule spec spells it.  The gated token update with the gate 1.0
+reproduces the ungated token update exactly; the ungated update is that
+case of the one token kernel, so the equivalence holds bit for bit.
 
 All functions are pure: inputs are never mutated, identical inputs give
 identical outputs, and every array is carried in float64.
@@ -37,17 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 __all__ = [
     "ProjectionSet",
-    "ConstantScalar",
-    "InputScalarSigmoid",
-    "PerTokenInputSigmoid",
-    "ConfidenceGate",
-    "BetaMode",
+    "GATES",
+    "lookup_gate",
     "default_scale",
     "softmax_rows",
     "update_full_attention",
@@ -197,41 +194,6 @@ class ProjectionSet:
         return out
 
 
-@dataclass(frozen=True)
-class ConstantScalar:
-    """Fixed learning rate shared by every state token."""
-
-    value: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 < self.value <= 1.0):
-            raise ValueError(f"constant gate must lie in (0, 1], got {self.value}")
-
-
-@dataclass(frozen=True)
-class InputScalarSigmoid:
-    """One shared rate: sigmoid of the mean gate-map response of the input."""
-
-
-@dataclass(frozen=True)
-class PerTokenInputSigmoid:
-    """Per-token rate: sigmoid of each state token's gate-map response."""
-
-
-@dataclass(frozen=True)
-class ConfidenceGate:
-    """Per-token rate from reduced attention logits (see confidence_gate)."""
-
-    reduce: str = "sum"
-
-    def __post_init__(self):
-        if self.reduce not in ("sum", "mean"):
-            raise ValueError(f"reduce must be 'sum' or 'mean', got {self.reduce!r}")
-
-
-BetaMode = Union[ConstantScalar, InputScalarSigmoid, PerTokenInputSigmoid, ConfidenceGate]
-
-
 def default_scale(c: int) -> float:
     """Attention temperature 1/sqrt(c) used when no scale is given."""
     if c < 1:
@@ -341,7 +303,7 @@ def update_vanilla_rnn(s, tokens, p: ProjectionSet, scale=None, *, offsets=None)
     B x n x c stack of states and B x m x c stack of segments, as in
     ttt3r_update; this is its case of a constant gate of 1.0.
     """
-    return _token_steps(s, tokens, p, ConstantScalar(1.0), scale, offsets)[0]
+    return _token_steps(s, tokens, p, 1.0, scale, offsets, "sum")[0]
 
 
 def _pair_rows(s, keys, values):
@@ -480,9 +442,13 @@ def confidence_gate(q_s: np.ndarray, k_x: np.ndarray, reduce: str = "sum",
         raise ValueError(f"q_s width {q_s.shape[1]} != k_x width {k_x.shape[1]}")
     if k_x.shape[0] < 1:
         raise ValueError("k_x must contain at least one token")
+    _check_reduce(reduce)
+    return _confidence(_resolve_scale(scale, q_s.shape[1]) * (q_s @ k_x.T), reduce)
+
+
+def _check_reduce(reduce: str) -> None:
     if reduce not in ("sum", "mean"):
         raise ValueError(f"reduce must be 'sum' or 'mean', got {reduce!r}")
-    return _confidence(_resolve_scale(scale, q_s.shape[1]) * (q_s @ k_x.T), reduce)
 
 
 def _confidence(logits: np.ndarray, reduce: str) -> np.ndarray:
@@ -491,25 +457,36 @@ def _confidence(logits: np.ndarray, reduce: str) -> np.ndarray:
     return _sigmoid_open(logits.sum(axis=-1) if reduce == "sum" else logits.mean(axis=-1))
 
 
-def _frame_gate(mode: BetaMode, p: ProjectionSet, n: int):
-    """gate(states, frame tokens, scaled logits Q_s K_x^T) -> the frame's betas.
-
-    The arguments are stacked along a leading segment axis, and so are
-    the betas: B x n, or B x 1 for a gate shared by the n state tokens.
-    """
-    if isinstance(mode, ConstantScalar):
-        beta = np.full(n, mode.value)
-        return lambda s, x, z: beta
-    if isinstance(mode, InputScalarSigmoid):
-        return lambda s, x, z: _sigmoid_open(np.mean(x @ p.gate_map, axis=-1))[:, None]
-    if isinstance(mode, PerTokenInputSigmoid):
-        return lambda s, x, z: _sigmoid_open(s @ p.gate_map)
-    if isinstance(mode, ConfidenceGate):
-        return lambda s, x, z: _confidence(z, mode.reduce)
-    raise TypeError(f"unknown gate mode {mode!r}")
+# The named gates, keyed as the rule spec names them:
+# gate(p, states, frame tokens, scaled logits Q_s K_x^T, reduce) -> the
+# frame's betas.  The arguments are stacked along a leading segment axis,
+# and so are the betas: B x n, or B x 1 for a gate shared by the n state
+# tokens.  A constant gate is spelled as its rate.
+GATES = {
+    "input": lambda p, s, x, z, reduce: _sigmoid_open(np.mean(x @ p.gate_map, axis=-1))[:, None],
+    "per_token": lambda p, s, x, z, reduce: _sigmoid_open(s @ p.gate_map),
+    "confidence": lambda p, s, x, z, reduce: _confidence(z, reduce),
+}
 
 
-def _token_steps(s, tokens, p: ProjectionSet, mode: BetaMode, scale, offsets):
+def lookup_gate(gate):
+    """(kind, gate function) of a gate: a name in GATES is its own kind, and
+    a rate (a number or its text) in (0, 1] is "constant", returned for
+    every state token.  ValueError for anything else."""
+    if gate in GATES:
+        return gate, GATES[gate]
+    try:
+        rate = float(gate)
+    except (TypeError, ValueError):
+        raise ValueError(f"unknown gate {gate!r}; valid gates: {', '.join(GATES)} "
+                         f"or a rate in (0, 1]") from None
+    if not 0.0 < rate <= 1.0:
+        raise ValueError(f"constant gate must lie in (0, 1], got {rate}")
+    beta = np.full(1, rate)
+    return "constant", lambda p, s, x, z, reduce: beta
+
+
+def _token_steps(s, tokens, p: ProjectionSet, gate, scale, offsets, reduce):
     """The token kernel: one gated step per frame of a segment, in order.
 
     A 2-D call is a stack of one segment.  Frame f of every stacked
@@ -517,6 +494,8 @@ def _token_steps(s, tokens, p: ProjectionSet, mode: BetaMode, scale, offsets):
     product once per segment, so each segment gets the bits of its own
     2-D call.
     """
+    _, gate = lookup_gate(gate)
+    _check_reduce(reduce)
     tokens, offsets = _token_segment(tokens, p.c, offsets, stacked=True)
     stacked = tokens.ndim == 3
     state = _state(s, "state", p.c, batch=len(tokens) if stacked else None)
@@ -524,34 +503,35 @@ def _token_steps(s, tokens, p: ProjectionSet, mode: BetaMode, scale, offsets):
         state, tokens = state[None], tokens[None]
     n = state.shape[1]
     scale = _resolve_scale(scale, p.c)
-    gate = _frame_gate(mode, p, n)
     k_x, v_x = p.project_k(tokens), p.project_v(tokens)
     bounds = offsets.tolist()
     betas = np.empty((len(tokens), len(bounds) - 1, n))
     for f, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         z = scale * (p.project_q(state) @ k_x[:, lo:hi].transpose(0, 2, 1))
-        betas[:, f] = beta = gate(state, tokens[:, lo:hi], z)
+        betas[:, f] = beta = gate(p, state, tokens[:, lo:hi], z, reduce)
         state = state + beta[..., None] * (_softmax(z) @ v_x[:, lo:hi])
     return (state, betas) if stacked else (state[0], betas[0])
 
 
-def ttt3r_update(s, tokens, p: ProjectionSet, mode: BetaMode, scale=None, *, offsets=None):
+def ttt3r_update(s, tokens, p: ProjectionSet, gate, scale=None, *, offsets=None,
+                 reduce: str = "sum"):
     """Gated token update S <- S + diag(beta) softmax(Q_s K_x^T) V_x, once per frame.
 
     s is the n x c state.  tokens (m x c) are one segment of the stream
     and offsets the rows at which its frames start, followed by m (None:
-    one frame); each frame updates the state in turn.  Returns (new
-    state, betas), one row of n gates per frame.
+    one frame); each frame updates the state in turn.  gate is a rate in
+    (0, 1] or a name in GATES; reduce ("sum" or "mean") reduces the
+    confidence gate's logits.  Returns (new state, betas), one row of n
+    gates per frame.
 
     With a leading axis, s is a B x n x c stack of states and tokens a
     B x m x c stack of segments that share the offsets; segment b
     updates state b, and the result is (B x n x c states, B x F x n
     betas), each slice bitwise equal to the 2-D call on that segment.
-    With mode ConstantScalar(1.0) the state is bitwise identical to
-    update_vanilla_rnn's, since both run this kernel and scaling by 1.0
-    is exact.
+    With gate 1.0 the state is bitwise identical to update_vanilla_rnn's,
+    since both run this kernel and scaling by 1.0 is exact.
     """
-    return _token_steps(s, tokens, p, mode, scale, offsets)
+    return _token_steps(s, tokens, p, gate, scale, offsets, reduce)
 
 
 def read_token_state(s, query, p: ProjectionSet, scale=None) -> np.ndarray:

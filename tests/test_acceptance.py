@@ -30,8 +30,6 @@ from ttt_lab.recall_bench import (
     run_stream,
 )
 from ttt_lab.state_rules import (
-    ConfidenceGate,
-    ConstantScalar,
     ProjectionSet,
     confidence_gate,
     recon_loss,
@@ -93,7 +91,7 @@ def test_02_unit_gate_reduces_to_ungated_update():
         p = ProjectionSet.seeded(c, seed=int(rng.integers(0, 1 << 31)))
         s = rng.standard_normal((n, c))
         x = rng.standard_normal((m, c))
-        gated, _ = ttt3r_update(s, x, p, ConstantScalar(1.0))
+        gated, _ = ttt3r_update(s, x, p, 1.0)
         plain = update_vanilla_rnn(s, x, p)
         worst = max(worst, float(np.max(np.abs(gated - plain))))
     assert worst <= 1e-12, f"max deviation {worst:.3e} exceeds 1e-12"
@@ -123,7 +121,7 @@ def test_04_deeply_negative_logits_freeze_the_state():
         # precondition: every reduced logit is at or below -40
         reduced = (s @ x.T).sum(axis=1)
         assert np.all(reduced <= -40.0)
-        s_next, _ = ttt3r_update(s, x, p, ConfidenceGate("sum"), scale=1.0)
+        s_next, _ = ttt3r_update(s, x, p, "confidence", scale=1.0)
         step = float(np.max(np.abs(s_next - s)))
         assert step <= 1e-12, f"single-update drift {step:.3e} exceeds 1e-12"
         s = s_next

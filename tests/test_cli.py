@@ -477,6 +477,19 @@ def test_overflowing_scale_is_one_error_line_without_numpy_warnings(tmp_path):
     assert "RuntimeWarning" not in result.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["recall", "--dims", "4,64,64,10000000000000", "--count", "4", "--rules", "hebbian"],
+    ["gradcheck", "--max-dim", "10000000", "--trials", "1"],
+], ids=["recall", "gradcheck"])
+def test_an_array_too_large_to_allocate_is_one_error_line(tmp_path, capsys, argv):
+    # Each run asks numpy for more than 2^47 bytes, beyond a 47-bit user
+    # address space, so the allocation fails under any overcommit setting
+    # and no memory is touched.
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: Unable to allocate ")
+
+
 def _scipy_modules_after(code):
     """The scipy modules loaded after running code in a fresh interpreter."""
     import ttt_lab
@@ -710,6 +723,24 @@ def test_chamfer_rejects_a_non_finite_normal(tmp_path, capsys, bad):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not (tmp_path / "c" / "chamfer.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["chamfer", "stitch"])
+def test_a_vertex_count_beyond_the_file_is_a_usage_error(tmp_path, capsys, command):
+    # Ten trillion declared rows of three doubles would need more than 2^47
+    # bytes: the parser must size its buffer by the rows the file holds.
+    cloud = tmp_path / "a.ply"
+    cloud.write_text("ply\nformat ascii 1.0\nelement vertex 10000000000000\n"
+                     "property float x\nproperty float y\nproperty float z\nend_header\n"
+                     "0 0 0\n")
+    if command == "chamfer":
+        argv = ["chamfer", "--a", str(cloud), "--b", str(cloud)]
+    else:
+        _write_traj(tmp_path / "t.tum", n=20, seed=3)
+        argv = ["stitch", "--traj", str(tmp_path / "t.tum"), "--cloud", str(cloud)]
+    assert main([*argv, "--out", str(tmp_path / "c")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: line 8: file ends after 1 of 10000000000000 vertex rows"]
 
 
 @pytest.mark.parametrize("normals", [False, True], ids=["points", "normals"])

@@ -70,7 +70,7 @@ def test_every_exported_name_exists():
 
 def test_the_rule_spec_grammar_names_every_rule_and_gate():
     from ttt_lab import recall_bench
-    from ttt_lab.state_rules import ConstantScalar
+    from ttt_lab.state_rules import GATES
 
     readme = (ROOT / "README.md").read_text()
     grammar = {}
@@ -80,10 +80,9 @@ def test_the_rule_spec_grammar_names_every_rule_and_gate():
         assert f"`{item}`" in readme
     table = {}
     for name, entry in recall_bench._RULES.items():
-        named = {gate for gate, cls in recall_bench._GATES_BY_NAME.items() if cls in entry.gates}
-        table[name] = named | ({"<beta>"} if ConstantScalar in entry.gates else set())
+        table[name] = {"<beta>" if gate == "constant" else gate for gate in entry.gates}
     assert grammar == table
-    assert set(recall_bench._GATES_BY_NAME) <= set().union(*grammar.values())
+    assert set(GATES) <= set().union(*grammar.values())
 
 
 def test_the_recall_section_names_every_task_and_config_field():

@@ -525,15 +525,16 @@ def _lockstep_stream():
 def _per_segment_ttt3r(task, cfg):
     """The ttt3r kernel called once per reset segment on 2-D arrays."""
     keys, _, offsets = _assemble_stream(task)
-    _, entry, mode = _parse(cfg.rule, cfg.gate_reduce)
+    _, entry, gate = _parse(cfg.rule)
     proj = ProjectionSet.identity(cfg.state_dims.c, seed=derive_seed(cfg.seed, "projections"))
     period = cfg.reset_period or len(offsets) - 1
     betas = []
     for t0 in range(0, len(offsets) - 1, period):
         bounds = offsets[t0:t0 + period + 1]
         state, segment_betas = ttt3r_update(entry.init(cfg.state_dims, cfg.seed),
-                                            keys[bounds[0]:bounds[-1]], proj, mode,
-                                            cfg.softmax_scale, offsets=bounds - bounds[0])
+                                            keys[bounds[0]:bounds[-1]], proj, gate,
+                                            cfg.softmax_scale, offsets=bounds - bounds[0],
+                                            reduce=cfg.gate_reduce)
         betas.append(segment_betas.ravel())
     return state, np.concatenate(betas)
 
@@ -565,7 +566,7 @@ def test_lockstep_ttt3r_equals_per_segment_calls(spec, monkeypatch):
                             seed=12)
         cfg = StreamConfig(spec, DIMS16, reset_period=period, seed=2)
         keys, values, offsets = _assemble_stream(task)
-        _, entry, mode = _parse(cfg.rule, cfg.gate_reduce)
+        _, entry, gate = _parse(cfg.rule)
         want_state, want_betas = _per_segment_ttt3r(task, cfg)
         starts = np.arange(0, len(offsets) - 1, period or len(offsets) - 1)
         ends = [*starts[1:], len(offsets) - 1]
@@ -575,7 +576,7 @@ def test_lockstep_ttt3r_equals_per_segment_calls(spec, monkeypatch):
             monkeypatch.setattr(recall_bench, "_STACK_BYTES", cap * DIMS16.n * DIMS16.c * 8)
             calls.clear()
             state, betas, counts = entry.ingest(entry.init(DIMS16, 2), keys, values, offsets,
-                                                starts, mode, DIMS16, proj, None)
+                                                starts, gate, cfg, proj)
             assert state.tobytes() == want_state.tobytes()
             assert betas.tobytes() == want_betas.tobytes()
             assert counts.tolist() == [DIMS16.n] * (len(offsets) - 1)
@@ -626,14 +627,17 @@ _RULE_NAMES = ("full", "vanilla", "hebbian", "delta", "ttt3r")
     (StateDims(4, 64, 64, 64), "random_unit", 1473, 64, ("full", "hebbian", "delta")),
     (StateDims(4, 768, 768, 768), "orthonormal", 129, None, ("full", "hebbian", "delta")),
     (StateDims(3, 130, 130, 65), "random_unit", 1025, 7, ("hebbian", "delta")),
-], ids=["recall-long", "recall-wide", "cache-moves"])
+    (StateDims(4, 1216, 1216, 1216), "orthonormal", 1153, None, ("hebbian", "delta")),
+], ids=["recall-long", "recall-wide", "cache-moves", "state-sized-blocks"])
 def test_blocked_scoring_against_the_whole_batch_read(monkeypatch, dims, key_mode, count,
                                                        period, exact):
-    # The benchmark's two recall shapes at reduced counts, and a shape
-    # where the cache rows move, scored in 64-row blocks, in the stock
-    # blocks and in one block of every key (the whole-batch read).  Each
-    # count is one past a multiple of 64, so the last 64-row block is one
-    # key, which numpy reads by matrix-vector products.  A fast-weight
+    # The benchmark's two recall shapes at reduced counts, a shape where
+    # the cache rows move, and states whose third exceeds the stock budget
+    # (128-row blocks for the cache and fast weights), scored in the
+    # smallest blocks (64 rows, or a third of the state's bytes), in the
+    # stock blocks and in one block of every key (the whole-batch read).
+    # Each count is one past a multiple of 64, so the last 64-row block is
+    # one key, which numpy reads by matrix-vector products.  A fast-weight
     # read gives a row its bits in any batch.  OpenBLAS rounds the token
     # and cache reads' products by the block's row count; the cache read
     # keeps its bits at the benchmark's shapes only.

@@ -16,10 +16,6 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ttt_lab.state_rules import (
-    ConfidenceGate,
-    ConstantScalar,
-    InputScalarSigmoid,
-    PerTokenInputSigmoid,
     ProjectionSet,
     confidence_gate,
     default_scale,
@@ -184,18 +180,27 @@ def test_projection_seeded_is_deterministic_and_bounded():
 
 
 def test_constant_scalar_domain():
-    ConstantScalar(1.0)
-    ConstantScalar(1e-6)
+    s, x, p = np.ones((2, 4)), np.eye(4)[:3], ProjectionSet.identity(4)
+    for rate in (1.0, 1e-6):
+        _, betas = ttt3r_update(s, x, p, rate)
+        assert np.all(betas == rate)
     for bad in (0.0, -0.5, 1.5, float("nan")):
-        with pytest.raises(ValueError):
-            ConstantScalar(bad)
+        with pytest.raises(ValueError, match=r"constant gate must lie in \(0, 1\]"):
+            ttt3r_update(s, x, p, bad)
 
 
 def test_confidence_gate_mode_rejects_unknown_reduce():
-    ConfidenceGate("sum")
-    ConfidenceGate("mean")
-    with pytest.raises(ValueError):
-        ConfidenceGate("max")
+    s, x, p = np.ones((2, 4)), np.eye(4)[:3], ProjectionSet.identity(4)
+    for reduce in ("sum", "mean"):
+        ttt3r_update(s, x, p, "confidence", reduce=reduce)
+    with pytest.raises(ValueError, match="reduce must be 'sum' or 'mean', got 'max'"):
+        ttt3r_update(s, x, p, "confidence", reduce="max")
+
+
+def test_an_unknown_gate_name_lists_the_valid_gates():
+    with pytest.raises(ValueError, match=r"unknown gate 'sigmoid'; valid gates: input, "
+                                         r"per_token, confidence or a rate in \(0, 1\]"):
+        ttt3r_update(np.ones((2, 4)), np.eye(4)[:3], ProjectionSet.identity(4), "sigmoid")
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +314,7 @@ def test_vanilla_update_matches_scalar_loop_oracle():
 _STATE_KERNELS = {
     "full": ("cache", lambda s, x, p: update_full_attention(s, x, p)),
     "vanilla": ("tokens", lambda s, x, p: update_vanilla_rnn(s, x, p)),
-    "ttt3r": ("tokens", lambda s, x, p: ttt3r_update(s, x, p, ConfidenceGate())[0]),
+    "ttt3r": ("tokens", lambda s, x, p: ttt3r_update(s, x, p, "confidence")[0]),
     "hebbian": ("fast", lambda s, x, p: hebbian_update(s, x, x[:, :3])),
     "delta": ("fast", lambda s, x, p: delta_rule_update(s, x, x[:, :3], 0.5)),
     "read_full": ("cache", lambda s, x, p: read_full_attention(s, x, p)),
@@ -358,7 +363,7 @@ def test_gated_update_with_unit_constant_equals_ungated_bitwise():
         p = ProjectionSet.seeded(c, seed=int(rng.integers(0, 1 << 31)))
         s = rng.standard_normal((n, c))
         x = rng.standard_normal((m, c))
-        gated, betas = ttt3r_update(s, x, p, ConstantScalar(1.0))
+        gated, betas = ttt3r_update(s, x, p, 1.0)
         plain = update_vanilla_rnn(s, x, p)
         np.testing.assert_array_equal(gated, plain)
         np.testing.assert_array_equal(betas[0], np.ones(n))
@@ -369,7 +374,7 @@ def test_gated_update_scales_increment_per_state_token():
     p = ProjectionSet.seeded(4, seed=1)
     s = rng.standard_normal((3, 4))
     x = rng.standard_normal((2, 4))
-    half, betas = ttt3r_update(s, x, p, ConstantScalar(0.5))
+    half, betas = ttt3r_update(s, x, p, 0.5)
     full = update_vanilla_rnn(s, x, p)
     np.testing.assert_allclose(
         half - s, 0.5 * (full - s), rtol=0, atol=1e-15
@@ -382,7 +387,7 @@ def test_per_token_gate_squashes_state_rows():
     p = ProjectionSet.seeded(4, seed=6)
     s = rng.standard_normal((3, 4))
     x = rng.standard_normal((2, 4))
-    _, betas = ttt3r_update(s, x, p, PerTokenInputSigmoid())
+    _, betas = ttt3r_update(s, x, p, "per_token")
     expect = 1.0 / (1.0 + np.exp(-(s @ p.gate_map)))
     np.testing.assert_allclose(betas[0], expect, rtol=0, atol=1e-12)
 
@@ -392,7 +397,7 @@ def test_input_scalar_gate_is_shared_across_state_rows():
     p = ProjectionSet.seeded(4, seed=6)
     s = rng.standard_normal((3, 4))
     x = rng.standard_normal((2, 4))
-    _, betas = ttt3r_update(s, x, p, InputScalarSigmoid())
+    _, betas = ttt3r_update(s, x, p, "input")
     beta = betas[0]
     assert beta.shape == (3,)
     assert np.all(beta == beta[0])
@@ -400,12 +405,17 @@ def test_input_scalar_gate_is_shared_across_state_rows():
     assert beta[0] == pytest.approx(expect, rel=0, abs=1e-12)
 
 
-_GATE_MODES = [ConstantScalar(1.0), ConstantScalar(0.5), InputScalarSigmoid(),
-               PerTokenInputSigmoid(), ConfidenceGate("sum"), ConfidenceGate("mean")]
+# (gate, reduce) of each gate mode; the ids spell the modes' long names.
+_GATE_MODES = [pytest.param(1.0, "sum", id="ConstantScalar(value=1.0)"),
+               pytest.param(0.5, "sum", id="ConstantScalar(value=0.5)"),
+               pytest.param("input", "sum", id="InputScalarSigmoid()"),
+               pytest.param("per_token", "sum", id="PerTokenInputSigmoid()"),
+               pytest.param("confidence", "sum", id="ConfidenceGate(reduce='sum')"),
+               pytest.param("confidence", "mean", id="ConfidenceGate(reduce='mean')")]
 
 
-@pytest.mark.parametrize("mode", _GATE_MODES, ids=repr)
-def test_token_segment_equals_one_call_per_frame(mode):
+@pytest.mark.parametrize("gate, reduce", _GATE_MODES)
+def test_token_segment_equals_one_call_per_frame(gate, reduce):
     # Frames of 1 to 4 tokens.  With identity maps the segment call runs
     # the very arithmetic of the single-frame calls, so it is bitwise
     # equal; seeded maps project the segment as one product instead of
@@ -417,21 +427,21 @@ def test_token_segment_equals_one_call_per_frame(mode):
     for p, atol in ((ProjectionSet.identity(6, seed=3), 0.0),
                     (ProjectionSet.seeded(6, seed=3), 1e-12)):
         s0 = rng.standard_normal((3, 6))
-        got, got_betas = ttt3r_update(s0, tokens, p, mode, 0.7, offsets=offsets)
+        got, got_betas = ttt3r_update(s0, tokens, p, gate, 0.7, offsets=offsets, reduce=reduce)
         s, betas = s0, []
         for lo, hi in zip(offsets[:-1], offsets[1:]):
-            s, frame_betas = ttt3r_update(s, tokens[lo:hi], p, mode, 0.7)
+            s, frame_betas = ttt3r_update(s, tokens[lo:hi], p, gate, 0.7, reduce=reduce)
             betas.append(frame_betas[0])
         np.testing.assert_allclose(got, s, rtol=0, atol=atol)
         np.testing.assert_allclose(got_betas, np.array(betas), rtol=0, atol=atol)
         assert got_betas.shape == (len(sizes), 3)
-        if mode == ConstantScalar(1.0):
+        if gate == 1.0:
             plain = update_vanilla_rnn(s0, tokens, p, 0.7, offsets=offsets)
             np.testing.assert_array_equal(plain, got)
 
 
-@pytest.mark.parametrize("mode", _GATE_MODES, ids=repr)
-def test_stacked_token_update_equals_per_segment_calls(mode):
+@pytest.mark.parametrize("gate, reduce", _GATE_MODES)
+def test_stacked_token_update_equals_per_segment_calls(gate, reduce):
     # Frames of 1 to 4 tokens; each stacked segment must get the bits of
     # its own 2-D call, with identity and seeded maps, and from one
     # broadcast initial state as from distinct ones.
@@ -442,14 +452,15 @@ def test_stacked_token_update_equals_per_segment_calls(mode):
     for p in (ProjectionSet.identity(6, seed=3), ProjectionSet.seeded(6, seed=3)):
         s0 = rng.standard_normal((3, 6))
         for states in (np.broadcast_to(s0, (5, 3, 6)), rng.standard_normal((5, 3, 6))):
-            got, got_betas = ttt3r_update(states, tokens, p, mode, 0.7, offsets=offsets)
+            got, got_betas = ttt3r_update(states, tokens, p, gate, 0.7, offsets=offsets,
+                                          reduce=reduce)
             assert got.shape == (5, 3, 6) and got_betas.shape == (5, len(sizes), 3)
             for b in range(5):
-                want, want_betas = ttt3r_update(states[b], tokens[b], p, mode, 0.7,
-                                                offsets=offsets)
+                want, want_betas = ttt3r_update(states[b], tokens[b], p, gate, 0.7,
+                                                offsets=offsets, reduce=reduce)
                 np.testing.assert_array_equal(got[b], want)
                 np.testing.assert_array_equal(got_betas[b], want_betas)
-            if mode == ConstantScalar(1.0):
+            if gate == 1.0:
                 plain = update_vanilla_rnn(states, tokens, p, 0.7, offsets=offsets)
                 np.testing.assert_array_equal(plain, got)
 
@@ -484,14 +495,14 @@ def test_stacked_token_update_checks_its_stack():
     tokens = np.ones((2, 6, 4))
     offsets = [0, 2, 5, 6]
     with pytest.raises(ValueError, match="3 stacked states for 2 stacked segments"):
-        ttt3r_update(np.ones((3, 2, 4)), tokens, p, ConfidenceGate(), offsets=offsets)
+        ttt3r_update(np.ones((3, 2, 4)), tokens, p, "confidence", offsets=offsets)
     with pytest.raises(ValueError, match="state must be a 3-D array"):
-        ttt3r_update(np.ones((2, 4)), tokens, p, ConfidenceGate(), offsets=offsets)
+        ttt3r_update(np.ones((2, 4)), tokens, p, "confidence", offsets=offsets)
     with pytest.raises(ValueError, match="state must be a 2-D array"):
-        ttt3r_update(np.ones((2, 2, 4)), tokens[0], p, ConfidenceGate(), offsets=offsets)
+        ttt3r_update(np.ones((2, 2, 4)), tokens[0], p, "confidence", offsets=offsets)
     with pytest.raises(ValueError, match=r"tokens must be a non-empty 2-D or 3-D array, "
                                          r"got shape \(0, 6, 4\)"):
-        ttt3r_update(np.ones((0, 2, 4)), tokens[:0], p, ConfidenceGate(), offsets=offsets)
+        ttt3r_update(np.ones((0, 2, 4)), tokens[:0], p, "confidence", offsets=offsets)
     bad = tokens.copy()
     bad[1, 3, 2] = np.nan
     with pytest.raises(ValueError, match=r"token row 3 \(frame 1\) of segment 1 contains "
@@ -836,7 +847,7 @@ _SEGMENT_KERNELS = {
     "vanilla": lambda x, offsets: update_vanilla_rnn(np.ones((2, 4)), x,
                                                      ProjectionSet.identity(4), offsets=offsets),
     "ttt3r": lambda x, offsets: ttt3r_update(np.ones((2, 4)), x,
-                                             ProjectionSet.identity(4), ConfidenceGate(),
+                                             ProjectionSet.identity(4), "confidence",
                                              offsets=offsets),
 }
 _NON_FINITE = np.ones((6, 4))
@@ -960,7 +971,7 @@ def test_kernel_confidence_gates_are_confidence_gate_bit_for_bit(reduce):
     rng = np.random.default_rng(22)
     s, x = rng.standard_normal((3, 5)), rng.standard_normal((4, 5))
     for p in (ProjectionSet.identity(5, seed=1), ProjectionSet.seeded(5, seed=1)):
-        _, betas = ttt3r_update(s, x, p, ConfidenceGate(reduce), 0.7)
+        _, betas = ttt3r_update(s, x, p, "confidence", 0.7, reduce=reduce)
         want = confidence_gate(p.project_q(s), p.project_k(x), reduce, 0.7)
         np.testing.assert_array_equal(betas[0], want)
 
@@ -986,12 +997,7 @@ def test_confidence_gate_always_open_interval(q_s, k_x, reduce):
 
 
 # ---------------------------------------------------------------------------
-# gate modes and projection sets as values
-
-
-def test_rule_kinds_are_value_objects():
-    assert ConstantScalar(0.5) == ConstantScalar(0.5)
-    assert ConfidenceGate("sum") == ConfidenceGate("sum")
+# projection sets as values
 
 
 def test_projection_sets_compare_by_identity():
