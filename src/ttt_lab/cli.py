@@ -82,7 +82,8 @@ def _write_outputs(args, files: dict) -> None:
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r") as handle:
+    # Undecodable bytes reach the parsers as surrogates: a usage error there.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         return handle.read()
 
 
@@ -118,8 +119,6 @@ def _parse_dims(text: str) -> list:
 def _run_recall(args) -> int:
     args.rules = [spec.strip() for spec in args.rules.split(",") if spec.strip()]
     _check(args.rules, "--rules must name at least one rule")
-    _check(args.scale is None or 0 < args.scale < math.inf,
-           f"--scale must be positive and finite, got {args.scale}")
     _check(args.reset_period >= 0, "--reset-period cannot be negative (0 turns resets off)")
     args.dims = _parse_dims(args.dims)
     if args.count is None:
@@ -376,7 +375,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gate-reduce", choices=["sum", "mean"], default="sum",
                    help="reduce of the ttt3r confidence gate")
     p.add_argument("--scale", type=float, default=None,
-                   help="softmax temperature (default 1/sqrt(c))")
+                   help="multiplies the attention logits before the softmax, so larger "
+                        "is sharper; not a temperature (default 1/sqrt(c))")
     p.add_argument("--distractors", type=int, default=128,
                    help="adversarial task: distractor token count")
     p.add_argument("--frame-size", type=int, default=16,

@@ -197,8 +197,7 @@ class StreamConfig:
             raise ValueError("reset_period must be >= 1 when set")
         if min(dims) < 1:
             raise ValueError(f"state dims must be >= 1, got {dims}")
-        if self.softmax_scale is not None:
-            _resolve_scale(self.softmax_scale, dims.c)
+        _resolve_scale(self.softmax_scale, dims.c)
         _check_reduce(self.gate_reduce)
         spec, entry, gate = _parse(self.rule)
         if entry.tokens and dims.c != dims.c_k:

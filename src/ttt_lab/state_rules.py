@@ -25,6 +25,10 @@ the reconstruction objective recon_loss/recon_loss_grad all take keys
 as m x c_k rows and values as m x c_v rows, and read_fast_weight takes
 its queries as m x c_k rows.
 
+The attention logits are scale * Q K^T (scale None: 1/sqrt(c)), scaled
+in one helper for the token updates, both reads and the confidence gate,
+so a scale whose logits overflow is one ValueError in each.
+
 A gate is a constant learning rate in (0, 1] or a name in GATES, as the
 rule spec spells it.  The gated token update with the gate 1.0
 reproduces the ungated token update exactly; the ungated update is that
@@ -45,8 +49,6 @@ __all__ = [
     "ProjectionSet",
     "GATES",
     "lookup_gate",
-    "default_scale",
-    "softmax_rows",
     "update_full_attention",
     "read_full_attention",
     "update_vanilla_rnn",
@@ -96,15 +98,6 @@ def _state(value, name: str, width=None, finite: bool = True,
     return arr
 
 
-def _as_float_vector(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D array, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = arr.copy()
     out.setflags(write=False)
@@ -133,7 +126,7 @@ class ProjectionSet:
         w_q = _as_float_matrix(self.w_q, "w_q")
         w_k = _as_float_matrix(self.w_k, "w_k")
         w_v = _as_float_matrix(self.w_v, "w_v")
-        gate_map = _as_float_vector(self.gate_map, "gate_map")
+        gate_map = _as_float_matrix(self.gate_map, "gate_map", ndim=1)
         c = w_q.shape[0]
         for name, w in (("w_q", w_q), ("w_k", w_k), ("w_v", w_v)):
             if w.shape != (c, c):
@@ -194,16 +187,12 @@ class ProjectionSet:
         return out
 
 
-def default_scale(c: int) -> float:
-    """Attention temperature 1/sqrt(c) used when no scale is given."""
-    if c < 1:
-        raise ValueError("c must be >= 1")
-    return 1.0 / math.sqrt(c)
-
-
 def _resolve_scale(scale, c: int) -> float:
+    """The attention scale: a positive finite float, or 1/sqrt(c) for None."""
     if scale is None:
-        return default_scale(c)
+        if c < 1:
+            raise ValueError("c must be >= 1")
+        return 1.0 / math.sqrt(c)
     scale = float(scale)
     if not (scale > 0.0) or not math.isfinite(scale):
         raise ValueError(f"scale must be positive and finite, got {scale}")
@@ -246,37 +235,30 @@ def _token_segment(tokens, c: int, offsets=None, stacked: bool = False):
     return arr, off
 
 
-def _softmax(z: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    # Softmax of scale * z along the last axis, in place: z holds finite
-    # logits that the caller owns and no longer reads.  Scaling by 1.0 is
-    # exact, so it is skipped (a full pass at width 4096).
+def _scaled_logits(q: np.ndarray, k: np.ndarray, scale: float) -> np.ndarray:
+    """scale * Q K^T over the last two axes: the one place the attention scale is applied.
+
+    Scaling by 1.0 is exact and skipped.  Logits that overflow raise
+    ValueError; callers hold np.errstate(over="ignore") once per call,
+    so an overflow never shows as a numpy warning.
+    """
+    z = q @ k.swapaxes(-1, -2)
     if scale != 1.0:
-        with np.errstate(over="ignore"):
-            z *= scale
-        if not np.isfinite(z).all():
-            raise ValueError(f"scale {scale!r} overflows the scaled logits")
+        z *= scale
+    if not np.isfinite(z).all():
+        raise ValueError(f"scale {scale!r} overflows the scaled logits" if scale != 1.0
+                         else "the logits Q K^T overflow")
+    return z
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    # Softmax along the last axis, in place: z holds finite logits that
+    # the caller owns and no longer reads.  The row maximum is subtracted
+    # first, so logits of +-1000 still give finite weights.
     z -= z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z
-
-
-def softmax_rows(logits, scale=1.0) -> np.ndarray:
-    """Row-wise softmax of scale * logits.
-
-    The row maximum is subtracted before exponentiation, so rows whose
-    scaled entries reach +-1000 still produce finite weights.  Every
-    output row sums to 1 within 1e-12 and a row of equal logits maps to
-    the uniform distribution.  A scale whose product with the logits
-    overflows raises ValueError.
-    """
-    arr = _as_float_matrix(logits, "logits")
-    if arr.shape[1] < 1:
-        raise ValueError("logits must have at least one column")
-    scale = float(scale)
-    if not (scale > 0.0) or not math.isfinite(scale):
-        raise ValueError(f"scale must be positive and finite, got {scale}")
-    return _softmax(arr.copy(), scale)
 
 
 def update_full_attention(cache, tokens, p: ProjectionSet) -> np.ndarray:
@@ -430,11 +412,11 @@ def confidence_gate(q_s: np.ndarray, k_x: np.ndarray, reduce: str = "sum",
                     scale=None) -> np.ndarray:
     """Per-state-token gate beta_i = sigmoid(reduce_j of scale * q_i . k_j).
 
-    The same temperature that scales the attention logits feeds the
-    gate, so a state token whose queries barely match the incoming keys
-    (large negative reduced logit) gets a learning rate near 0 and the
-    update nearly freezes.  Outputs are clamped to the open interval
-    (0, 1): saturated logits of +-40 or beyond stay strictly inside.
+    The attention scale (None: 1/sqrt(c)) feeds the gate, so a state
+    token whose queries barely match the incoming keys (large negative
+    reduced logit) gets a learning rate near 0 and the update nearly
+    freezes.  Outputs are clamped to the open interval (0, 1), even for
+    saturated or overflowing reduced logits; overflowing logits raise.
     """
     q_s = _as_float_matrix(q_s, "q_s")
     k_x = _as_float_matrix(k_x, "k_x")
@@ -443,7 +425,8 @@ def confidence_gate(q_s: np.ndarray, k_x: np.ndarray, reduce: str = "sum",
     if k_x.shape[0] < 1:
         raise ValueError("k_x must contain at least one token")
     _check_reduce(reduce)
-    return _confidence(_resolve_scale(scale, q_s.shape[1]) * (q_s @ k_x.T), reduce)
+    with np.errstate(over="ignore"):
+        return _confidence(_scaled_logits(q_s, k_x, _resolve_scale(scale, q_s.shape[1])), reduce)
 
 
 def _check_reduce(reduce: str) -> None:
@@ -453,7 +436,8 @@ def _check_reduce(reduce: str) -> None:
 
 def _confidence(logits: np.ndarray, reduce: str) -> np.ndarray:
     # Reduce each row of scaled logits and squash it: the confidence gate of
-    # confidence_gate and of the token kernel alike.
+    # confidence_gate and of the token kernel alike.  Callers hold
+    # np.errstate(over="ignore"): an overflowing reduce gives its sigmoid limit.
     return _sigmoid_open(logits.sum(axis=-1) if reduce == "sum" else logits.mean(axis=-1))
 
 
@@ -506,10 +490,11 @@ def _token_steps(s, tokens, p: ProjectionSet, gate, scale, offsets, reduce):
     k_x, v_x = p.project_k(tokens), p.project_v(tokens)
     bounds = offsets.tolist()
     betas = np.empty((len(tokens), len(bounds) - 1, n))
-    for f, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        z = scale * (p.project_q(state) @ k_x[:, lo:hi].transpose(0, 2, 1))
-        betas[:, f] = beta = gate(p, state, tokens[:, lo:hi], z, reduce)
-        state = state + beta[..., None] * (_softmax(z) @ v_x[:, lo:hi])
+    with np.errstate(over="ignore"):
+        for f, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            z = _scaled_logits(p.project_q(state), k_x[:, lo:hi], scale)
+            betas[:, f] = beta = gate(p, state, tokens[:, lo:hi], z, reduce)
+            state = state + beta[..., None] * (_softmax(z) @ v_x[:, lo:hi])
     return (state, betas) if stacked else (state[0], betas[0])
 
 
@@ -519,7 +504,8 @@ def ttt3r_update(s, tokens, p: ProjectionSet, gate, scale=None, *, offsets=None,
 
     s is the n x c state.  tokens (m x c) are one segment of the stream
     and offsets the rows at which its frames start, followed by m (None:
-    one frame); each frame updates the state in turn.  gate is a rate in
+    one frame); each frame updates the state in turn.  scale (None:
+    1/sqrt(c)) multiplies the logits Q_s K_x^T.  gate is a rate in
     (0, 1] or a name in GATES; reduce ("sum" or "mean") reduces the
     confidence gate's logits.  Returns (new state, betas), one row of n
     gates per frame.
@@ -535,14 +521,12 @@ def ttt3r_update(s, tokens, p: ProjectionSet, gate, scale=None, *, offsets=None,
 
 
 def read_token_state(s, query, p: ProjectionSet, scale=None) -> np.ndarray:
-    """Attend queries over the n x c state: softmax(Q W_q (S W_k)^T) (S W_v)."""
+    """Attend queries over the n x c state: softmax(scale Q W_q (S W_k)^T) (S W_v)."""
     s = _state(s, "state", p.c)
     query, _ = _token_segment(query, p.c)
-    logits = p.project_q(query) @ p.project_k(s).T
-    # Finite inputs can still overflow in the product.
-    if not np.isfinite(logits).all():
-        raise ValueError("logits contains non-finite entries")
-    return _softmax(logits, _resolve_scale(scale, p.c)) @ p.project_v(s)
+    with np.errstate(over="ignore"):
+        logits = _scaled_logits(p.project_q(query), p.project_k(s), _resolve_scale(scale, p.c))
+    return _softmax(logits) @ p.project_v(s)
 
 
 # Queries per column block of a fast-weight read.  Each block is one

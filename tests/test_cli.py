@@ -465,16 +465,30 @@ def test_a_directory_given_as_an_input_file_is_a_usage_error(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_overflowing_scale_is_one_error_line_without_numpy_warnings(tmp_path):
+def _run_cli(*argv):
     import ttt_lab
     src = os.path.dirname(os.path.dirname(ttt_lab.__file__))
-    result = subprocess.run(
-        [sys.executable, "-m", "ttt_lab.cli", "recall", "--scale", "1e308",
-         "--dims", "2,4,4,4", "--count", "2", "--out", str(tmp_path / "run")],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-m", "ttt_lab.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("rules", ["full,vanilla,hebbian,delta,ttt3r", "vanilla", "ttt3r",
+                                   "ttt3r:0.5", "ttt3r:per_token", "ttt3r:input"])
+def test_overflowing_scale_is_one_error_line_without_numpy_warnings(tmp_path, rules):
+    # Every token update and read scales its logits in one place, which
+    # reports the overflow; the first rule to run is the one that fails.
+    result = _run_cli("recall", "--scale", "1e308", "--dims", "2,4,4,4", "--key-mode",
+                      "random_unit", "--rules", rules, "--out", str(tmp_path / "r"))
     assert result.returncode == 1
     assert result.stderr.splitlines() == ["error: scale 1e+308 overflows the scaled logits"]
-    assert "RuntimeWarning" not in result.stderr
+
+
+def test_an_overflowing_confidence_reduce_runs_without_numpy_warnings(tmp_path):
+    # The adversarial stream's logits stay finite at scale 1e308, but
+    # their sum overflows: the gate takes its sigmoid limit silently.
+    result = _run_cli("recall", "--task", "adversarial", "--rules", "ttt3r", "--scale", "1e308",
+                      "--out", str(tmp_path / "r"))
+    assert (result.returncode, result.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("argv", [
@@ -741,6 +755,33 @@ def test_a_vertex_count_beyond_the_file_is_a_usage_error(tmp_path, capsys, comma
     assert main([*argv, "--out", str(tmp_path / "c")]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: line 8: file ends after 1 of 10000000000000 vertex rows"]
+
+
+@pytest.mark.parametrize("command", ["chamfer", "stitch", "traj-eval"])
+def test_binary_or_non_utf8_input_is_the_parsers_usage_error(tmp_path, capsys, command):
+    # Bytes that are not UTF-8 reach the parser, which rejects them as
+    # malformed input (exit 2), not as a codec error (exit 1).
+    body = np.array([1.5, 2.3, -0.7, 8.83, 1.0, 2.0], dtype="<f4").tobytes()
+    with pytest.raises(UnicodeDecodeError):
+        body.decode("utf-8")
+    cloud = tmp_path / "bin.ply"
+    cloud.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
+                      b"property float x\nproperty float y\nproperty float z\nend_header\n"
+                      + body)
+    traj = tmp_path / "t.tum"
+    _write_traj(traj, n=20, seed=3)
+    bad_traj = tmp_path / "bad.tum"
+    bad_traj.write_bytes(b"0.0 1 2 3 0 0 0 1\xff\n")
+    argv, want = {
+        "chamfer": (["--a", str(cloud), "--b", str(cloud)],
+                    "error: line 2: binary PLY is not supported; convert to ascii"),
+        "stitch": (["--traj", str(traj), "--cloud", str(cloud)],
+                   "error: line 2: binary PLY is not supported; convert to ascii"),
+        "traj-eval": (["--est", str(bad_traj), "--gt", str(traj)], "error: line 1: "),
+    }[command]
+    assert main([command, *argv, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(want)
 
 
 @pytest.mark.parametrize("normals", [False, True], ids=["points", "normals"])

@@ -17,8 +17,10 @@ from hypothesis.extra import numpy as hnp
 
 from ttt_lab.state_rules import (
     ProjectionSet,
+    _GATE_HI,
+    _GATE_LO,
+    _resolve_scale,
     confidence_gate,
-    default_scale,
     delta_rule_update,
     hebbian_update,
     read_fast_weight,
@@ -26,7 +28,6 @@ from ttt_lab.state_rules import (
     read_token_state,
     recon_loss,
     recon_loss_grad,
-    softmax_rows,
     ttt3r_update,
     update_full_attention,
     update_vanilla_rnn,
@@ -65,53 +66,68 @@ def _loop_softmax(logits, scale):
 
 # ---------------------------------------------------------------------------
 # softmax
+#
+# The softmax is reached through the token read: with identity maps over
+# the state eye(c), read_token_state(eye(c), logits, p, scale) is exactly
+# the row-wise softmax(scale * logits), since every product by the
+# identity is exact.
+
+
+def _read_softmax(logits, scale=1.0):
+    logits = np.asarray(logits, dtype=np.float64)
+    c = logits.shape[1]
+    return read_token_state(np.eye(c), logits, ProjectionSet.identity(c), scale)
 
 
 def test_softmax_matches_frozen_literals():
-    out = softmax_rows(np.array([[1.0, 2.0, 3.0]]), scale=1.0)
+    out = _read_softmax(np.array([[1.0, 2.0, 3.0]]), scale=1.0)
     assert out.shape == (1, 3)
     np.testing.assert_allclose(out[0], _SOFTMAX_123, rtol=0, atol=5e-16)
 
 
 def test_softmax_rows_sum_to_one_and_are_positive():
     rng = np.random.default_rng(0)
-    out = softmax_rows(rng.standard_normal((7, 5)) * 10, scale=0.3)
+    out = _read_softmax(rng.standard_normal((7, 5)) * 10, scale=0.3)
     np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.all(out > 0)
 
 
 def test_softmax_is_shift_stable_at_large_magnitudes():
-    a = softmax_rows(np.array([[1000.0, 1001.0]]), scale=1.0)
-    b = softmax_rows(np.array([[0.0, 1.0]]), scale=1.0)
-    assert np.all(np.isfinite(a))
-    np.testing.assert_array_equal(a, b)
+    for big in (1000.0, -1000.0):
+        a = _read_softmax(np.array([[big, big + 1.0]]), scale=1.0)
+        b = _read_softmax(np.array([[0.0, 1.0]]), scale=1.0)
+        assert np.all(np.isfinite(a))
+        np.testing.assert_array_equal(a, b)
 
 
 def test_softmax_scale_folds_into_logits():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((3, 4))
     np.testing.assert_allclose(
-        softmax_rows(x, scale=2.5), softmax_rows(2.5 * x, scale=1.0),
+        _read_softmax(x, scale=2.5), _read_softmax(2.5 * x, scale=1.0),
         rtol=0, atol=1e-15,
     )
 
 
 def test_softmax_rejects_bad_scale_and_nonfinite_input():
-    with pytest.raises(ValueError):
-        softmax_rows(np.ones((2, 2)), scale=0.0)
-    with pytest.raises(ValueError):
-        softmax_rows(np.ones((2, 2)), scale=-1.0)
-    with pytest.raises(ValueError):
-        softmax_rows(np.array([[np.nan, 1.0]]))
-    with pytest.raises(ValueError, match="scale 1e\\+308 overflows"):
-        softmax_rows(np.array([[1.0, 10.0]]), scale=1e308)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            _read_softmax(np.ones((2, 2)), scale=bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        _read_softmax(np.array([[np.nan, 1.0]]))
+    with pytest.raises(ValueError, match="scale 1e\\+308 overflows the scaled logits"):
+        _read_softmax(np.array([[1.0, 10.0]]), scale=1e308)
+    # Finite logits whose product already overflows at scale 1.0.
+    p = ProjectionSet.identity(2)
+    with pytest.raises(ValueError, match="the logits Q K\\^T overflow"):
+        read_token_state(np.full((1, 2), 1e200), np.full((1, 2), 1e200), p, 1.0)
 
 
 @settings(max_examples=50, deadline=None)
 @given(hnp.arrays(np.float64, (3, 4), elements=st.floats(-50, 50)),
        st.floats(0.05, 10.0))
 def test_softmax_rows_always_normalized(logits, scale):
-    out = softmax_rows(logits, scale=scale)
+    out = _read_softmax(logits, scale=scale)
     assert np.all(np.isfinite(out))
     assert np.all(out >= 0)
     np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-9)
@@ -121,8 +137,14 @@ def test_softmax_rows_always_normalized(logits, scale):
 
 
 def test_default_scale_is_inverse_sqrt_width():
-    assert default_scale(16) == 1.0 / 4.0
-    assert default_scale(2) == pytest.approx(1.0 / math.sqrt(2.0), rel=0, abs=0)
+    assert _resolve_scale(None, 16) == 1.0 / 4.0
+    assert _resolve_scale(None, 2) == 1.0 / math.sqrt(2.0)
+    # The reads and updates take None to that scale.
+    rng = np.random.default_rng(2)
+    s, x, p = rng.standard_normal((3, 2)), rng.standard_normal((4, 2)), ProjectionSet.identity(2)
+    half = 1.0 / math.sqrt(2.0)
+    np.testing.assert_array_equal(read_token_state(s, x, p), read_token_state(s, x, p, half))
+    np.testing.assert_array_equal(update_vanilla_rnn(s, x, p), update_vanilla_rnn(s, x, p, half))
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +532,20 @@ def test_stacked_token_update_checks_its_stack():
         update_vanilla_rnn(np.ones((2, 2, 4)), bad, p, offsets=offsets)
     with pytest.raises(ValueError, match="tokens must be a non-empty 2-D array"):
         read_token_state(np.ones((2, 4)), tokens, p)
+
+
+@pytest.mark.parametrize("gate", [None, 1.0, 0.5, "input", "per_token", "confidence"])
+def test_token_updates_raise_when_the_scaled_logits_overflow(gate):
+    # Each logit is 4 before scaling and overflows at 1e308, for one
+    # segment and for a stack.  A numpy warning instead fails the suite.
+    p = ProjectionSet.identity(4)
+    for s, tokens, offsets in ((np.ones((2, 4)), np.ones((3, 4)), None),
+                               (np.ones((2, 2, 4)), np.ones((2, 3, 4)), [0, 2, 3])):
+        with pytest.raises(ValueError, match="scale 1e\\+308 overflows the scaled logits"):
+            if gate is None:
+                update_vanilla_rnn(s, tokens, p, 1e308, offsets=offsets)
+            else:
+                ttt3r_update(s, tokens, p, gate, 1e308, offsets=offsets)
 
 
 def test_read_token_state_matches_scalar_loop_oracle():
@@ -961,7 +997,7 @@ def test_confidence_gate_uses_shared_temperature():
     q_s = rng.standard_normal((3, 4))
     k_x = rng.standard_normal((2, 4))
     default = confidence_gate(q_s, k_x, reduce="sum")
-    explicit = confidence_gate(q_s, k_x, reduce="sum", scale=default_scale(4))
+    explicit = confidence_gate(q_s, k_x, reduce="sum", scale=0.5)
     np.testing.assert_array_equal(default, explicit)
 
 
@@ -983,6 +1019,19 @@ def test_confidence_gate_validation():
         confidence_gate(np.ones((2, 3)), np.zeros((0, 3)))
     with pytest.raises(ValueError):
         confidence_gate(np.ones((2, 3)), np.ones((2, 3)), reduce="median")
+    with pytest.raises(ValueError, match="scale 1e\\+308 overflows the scaled logits"):
+        confidence_gate(np.ones((2, 3)), np.ones((2, 3)), scale=1e308)
+
+
+@pytest.mark.parametrize("reduce", ["sum", "mean"])
+def test_a_confidence_reduce_that_overflows_gives_its_sigmoid_limit(reduce):
+    # Each logit is finite; their sum is not, and mean sums first.
+    k_x = np.full((2, 1), 1.5e308)
+    beta = confidence_gate(np.array([[1.0], [-1.0]]), k_x, reduce=reduce, scale=1.0)
+    np.testing.assert_array_equal(beta, [_GATE_HI, _GATE_LO])
+    _, betas = ttt3r_update(np.array([[1.0], [-1.0]]), k_x, ProjectionSet.identity(1),
+                            "confidence", 1.0, reduce=reduce)
+    np.testing.assert_array_equal(betas, [[_GATE_HI, _GATE_LO]])
 
 
 @settings(max_examples=100, deadline=None)
