@@ -216,8 +216,8 @@ def _run_traj_eval(args) -> int:
         raise ValueError(
             f"association produced {len(pairs)} matched pairs; need at least 3"
         )
-    ate_val = ate(est, gt, align=args.align, max_dt=args.max_dt)
-    rpe_trans, rpe_rot = rpe(est, gt, delta=args.rpe_delta, max_dt=args.max_dt)
+    ate_val = ate(est, gt, pairs, align=args.align)
+    rpe_trans, rpe_rot = rpe(est, gt, pairs, delta=args.rpe_delta)
     csv = "ate,rpe_trans,rpe_rot\n" + f"{ate_val!r},{rpe_trans!r},{rpe_rot!r}\n"
     _write_outputs(args, {"traj_eval.csv": csv})
     print(f"matched={len(pairs)} ate={ate_val:.6e} "
@@ -307,7 +307,7 @@ def _run_stitch(args) -> int:
             localized.append(Chunk(chunk.trajectory, chunk.anchor, PointCloud(pts, nrm)))
         chunks = localized
     stitched, merged = stitch(chunks)
-    roundtrip = ate(stitched, traj, align="none")
+    roundtrip = ate(stitched, traj, associate(stitched, traj), align="none")
     files = {"stitched.tum": write_tum(stitched)}
     if merged is not None:
         files["stitched.ply"] = write_ply_ascii(merged)

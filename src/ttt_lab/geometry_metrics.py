@@ -320,15 +320,15 @@ def umeyama_sim3(src: np.ndarray, dst: np.ndarray, with_scale: bool = True) -> S
     return Sim3Transform(scale, rot, t)
 
 
-def ate(est: Trajectory, gt: Trajectory, align: str = "sim3", max_dt: float = 0.02) -> float:
+def ate(est: Trajectory, gt: Trajectory, pairs, align: str = "sim3") -> float:
     """Absolute trajectory error: translational RMSE after alignment.
 
+    pairs are the matched (i_est, j_gt) indices that associate returns.
     align selects similarity ("sim3"), rigid ("se3", scale pinned to 1)
     or no alignment ("none").
     """
     if align not in ("sim3", "se3", "none"):
         raise ValueError(f"align must be 'sim3', 'se3' or 'none', got {align!r}")
-    pairs = associate(est, gt, max_dt)
     if not pairs:
         raise ValueError("no matched pose pairs within the association window")
     p = est.translations[[i for i, _ in pairs]]
@@ -342,9 +342,10 @@ def ate(est: Trajectory, gt: Trajectory, align: str = "sim3", max_dt: float = 0.
     return float(np.sqrt(np.mean(np.sum((p - g) ** 2, axis=1))))
 
 
-def rpe(est: Trajectory, gt: Trajectory, delta: int = 1, max_dt: float = 0.02):
+def rpe(est: Trajectory, gt: Trajectory, pairs, delta: int = 1):
     """Relative pose error over matched pairs delta steps apart.
 
+    pairs are the matched (i_est, j_gt) indices that associate returns.
     For each matched index i the residual motion is
     E = (gt_i^-1 gt_{i+delta})^-1 (est_i^-1 est_{i+delta}); returns the
     RMSE of the translation norms and of the rotation angles in
@@ -353,7 +354,6 @@ def rpe(est: Trajectory, gt: Trajectory, delta: int = 1, max_dt: float = 0.02):
     """
     if delta < 1:
         raise ValueError(f"delta must be >= 1, got {delta}")
-    pairs = associate(est, gt, max_dt)
     if len(pairs) < delta + 1:
         raise ValueError(
             f"need at least delta+1 = {delta + 1} matched pairs, got {len(pairs)}"

@@ -44,59 +44,60 @@ class UnsupportedFormatError(ParseError):
     """The file is recognizable but in a variant we do not read."""
 
 
-# ---------------------------------------------------------------------------
-# TUM trajectories: "timestamp tx ty tz qx qy qz qw" per line.
+def _float_rows(lines: Sequence[str], linenos: Sequence[int], width: int,
+                count_error: str, value_error: str):
+    """The rows of `width` numbers in lines, and the first bad line's ParseError or None.
 
-def _tum_scan(lines: Sequence[str]):
-    """Pose rows, their 1-based line numbers, and the first malformed line's error.
-
-    Reads one line at a time with float() and stops at the first line
-    that does not hold eight numbers.
+    One np.loadtxt pass reads the lines first: it converts each token
+    with the same string-to-double routine as float(), so the values are
+    identical.  It skips blank lines and rejects a few tokens float()
+    reads (underscores, non-ASCII digits), so when it fails or returns
+    another shape the lines are scanned one at a time with float().  The
+    scan stops at the first line that does not hold `width` numbers and
+    returns the rows before it with that line's error: count_error
+    formatted with the line's field count, or value_error with the
+    stripped line.  linenos[k] is the 1-based line number of lines[k].
     """
-    values, linenos, error = [], [], None
-    for lineno, raw in enumerate(lines, 1):
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+        if rows.shape == (len(lines), width):
+            return rows, None
+    except ValueError:
+        pass
+    rows, error = [], None
+    for raw, lineno in zip(lines, linenos):
         fields = raw.split()
-        if not fields or fields[0].startswith("#"):
-            continue
-        if len(fields) != 8:
-            error = ParseError(
-                f"expected 8 fields (timestamp tx ty tz qx qy qz qw), got {len(fields)}",
-                lineno,
-            )
+        if len(fields) != width:
+            error = ParseError(count_error.format(len(fields)), lineno)
             break
         try:
-            values.append([float(f) for f in fields])
+            rows.append([float(f) for f in fields])
         except ValueError:
-            error = ParseError(f"non-numeric field in {raw.strip()!r}", lineno)
+            error = ParseError(value_error.format(raw.strip()), lineno)
             break
-        linenos.append(lineno)
-    return np.array(values, dtype=np.float64), linenos, error
+    return np.array(rows, dtype=np.float64).reshape(-1, width), error
 
+
+# ---------------------------------------------------------------------------
+# TUM trajectories: "timestamp tx ty tz qx qy qz qw" per line.
 
 def parse_tum(text: str) -> Trajectory:
     """Parse TUM trajectory text; '#' lines and blank lines are skipped.
 
-    Reports the first offending line: malformed lines stop the scan, and
-    the pose lines before them are checked as columns.  The pose lines
-    are read with one np.loadtxt pass, which converts each token with
-    the same routine as float(); when that pass fails or does not give
-    eight columns per line, they are scanned one line at a time
-    (_tum_scan), which finds the malformed line.
+    Reports the first offending line: a malformed pose line ends the
+    rows read (_float_rows), and the pose lines before it are checked
+    as columns.
     """
     lines = text.splitlines()
     # A line is skipped when str.split() would find no field or a first
     # field starting with '#'; lstrip() strips the same whitespace.
     linenos = [i for i, raw in enumerate(lines, 1) if raw.lstrip()[:1] not in ("", "#")]
-    data, error = None, None
-    if linenos:
-        try:
-            data = np.loadtxt([lines[i - 1] for i in linenos], dtype=np.float64,
-                              comments=None, ndmin=2)
-        except ValueError:
-            pass
-    if data is None or data.shape != (len(linenos), 8):
-        data, linenos, error = _tum_scan(lines)
-    if not linenos:
+    data, error = _float_rows([lines[i - 1] for i in linenos], linenos, 8,
+                              "expected 8 fields (timestamp tx ty tz qx qy qz qw), got {}",
+                              "non-numeric field in {!r}")
+    if not len(data):
         raise error or ParseError("empty trajectory: no pose lines found")
     ts, tx, ty, tz, qx, qy, qz, qw = data.T
     with np.errstate(over="ignore"):   # a huge quaternion's norm is inf, and it fails below
@@ -138,43 +139,6 @@ _PLY_SCALARS = {
     "int8", "uint8", "int16", "uint16", "int32", "uint32",
     "float", "double", "float32", "float64",
 }
-
-
-def _vertex_rows(lines: Sequence[str], start: int, count: int, width: int) -> np.ndarray:
-    """The (count, width) vertex rows that begin at lines[start].
-
-    One np.loadtxt pass reads them first: it converts each token with
-    the same string-to-double routine as float(), so the values are
-    identical.  It skips blank lines and rejects a few tokens float()
-    reads (underscores, non-ASCII digits), so when it fails or returns
-    another shape the rows are scanned one line at a time with float();
-    that scan raises ParseError at the first bad line.
-    """
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            rows = np.loadtxt(lines[start:start + count], dtype=np.float64,
-                              comments=None, ndmin=2)
-        if rows.shape == (count, width):
-            return rows
-    except ValueError:
-        pass
-    # Sized by the lines present: a header may declare more rows than the file holds.
-    rows = np.empty((min(count, len(lines) - start), width))
-    for r in range(count):
-        lineno = start + r
-        if lineno >= len(lines):
-            raise ParseError(f"file ends after {r} of {count} vertex rows", len(lines))
-        tokens = lines[lineno].split()
-        if len(tokens) != width:
-            raise ParseError(f"expected {width} vertex values, got {len(tokens)}", lineno + 1)
-        try:
-            rows[r] = [float(tok) for tok in tokens]
-        except ValueError:
-            raise ParseError(
-                f"non-numeric vertex value in {lines[lineno]!r}", lineno + 1
-            ) from None
-    return rows
 
 
 def parse_ply_ascii(text: str) -> PointCloud:
@@ -263,37 +227,51 @@ def parse_ply_ascii(text: str) -> PointCloud:
             warnings.warn(f"ignoring unknown vertex property {name!r}")
 
     # Data rows follow in element declaration order, one line per instance.
+    # Only the first vertex element is read; the rest are skipped.
     cursor = data_start
-    points = None
     normals = None
-    for name, count, props in elements:
-        if name != "vertex":
+    for element in elements:
+        name, count, props = element
+        if element is not vertex:
             cursor += count
             if cursor > len(lines):
                 raise ParseError(
                     f"file ends inside element {name!r}: expected {count} rows", len(lines)
                 )
             continue
-        rows = _vertex_rows(lines, cursor, count, len(props))
-        cursor += count
-        cols = {nm: rows[:, i] for i, (_, nm) in enumerate(props)}
-        points = np.column_stack([cols["x"], cols["y"], cols["z"]])
+        rows, error = _float_rows(lines[cursor:cursor + count],
+                                  range(cursor + 1, cursor + count + 1), len(props),
+                                  f"expected {len(props)} vertex values, got {{}}",
+                                  "non-numeric vertex value in {!r}")
+        col = {nm: i for i, (_, nm) in enumerate(props)}   # a repeated name reads its last column
+        points = rows[:, [col["x"], col["y"], col["z"]]]
+        # The rows read are judged before a malformed or missing row after
+        # them: each on its point, then its normal.  A NaN length or normal
+        # fails the unit check, as a comparison with NaN is false.
+        failed = [(~np.isfinite(points).all(axis=1), "non-finite point")]
         if has_n:
-            normals = np.column_stack([cols["nx"], cols["ny"], cols["nz"]])
-            bad = np.flatnonzero(~np.isfinite(normals).all(axis=1))
-            if bad.size:
-                raise ParseError("non-finite normal in vertex data", cursor - count + bad[0] + 1)
-            lengths = np.linalg.norm(normals, axis=1)
-            if np.any(lengths == 0):
-                raise ParseError("zero-length normal in vertex data")
-            normals = normals / lengths[:, None]
+            raw = rows[:, [col["nx"], col["ny"], col["nz"]]]
+            with np.errstate(all="ignore"):   # a bad normal's length is 0 or inf; it fails below
+                lengths = np.linalg.norm(raw, axis=1)
+                normals = raw / lengths[:, None]
+            failed += [(~np.isfinite(raw).all(axis=1), "non-finite normal"),
+                       (lengths == 0, "zero-length normal"),
+                       (~(np.abs(np.linalg.norm(normals, axis=1) - 1.0) <= 1e-6),
+                        "normal too large or too small to normalize")]
+        bad = np.logical_or.reduce([mask for mask, _ in failed])
+        if bad.any():
+            i = int(np.argmax(bad))
+            message = next(message for mask, message in failed if mask[i])
+            raise ParseError(f"{message} in vertex data", cursor + i + 1)
+        if error is not None:
+            raise error
+        if len(rows) < count:
+            raise ParseError(f"file ends after {len(rows)} of {count} vertex rows", len(lines))
+        cursor += count
     for extra in range(cursor, len(lines)):
         if lines[extra].strip():
             raise ParseError("unexpected trailing data after all elements", extra + 1)
-    try:
-        return PointCloud(points, normals)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return PointCloud(points, normals)
 
 
 def write_ply_ascii(cloud: PointCloud) -> str:

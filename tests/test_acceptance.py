@@ -15,6 +15,7 @@ from ttt_lab.cli import main
 from ttt_lab.geometry_metrics import (
     PointCloud,
     Trajectory,
+    associate,
     ate,
     chamfer,
     depth_metrics,
@@ -198,7 +199,7 @@ def test_08_similarity_alignment_recovers_exact_transforms():
     rot = quat_to_rotmat(_rand_quat(rng))
     est_pts = 1.7 * pts @ rot.T + np.array([3.0, -1.0, 2.0])
     est = Trajectory(0.1 * np.arange(50), identity, est_pts)
-    assert ate(est, gt, align="sim3") <= 1e-9
+    assert ate(est, gt, associate(est, gt), align="sim3") <= 1e-9
 
 
 def test_09_accelerated_chamfer_equals_brute_force():
@@ -242,7 +243,7 @@ def test_11_chunked_trajectory_restitches_exactly():
     chunks = split_trajectory(traj, 100)
     stitched, _ = stitch(chunks)
     assert len(stitched) == 300
-    assert ate(stitched, traj, align="none") <= 1e-9
+    assert ate(stitched, traj, associate(stitched, traj), align="none") <= 1e-9
 
 
 def test_12_every_command_reruns_byte_identically(tmp_path):

@@ -588,6 +588,16 @@ def test_depth_eval_frame_count_mismatch_fails(tmp_path):
                  "--gt", str(tmp_path / "gt"), "--out", str(tmp_path / "d")]) == 1
 
 
+def test_depth_eval_with_other_file_names_fails(tmp_path, capsys):
+    _write_depth_dir(tmp_path / "gt", frames=2)
+    _write_depth_dir(tmp_path / "pred", frames=2)
+    (tmp_path / "pred" / "001.pfm").rename(tmp_path / "pred" / "002.pfm")
+    assert main(["depth-eval", "--pred", str(tmp_path / "pred"),
+                 "--gt", str(tmp_path / "gt"), "--out", str(tmp_path / "d")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: prediction and reference file names do not match"]
+
+
 def test_depth_eval_missing_directory_is_a_usage_error(tmp_path):
     _write_depth_dir(tmp_path / "gt")
     assert main(["depth-eval", "--pred", str(tmp_path / "nope"),
@@ -739,6 +749,25 @@ def test_chamfer_rejects_a_non_finite_normal(tmp_path, capsys, bad):
     assert not (tmp_path / "c" / "chamfer.csv").exists()
 
 
+@pytest.mark.parametrize("row, message", [
+    ("nan 1 1 0 0 1", "non-finite point"),
+    ("0 0 0 0 0 0", "zero-length normal"),
+    ("0 0 0 1e200 1e200 0", "normal too large or too small to normalize"),
+])
+def test_bad_vertex_data_is_one_error_line_naming_its_line(tmp_path, row, message):
+    # Run as a subprocess so that a numpy warning printed to stderr shows.
+    a = tmp_path / "a.ply"
+    a.write_text("ply\nformat ascii 1.0\nelement vertex 2\n"
+                 "property float x\nproperty float y\nproperty float z\n"
+                 "property float nx\nproperty float ny\nproperty float nz\nend_header\n"
+                 f"0 0 0 0 0 1\n{row}\n")
+    b = tmp_path / "b.ply"
+    _write_cloud(b)
+    result = _run_cli("chamfer", "--a", str(a), "--b", str(b), "--out", str(tmp_path / "c"))
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [f"error: line 12: {message} in vertex data"]
+
+
 @pytest.mark.parametrize("command", ["chamfer", "stitch"])
 def test_a_vertex_count_beyond_the_file_is_a_usage_error(tmp_path, capsys, command):
     # Ten trillion declared rows of three doubles would need more than 2^47
@@ -834,6 +863,17 @@ def test_stitch_with_cloud(tmp_path):
     assert main(["stitch", "--traj", str(traj), "--out", str(out),
                  "--reset-period", "5", "--cloud", str(cloud)]) == 0
     assert (out / "stitched.ply").exists()
+
+
+def test_stitch_with_fewer_points_than_chunks_fails(tmp_path, capsys):
+    traj = tmp_path / "t.tum"
+    _write_traj(traj, n=20, seed=3)
+    cloud = tmp_path / "c.ply"
+    _write_cloud(cloud, n=3, seed=3)
+    assert main(["stitch", "--traj", str(traj), "--out", str(tmp_path / "s"),
+                 "--reset-period", "5", "--cloud", str(cloud)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: cloud has 3 points but 4 chunks need one each"]
 
 
 def test_stitch_flag_validation(tmp_path):

@@ -376,8 +376,9 @@ def test_ate_unaligned_is_rmse_of_shift():
     pts = rng.standard_normal((20, 3))
     gt = _traj(pts)
     est = _traj(pts + np.array([1.0, 0.0, 0.0]))
-    assert ate(est, gt, align="none") == pytest.approx(1.0, abs=1e-12)
-    assert ate(est, gt, align="se3") <= 1e-12
+    pairs = associate(est, gt)
+    assert ate(est, gt, pairs, align="none") == pytest.approx(1.0, abs=1e-12)
+    assert ate(est, gt, pairs, align="se3") <= 1e-12
 
 
 def test_ate_sim3_absorbs_global_scale():
@@ -385,24 +386,26 @@ def test_ate_sim3_absorbs_global_scale():
     pts = rng.standard_normal((20, 3))
     gt = _traj(pts)
     est = _traj(2.0 * pts)
-    assert ate(est, gt, align="sim3") <= 1e-12
-    assert ate(est, gt, align="se3") > 0.1
+    pairs = associate(est, gt)
+    assert ate(est, gt, pairs, align="sim3") <= 1e-12
+    assert ate(est, gt, pairs, align="se3") > 0.1
 
 
 def test_ate_requires_three_matches_for_alignment():
     gt = _traj([[0, 0, 0], [1, 0, 0]])
     est = _traj([[0, 0, 0], [1, 0, 0]])
+    pairs = associate(est, gt)
     with pytest.raises(ValueError):
-        ate(est, gt, align="sim3")
+        ate(est, gt, pairs, align="sim3")
     with pytest.raises(ValueError):
-        ate(est, gt, align="bogus")
+        ate(est, gt, pairs, align="bogus")
 
 
 def test_ate_fails_without_associations():
     gt = _traj([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
     est = _traj([[0, 0, 0], [1, 0, 0], [2, 0, 0]], t0=50.0)
     with pytest.raises(ValueError):
-        ate(est, gt)
+        ate(est, gt, associate(est, gt))
 
 
 def test_rpe_matches_closed_form_for_single_displaced_pose():
@@ -412,7 +415,7 @@ def test_rpe_matches_closed_form_for_single_displaced_pose():
     bumped = [list(p) for p in pts]
     bumped[5][1] += 5.0
     est = _traj(bumped)
-    trans, rot = rpe(est, gt, delta=1)
+    trans, rot = rpe(est, gt, associate(est, gt), delta=1)
     # two relative steps feel the bump: into pose 5 and out of it
     expect = 5.0 * math.sqrt(2.0 / (n - 1))
     assert trans == pytest.approx(expect, abs=1e-12)
@@ -428,7 +431,7 @@ def test_rpe_zero_for_identical_trajectories():
         pts = rng.standard_normal((12, 3))
         traj = _traj(pts, quats)
         for delta in (1, 3):
-            trans, rot = rpe(traj, traj, delta=delta)
+            trans, rot = rpe(traj, traj, associate(traj, traj), delta=delta)
             assert trans <= 1e-12
             assert rot <= 1e-9
 
@@ -477,7 +480,7 @@ def test_batched_rpe_matches_the_per_pair_oracle(seed):
     gt = _traj(rng.standard_normal((n, 3)), [_rand_quat(rng) for _ in range(n)])
     est = _wobbled(gt, rng)
     for delta in (1, 2, 7):
-        got = rpe(est, gt, delta=delta)
+        got = rpe(est, gt, associate(est, gt), delta=delta)
         want = _rpe_per_pair(est, gt, delta)
         assert want[1] > 0.5  # degrees: acos is well conditioned here
         assert abs(got[0] - want[0]) <= 1e-12
@@ -500,19 +503,21 @@ def test_rpe_is_invariant_to_a_global_rigid_move():
     def moved(traj):
         return Trajectory.from_matrices(traj.timestamps, world @ traj.matrices())
 
-    base = rpe(est, gt, delta=2)
+    base = rpe(est, gt, associate(est, gt), delta=2)
     assert base[1] > 0.5  # degrees; comfortably off the singularity
-    shifted = rpe(moved(est), moved(gt), delta=2)
+    est, gt = moved(est), moved(gt)
+    shifted = rpe(est, gt, associate(est, gt), delta=2)
     assert shifted[0] == pytest.approx(base[0], rel=1e-9)
     assert shifted[1] == pytest.approx(base[1], rel=1e-9)
 
 
 def test_rpe_validates_delta():
     traj = _traj([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
+    pairs = associate(traj, traj)
     with pytest.raises(ValueError):
-        rpe(traj, traj, delta=0)
+        rpe(traj, traj, pairs, delta=0)
     with pytest.raises(ValueError):
-        rpe(traj, traj, delta=5)
+        rpe(traj, traj, pairs, delta=5)
 
 
 # ---------------------------------------------------------------------------

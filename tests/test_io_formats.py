@@ -115,21 +115,40 @@ def test_tum_parser_reports_the_first_offending_line(text, line, message):
     assert exc.value.line == line
 
 
-# Numbers float() reads, repeated so that whole poses come up often, then
+# Numbers float() reads, repeated so that whole rows come up often, then
 # tokens that are not numbers to np.loadtxt, to float() or to either.
-_TUM_TOKENS = 3 * ["0", "-0.0", "1e-320", "+1.5", ".5", "5.", "2.5e+300"] + [
+_TOKENS = 3 * ["0", "-0.0", "1e-320", "+1.5", ".5", "5.", "2.5e+300"] + [
     "1e400", "nan", "-inf", "1_0", "0x10", "1d5", "#1", "1#", "x"]
+_SEPARATORS = st.sampled_from([" ", "\t", "  ", "\u3000", "\xa0"])
+
+
+def _fast_and_scanned(parse, text):
+    """parse(text) with its np.loadtxt pass, then with that pass failing, so
+    that only the line scan reads the rows: each as the result's bits or as
+    the error and its line."""
+    def outcome():
+        try:
+            result = parse(text)
+        except ParseError as exc:
+            return str(exc), exc.line
+        return [None if a is None else a.tobytes() for a in vars(result).values()]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = outcome()
+        with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+            return fast, outcome()
 
 
 _tum_rows = st.lists(st.one_of(
-    st.lists(st.sampled_from(_TUM_TOKENS), min_size=3, max_size=3).map(lambda t: ("pose", t)),
-    st.lists(st.sampled_from(_TUM_TOKENS), min_size=7, max_size=9).map(lambda t: ("raw", t)),
+    st.lists(st.sampled_from(_TOKENS), min_size=3, max_size=3).map(lambda t: ("pose", t)),
+    st.lists(st.sampled_from(_TOKENS), min_size=7, max_size=9).map(lambda t: ("raw", t)),
     st.sampled_from(["", "  ", "# comment", "  #x 1 2"]).map(lambda t: ("text", t)),
 ), min_size=1, max_size=6)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_tum_rows, st.sampled_from([" ", "\t", "  ", "\u3000", "\xa0"]))
+@given(_tum_rows, _SEPARATORS)
 def test_tum_parser_matches_its_line_scan(rows, sep):
     """The np.loadtxt pass gives what the line-by-line scan alone gives: the
     same bits, or the same error on the same line."""
@@ -138,20 +157,7 @@ def test_tum_parser_matches_its_line_scan(rows, sep):
         if kind == "pose":   # a unit quaternion and a rising timestamp around the tokens
             row = [repr(0.25 * k)] + row + ["0", "0", "0", "1"]
         lines.append(row if kind == "text" else sep.join(row))
-    text = "\n".join(lines)
-
-    def outcome():
-        try:
-            traj = parse_tum(text)
-        except ParseError as exc:
-            return str(exc), exc.line
-        return traj.timestamps.tobytes(), traj.quats.tobytes(), traj.translations.tobytes()
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        fast = outcome()
-        with mock.patch.object(np, "loadtxt", side_effect=ValueError):
-            scanned = outcome()
+    fast, scanned = _fast_and_scanned(parse_tum, "\n".join(lines))
     assert fast == scanned
 
 
@@ -189,6 +195,11 @@ def test_tum_parser_rejects_files_without_poses():
 
 # ---------------------------------------------------------------------------
 # PLY
+
+_XYZ_HEADER = ("ply\nformat ascii 1.0\nelement vertex {}\n"
+               "property double x\nproperty double y\nproperty double z\nend_header\n")
+_XYZN_HEADER = _XYZ_HEADER.replace(
+    "end_header", "property double nx\nproperty double ny\nproperty double nz\nend_header")
 
 
 def test_ply_round_trip_without_normals():
@@ -317,8 +328,6 @@ def test_ply_non_finite_normal_is_rejected(bad):
         parse_ply_ascii(text)
 
 
-_XYZ_HEADER = ("ply\nformat ascii 1.0\nelement vertex {}\n"
-               "property double x\nproperty double y\nproperty double z\nend_header\n")
 
 
 @pytest.mark.parametrize("body, line, message", [
@@ -334,6 +343,69 @@ def test_ply_bad_body_row_reports_its_line(body, line, message):
     assert exc.value.line == line
 
 
+_XYZ_PROPERTIES = "property float x\nproperty float y\nproperty float z\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    # blank, comment and obj_info lines are skipped but counted
+    ("ply\n\ncomment by hand\nobj_info scanner 2\nformat\n", 5, "malformed format line"),
+    ("ply\nformat utf8 1.0\n", 2, "unknown PLY format 'utf8'"),
+    ("ply\nformat ascii 1.0\nelement vertex\n", 3, "malformed element line"),
+    ("ply\nformat ascii 1.0\nelement vertex many\n", 3, "bad element count 'many'"),
+    ("ply\nformat ascii 1.0\nelement vertex -2\n", 3, "negative element count -2"),
+    ("ply\nformat ascii 1.0\nproperty float x\n", 3, "property before any element"),
+    ("ply\nformat ascii 1.0\nelement vertex 1\nproperty float\n", 4,
+     "malformed property line 'property float'"),
+    ("ply\nformat ascii 1.0\nelement face 0\nproperty list uchar int vertex_indices\n"
+     "end_header\n", None, "PLY header declares no vertex element"),
+    ("ply\nformat ascii 1.0\nelement vertex 1\n" + _XYZ_PROPERTIES
+     + "property list uchar int idx\nend_header\n0 0 0 1 5\n", None,
+     "list-typed vertex properties are not supported"),
+    ("ply\nformat ascii 1.0\nelement vertex 1\n" + _XYZ_PROPERTIES
+     + "element face 2\nproperty list uchar int vertex_indices\nend_header\n0 0 0\n3 0 0 0\n",
+     11, "file ends inside element 'face': expected 2 rows"),
+    ("ply\nformat ascii 1.0\nelement vertex 1\n" + _XYZ_PROPERTIES
+     + "element vertex 2\nproperty float a\nend_header\n0 0 0\n5\n",
+     11, "file ends inside element 'vertex': expected 2 rows"),
+], ids=["blank-comment-obj_info-format", "unknown-format", "element", "element-count",
+        "negative-count", "property-first", "property", "no-vertex", "list-property",
+        "short-face", "short-second-vertex"])
+def test_ply_bad_header_reports_its_line(text, line, message):
+    with pytest.raises(ParseError) as exc:
+        parse_ply_ascii(text)
+    assert exc.value.line == line
+    assert str(exc.value) == (f"line {line}: " if line else "") + message
+
+
+def test_ply_unknown_header_keyword_warns_and_is_skipped():
+    text = ("ply\nformat ascii 1.0\nunknown_thing 1\nelement vertex 1\n" + _XYZ_PROPERTIES
+            + "end_header\n1 2 3\n")
+    with pytest.warns(UserWarning, match="^skipping unknown PLY header keyword 'unknown_thing'$"):
+        cloud = parse_ply_ascii(text)
+    np.testing.assert_array_equal(cloud.points, [[1.0, 2.0, 3.0]])
+
+
+@pytest.mark.parametrize("text, line, message", [
+    (_XYZ_HEADER.format(2) + "0 0 0\n1 nan 1\n", 9, "non-finite point"),
+    (_XYZN_HEADER.format(2) + "0 0 0 0 0 1\nnan 1 1 0 0 1\n", 12, "non-finite point"),
+    (_XYZN_HEADER.format(2) + "0 0 0 0 0 1\n-inf 0 0 nan 0 1\n", 12, "non-finite point"),
+    (_XYZN_HEADER.format(2) + "0 0 0 0 0 1\n1 1 1 0 0 0\n", 12, "zero-length normal"),
+    (_XYZN_HEADER.format(2) + "0 0 0 0 0 1\n1 1 1 1e200 1e200 0\n", 12,
+     "normal too large or too small to normalize"),
+    (_XYZN_HEADER.format(2) + "0 0 0 0 0 1\n1 1 1 1e-160 1e-160 0\n", 12,
+     "normal too large or too small to normalize"),
+    # the first bad row is reported, whatever is wrong with later ones
+    (_XYZN_HEADER.format(3) + "0 0 0 0 0 1\n1 1 1 0 0 0\nnan 0 0 0 0 1\n", 12,
+     "zero-length normal"),
+    (_XYZN_HEADER.format(4) + "0 0 0 0 0 1\n1 1 1 0 0 0\n1 1\n", 12, "zero-length normal"),
+], ids=["point-without-normals", "point", "point-before-normal", "zero-normal", "huge-normal",
+        "tiny-normal", "first-bad-row", "before-a-short-row"])
+def test_ply_bad_vertex_data_reports_its_line(text, line, message):
+    with pytest.raises(ParseError) as exc:
+        parse_ply_ascii(text)
+    assert str(exc.value) == f"line {line}: {message} in vertex data"
+
+
 def test_ply_body_of_blank_lines_raises_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -347,6 +419,27 @@ def test_ply_reads_every_token_float_reads():
     # scan still reads them as float() does.
     cloud = parse_ply_ascii(_XYZ_HEADER.format(2) + "1_0 2 3\n\u0661\u0662 5 0\n")
     np.testing.assert_array_equal(cloud.points, [[10.0, 2.0, 3.0], [12.0, 5.0, 0.0]])
+
+
+_ply_point = st.lists(st.sampled_from(_TOKENS), min_size=3, max_size=3)
+_ply_rows = st.lists(st.one_of(
+    # a point and a unit normal, listed twice so that whole rows come up often
+    _ply_point.map(lambda t: t + ["0", "0", "1"]),
+    _ply_point.map(lambda t: t + ["0", "0", "1"]),
+    st.lists(st.sampled_from(_TOKENS), min_size=6, max_size=6),
+    st.lists(st.sampled_from(_TOKENS), min_size=5, max_size=7),
+    st.sampled_from(["", "  ", "# 1 2 3 4 5 6"]).map(lambda t: [t]),
+), min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ply_rows, _SEPARATORS, st.integers(-1, 1))
+def test_ply_parser_matches_its_line_scan(rows, sep, extra):
+    """As for TUM, on vertex bodies of points with normals; the header
+    declares one row fewer, as many, or one more than the body holds."""
+    text = _XYZN_HEADER.format(max(1, len(rows) + extra)) + "\n".join(sep.join(r) for r in rows)
+    fast, scanned = _fast_and_scanned(parse_ply_ascii, text)
+    assert fast == scanned
 
 
 def test_ply_values_are_bit_exact_against_float():

@@ -6,6 +6,7 @@ import pytest
 from ttt_lab.geometry_metrics import (
     PointCloud,
     Trajectory,
+    associate,
     ate,
     quat_to_rotmat,
 )
@@ -67,7 +68,7 @@ def test_split_then_stitch_reproduces_the_trajectory():
     np.testing.assert_allclose(stitched.translations, traj.translations,
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(stitched.quats, traj.quats, rtol=0, atol=1e-12)
-    assert ate(stitched, traj, align="none") <= 1e-12
+    assert ate(stitched, traj, associate(stitched, traj), align="none") <= 1e-12
 
 
 def test_round_trip_holds_for_awkward_period_remainders():
@@ -75,7 +76,7 @@ def test_round_trip_holds_for_awkward_period_remainders():
     for period in (1, 2, 5, 16, 100):
         stitched, _ = stitch(split_trajectory(traj, period))
         assert len(stitched) == len(traj)
-        assert ate(stitched, traj, align="none") <= 1e-12
+        assert ate(stitched, traj, associate(stitched, traj), align="none") <= 1e-12
 
 
 def test_localized_chunks_ignore_the_global_frame():
@@ -96,7 +97,7 @@ def test_single_chunk_round_trip():
     chunks = split_trajectory(traj, 100)
     assert len(chunks) == 1
     stitched, _ = stitch(chunks)
-    assert ate(stitched, traj, align="none") <= 1e-12
+    assert ate(stitched, traj, associate(stitched, traj), align="none") <= 1e-12
 
 
 def test_inconsistent_anchor_is_rejected():
@@ -109,6 +110,13 @@ def test_inconsistent_anchor_is_rejected():
     )
     chunks[1] = Chunk(chunks[1].trajectory, bad_anchor, chunks[1].cloud)
     with pytest.raises(StitchError):
+        stitch(chunks)
+
+
+def test_a_later_chunk_of_only_the_shared_frame_is_rejected():
+    chunks = split_trajectory(_rand_traj(9, seed=7), 4)
+    chunks[1] = Chunk(chunks[1].trajectory[:1], chunks[1].anchor)
+    with pytest.raises(StitchError, match="^chunk 1 has no frames beyond the shared one$"):
         stitch(chunks)
 
 
@@ -136,7 +144,7 @@ def test_stitch_carries_clouds_through_the_anchors():
         expect_pts.append(pts @ anchor[:3, :3].T + anchor[:3, 3])
         expect_nrm.append(nrm @ anchor[:3, :3].T)
     stitched, merged = stitch(with_clouds)
-    assert ate(stitched, traj, align="none") <= 1e-12
+    assert ate(stitched, traj, associate(stitched, traj), align="none") <= 1e-12
     np.testing.assert_allclose(merged.points, np.vstack(expect_pts), rtol=0, atol=1e-12)
     np.testing.assert_allclose(merged.normals, np.vstack(expect_nrm), rtol=0, atol=1e-12)
 
