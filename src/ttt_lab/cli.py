@@ -140,6 +140,7 @@ def _run_recall(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     curves, traces = compare_rules(task, configs)
+    del task   # the CSV text below can reuse the memory of its keys and values
     files = {"curves.csv": curves_to_csv(curves), "summary.csv": summary_to_csv(curves)}
     # gates.csv carries the first gated rule's trace (its schema has no
     # rule column); further gated rules land in gates_<label>.csv and

@@ -320,19 +320,35 @@ def umeyama_sim3(src: np.ndarray, dst: np.ndarray, with_scale: bool = True) -> S
     return Sim3Transform(scale, rot, t)
 
 
+def _pair_indices(pairs, est: Trajectory, gt: Trajectory):
+    """The i_est and j_gt columns of pairs, checked: integers indexing est and gt."""
+    idx = np.asarray(pairs)
+    if idx.dtype.kind not in "iu" or idx.ndim != 2 or idx.shape[1] != 2:
+        raise ValueError("pairs must be (i_est, j_gt) pairs of integer indices")
+    for column, traj, name in ((0, est, "est"), (1, gt, "gt")):
+        bad = (idx[:, column] < 0) | (idx[:, column] >= len(traj))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"pair {k} indexes pose {int(idx[k, column])} of {name}, "
+                             f"which has {len(traj)} poses")
+    return idx[:, 0], idx[:, 1]
+
+
 def ate(est: Trajectory, gt: Trajectory, pairs, align: str = "sim3") -> float:
     """Absolute trajectory error: translational RMSE after alignment.
 
-    pairs are the matched (i_est, j_gt) indices that associate returns.
-    align selects similarity ("sim3"), rigid ("se3", scale pinned to 1)
-    or no alignment ("none").
+    pairs are the matched (i_est, j_gt) indices that associate returns;
+    an index that is not an integer within its trajectory raises
+    ValueError.  align selects similarity ("sim3"), rigid ("se3", scale
+    pinned to 1) or no alignment ("none").
     """
     if align not in ("sim3", "se3", "none"):
         raise ValueError(f"align must be 'sim3', 'se3' or 'none', got {align!r}")
-    if not pairs:
+    if not len(pairs):
         raise ValueError("no matched pose pairs within the association window")
-    p = est.translations[[i for i, _ in pairs]]
-    g = gt.translations[[j for _, j in pairs]]
+    i_est, j_gt = _pair_indices(pairs, est, gt)
+    p = est.translations[i_est]
+    g = gt.translations[j_gt]
     if align != "none":
         if len(pairs) < 3:
             raise ValueError(
@@ -345,11 +361,11 @@ def ate(est: Trajectory, gt: Trajectory, pairs, align: str = "sim3") -> float:
 def rpe(est: Trajectory, gt: Trajectory, pairs, delta: int = 1):
     """Relative pose error over matched pairs delta steps apart.
 
-    pairs are the matched (i_est, j_gt) indices that associate returns.
-    For each matched index i the residual motion is
-    E = (gt_i^-1 gt_{i+delta})^-1 (est_i^-1 est_{i+delta}); returns the
-    RMSE of the translation norms and of the rotation angles in
-    degrees.  The angle is atan2(|vee(R - R^T)| / 2, (tr R - 1) / 2),
+    pairs are the matched (i_est, j_gt) indices that associate returns,
+    checked as ate checks them.  For each matched index i the residual
+    motion is E = (gt_i^-1 gt_{i+delta})^-1 (est_i^-1 est_{i+delta});
+    returns the RMSE of the translation norms and of the rotation angles
+    in degrees.  The angle is atan2(|vee(R - R^T)| / 2, (tr R - 1) / 2),
     which stays accurate near zero, where acos of the trace would not.
     """
     if delta < 1:
@@ -358,8 +374,9 @@ def rpe(est: Trajectory, gt: Trajectory, pairs, delta: int = 1):
         raise ValueError(
             f"need at least delta+1 = {delta + 1} matched pairs, got {len(pairs)}"
         )
-    est_mats = est.matrices()[[i for i, _ in pairs]]
-    gt_mats = gt.matrices()[[j for _, j in pairs]]
+    i_est, j_gt = _pair_indices(pairs, est, gt)
+    est_mats = est.matrices()[i_est]
+    gt_mats = gt.matrices()[j_gt]
     est_rel = se3_inverse(est_mats[:-delta]) @ est_mats[delta:]
     gt_rel = se3_inverse(gt_mats[:-delta]) @ gt_mats[delta:]
     err = se3_inverse(gt_rel) @ est_rel
@@ -431,10 +448,17 @@ def _compact(pixels: np.ndarray) -> np.ndarray:
 
 
 def _pooled_median(parts: list) -> np.float64:
-    """Median of the parts joined as one float64 pool; empties `parts`."""
-    pool = np.concatenate(parts, dtype=np.float64)
+    """Median of the parts joined as one pool; empties `parts`.
+
+    The pool stays float32 when every part is: widening to float64 is
+    exact and keeps the order, so the middle pair is the float64 pool's,
+    and averaging it in float64 gives np.median's bits on that pool.
+    """
+    pool = np.concatenate(parts)
     parts.clear()
-    return np.median(pool, overwrite_input=True)
+    lo, hi = (len(pool) - 1) // 2, len(pool) // 2
+    pool.partition([lo, hi])
+    return np.mean(pool[lo:hi + 1], dtype=np.float64)
 
 
 _END = object()
@@ -448,8 +472,9 @@ def sequence_depth_scale(preds: Iterable, gts: Iterable) -> float:
     has the shape of its reference.  preds and gts may be any iterables,
     generators included: one map pair is held at a time, and each
     frame's valid pixels are kept as float32 where that is exact (PFM
-    samples always are), else as float64.  The medians see the float64
-    values, so the scale is the one a float64 pool would give.
+    samples always are), else as float64, and each median partitions
+    the pool of one side in place (_pooled_median), so the scale is the
+    one a float64 pool would give.
     """
     p_parts, g_parts = [], []
     n_pred = n_gt = 0

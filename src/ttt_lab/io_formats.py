@@ -80,6 +80,25 @@ def _float_rows(lines: Sequence[str], linenos: Sequence[int], width: int,
     return np.array(rows, dtype=np.float64).reshape(-1, width), error
 
 
+# Rows formatted per block by the text writers: one block's Python floats
+# and stacked columns are held at a time, not the whole array's.
+_ROW_BLOCK = 4096
+
+
+def _text_rows(head: str, columns: Sequence[np.ndarray]) -> str:
+    """head, then one line per row of the stacked columns, each field as %.17g.
+
+    columns are 1-D or N x k arrays of one length N, stacked side by
+    side as np.column_stack stacks them, _ROW_BLOCK rows at a time.
+    """
+    blocks = [head]
+    for lo in range(0, len(columns[0]), _ROW_BLOCK):
+        block = np.column_stack([column[lo:lo + _ROW_BLOCK] for column in columns])
+        row_format = " ".join(["%.17g"] * block.shape[1]) + "\n"
+        blocks.append(row_format * len(block) % tuple(block.ravel().tolist()))
+    return "".join(blocks)
+
+
 # ---------------------------------------------------------------------------
 # TUM trajectories: "timestamp tx ty tz qx qy qz qw" per line.
 
@@ -126,9 +145,8 @@ def write_tum(traj: Trajectory) -> str:
     """Render a trajectory in TUM format with 17 significant digits,
     enough for float64 values to survive a write/parse round trip."""
     q = traj.quats
-    rows = np.column_stack([traj.timestamps, traj.translations, q[:, 1:], q[:, :1]])
-    header = "# ttt-lab trajectory\n# timestamp tx ty tz qx qy qz qw\n"
-    return header + (" ".join(["%.17g"] * 8) + "\n") * len(rows) % tuple(rows.ravel().tolist())
+    return _text_rows("# ttt-lab trajectory\n# timestamp tx ty tz qx qy qz qw\n",
+                      [traj.timestamps, traj.translations, q[:, 1:], q[:, :1]])
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +296,12 @@ def write_ply_ascii(cloud: PointCloud) -> str:
     """Render a cloud as ASCII PLY; normals are written when present."""
     header = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}",
               "property double x", "property double y", "property double z"]
-    rows = cloud.points
+    columns = [cloud.points]
     if cloud.normals is not None:
         header += ["property double nx", "property double ny", "property double nz"]
-        rows = np.column_stack([rows, cloud.normals])
+        columns.append(cloud.normals)
     header.append("end_header\n")
-    row_format = " ".join(["%.17g"] * rows.shape[1]) + "\n"
-    return "\n".join(header) + row_format * len(rows) % tuple(rows.ravel().tolist())
+    return _text_rows("\n".join(header), columns)
 
 
 # ---------------------------------------------------------------------------

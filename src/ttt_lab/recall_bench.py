@@ -174,9 +174,10 @@ class StreamConfig:
     a confidence gate's logits.  reset_period None means the state is
     never reset; a period P >= 1 restores the initial state before
     ingesting frame t for every t > 0 with t % P == 0, so recall sees
-    only what arrived since the last boundary.  softmax_scale None
-    selects the default 1/sqrt(c); exact-recall claims hold at
-    softmax_scale 1.0.  reset_period and seed must be integers.
+    only what arrived since the last boundary; a period at or above the
+    stream's frame count never resets.  softmax_scale None selects the
+    default 1/sqrt(c); exact-recall claims hold at softmax_scale 1.0.
+    reset_period and seed must be integers.
     """
 
     rule: str
@@ -600,7 +601,8 @@ def run_stream(task: RecallTask, config: StreamConfig):
     proj = ProjectionSet.identity(dims.c, seed=derive_seed(config.seed, "projections"))
     keys, values, offsets = _assemble_stream(task)
     n_frames = len(offsets) - 1
-    starts = np.arange(0, n_frames, config.reset_period or n_frames)
+    # Capped: a period past int64 would give np.arange non-integer starts.
+    starts = np.arange(0, n_frames, min(config.reset_period or n_frames, n_frames))
     state, betas, counts = entry.ingest(entry.init(dims, config.seed), keys, values, offsets,
                                         starts, gate, config, proj)
     # Each block's recalled rows are differenced from their targets,

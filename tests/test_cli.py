@@ -136,6 +136,24 @@ def test_recall_flag_validation(tmp_path):
     assert main(["recall", "--out", out, "--rules", "vanilla:0.5"]) == 2
 
 
+@pytest.mark.parametrize("period", [4, 5, 2**63 - 1, 2**63, 2**64, 10**30])
+def test_recall_reset_period_past_the_stream_resets_nothing(tmp_path, capsys, period):
+    # A period past int64 once ended in a TypeError traceback, exit 1.
+    argv = ["recall", "--rules", "vanilla,hebbian,delta,ttt3r", "--count", "4",
+            "--dims", "2,8,8,8"]
+    assert main(argv + ["--out", str(tmp_path / "never")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "p"), "--reset-period", str(period)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    for name in ("curves.csv", "summary.csv", "gates.csv"):
+        assert (tmp_path / "p" / name).read_bytes() == (tmp_path / "never" / name).read_bytes()
+    manifest = json.loads((tmp_path / "p" / "manifest.json").read_text())
+    assert manifest["config"]["reset_period"] == period
+    assert main(["rerun", "--manifest", str(tmp_path / "p" / "manifest.json"),
+                 "--out", str(tmp_path / "again")]) == 0
+    for name in ("curves.csv", "summary.csv", "gates.csv", "manifest.json"):
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
+
+
 def test_recall_unsupported_combination_is_a_usage_error(tmp_path):
     # token rules need the state width to match the key width
     code = main(["recall", "--out", str(tmp_path / "x"), "--rules", "vanilla",
@@ -254,6 +272,8 @@ _DROP = object()
                  id="chamfer-a-missing-file"),
     pytest.param("stitch", ["--reset-period", "0"], {"reset_period": 0}, 2,
                  id="stitch-reset-period-0"),
+    pytest.param("recall", ["--reset-period", str(2**63)], {"reset_period": 2**63}, 0,
+                 id="recall-reset-period-2**63"),
     # manifest-only edits: no flag spells them
     pytest.param("chamfer", None, {"a": None}, 2, id="chamfer-required-null"),
     pytest.param("recall", None, {"seed": _DROP}, 2, id="recall-missing-key"),
@@ -659,7 +679,7 @@ def test_streamed_depth_eval_matches_the_in_memory_oracle(tmp_path, capsys, mode
     assert not (tmp_path / "e").exists()
 
 
-@pytest.mark.parametrize("mode, bound", [("seq-scale", 2.0), ("metric", 0.5)])
+@pytest.mark.parametrize("mode, bound", [("seq-scale", 1.0), ("metric", 0.5)])
 def test_depth_eval_holds_one_map_pair_at_a_time(tmp_path, mode, bound):
     frames, height, width = 30, 64, 80
     _write_special_depth_dirs(tmp_path, frames, shape=(height, width), invalid=0.01)

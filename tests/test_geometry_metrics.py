@@ -11,6 +11,7 @@ they replaced.
 """
 
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -520,6 +521,36 @@ def test_rpe_validates_delta():
         rpe(traj, traj, pairs, delta=5)
 
 
+@pytest.mark.parametrize("pairs, message", [
+    ([(-1, 0), (1, 1), (2, 2)], "pair 0 indexes pose -1 of est, which has 4 poses"),
+    ([(0, 0), (1, 1), (4, 2)], "pair 2 indexes pose 4 of est, which has 4 poses"),
+    ([(0, 0), (1, -3), (2, 2)], "pair 1 indexes pose -3 of gt, which has 4 poses"),
+    ([(0, 0), (1, 1), (2, 2**40)], f"pair 2 indexes pose {2**40} of gt, which has 4 poses"),
+    ([(0.0, 0), (1, 1), (2, 2)], "pairs must be"),
+    ([(0, 0), (1, 1), (2, 2**70)], "pairs must be"),
+    ([(0, 0, 0), (1, 1, 1), (2, 2, 2)], "pairs must be"),
+])
+def test_ate_and_rpe_reject_pairs_that_do_not_index_both_trajectories(pairs, message):
+    t = _traj([[0, 0, 0], [1, 0, 0], [2, 1, 0], [12, 9, 1]])
+    for call in (lambda: ate(t, t, pairs, align="none"), lambda: ate(t, t, pairs),
+                 lambda: rpe(t, t, pairs)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+    # A negative index would wrap around to the last pose, 15.59 away.
+    with pytest.raises(ValueError, match="pair 0 indexes pose -1 of est"):
+        ate(t, t, [(-1, 0)], align="none")
+
+
+def test_ate_and_rpe_take_pairs_as_an_integer_array():
+    rng = np.random.default_rng(3)
+    est = _traj(rng.standard_normal((12, 3)), [_rand_quat(rng) for _ in range(12)])
+    gt = _traj(rng.standard_normal((12, 3)), [_rand_quat(rng) for _ in range(12)])
+    pairs = associate(est, gt)
+    for array in (np.array(pairs), np.array(pairs, dtype=np.uint32)):
+        assert ate(est, gt, array) == ate(est, gt, pairs)
+        assert rpe(est, gt, array, delta=2) == rpe(est, gt, pairs, delta=2)
+
+
 # ---------------------------------------------------------------------------
 # depth metrics
 
@@ -606,6 +637,38 @@ def test_sequence_scale_streams_generators_with_the_float64_pool_bits(maps):
     got = sequence_depth_scale((p for p in preds), (g for g in gts))
     assert np.float64(got).tobytes() == np.float64(expected).tobytes()
     assert sequence_depth_scale(preds, gts) == got
+
+
+@pytest.mark.parametrize("sizes", [[1], [2], [7], [8], [3, 0, 4], [1000, 1001], [0, 5]])
+@pytest.mark.parametrize("kinds", ["float32", "float64", "mixed"])
+@pytest.mark.parametrize("values", ["spread", "duplicates"])
+def test_pooled_median_has_the_bits_of_the_float64_median(sizes, kinds, values):
+    rng = np.random.default_rng(len(sizes) * 1000 + sum(sizes))
+    parts = []
+    for k, size in enumerate(sizes):
+        part = rng.lognormal(0.0, 3.0, size)
+        if values == "duplicates":
+            part = rng.choice([0.5, 1.0, 1.0 + 2**-20, 3.0], size)
+        if kinds == "float32" or (kinds == "mixed" and k % 2 == 0):
+            part = part.astype(np.float32)
+        parts.append(part)
+    expected = np.median(np.concatenate(parts, dtype=np.float64))
+    got = geometry_metrics._pooled_median(list(parts))
+    assert type(got) is np.float64
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_pooled_median_averages_the_middle_pair_in_float64():
+    big = np.float32(np.finfo(np.float32).max)
+    # In float32 the two largest values would sum to inf.
+    got = geometry_metrics._pooled_median([np.array([big, big], dtype=np.float32)])
+    assert got == np.float64(big)
+    # Odd pools return their middle element, not (x + x) / 2, which overflows here.
+    top = np.finfo(np.float64).max
+    assert geometry_metrics._pooled_median([np.array([top, top, top])]) == top
+    parts = [np.array([3.0], dtype=np.float32)]
+    geometry_metrics._pooled_median(parts)
+    assert parts == []
 
 
 def test_sequence_scale_counts_the_frames_of_iterables():

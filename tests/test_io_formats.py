@@ -1,6 +1,7 @@
 """Tests for the TUM, PLY, PFM and CSV readers and writers."""
 
 import struct
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ttt_lab import io_formats
 from ttt_lab.geometry_metrics import PointCloud, Trajectory
 from ttt_lab.io_formats import (
     ParseError,
@@ -43,19 +45,38 @@ def test_tum_round_trip_is_bitwise_exact_for_1000_poses():
     np.testing.assert_allclose(traj.quats, back.quats, rtol=0, atol=1e-15)
 
 
-def test_tum_writer_matches_the_per_line_oracle():
-    rng = np.random.default_rng(4)
-    n = 200
-    quats = np.array([_rand_quat(rng) for _ in range(n)])
-    quats[0] = [0.0, -0.0, 1.0, 0.0]
-    translations = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 1))
-    translations[1] = [-0.0, 0.0, 1e-320]
-    traj = Trajectory(1e9 + 0.05 * np.arange(n), quats, translations)
+def _tum_writer_oracle(traj):
     lines = ["# ttt-lab trajectory", "# timestamp tx ty tz qx qy qz qw"]
     for ts, (w, x, y, z), (tx, ty, tz) in zip(traj.timestamps, traj.quats, traj.translations):
         lines.append(f"{ts:.17g} {tx:.17g} {ty:.17g} {tz:.17g} "
                      f"{x:.17g} {y:.17g} {z:.17g} {w:.17g}")
-    assert write_tum(traj) == "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def _writer_traj(n, seed):
+    """n poses with extreme and signed-zero fields."""
+    rng = np.random.default_rng(seed)
+    quats = rng.standard_normal((n, 4))
+    quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+    quats[0] = [0.0, -0.0, 1.0, 0.0]
+    translations = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 1))
+    translations[-1] = [-0.0, 0.0, 1e-320]
+    return Trajectory(1e9 + 0.05 * np.arange(n), quats, translations)
+
+
+def test_tum_writer_matches_the_per_line_oracle():
+    traj = _writer_traj(200, seed=4)
+    assert write_tum(traj) == _tum_writer_oracle(traj)
+
+
+_BLOCK_EDGES = [1, io_formats._ROW_BLOCK - 1, io_formats._ROW_BLOCK,
+                io_formats._ROW_BLOCK + 1, 3 * io_formats._ROW_BLOCK + 7]
+
+
+@pytest.mark.parametrize("n", _BLOCK_EDGES)
+def test_tum_writer_matches_the_oracle_at_every_block_edge(n):
+    traj = _writer_traj(n, seed=n)
+    assert write_tum(traj) == _tum_writer_oracle(traj)
 
 
 def test_tum_header_names_the_artifact_and_columns():
@@ -469,15 +490,42 @@ def _ply_writer_oracle(cloud):
     return "\n".join(lines) + "\n"
 
 
+def _writer_cloud(n, seed, with_normals):
+    """n points with extreme and signed-zero coordinates, and unit normals if asked."""
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 1))
+    points[0] = [-0.0, 0.0, 1e-320]
+    normals = rng.standard_normal((n, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return PointCloud(points, normals if with_normals else None)
+
+
 @pytest.mark.parametrize("with_normals", [False, True])
 def test_ply_writer_matches_the_per_row_oracle(with_normals):
-    rng = np.random.default_rng(6)
-    points = rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-300, 300, (300, 1))
-    points[0] = [-0.0, 0.0, 1e-320]
-    normals = rng.standard_normal((300, 3))
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    cloud = PointCloud(points, normals if with_normals else None)
+    cloud = _writer_cloud(300, seed=6, with_normals=with_normals)
     assert write_ply_ascii(cloud) == _ply_writer_oracle(cloud)
+
+
+@pytest.mark.parametrize("with_normals", [False, True])
+@pytest.mark.parametrize("n", _BLOCK_EDGES)
+def test_ply_writer_matches_the_oracle_at_every_block_edge(n, with_normals):
+    cloud = _writer_cloud(n, seed=n, with_normals=with_normals)
+    assert write_ply_ascii(cloud) == _ply_writer_oracle(cloud)
+
+
+def test_ply_writer_holds_one_block_of_floats_at_a_time():
+    # Formatting every row at once held a tuple of all 300k floats and a
+    # stacked copy of the columns next to the text: 3.1x its length here.
+    # A block at a time holds the blocks and the joined text: 2.0x.
+    cloud = _writer_cloud(50_000, seed=1, with_normals=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        text = write_ply_ascii(cloud)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 2.5 * len(text)
 
 
 # ---------------------------------------------------------------------------
