@@ -28,14 +28,14 @@ import numpy as np
 
 from . import __version__
 from .geometry_metrics import _depth_maps, ate, associate, chamfer, depth_metrics, rpe, \
-    sequence_depth_scale, PointCloud
+    sequence_depth_scale
 from .io_formats import ParseError, parse_pfm, parse_ply_ascii, parse_tum, \
     write_metrics_csv, write_ply_ascii, write_tum
 from .recall_bench import StateDims, StreamConfig, compare_rules, curves_to_csv, \
     gate_trace_to_csv, gen_adversarial_task, gen_recall_task, summary_to_csv
 from .seeding import derive_seed
 from .state_rules import recon_loss, recon_loss_grad
-from .stitcher import Chunk, split_trajectory, stitch
+from .stitcher import split_trajectory, stitch
 
 __all__ = ["main"]
 
@@ -177,8 +177,10 @@ def _run_gradcheck(args) -> int:
             for j in range(c_k):
                 bump = np.zeros_like(s)
                 bump[i, j] = step
-                hi = recon_loss(s + bump, keys.T, values.T)
-                lo = recon_loss(s - bump, keys.T, values.T)
+                # A step too large to square gives inf losses: a nan error, not a warning.
+                with np.errstate(over="ignore"):
+                    hi = recon_loss(s + bump, keys.T, values.T)
+                    lo = recon_loss(s - bump, keys.T, values.T)
                 fd[i, j] = (hi - lo) / (4.0 * step)
         rel = float(np.max(np.abs(grad - fd)) / max(1.0, float(np.max(np.abs(fd)))))
         rows.append((trial, rel))
@@ -234,6 +236,7 @@ def _list_pfms(directory: str):
 
 
 def _run_depth_eval(args) -> int:
+    """Per-frame depth metrics at scale 1.0 (metric) or the pooled median ratio (seq-scale)."""
     pred_names = _list_pfms(args.pred)
     gt_names = _list_pfms(args.gt)
     if len(pred_names) != len(gt_names):
@@ -249,15 +252,13 @@ def _run_depth_eval(args) -> int:
     # Maps are parsed when read, so one pair is held at a time.  The first
     # pass parses and shape-checks every pair before any metric is computed;
     # the second parses each pair again for its metrics.
-    mode = {"seq-scale": "per_sequence_scale", "metric": "metric"}[args.mode]
-    scale = None
-    if mode == "per_sequence_scale":
+    scale = 1.0
+    if args.mode == "seq-scale":
         scale = sequence_depth_scale(maps(args.pred), maps(args.gt))
     else:
         for pred, gt in zip(maps(args.pred), maps(args.gt)):
             _depth_maps(pred, gt)
-    per_frame = [depth_metrics(p, g, mode=mode, scale=scale)
-                 for p, g in zip(maps(args.pred), maps(args.gt))]
+    per_frame = [depth_metrics(p, g, scale) for p, g in zip(maps(args.pred), maps(args.gt))]
     lines = ["frame,abs_rel,delta_125"]
     for name, (abs_rel, d125) in zip(pred_names, per_frame):
         lines.append(f"{name},{abs_rel!r},{d125!r}")
@@ -265,7 +266,7 @@ def _run_depth_eval(args) -> int:
     mean_d = float(np.mean([m[1] for m in per_frame]))
     lines.append(f"mean,{mean_abs!r},{mean_d!r}")
     _write_outputs(args, {"depth_eval.csv": "\n".join(lines) + "\n"})
-    if scale is not None:
+    if args.mode == "seq-scale":
         print(f"sequence scale {scale:.6e}")
     print(f"frames={len(per_frame)} abs_rel={mean_abs:.6e} delta_125={mean_d:.6f}")
     return 0
@@ -288,25 +289,8 @@ def _run_chamfer(args) -> int:
 def _run_stitch(args) -> int:
     _check(args.reset_period >= 1, "--reset-period must be >= 1")
     traj = parse_tum(_read_text(args.traj))
-    chunks = split_trajectory(traj, args.reset_period)
-    cloud = None
-    if args.cloud is not None:
-        cloud = parse_ply_ascii(_read_text(args.cloud))
-        if len(cloud) < len(chunks):
-            raise ValueError(
-                f"cloud has {len(cloud)} points but {len(chunks)} chunks need one each"
-            )
-        # Hand each chunk a contiguous slice of the cloud, expressed in
-        # that chunk's local frame, to exercise cloud composition.
-        bounds = np.linspace(0, len(cloud), len(chunks) + 1).astype(int)
-        localized = []
-        for chunk, lo, hi in zip(chunks, bounds[:-1], bounds[1:]):
-            anchor = chunk.anchor.matrices()[0]
-            rot_inv = anchor[:3, :3].T
-            pts = (cloud.points[lo:hi] - anchor[:3, 3]) @ rot_inv.T
-            nrm = None if cloud.normals is None else cloud.normals[lo:hi] @ rot_inv.T
-            localized.append(Chunk(chunk.trajectory, chunk.anchor, PointCloud(pts, nrm)))
-        chunks = localized
+    cloud = None if args.cloud is None else parse_ply_ascii(_read_text(args.cloud))
+    chunks = split_trajectory(traj, args.reset_period, cloud)
     stitched, merged = stitch(chunks)
     roundtrip = ate(stitched, traj, associate(stitched, traj), align="none")
     files = {"stitched.tum": write_tum(stitched)}

@@ -256,12 +256,14 @@ def associate(est: Trajectory, gt: Trajectory, max_dt: float = 0.02):
         raise ValueError(f"max_dt must be positive, got {max_dt}")
     est_ts = est.timestamps
     gt_ts = gt.timestamps
-    lo = np.searchsorted(gt_ts, est_ts - max_dt, side="left")
-    counts = np.searchsorted(gt_ts, est_ts + max_dt, side="right") - lo
-    i = np.repeat(np.arange(len(est_ts)), counts)
-    # j runs from lo to hi - 1 within each estimated pose's block.
-    j = np.arange(len(i)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    dt = np.abs(est_ts[i] - gt_ts[j])
+    # A window or |dt| past the largest float is inf, which is still right.
+    with np.errstate(over="ignore"):
+        lo = np.searchsorted(gt_ts, est_ts - max_dt, side="left")
+        counts = np.searchsorted(gt_ts, est_ts + max_dt, side="right") - lo
+        i = np.repeat(np.arange(len(est_ts)), counts)
+        # j runs from lo to hi - 1 within each estimated pose's block.
+        j = np.arange(len(i)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        dt = np.abs(est_ts[i] - gt_ts[j])
     keep = dt <= max_dt
     i, j, dt = i[keep], j[keep], dt[keep]
     order = np.lexsort((j, i, dt))
@@ -334,28 +336,46 @@ def _pair_indices(pairs, est: Trajectory, gt: Trajectory):
     return idx[:, 0], idx[:, 1]
 
 
+def _unoverflowed(a: np.ndarray, b: np.ndarray, terms: int = 3):
+    """Both coordinate arrays and the factor that undoes their scaling.
+
+    Below 2**L in magnitude, L = (1022 - ceil(log2(terms))) // 2, no
+    coordinate difference, nor a sum of `terms` squared ones, overflows,
+    and the arrays are returned as they are (L = 510 for the three
+    squares of one distance).  Otherwise both are scaled by the one
+    power of two that brings them below it.
+    """
+    limit = (1022 - math.ceil(math.log2(terms))) // 2
+    shift = math.frexp(max(np.abs(a).max(), np.abs(b).max()))[1] - limit
+    if shift <= 0:
+        return a, b, 1.0
+    return np.ldexp(a, -shift), np.ldexp(b, -shift), 2.0 ** shift
+
+
 def ate(est: Trajectory, gt: Trajectory, pairs, align: str = "sim3") -> float:
     """Absolute trajectory error: translational RMSE after alignment.
 
     pairs are the matched (i_est, j_gt) indices that associate returns;
     an index that is not an integer within its trajectory raises
     ValueError.  align selects similarity ("sim3"), rigid ("se3", scale
-    pinned to 1) or no alignment ("none").
+    pinned to 1) or no alignment ("none").  Translations too large to
+    square and sum are measured scaled by a power of two, as chamfer
+    measures clouds.
     """
     if align not in ("sim3", "se3", "none"):
         raise ValueError(f"align must be 'sim3', 'se3' or 'none', got {align!r}")
     if not len(pairs):
         raise ValueError("no matched pose pairs within the association window")
     i_est, j_gt = _pair_indices(pairs, est, gt)
-    p = est.translations[i_est]
-    g = gt.translations[j_gt]
+    # The RMSE and the alignment's covariances sum 3 squares per pair.
+    p, g, unit = _unoverflowed(est.translations[i_est], gt.translations[j_gt], 3 * len(i_est))
     if align != "none":
         if len(pairs) < 3:
             raise ValueError(
                 f"alignment needs at least 3 matched pairs, got {len(pairs)}"
             )
         p = umeyama_sim3(p, g, with_scale=(align == "sim3")).apply(p)
-    return float(np.sqrt(np.mean(np.sum((p - g) ** 2, axis=1))))
+    return float(np.sqrt(np.mean(np.sum((p - g) ** 2, axis=1)))) * unit
 
 
 def rpe(est: Trajectory, gt: Trajectory, pairs, delta: int = 1):
@@ -367,6 +387,7 @@ def rpe(est: Trajectory, gt: Trajectory, pairs, delta: int = 1):
     returns the RMSE of the translation norms and of the rotation angles
     in degrees.  The angle is atan2(|vee(R - R^T)| / 2, (tr R - 1) / 2),
     which stays accurate near zero, where acos of the trace would not.
+    Translations are scaled as ate scales them.
     """
     if delta < 1:
         raise ValueError(f"delta must be >= 1, got {delta}")
@@ -377,6 +398,10 @@ def rpe(est: Trajectory, gt: Trajectory, pairs, delta: int = 1):
     i_est, j_gt = _pair_indices(pairs, est, gt)
     est_mats = est.matrices()[i_est]
     gt_mats = gt.matrices()[j_gt]
+    # An error translation is at most four translations long, so its
+    # square is at most 12 squared coordinate differences.
+    est_mats[:, :3, 3], gt_mats[:, :3, 3], unit = _unoverflowed(
+        est_mats[:, :3, 3], gt_mats[:, :3, 3], 12 * len(i_est))
     est_rel = se3_inverse(est_mats[:-delta]) @ est_mats[delta:]
     gt_rel = se3_inverse(gt_mats[:-delta]) @ gt_mats[delta:]
     err = se3_inverse(gt_rel) @ est_rel
@@ -386,7 +411,7 @@ def rpe(est: Trajectory, gt: Trajectory, pairs, delta: int = 1):
     cos_angle = (np.trace(rot, axis1=1, axis2=2) - 1.0) / 2.0
     angle = np.degrees(np.arctan2(np.linalg.norm(vee, axis=1) / 2.0, cos_angle))
     trans_sq = np.sum(err[:, :3, 3] ** 2, axis=1)
-    return float(np.sqrt(np.mean(trans_sq))), float(np.sqrt(np.mean(angle * angle)))
+    return float(np.sqrt(np.mean(trans_sq))) * unit, float(np.sqrt(np.mean(angle * angle)))
 
 
 def _depth_maps(*maps) -> list:
@@ -405,35 +430,22 @@ def _valid_mask(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
     return np.isfinite(pred) & (pred > 0) & np.isfinite(gt) & (gt > 0)
 
 
-def depth_metrics(pred, gt, mode: str = "metric", scale: Optional[float] = None):
-    """Mean absolute relative error and the delta < 1.25 inlier fraction.
+def depth_metrics(pred, gt, scale: float = 1.0):
+    """Mean absolute relative error and delta < 1.25 inlier fraction of scale * pred.
 
-    mode "metric" compares raw values; mode "per_sequence_scale"
-    multiplies the prediction by `scale`, or by median(gt)/median(pred)
-    over this map's valid pixels when no scale is given.  pred and gt
-    are H x W arrays of one shape; pixels are valid where both maps are
-    finite and positive.
+    scale is positive and finite: 1.0 for metric depth, else
+    sequence_depth_scale of the sequence (or of [pred], [gt] alone).
+    pred and gt are H x W arrays of one shape; pixels are valid where
+    both maps are finite and positive.
     """
-    if mode not in ("metric", "per_sequence_scale"):
-        raise ValueError(f"mode must be 'metric' or 'per_sequence_scale', got {mode!r}")
+    if not (scale > 0) or not math.isfinite(scale):
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     pred, gt = _depth_maps(pred, gt)
     mask = _valid_mask(pred, gt)
     if not np.any(mask):
         raise ValueError("no valid pixels shared by prediction and reference")
-    p = pred[mask]
+    p = pred[mask] * float(scale)
     g = gt[mask]
-    if mode == "metric":
-        if scale is not None:
-            raise ValueError("scale only applies in per_sequence_scale mode")
-        s = 1.0
-    else:
-        if scale is None:
-            s = float(np.median(g) / np.median(p))
-        else:
-            s = float(scale)
-        if not (s > 0) or not math.isfinite(s):
-            raise ValueError(f"scale must be positive and finite, got {s}")
-    p = p * s
     abs_rel = float(np.mean(np.abs(p - g) / g))
     ratio = np.maximum(p / g, g / p)
     delta_125 = float(np.mean(ratio < 1.25))
@@ -452,7 +464,8 @@ def _pooled_median(parts: list) -> np.float64:
 
     The pool stays float32 when every part is: widening to float64 is
     exact and keeps the order, so the middle pair is the float64 pool's,
-    and averaging it in float64 gives np.median's bits on that pool.
+    and averaging it in float64 gives numpy's median of that pool, bit
+    for bit.
     """
     pool = np.concatenate(parts)
     parts.clear()
@@ -468,7 +481,8 @@ def sequence_depth_scale(preds: Iterable, gts: Iterable) -> float:
     """One shared scale for a sequence: median(gt) / median(pred).
 
     Medians are taken over the valid pixels pooled across all frames,
-    so a single scale serves every map of the sequence.  Each prediction
+    so a single scale serves every map of the sequence; given one map
+    pair, it is that map's own median ratio.  Each prediction
     has the shape of its reference.  preds and gts may be any iterables,
     generators included: one map pair is held at a time, and each
     frame's valid pixels are kept as float32 where that is exact (PFM
@@ -680,20 +694,6 @@ def _nearest(ref: np.ndarray, qry: np.ndarray):
     if len(brute):
         d2[brute], idx[brute] = _brute_nearest(ref, qry[brute])
     return d2, idx
-
-
-def _unoverflowed(a: np.ndarray, b: np.ndarray):
-    """Both clouds and the factor that undoes their scaling.
-
-    Below 2**510 in magnitude no coordinate difference, nor a sum of
-    three squared ones, overflows, and the clouds are returned as they
-    are.  Otherwise both are scaled by the one power of two that brings
-    them below it.
-    """
-    shift = math.frexp(max(np.abs(a).max(), np.abs(b).max()))[1] - 510
-    if shift <= 0:
-        return a, b, 1.0
-    return np.ldexp(a, -shift), np.ldexp(b, -shift), 2.0 ** shift
 
 
 def chamfer(a: PointCloud, b: PointCloud) -> ChamferResult:

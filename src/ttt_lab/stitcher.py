@@ -21,9 +21,9 @@ __all__ = ["StitchError", "Chunk", "stitch", "split_trajectory"]
 
 # A re-localized chunk must start exactly at its own origin.
 _LOCAL_IDENTITY_TOL = 1e-9
-# Globalized overlap frames are compared entrywise on rotation and
-# translation; disagreement beyond this means the chunks do not share
-# the frame they claim to share.
+# Globalized overlap frames are compared entrywise, rotations absolutely
+# and translations relative to max(1, |t|); disagreement beyond this
+# means the chunks do not share the frame they claim to share.
 _OVERLAP_TOL = 1e-6
 
 
@@ -56,7 +56,9 @@ def stitch(chunks: Sequence[Chunk]):
 
     Each chunk after the first must re-observe the previous chunk's
     final frame: its anchor has to coincide with that frame's
-    globalized pose within 1e-6, and the duplicated frame is dropped
+    globalized pose within 1e-6 (rotation entries absolutely,
+    translation entries relative to max(1, |t|), with |t| that pose's
+    largest translation entry), and the duplicated frame is dropped
     from the output.
 
     Returns (trajectory, cloud); the cloud is None when no chunk
@@ -71,7 +73,9 @@ def stitch(chunks: Sequence[Chunk]):
         anchor = chunk.anchor.matrices()[0]
         skip = int(k > 0)
         if skip:
-            gap = float(np.max(np.abs(anchor[:3] - prev_last[:3])))
+            diff = np.abs(anchor[:3] - prev_last[:3])
+            diff[:, 3] /= max(1.0, float(np.max(np.abs(prev_last[:3, 3]))))
+            gap = float(np.max(diff))
             if gap > _OVERLAP_TOL:
                 raise StitchError(
                     f"chunk {k}: anchor disagrees with the previous chunk's final pose "
@@ -94,13 +98,15 @@ def stitch(chunks: Sequence[Chunk]):
     return Trajectory.from_matrices(np.concatenate(timestamps), np.concatenate(mats)), merged
 
 
-def split_trajectory(traj: Trajectory, period: int):
-    """Cut a global trajectory into overlapping local chunks.
+def split_trajectory(traj: Trajectory, period: int, cloud: Optional[PointCloud] = None):
+    """Cut a global trajectory, and optionally a global cloud, into overlapping local chunks.
 
     Chunk k covers global frames [k*period, min((k+1)*period, N-1)]
     inclusive, so consecutive chunks share exactly one frame.  Each
     chunk is re-expressed relative to its first pose, which becomes the
-    anchor.  stitch() inverts this exactly (up to rounding).
+    anchor.  A cloud, when given, is cut into len(chunks) contiguous
+    slices of at least one point each, and chunk k carries the k-th in
+    its local frame.  stitch() inverts this exactly (up to rounding).
     """
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
@@ -114,4 +120,16 @@ def split_trajectory(traj: Trajectory, period: int):
         local = se3_inverse(mats[start]) @ mats[start:end]
         chunks.append(Chunk(Trajectory.from_matrices(traj.timestamps[start:end], local),
                             traj[start:start + 1]))
-    return chunks
+    if cloud is None:
+        return chunks
+    if len(cloud) < len(chunks):
+        raise ValueError(f"cloud has {len(cloud)} points but {len(chunks)} chunks need one each")
+    bounds = np.linspace(0, len(cloud), len(chunks) + 1).astype(int)
+    localized = []
+    for chunk, lo, hi in zip(chunks, bounds[:-1], bounds[1:]):
+        anchor = chunk.anchor.matrices()[0]
+        rot_inv = anchor[:3, :3].T
+        pts = (cloud.points[lo:hi] - anchor[:3, 3]) @ rot_inv.T
+        nrm = None if cloud.normals is None else cloud.normals[lo:hi] @ rot_inv.T
+        localized.append(Chunk(chunk.trajectory, chunk.anchor, PointCloud(pts, nrm)))
+    return localized

@@ -20,6 +20,7 @@ from ttt_lab.geometry_metrics import (
     chamfer,
     depth_metrics,
     quat_to_rotmat,
+    sequence_depth_scale,
     umeyama_sim3,
 )
 from ttt_lab.io_formats import write_pfm, write_ply_ascii, write_tum
@@ -227,11 +228,11 @@ def test_10_depth_modes_agree_on_the_doubled_prediction():
     gt = gt_vals
     pred = 2.0 * gt_vals
 
-    abs_rel, d125 = depth_metrics(pred, gt, mode="metric")
+    abs_rel, d125 = depth_metrics(pred, gt)
     assert abs_rel == 1.0
     assert d125 == 0.0
 
-    abs_rel, d125 = depth_metrics(pred, gt, mode="per_sequence_scale")
+    abs_rel, d125 = depth_metrics(pred, gt, sequence_depth_scale([pred], [gt]))
     assert abs_rel <= 1e-12
     assert d125 == 1.0
 

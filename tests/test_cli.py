@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from ttt_lab.cli import _build_parser, main
 from ttt_lab.geometry_metrics import PointCloud, Trajectory, depth_metrics, \
     sequence_depth_scale
-from ttt_lab.io_formats import parse_pfm, write_pfm, write_ply_ascii, write_tum
+from ttt_lab.io_formats import parse_pfm, parse_tum, write_pfm, write_ply_ascii, write_tum
 
 
 def _rand_quat(rng):
@@ -430,9 +430,10 @@ def test_gradcheck_zero_tolerance_fails_with_dump(tmp_path, capsys):
     assert "FAILED" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_gradcheck_nan_error_fails_with_dump(tmp_path, capsys):
-    # A step of 1e300 overflows the loss, so every trial's error is nan.
+    # A step of 1e300 overflows the loss, so every trial's error is nan,
+    # reported without a numpy warning.
     out = tmp_path / "g"
     code = main(["gradcheck", "--out", str(out), "--trials", "2", "--max-dim", "2",
                  "--step", "1e300"])
@@ -568,6 +569,47 @@ def test_traj_eval_without_overlap_is_a_runtime_failure(tmp_path):
                  "--out", str(tmp_path / "t")]) == 1
 
 
+def _traj_eval_row(tmp_path, est, gt, name, *flags):
+    (tmp_path / "est.tum").write_text(write_tum(est))
+    (tmp_path / "gt.tum").write_text(write_tum(gt))
+    assert main(["traj-eval", "--est", str(tmp_path / "est.tum"), "--gt",
+                 str(tmp_path / "gt.tum"), "--out", str(tmp_path / name), *flags]) == 0
+    row = (tmp_path / name / "traj_eval.csv").read_text().split()[1]
+    return [float(v) for v in row.split(",")]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("align", ["sim3", "se3", "none"])
+def test_traj_eval_of_translations_near_1e200(tmp_path, capsys, align):
+    # The squares of these translations overflow; the metrics are measured
+    # scaled, so they scale by 2**664 with the input and stay finite.
+    rng = np.random.default_rng(41)
+    quats = [_rand_quat(rng) for _ in range(50)]
+    t = rng.standard_normal((50, 3))
+    gt = Trajectory(0.1 * np.arange(50), quats, t)
+    est = Trajectory(0.1 * np.arange(50), quats, t + 0.01 * rng.standard_normal((50, 3)))
+
+    def big(traj):
+        return Trajectory(traj.timestamps, traj.quats, np.ldexp(traj.translations, 664))
+
+    small = _traj_eval_row(tmp_path, est, gt, "small", "--align", align)
+    large = _traj_eval_row(tmp_path, big(est), big(gt), "large", "--align", align)
+    assert capsys.readouterr().err == ""
+    for got, want in zip(large[:2], small[:2]):
+        assert abs(got - math.ldexp(want, 664)) <= 1e-12 * math.ldexp(want, 664)
+    assert large[2] == small[2]
+
+
+@pytest.mark.filterwarnings("error")
+def test_traj_eval_window_past_the_largest_float(tmp_path, capsys):
+    rng = np.random.default_rng(42)
+    traj = Trajectory(1.7e308 - 1e293 * np.arange(50)[::-1],
+                      [_rand_quat(rng) for _ in range(50)], rng.standard_normal((50, 3)))
+    row = _traj_eval_row(tmp_path, traj, traj, "t", "--max-dt", "1e308")
+    assert capsys.readouterr().err == ""
+    assert row[0] <= 1e-12 and row[1:] == [0.0, 0.0]
+
+
 def test_traj_eval_malformed_input_is_a_usage_error(tmp_path):
     est, gt = tmp_path / "est.tum", tmp_path / "gt.tum"
     _write_traj(gt)
@@ -648,15 +690,14 @@ def _depth_eval_oracle(pred_dir, gt_dir, mode):
     names = sorted(os.listdir(pred_dir))
     preds = [parse_pfm((pred_dir / n).read_bytes()) for n in names]
     gts = [parse_pfm((gt_dir / n).read_bytes()) for n in names]
-    metric_mode = {"seq-scale": "per_sequence_scale", "metric": "metric"}[mode]
-    scale = sequence_depth_scale(preds, gts) if mode == "seq-scale" else None
-    per_frame = [depth_metrics(p, g, mode=metric_mode, scale=scale) for p, g in zip(preds, gts)]
+    scale = sequence_depth_scale(preds, gts) if mode == "seq-scale" else 1.0
+    per_frame = [depth_metrics(p, g, scale) for p, g in zip(preds, gts)]
     mean_abs = float(np.mean([m[0] for m in per_frame]))
     mean_d = float(np.mean([m[1] for m in per_frame]))
     lines = ["frame,abs_rel,delta_125"]
     lines += [f"{n},{a!r},{d!r}" for n, (a, d) in zip(names, per_frame)]
     lines.append(f"mean,{mean_abs!r},{mean_d!r}")
-    stdout = f"sequence scale {scale:.6e}\n" if scale is not None else ""
+    stdout = f"sequence scale {scale:.6e}\n" if mode == "seq-scale" else ""
     stdout += f"frames={len(per_frame)} abs_rel={mean_abs:.6e} delta_125={mean_d:.6f}\n"
     return "\n".join(lines) + "\n", stdout
 
@@ -894,6 +935,37 @@ def test_stitch_with_fewer_points_than_chunks_fails(tmp_path, capsys):
                  "--reset-period", "5", "--cloud", str(cloud)]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: cloud has 3 points but 4 chunks need one each"]
+
+
+def test_stitch_reads_the_cloud_before_it_splits(tmp_path, capsys):
+    # A one-pose trajectory cannot be split (exit 1), but a malformed cloud
+    # is reported first, as the usage error it is (exit 2).
+    _write_traj(tmp_path / "t.tum", n=1)
+    (tmp_path / "bad.ply").write_text("ply\nformat ascii 1.0\n")
+    _write_cloud(tmp_path / "c.ply")
+    argv = ["stitch", "--traj", str(tmp_path / "t.tum"), "--out", str(tmp_path / "s")]
+    assert main([*argv, "--cloud", str(tmp_path / "bad.ply")]) == 2
+    assert capsys.readouterr().err == "error: unterminated PLY header: no end_header line\n"
+    assert main([*argv, "--cloud", str(tmp_path / "c.ply")]) == 1
+    assert capsys.readouterr().err == "error: need at least 2 poses to split\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("magnitude", [1e9, 1e12])
+def test_stitch_round_trips_translations_far_from_the_origin(tmp_path, capsys, magnitude):
+    # The overlap check is relative to the translations' size.
+    rng = np.random.default_rng(40)
+    traj = Trajectory(0.1 * np.arange(300), [_rand_quat(rng) for _ in range(300)],
+                      magnitude * rng.standard_normal((300, 3)))
+    (tmp_path / "t.tum").write_text(write_tum(traj))
+    out = tmp_path / "s"
+    assert main(["stitch", "--traj", str(tmp_path / "t.tum"), "--out", str(out),
+                 "--reset-period", "10"]) == 0
+    assert capsys.readouterr().err == ""
+    stitched = parse_tum((out / "stitched.tum").read_text())
+    np.testing.assert_array_equal(stitched.timestamps, traj.timestamps)
+    err = np.max(np.abs(stitched.translations - traj.translations))
+    assert err <= 1e-14 * np.max(np.abs(traj.translations))
 
 
 def test_stitch_flag_validation(tmp_path):

@@ -322,6 +322,16 @@ def test_associate_matches_the_greedy_loop(est, gt, max_dt):
     assert all(type(k) is int for pair in pairs for k in pair)
 
 
+def test_associate_takes_a_window_past_the_largest_float_without_a_warning():
+    # 1.7e308 + 1e308 overflows to inf, which still bounds the window rightly.
+    est = _stamps(*(1.7e308 - 1e293 * np.arange(5)[::-1]))
+    gt = _stamps(*(-1.7e308 + 1e293 * np.arange(3)), *est.timestamps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairs = associate(est, gt, max_dt=1e308)
+    assert pairs == [(i, i + 3) for i in range(5)]
+
+
 # ---------------------------------------------------------------------------
 # similarity alignment
 
@@ -551,6 +561,49 @@ def test_ate_and_rpe_take_pairs_as_an_integer_array():
         assert rpe(est, gt, array, delta=2) == rpe(est, gt, pairs, delta=2)
 
 
+@pytest.mark.parametrize("k", [0, 300, 600, 1000])
+def test_ate_and_rpe_scale_with_translations_too_large_to_square(k):
+    # Equivariance oracle: scaling every translation by 2**k scales ATE and
+    # the RPE translation by 2**k and leaves the RPE angle as it is.  From
+    # about 2**500 the squares overflow unless the metric rescales.
+    rng = np.random.default_rng(24)
+    gt = _traj(rng.standard_normal((40, 3)), [_rand_quat(rng) for _ in range(40)])
+    est = _wobbled(gt, rng)
+
+    def big(traj):
+        return Trajectory(traj.timestamps, traj.quats, np.ldexp(traj.translations, k))
+
+    pairs = associate(est, gt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for align in ("sim3", "se3", "none"):
+            got = ate(big(est), big(gt), pairs, align=align)
+            want = math.ldexp(ate(est, gt, pairs, align=align), k)
+            assert abs(got - want) <= 1e-12 * want, align
+        got = rpe(big(est), big(gt), pairs, delta=2)
+        base = rpe(est, gt, pairs, delta=2)
+    want = math.ldexp(base[0], k)
+    assert abs(got[0] - want) <= 1e-12 * want
+    assert abs(got[1] - base[1]) <= 1e-12 * base[1]
+
+
+def test_ate_and_rpe_of_64_pairs_at_the_worst_case_size():
+    # Every coordinate is +-1e300 and every pair is as far apart as its
+    # coordinates allow, so the scale has to count the pairs: 3 squares
+    # a pair for ATE, 12 for RPE, whose error translation is four long.
+    s = 1e300
+    est = _traj(s * np.outer((-1.0) ** np.arange(64), np.ones(3)))
+    gt = _traj(-est.translations)
+    pairs = associate(est, gt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_ate = ate(est, gt, pairs, align="none")
+        got_rpe = rpe(est, gt, pairs)
+    assert got_ate == pytest.approx(2 * math.sqrt(3) * s, rel=1e-15)
+    assert got_rpe[0] == pytest.approx(4 * math.sqrt(3) * s, rel=1e-15)
+    assert got_rpe[1] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # depth metrics
 
@@ -558,7 +611,7 @@ def test_ate_and_rpe_take_pairs_as_an_integer_array():
 def test_depth_metric_mode_on_doubled_prediction():
     rng = np.random.default_rng(12)
     gt = rng.uniform(1.0, 5.0, (6, 8))
-    abs_rel, d125 = depth_metrics(2.0 * gt, gt, mode="metric")
+    abs_rel, d125 = depth_metrics(2.0 * gt, gt)
     assert abs_rel == pytest.approx(1.0, abs=1e-15)
     assert d125 == 0.0
 
@@ -566,23 +619,52 @@ def test_depth_metric_mode_on_doubled_prediction():
 def test_depth_seq_scale_mode_on_doubled_prediction():
     rng = np.random.default_rng(13)
     gt = rng.uniform(1.0, 5.0, (6, 8))
-    abs_rel, d125 = depth_metrics(2.0 * gt, gt, mode="per_sequence_scale")
+    abs_rel, d125 = depth_metrics(2.0 * gt, gt, sequence_depth_scale([2.0 * gt], [gt]))
     assert abs_rel <= 1e-12
     assert d125 == 1.0
 
 
-def test_depth_metric_mode_rejects_external_scale():
+@pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+def test_depth_metrics_rejects_a_scale_that_is_not_positive_and_finite(scale):
     gt = np.ones((2, 2))
-    with pytest.raises(ValueError):
-        depth_metrics(gt, gt, mode="metric", scale=0.5)
-    with pytest.raises(ValueError):
-        depth_metrics(gt, gt, mode="nonsense")
+    with pytest.raises(ValueError, match=f"^scale must be positive and finite, got {scale}$"):
+        depth_metrics(gt, gt, scale)
+
+
+def _depth_mask(pred, gt):
+    return np.isfinite(pred) & (pred > 0) & np.isfinite(gt) & (gt > 0)
+
+
+def _per_map_scale_metrics(pred, gt):
+    """Metrics at one map's own scale, median(gt) / median(pred) over its
+    valid pixels, as np.median gives it."""
+    mask = _depth_mask(pred, gt)
+    p, g = pred[mask], gt[mask]
+    p = p * float(np.median(g) / np.median(p))
+    return float(np.mean(np.abs(p - g) / g)), float(np.mean(np.maximum(p / g, g / p) < 1.25))
+
+
+def test_one_map_sequence_scale_gives_the_per_map_median_ratio_bit_for_bit():
+    rng = np.random.default_rng(15)
+    specials = [0.0, -1.0, np.nan, np.inf, -np.inf]
+    for case in range(300):
+        shape = tuple(int(v) for v in rng.integers(1, 12, 2))
+        pred, gt = rng.lognormal(0.0, 1.0, (2,) + shape)
+        if case % 2:   # float32-exact pixels, as PFM files hold
+            pred, gt = (m.astype(np.float32).astype(np.float64) for m in (pred, gt))
+        for m in (pred, gt):
+            hit = rng.random(shape) < 0.2
+            m[hit] = rng.choice(specials, size=int(hit.sum()))
+        if not np.any(_depth_mask(pred, gt)):
+            continue
+        got = depth_metrics(pred, gt, sequence_depth_scale([pred], [gt]))
+        assert got == _per_map_scale_metrics(pred, gt), case
 
 
 def test_depth_invalid_pixels_are_excluded():
     gt = np.array([[1.0, 2.0], [0.0, np.nan]])
     pred = np.array([[2.0, 4.0], [100.0, 100.0]])
-    abs_rel, d125 = depth_metrics(pred, gt, mode="metric")
+    abs_rel, d125 = depth_metrics(pred, gt)
     # only the first row is valid; both pixels are off by a factor 2
     assert abs_rel == pytest.approx(1.0, abs=1e-15)
     assert d125 == 0.0
@@ -592,7 +674,7 @@ def test_depth_no_valid_pixels_raises():
     gt = np.array([[0.0, -1.0]])
     pred = np.array([[1.0, 1.0]])
     with pytest.raises(ValueError):
-        depth_metrics(pred, gt, mode="metric")
+        depth_metrics(pred, gt)
 
 
 def test_sequence_scale_pools_pixels_before_the_median():
@@ -685,7 +767,7 @@ def test_sequence_scale_counts_the_frames_of_iterables():
 def _depth_calls(bad, good):
     """Every depth-map entry point, given `bad` in one slot and `good` elsewhere."""
     return [lambda: depth_metrics(bad, good), lambda: depth_metrics(good, bad),
-            lambda: depth_metrics(good, bad, mode="per_sequence_scale"),
+            lambda: depth_metrics(good, bad, 2.0),
             lambda: sequence_depth_scale([good, bad], [good, good]),
             lambda: sequence_depth_scale([good], [bad])]
 
@@ -723,7 +805,7 @@ def test_depth_functions_do_not_write_to_their_inputs():
     for arr in (gt, pred):
         arr.setflags(write=False)
     depth_metrics(pred, gt)
-    depth_metrics(pred, gt, mode="per_sequence_scale")
+    depth_metrics(pred, gt, sequence_depth_scale([pred], [gt]))
     sequence_depth_scale([pred, pred], [gt, gt])
     write_pfm(pred)
     np.testing.assert_array_equal(gt, originals[0])

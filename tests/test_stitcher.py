@@ -172,3 +172,94 @@ def test_split_validation():
         split_trajectory(single, 5)
     with pytest.raises(ValueError):
         stitch([])
+    cloud = PointCloud(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="^cloud has 2 points but 3 chunks need one each$"):
+        split_trajectory(traj, 4, cloud)
+    assert len(split_trajectory(traj, 5, cloud)) == 2
+
+
+def _cli_loop_chunks(traj, period, cloud):
+    """Oracle: the cloud-free split, then each chunk's contiguous slice of
+    the cloud moved into that chunk's local frame, one chunk at a time."""
+    chunks = split_trajectory(traj, period)
+    bounds = np.linspace(0, len(cloud), len(chunks) + 1).astype(int)
+    localized = []
+    for chunk, lo, hi in zip(chunks, bounds[:-1], bounds[1:]):
+        anchor = chunk.anchor.matrices()[0]
+        rot_inv = anchor[:3, :3].T
+        pts = (cloud.points[lo:hi] - anchor[:3, 3]) @ rot_inv.T
+        nrm = None if cloud.normals is None else cloud.normals[lo:hi] @ rot_inv.T
+        localized.append(Chunk(chunk.trajectory, chunk.anchor, PointCloud(pts, nrm)))
+    return localized
+
+
+def _rand_cloud(n, seed, normals):
+    rng = np.random.default_rng(seed)
+    nrm = None
+    if normals:
+        nrm = rng.standard_normal((n, 3))
+        nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+    return PointCloud(5.0 * rng.standard_normal((n, 3)), nrm)
+
+
+@pytest.mark.parametrize("normals", [False, True], ids=["points", "normals"])
+@pytest.mark.parametrize("n, period, points", [(300, 100, 1000), (23, 5, 5), (17, 1, 40),
+                                               (2, 7, 1), (41, 4, 97)])
+def test_split_hands_each_chunk_the_cli_loops_cloud_bit_for_bit(n, period, points, normals):
+    traj = _rand_traj(n, seed=n)
+    cloud = _rand_cloud(points, seed=points, normals=normals)
+    got = split_trajectory(traj, period, cloud)
+    want = _cli_loop_chunks(traj, period, cloud)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a.trajectory.timestamps, b.trajectory.timestamps)
+        np.testing.assert_array_equal(a.trajectory.quats, b.trajectory.quats)
+        np.testing.assert_array_equal(a.trajectory.translations, b.trajectory.translations)
+        np.testing.assert_array_equal(a.anchor.quats, b.anchor.quats)
+        np.testing.assert_array_equal(a.anchor.translations, b.anchor.translations)
+        np.testing.assert_array_equal(a.cloud.points, b.cloud.points)
+        if normals:
+            np.testing.assert_array_equal(a.cloud.normals, b.cloud.normals)
+        else:
+            assert a.cloud.normals is None and b.cloud.normals is None
+
+
+@pytest.mark.parametrize("normals", [False, True], ids=["points", "normals"])
+def test_stitch_of_a_split_cloud_restores_the_cloud(normals):
+    traj = _rand_traj(300, seed=16)
+    cloud = _rand_cloud(1000, seed=17, normals=normals)
+    stitched, merged = stitch(split_trajectory(traj, 7, cloud))
+    assert ate(stitched, traj, associate(stitched, traj), align="none") <= 1e-12
+    np.testing.assert_allclose(merged.points, cloud.points, rtol=0, atol=1e-12)
+    if normals:
+        np.testing.assert_allclose(merged.normals, cloud.normals, rtol=0, atol=1e-12)
+    else:
+        assert merged.normals is None
+
+
+@pytest.mark.parametrize("magnitude", [1.0, 1e9, 1e12, 1e100])
+def test_round_trip_holds_for_translations_of_any_size(magnitude):
+    # The overlap check compares translations relative to their size, so
+    # its rounding error does not grow past the tolerance with them.
+    base = _rand_traj(300, seed=20)
+    traj = Trajectory(base.timestamps, base.quats, magnitude * base.translations)
+    stitched, _ = stitch(split_trajectory(traj, 10))
+    np.testing.assert_array_equal(stitched.timestamps, traj.timestamps)
+    err = np.max(np.abs(stitched.translations - traj.translations))
+    assert err <= 1e-14 * np.max(np.abs(traj.translations))
+    np.testing.assert_allclose(stitched.quats, traj.quats, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("magnitude", [1e9, 1e12])
+def test_an_anchor_off_by_a_relative_1e5_is_rejected_at_any_size(magnitude):
+    base = _rand_traj(30, seed=21)
+    traj = Trajectory(base.timestamps, base.quats, magnitude * base.translations)
+    chunks = split_trajectory(traj, 10)
+    anchor = chunks[2].anchor
+    off = 1e-5 * np.max(np.abs(anchor.translations))
+    moved = Trajectory(anchor.timestamps, anchor.quats,
+                       anchor.translations + np.array([off, 0.0, 0.0]))
+    chunks[2] = Chunk(chunks[2].trajectory, moved)
+    with pytest.raises(StitchError, match="^chunk 2: anchor disagrees with the previous "
+                                          r"chunk's final pose by \S+ \(tolerance 1e-06\)$"):
+        stitch(chunks)
