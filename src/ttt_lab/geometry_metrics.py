@@ -287,6 +287,8 @@ def umeyama_sim3(src: np.ndarray, dst: np.ndarray, with_scale: bool = True) -> S
     closed form via the SVD of the cross-covariance; the sign matrix on
     the smallest singular direction keeps the solution a proper
     rotation even for reflected inputs.  with_scale False pins s = 1.
+    Coordinates too large to square and sum are aligned scaled by one
+    power of two (_unoverflowed), and t is returned in input units.
     """
     src = np.asarray(src, dtype=np.float64)
     dst = np.asarray(dst, dtype=np.float64)
@@ -297,6 +299,8 @@ def umeyama_sim3(src: np.ndarray, dst: np.ndarray, with_scale: bool = True) -> S
     n = src.shape[0]
     if n < 3:
         raise ValueError(f"alignment needs at least 3 point pairs, got {n}")
+    # The covariance and the variance each sum 3 squares per pair.
+    src, dst, unit = _unoverflowed(src, dst, 3 * n)
     mu_s = src.mean(axis=0)
     mu_d = dst.mean(axis=0)
     x = src - mu_s
@@ -318,7 +322,7 @@ def umeyama_sim3(src: np.ndarray, dst: np.ndarray, with_scale: bool = True) -> S
             raise DegenerateGeometryError(f"recovered scale {scale} is not positive")
     else:
         scale = 1.0
-    t = mu_d - scale * rot @ mu_s
+    t = (mu_d - scale * rot @ mu_s) * unit
     return Sim3Transform(scale, rot, t)
 
 
@@ -488,7 +492,8 @@ def sequence_depth_scale(preds: Iterable, gts: Iterable) -> float:
     frame's valid pixels are kept as float32 where that is exact (PFM
     samples always are), else as float64, and each median partitions
     the pool of one side in place (_pooled_median), so the scale is the
-    one a float64 pool would give.
+    one a float64 pool would give.  A ratio that overflows, or
+    underflows to 0, raises ValueError.
     """
     p_parts, g_parts = [], []
     n_pred = n_gt = 0
@@ -505,7 +510,13 @@ def sequence_depth_scale(preds: Iterable, gts: Iterable) -> float:
         raise ValueError(f"need matching non-empty map lists, got {n_pred} and {n_gt}")
     if not any(part.size for part in p_parts):
         raise ValueError("no valid pixels in the whole sequence")
-    return float(_pooled_median(g_parts) / _pooled_median(p_parts))
+    # Python floats divide without numpy's overflow warning.
+    g_median, p_median = float(_pooled_median(g_parts)), float(_pooled_median(p_parts))
+    scale = g_median / p_median
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"the depth scale median(gt) / median(pred) = {g_median!r} / "
+                         f"{p_median!r} {'overflows' if scale else 'underflows'}")
+    return scale
 
 
 # Exact nearest neighbours on a uniform grid.  Sizes bound every temporary.

@@ -5,13 +5,12 @@ name in state_rules.GATES.  StreamConfig checks the spec once and keeps
 its canonical form, the label of the rule's report rows; one table keyed
 by rule name holds what the stream does with each rule and its gates.
 
-A task is a sequence of key/value pairs, one per frame, optionally
-followed by distractor frames of equal size.  RecallTask is plain data,
-four arrays: the key and value rows and the distractor frames' keys and
-values; the generators' key_mode, seed and rho shape the draw and are
-not stored.  The stream is one key array, one value array and the
-offsets at which its frames start, so a reset segment is a slice of
-rows.  Each rule ingests only what its outputs read.  The readout sees
+A task is the stream itself: one key row and one value row per stream
+row, the first `count` rows stored pairs, one per frame, and the rest
+distractor frames of `frame_size` rows; its offsets are the rows at
+which its frames start, so a reset segment is a slice of rows.  The
+generators' key_mode, seed and rho shape the draw and are not stored.
+Each rule ingests only what its outputs read.  The readout sees
 the state after the last reset segment, so full, vanilla, hebbian and
 delta run their kernel once, on that segment: the token rule steps
 through its frames inside the kernel, the cache appends it as one
@@ -101,6 +100,11 @@ class StateDims(NamedTuple):
     c_v: int
 
 
+def _check_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_finite_rows(rows: np.ndarray, name: str) -> None:
     bad = ~np.all(np.isfinite(rows), axis=-1)
     if np.any(bad):
@@ -109,20 +113,20 @@ def _check_finite_rows(rows: np.ndarray, name: str) -> None:
 
 @dataclass(frozen=True)
 class RecallTask:
-    """Keys/values to store plus optional distractor frames that follow them.
+    """The recall stream: stored pairs, one per frame, then distractor frames.
 
-    Keys (count x c_k) are finite unit rows and values (count x c_v)
-    finite rows; the task does not record how its keys were drawn.
-    Pair i is frame i of the stream.  Distractors are F frames of r
-    rows that follow the pairs: keys (F x r x c_k), finite unit rows,
-    and values (F x r x c_v), finite rows; a bad row is named by its
-    index counted frame after frame.  None means none.
+    keys (rows x c_k) are finite unit rows and values (rows x c_v)
+    finite rows, one of each per stream row; the task does not record
+    how its keys were drawn.  Rows 0..count-1 are the stored pairs,
+    one per frame (count None means every row is a pair), and the rows
+    after them are whole frames of frame_size rows.  A bad row is named
+    by its stream index.
     """
 
     keys: np.ndarray
     values: np.ndarray
-    distractor_keys: Optional[np.ndarray] = None
-    distractor_values: Optional[np.ndarray] = None
+    count: Optional[int] = None
+    frame_size: int = 1
 
     def __post_init__(self):
         keys = np.asarray(self.keys, dtype=np.float64)
@@ -131,37 +135,27 @@ class RecallTask:
             raise ValueError("keys and values must be 2-D")
         if keys.shape[0] != values.shape[0]:
             raise ValueError(f"{keys.shape[0]} keys but {values.shape[0]} values")
-        if keys.shape[0] < 1:
-            raise ValueError("task must contain at least one pair")
+        rows, count = len(keys), len(keys) if self.count is None else self.count
+        _check_integer("count", count)
+        _check_integer("frame_size", self.frame_size)
+        if not 1 <= count <= rows:
+            raise ValueError(f"count must lie in [1, {rows}], the stream's rows, got {count}")
+        if self.frame_size < 1 or (rows - count) % self.frame_size:
+            raise ValueError(f"the {rows - count} rows after the pairs are not whole frames "
+                             f"of frame_size {self.frame_size}")
         _check_finite_rows(keys, "key")
         _check_finite_rows(values, "value")
         _check_unit_rows(keys, "key")
-        d_keys, d_values = (np.empty((0, 0, width)) if rows is None
-                            else np.asarray(rows, dtype=np.float64)
-                            for rows, width in ((self.distractor_keys, keys.shape[1]),
-                                                (self.distractor_values, values.shape[1])))
-        if d_keys.ndim != 3 or d_values.ndim != 3:
-            raise ValueError("distractor keys and values must be 3-D: frames x rows x width")
-        if d_keys.shape[:2] != d_values.shape[:2]:
-            raise ValueError("distractor keys are {} x {} frames x rows but values are {} x {}"
-                             .format(*d_keys.shape[:2], *d_values.shape[:2]))
-        if len(d_keys) and d_keys.shape[1] < 1:
-            raise ValueError("distractor frames must hold at least one row")
-        if d_keys.shape[2] != keys.shape[1]:
-            raise ValueError("distractor key width differs from task key width")
-        if d_values.shape[2] != values.shape[1]:
-            raise ValueError("distractor value width differs from task value width")
-        _check_finite_rows(d_keys, "distractor key")
-        _check_finite_rows(d_values, "distractor value")
-        _check_unit_rows(d_keys.reshape(-1, keys.shape[1]), "distractor key")
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "distractor_keys", d_keys)
-        object.__setattr__(self, "distractor_values", d_values)
+        object.__setattr__(self, "count", int(count))
+        object.__setattr__(self, "frame_size", int(self.frame_size))
 
     @property
-    def count(self) -> int:
-        return self.keys.shape[0]
+    def offsets(self) -> np.ndarray:
+        """The row at which each frame starts, followed by the row count."""
+        return np.concatenate((np.arange(self.count),
+                               np.arange(self.count, len(self.keys) + 1, self.frame_size)))
 
 
 @dataclass(frozen=True)
@@ -190,10 +184,8 @@ class StreamConfig:
     def __post_init__(self):
         dims = self.state_dims
         for name in ("reset_period", "seed"):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, numbers.Integral)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if getattr(self, name) is not None:
+                _check_integer(name, getattr(self, name))
         if self.reset_period is not None and self.reset_period < 1:
             raise ValueError("reset_period must be >= 1 when set")
         if min(dims) < 1:
@@ -220,7 +212,6 @@ class ForgettingCurve:
 
     rule_label: str
     sq_errors: np.ndarray
-    stream_length: int
 
     def __post_init__(self):
         sq_errors = np.asarray(self.sq_errors, dtype=np.float64)
@@ -372,24 +363,9 @@ def gen_adversarial_task(dims: StateDims, seed: int = 0, true_count: int = 32,
     directions = -_ANTI * k_mean + math.sqrt(1.0 - _ANTI * _ANTI) * extra
     directions /= np.array([[np.linalg.norm(d)] for d in directions])
     d_values = rng.uniform(-1.0, 1.0, (n_frames, dims.c_v))
-    return RecallTask(keys, values, np.repeat(directions[:, None], frame_size, axis=1),
-                      np.repeat(d_values[:, None], frame_size, axis=1))
-
-
-def _assemble_stream(task: RecallTask):
-    """The stream as one key array, one value array and frame offsets.
-
-    Pair i is frame i, and the distractor frames follow; frame f is rows
-    offsets[f] to offsets[f + 1].  Without distractors the task's own
-    arrays are the stream.
-    """
-    frames, rows, _ = task.distractor_keys.shape
-    offsets = np.concatenate((np.arange(task.count), task.count + rows * np.arange(frames + 1)))
-    if not frames:
-        return task.keys, task.values, offsets
-    return (np.concatenate((task.keys, task.distractor_keys.reshape(-1, task.keys.shape[1]))),
-            np.concatenate((task.values, task.distractor_values.reshape(-1, task.values.shape[1]))),
-            offsets)
+    return RecallTask(np.concatenate((keys, np.repeat(directions, frame_size, axis=0))),
+                      np.concatenate((values, np.repeat(d_values, frame_size, axis=0))),
+                      true_count, frame_size)
 
 
 # ---------------------------------------------------------------------------
@@ -599,12 +575,12 @@ def run_stream(task: RecallTask, config: StreamConfig):
     if task.values.shape[1] != dims.c_v:
         raise ValueError(f"task value width {task.values.shape[1]} != c_v {dims.c_v}")
     proj = ProjectionSet.identity(dims.c, seed=derive_seed(config.seed, "projections"))
-    keys, values, offsets = _assemble_stream(task)
+    offsets = task.offsets
     n_frames = len(offsets) - 1
     # Capped: a period past int64 would give np.arange non-integer starts.
     starts = np.arange(0, n_frames, min(config.reset_period or n_frames, n_frames))
-    state, betas, counts = entry.ingest(entry.init(dims, config.seed), keys, values, offsets,
-                                        starts, gate, config, proj)
+    state, betas, counts = entry.ingest(entry.init(dims, config.seed), task.keys, task.values,
+                                        offsets, starts, gate, config, proj)
     # Each block's recalled rows are differenced from their targets,
     # squared and summed in place.
     row_bytes = 8 * (state.shape[0] + dims.c_k + dims.c_v)
@@ -612,12 +588,12 @@ def run_stream(task: RecallTask, config: StreamConfig):
     rows = 64 * max(1, budget // (64 * row_bytes))
     errors = np.empty(task.count)
     for lo in range(0, task.count, rows):
-        block = slice(lo, lo + rows)
+        block = slice(lo, min(lo + rows, task.count))
         recalled = entry.read(state, task.keys[block], proj, config.softmax_scale)
         recalled -= proj.project_v(task.keys[block]) if entry.tokens else task.values[block]
         np.sum(np.square(recalled, out=recalled), axis=1, out=errors[block])
-    curve = ForgettingCurve(config.rule, errors, n_frames)
-    return curve, GateTrace(config.rule, betas, np.concatenate(([0], np.cumsum(counts))))
+    return (ForgettingCurve(config.rule, errors),
+            GateTrace(config.rule, betas, np.concatenate(([0], np.cumsum(counts)))))
 
 
 def compare_rules(task: RecallTask, configs: Sequence[StreamConfig]):

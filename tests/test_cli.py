@@ -22,9 +22,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttt_lab.cli import _build_parser, main
-from ttt_lab.geometry_metrics import PointCloud, Trajectory, depth_metrics, \
+from ttt_lab.geometry_metrics import PointCloud, Trajectory, chamfer, depth_metrics, \
     sequence_depth_scale
-from ttt_lab.io_formats import parse_pfm, parse_tum, write_pfm, write_ply_ascii, write_tum
+from ttt_lab.io_formats import parse_pfm, parse_ply_ascii, parse_tum, write_pfm, \
+    write_ply_ascii, write_tum
 
 
 def _rand_quat(rng):
@@ -782,6 +783,43 @@ def test_chamfer_happy_path(tmp_path, capsys):
     assert main(["chamfer", "--a", str(a), "--b", str(b), "--out", str(out)]) == 0
     text = (out / "chamfer.csv").read_text()
     assert "chamfer,0.0" in text
+
+
+@pytest.mark.parametrize("normals", [(True, True), (True, False)], ids=["both", "one"])
+def test_chamfer_reports_normal_consistency_when_both_clouds_carry_normals(tmp_path, normals):
+    rng = np.random.default_rng(3)
+    clouds = []
+    for name, has_normals in zip(("a.ply", "b.ply"), normals):
+        unit = rng.standard_normal((30, 3))
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        cloud = PointCloud(rng.standard_normal((30, 3)), unit if has_normals else None)
+        (tmp_path / name).write_text(write_ply_ascii(cloud))
+        clouds.append(parse_ply_ascii((tmp_path / name).read_text()))
+    out = tmp_path / "c"
+    assert main(["chamfer", "--a", str(tmp_path / "a.ply"), "--b", str(tmp_path / "b.ply"),
+                 "--out", str(out)]) == 0
+    rows = (out / "chamfer.csv").read_text().splitlines()[1:]
+    result = chamfer(*clouds)
+    if all(normals):
+        assert len(rows) == 4
+        assert rows[-1] == f"normal_consistency,{result.normal_consistency!r}"
+    else:
+        assert [row.split(",")[0] for row in rows] == ["accuracy", "completeness", "chamfer"]
+
+
+def test_a_failed_rename_leaves_no_temporary_file(tmp_path, monkeypatch, capsys):
+    a = tmp_path / "a.ply"
+    _write_cloud(a)
+    out = tmp_path / "c"
+
+    def failing_replace(src, dst):
+        raise OSError(f"cannot rename onto {dst}")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    assert main(["chamfer", "--a", str(a), "--b", str(a), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot rename onto ")
+    assert os.listdir(out) == []
 
 
 def test_chamfer_empty_cloud_is_a_usage_error(tmp_path):

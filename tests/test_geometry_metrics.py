@@ -367,6 +367,21 @@ def test_umeyama_returns_proper_rotation_on_reflected_data():
     assert np.linalg.det(got.rotation) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_umeyama_of_coordinates_too_large_to_square():
+    # Times 2^600 the covariance overflowed ("SVD did not converge");
+    # the alignment of the scaled inputs is the same up to the unit.
+    rng = np.random.default_rng(8)
+    src = rng.standard_normal((20, 3))
+    dst = 1.3 * src @ quat_to_rotmat(_rand_quat(rng)).T + np.array([0.5, -2.0, 1.0])
+    base = umeyama_sim3(src, dst)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = umeyama_sim3(np.ldexp(src, 600), np.ldexp(dst, 600))
+    assert big.scale == pytest.approx(base.scale, rel=1e-12, abs=0)
+    np.testing.assert_allclose(big.rotation, base.rotation, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(big.translation, np.ldexp(base.translation, 600), rtol=1e-12)
+
+
 def test_umeyama_rejects_degenerate_geometry():
     line = np.outer(np.linspace(0.0, 1.0, 10), np.array([1.0, 2.0, 3.0]))
     with pytest.raises(DegenerateGeometryError):
@@ -762,6 +777,16 @@ def test_sequence_scale_counts_the_frames_of_iterables():
                 sequence_depth_scale(p, g)
     with pytest.raises(ValueError, match="no valid pixels in the whole sequence"):
         sequence_depth_scale(iter([a, -a]), iter([-a, a]))
+
+
+@pytest.mark.parametrize("pred, gt, way", [(1e-300, 1e300, "overflows"),
+                                            (1e300, 1e-300, "underflows")])
+def test_a_sequence_scale_beyond_the_floats_is_one_value_error(pred, gt, way):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        message = f"the depth scale median(gt) / median(pred) = {gt!r} / {pred!r} {way}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sequence_depth_scale([np.full((2, 2), pred)], [np.full((2, 2), gt)])
 
 
 def _depth_calls(bad, good):

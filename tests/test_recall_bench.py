@@ -27,7 +27,7 @@ from ttt_lab.recall_bench import (
     run_stream,
     summary_to_csv,
 )
-from ttt_lab.recall_bench import _assemble_stream, _parse
+from ttt_lab.recall_bench import _parse
 from ttt_lab.seeding import derive_seed
 from ttt_lab.state_rules import ProjectionSet, ttt3r_update
 
@@ -106,20 +106,27 @@ def test_task_validation():
     with pytest.raises(ValueError):
         gen_recall_task(4, DIMS16, "correlated", rho=1.0)
     eye = np.eye(4)
-    frame = eye[None, 2:3]
-    for d_keys, d_values, message in [
-        (frame, np.ones((2, 1, 3)),
-         "distractor keys are 1 x 1 frames x rows but values are 2 x 1"),
-        (frame, np.ones((1, 2, 3)),
-         "distractor keys are 1 x 1 frames x rows but values are 1 x 2"),
-        (np.ones((1, 1, 5)), np.ones((1, 1, 3)), "distractor key width differs"),
-        (frame, np.ones((1, 1, 2)), "distractor value width differs"),
-        (np.ones((2, 0, 4)), np.ones((2, 0, 3)), "distractor frames must hold at least one row"),
-        (eye[2:3], np.ones((1, 3)), "distractor keys and values must be 3-D"),
-        (frame, None, "distractor keys are 1 x 1 frames x rows but values are 0 x 0"),
+    for keys, values, layout, message in [
+        (eye, np.ones((3, 3)), {}, "^4 keys but 3 values$"),
+        (eye[0], np.ones(3), {}, "^keys and values must be 2-D$"),
+        (eye[:0], np.ones((0, 3)), {}, r"^count must lie in \[1, 0\], the stream's rows, got 0$"),
+        (eye, np.ones((4, 3)), {"count": 0}, r"^count must lie in \[1, 4\], .* got 0$"),
+        (eye, np.ones((4, 3)), {"count": 5}, r"^count must lie in \[1, 4\], .* got 5$"),
+        (eye, np.ones((4, 3)), {"count": 2.0}, "^count must be an integer, got 2.0$"),
+        (eye, np.ones((4, 3)), {"count": True}, "^count must be an integer, got True$"),
+        (eye, np.ones((4, 3)), {"count": 1, "frame_size": 1.5},
+         "^frame_size must be an integer, got 1.5$"),
+        (eye, np.ones((4, 3)), {"count": 1, "frame_size": 0},
+         "^the 3 rows after the pairs are not whole frames of frame_size 0$"),
+        (eye, np.ones((4, 3)), {"count": 2, "frame_size": 3},
+         "^the 2 rows after the pairs are not whole frames of frame_size 3$"),
     ]:
         with pytest.raises(ValueError, match=message):
-            RecallTask(eye[:2], np.ones((2, 3)), d_keys, d_values)
+            RecallTask(keys, values, **layout)
+    # Integer types of any kind are taken and stored as int.
+    task = RecallTask(eye, np.ones((4, 3)), np.int64(2), np.int32(2))
+    assert (type(task.count), type(task.frame_size)) == (int, int)
+    assert task.offsets.tolist() == [0, 1, 2, 4]
 
 
 def test_task_rejects_non_finite_rows():
@@ -128,18 +135,13 @@ def test_task_rejects_non_finite_rows():
     nan_key[1, 0] = np.nan
     inf_value = np.ones((3, 2))
     inf_value[2, 1] = np.inf
-    # Distractor rows are counted frame after frame: row 2 is frame 1's first.
-    nan_distractor = np.broadcast_to(keys[:1], (2, 2, 4)).copy()
-    nan_distractor[1, 0, 0] = np.nan
-    inf_d_value = np.ones((2, 2, 2))
-    inf_d_value[0, 1, 1] = -np.inf
+    # Distractor rows are named by their stream row: with one pair and
+    # frames of two rows, stream row 2 is frame 1's second row.
     for args, message in [
-        ((nan_key, np.ones((3, 2))), "key row 1 contains non-finite entries"),
-        ((keys, inf_value), "value row 2 contains non-finite entries"),
-        ((keys, np.ones((3, 2)), nan_distractor, np.ones((2, 2, 2))),
-         "distractor key row 2 contains non-finite entries"),
-        ((keys, np.ones((3, 2)), nan_distractor[:1], inf_d_value[:1]),
-         "distractor value row 1 contains non-finite entries"),
+        ((nan_key, np.ones((3, 2))), "^key row 1 contains non-finite entries$"),
+        ((keys, inf_value), "^value row 2 contains non-finite entries$"),
+        ((nan_key, np.ones((3, 2)), 1, 2), "^key row 1 contains non-finite entries$"),
+        ((keys, inf_value, 1, 2), "^value row 2 contains non-finite entries$"),
     ]:
         with pytest.raises(ValueError, match=message):
             RecallTask(*args)
@@ -148,32 +150,34 @@ def test_task_rejects_non_finite_rows():
 def test_generated_orthonormal_keys_are_pairwise_orthogonal():
     # RecallTask checks unit norms only; orthogonality is the generators'
     # promise, so the check lives here.
+    # Adversarial distractor rows lean against the stored keys, so the
+    # Gram matrix is over the stored keys only.
     for task in (gen_recall_task(64, StateDims(4, 64, 64, 64), seed=3),
                  gen_adversarial_task(StateDims(4, 64, 64, 64), seed=3)):
-        gram = task.keys @ task.keys.T
-        np.testing.assert_allclose(gram, np.eye(len(gram)), rtol=0, atol=1e-9)
-        rebuilt = RecallTask(task.keys.copy(), task.values, task.distractor_keys,
-                             task.distractor_values)
+        stored = task.keys[:task.count]
+        np.testing.assert_allclose(stored @ stored.T, np.eye(task.count), rtol=0, atol=1e-9)
+        rebuilt = RecallTask(task.keys.copy(), task.values, task.count, task.frame_size)
         np.testing.assert_array_equal(rebuilt.keys, task.keys)
 
 
-def test_recall_task_is_four_arrays():
+def test_recall_task_is_the_stream_rows_and_their_layout():
     assert [f.name for f in dataclasses.fields(RecallTask)] == [
-        "keys", "values", "distractor_keys", "distractor_values"]
+        "keys", "values", "count", "frame_size"]
 
 
 def test_task_checks_every_distractor_key_for_unit_norm():
     # Checked once, when the task is built, so no rule can ingest a bad
     # key, not even in a segment whose state no readout sees.
     task = gen_recall_task(12, DIMS16, "orthonormal", seed=0)
-    frames = np.broadcast_to(task.keys[:1], (3, 2, 16))
+    keys = np.vstack((task.keys, np.broadcast_to(task.keys[:1], (6, 16))))
+    values = np.vstack((task.values, np.zeros((6, 16))))
     for frame, row in ((0, 0), (2, 1)):
-        bad = frames.copy()
-        bad[frame, row] *= 2.0
-        with pytest.raises(ValueError, match=f"^distractor key row {2 * frame + row} must be "
+        bad = keys.copy()
+        bad[12 + 2 * frame + row] *= 2.0
+        with pytest.raises(ValueError, match=f"^key row {12 + 2 * frame + row} must be "
                                              r"unit-norm within 1e-9, got norm 2\.0$"):
-            RecallTask(task.keys, task.values, bad, np.zeros((3, 2, 16)))
-    RecallTask(task.keys, task.values, frames, np.zeros((3, 2, 16)))
+            RecallTask(bad, values, 12, 2)
+    RecallTask(keys, values, 12, 2)
 
 
 def test_task_pairs_property():
@@ -192,27 +196,24 @@ def test_stored_pairs_land_one_per_frame_by_default():
     task = gen_recall_task(6, DIMS16, "orthonormal", seed=0)
     curve, trace = run_stream(task, StreamConfig("delta", DIMS16))
     assert curve.sq_errors.shape == (6,)
-    assert curve.stream_length == 6
+    assert task.offsets.tolist() == list(range(7))
     assert np.diff(trace.offsets).tolist() == [1] * 6
 
 
 def test_distractor_groups_occupy_their_positions():
     # stream: pair0, pair1, then two distractor frames of three rows
     eye = np.eye(16)
-    task = RecallTask(eye[:2], np.ones((2, 16)), eye[10:16].reshape(2, 3, 16),
-                      np.zeros((2, 3, 16)))
+    keys = np.vstack((eye[:2], eye[10:16]))
+    task = RecallTask(keys, np.vstack((np.ones((2, 16)), np.zeros((6, 16)))), 2, 3)
     curve, trace = run_stream(task, StreamConfig("delta", DIMS16))
-    assert curve.stream_length == 4
     assert curve.sq_errors.shape == (2,)
     assert np.diff(trace.offsets).tolist() == [1, 1, 3, 3]
-    keys, values, offsets = _assemble_stream(task)
-    np.testing.assert_array_equal(keys, np.vstack((eye[:2], eye[10:16])))
-    np.testing.assert_array_equal(values, np.vstack((np.ones((2, 16)), np.zeros((6, 16)))))
-    assert offsets.tolist() == [0, 1, 2, 5, 8]
-    # Without distractors the stream is the task's own arrays.
-    plain = RecallTask(eye[:2], np.ones((2, 16)))
-    keys, values, offsets = _assemble_stream(plain)
-    assert keys is plain.keys and values is plain.values and offsets.tolist() == [0, 1, 2]
+    assert task.offsets.tolist() == [0, 1, 2, 5, 8]
+    # The task keeps the rows it is given as float64.
+    assert task.keys is keys
+    # Without distractors every row is a pair, whatever the frame size.
+    plain = RecallTask(eye[:2], np.ones((2, 16)), frame_size=5)
+    assert (plain.count, plain.offsets.tolist()) == (2, [0, 1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +286,7 @@ def test_gate_trace_rejects_offsets_that_do_not_fit():
 
 def test_stream_honours_the_rules_confidence_reduce():
     eye = np.eye(16)
-    task = RecallTask(eye[:2], np.ones((2, 16)), eye[2:8].reshape(2, 3, 16),
-                      np.zeros((2, 3, 16)))
+    task = RecallTask(eye[:8], np.vstack((np.ones((2, 16)), np.zeros((6, 16)))), 2, 3)
     _, t_sum = run_stream(task, StreamConfig("ttt3r", DIMS16, reset_period=2))
     _, t_mean = run_stream(task, StreamConfig("ttt3r", DIMS16, reset_period=2,
                                               gate_reduce="mean"))
@@ -357,19 +357,22 @@ def test_full_attention_reset_drops_cached_history():
 def _with_frames(task, frames, rows, seed):
     """The task followed by `frames` frames of `rows` distinct random unit rows."""
     rng = np.random.default_rng(seed)
-    d_keys = rng.standard_normal((frames, rows, task.keys.shape[1]))
-    d_keys /= np.linalg.norm(d_keys, axis=2, keepdims=True)
-    return RecallTask(task.keys, task.values, d_keys,
-                      rng.uniform(-1.0, 1.0, (frames, rows, task.values.shape[1])))
+    d_keys = rng.standard_normal((frames * rows, task.keys.shape[1]))
+    d_keys /= np.linalg.norm(d_keys, axis=1, keepdims=True)
+    d_values = rng.uniform(-1.0, 1.0, (frames * rows, task.values.shape[1]))
+    return RecallTask(np.vstack((task.keys, d_keys)), np.vstack((task.values, d_values)),
+                      task.count, rows)
 
 
 def _oracle_frames(task):
-    """The stream's frames as (keys, values) arrays, built from the task alone.
+    """The stream's frames as (keys, values) arrays, sliced by hand.
 
-    One frame per stored pair, then the distractor frames.
+    One frame per stored pair, then frames of frame_size rows up to the
+    end, from count and frame_size alone, never from task.offsets.
     """
-    return ([(k[None], v[None]) for k, v in zip(task.keys, task.values)]
-            + list(zip(task.distractor_keys, task.distractor_values)))
+    edges = [*range(task.count + 1), *range(task.count + task.frame_size, len(task.keys) + 1,
+                                            task.frame_size)]
+    return [(task.keys[lo:hi], task.values[lo:hi]) for lo, hi in zip(edges, edges[1:])]
 
 
 def _oracle_sigmoid(z):
@@ -441,14 +444,17 @@ def _per_frame_oracle(task, cfg):
                 betas.append(beta)
             if betas:
                 gates.append(np.array(betas))
+    stored_keys, stored_values = task.keys[:task.count], task.values[:task.count]
     if name == "full":
-        queries, cached = QUERY_SATURATION * task.keys, np.vstack(s)
+        queries, cached = QUERY_SATURATION * stored_keys, np.vstack(s)
         reads = queries + _oracle_softmax(scale * (queries @ cached.T)) @ cached
-        errors = np.sum((reads - queries - task.keys) ** 2, axis=1)
+        errors = np.sum((reads - queries - stored_keys) ** 2, axis=1)
     elif tokens:
-        errors = np.sum((_oracle_softmax(scale * (task.keys @ s.T)) @ s - task.keys) ** 2, axis=1)
+        errors = np.sum((_oracle_softmax(scale * (stored_keys @ s.T)) @ s - stored_keys) ** 2,
+                        axis=1)
     else:
-        errors = np.array([float(np.sum((s @ k - v) ** 2)) for k, v in zip(task.keys, task.values)])
+        errors = np.array([float(np.sum((s @ k - v) ** 2))
+                           for k, v in zip(stored_keys, stored_values)])
     return errors, gates, len(frames)
 
 
@@ -482,7 +488,7 @@ def _assert_matches_the_oracle(task, cfg):
     curve, trace = run_stream(task, cfg)
     errors, gates, n_frames = _per_frame_oracle(task, cfg)
     exact = cfg.rule not in _FAST_WEIGHT_SPECS
-    assert curve.stream_length == n_frames
+    assert len(task.offsets) - 1 == n_frames
     if exact:
         np.testing.assert_array_equal(curve.sq_errors, errors)
     else:
@@ -524,7 +530,7 @@ def _lockstep_stream():
 
 def _per_segment_ttt3r(task, cfg):
     """The ttt3r kernel called once per reset segment on 2-D arrays."""
-    keys, _, offsets = _assemble_stream(task)
+    keys, offsets = task.keys, task.offsets
     _, entry, gate = _parse(cfg.rule)
     proj = ProjectionSet.identity(cfg.state_dims.c, seed=derive_seed(cfg.seed, "projections"))
     period = cfg.reset_period or len(offsets) - 1
@@ -565,7 +571,7 @@ def test_lockstep_ttt3r_equals_per_segment_calls(spec, monkeypatch):
         task = _with_frames(gen_recall_task(count, DIMS16, "random_unit", seed=11), frames, rows,
                             seed=12)
         cfg = StreamConfig(spec, DIMS16, reset_period=period, seed=2)
-        keys, values, offsets = _assemble_stream(task)
+        keys, values, offsets = task.keys, task.values, task.offsets
         _, entry, gate = _parse(cfg.rule)
         want_state, want_betas = _per_segment_ttt3r(task, cfg)
         starts = np.arange(0, len(offsets) - 1, period or len(offsets) - 1)
@@ -745,18 +751,18 @@ def test_run_stream_is_pure():
 def test_adversarial_task_shape():
     dims = StateDims(4, 64, 64, 64)
     task = gen_adversarial_task(dims, seed=0)
-    assert task.count == 32
-    assert task.distractor_keys.shape == (8, 16, 64)
-    assert task.distractor_values.shape == (8, 16, 64)
+    assert (task.count, task.frame_size) == (32, 16)
+    assert task.keys.shape == task.values.shape == (160, 64)
     # Each frame repeats one token and one value; the frames follow the pairs.
-    assert np.all(task.distractor_keys == task.distractor_keys[:, :1])
-    assert np.all(task.distractor_values == task.distractor_values[:, :1])
-    assert _assemble_stream(task)[2].tolist() == list(range(32)) + list(range(32, 161, 16))
-    np.testing.assert_allclose(np.linalg.norm(task.distractor_keys, axis=2), 1.0,
-                               rtol=0, atol=1e-9)
+    d_keys = task.keys[32:].reshape(8, 16, 64)
+    d_values = task.values[32:].reshape(8, 16, 64)
+    assert np.all(d_keys == d_keys[:, :1])
+    assert np.all(d_values == d_values[:, :1])
+    assert task.offsets.tolist() == list(range(32)) + list(range(32, 161, 16))
+    np.testing.assert_allclose(np.linalg.norm(task.keys, axis=1), 1.0, rtol=0, atol=1e-9)
     # distractor directions lean away from the stored keys
-    k_mean = task.keys.sum(axis=0)
-    assert np.all(task.distractor_keys @ k_mean < 0.0)
+    k_mean = task.keys[:32].sum(axis=0)
+    assert np.all(task.keys[32:] @ k_mean < 0.0)
 
 
 def test_adversarial_task_validation():
@@ -875,7 +881,7 @@ def test_curves_csv_matches_the_per_row_oracle():
     task = gen_recall_task(24, DIMS16, "random_unit", seed=2)
     curves = [run_stream(task, StreamConfig(rule, DIMS16, reset_period=5))[0]
               for rule in ("hebbian", "delta:0.5")]
-    curves.append(ForgettingCurve("edge", np.array([0.0, 5e-324, 1.7976931348623157e308]), 3))
+    curves.append(ForgettingCurve("edge", np.array([0.0, 5e-324, 1.7976931348623157e308])))
     lines = ["rule,position,sq_error"]
     for curve in curves:
         for pos, err in enumerate(curve.sq_errors):
@@ -907,6 +913,6 @@ def test_summary_csv_schema():
 
 def test_forgetting_curve_validation():
     with pytest.raises(ValueError):
-        ForgettingCurve("x", np.array([1.0, -2.0, 3.0]), 3)
+        ForgettingCurve("x", np.array([1.0, -2.0, 3.0]))
     with pytest.raises(ValueError):
-        ForgettingCurve("x", np.ones((3, 1)), 3)
+        ForgettingCurve("x", np.ones((3, 1)))
