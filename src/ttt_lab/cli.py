@@ -139,20 +139,20 @@ def _run_recall(args) -> int:
             task = gen_recall_task(args.count, dims, args.key_mode, args.seed, args.rho)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    curves, traces = compare_rules(task, configs)
+    runs = compare_rules(task, configs)
     del task   # the CSV text below can reuse the memory of its keys and values
-    files = {"curves.csv": curves_to_csv(curves), "summary.csv": summary_to_csv(curves)}
-    # gates.csv carries the first gated rule's trace (its schema has no
+    files = {"curves.csv": curves_to_csv(runs), "summary.csv": summary_to_csv(runs)}
+    # gates.csv carries the first gated rule's gates (its schema has no
     # rule column); further gated rules land in gates_<label>.csv and
     # the file is header-only when no gated rule ran.
-    gated = [trace for trace in traces if len(trace)]
-    files["gates.csv"] = gate_trace_to_csv(gated[0]) if gated else "frame,token,beta\n"
-    for trace in gated[1:]:
-        files[f"gates_{_slug(trace.rule_label)}.csv"] = gate_trace_to_csv(trace)
+    gated = [run for run in runs if run.betas.size]
+    files["gates.csv"] = gate_trace_to_csv(gated[0] if gated else runs[0])
+    for run in gated[1:]:
+        files[f"gates_{_slug(run.rule_label)}.csv"] = gate_trace_to_csv(run)
     _write_outputs(args, files)
-    for curve in curves:
-        print(f"{curve.rule_label}: mean_sq_error={curve.mean_sq_error:.6e} "
-              f"worst_sq_error={curve.worst_sq_error:.6e}")
+    for run in runs:
+        print(f"{run.rule_label}: mean_sq_error={run.mean_sq_error:.6e} "
+              f"worst_sq_error={run.worst_sq_error:.6e}")
     return 0
 
 
@@ -203,7 +203,7 @@ def _run_gradcheck(args) -> int:
     print(f"max relative error {max_rel:.3e} over {args.trials} trials "
           f"(tolerance {args.tol:g})")
     if not ok:
-        print("gradient check FAILED; worst instance dumped to gradcheck_failure.csv",
+        print("error: gradient check FAILED; worst instance dumped to gradcheck_failure.csv",
               file=sys.stderr)
         return 1
     return 0

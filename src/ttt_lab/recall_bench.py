@@ -17,7 +17,7 @@ through its frames inside the kernel, the cache appends it as one
 block, and the fast-weight rules take it as one batch of pairs.  The
 delta gates of the other segments never read the state, so they are
 computed without the kernel.  The ttt3r gates can read the state, and
-the gate trace holds every frame's, so ttt3r steps every segment:
+a run keeps every frame's gates, so ttt3r steps every segment:
 consecutive segments with the same frame layout go through one stacked
 kernel call, frame by frame in lockstep.  With the distractors after
 the pairs, the segments of a layout are consecutive.  Recall is then
@@ -25,7 +25,9 @@ scored per position as the squared readout error, which plotted over
 positions gives a forgetting curve.  Scoring is one loop over fixed
 blocks of stored keys: each rule reads a block, and the loop
 differences, squares and sums its rows in place, so a run holds the
-task, one state and one block.
+task, one state and one block.  Each rule's run is one RuleRun: its
+label, its forgetting curve and its gates, which the three CSV
+writers render.
 
 Scoring targets: fast-weight rules store the explicit (key, value)
 pair and are scored against the raw value.  Token and cache rules
@@ -68,8 +70,7 @@ __all__ = [
     "StateDims",
     "RecallTask",
     "StreamConfig",
-    "ForgettingCurve",
-    "GateTrace",
+    "RuleRun",
     "UnsupportedRuleCombination",
     "gen_recall_task",
     "gen_adversarial_task",
@@ -171,7 +172,8 @@ class StreamConfig:
     only what arrived since the last boundary; a period at or above the
     stream's frame count never resets.  softmax_scale None selects the
     default 1/sqrt(c); exact-recall claims hold at softmax_scale 1.0.
-    reset_period and seed must be integers.
+    state_dims must be a StateDims of integers, and reset_period and
+    seed integers.
     """
 
     rule: str
@@ -183,11 +185,15 @@ class StreamConfig:
 
     def __post_init__(self):
         dims = self.state_dims
-        for name in ("reset_period", "seed"):
-            if getattr(self, name) is not None:
-                _check_integer(name, getattr(self, name))
-        if self.reset_period is not None and self.reset_period < 1:
-            raise ValueError("reset_period must be >= 1 when set")
+        if not isinstance(dims, StateDims):
+            raise ValueError(f"state_dims must be a StateDims, got {dims!r}")
+        for name, value in zip(dims._fields, dims):
+            _check_integer(f"state_dims.{name}", value)
+        _check_integer("seed", self.seed)
+        if self.reset_period is not None:
+            _check_integer("reset_period", self.reset_period)
+            if self.reset_period < 1:
+                raise ValueError("reset_period must be >= 1 when set")
         if min(dims) < 1:
             raise ValueError(f"state dims must be >= 1, got {dims}")
         _resolve_scale(self.softmax_scale, dims.c)
@@ -207,11 +213,21 @@ class StreamConfig:
 
 
 @dataclass(frozen=True)
-class ForgettingCurve:
-    """Squared recall error of each stored pair; pair i sits at stream position i."""
+class RuleRun:
+    """One rule's run over a task: its recall errors and its gates.
+
+    sq_errors[i] is the squared recall error of stored pair i, which
+    sits at stream position i.  The gates of every ingested frame are
+    one flat array plus frame offsets: frame f's gates are
+    betas[gate_offsets[f]:gate_offsets[f + 1]], one per state token for
+    token rules, one per pair of the frame for the delta rule.  Ungated
+    rules have no frames: betas is empty, gate_offsets is [0].
+    """
 
     rule_label: str
     sq_errors: np.ndarray
+    betas: np.ndarray = field(default_factory=lambda: np.empty(0))
+    gate_offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
 
     def __post_init__(self):
         sq_errors = np.asarray(self.sq_errors, dtype=np.float64)
@@ -219,7 +235,16 @@ class ForgettingCurve:
             raise ValueError("sq_errors must be a 1-D array")
         if not np.all(np.isfinite(sq_errors)) or np.any(sq_errors < 0):
             raise ValueError("squared errors must be finite and nonnegative")
+        betas = np.asarray(self.betas, dtype=np.float64)
+        offsets = np.asarray(self.gate_offsets)
+        if (not np.issubdtype(offsets.dtype, np.integer) or betas.ndim != 1
+                or offsets.ndim != 1 or offsets.size < 1 or offsets[0] != 0
+                or offsets[-1] != betas.size or np.any(np.diff(offsets) < 1)):
+            raise ValueError("gate_offsets must be integers that rise from 0 to the number "
+                             "of betas, by at least one per frame")
         object.__setattr__(self, "sq_errors", sq_errors)
+        object.__setattr__(self, "betas", betas)
+        object.__setattr__(self, "gate_offsets", np.asarray(offsets, dtype=np.int64))
 
     @property
     def mean_sq_error(self) -> float:
@@ -228,33 +253,6 @@ class ForgettingCurve:
     @property
     def worst_sq_error(self) -> float:
         return float(np.max(self.sq_errors))
-
-
-@dataclass(frozen=True)
-class GateTrace:
-    """The gates of every ingested frame: one flat array plus frame offsets.
-
-    Frame f's gates are betas[offsets[f]:offsets[f + 1]]: one per state
-    token for token rules, one per pair of the frame for the delta
-    rule.  Ungated rules have no frames: betas is empty, offsets is [0].
-    """
-
-    rule_label: str
-    betas: np.ndarray = field(default_factory=lambda: np.empty(0))
-    offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
-
-    def __post_init__(self):
-        betas = np.asarray(self.betas, dtype=np.float64)
-        offsets = np.asarray(self.offsets, dtype=np.int64)
-        if (betas.ndim != 1 or offsets.ndim != 1 or offsets.size < 1 or offsets[0] != 0
-                or offsets[-1] != betas.size or np.any(np.diff(offsets) < 1)):
-            raise ValueError("gate offsets must rise from 0 to the number of betas, "
-                             "by at least one per frame")
-        object.__setattr__(self, "betas", betas)
-        object.__setattr__(self, "offsets", offsets)
-
-    def __len__(self) -> int:
-        return len(self.offsets) - 1
 
 
 def _orthonormal_rows(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -312,6 +310,8 @@ def _correlated_rows(count: int, dim: int, rho: float, rng: np.random.Generator)
 def gen_recall_task(count: int, dims: StateDims, key_mode: str = "orthonormal",
                     seed: int = 0, rho: float = 0.9) -> RecallTask:
     """Draw a seeded task of `count` pairs with the requested key geometry."""
+    _check_integer("count", count)
+    _check_integer("seed", seed)
     if count < 1:
         raise ValueError("count must be >= 1")
     if not (0.0 <= rho < 1.0):
@@ -345,6 +345,9 @@ def gen_adversarial_task(dims: StateDims, seed: int = 0, true_count: int = 32,
     reduced logits and nearly freezes the state, while an ungated update
     keeps overwriting it.
     """
+    for name, value in (("seed", seed), ("true_count", true_count),
+                        ("distractor_count", distractor_count), ("frame_size", frame_size)):
+        _check_integer(name, value)
     if true_count < 1 or distractor_count < 1:
         raise ValueError("true_count and distractor_count must be >= 1")
     if frame_size < 1 or distractor_count % frame_size:
@@ -561,10 +564,10 @@ def _parse(spec: str):
     return label, entry, gate
 
 
-def run_stream(task: RecallTask, config: StreamConfig):
+def run_stream(task: RecallTask, config: StreamConfig) -> RuleRun:
     """Ingest the task stream under one rule and score recall per pair.
 
-    Returns (ForgettingCurve, GateTrace); the trace is empty for
+    Returns the RuleRun labelled config.rule; it has no gates for
     ungated rules.  Pure in its inputs: the same task and config always
     produce identical outputs.
     """
@@ -592,12 +595,11 @@ def run_stream(task: RecallTask, config: StreamConfig):
         recalled = entry.read(state, task.keys[block], proj, config.softmax_scale)
         recalled -= proj.project_v(task.keys[block]) if entry.tokens else task.values[block]
         np.sum(np.square(recalled, out=recalled), axis=1, out=errors[block])
-    return (ForgettingCurve(config.rule, errors),
-            GateTrace(config.rule, betas, np.concatenate(([0], np.cumsum(counts)))))
+    return RuleRun(config.rule, errors, betas, np.concatenate(([0], np.cumsum(counts))))
 
 
-def compare_rules(task: RecallTask, configs: Sequence[StreamConfig]):
-    """Run several configs over one task: (curves, traces), in config order.
+def compare_rules(task: RecallTask, configs: Sequence[StreamConfig]) -> list:
+    """Run several configs over one task: their RuleRuns, in config order.
 
     Labels of repeated rules get a #k suffix so report rows stay
     unambiguous.
@@ -606,41 +608,36 @@ def compare_rules(task: RecallTask, configs: Sequence[StreamConfig]):
     if not configs:
         raise ValueError("need at least one config")
     seen: dict = {}
-    curves, traces = [], []
+    runs = []
     for cfg in configs:
-        curve, trace = run_stream(task, cfg)
-        seen[curve.rule_label] = bump = seen.get(curve.rule_label, 0) + 1
-        if bump > 1:
-            label = f"{curve.rule_label}#{bump}"
-            curve, trace = replace(curve, rule_label=label), replace(trace, rule_label=label)
-        curves.append(curve)
-        traces.append(trace)
-    return curves, traces
+        run = run_stream(task, cfg)
+        seen[run.rule_label] = bump = seen.get(run.rule_label, 0) + 1
+        runs.append(replace(run, rule_label=f"{run.rule_label}#{bump}") if bump > 1 else run)
+    return runs
 
 
-def curves_to_csv(curves: Sequence[ForgettingCurve]) -> str:
+def curves_to_csv(runs: Sequence[RuleRun]) -> str:
     """One row per stored pair: rule,position,sq_error."""
     lines = ["rule,position,sq_error"]
-    for curve in curves:
-        label = curve.rule_label
-        lines += [f"{label},{pos},{err!r}"
-                  for pos, err in enumerate(curve.sq_errors.tolist())]
+    for run in runs:
+        label = run.rule_label
+        lines += [f"{label},{pos},{err!r}" for pos, err in enumerate(run.sq_errors.tolist())]
     return "\n".join(lines) + "\n"
 
 
-def gate_trace_to_csv(trace: GateTrace) -> str:
-    """One row per gate entry: frame,token,beta."""
-    sizes = np.diff(trace.offsets)
+def gate_trace_to_csv(run: RuleRun) -> str:
+    """One row per gate entry: frame,token,beta (only the header for an ungated run)."""
+    sizes = np.diff(run.gate_offsets)
     frames = np.repeat(np.arange(len(sizes)), sizes)
-    tokens = np.arange(trace.betas.size) - np.repeat(trace.offsets[:-1], sizes)
+    tokens = np.arange(run.betas.size) - np.repeat(run.gate_offsets[:-1], sizes)
     lines = ["frame,token,beta"]
     lines += [f"{f},{i},{beta!r}"
-              for f, i, beta in zip(frames.tolist(), tokens.tolist(), trace.betas.tolist())]
+              for f, i, beta in zip(frames.tolist(), tokens.tolist(), run.betas.tolist())]
     return "\n".join(lines) + "\n"
 
 
-def summary_to_csv(curves: Sequence[ForgettingCurve]) -> str:
+def summary_to_csv(runs: Sequence[RuleRun]) -> str:
     """One row per rule: rule,mean_sq_error,worst_sq_error."""
     lines = ["rule,mean_sq_error,worst_sq_error"] + [
-        f"{c.rule_label},{c.mean_sq_error!r},{c.worst_sq_error!r}" for c in curves]
+        f"{r.rule_label},{r.mean_sq_error!r},{r.worst_sq_error!r}" for r in runs]
     return "\n".join(lines) + "\n"

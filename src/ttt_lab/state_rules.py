@@ -165,7 +165,7 @@ class ProjectionSet:
 
     @classmethod
     def identity(cls, c: int, seed: int = 0) -> "ProjectionSet":
-        """Identity w_q/w_k/w_v with a seeded gate map, for analytic tests."""
+        """Identity w_q/w_k/w_v with a seeded gate map: every recall run's projections."""
         if c < 1:
             raise ValueError("c must be >= 1")
         rng = np.random.default_rng(seed)

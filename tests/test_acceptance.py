@@ -136,17 +136,17 @@ def test_05_delta_rule_capacity_and_interference():
     dims16 = StateDims(4, 16, 16, 16)
     for seed in range(5):
         task = gen_recall_task(16, dims16, "orthonormal", seed=seed)
-        delta_curve, _ = run_stream(task, StreamConfig("delta", dims16))
+        delta_curve = run_stream(task, StreamConfig("delta", dims16))
         assert delta_curve.worst_sq_error <= 1e-10
-        hebb_curve, _ = run_stream(task, StreamConfig("hebbian", dims16))
+        hebb_curve = run_stream(task, StreamConfig("hebbian", dims16))
         assert hebb_curve.worst_sq_error <= 1e-10
 
     dims32 = StateDims(4, 32, 32, 32)
     delta_means, hebb_means = [], []
     for seed in range(20):
         task = gen_recall_task(32, dims32, "correlated", seed=seed, rho=0.9)
-        d, _ = run_stream(task, StreamConfig("delta", dims32))
-        h, _ = run_stream(task, StreamConfig("hebbian", dims32))
+        d = run_stream(task, StreamConfig("delta", dims32))
+        h = run_stream(task, StreamConfig("hebbian", dims32))
         delta_means.append(d.mean_sq_error)
         hebb_means.append(h.mean_sq_error)
     ratio = float(np.mean(hebb_means) / np.mean(delta_means))
@@ -159,8 +159,8 @@ def test_06_confidence_gate_wins_on_the_adversarial_stream():
     wins = 0
     for seed in range(20):
         task = gen_adversarial_task(dims, seed=seed)
-        gated, _ = run_stream(task, StreamConfig("ttt3r", dims, softmax_scale=1.0))
-        plain, _ = run_stream(task, StreamConfig("vanilla", dims, softmax_scale=1.0))
+        gated = run_stream(task, StreamConfig("ttt3r", dims, softmax_scale=1.0))
+        plain = run_stream(task, StreamConfig("vanilla", dims, softmax_scale=1.0))
         wins += gated.mean_sq_error < plain.mean_sq_error
     assert wins >= 18, f"gated rule won only {wins}/20 seeds"
 
@@ -172,7 +172,7 @@ def test_07_full_attention_recall_is_exact_up_to_4096_frames():
         dims = StateDims(4, length, length, length)
         task = gen_recall_task(length, dims, "orthonormal", seed=0)
         cfg = StreamConfig("full", dims, softmax_scale=1.0)
-        curve, _ = run_stream(task, cfg)
+        curve = run_stream(task, cfg)
         assert curve.worst_sq_error <= 1e-8, (
             f"length {length}: worst error {curve.worst_sq_error:.3e}"
         )

@@ -1,0 +1,221 @@
+"""Fuzz test of the CLI's exit-code contract.
+
+Every call of main, whatever its flags, manifest or input bytes, ends
+in exit 0, 1 or 2 with no exception leaving main and no warning other
+than the PLY parser's two documented ones.  A success writes nothing to
+stderr.  An exit 1, and an exit 2 that main's handler reports, write
+exactly one stderr line, starting with "error:".  An argparse rejection
+ends in argparse's "<prog>: error:" line; under rerun, one more line
+follows that names the manifest.  Hypothesis draws derandomized and
+without an example database, so the suite stays deterministic.
+"""
+
+import contextlib
+import io
+import json
+import re
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ttt_lab.cli import main
+from ttt_lab.geometry_metrics import PointCloud, Trajectory
+from ttt_lab.io_formats import write_pfm, write_ply_ascii, write_tum
+
+_DOCUMENTED_WARNINGS = ("skipping unknown PLY header keyword", "ignoring unknown vertex property")
+_ARGPARSE_ERROR = re.compile(r"^ttt-lab( \S+)?: error: ")
+
+
+def _settings(examples):
+    return settings(max_examples=examples, derandomize=True, database=None, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A directory of small valid inputs: t.tum, c.ply (with normals), and pred/gt maps."""
+    root = tmp_path_factory.mktemp("inputs")
+    rng = np.random.default_rng(0)
+    quats = rng.standard_normal((30, 4))
+    quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+    (root / "t.tum").write_text(write_tum(Trajectory(0.1 * np.arange(30), quats,
+                                                     rng.standard_normal((30, 3)))))
+    normals = rng.standard_normal((20, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    (root / "c.ply").write_text(write_ply_ascii(PointCloud(rng.standard_normal((20, 3)),
+                                                           normals)))
+    for name in ("pred", "gt"):
+        (root / name).mkdir()
+        for i in range(2):
+            (root / name / f"{i:03d}.pfm").write_bytes(write_pfm(rng.uniform(1.0, 5.0, (4, 5))))
+    return root
+
+
+def _call(argv):
+    """(exit code, stderr) of main(argv), with every undocumented warning an error."""
+    err = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for message in _DOCUMENTED_WARNINGS:
+            warnings.filterwarnings("ignore", message=message)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_contract(argv, manifest=None):
+    """Run argv and check its exit code and stderr; manifest is the path a rerun reads."""
+    code, err = _call(argv)
+    lines = err.splitlines()
+    assert code in (0, 1, 2), (argv, code, err)
+    if code == 0:
+        assert lines == [], (argv, err)
+        return
+    rejected = [i for i, line in enumerate(lines) if _ARGPARSE_ERROR.match(line)]
+    if code == 2 and rejected:
+        tail = [f"error: the rejected value comes from the config of the manifest {manifest}"]
+        assert rejected == [len(lines) - 1 - (manifest is not None)], (argv, err)
+        assert lines[rejected[0] + 1:] == (tail if manifest is not None else []), (argv, err)
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, code, err)
+
+
+# ---------------------------------------------------------------------------
+# reruns of edited manifests
+
+_BASE_ARGV = {
+    "recall": ["recall", "--rules", "hebbian,ttt3r", "--count", "2", "--dims", "2,4,4,4"],
+    "gradcheck": ["gradcheck", "--trials", "2", "--max-dim", "2"],
+    "traj-eval": ["traj-eval", "--est", "{root}/t.tum", "--gt", "{root}/t.tum"],
+    "depth-eval": ["depth-eval", "--pred", "{root}/pred", "--gt", "{root}/gt"],
+    "chamfer": ["chamfer", "--a", "{root}/c.ply", "--b", "{root}/c.ply"],
+    "stitch": ["stitch", "--traj", "{root}/t.tum", "--cloud", "{root}/c.ply",
+               "--reset-period", "10"],
+}
+
+# Small integers only: a manifest that asks for 2^63 gradcheck trials is
+# a long run, not an error.  Text draws no decimal digits for the same
+# reason (int() reads every Unicode digit).
+_ODD_JSON = st.one_of(
+    st.integers(-10, 10),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308]),
+    st.booleans(),
+    st.none(),
+    st.text(st.characters(exclude_categories=("Nd", "Cs")), max_size=6),
+    st.sampled_from(["", "0", "3", "-1", "2.5", "1e999", "nan", "-inf", "2,4,4,4", "2,4",
+                     "delta,ttt3r", ",", "adversarial", "mean", "metric", "none", "-x", "-h",
+                     "--seed=1", "a=b", "é", "\x00", "line\nbreak", "{root}/t.tum",
+                     "{root}/c.ply", "{root}/pred", "{root}"]),
+    st.lists(st.integers(-10, 10), max_size=5),
+    st.lists(st.lists(st.integers(0, 3), max_size=2), max_size=2),
+    st.dictionaries(st.sampled_from(["a", "b"]), st.integers(-10, 10), max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def manifests(inputs):
+    """The manifest each producing command wrote for a small valid run."""
+    written = {}
+    for command, argv in _BASE_ARGV.items():
+        out = inputs / "runs" / command
+        code, _ = _call([a.format(root=inputs) for a in argv] + ["--out", str(out)])
+        assert code == 0, command
+        written[command] = json.loads((out / "manifest.json").read_text())
+    return written
+
+
+@pytest.mark.parametrize("command", sorted(_BASE_ARGV))
+@_settings(25)
+@given(data=st.data())
+def test_a_rerun_of_an_edited_manifest_keeps_the_contract(inputs, manifests, command, data):
+    manifest = json.loads(json.dumps(manifests[command]))
+    config = manifest["config"]
+    edits = data.draw(st.dictionaries(st.sampled_from(sorted(config)), _ODD_JSON,
+                                      min_size=1, max_size=3))
+    for key, value in edits.items():
+        config[key] = value.replace("{root}", str(inputs)) if isinstance(value, str) else value
+    with tempfile.TemporaryDirectory(dir=inputs) as work:
+        path = Path(work, "manifest.json")
+        path.write_text(json.dumps(manifest))
+        _assert_contract(["rerun", "--manifest", str(path)], manifest=path)
+
+
+# ---------------------------------------------------------------------------
+# byte mutations of the input formats
+
+# Tokens that mean something to the parsers, spliced in next to random bytes.
+_TOKENS = [b"nan", b"inf", b"-inf", b"1e308", b"-1e308", b"1e-320", b"0", b"-1", b"-0", b"\n",
+           b" ", b"\t", b"\r\n", b"#", b"\xff\xfe", b"\x00", b"e", b".", b"+", b"Pf", b"PF",
+           b"-1.0", b"end_header\n", b"format binary_little_endian 1.0\n",
+           b"element vertex 99\n", b"element vertex -1\n", b"element face 1\n",
+           b"property float nx\n", b"property list uchar int vertex_indices\n",
+           b"property double z\n", b"obj_info x\n", b"bogus keyword\n"]
+
+
+@st.composite
+def _mutated(draw, data: bytes) -> bytes:
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        cut = draw(st.integers(0, 8))
+        data[at:at + cut] = draw(st.one_of(st.binary(max_size=4), st.sampled_from(_TOKENS)))
+    return bytes(data)
+
+
+@pytest.mark.parametrize("source, argv", [
+    ("t.tum", ["traj-eval", "--est", "{bad}", "--gt", "{root}/t.tum"]),
+    ("t.tum", ["traj-eval", "--est", "{root}/t.tum", "--gt", "{bad}"]),
+    ("t.tum", ["stitch", "--traj", "{bad}", "--reset-period", "10"]),
+    ("t.tum", ["stitch", "--traj", "{bad}", "--cloud", "{root}/c.ply", "--reset-period", "10"]),
+    ("c.ply", ["stitch", "--traj", "{root}/t.tum", "--cloud", "{bad}", "--reset-period", "10"]),
+    ("c.ply", ["chamfer", "--a", "{bad}", "--b", "{root}/c.ply"]),
+    ("c.ply", ["chamfer", "--a", "{root}/c.ply", "--b", "{bad}"]),
+    ("pred", ["depth-eval", "--pred", "{bad}", "--gt", "{root}/gt"]),
+    ("gt", ["depth-eval", "--pred", "{root}/pred", "--gt", "{bad}", "--mode", "metric"]),
+], ids=["traj-eval-est", "traj-eval-gt", "stitch-traj", "stitch-traj-with-cloud",
+        "stitch-cloud", "chamfer-a", "chamfer-b", "depth-eval-pred", "depth-eval-gt-metric"])
+@_settings(20)
+@given(data=st.data())
+def test_a_mutated_input_keeps_the_contract(inputs, source, argv, data):
+    with tempfile.TemporaryDirectory(dir=inputs) as work:
+        bad = Path(work, source)
+        if (inputs / source).is_dir():
+            # One map of the directory is mutated; the other stays valid.
+            bad.mkdir()
+            names = sorted(p.name for p in (inputs / source).iterdir())
+            which = data.draw(st.sampled_from(names))
+            for name in names:
+                raw = (inputs / source / name).read_bytes()
+                (bad / name).write_bytes(data.draw(_mutated(raw)) if name == which else raw)
+        else:
+            bad.write_bytes(data.draw(_mutated((inputs / source).read_bytes())))
+        argv = [a.format(root=inputs, bad=bad) for a in argv]
+        _assert_contract(argv + ["--out", str(Path(work, "out"))])
+
+
+# ---------------------------------------------------------------------------
+# extreme values of the integer flags
+
+_EXTREMES = [sign * 2**63 + step for sign in (1, -1) for step in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("recall", "--seed"), ("recall", "--count"), ("recall", "--reset-period"),
+    ("recall", "--distractors"), ("recall", "--frame-size"),
+    ("recall --task adversarial", "--count"), ("recall --task adversarial", "--distractors"),
+    ("recall --task adversarial", "--frame-size"),
+    ("gradcheck", "--seed"), ("gradcheck", "--max-dim"), ("gradcheck", "--trials"),
+    ("traj-eval", "--rpe-delta"), ("stitch", "--reset-period"),
+])
+def test_extreme_integer_flags_keep_the_contract(inputs, tmp_path, command, flag):
+    name, *extra = command.split()
+    for value in _EXTREMES:
+        # 2^63 gradcheck trials are a long run, not an error.
+        if flag == "--trials" and value > 0:
+            continue
+        argv = [a.format(root=inputs) for a in _BASE_ARGV[name]] + extra
+        _assert_contract(argv + [flag, str(value), "--out", str(tmp_path / "out")])

@@ -21,6 +21,7 @@ from ttt_lab.geometry_metrics import (
 )
 from ttt_lab.io_formats import parse_pfm
 from ttt_lab.recall_bench import (
+    RuleRun,
     StateDims,
     StreamConfig,
     gen_adversarial_task,
@@ -30,6 +31,7 @@ from ttt_lab.recall_bench import (
 from ttt_lab.state_rules import delta_rule_update, recon_loss
 
 DIMS16 = StateDims(4, 16, 16, 16)
+DIMS8 = StateDims(4, 8, 8, 8)
 _TRAJ = Trajectory(np.arange(3.0), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), np.zeros((3, 3)))
 
 
@@ -70,6 +72,27 @@ _TRAJ = Trajectory(np.arange(3.0), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), np.zer
     pytest.param(lambda: run_stream(gen_recall_task(2, StateDims(4, 16, 16, 8)),
                                     StreamConfig("delta", DIMS16)),
                  "task value width 8 != c_v 16", id="stream-value-width"),
+    pytest.param(lambda: StreamConfig("delta", DIMS8, seed=None),
+                 "seed must be an integer, got None", id="stream-seed-none"),
+    pytest.param(lambda: StreamConfig("delta", StateDims(4, 8.5, 8, 8)),
+                 "state_dims.c must be an integer, got 8.5", id="stream-dims-float"),
+    pytest.param(lambda: StreamConfig("delta", (4, 8, 8, 8)),
+                 "state_dims must be a StateDims, got (4, 8, 8, 8)", id="stream-dims-tuple"),
+    pytest.param(lambda: gen_recall_task(2.5, DIMS8),
+                 "count must be an integer, got 2.5", id="recall-count-float"),
+    pytest.param(lambda: gen_recall_task(True, DIMS8),
+                 "count must be an integer, got True", id="recall-count-bool"),
+    pytest.param(lambda: gen_recall_task(2, DIMS8, seed=None),
+                 "seed must be an integer, got None", id="recall-seed-none"),
+    pytest.param(lambda: gen_adversarial_task(DIMS8, true_count=2, distractor_count=4,
+                                              frame_size=2.0),
+                 "frame_size must be an integer, got 2.0", id="adversarial-frame-size-float"),
+    pytest.param(lambda: gen_adversarial_task(DIMS8, seed=1.5, true_count=2,
+                                              distractor_count=4, frame_size=2),
+                 "seed must be an integer, got 1.5", id="adversarial-seed-float"),
+    pytest.param(lambda: RuleRun("x", np.zeros(2), np.full(6, 0.5), [0, 2.7, 6]),
+                 "gate_offsets must be integers that rise from 0 to the number of betas, "
+                 "by at least one per frame", id="run-gate-offsets-float"),
 ])
 def test_a_bad_input_is_one_value_error(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

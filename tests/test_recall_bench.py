@@ -13,9 +13,8 @@ import pytest
 from ttt_lab import recall_bench
 from ttt_lab.recall_bench import (
     QUERY_SATURATION,
-    ForgettingCurve,
-    GateTrace,
     RecallTask,
+    RuleRun,
     StateDims,
     StreamConfig,
     UnsupportedRuleCombination,
@@ -194,10 +193,10 @@ def test_task_pairs_property():
 
 def test_stored_pairs_land_one_per_frame_by_default():
     task = gen_recall_task(6, DIMS16, "orthonormal", seed=0)
-    curve, trace = run_stream(task, StreamConfig("delta", DIMS16))
-    assert curve.sq_errors.shape == (6,)
+    run = run_stream(task, StreamConfig("delta", DIMS16))
+    assert run.sq_errors.shape == (6,)
     assert task.offsets.tolist() == list(range(7))
-    assert np.diff(trace.offsets).tolist() == [1] * 6
+    assert np.diff(run.gate_offsets).tolist() == [1] * 6
 
 
 def test_distractor_groups_occupy_their_positions():
@@ -205,9 +204,9 @@ def test_distractor_groups_occupy_their_positions():
     eye = np.eye(16)
     keys = np.vstack((eye[:2], eye[10:16]))
     task = RecallTask(keys, np.vstack((np.ones((2, 16)), np.zeros((6, 16)))), 2, 3)
-    curve, trace = run_stream(task, StreamConfig("delta", DIMS16))
-    assert curve.sq_errors.shape == (2,)
-    assert np.diff(trace.offsets).tolist() == [1, 1, 3, 3]
+    run = run_stream(task, StreamConfig("delta", DIMS16))
+    assert run.sq_errors.shape == (2,)
+    assert np.diff(run.gate_offsets).tolist() == [1, 1, 3, 3]
     assert task.offsets.tolist() == [0, 1, 2, 5, 8]
     # The task keeps the rows it is given as float64.
     assert task.keys is keys
@@ -229,9 +228,9 @@ def test_stream_config_validation():
                                                  f"{re.escape(repr(value))}$"):
                 StreamConfig("delta", DIMS16, **{field: value})
     task = gen_recall_task(6, DIMS16, "orthonormal", seed=0)
-    a, _ = run_stream(task, StreamConfig("delta", DIMS16, reset_period=np.int64(4),
-                                         seed=np.int32(2)))
-    b, _ = run_stream(task, StreamConfig("delta", DIMS16, reset_period=4, seed=2))
+    a = run_stream(task, StreamConfig("delta", DIMS16, reset_period=np.int64(4),
+                                      seed=np.int32(2)))
+    b = run_stream(task, StreamConfig("delta", DIMS16, reset_period=4, seed=2))
     np.testing.assert_array_equal(a.sq_errors, b.sq_errors)
     for scale in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match=f"scale must be positive and finite, got {scale}"):
@@ -253,9 +252,9 @@ def test_delta_rule_rejects_state_dependent_gates():
 
 def test_delta_rule_supports_input_sigmoid_gate():
     task = gen_recall_task(4, DIMS16, "orthonormal", seed=0)
-    curve, trace = run_stream(task, StreamConfig("delta:input", DIMS16))
-    assert len(trace) == 4
-    assert np.all(trace.betas > 0.0) and np.all(trace.betas < 1.0)
+    run = run_stream(task, StreamConfig("delta:input", DIMS16))
+    assert len(run.gate_offsets) - 1 == 4
+    assert np.all(run.betas > 0.0) and np.all(run.betas < 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -265,36 +264,52 @@ def test_delta_rule_supports_input_sigmoid_gate():
 def test_ungated_rules_return_empty_trace():
     task = gen_recall_task(4, DIMS16, "orthonormal", seed=0)
     for rule in ("full", "vanilla", "hebbian"):
-        _, trace = run_stream(task, StreamConfig(rule, DIMS16, softmax_scale=1.0))
-        assert len(trace) == 0
-        assert trace.betas.size == 0 and trace.offsets.tolist() == [0]
+        run = run_stream(task, StreamConfig(rule, DIMS16, softmax_scale=1.0))
+        assert len(run.gate_offsets) - 1 == 0
+        assert run.betas.size == 0 and run.gate_offsets.tolist() == [0]
 
 
 def test_gated_rules_trace_every_frame():
     task = gen_recall_task(5, DIMS16, "orthonormal", seed=0)
-    _, trace = run_stream(task, StreamConfig("ttt3r", DIMS16))
-    assert len(trace) == 5
-    assert np.diff(trace.offsets).tolist() == [4] * 5
+    run = run_stream(task, StreamConfig("ttt3r", DIMS16))
+    assert len(run.gate_offsets) - 1 == 5
+    assert np.diff(run.gate_offsets).tolist() == [4] * 5
 
 
-def test_gate_trace_rejects_offsets_that_do_not_fit():
-    GateTrace("x", np.full(6, 0.5), [0, 2, 6])
-    for offsets in ([0, 2, 5], [1, 6], [0, 4, 4, 6], [], [[0, 6]]):
-        with pytest.raises(ValueError, match="offsets must rise from 0"):
-            GateTrace("x", np.full(6, 0.5), offsets)
+_RISE = ("gate_offsets must be integers that rise from 0 to the number of betas, "
+         "by at least one per frame")
+
+
+@pytest.mark.parametrize("sq_errors, gate_offsets, message", [
+    ([1.0, -2.0, 3.0], [0, 2, 6], "squared errors must be finite and nonnegative"),
+    ([1.0, np.inf], [0, 2, 6], "squared errors must be finite and nonnegative"),
+    (np.ones((3, 1)), [0, 2, 6], "sq_errors must be a 1-D array"),
+    ([1.0], [0, 2, 5], _RISE),
+    ([1.0], [1, 6], _RISE),
+    ([1.0], [0, 4, 4, 6], _RISE),
+    ([1.0], np.array([], dtype=np.int64), _RISE),
+    ([1.0], [[0, 6]], _RISE),
+    ([1.0], [], _RISE),
+    ([1.0], [0, 2.0, 6], _RISE),
+    ([1.0], [False, True, True], _RISE),
+])
+def test_rule_run_validation(sq_errors, gate_offsets, message):
+    RuleRun("x", [1.0], np.full(6, 0.5), [0, 2, 6])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RuleRun("x", sq_errors, np.full(6, 0.5), gate_offsets)
 
 
 def test_stream_honours_the_rules_confidence_reduce():
     eye = np.eye(16)
     task = RecallTask(eye[:8], np.vstack((np.ones((2, 16)), np.zeros((6, 16)))), 2, 3)
-    _, t_sum = run_stream(task, StreamConfig("ttt3r", DIMS16, reset_period=2))
-    _, t_mean = run_stream(task, StreamConfig("ttt3r", DIMS16, reset_period=2,
-                                              gate_reduce="mean"))
+    t_sum = run_stream(task, StreamConfig("ttt3r", DIMS16, reset_period=2))
+    t_mean = run_stream(task, StreamConfig("ttt3r", DIMS16, reset_period=2,
+                                           gate_reduce="mean"))
     # The reset before frame 2 starts both streams there from the same
     # state, and the frame holds 3 tokens, so its mean-reduced logits are
     # a third of the summed ones.
     logit = lambda b: np.log(b / (1.0 - b))
-    frame = slice(t_sum.offsets[2], t_sum.offsets[3])
+    frame = slice(t_sum.gate_offsets[2], t_sum.gate_offsets[3])
     np.testing.assert_allclose(3.0 * logit(t_mean.betas[frame]), logit(t_sum.betas[frame]),
                                rtol=1e-9)
     a = t_sum.betas
@@ -309,7 +324,7 @@ def test_stream_honours_the_rules_confidence_reduce():
 def test_reset_every_frame_keeps_only_the_last_frame():
     task = gen_recall_task(8, DIMS16, "orthonormal", seed=3)
     cfg = StreamConfig("delta", DIMS16, reset_period=1)
-    curve, _ = run_stream(task, cfg)
+    curve = run_stream(task, cfg)
     # wiped pairs read back as zero, so their error is exactly ||v||^2
     expect = np.sum(task.values**2, axis=1)
     np.testing.assert_allclose(curve.sq_errors[:-1], expect[:-1], rtol=0, atol=1e-12)
@@ -320,8 +335,8 @@ def test_reset_longer_than_stream_changes_nothing():
     task = gen_recall_task(8, DIMS16, "orthonormal", seed=3)
     base = StreamConfig("ttt3r", DIMS16)
     huge = StreamConfig("ttt3r", DIMS16, reset_period=1000)
-    a, _ = run_stream(task, base)
-    b, _ = run_stream(task, huge)
+    a = run_stream(task, base)
+    b = run_stream(task, huge)
     np.testing.assert_array_equal(a.sq_errors, b.sq_errors)
 
 
@@ -336,16 +351,16 @@ def test_reset_restores_the_seeded_initial_state(rule, dims, count):
     # position 63 is one where a Q_b @ S^T block gives other bits.
     task = gen_recall_task(count, dims, "orthonormal", seed=7)
     cfg = StreamConfig(rule, dims, reset_period=count - 1)
-    curve, _ = run_stream(task, cfg)
+    curve = run_stream(task, cfg)
     solo = RecallTask(task.keys[-1:], task.values[-1:])
-    solo_curve, _ = run_stream(solo, StreamConfig(rule, dims))
+    solo_curve = run_stream(solo, StreamConfig(rule, dims))
     assert curve.sq_errors[-1] == solo_curve.sq_errors[0]
 
 
 def test_full_attention_reset_drops_cached_history():
     task = gen_recall_task(8, DIMS16, "orthonormal", seed=3)
     cfg = StreamConfig("full", DIMS16, reset_period=4, softmax_scale=1.0)
-    curve, _ = run_stream(task, cfg)
+    curve = run_stream(task, cfg)
     assert np.all(curve.sq_errors[4:] <= 1e-16)
     assert np.all(curve.sq_errors[:4] > 1e-3)
 
@@ -485,24 +500,24 @@ _SHAPES = ["reset-not-dividing", "batch-3", "adversarial", "scattered-distractor
 
 
 def _assert_matches_the_oracle(task, cfg):
-    curve, trace = run_stream(task, cfg)
+    run = run_stream(task, cfg)
     errors, gates, n_frames = _per_frame_oracle(task, cfg)
     exact = cfg.rule not in _FAST_WEIGHT_SPECS
     assert len(task.offsets) - 1 == n_frames
     if exact:
-        np.testing.assert_array_equal(curve.sq_errors, errors)
+        np.testing.assert_array_equal(run.sq_errors, errors)
     else:
         # The chunked kernels reorder the sums: equal up to rounding.
-        np.testing.assert_allclose(curve.sq_errors, errors, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(run.sq_errors, errors, rtol=0, atol=1e-12)
     if not gates:
-        assert len(trace) == 0 and trace.betas.size == 0
+        assert len(run.gate_offsets) - 1 == 0 and run.betas.size == 0
         return
-    assert len(trace) == n_frames
-    assert np.diff(trace.offsets).tolist() == [len(g) for g in gates]
+    assert len(run.gate_offsets) - 1 == n_frames
+    assert np.diff(run.gate_offsets).tolist() == [len(g) for g in gates]
     if exact:
-        np.testing.assert_array_equal(trace.betas, np.concatenate(gates))
+        np.testing.assert_array_equal(run.betas, np.concatenate(gates))
     else:
-        np.testing.assert_allclose(trace.betas, np.concatenate(gates), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(run.betas, np.concatenate(gates), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("spec", _FAST_WEIGHT_SPECS + ["full", "vanilla", "ttt3r:confidence",
@@ -616,11 +631,11 @@ def test_kernel_calls_per_stream(monkeypatch):
     # A cap of 4 stacked states splits the 12-segment layout into 3 calls.
     monkeypatch.setattr(recall_bench, "_STACK_BYTES", 4 * DIMS16.n * DIMS16.c * 8)
     calls.update(dict.fromkeys(_KERNELS, 0))
-    curve, trace = run_stream(task, StreamConfig("ttt3r", DIMS16, reset_period=period))
+    run = run_stream(task, StreamConfig("ttt3r", DIMS16, reset_period=period))
     assert calls["ttt3r_update"] == 5
-    np.testing.assert_array_equal(curve.sq_errors, runs["ttt3r"][0].sq_errors)
-    np.testing.assert_array_equal(trace.betas, runs["ttt3r"][1].betas)
-    np.testing.assert_array_equal(trace.offsets, runs["ttt3r"][1].offsets)
+    np.testing.assert_array_equal(run.sq_errors, runs["ttt3r"].sq_errors)
+    np.testing.assert_array_equal(run.betas, runs["ttt3r"].betas)
+    np.testing.assert_array_equal(run.gate_offsets, runs["ttt3r"].gate_offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +667,7 @@ def test_blocked_scoring_against_the_whole_batch_read(monkeypatch, dims, key_mod
         runs = []
         for budget in (1, recall_bench._SCORE_BYTES, 1 << 40):
             monkeypatch.setattr(recall_bench, "_SCORE_BYTES", budget)
-            runs.append(run_stream(task, StreamConfig(rule, dims, reset_period=period))[0])
+            runs.append(run_stream(task, StreamConfig(rule, dims, reset_period=period)))
         whole = runs[-1].sq_errors
         for curve in runs[:-1]:
             if rule in exact:
@@ -697,20 +712,20 @@ def test_run_stream_holds_the_task_one_state_and_one_block(rule):
 
 def test_delta_rule_is_exact_at_orthonormal_capacity():
     task = gen_recall_task(16, DIMS16, "orthonormal", seed=0)
-    curve, _ = run_stream(task, StreamConfig("delta", DIMS16))
+    curve = run_stream(task, StreamConfig("delta", DIMS16))
     assert curve.worst_sq_error <= 1e-20
 
 
 def test_hebbian_matches_delta_on_orthonormal_keys():
     task = gen_recall_task(16, DIMS16, "orthonormal", seed=0)
-    curve, _ = run_stream(task, StreamConfig("hebbian", DIMS16))
+    curve = run_stream(task, StreamConfig("hebbian", DIMS16))
     assert curve.worst_sq_error <= 1e-20
 
 
 def test_full_attention_recall_is_exact_at_unit_scale():
     task = gen_recall_task(16, DIMS16, "orthonormal", seed=0)
     cfg = StreamConfig("full", DIMS16, softmax_scale=1.0)
-    curve, _ = run_stream(task, cfg)
+    curve = run_stream(task, cfg)
     assert curve.worst_sq_error <= 1e-16
 
 
@@ -720,8 +735,8 @@ def test_random_unit_overload_degrades_delta_recall():
         dims = DIMS16
         small = gen_recall_task(8, dims, "random_unit", seed=seed)
         big = gen_recall_task(64, dims, "random_unit", seed=seed)
-        c_small, _ = run_stream(small, StreamConfig("delta", dims))
-        c_big, _ = run_stream(big, StreamConfig("delta", dims))
+        c_small = run_stream(small, StreamConfig("delta", dims))
+        c_big = run_stream(big, StreamConfig("delta", dims))
         lo.append(c_small.mean_sq_error)
         hi.append(c_big.mean_sq_error)
     assert np.mean(hi) > 5.0 * np.mean(lo)
@@ -729,19 +744,19 @@ def test_random_unit_overload_degrades_delta_recall():
 
 def test_gated_and_ungated_token_rules_coincide_at_unit_gate():
     task = gen_recall_task(12, DIMS16, "orthonormal", seed=4)
-    a, _ = run_stream(task, StreamConfig("ttt3r:1", DIMS16))
-    b, _ = run_stream(task, StreamConfig("vanilla", DIMS16))
+    a = run_stream(task, StreamConfig("ttt3r:1", DIMS16))
+    b = run_stream(task, StreamConfig("vanilla", DIMS16))
     np.testing.assert_array_equal(a.sq_errors, b.sq_errors)
 
 
 def test_run_stream_is_pure():
     task = gen_recall_task(6, DIMS16, "orthonormal", seed=9)
     cfg = StreamConfig("ttt3r", DIMS16, gate_reduce="mean")
-    a, ta = run_stream(task, cfg)
-    b, tb = run_stream(task, cfg)
+    a = run_stream(task, cfg)
+    b = run_stream(task, cfg)
     np.testing.assert_array_equal(a.sq_errors, b.sq_errors)
-    np.testing.assert_array_equal(ta.offsets, tb.offsets)
-    np.testing.assert_array_equal(ta.betas, tb.betas)
+    np.testing.assert_array_equal(a.gate_offsets, b.gate_offsets)
+    np.testing.assert_array_equal(a.betas, b.betas)
 
 
 # ---------------------------------------------------------------------------
@@ -780,10 +795,17 @@ def test_adversarial_task_validation():
 def test_compare_rules_disambiguates_repeated_labels():
     task = gen_recall_task(4, DIMS16, "orthonormal", seed=1)
     configs = [StreamConfig("vanilla", DIMS16),
-               StreamConfig("vanilla", DIMS16, softmax_scale=1.0)]
-    curves, _ = compare_rules(task, configs)
-    assert tuple(c.rule_label for c in curves) == ("vanilla", "vanilla#2")
-    assert curves[1].rule_label == "vanilla#2"
+               StreamConfig("vanilla", DIMS16, softmax_scale=1.0),
+               StreamConfig("ttt3r", DIMS16), StreamConfig("ttt3r", DIMS16, seed=1)]
+    runs = compare_rules(task, configs)
+    assert tuple(r.rule_label for r in runs) == ("vanilla", "vanilla#2", "ttt3r:confidence",
+                                                 "ttt3r:confidence#2")
+    # The relabelled run keeps its own errors and gates.
+    alone = run_stream(task, configs[3])
+    np.testing.assert_array_equal(runs[3].sq_errors, alone.sq_errors)
+    np.testing.assert_array_equal(runs[3].betas, alone.betas)
+    np.testing.assert_array_equal(runs[3].gate_offsets, alone.gate_offsets)
+    assert len(runs[3].gate_offsets) - 1 == 4 and np.any(runs[3].betas != runs[2].betas)
 
 
 def test_compare_rules_requires_configs():
@@ -865,7 +887,7 @@ def test_unsupported_combinations_raise_when_the_config_is_built():
 
 def test_curves_csv_schema_and_roundtrip():
     task = gen_recall_task(3, DIMS16, "orthonormal", seed=1)
-    curve, _ = run_stream(task, StreamConfig("delta", DIMS16))
+    curve = run_stream(task, StreamConfig("delta", DIMS16))
     text = curves_to_csv([curve])
     lines = text.strip().split("\n")
     assert lines[0] == "rule,position,sq_error"
@@ -879,9 +901,9 @@ def test_curves_csv_schema_and_roundtrip():
 
 def test_curves_csv_matches_the_per_row_oracle():
     task = gen_recall_task(24, DIMS16, "random_unit", seed=2)
-    curves = [run_stream(task, StreamConfig(rule, DIMS16, reset_period=5))[0]
+    curves = [run_stream(task, StreamConfig(rule, DIMS16, reset_period=5))
               for rule in ("hebbian", "delta:0.5")]
-    curves.append(ForgettingCurve("edge", np.array([0.0, 5e-324, 1.7976931348623157e308])))
+    curves.append(RuleRun("edge", np.array([0.0, 5e-324, 1.7976931348623157e308])))
     lines = ["rule,position,sq_error"]
     for curve in curves:
         for pos, err in enumerate(curve.sq_errors):
@@ -891,28 +913,23 @@ def test_curves_csv_matches_the_per_row_oracle():
 
 def test_gate_trace_csv_schema():
     task = gen_recall_task(3, DIMS16, "orthonormal", seed=1)
-    _, trace = run_stream(task, StreamConfig("ttt3r", DIMS16))
-    lines = gate_trace_to_csv(trace).strip().split("\n")
+    run = run_stream(task, StreamConfig("ttt3r", DIMS16))
+    lines = gate_trace_to_csv(run).strip().split("\n")
     assert lines[0] == "frame,token,beta"
     assert len(lines) == 1 + 3 * 4
     frame, token, beta = lines[1].split(",")
     assert (int(frame), int(token)) == (0, 0)
     assert 0.0 < float(beta) < 1.0
+    # An ungated run has no gates: the header alone.
+    assert gate_trace_to_csv(RuleRun("x", [1.0])) == "frame,token,beta\n"
 
 
 def test_summary_csv_schema():
     task = gen_recall_task(3, DIMS16, "orthonormal", seed=1)
-    curves, _ = compare_rules(task, [StreamConfig("delta", DIMS16)])
+    curves = compare_rules(task, [StreamConfig("delta", DIMS16)])
     lines = summary_to_csv(curves).strip().split("\n")
     assert lines[0] == "rule,mean_sq_error,worst_sq_error"
     rule, mean, worst = lines[1].split(",")
     assert rule == "delta:1"
     assert float(mean) == curves[0].mean_sq_error
     assert float(worst) == curves[0].worst_sq_error
-
-
-def test_forgetting_curve_validation():
-    with pytest.raises(ValueError):
-        ForgettingCurve("x", np.array([1.0, -2.0, 3.0]))
-    with pytest.raises(ValueError):
-        ForgettingCurve("x", np.ones((3, 1)))
