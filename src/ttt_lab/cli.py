@@ -160,7 +160,7 @@ def _run_gradcheck(args) -> int:
     _check(args.trials >= 1, "--trials must be >= 1")
     _check(0 < args.step < math.inf, "--step must be positive and finite")
     _check(0 <= args.tol < math.inf, "--tol must be finite and >= 0")
-    _check(args.max_dim >= 1, "--max-dim must be >= 1")
+    _check(1 <= args.max_dim < 2**63, f"--max-dim must be from 1 to {2**63 - 1}")
     rng = np.random.default_rng(derive_seed(args.seed, "gradcheck"))
     step = args.step
     rows = []
@@ -412,7 +412,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=None,
                    help="output directory (default: the manifest's directory)")
-    
     return parser
 
 

@@ -287,8 +287,9 @@ def umeyama_sim3(src: np.ndarray, dst: np.ndarray, with_scale: bool = True) -> S
     closed form via the SVD of the cross-covariance; the sign matrix on
     the smallest singular direction keeps the solution a proper
     rotation even for reflected inputs.  with_scale False pins s = 1.
-    Coordinates too large to square and sum are aligned scaled by one
-    power of two (_unoverflowed), and t is returned in input units.
+    src and dst of any size are each aligned scaled by one power of two
+    (_normalized), which is exact, and s and t are returned in input
+    units.
     """
     src = np.asarray(src, dtype=np.float64)
     dst = np.asarray(dst, dtype=np.float64)
@@ -299,8 +300,8 @@ def umeyama_sim3(src: np.ndarray, dst: np.ndarray, with_scale: bool = True) -> S
     n = src.shape[0]
     if n < 3:
         raise ValueError(f"alignment needs at least 3 point pairs, got {n}")
-    # The covariance and the variance each sum 3 squares per pair.
-    src, dst, unit = _unoverflowed(src, dst, 3 * n)
+    (src,), src_unit = _normalized(src)
+    (dst,), dst_unit = _normalized(dst)
     mu_s = src.mean(axis=0)
     mu_d = dst.mean(axis=0)
     x = src - mu_s
@@ -315,15 +316,12 @@ def umeyama_sim3(src: np.ndarray, dst: np.ndarray, with_scale: bool = True) -> S
     if np.linalg.det(u) * np.linalg.det(vt) < 0:
         s_mat[2, 2] = -1.0
     rot = u @ s_mat @ vt
-    if with_scale:
-        var_src = float(np.sum(x * x)) / n
-        scale = float(np.trace(np.diag(d) @ s_mat)) / var_src
-        if not (scale > 0):
-            raise DegenerateGeometryError(f"recovered scale {scale} is not positive")
-    else:
-        scale = 1.0
-    t = (mu_d - scale * rot @ mu_s) * unit
-    return Sim3Transform(scale, rot, t)
+    if not with_scale:
+        return Sim3Transform(1.0, rot, mu_d * dst_unit - rot @ (mu_s * src_unit))
+    # Positive: the trace is at least d[0] > 0.
+    scale = float(np.trace(np.diag(d) @ s_mat)) / (float(np.sum(x * x)) / n)
+    t = (mu_d - scale * rot @ mu_s) * dst_unit
+    return Sim3Transform(scale * dst_unit / src_unit, rot, t)
 
 
 def _pair_indices(pairs, est: Trajectory, gt: Trajectory):
@@ -340,20 +338,17 @@ def _pair_indices(pairs, est: Trajectory, gt: Trajectory):
     return idx[:, 0], idx[:, 1]
 
 
-def _unoverflowed(a: np.ndarray, b: np.ndarray, terms: int = 3):
-    """Both coordinate arrays and the factor that undoes their scaling.
+def _normalized(*arrays):
+    """The coordinate arrays scaled by one power of two, and the factor that undoes it.
 
-    Below 2**L in magnitude, L = (1022 - ceil(log2(terms))) // 2, no
-    coordinate difference, nor a sum of `terms` squared ones, overflows,
-    and the arrays are returned as they are (L = 510 for the three
-    squares of one distance).  Otherwise both are scaled by the one
-    power of two that brings them below it.
+    The power brings their largest magnitude into [1, 2), where no sum
+    of squared coordinate differences over arrays that fit in memory
+    overflows, nor one near that size underflows.  The scaling is exact,
+    so a metric of inputs times 2**k is 2**k times their metric, bit
+    for bit.
     """
-    limit = (1022 - math.ceil(math.log2(terms))) // 2
-    shift = math.frexp(max(np.abs(a).max(), np.abs(b).max()))[1] - limit
-    if shift <= 0:
-        return a, b, 1.0
-    return np.ldexp(a, -shift), np.ldexp(b, -shift), 2.0 ** shift
+    shift = math.frexp(max(float(np.abs(a).max()) for a in arrays))[1] - 1
+    return [np.ldexp(a, -shift) for a in arrays], math.ldexp(1.0, shift)
 
 
 def ate(est: Trajectory, gt: Trajectory, pairs, align: str = "sim3") -> float:
@@ -362,17 +357,16 @@ def ate(est: Trajectory, gt: Trajectory, pairs, align: str = "sim3") -> float:
     pairs are the matched (i_est, j_gt) indices that associate returns;
     an index that is not an integer within its trajectory raises
     ValueError.  align selects similarity ("sim3"), rigid ("se3", scale
-    pinned to 1) or no alignment ("none").  Translations too large to
-    square and sum are measured scaled by a power of two, as chamfer
-    measures clouds.
+    pinned to 1) or no alignment ("none").  Translations of any size are
+    measured scaled by one power of two, exactly, as chamfer measures
+    clouds, so the error scales with them bit for bit.
     """
     if align not in ("sim3", "se3", "none"):
         raise ValueError(f"align must be 'sim3', 'se3' or 'none', got {align!r}")
     if not len(pairs):
         raise ValueError("no matched pose pairs within the association window")
     i_est, j_gt = _pair_indices(pairs, est, gt)
-    # The RMSE and the alignment's covariances sum 3 squares per pair.
-    p, g, unit = _unoverflowed(est.translations[i_est], gt.translations[j_gt], 3 * len(i_est))
+    (p, g), unit = _normalized(est.translations[i_est], gt.translations[j_gt])
     if align != "none":
         if len(pairs) < 3:
             raise ValueError(
@@ -391,7 +385,8 @@ def rpe(est: Trajectory, gt: Trajectory, pairs, delta: int = 1):
     returns the RMSE of the translation norms and of the rotation angles
     in degrees.  The angle is atan2(|vee(R - R^T)| / 2, (tr R - 1) / 2),
     which stays accurate near zero, where acos of the trace would not.
-    Translations are scaled as ate scales them.
+    Translations are scaled as ate scales them, so the translation error
+    scales with them bit for bit and the angle does not change.
     """
     if delta < 1:
         raise ValueError(f"delta must be >= 1, got {delta}")
@@ -402,10 +397,8 @@ def rpe(est: Trajectory, gt: Trajectory, pairs, delta: int = 1):
     i_est, j_gt = _pair_indices(pairs, est, gt)
     est_mats = est.matrices()[i_est]
     gt_mats = gt.matrices()[j_gt]
-    # An error translation is at most four translations long, so its
-    # square is at most 12 squared coordinate differences.
-    est_mats[:, :3, 3], gt_mats[:, :3, 3], unit = _unoverflowed(
-        est_mats[:, :3, 3], gt_mats[:, :3, 3], 12 * len(i_est))
+    (est_mats[:, :3, 3], gt_mats[:, :3, 3]), unit = _normalized(
+        est_mats[:, :3, 3], gt_mats[:, :3, 3])
     est_rel = se3_inverse(est_mats[:-delta]) @ est_mats[delta:]
     gt_rel = se3_inverse(gt_mats[:-delta]) @ gt_mats[delta:]
     err = se3_inverse(gt_rel) @ est_rel
@@ -716,11 +709,12 @@ def chamfer(a: PointCloud, b: PointCloud) -> ChamferResult:
     clouds carry normals, normal_consistency is the symmetric mean
     |n_i . n_match| over the same nearest-neighbour matches (1.0 means
     parallel normals, whatever their orientation); otherwise it is None.
-    A match tied in distance goes to the lowest index.  Clouds too large
-    to square are measured scaled by a power of two, so every distance
-    is finite unless it exceeds the largest float.
+    A match tied in distance goes to the lowest index.  Clouds of any
+    size are measured scaled by one power of two, exactly, so the
+    distances scale with the clouds bit for bit and are finite unless
+    they exceed the largest float.
     """
-    pa, pb, scale = _unoverflowed(a.points, b.points)
+    (pa, pb), scale = _normalized(a.points, b.points)
     d2_ab, idx_ab = _nearest(pb, pa)
     d2_ba, idx_ba = _nearest(pa, pb)
     acc = float(np.mean(np.sqrt(d2_ab))) * scale

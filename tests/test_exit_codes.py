@@ -6,8 +6,8 @@ than the PLY parser's two documented ones.  A success writes nothing to
 stderr.  An exit 1, and an exit 2 that main's handler reports, write
 exactly one stderr line, starting with "error:".  An argparse rejection
 ends in argparse's "<prog>: error:" line; under rerun, one more line
-follows that names the manifest.  Hypothesis draws derandomized and
-without an example database, so the suite stays deterministic.
+follows that names the manifest.  Hypothesis draws under the suite's
+deterministic profile (conftest.py).
 """
 
 import contextlib
@@ -28,10 +28,6 @@ from ttt_lab.io_formats import write_pfm, write_ply_ascii, write_tum
 
 _DOCUMENTED_WARNINGS = ("skipping unknown PLY header keyword", "ignoring unknown vertex property")
 _ARGPARSE_ERROR = re.compile(r"^ttt-lab( \S+)?: error: ")
-
-
-def _settings(examples):
-    return settings(max_examples=examples, derandomize=True, database=None, deadline=None)
 
 
 @pytest.fixture(scope="module")
@@ -107,13 +103,14 @@ _ODD_JSON = st.one_of(
     st.none(),
     st.text(st.characters(exclude_categories=("Nd", "Cs")), max_size=6),
     st.sampled_from(["", "0", "3", "-1", "2.5", "1e999", "nan", "-inf", "2,4,4,4", "2,4",
-                     "delta,ttt3r", ",", "adversarial", "mean", "metric", "none", "-x", "-h",
-                     "--seed=1", "a=b", "é", "\x00", "line\nbreak", "{root}/t.tum",
+                     "delta,ttt3r", ",", "adversarial", "mean", "random_unit", "metric", "none",
+                     "-x", "-h", "--seed=1", "a=b", "é", "\x00", "line\nbreak", "{root}/t.tum",
                      "{root}/c.ply", "{root}/pred", "{root}"]),
     st.lists(st.integers(-10, 10), max_size=5),
     st.lists(st.lists(st.integers(0, 3), max_size=2), max_size=2),
     st.dictionaries(st.sampled_from(["a", "b"]), st.integers(-10, 10), max_size=2),
 )
+_DROP = object()  # an edit that deletes the key
 
 
 @pytest.fixture(scope="module")
@@ -129,15 +126,21 @@ def manifests(inputs):
 
 
 @pytest.mark.parametrize("command", sorted(_BASE_ARGV))
-@_settings(25)
+@settings(max_examples=25)
 @given(data=st.data())
 def test_a_rerun_of_an_edited_manifest_keeps_the_contract(inputs, manifests, command, data):
     manifest = json.loads(json.dumps(manifests[command]))
     config = manifest["config"]
-    edits = data.draw(st.dictionaries(st.sampled_from(sorted(config)), _ODD_JSON,
+    # Each edit sets a config key, or one the command does not know
+    # ("extra"), to an odd value, or drops it.
+    edits = data.draw(st.dictionaries(st.sampled_from(sorted(config) + ["extra"]),
+                                      st.one_of(_ODD_JSON, st.just(_DROP)),
                                       min_size=1, max_size=3))
     for key, value in edits.items():
-        config[key] = value.replace("{root}", str(inputs)) if isinstance(value, str) else value
+        if value is _DROP:
+            config.pop(key, None)
+        else:
+            config[key] = value.replace("{root}", str(inputs)) if isinstance(value, str) else value
     with tempfile.TemporaryDirectory(dir=inputs) as work:
         path = Path(work, "manifest.json")
         path.write_text(json.dumps(manifest))
@@ -178,7 +181,7 @@ def _mutated(draw, data: bytes) -> bytes:
     ("gt", ["depth-eval", "--pred", "{root}/pred", "--gt", "{bad}", "--mode", "metric"]),
 ], ids=["traj-eval-est", "traj-eval-gt", "stitch-traj", "stitch-traj-with-cloud",
         "stitch-cloud", "chamfer-a", "chamfer-b", "depth-eval-pred", "depth-eval-gt-metric"])
-@_settings(20)
+@settings(max_examples=20)
 @given(data=st.data())
 def test_a_mutated_input_keeps_the_contract(inputs, source, argv, data):
     with tempfile.TemporaryDirectory(dir=inputs) as work:

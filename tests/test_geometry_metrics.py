@@ -314,7 +314,7 @@ _grid_stamps = st.lists(st.integers(0, 40), min_size=1, max_size=25, unique=True
     lambda ticks: _stamps(*(_TICK * np.sort(ticks))))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_grid_stamps, _grid_stamps, st.sampled_from([0.001, _TICK, 2 * _TICK, 3 * _TICK, 0.2]))
 def test_associate_matches_the_greedy_loop(est, gt, max_dt):
     pairs = associate(est, gt, max_dt)
@@ -368,18 +368,22 @@ def test_umeyama_returns_proper_rotation_on_reflected_data():
 
 
 def test_umeyama_of_coordinates_too_large_to_square():
-    # Times 2^600 the covariance overflowed ("SVD did not converge");
-    # the alignment of the scaled inputs is the same up to the unit.
+    # Unscaled, the covariance of points times 2^600 overflowed ("SVD did
+    # not converge"), and the variance of src times 2^-600 underflowed to
+    # 0.  src and dst are each aligned scaled by a power of two, so the
+    # rotation keeps its bits, the scale is 2^(k_dst - k_src) times the
+    # base scale and the translation 2^k_dst times the base translation.
     rng = np.random.default_rng(8)
     src = rng.standard_normal((20, 3))
     dst = 1.3 * src @ quat_to_rotmat(_rand_quat(rng)).T + np.array([0.5, -2.0, 1.0])
     base = umeyama_sim3(src, dst)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        big = umeyama_sim3(np.ldexp(src, 600), np.ldexp(dst, 600))
-    assert big.scale == pytest.approx(base.scale, rel=1e-12, abs=0)
-    np.testing.assert_allclose(big.rotation, base.rotation, rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(big.translation, np.ldexp(base.translation, 600), rtol=1e-12)
+    for k_src, k_dst in ((600, 600), (-600, 0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = umeyama_sim3(np.ldexp(src, k_src), np.ldexp(dst, k_dst))
+        assert got.scale == math.ldexp(base.scale, k_dst - k_src)
+        assert got.rotation.tobytes() == base.rotation.tobytes()
+        assert got.translation.tobytes() == np.ldexp(base.translation, k_dst).tobytes()
 
 
 def test_umeyama_rejects_degenerate_geometry():
@@ -576,11 +580,12 @@ def test_ate_and_rpe_take_pairs_as_an_integer_array():
         assert rpe(est, gt, array, delta=2) == rpe(est, gt, pairs, delta=2)
 
 
-@pytest.mark.parametrize("k", [0, 300, 600, 1000])
+@pytest.mark.parametrize("k", [-1000, -600, -300, 0, 300, 600, 1000])
 def test_ate_and_rpe_scale_with_translations_too_large_to_square(k):
     # Equivariance oracle: scaling every translation by 2**k scales ATE and
-    # the RPE translation by 2**k and leaves the RPE angle as it is.  From
-    # about 2**500 the squares overflow unless the metric rescales.
+    # the RPE translation by 2**k and leaves the RPE angle as it is, bit
+    # for bit.  From about 2**500 the squares overflow, and from about
+    # 2**-500 they underflow, unless the metric rescales.
     rng = np.random.default_rng(24)
     gt = _traj(rng.standard_normal((40, 3)), [_rand_quat(rng) for _ in range(40)])
     est = _wobbled(gt, rng)
@@ -593,19 +598,15 @@ def test_ate_and_rpe_scale_with_translations_too_large_to_square(k):
         warnings.simplefilter("error")
         for align in ("sim3", "se3", "none"):
             got = ate(big(est), big(gt), pairs, align=align)
-            want = math.ldexp(ate(est, gt, pairs, align=align), k)
-            assert abs(got - want) <= 1e-12 * want, align
+            assert got == math.ldexp(ate(est, gt, pairs, align=align), k), align
         got = rpe(big(est), big(gt), pairs, delta=2)
         base = rpe(est, gt, pairs, delta=2)
-    want = math.ldexp(base[0], k)
-    assert abs(got[0] - want) <= 1e-12 * want
-    assert abs(got[1] - base[1]) <= 1e-12 * base[1]
+    assert got == (math.ldexp(base[0], k), base[1])
 
 
 def test_ate_and_rpe_of_64_pairs_at_the_worst_case_size():
     # Every coordinate is +-1e300 and every pair is as far apart as its
-    # coordinates allow, so the scale has to count the pairs: 3 squares
-    # a pair for ATE, 12 for RPE, whose error translation is four long.
+    # coordinates allow; the RPE error translation is four long.
     s = 1e300
     est = _traj(s * np.outer((-1.0) ** np.arange(64), np.ones(3)))
     gt = _traj(-est.translations)
@@ -719,7 +720,7 @@ def _depth_sequence(draw):
     return maps[:frames], maps[frames:]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_depth_sequence())
 def test_sequence_scale_streams_generators_with_the_float64_pool_bits(maps):
     preds, gts = maps
@@ -949,7 +950,7 @@ _SHAPES = {
 }
 
 
-@settings(max_examples=250, deadline=None)
+@settings(max_examples=250)
 @given(_rows, _rows, st.sampled_from(sorted(_SHAPES)), st.booleans(),
        st.sampled_from([1.0, 1e-150, 1e150]), st.booleans())
 def test_grid_nearest_equals_the_brute_force_oracle(ref, qry, shape, far, scale, small_blocks):
@@ -980,16 +981,38 @@ def test_grid_nearest_has_the_bits_of_ckdtree_on_a_noisy_sphere():
 
 
 def test_chamfer_of_huge_clouds_is_the_scaled_chamfer():
-    # Beyond 2**510 both clouds are measured scaled by one power of two,
-    # which is exact, so every metric is the unscaled one times 2**600.
+    # Both clouds are measured scaled by one power of two, which is exact,
+    # so every distance is the unscaled one times 2**k; unscaled, their
+    # squares overflow at 2**600 and underflow to 0 at 2**-600.
     rng = np.random.default_rng(19)
     a = PointCloud(rng.standard_normal((50, 3)), _unit_rows(rng, 50))
     b = PointCloud(rng.standard_normal((70, 3)), _unit_rows(rng, 70))
-    small = chamfer(a, b)
-    huge = chamfer(PointCloud(np.ldexp(a.points, 600), a.normals),
-                   PointCloud(np.ldexp(b.points, 600), b.normals))
-    assert huge[:3] == tuple(x * 2.0 ** 600 for x in small[:3])
-    assert huge.normal_consistency == small.normal_consistency
+    base = chamfer(a, b)
+    for k in (600, -600):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = chamfer(PointCloud(np.ldexp(a.points, k), a.normals),
+                          PointCloud(np.ldexp(b.points, k), b.normals))
+        assert got[:3] == tuple(math.ldexp(x, k) for x in base[:3])
+        assert got.normal_consistency == base.normal_consistency
+
+
+def test_grid_nearest_of_two_tight_clusters_grows_the_capped_cells():
+    # 500 points within 1e-3 of each of two corners of the unit cube: cells
+    # sized for the clusters would number far more than _GRID_CAP a point,
+    # so _cell_size grows them until they do not.
+    rng = np.random.default_rng(20)
+    clusters = [corner + 1e-3 * rng.random((500, 3)) for corner in (0.0, 1.0)]
+    ref = np.vstack(clusters)
+    qry = np.vstack([c + 1e-3 * rng.standard_normal((500, 3)) for c in clusters])
+    lo = ref.min(axis=0)
+    span = ref.max(axis=0) - lo
+    h = geometry_metrics._cell_size(ref, lo, span)
+    assert np.prod(np.floor(span / h) + 1) <= geometry_metrics._GRID_CAP * len(ref)
+    d2, idx = geometry_metrics._nearest(ref, qry)
+    want_d2, want_idx = _oracle_nearest(ref, qry)
+    assert d2.tobytes() == want_d2.tobytes()
+    np.testing.assert_array_equal(idx, want_idx)
 
 
 def test_chamfer_leaves_normal_consistency_empty_without_normals():

@@ -28,7 +28,8 @@ from ttt_lab.recall_bench import (
     gen_recall_task,
     run_stream,
 )
-from ttt_lab.state_rules import delta_rule_update, recon_loss
+from ttt_lab.seeding import derive_seed
+from ttt_lab.state_rules import confidence_gate, delta_rule_update, recon_loss
 
 DIMS16 = StateDims(4, 16, 16, 16)
 DIMS8 = StateDims(4, 8, 8, 8)
@@ -93,6 +94,9 @@ _TRAJ = Trajectory(np.arange(3.0), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), np.zer
     pytest.param(lambda: RuleRun("x", np.zeros(2), np.full(6, 0.5), [0, 2.7, 6]),
                  "gate_offsets must be integers that rise from 0 to the number of betas, "
                  "by at least one per frame", id="run-gate-offsets-float"),
+    pytest.param(lambda: derive_seed(0, ""), "label must be non-empty", id="seed-label-empty"),
+    pytest.param(lambda: confidence_gate(np.ones((1, 0)), np.ones((1, 0))),
+                 "c must be >= 1", id="gate-width-0"),
 ])
 def test_a_bad_input_is_one_value_error(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

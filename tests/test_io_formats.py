@@ -168,7 +168,7 @@ _tum_rows = st.lists(st.one_of(
 ), min_size=1, max_size=6)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_tum_rows, _SEPARATORS)
 def test_tum_parser_matches_its_line_scan(rows, sep):
     """The np.loadtxt pass gives what the line-by-line scan alone gives: the
@@ -453,7 +453,7 @@ _ply_rows = st.lists(st.one_of(
 ), min_size=1, max_size=6)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_ply_rows, _SEPARATORS, st.integers(-1, 1))
 def test_ply_parser_matches_its_line_scan(rows, sep, extra):
     """As for TUM, on vertex bodies of points with normals; the header

@@ -123,7 +123,7 @@ def test_softmax_rejects_bad_scale_and_nonfinite_input():
         read_token_state(np.full((1, 2), 1e200), np.full((1, 2), 1e200), p, 1.0)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(hnp.arrays(np.float64, (3, 4), elements=st.floats(-50, 50)),
        st.floats(0.05, 10.0))
 def test_softmax_rows_always_normalized(logits, scale):
@@ -758,7 +758,7 @@ def test_batched_read_gives_each_row_the_bits_of_s_q(c_v, c_k):
 _BLOCK_EDGES = (63, 64, 65, 128, 129)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(c_v=st.one_of(st.sampled_from(_BLOCK_EDGES), st.integers(1, 300)),
        c_k=st.one_of(st.sampled_from(_BLOCK_EDGES), st.integers(1, 300)),
        m=st.one_of(st.sampled_from(_BLOCK_EDGES), st.integers(1, 200)),
@@ -932,7 +932,7 @@ def test_batched_kernels_name_the_offending_row():
             _SEGMENT_KERNELS[kernel](tokens, offsets)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(hnp.arrays(np.float64, (2, 3), elements=st.floats(-10, 10)),
        hnp.arrays(np.float64, (3,), elements=st.floats(-10, 10)),
        hnp.arrays(np.float64, (2,), elements=st.floats(-10, 10)),
@@ -1034,7 +1034,7 @@ def test_a_confidence_reduce_that_overflows_gives_its_sigmoid_limit(reduce):
     np.testing.assert_array_equal(betas, [[_GATE_HI, _GATE_LO]])
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(hnp.arrays(np.float64, (4, 3), elements=st.floats(-1e6, 1e6)),
        hnp.arrays(np.float64, (2, 3), elements=st.floats(-1e6, 1e6)),
        st.sampled_from(["sum", "mean"]))
