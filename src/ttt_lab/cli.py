@@ -57,6 +57,10 @@ def _atomic_write(path: str, data) -> None:
     try:
         with os.fdopen(fd, mode) as handle:
             handle.write(data)
+        # mkstemp's file is private (0o600): give it the mode a plain open would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -441,11 +441,17 @@ def depth_metrics(pred, gt, scale: float = 1.0):
     mask = _valid_mask(pred, gt)
     if not np.any(mask):
         raise ValueError("no valid pixels shared by prediction and reference")
-    p = pred[mask] * float(scale)
-    g = gt[mask]
-    abs_rel = float(np.mean(np.abs(p - g) / g))
-    ratio = np.maximum(p / g, g / p)
-    delta_125 = float(np.mean(ratio < 1.25))
+    # In place on the masked copies, so a frame allocates no array beyond p, g and d.
+    p, g = pred[mask], gt[mask]
+    p *= float(scale)
+    d = p - g
+    np.abs(d, out=d)
+    d /= g
+    abs_rel = float(np.mean(d))
+    np.divide(p, g, out=d)
+    np.divide(g, p, out=p)
+    np.maximum(d, p, out=d)
+    delta_125 = float(np.mean(d < 1.25))
     return abs_rel, delta_125
 
 
@@ -456,17 +462,32 @@ def _compact(pixels: np.ndarray) -> np.ndarray:
     return single if np.array_equal(single, pixels) else pixels
 
 
-def _pooled_median(parts: list) -> np.float64:
-    """Median of the parts joined as one pool; empties `parts`.
+def _bins(part: np.ndarray) -> np.ndarray:
+    """The top 16 bits of each value rounded to float32: its sign, exponent and 7 bits."""
+    with np.errstate(over="ignore"):
+        return np.asarray(part, np.float32).view(np.int32) >> 16
 
-    The pool stays float32 when every part is: widening to float64 is
-    exact and keeps the order, so the middle pair is the float64 pool's,
-    and averaging it in float64 gives numpy's median of that pool, bit
-    for bit.
+
+def _pooled_median(parts: list) -> np.float64:
+    """Median of the positive values of all parts, without joining them.
+
+    Positive floats order as their bits, and rounding float64 to
+    float32 keeps the order (past float32's range to inf, below it to
+    0), so one histogram of _bins finds the one or two bins that hold
+    the middle pair.  Only their values are gathered and partitioned,
+    as float64 if any part is, and averaging the pair in float64 gives
+    numpy's median of the float64 pool, bit for bit.
     """
-    pool = np.concatenate(parts)
-    parts.clear()
-    lo, hi = (len(pool) - 1) // 2, len(pool) // 2
+    counts = np.zeros(1 << 15, np.int64)
+    for part in parts:
+        counts += np.bincount(_bins(part), minlength=len(counts))
+    ends = np.cumsum(counts)
+    n = int(ends[-1])
+    first, last = np.searchsorted(ends, [(n - 1) // 2, n // 2], side="right")
+    # Any bins between the two are empty.
+    pool = np.concatenate([part[np.isin(_bins(part), (first, last))] for part in parts])
+    below = int(ends[first] - counts[first])
+    lo, hi = (n - 1) // 2 - below, n // 2 - below
     pool.partition([lo, hi])
     return np.mean(pool[lo:hi + 1], dtype=np.float64)
 
@@ -483,10 +504,12 @@ def sequence_depth_scale(preds: Iterable, gts: Iterable) -> float:
     has the shape of its reference.  preds and gts may be any iterables,
     generators included: one map pair is held at a time, and each
     frame's valid pixels are kept as float32 where that is exact (PFM
-    samples always are), else as float64, and each median partitions
-    the pool of one side in place (_pooled_median), so the scale is the
-    one a float64 pool would give.  A ratio that overflows, or
-    underflows to 0, raises ValueError.
+    samples always are), else as float64.  Each median selects from
+    those kept parts without joining them (_pooled_median), so the
+    scale is the one a float64 pool would give, and unless the depths
+    crowd into one bin, the kept parts are all the memory that grows
+    with the sequence.  A ratio that overflows, or underflows to 0,
+    raises ValueError.
     """
     p_parts, g_parts = [], []
     n_pred = n_gt = 0
@@ -499,6 +522,7 @@ def sequence_depth_scale(preds: Iterable, gts: Iterable) -> float:
         mask = _valid_mask(pred, gt)
         p_parts.append(_compact(pred[mask]))
         g_parts.append(_compact(gt[mask]))
+    pred = gt = mask = None    # the last map pair is not held through the medians
     if n_pred != n_gt or not n_pred:
         raise ValueError(f"need matching non-empty map lists, got {n_pred} and {n_gt}")
     if not any(part.size for part in p_parts):

@@ -321,6 +321,22 @@ def test_rerun_reproduces_bytes(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+def test_outputs_take_the_mode_the_umask_gives(tmp_path):
+    cloud = tmp_path / "a.ply"
+    _write_cloud(cloud)
+    previous = os.umask(0o022)
+    try:
+        assert main(["chamfer", "--a", str(cloud), "--b", str(cloud),
+                     "--out", str(tmp_path / "run")]) == 0
+        assert main(["rerun", "--manifest", str(tmp_path / "run" / "manifest.json"),
+                     "--out", str(tmp_path / "again")]) == 0
+    finally:
+        os.umask(previous)
+    for run in ("run", "again"):
+        modes = {p.name: p.stat().st_mode & 0o777 for p in (tmp_path / run).iterdir()}
+        assert modes == {"chamfer.csv": 0o644, "manifest.json": 0o644}, run
+
+
 def test_rerun_defaults_to_the_manifest_directory(tmp_path):
     out = tmp_path / "a"
     assert main(["recall", "--out", str(out), "--rules", "vanilla",

@@ -12,6 +12,7 @@ they replaced.
 
 import math
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -737,19 +738,36 @@ def test_sequence_scale_streams_generators_with_the_float64_pool_bits(maps):
     assert sequence_depth_scale(preds, gts) == got
 
 
-@pytest.mark.parametrize("sizes", [[1], [2], [7], [8], [3, 0, 4], [1000, 1001], [0, 5]])
+def _median_values(rng, n, values):
+    """n positive values of one kind, for the pooled-median oracle."""
+    if values == "spread":
+        return rng.lognormal(0.0, 3.0, n)
+    if values == "duplicates":
+        return rng.choice([0.5, 1.0, 1.0 + 2**-20, 3.0], n)
+    if values == "constant":                       # every value in one bin
+        return np.full(n, 1.7)
+    if values == "two bins":                       # an even count splits its middle pair
+        jitter = rng.integers(0, 4, n) * 2.0**-20  # keeps each half in its 16-bit bin
+        return rng.permutation(np.where(np.arange(n) < n // 2, 1.0, 3.0) + jitter)
+    if values == "beyond float32":                 # float64 values in the inf bin
+        return rng.choice([3e38, 1e39, 2e39, 1e300, np.finfo(np.float64).max], n)
+    return rng.choice([1e-40, 1e-46, 2e-46, 1e-300, 5e-324], n)   # below float32: bin 0
+
+
+@pytest.mark.parametrize("sizes", [[1], [2], [7], [8], [3, 0, 4], [1000, 1001], [0, 5],
+                                   [0, 6, 0, 9]])
 @pytest.mark.parametrize("kinds", ["float32", "float64", "mixed"])
-@pytest.mark.parametrize("values", ["spread", "duplicates"])
+@pytest.mark.parametrize("values", ["spread", "duplicates", "constant", "two bins",
+                                    "beyond float32", "below float32"])
 def test_pooled_median_has_the_bits_of_the_float64_median(sizes, kinds, values):
     rng = np.random.default_rng(len(sizes) * 1000 + sum(sizes))
-    parts = []
-    for k, size in enumerate(sizes):
-        part = rng.lognormal(0.0, 3.0, size)
-        if values == "duplicates":
-            part = rng.choice([0.5, 1.0, 1.0 + 2**-20, 3.0], size)
+    pool = _median_values(rng, sum(sizes), values)
+    parts = np.split(pool, np.cumsum(sizes)[:-1])
+    single = np.finfo(np.float32)
+    for k, part in enumerate(parts):
         if kinds == "float32" or (kinds == "mixed" and k % 2 == 0):
-            part = part.astype(np.float32)
-        parts.append(part)
+            # float32 parts take the nearest float32 extreme in place of what it cannot hold.
+            parts[k] = np.clip(part, single.smallest_subnormal, single.max).astype(np.float32)
     expected = np.median(np.concatenate(parts, dtype=np.float64))
     got = geometry_metrics._pooled_median(list(parts))
     assert type(got) is np.float64
@@ -764,9 +782,27 @@ def test_pooled_median_averages_the_middle_pair_in_float64():
     # Odd pools return their middle element, not (x + x) / 2, which overflows here.
     top = np.finfo(np.float64).max
     assert geometry_metrics._pooled_median([np.array([top, top, top])]) == top
-    parts = [np.array([3.0], dtype=np.float32)]
-    geometry_metrics._pooled_median(parts)
-    assert parts == []
+
+
+def test_sequence_scale_holds_8_bytes_per_valid_pixel_and_two_map_pairs():
+    frames, shape = 24, (160, 200)
+    rng = np.random.default_rng(16)
+    gts = [rng.uniform(1.0, 5.0, shape).astype(np.float32) for _ in range(frames)]
+    preds = [(1.5 * g * rng.lognormal(0.0, 0.05, shape)).astype(np.float32) for g in gts]
+    for g in gts:
+        g[rng.random(shape) < 0.01] = 0.0
+    valid = sum(np.count_nonzero((p > 0) & (g > 0)) for p, g in zip(preds, gts))
+    # The kept float32 parts of both sides, and two float64 map pairs.  A
+    # joined pool of one side would add 4 bytes per valid pixel.
+    bound = 8 * valid + 2 * (2 * 8 * shape[0] * shape[1])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sequence_depth_scale(preds, gts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= bound
 
 
 def test_sequence_scale_counts_the_frames_of_iterables():
