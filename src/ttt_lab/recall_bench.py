@@ -31,12 +31,10 @@ writers render.
 
 Scoring targets: fast-weight rules store the explicit (key, value)
 pair and are scored against the raw value.  Token and cache rules
-consume the raw key row as the observation token and are scored on
-recovering its projected value (read_token_state with the stored key
-as the query); that target choice has no single canonical form, so it
-is restated in the report docs.  The stock benchmark uses identity
-projections so the exact algebraic statements (orthonormal-capacity
-recall, saturated attention reads) hold; the gate map stays seeded.
+consume the raw key row as the observation token, which is its own key
+and value, and are scored on recovering that key row (read_token_state
+with the stored key as the query).  The gate map of the input and
+per_token gates is seeded from the config's seed.
 """
 
 from __future__ import annotations
@@ -388,16 +386,17 @@ class _RuleEntry(NamedTuple):
     gates: the gate kinds the rule takes ("constant" or names in GATES).
     tokens: the rule reads keys as state-width tokens, so c must be c_k.
     init(dims, seed): the initial state, which every reset restores.
-    ingest(state, keys, values, offsets, starts, gate, config, proj)
+    ingest(state, keys, values, offsets, starts, gate, config, gate_map)
     -> (state, betas, counts) for the whole stream (its rows, the rows
     at which its frames start followed by the row count, and the frames
     at which its reset segments start) from the initial state `state`
-    under `gate` (as _parse returns it) and the StreamConfig.  The state
-    is the one after the last segment; betas are the gates of every
-    frame, frame after frame, and counts the number of gates of each
-    frame (both empty for ungated rules).
-    read(state, keys, proj, scale): the rows recalled for a block of
-    stored keys, as a new array that the scoring loop overwrites.
+    under `gate` (as _parse returns it), the StreamConfig and the gate
+    map of the input and per_token gates.  The state is the one after
+    the last segment; betas are the gates of every frame, frame after
+    frame, and counts the number of gates of each frame (both empty for
+    ungated rules).
+    read(state, keys, scale): the rows recalled for a block of stored
+    keys, as a new array that the scoring loop overwrites.
     """
 
     default_gate: Optional[str]
@@ -440,28 +439,27 @@ def _last_segment(keys, values, offsets, starts):
     return keys[lo:], values[lo:], bounds - lo
 
 
-def _ingest_full(state, keys, values, offsets, starts, gate, config, proj):
+def _ingest_full(state, keys, values, offsets, starts, gate, config, gate_map):
     keys, _, _ = _last_segment(keys, values, offsets, starts)
-    return update_full_attention(state, keys, proj), *_NO_GATES
+    return update_full_attention(state, keys), *_NO_GATES
 
 
-def _ingest_vanilla(state, keys, values, offsets, starts, gate, config, proj):
+def _ingest_vanilla(state, keys, values, offsets, starts, gate, config, gate_map):
     keys, _, bounds = _last_segment(keys, values, offsets, starts)
-    return (update_vanilla_rnn(state, keys, proj, config.softmax_scale, offsets=bounds),
-            *_NO_GATES)
+    return update_vanilla_rnn(state, keys, config.softmax_scale, offsets=bounds), *_NO_GATES
 
 
-def _ingest_hebbian(state, keys, values, offsets, starts, gate, config, proj):
+def _ingest_hebbian(state, keys, values, offsets, starts, gate, config, gate_map):
     keys, values, _ = _last_segment(keys, values, offsets, starts)
     return hebbian_update(state, keys, values), *_NO_GATES
 
 
-def _ingest_delta(state, keys, values, offsets, starts, gate, config, proj):
+def _ingest_delta(state, keys, values, offsets, starts, gate, config, gate_map):
     if gate == "input":
         # One product per segment, as the kernel took them: a product over
         # the whole stream rounds some rows differently.
         rows = [*offsets[starts].tolist(), len(keys)]
-        betas = np.concatenate([_sigmoid_open(keys[lo:hi] @ proj.gate_map)
+        betas = np.concatenate([_sigmoid_open(keys[lo:hi] @ gate_map)
                                 for lo, hi in zip(rows, rows[1:])])
     else:
         betas = np.full(len(keys), gate)
@@ -470,7 +468,7 @@ def _ingest_delta(state, keys, values, offsets, starts, gate, config, proj):
             np.diff(offsets))
 
 
-def _ingest_ttt3r(state, keys, values, offsets, starts, gate, config, proj):
+def _ingest_ttt3r(state, keys, values, offsets, starts, gate, config, gate_map):
     # A run of consecutive segments whose frames start at the same rows,
     # relative to the segment, shares a layout and steps in lockstep: one
     # stacked call per run (per _STACK_BYTES of stacked states) on a view
@@ -488,28 +486,28 @@ def _ingest_ttt3r(state, keys, values, offsets, starts, gate, config, proj):
             tokens = keys[offsets[group[0]]:offsets[group[0]] + len(group) * length]
             stacked, group_betas = ttt3r_update(
                 np.broadcast_to(state, (len(group), *state.shape)),
-                tokens.reshape(len(group), length, -1), proj, gate, config.softmax_scale,
-                offsets=bounds, reduce=config.gate_reduce)
+                tokens.reshape(len(group), length, -1), gate, config.softmax_scale,
+                offsets=bounds, reduce=config.gate_reduce, gate_map=gate_map)
             betas[group[:, None] + np.arange(len(bounds) - 1)] = group_betas
         first = end
     return stacked[-1], betas.ravel(), np.full(len(betas), betas.shape[1])
 
 
-def _read_cache(state, keys, proj, scale):
+def _read_cache(state, keys, scale):
     # The residual read adds the saturated queries to the attended values;
     # they are taken off again in place, so the block's one query array
     # and one read are all it holds.
     queries = QUERY_SATURATION * keys
-    reads = read_full_attention(state, queries, proj, scale)
+    reads = read_full_attention(state, queries, scale)
     reads -= queries
     return reads
 
 
-def _read_tokens(state, keys, proj, scale):
-    return read_token_state(state, keys, proj, scale)
+def _read_tokens(state, keys, scale):
+    return read_token_state(state, keys, scale)
 
 
-def _read_fast_weights(state, keys, proj, scale):
+def _read_fast_weights(state, keys, scale):
     return read_fast_weight(state, keys)
 
 
@@ -577,13 +575,13 @@ def run_stream(task: RecallTask, config: StreamConfig) -> RuleRun:
         raise ValueError(f"task key width {task.keys.shape[1]} != c_k {dims.c_k}")
     if task.values.shape[1] != dims.c_v:
         raise ValueError(f"task value width {task.values.shape[1]} != c_v {dims.c_v}")
-    proj = ProjectionSet.identity(dims.c, seed=derive_seed(config.seed, "projections"))
+    gate_map = ProjectionSet.identity(dims.c, derive_seed(config.seed, "projections")).gate_map
     offsets = task.offsets
     n_frames = len(offsets) - 1
     # Capped: a period past int64 would give np.arange non-integer starts.
     starts = np.arange(0, n_frames, min(config.reset_period or n_frames, n_frames))
     state, betas, counts = entry.ingest(entry.init(dims, config.seed), task.keys, task.values,
-                                        offsets, starts, gate, config, proj)
+                                        offsets, starts, gate, config, gate_map)
     # Each block's recalled rows are differenced from their targets,
     # squared and summed in place.
     row_bytes = 8 * (state.shape[0] + dims.c_k + dims.c_v)
@@ -592,8 +590,8 @@ def run_stream(task: RecallTask, config: StreamConfig) -> RuleRun:
     errors = np.empty(task.count)
     for lo in range(0, task.count, rows):
         block = slice(lo, min(lo + rows, task.count))
-        recalled = entry.read(state, task.keys[block], proj, config.softmax_scale)
-        recalled -= proj.project_v(task.keys[block]) if entry.tokens else task.values[block]
+        recalled = entry.read(state, task.keys[block], config.softmax_scale)
+        recalled -= (task.keys if entry.tokens else task.values)[block]
         np.sum(np.square(recalled, out=recalled), axis=1, out=errors[block])
     return RuleRun(config.rule, errors, betas, np.concatenate(([0], np.cumsum(counts))))
 

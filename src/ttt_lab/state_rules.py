@@ -18,12 +18,15 @@ update family:
 Every state is a plain float64 array: the m x c cache (m may be 0), the
 n x c token state (n state tokens of width c) and the c_v x c_k
 fast-weight state.  Each update and read checks its state once at
-entry and returns a new array.  The cache is read through the token
-read, so both reads attend over state rows projected by w_k and w_v.
-Key/value pairs are rows everywhere: the delta and Hebbian writes and
-the reconstruction objective recon_loss/recon_loss_grad all take keys
-as m x c_k rows and values as m x c_v rows, and read_fast_weight takes
-its queries as m x c_k rows.
+entry and returns a new array.  There are no slow-weight maps: the
+token and cache rules take their queries, keys and values from the
+raw rows, and the cache is read through the token read, so both reads
+attend over the state rows themselves.  ProjectionSet holds only the
+seeded gate map of the input and per_token gates.  Key/value pairs are
+rows everywhere: the delta and Hebbian writes and the reconstruction
+objective recon_loss/recon_loss_grad all take keys as m x c_k rows and
+values as m x c_v rows, and read_fast_weight takes its queries as
+m x c_k rows.
 
 The attention logits are scale * Q K^T (scale None: 1/sqrt(c)), scaled
 in one helper for the token updates, both reads and the confidence gate,
@@ -79,112 +82,51 @@ def _as_float_matrix(value, name: str, finite: bool = True, ndim: int = 2) -> np
     return arr
 
 
-def _state(value, name: str, width=None, finite: bool = True,
-           empty: bool = False, batch=None) -> np.ndarray:
+def _state(value, name: str, finite: bool = True, empty: bool = False,
+           batch=None) -> np.ndarray:
     """A state as a 2-D float64 array, checked once at entry.
 
-    It is non-empty (only the rows may be 0, if empty=True), finite
-    unless finite=False, and has `width` columns if given.  With batch
-    B it is a stack of B such states, B x rows x width.  It is not
-    copied: kernels build their result as a new array.
+    It is non-empty (only the rows may be 0, if empty=True) and finite
+    unless finite=False.  With batch B it is a stack of B such states,
+    B x rows x width.  It is not copied: kernels build their result as
+    a new array.
     """
     arr = _as_float_matrix(value, name, finite, 2 if batch is None else 3)
     if arr.shape[-2] < (0 if empty else 1) or arr.shape[-1] < 1:
         raise ValueError(f"{name} must be non-empty, got shape {arr.shape}")
-    if width is not None and arr.shape[-1] != width:
-        raise ValueError(f"{name} width {arr.shape[-1]} does not match projection width {width}")
     if batch is not None and arr.shape[0] != batch:
         raise ValueError(f"{arr.shape[0]} stacked {name}s for {batch} stacked segments")
     return arr
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = arr.copy()
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class ProjectionSet:
-    """Frozen square projection maps w_q, w_k, w_v plus a gate map vector.
+    """The seeded gate map of the input and per_token gates: c entries.
 
-    The projections are "slow weights": they are fixed for the lifetime
-    of a stream while the state plays the role of fast weights.  Sets
-    compare by identity: == on the map arrays has no single truth value.
+    Sets compare by identity: == on the map array has no single truth
+    value.
     """
 
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
     gate_map: np.ndarray
-    # Set only by identity(): multiplying by an exact identity reproduces
-    # the operand, so the products are skipped; at width 4096 that saves
-    # a 134 MB matrix scan per call without changing any result.
-    _identity = False
-
-    def __post_init__(self):
-        w_q = _as_float_matrix(self.w_q, "w_q")
-        w_k = _as_float_matrix(self.w_k, "w_k")
-        w_v = _as_float_matrix(self.w_v, "w_v")
-        gate_map = _as_float_matrix(self.gate_map, "gate_map", ndim=1)
-        c = w_q.shape[0]
-        for name, w in (("w_q", w_q), ("w_k", w_k), ("w_v", w_v)):
-            if w.shape != (c, c):
-                raise ValueError(f"{name} must be square of width {c}, got {w.shape}")
-        if gate_map.shape != (c,):
-            raise ValueError(
-                f"gate_map must have length {c}, got {gate_map.shape[0]}"
-            )
-        object.__setattr__(self, "w_q", _frozen(w_q))
-        object.__setattr__(self, "w_k", _frozen(w_k))
-        object.__setattr__(self, "w_v", _frozen(w_v))
-        object.__setattr__(self, "gate_map", _frozen(gate_map))
-
-    @property
-    def c(self) -> int:
-        return self.w_q.shape[0]
-
-    def project_q(self, tokens: np.ndarray) -> np.ndarray:
-        return tokens if self._identity else tokens @ self.w_q
-
-    def project_k(self, tokens: np.ndarray) -> np.ndarray:
-        return tokens if self._identity else tokens @ self.w_k
-
-    def project_v(self, tokens: np.ndarray) -> np.ndarray:
-        return tokens if self._identity else tokens @ self.w_v
-
-    @classmethod
-    def seeded(cls, c: int, seed: int) -> "ProjectionSet":
-        """Draw all maps i.i.d. uniform on (-1/sqrt(c), 1/sqrt(c))."""
-        if c < 1:
-            raise ValueError("c must be >= 1")
-        rng = np.random.default_rng(seed)
-        bound = 1.0 / math.sqrt(c)
-        w_q, w_k, w_v = rng.uniform(-bound, bound, (3, c, c))
-        return cls(w_q, w_k, w_v, rng.uniform(-bound, bound, c))
 
     @classmethod
     def identity(cls, c: int, seed: int = 0) -> "ProjectionSet":
-        """Identity w_q/w_k/w_v with a seeded gate map: every recall run's projections."""
+        """Draw the gate map i.i.d. uniform on (-1/sqrt(c), 1/sqrt(c)).
+
+        The generator first skips 3 c^2 draws (one step per entry), so
+        the map is the last c values of a 3 c^2 + c uniform draw from
+        the seed.
+        """
         if c < 1:
             raise ValueError("c must be >= 1")
         rng = np.random.default_rng(seed)
-        # Skip the three c x c draws of seeded() (one generator step per
-        # entry), so the gate map is the one seeded() draws.
         rng.bit_generator.advance(3 * c * c)
-        gate_map = _frozen(rng.uniform(-1.0 / math.sqrt(c), 1.0 / math.sqrt(c), c))
-        # np.eye(c)'s values as a read-only O(c) view: row i of the
-        # windows over a 2c - 1 buffer, read from the last, is one at i.
-        ones = np.zeros(2 * c - 1)
-        ones[c - 1] = 1.0
-        eye = np.lib.stride_tricks.sliding_window_view(ones, c)[::-1]
-        # Built without __post_init__: one shared identity, and no c x c
-        # validation scans or copies of it.
-        out = object.__new__(cls)
-        for name, value in (("w_q", eye), ("w_k", eye), ("w_v", eye), ("gate_map", gate_map),
-                            ("_identity", True)):
-            object.__setattr__(out, name, value)
-        return out
+        gate_map = rng.uniform(-1.0 / math.sqrt(c), 1.0 / math.sqrt(c), c)
+        gate_map.setflags(write=False)
+        return cls(gate_map)
+
+    # bench/traced.py times the draw under both names.
+    seeded = identity
 
 
 def _resolve_scale(scale, c: int) -> float:
@@ -200,7 +142,7 @@ def _resolve_scale(scale, c: int) -> float:
 
 
 def _token_segment(tokens, c: int, offsets=None, stacked: bool = False):
-    """A segment's tokens (m x c, finite) and frame offsets, checked once.
+    """A segment's tokens (m x c, finite, c the state's width) and frame offsets, checked once.
 
     offsets are the rows at which the frames start, followed by m:
     0 = o_0 < o_1 < ... < o_F = m, so frame f is rows o_f to o_(f+1).
@@ -213,7 +155,7 @@ def _token_segment(tokens, c: int, offsets=None, stacked: bool = False):
         raise ValueError(f"tokens must be a non-empty {'2-D or 3-D' if stacked else '2-D'} "
                          f"array, got shape {arr.shape}")
     if arr.shape[-1] != c:
-        raise ValueError(f"token width {arr.shape[-1]} does not match projection width {c}")
+        raise ValueError(f"token width {arr.shape[-1]} does not match state width {c}")
     m = arr.shape[-2]
     off = np.array([0, m]) if offsets is None else np.asarray(offsets)
     if off.ndim != 1 or off.size < 2 or not np.issubdtype(off.dtype, np.integer):
@@ -261,31 +203,32 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def update_full_attention(cache, tokens, p: ProjectionSet) -> np.ndarray:
+def update_full_attention(cache, tokens) -> np.ndarray:
     """Append a segment's token rows to the m x c cache as one block.
 
     The cache holds the raw token rows since the last reset (m may be
-    0); the read projects them, as it projects a token state.
+    0) and sets their width c.
     """
-    tokens, _ = _token_segment(tokens, p.c)
-    return np.concatenate((_state(cache, "cache", p.c, empty=True), tokens))
+    cache = _state(cache, "cache", empty=True)
+    tokens, _ = _token_segment(tokens, cache.shape[1])
+    return np.concatenate((cache, tokens))
 
 
-def read_full_attention(cache, queries, p: ProjectionSet, scale=None) -> np.ndarray:
+def read_full_attention(cache, queries, scale=None) -> np.ndarray:
     """Residual cross-attention read over a non-empty cache: X + read_token_state(cache, X)."""
-    out = read_token_state(cache, queries, p, scale)
+    out = read_token_state(cache, queries, scale)
     out += queries
     return out
 
 
-def update_vanilla_rnn(s, tokens, p: ProjectionSet, scale=None, *, offsets=None) -> np.ndarray:
-    """Ungated token update S <- S + softmax(Q_s K_x^T) V_x, once per frame.
+def update_vanilla_rnn(s, tokens, scale=None, *, offsets=None) -> np.ndarray:
+    """Ungated token update S <- S + softmax(S X^T) X, once per frame.
 
     s is the n x c state and tokens and offsets are one segment, or a
     B x n x c stack of states and B x m x c stack of segments, as in
     ttt3r_update; this is its case of a constant gate of 1.0.
     """
-    return _token_steps(s, tokens, p, 1.0, scale, offsets, "sum")[0]
+    return _token_steps(s, tokens, 1.0, scale, offsets, "sum", None)[0]
 
 
 def _pair_rows(s, keys, values):
@@ -442,14 +385,14 @@ def _confidence(logits: np.ndarray, reduce: str) -> np.ndarray:
 
 
 # The named gates, keyed as the rule spec names them:
-# gate(p, states, frame tokens, scaled logits Q_s K_x^T, reduce) -> the
+# gate(gate map, states, frame tokens, scaled logits S X^T, reduce) -> the
 # frame's betas.  The arguments are stacked along a leading segment axis,
 # and so are the betas: B x n, or B x 1 for a gate shared by the n state
 # tokens.  A constant gate is spelled as its rate.
 GATES = {
-    "input": lambda p, s, x, z, reduce: _sigmoid_open(np.mean(x @ p.gate_map, axis=-1))[:, None],
-    "per_token": lambda p, s, x, z, reduce: _sigmoid_open(s @ p.gate_map),
-    "confidence": lambda p, s, x, z, reduce: _confidence(z, reduce),
+    "input": lambda g, s, x, z, reduce: _sigmoid_open(np.mean(x @ g, axis=-1))[:, None],
+    "per_token": lambda g, s, x, z, reduce: _sigmoid_open(s @ g),
+    "confidence": lambda g, s, x, z, reduce: _confidence(z, reduce),
 }
 
 
@@ -467,10 +410,10 @@ def lookup_gate(gate):
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"constant gate must lie in (0, 1], got {rate}")
     beta = np.full(1, rate)
-    return "constant", lambda p, s, x, z, reduce: beta
+    return "constant", lambda g, s, x, z, reduce: beta
 
 
-def _token_steps(s, tokens, p: ProjectionSet, gate, scale, offsets, reduce):
+def _token_steps(s, tokens, gate, scale, offsets, reduce, gate_map):
     """The token kernel: one gated step per frame of a segment, in order.
 
     A 2-D call is a stack of one segment.  Frame f of every stacked
@@ -478,37 +421,42 @@ def _token_steps(s, tokens, p: ProjectionSet, gate, scale, offsets, reduce):
     product once per segment, so each segment gets the bits of its own
     2-D call.
     """
-    _, gate = lookup_gate(gate)
+    kind, gate = lookup_gate(gate)
     _check_reduce(reduce)
-    tokens, offsets = _token_segment(tokens, p.c, offsets, stacked=True)
-    stacked = tokens.ndim == 3
-    state = _state(s, "state", p.c, batch=len(tokens) if stacked else None)
+    stacked = np.ndim(tokens) == 3
+    state = _state(s, "state", batch=len(tokens) if stacked else None)
+    c = state.shape[-1]
+    tokens, offsets = _token_segment(tokens, c, offsets, stacked=True)
+    if kind in ("input", "per_token"):
+        gate_map = np.asarray(gate_map, dtype=np.float64)   # None is a 0-D nan
+        if gate_map.shape != (c,) or not np.isfinite(gate_map).all():
+            raise ValueError(f"the {kind} gate needs a finite gate_map of length {c}")
     if not stacked:
         state, tokens = state[None], tokens[None]
-    n = state.shape[1]
-    scale = _resolve_scale(scale, p.c)
-    k_x, v_x = p.project_k(tokens), p.project_v(tokens)
+    scale = _resolve_scale(scale, c)
     bounds = offsets.tolist()
-    betas = np.empty((len(tokens), len(bounds) - 1, n))
+    betas = np.empty((len(tokens), len(bounds) - 1, state.shape[1]))
     with np.errstate(over="ignore"):
         for f, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            z = _scaled_logits(p.project_q(state), k_x[:, lo:hi], scale)
-            betas[:, f] = beta = gate(p, state, tokens[:, lo:hi], z, reduce)
-            state = state + beta[..., None] * (_softmax(z) @ v_x[:, lo:hi])
+            x = tokens[:, lo:hi]
+            z = _scaled_logits(state, x, scale)
+            betas[:, f] = beta = gate(gate_map, state, x, z, reduce)
+            state = state + beta[..., None] * (_softmax(z) @ x)
     return (state, betas) if stacked else (state[0], betas[0])
 
 
-def ttt3r_update(s, tokens, p: ProjectionSet, gate, scale=None, *, offsets=None,
-                 reduce: str = "sum"):
-    """Gated token update S <- S + diag(beta) softmax(Q_s K_x^T) V_x, once per frame.
+def ttt3r_update(s, tokens, gate, scale=None, *, offsets=None, reduce: str = "sum",
+                 gate_map=None):
+    """Gated token update S <- S + diag(beta) softmax(S X^T) X, once per frame.
 
     s is the n x c state.  tokens (m x c) are one segment of the stream
     and offsets the rows at which its frames start, followed by m (None:
     one frame); each frame updates the state in turn.  scale (None:
-    1/sqrt(c)) multiplies the logits Q_s K_x^T.  gate is a rate in
-    (0, 1] or a name in GATES; reduce ("sum" or "mean") reduces the
-    confidence gate's logits.  Returns (new state, betas), one row of n
-    gates per frame.
+    1/sqrt(c)) multiplies the logits S X^T.  gate is a rate in (0, 1]
+    or a name in GATES; reduce ("sum" or "mean") reduces the confidence
+    gate's logits, and the input and per_token gates read gate_map, a
+    finite vector of length c.  Returns (new state, betas), one row of
+    n gates per frame.
 
     With a leading axis, s is a B x n x c stack of states and tokens a
     B x m x c stack of segments that share the offsets; segment b
@@ -517,16 +465,16 @@ def ttt3r_update(s, tokens, p: ProjectionSet, gate, scale=None, *, offsets=None,
     With gate 1.0 the state is bitwise identical to update_vanilla_rnn's,
     since both run this kernel and scaling by 1.0 is exact.
     """
-    return _token_steps(s, tokens, p, gate, scale, offsets, reduce)
+    return _token_steps(s, tokens, gate, scale, offsets, reduce, gate_map)
 
 
-def read_token_state(s, query, p: ProjectionSet, scale=None) -> np.ndarray:
-    """Attend queries over the n x c state: softmax(scale Q W_q (S W_k)^T) (S W_v)."""
-    s = _state(s, "state", p.c)
-    query, _ = _token_segment(query, p.c)
+def read_token_state(s, query, scale=None) -> np.ndarray:
+    """Attend queries over the n x c state: softmax(scale Q S^T) S."""
+    s = _state(s, "state")
+    query, _ = _token_segment(query, s.shape[1])
     with np.errstate(over="ignore"):
-        logits = _scaled_logits(p.project_q(query), p.project_k(s), _resolve_scale(scale, p.c))
-    return _softmax(logits) @ p.project_v(s)
+        logits = _scaled_logits(query, s, _resolve_scale(scale, s.shape[1]))
+    return _softmax(logits) @ s
 
 
 # Queries per column block of a fast-weight read.  Each block is one

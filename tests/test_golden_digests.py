@@ -1,12 +1,15 @@
-"""Golden output digests of the evaluation commands.
+"""Golden output digests of the producing commands.
 
 traj-eval under each --align, stitch --cloud, chamfer, and depth-eval
-in both modes run on small seeded inputs from bench/recon_inputs.py,
-in one child process with one BLAS thread.  The sha256 of every input,
-every output file, every manifest and every command's stdout must equal
-the table in golden_digests.json.  The inputs are given as paths
-relative to the child's working directory, so the manifests hold no
-path of the machine.
+in both modes run on small seeded inputs from bench/recon_inputs.py;
+recall runs the default rules, the benchmark's recall-long and
+recall-wide flags at small sizes, the README's BLAS example,
+adversarial with every gate, and correlated keys; and gradcheck runs
+20 trials.  All run in one child process with one BLAS thread.  The
+sha256 of every input, every output file, every manifest and every
+command's stdout must equal the table in golden_digests.json.  The
+inputs are given as paths relative to the child's working directory, so
+the manifests hold no path of the machine.
 
 The table names the numpy version and the OpenBLAS build it was made
 on.  Another build may round differently (its kernels and SIMD paths
@@ -40,6 +43,19 @@ RUNS = {
     "chamfer": ["chamfer", "--a", "in/cloud_a.ply", "--b", "in/cloud_b.ply"],
     "depth-eval-seq-scale": _DEPTH + ["seq-scale"],
     "depth-eval-metric": _DEPTH + ["metric"],
+    "recall-default": ["recall"],
+    "recall-long": ["recall", "--rules", "full,vanilla,hebbian,delta,ttt3r",
+                    "--key-mode", "random_unit", "--count", "512", "--dims", "4,64,64,64",
+                    "--reset-period", "64"],
+    "recall-wide": ["recall", "--key-mode", "orthonormal", "--count", "96",
+                    "--dims", "4,96,96,96"],
+    "recall-blas": ["recall", "--rules", "delta,hebbian", "--key-mode", "random_unit",
+                    "--count", "300", "--dims", "4,400,400,300"],
+    "recall-adversarial": ["recall", "--task", "adversarial", "--rules",
+                           "full,vanilla,hebbian,delta,delta:input,ttt3r:0.5,ttt3r:input,"
+                           "ttt3r:per_token,ttt3r:confidence"],
+    "recall-correlated": ["recall", "--key-mode", "correlated", "--rho", "0.9"],
+    "gradcheck": ["gradcheck", "--trials", "20"],
 }
 
 # Runs each command of RUNS (argv[1], as JSON) into the directory named

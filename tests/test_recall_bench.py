@@ -406,10 +406,10 @@ def _per_frame_oracle(task, cfg):
     """Curve errors, per-frame gates and stream length of one rule.
 
     A plain numpy loop over the frames (and over the pairs of a frame
-    for the fast-weight rules), with identity projections as in
-    run_stream; the token and cache rules keep the arithmetic of the
-    per-frame kernels, so they must match bit for bit.  It reads the
-    rule name and gate off the canonical spec itself.
+    for the fast-weight rules), with run_stream's gate map; the token
+    and cache rules keep the arithmetic of the per-frame kernels, so
+    they must match bit for bit.  It reads the rule name and gate off
+    the canonical spec itself.
     """
     dims = cfg.state_dims
     name, _, gate = cfg.rule.partition(":")
@@ -547,15 +547,16 @@ def _per_segment_ttt3r(task, cfg):
     """The ttt3r kernel called once per reset segment on 2-D arrays."""
     keys, offsets = task.keys, task.offsets
     _, entry, gate = _parse(cfg.rule)
-    proj = ProjectionSet.identity(cfg.state_dims.c, seed=derive_seed(cfg.seed, "projections"))
+    seed = derive_seed(cfg.seed, "projections")
+    gate_map = ProjectionSet.identity(cfg.state_dims.c, seed).gate_map
     period = cfg.reset_period or len(offsets) - 1
     betas = []
     for t0 in range(0, len(offsets) - 1, period):
         bounds = offsets[t0:t0 + period + 1]
         state, segment_betas = ttt3r_update(entry.init(cfg.state_dims, cfg.seed),
-                                            keys[bounds[0]:bounds[-1]], proj, gate,
+                                            keys[bounds[0]:bounds[-1]], gate,
                                             cfg.softmax_scale, offsets=bounds - bounds[0],
-                                            reduce=cfg.gate_reduce)
+                                            reduce=cfg.gate_reduce, gate_map=gate_map)
         betas.append(segment_betas.ravel())
     return state, np.concatenate(betas)
 
@@ -573,7 +574,7 @@ def test_lockstep_ttt3r_equals_per_segment_calls(spec, monkeypatch):
     # stacked states: the same bits as one call per segment, and one call
     # per layout (per cap), so the segments of a layout are consecutive
     # and each stacked call reads a view of the stream.
-    proj = ProjectionSet.identity(16, seed=derive_seed(2, "projections"))
+    gate_map = ProjectionSet.identity(16, seed=derive_seed(2, "projections")).gate_map
     calls = []
 
     def counting(*args, **kwargs):
@@ -597,7 +598,7 @@ def test_lockstep_ttt3r_equals_per_segment_calls(spec, monkeypatch):
             monkeypatch.setattr(recall_bench, "_STACK_BYTES", cap * DIMS16.n * DIMS16.c * 8)
             calls.clear()
             state, betas, counts = entry.ingest(entry.init(DIMS16, 2), keys, values, offsets,
-                                                starts, gate, cfg, proj)
+                                                starts, gate, cfg, gate_map)
             assert state.tobytes() == want_state.tobytes()
             assert betas.tobytes() == want_betas.tobytes()
             assert counts.tolist() == [DIMS16.n] * (len(offsets) - 1)

@@ -7,7 +7,6 @@ evaluated offline in 50-digit arithmetic.
 """
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -67,16 +66,14 @@ def _loop_softmax(logits, scale):
 # ---------------------------------------------------------------------------
 # softmax
 #
-# The softmax is reached through the token read: with identity maps over
-# the state eye(c), read_token_state(eye(c), logits, p, scale) is exactly
-# the row-wise softmax(scale * logits), since every product by the
-# identity is exact.
+# The softmax is reached through the token read: over the state eye(c),
+# read_token_state(eye(c), logits, scale) is exactly the row-wise
+# softmax(scale * logits), since every product by the identity is exact.
 
 
 def _read_softmax(logits, scale=1.0):
     logits = np.asarray(logits, dtype=np.float64)
-    c = logits.shape[1]
-    return read_token_state(np.eye(c), logits, ProjectionSet.identity(c), scale)
+    return read_token_state(np.eye(logits.shape[1]), logits, scale)
 
 
 def test_softmax_matches_frozen_literals():
@@ -118,9 +115,8 @@ def test_softmax_rejects_bad_scale_and_nonfinite_input():
     with pytest.raises(ValueError, match="scale 1e\\+308 overflows the scaled logits"):
         _read_softmax(np.array([[1.0, 10.0]]), scale=1e308)
     # Finite logits whose product already overflows at scale 1.0.
-    p = ProjectionSet.identity(2)
     with pytest.raises(ValueError, match="the logits Q K\\^T overflow"):
-        read_token_state(np.full((1, 2), 1e200), np.full((1, 2), 1e200), p, 1.0)
+        read_token_state(np.full((1, 2), 1e200), np.full((1, 2), 1e200), 1.0)
 
 
 @settings(max_examples=50)
@@ -141,88 +137,63 @@ def test_default_scale_is_inverse_sqrt_width():
     assert _resolve_scale(None, 2) == 1.0 / math.sqrt(2.0)
     # The reads and updates take None to that scale.
     rng = np.random.default_rng(2)
-    s, x, p = rng.standard_normal((3, 2)), rng.standard_normal((4, 2)), ProjectionSet.identity(2)
+    s, x = rng.standard_normal((3, 2)), rng.standard_normal((4, 2))
     half = 1.0 / math.sqrt(2.0)
-    np.testing.assert_array_equal(read_token_state(s, x, p), read_token_state(s, x, p, half))
-    np.testing.assert_array_equal(update_vanilla_rnn(s, x, p), update_vanilla_rnn(s, x, p, half))
+    np.testing.assert_array_equal(read_token_state(s, x), read_token_state(s, x, half))
+    np.testing.assert_array_equal(update_vanilla_rnn(s, x), update_vanilla_rnn(s, x, half))
 
 
 # ---------------------------------------------------------------------------
-# projections and container validation
+# the gate map and gate validation
 
 
-def test_projection_identity_uses_unit_maps_and_seeded_gate():
-    p = ProjectionSet.identity(5, seed=9)
-    np.testing.assert_array_equal(p.w_q, np.eye(5))
-    np.testing.assert_array_equal(p.w_k, np.eye(5))
-    np.testing.assert_array_equal(p.w_v, np.eye(5))
-    assert p.gate_map.shape == (5,)
-    assert np.any(p.gate_map != 0)
-    np.testing.assert_array_equal(p.gate_map, ProjectionSet.identity(5, seed=9).gate_map)
+@pytest.mark.parametrize("c", [1, 2, 64, 768])
+@pytest.mark.parametrize("seed", [0, 9, 2**40 + 3])
+def test_gate_map_is_the_tail_of_one_uniform_draw(c, seed):
+    bound = 1.0 / math.sqrt(c)
+    want = np.random.default_rng(seed).uniform(-bound, bound, 3 * c * c + c)[-c:]
+    for draw in (ProjectionSet.identity, ProjectionSet.seeded):
+        gate_map = draw(c, seed).gate_map
+        assert gate_map.dtype == np.float64 and gate_map.tobytes() == want.tobytes()
+        assert not gate_map.flags.writeable
 
 
-@pytest.mark.parametrize("c", [1, 2, 5, 64, 130])
-def test_identity_maps_are_a_read_only_eye(c):
-    p = ProjectionSet.identity(c, seed=4)
-    x = np.random.default_rng(c).standard_normal((7, c))
-    x[0, 0] = -0.0
-    for w in (p.w_q, p.w_k, p.w_v):
-        assert w.shape == (c, c) and w.dtype == np.float64
-        np.testing.assert_array_equal(w, np.eye(c))
-        assert not w.flags.writeable
-        with pytest.raises(ValueError):
-            w[0, 0] = 2.0
-        assert (x @ w).tobytes() == (x @ np.eye(c)).tobytes()
-        assert (w @ x.T).tobytes() == (np.eye(c) @ x.T).tobytes()
-        np.testing.assert_array_equal(x @ w, x)
-
-
-def test_identity_maps_hold_o_of_c_memory():
-    # np.eye(4096) alone is 134 MB.
-    tracemalloc.start()
-    try:
-        p = ProjectionSet.identity(4096)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-    assert p.w_q[4095, 4095] == 1.0 and p.w_v[0, 4095] == 0.0
-
-
-def test_projection_seeded_is_deterministic_and_bounded():
-    a = ProjectionSet.seeded(8, seed=3)
-    b = ProjectionSet.seeded(8, seed=3)
-    np.testing.assert_array_equal(a.w_q, b.w_q)
-    np.testing.assert_array_equal(a.gate_map, b.gate_map)
-    bound = 1.0 / math.sqrt(8) + 1e-12
-    for w in (a.w_q, a.w_k, a.w_v):
-        assert np.max(np.abs(w)) <= bound
-    c = ProjectionSet.seeded(8, seed=4)
-    assert np.any(a.w_q != c.w_q)
+@pytest.mark.parametrize("gate", ["input", "per_token"])
+def test_the_gate_map_gates_need_a_finite_gate_map_of_the_state_width(gate):
+    s, x = np.ones((2, 4)), np.eye(4)[:3]
+    message = f"^the {gate} gate needs a finite gate_map of length 4$"
+    for gate_map in (None, np.zeros(3), np.zeros(5), np.zeros((1, 4)), [0.0, 0.0, np.nan, 0.0]):
+        with pytest.raises(ValueError, match=message):
+            ttt3r_update(s, x, gate, gate_map=gate_map)
+        with pytest.raises(ValueError, match=message):
+            ttt3r_update(np.stack([s, s]), np.stack([x, x]), gate, gate_map=gate_map)
+    ttt3r_update(s, x, gate, gate_map=np.zeros(4))
+    for other in (1.0, 0.5, "confidence"):
+        ttt3r_update(s, x, other, gate_map=None)
 
 
 def test_constant_scalar_domain():
-    s, x, p = np.ones((2, 4)), np.eye(4)[:3], ProjectionSet.identity(4)
+    s, x = np.ones((2, 4)), np.eye(4)[:3]
     for rate in (1.0, 1e-6):
-        _, betas = ttt3r_update(s, x, p, rate)
+        _, betas = ttt3r_update(s, x, rate)
         assert np.all(betas == rate)
     for bad in (0.0, -0.5, 1.5, float("nan")):
         with pytest.raises(ValueError, match=r"constant gate must lie in \(0, 1\]"):
-            ttt3r_update(s, x, p, bad)
+            ttt3r_update(s, x, bad)
 
 
 def test_confidence_gate_mode_rejects_unknown_reduce():
-    s, x, p = np.ones((2, 4)), np.eye(4)[:3], ProjectionSet.identity(4)
+    s, x = np.ones((2, 4)), np.eye(4)[:3]
     for reduce in ("sum", "mean"):
-        ttt3r_update(s, x, p, "confidence", reduce=reduce)
+        ttt3r_update(s, x, "confidence", reduce=reduce)
     with pytest.raises(ValueError, match="reduce must be 'sum' or 'mean', got 'max'"):
-        ttt3r_update(s, x, p, "confidence", reduce="max")
+        ttt3r_update(s, x, "confidence", reduce="max")
 
 
 def test_an_unknown_gate_name_lists_the_valid_gates():
     with pytest.raises(ValueError, match=r"unknown gate 'sigmoid'; valid gates: input, "
                                          r"per_token, confidence or a rate in \(0, 1\]"):
-        ttt3r_update(np.ones((2, 4)), np.eye(4)[:3], ProjectionSet.identity(4), "sigmoid")
+        ttt3r_update(np.ones((2, 4)), np.eye(4)[:3], "sigmoid")
 
 
 # ---------------------------------------------------------------------------
@@ -230,85 +201,62 @@ def test_an_unknown_gate_name_lists_the_valid_gates():
 
 
 def test_read_from_empty_cache_raises():
-    p = ProjectionSet.identity(3)
     with pytest.raises(ValueError):
-        read_full_attention(np.empty((0, 3)), np.ones((1, 3)), p)
+        read_full_attention(np.empty((0, 3)), np.ones((1, 3)))
 
 
 def test_full_attention_read_matches_scalar_loop_oracle():
     rng = np.random.default_rng(5)
-    p = ProjectionSet.seeded(4, seed=2)
     cache = np.empty((0, 4))
     frames = [rng.standard_normal((m, 4)) for m in (2, 3, 1)]
     for f in frames:
-        cache = update_full_attention(cache, f, p)
+        cache = update_full_attention(cache, f)
     x = rng.standard_normal((2, 4))
-    got = read_full_attention(cache, x, p, scale=0.7)
+    got = read_full_attention(cache, x, scale=0.7)
 
     all_tokens = np.vstack(frames)
-    keys = _loop_matmul(all_tokens, p.w_k)
-    vals = _loop_matmul(all_tokens, p.w_v)
-    q = _loop_matmul(x, p.w_q)
-    weights = _loop_softmax(_loop_matmul(q, keys.T), 0.7)
-    expect = x + _loop_matmul(weights, vals)
+    weights = _loop_softmax(_loop_matmul(x, all_tokens.T), 0.7)
+    expect = x + _loop_matmul(weights, all_tokens)
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
 
 
 def test_cache_rejects_mismatched_widths():
-    p = ProjectionSet.identity(3)
-    cache = update_full_attention(np.empty((0, 3)), np.ones((1, 3)), p)
-    p4 = ProjectionSet.identity(4)
+    cache = update_full_attention(np.empty((0, 3)), np.ones((1, 3)))
     with pytest.raises(ValueError):
-        update_full_attention(cache, np.ones((1, 4)), p4)
+        update_full_attention(cache, np.ones((1, 4)))
 
 
 def test_cache_append_validates_the_new_entry():
     cache = np.ones((1, 3))
     with pytest.raises(ValueError, match="width"):
-        update_full_attention(cache, np.ones((1, 4)), ProjectionSet.identity(4))
+        update_full_attention(cache, np.ones((1, 4)))
     with pytest.raises(ValueError, match="non-finite"):
-        update_full_attention(cache, np.full((1, 3), np.nan), ProjectionSet.identity(3))
+        update_full_attention(cache, np.full((1, 3), np.nan))
 
 
 def test_cache_append_checks_the_cache():
-    p, tokens = ProjectionSet.identity(3), np.ones((2, 3))
+    tokens = np.ones((2, 3))
     non_finite = np.ones((2, 3))
     non_finite[1, 0] = np.inf
     for cache, message in ((np.ones(3), "cache must be a 2-D array"),
-                           (np.ones((2, 4)), "cache width 4 does not match projection width 3"),
+                           (np.ones((2, 4)), "token width 3 does not match state width 4"),
+                           (np.empty((0, 0)), r"cache must be non-empty, got shape \(0, 0\)"),
                            (non_finite, "cache contains non-finite entries")):
         with pytest.raises(ValueError, match=message):
-            update_full_attention(cache, tokens, p)
+            update_full_attention(cache, tokens)
     for cache in (np.empty((0, 3)), np.ones((1, 3))):
-        out = update_full_attention(cache, tokens, p)
+        out = update_full_attention(cache, tokens)
         assert not np.shares_memory(out, cache) and not np.shares_memory(out, tokens)
 
 
 def test_cache_appends_a_segment_as_one_block():
     rng = np.random.default_rng(4)
-    p = ProjectionSet.seeded(3, seed=2)
     first, second = rng.standard_normal((4, 3)), rng.standard_normal((2, 3))
-    cache = update_full_attention(np.empty((0, 3)), first, p)
+    cache = update_full_attention(np.empty((0, 3)), first)
     assert cache.shape == (4, 3)
-    cache = update_full_attention(cache, second, p)
-    # the cache keeps the raw token rows; the read projects them
+    cache = update_full_attention(cache, second)
+    # the cache keeps the raw token rows
     np.testing.assert_array_equal(cache, np.vstack([first, second]))
-
-
-def test_identity_projection_maps_reproduce_their_input():
-    rng = np.random.default_rng(9)
-    p = ProjectionSet.identity(6, seed=1)
-    t = rng.standard_normal((4, 6))
-    for out in (p.project_q(t), p.project_k(t), p.project_v(t)):
-        assert np.array_equal(out, t)
-    ps = ProjectionSet.seeded(6, seed=1)
-    assert not np.array_equal(ps.project_q(t), t)
-    np.testing.assert_allclose(ps.project_q(t), _loop_matmul(t, ps.w_q),
-                               rtol=0, atol=1e-12)
-    # an identity handed in as plain data is multiplied, and x @ I == x for finite x
-    eye = np.eye(6)
-    manual = ProjectionSet(eye, eye, eye, np.zeros(6))
-    assert np.array_equal(manual.project_k(t), t)
 
 
 # ---------------------------------------------------------------------------
@@ -317,31 +265,27 @@ def test_identity_projection_maps_reproduce_their_input():
 
 def test_vanilla_update_matches_scalar_loop_oracle():
     rng = np.random.default_rng(7)
-    p = ProjectionSet.seeded(5, seed=11)
     s = rng.standard_normal((3, 5))
     x = rng.standard_normal((4, 5))
-    got = update_vanilla_rnn(s, x, p, scale=0.4)
+    got = update_vanilla_rnn(s, x, scale=0.4)
 
-    q_s = _loop_matmul(s, p.w_q)
-    k_x = _loop_matmul(x, p.w_k)
-    v_x = _loop_matmul(x, p.w_v)
-    weights = _loop_softmax(_loop_matmul(q_s, k_x.T), 0.4)
-    expect = s + _loop_matmul(weights, v_x)
+    weights = _loop_softmax(_loop_matmul(s, x.T), 0.4)
+    expect = s + _loop_matmul(weights, x)
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
 
 
-# name -> (state kind, call(state, x, p)); x is 3 unit rows of width 4.
+# name -> (state kind, call(state, x)); x is 3 unit rows of width 4.
 # Token states are 2 x 4, fast-weight states 3 x 4 (c_v x c_k), and the
 # cache holds the rows of x.
 _STATE_KERNELS = {
-    "full": ("cache", lambda s, x, p: update_full_attention(s, x, p)),
-    "vanilla": ("tokens", lambda s, x, p: update_vanilla_rnn(s, x, p)),
-    "ttt3r": ("tokens", lambda s, x, p: ttt3r_update(s, x, p, "confidence")[0]),
-    "hebbian": ("fast", lambda s, x, p: hebbian_update(s, x, x[:, :3])),
-    "delta": ("fast", lambda s, x, p: delta_rule_update(s, x, x[:, :3], 0.5)),
-    "read_full": ("cache", lambda s, x, p: read_full_attention(s, x, p)),
-    "read_token": ("tokens", lambda s, x, p: read_token_state(s, x, p)),
-    "read_fast_weight": ("fast", lambda s, x, p: read_fast_weight(s, x[0])),
+    "full": ("cache", update_full_attention),
+    "vanilla": ("tokens", update_vanilla_rnn),
+    "ttt3r": ("tokens", lambda s, x: ttt3r_update(s, x, "confidence")[0]),
+    "hebbian": ("fast", lambda s, x: hebbian_update(s, x, x[:, :3])),
+    "delta": ("fast", lambda s, x: delta_rule_update(s, x, x[:, :3], 0.5)),
+    "read_full": ("cache", read_full_attention),
+    "read_token": ("tokens", read_token_state),
+    "read_fast_weight": ("fast", lambda s, x: read_fast_weight(s, x[0])),
 }
 
 
@@ -351,12 +295,11 @@ def test_vanilla_update_does_not_mutate_inputs(name):
     x_arr = rng.standard_normal((3, 4))
     x_arr /= np.linalg.norm(x_arr, axis=1, keepdims=True)
     kind, call = _STATE_KERNELS[name]
-    p = ProjectionSet.seeded(4, seed=0)
     s_arr = {"tokens": rng.standard_normal((2, 4)), "fast": rng.standard_normal((3, 4)),
              "cache": x_arr}[kind]
     s = s_arr.copy()
     x = x_arr.copy()
-    out = call(s, x, p)
+    out = call(s, x)
     np.testing.assert_array_equal(s, s_arr)
     np.testing.assert_array_equal(x, x_arr)
     if not name.startswith("read"):
@@ -373,7 +316,7 @@ def test_kernels_reject_a_non_finite_state(name, bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match="non-finite"):
-            call(s, x, ProjectionSet.identity(4))
+            call(s, x)
 
 
 def test_gated_update_with_unit_constant_equals_ungated_bitwise():
@@ -382,22 +325,20 @@ def test_gated_update_with_unit_constant_equals_ungated_bitwise():
         c = int(rng.integers(2, 7))
         n = int(rng.integers(1, 5))
         m = int(rng.integers(1, 5))
-        p = ProjectionSet.seeded(c, seed=int(rng.integers(0, 1 << 31)))
         s = rng.standard_normal((n, c))
         x = rng.standard_normal((m, c))
-        gated, betas = ttt3r_update(s, x, p, 1.0)
-        plain = update_vanilla_rnn(s, x, p)
+        gated, betas = ttt3r_update(s, x, 1.0)
+        plain = update_vanilla_rnn(s, x)
         np.testing.assert_array_equal(gated, plain)
         np.testing.assert_array_equal(betas[0], np.ones(n))
 
 
 def test_gated_update_scales_increment_per_state_token():
     rng = np.random.default_rng(10)
-    p = ProjectionSet.seeded(4, seed=1)
     s = rng.standard_normal((3, 4))
     x = rng.standard_normal((2, 4))
-    half, betas = ttt3r_update(s, x, p, 0.5)
-    full = update_vanilla_rnn(s, x, p)
+    half, betas = ttt3r_update(s, x, 0.5)
+    full = update_vanilla_rnn(s, x)
     np.testing.assert_allclose(
         half - s, 0.5 * (full - s), rtol=0, atol=1e-15
     )
@@ -406,24 +347,24 @@ def test_gated_update_scales_increment_per_state_token():
 
 def test_per_token_gate_squashes_state_rows():
     rng = np.random.default_rng(11)
-    p = ProjectionSet.seeded(4, seed=6)
+    gate_map = ProjectionSet.identity(4, seed=6).gate_map
     s = rng.standard_normal((3, 4))
     x = rng.standard_normal((2, 4))
-    _, betas = ttt3r_update(s, x, p, "per_token")
-    expect = 1.0 / (1.0 + np.exp(-(s @ p.gate_map)))
+    _, betas = ttt3r_update(s, x, "per_token", gate_map=gate_map)
+    expect = 1.0 / (1.0 + np.exp(-(s @ gate_map)))
     np.testing.assert_allclose(betas[0], expect, rtol=0, atol=1e-12)
 
 
 def test_input_scalar_gate_is_shared_across_state_rows():
     rng = np.random.default_rng(12)
-    p = ProjectionSet.seeded(4, seed=6)
+    gate_map = ProjectionSet.identity(4, seed=6).gate_map
     s = rng.standard_normal((3, 4))
     x = rng.standard_normal((2, 4))
-    _, betas = ttt3r_update(s, x, p, "input")
+    _, betas = ttt3r_update(s, x, "input", gate_map=gate_map)
     beta = betas[0]
     assert beta.shape == (3,)
     assert np.all(beta == beta[0])
-    expect = 1.0 / (1.0 + np.exp(-float(np.mean(x @ p.gate_map))))
+    expect = 1.0 / (1.0 + np.exp(-float(np.mean(x @ gate_map))))
     assert beta[0] == pytest.approx(expect, rel=0, abs=1e-12)
 
 
@@ -438,64 +379,62 @@ _GATE_MODES = [pytest.param(1.0, "sum", id="ConstantScalar(value=1.0)"),
 
 @pytest.mark.parametrize("gate, reduce", _GATE_MODES)
 def test_token_segment_equals_one_call_per_frame(gate, reduce):
-    # Frames of 1 to 4 tokens.  With identity maps the segment call runs
-    # the very arithmetic of the single-frame calls, so it is bitwise
-    # equal; seeded maps project the segment as one product instead of
-    # one per frame, which is equal up to rounding.
+    # Frames of 1 to 4 tokens.  The segment call runs the very arithmetic
+    # of the single-frame calls, so it is bitwise equal.
     rng = np.random.default_rng(21)
     sizes = [1, 3, 1, 4, 2]
     tokens = rng.standard_normal((sum(sizes), 6))
     offsets = np.concatenate(([0], np.cumsum(sizes)))
-    for p, atol in ((ProjectionSet.identity(6, seed=3), 0.0),
-                    (ProjectionSet.seeded(6, seed=3), 1e-12)):
-        s0 = rng.standard_normal((3, 6))
-        got, got_betas = ttt3r_update(s0, tokens, p, gate, 0.7, offsets=offsets, reduce=reduce)
-        s, betas = s0, []
-        for lo, hi in zip(offsets[:-1], offsets[1:]):
-            s, frame_betas = ttt3r_update(s, tokens[lo:hi], p, gate, 0.7, reduce=reduce)
-            betas.append(frame_betas[0])
-        np.testing.assert_allclose(got, s, rtol=0, atol=atol)
-        np.testing.assert_allclose(got_betas, np.array(betas), rtol=0, atol=atol)
-        assert got_betas.shape == (len(sizes), 3)
-        if gate == 1.0:
-            plain = update_vanilla_rnn(s0, tokens, p, 0.7, offsets=offsets)
-            np.testing.assert_array_equal(plain, got)
+    gate_map = ProjectionSet.identity(6, seed=3).gate_map
+    s0 = rng.standard_normal((3, 6))
+    got, got_betas = ttt3r_update(s0, tokens, gate, 0.7, offsets=offsets, reduce=reduce,
+                                  gate_map=gate_map)
+    s, betas = s0, []
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        s, frame_betas = ttt3r_update(s, tokens[lo:hi], gate, 0.7, reduce=reduce,
+                                      gate_map=gate_map)
+        betas.append(frame_betas[0])
+    np.testing.assert_array_equal(got, s)
+    np.testing.assert_array_equal(got_betas, np.array(betas))
+    assert got_betas.shape == (len(sizes), 3)
+    if gate == 1.0:
+        plain = update_vanilla_rnn(s0, tokens, 0.7, offsets=offsets)
+        np.testing.assert_array_equal(plain, got)
 
 
 @pytest.mark.parametrize("gate, reduce", _GATE_MODES)
 def test_stacked_token_update_equals_per_segment_calls(gate, reduce):
     # Frames of 1 to 4 tokens; each stacked segment must get the bits of
-    # its own 2-D call, with identity and seeded maps, and from one
-    # broadcast initial state as from distinct ones.
+    # its own 2-D call, from one broadcast initial state as from distinct
+    # ones.
     rng = np.random.default_rng(22)
     sizes = [2, 1, 4, 1, 3]
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     tokens = rng.standard_normal((5, offsets[-1], 6))
-    for p in (ProjectionSet.identity(6, seed=3), ProjectionSet.seeded(6, seed=3)):
-        s0 = rng.standard_normal((3, 6))
-        for states in (np.broadcast_to(s0, (5, 3, 6)), rng.standard_normal((5, 3, 6))):
-            got, got_betas = ttt3r_update(states, tokens, p, gate, 0.7, offsets=offsets,
-                                          reduce=reduce)
-            assert got.shape == (5, 3, 6) and got_betas.shape == (5, len(sizes), 3)
-            for b in range(5):
-                want, want_betas = ttt3r_update(states[b], tokens[b], p, gate, 0.7,
-                                                offsets=offsets, reduce=reduce)
-                np.testing.assert_array_equal(got[b], want)
-                np.testing.assert_array_equal(got_betas[b], want_betas)
-            if gate == 1.0:
-                plain = update_vanilla_rnn(states, tokens, p, 0.7, offsets=offsets)
-                np.testing.assert_array_equal(plain, got)
+    gate_map = ProjectionSet.identity(6, seed=3).gate_map
+    s0 = rng.standard_normal((3, 6))
+    for states in (np.broadcast_to(s0, (5, 3, 6)), rng.standard_normal((5, 3, 6))):
+        got, got_betas = ttt3r_update(states, tokens, gate, 0.7, offsets=offsets,
+                                      reduce=reduce, gate_map=gate_map)
+        assert got.shape == (5, 3, 6) and got_betas.shape == (5, len(sizes), 3)
+        for b in range(5):
+            want, want_betas = ttt3r_update(states[b], tokens[b], gate, 0.7, offsets=offsets,
+                                            reduce=reduce, gate_map=gate_map)
+            np.testing.assert_array_equal(got[b], want)
+            np.testing.assert_array_equal(got_betas[b], want_betas)
+        if gate == 1.0:
+            plain = update_vanilla_rnn(states, tokens, 0.7, offsets=offsets)
+            np.testing.assert_array_equal(plain, got)
 
 
 @pytest.mark.parametrize("c", [4, 16, 64, 200, 768])
 def test_stacked_matmul_gives_each_slice_the_bits_of_its_2d_product(c):
     # The lockstep token kernel rests on this: numpy's stacked matmul runs
     # the 2-D BLAS routine once per slice, for each product the kernel
-    # takes (logits, attention-weighted values, gate-map responses and
-    # projections), including stride-0 and sliced stacks.
+    # takes (logits, attention-weighted values and gate-map responses),
+    # including stride-0 and sliced stacks.
     rng = np.random.default_rng(c)
     g = rng.standard_normal(c)
-    w = rng.standard_normal((c, c))
     for frame in (1, 2, 7, 64):
         s = rng.standard_normal((5, 4, c))
         x = rng.standard_normal((5, frame + 3, c))[:, 1:frame + 1]
@@ -505,70 +444,54 @@ def test_stacked_matmul_gives_each_slice_the_bits_of_its_2d_product(c):
                    (shared @ x.transpose(0, 2, 1), lambda b: s[0] @ x[b].T),
                    (z @ x, lambda b: z[b] @ x[b]),
                    (x @ g, lambda b: x[b] @ g),
-                   (s @ g, lambda b: s[b] @ g),
-                   (x @ w, lambda b: x[b] @ w)]
+                   (s @ g, lambda b: s[b] @ g)]
         for product, per_slice in stacked:
             for b in range(5):
                 np.testing.assert_array_equal(product[b], per_slice(b))
 
 
 def test_stacked_token_update_checks_its_stack():
-    p = ProjectionSet.identity(4)
     tokens = np.ones((2, 6, 4))
     offsets = [0, 2, 5, 6]
     with pytest.raises(ValueError, match="3 stacked states for 2 stacked segments"):
-        ttt3r_update(np.ones((3, 2, 4)), tokens, p, "confidence", offsets=offsets)
+        ttt3r_update(np.ones((3, 2, 4)), tokens, "confidence", offsets=offsets)
     with pytest.raises(ValueError, match="state must be a 3-D array"):
-        ttt3r_update(np.ones((2, 4)), tokens, p, "confidence", offsets=offsets)
+        ttt3r_update(np.ones((2, 4)), tokens, "confidence", offsets=offsets)
     with pytest.raises(ValueError, match="state must be a 2-D array"):
-        ttt3r_update(np.ones((2, 2, 4)), tokens[0], p, "confidence", offsets=offsets)
+        ttt3r_update(np.ones((2, 2, 4)), tokens[0], "confidence", offsets=offsets)
     with pytest.raises(ValueError, match=r"tokens must be a non-empty 2-D or 3-D array, "
                                          r"got shape \(0, 6, 4\)"):
-        ttt3r_update(np.ones((0, 2, 4)), tokens[:0], p, "confidence", offsets=offsets)
+        ttt3r_update(np.ones((0, 2, 4)), tokens[:0], "confidence", offsets=offsets)
     bad = tokens.copy()
     bad[1, 3, 2] = np.nan
     with pytest.raises(ValueError, match=r"token row 3 \(frame 1\) of segment 1 contains "
                                          "non-finite"):
-        update_vanilla_rnn(np.ones((2, 2, 4)), bad, p, offsets=offsets)
+        update_vanilla_rnn(np.ones((2, 2, 4)), bad, offsets=offsets)
     with pytest.raises(ValueError, match="tokens must be a non-empty 2-D array"):
-        read_token_state(np.ones((2, 4)), tokens, p)
+        read_token_state(np.ones((2, 4)), tokens)
 
 
 @pytest.mark.parametrize("gate", [None, 1.0, 0.5, "input", "per_token", "confidence"])
 def test_token_updates_raise_when_the_scaled_logits_overflow(gate):
     # Each logit is 4 before scaling and overflows at 1e308, for one
     # segment and for a stack.  A numpy warning instead fails the suite.
-    p = ProjectionSet.identity(4)
+    gate_map = ProjectionSet.identity(4).gate_map
     for s, tokens, offsets in ((np.ones((2, 4)), np.ones((3, 4)), None),
                                (np.ones((2, 2, 4)), np.ones((2, 3, 4)), [0, 2, 3])):
         with pytest.raises(ValueError, match="scale 1e\\+308 overflows the scaled logits"):
             if gate is None:
-                update_vanilla_rnn(s, tokens, p, 1e308, offsets=offsets)
+                update_vanilla_rnn(s, tokens, 1e308, offsets=offsets)
             else:
-                ttt3r_update(s, tokens, p, gate, 1e308, offsets=offsets)
+                ttt3r_update(s, tokens, gate, 1e308, offsets=offsets, gate_map=gate_map)
 
 
 def test_read_token_state_matches_scalar_loop_oracle():
     rng = np.random.default_rng(13)
-    p = ProjectionSet.seeded(4, seed=3)
     s = rng.standard_normal((3, 4))
     queries = rng.standard_normal((5, 4))
-    got = read_token_state(s, queries, p, scale=1.0)
-    q = _loop_matmul(queries, p.w_q)
-    k_s = _loop_matmul(s, p.w_k)
-    v_s = _loop_matmul(s, p.w_v)
-    expect = _loop_matmul(_loop_softmax(_loop_matmul(q, k_s.T), 1.0), v_s)
+    got = read_token_state(s, queries, scale=1.0)
+    expect = _loop_matmul(_loop_softmax(_loop_matmul(queries, s.T), 1.0), s)
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
-
-
-def test_project_applies_all_three_maps():
-    rng = np.random.default_rng(14)
-    p = ProjectionSet.seeded(4, seed=5)
-    x = rng.standard_normal((3, 4))
-    q, k, v = p.project_q(x), p.project_k(x), p.project_v(x)
-    np.testing.assert_allclose(q, x @ p.w_q, rtol=0, atol=0)
-    np.testing.assert_allclose(k, x @ p.w_k, rtol=0, atol=0)
-    np.testing.assert_allclose(v, x @ p.w_v, rtol=0, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -878,12 +801,9 @@ def test_batched_fast_weight_kernels_match_the_per_pair_oracle(n, kind):
 
 
 _SEGMENT_KERNELS = {
-    "full": lambda x, offsets: update_full_attention(np.empty((0, 4)), x,
-                                                     ProjectionSet.identity(4)),
-    "vanilla": lambda x, offsets: update_vanilla_rnn(np.ones((2, 4)), x,
-                                                     ProjectionSet.identity(4), offsets=offsets),
-    "ttt3r": lambda x, offsets: ttt3r_update(np.ones((2, 4)), x,
-                                             ProjectionSet.identity(4), "confidence",
+    "full": lambda x, offsets: update_full_attention(np.empty((0, 4)), x),
+    "vanilla": lambda x, offsets: update_vanilla_rnn(np.ones((2, 4)), x, offsets=offsets),
+    "ttt3r": lambda x, offsets: ttt3r_update(np.ones((2, 4)), x, "confidence",
                                              offsets=offsets),
 }
 _NON_FINITE = np.ones((6, 4))
@@ -892,10 +812,10 @@ _FRAMES = [0, 2, 5, 6]   # frames of 2, 3 and 1 rows
 _BAD_SEGMENTS = [
     # the cache appends the segment as one block, so it takes no offsets
     ("full", _NON_FINITE, None, r"token row 3 \(frame 0\) contains non-finite"),
-    ("full", np.ones((6, 5)), None, "token width 5 does not match projection width 4"),
+    ("full", np.ones((6, 5)), None, "token width 5 does not match state width 4"),
 ] + [(kernel, *case) for kernel in ("vanilla", "ttt3r") for case in [
     (_NON_FINITE, _FRAMES, r"token row 3 \(frame 1\) contains non-finite"),
-    (np.ones((6, 5)), _FRAMES, "token width 5 does not match projection width 4"),
+    (np.ones((6, 5)), _FRAMES, "token width 5 does not match state width 4"),
     (np.ones((6, 4)), [0, 2, 5],
      "offsets must run from 0 to the 6 token rows, got 0 to 5"),
     (np.ones((6, 4)), [0, 2, 7],
@@ -1006,10 +926,8 @@ def test_kernel_confidence_gates_are_confidence_gate_bit_for_bit(reduce):
     # The gates the stream records are the public gate's, on a frame of 4 tokens.
     rng = np.random.default_rng(22)
     s, x = rng.standard_normal((3, 5)), rng.standard_normal((4, 5))
-    for p in (ProjectionSet.identity(5, seed=1), ProjectionSet.seeded(5, seed=1)):
-        _, betas = ttt3r_update(s, x, p, "confidence", 0.7, reduce=reduce)
-        want = confidence_gate(p.project_q(s), p.project_k(x), reduce, 0.7)
-        np.testing.assert_array_equal(betas[0], want)
+    _, betas = ttt3r_update(s, x, "confidence", 0.7, reduce=reduce)
+    np.testing.assert_array_equal(betas[0], confidence_gate(s, x, reduce, 0.7))
 
 
 def test_confidence_gate_validation():
@@ -1029,8 +947,7 @@ def test_a_confidence_reduce_that_overflows_gives_its_sigmoid_limit(reduce):
     k_x = np.full((2, 1), 1.5e308)
     beta = confidence_gate(np.array([[1.0], [-1.0]]), k_x, reduce=reduce, scale=1.0)
     np.testing.assert_array_equal(beta, [_GATE_HI, _GATE_LO])
-    _, betas = ttt3r_update(np.array([[1.0], [-1.0]]), k_x, ProjectionSet.identity(1),
-                            "confidence", 1.0, reduce=reduce)
+    _, betas = ttt3r_update(np.array([[1.0], [-1.0]]), k_x, "confidence", 1.0, reduce=reduce)
     np.testing.assert_array_equal(betas, [[_GATE_HI, _GATE_LO]])
 
 
