@@ -27,8 +27,7 @@ __all__ = [
     "PointCloud",
     "ChamferResult",
     "quat_to_rotmat",
-    "rotmat_to_quat",
-    "se3_inverse",
+    "quat_mul",
     "associate",
     "umeyama_sim3",
     "ate",
@@ -44,11 +43,17 @@ class DegenerateGeometryError(ValueError):
     """Point configuration does not determine the requested transform."""
 
 
-def quat_to_rotmat(q) -> np.ndarray:
-    """Rotation matrices (..., 3, 3) of unit quaternions (..., 4) in (w, x, y, z) order."""
+def _quats(q) -> np.ndarray:
+    """q as a float64 array of quaternions (..., 4), checked."""
     q = np.asarray(q, dtype=np.float64)
     if q.shape[-1:] != (4,):
         raise ValueError(f"quaternion must have 4 components, got shape {q.shape}")
+    return q
+
+
+def quat_to_rotmat(q) -> np.ndarray:
+    """Rotation matrices (..., 3, 3) of unit quaternions (..., 4) in (w, x, y, z) order."""
+    q = _quats(q)
     w, x, y, z = np.moveaxis(q, -1, 0)
     return np.stack([
         1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
@@ -57,48 +62,21 @@ def quat_to_rotmat(q) -> np.ndarray:
     ], axis=-1).reshape(q.shape[:-1] + (3, 3))
 
 
-def rotmat_to_quat(r) -> np.ndarray:
-    """Unit quaternions (..., 4), (w, x, y, z) with w >= 0, of rotation matrices (..., 3, 3).
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])  # q * _CONJ: the conjugate, the inverse rotation
 
-    Each matrix branches on its largest diagonal combination so the
-    divisor stays well away from zero for every rotation, including
-    180-degree ones.  Branch 0 (positive trace) solves for w first,
-    branch k = 1, 2, 3 for the k-th vector component; the other three
-    components are row k of `num` divided by s.
+
+def quat_mul(a, b) -> np.ndarray:
+    """Hamilton products a b (..., 4) of quaternions (w, x, y, z), broadcast.
+
+    The rotation of a b is R(a) R(b).  The vector part sums
+    a_w b_v + b_w a_v before it adds a_v x b_v, so conj(q) q has an
+    exactly zero vector part: the first sum cancels term by term and the
+    cross product of parallel vectors is exactly zero.
     """
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape[-2:] != (3, 3):
-        raise ValueError(f"rotation matrix must be 3x3, got shape {r.shape}")
-    m = r.reshape(-1, 3, 3)
-    d0, d1, d2 = m[:, 0, 0], m[:, 1, 1], m[:, 2, 2]
-    t = d0 + d1 + d2
-    branch = np.where(t > 0, 0, np.where((d0 >= d1) & (d0 >= d2), 1, np.where(d1 >= d2, 2, 3)))
-    rows = np.arange(len(m))
-    s_sq = np.stack([t + 1.0, 1.0 + d0 - d1 - d2, 1.0 + d1 - d0 - d2, 1.0 + d2 - d0 - d1], axis=1)
-    s = np.sqrt(s_sq[rows, branch]) * 2.0
-    num = np.empty((len(m), 4, 4))
-    num[:, 1:, 1:] = m + m.transpose(0, 2, 1)
-    num[:, 0, 1:] = num[:, 1:, 0] = np.stack(
-        [m[:, 2, 1] - m[:, 1, 2], m[:, 0, 2] - m[:, 2, 0], m[:, 1, 0] - m[:, 0, 1]], axis=1)
-    q = num[rows, branch] / s[:, None]
-    q[rows, branch] = 0.25 * s
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    # Canonical sign: w > 0, or w == 0 and the first non-zero component > 0.
-    vec = q[:, 1:]
-    first = vec[rows, np.argmax(vec != 0, axis=1)]
-    q[(q[:, 0] < 0) | ((q[:, 0] == 0) & (first < 0))] *= -1.0
-    return q.reshape(r.shape[:-2] + (4,))
-
-
-def se3_inverse(t_mat) -> np.ndarray:
-    """Closed-form inverses of rigid transforms (..., 4, 4)."""
-    t_mat = np.asarray(t_mat, dtype=np.float64)
-    r_t = np.swapaxes(t_mat[..., :3, :3], -1, -2)
-    out = np.zeros(t_mat.shape)
-    out[..., :3, :3] = r_t
-    out[..., :3, 3] = -(r_t @ t_mat[..., :3, 3, None])[..., 0]
-    out[..., 3, 3] = 1.0
-    return out
+    a, b = _quats(a), _quats(b)
+    aw, av, bw, bv = a[..., :1], a[..., 1:], b[..., :1], b[..., 1:]
+    w = aw * bw - np.sum(av * bv, axis=-1, keepdims=True)
+    return np.concatenate([w, aw * bv + bw * av + np.cross(av, bv)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -107,8 +85,9 @@ class Trajectory:
 
     timestamps is (N,) and strictly increasing, quats (N, 4) unit
     (w, x, y, z) rotations, translations (N, 3); all finite.  Quaternions
-    must be unit within 1e-9 and are normalized.  The arrays are
-    read-only copies.
+    must be unit within 1e-9, and those off unit by more than 4 * 2**-52
+    are normalized; one division leaves at most 1.5 * 2**-52, so a
+    rebuild or a slice keeps every bit.  The arrays are read-only copies.
     """
 
     timestamps: np.ndarray
@@ -143,7 +122,8 @@ class Trajectory:
             raise ValueError(
                 f"timestamps must strictly increase, got {float(ts[i])!r} then {float(ts[i + 1])!r}"
             )
-        q /= norms[:, None]
+        renorm = np.abs(norms - 1.0) > 4 * 2.0**-52
+        q[renorm] /= norms[renorm, None]
         for name, arr in (("timestamps", ts), ("quats", q), ("translations", t)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -154,22 +134,6 @@ class Trajectory:
     def __getitem__(self, index: slice) -> "Trajectory":
         """The poses in a slice, as a trajectory."""
         return Trajectory(self.timestamps[index], self.quats[index], self.translations[index])
-
-    def matrices(self) -> np.ndarray:
-        """(N, 4, 4) homogeneous pose matrices."""
-        out = np.zeros((len(self), 4, 4))
-        out[:, :3, :3] = quat_to_rotmat(self.quats)
-        out[:, :3, 3] = self.translations
-        out[:, 3, 3] = 1.0
-        return out
-
-    @classmethod
-    def from_matrices(cls, timestamps, mats) -> "Trajectory":
-        """The trajectory of (N, 4, 4) rigid pose matrices at N timestamps."""
-        mats = np.asarray(mats, dtype=np.float64)
-        if mats.ndim != 3 or mats.shape[1:] != (4, 4):
-            raise ValueError(f"pose matrices must be (N, 4, 4), got shape {mats.shape}")
-        return cls(timestamps, rotmat_to_quat(mats[:, :3, :3]), mats[:, :3, 3])
 
 
 @dataclass(frozen=True)
@@ -380,13 +344,15 @@ def rpe(est: Trajectory, gt: Trajectory, pairs, delta: int = 1):
     """Relative pose error over matched pairs delta steps apart.
 
     pairs are the matched (i_est, j_gt) indices that associate returns,
-    checked as ate checks them.  For each matched index i the residual
-    motion is E = (gt_i^-1 gt_{i+delta})^-1 (est_i^-1 est_{i+delta});
-    returns the RMSE of the translation norms and of the rotation angles
-    in degrees.  The angle is atan2(|vee(R - R^T)| / 2, (tr R - 1) / 2),
-    which stays accurate near zero, where acos of the trace would not.
-    Translations are scaled as ate scales them, so the translation error
-    scales with them bit for bit and the angle does not change.
+    checked as ate checks them.  Each trajectory moves from matched
+    index i to i + delta by (conj(q_i) q_(i+delta), R_i^T (t_(i+delta) - t_i)),
+    and the residual of a step is (conj(q_gt) q_est, d_est - d_gt), whose
+    norm is that of the residual motion's translation.  Returns the RMSE
+    of the translation norms and of the rotation angles in degrees, each
+    angle 2 atan2(|v|, |w|) of a residual (w, v): accurate near zero, and
+    exactly zero for identical steps.  Translations are scaled as ate
+    scales them, so the translation error scales with them bit for bit
+    and the angle does not change.
     """
     if delta < 1:
         raise ValueError(f"delta must be >= 1, got {delta}")
@@ -395,19 +361,14 @@ def rpe(est: Trajectory, gt: Trajectory, pairs, delta: int = 1):
             f"need at least delta+1 = {delta + 1} matched pairs, got {len(pairs)}"
         )
     i_est, j_gt = _pair_indices(pairs, est, gt)
-    est_mats = est.matrices()[i_est]
-    gt_mats = gt.matrices()[j_gt]
-    (est_mats[:, :3, 3], gt_mats[:, :3, 3]), unit = _normalized(
-        est_mats[:, :3, 3], gt_mats[:, :3, 3])
-    est_rel = se3_inverse(est_mats[:-delta]) @ est_mats[delta:]
-    gt_rel = se3_inverse(gt_mats[:-delta]) @ gt_mats[delta:]
-    err = se3_inverse(gt_rel) @ est_rel
-    rot = err[:, :3, :3]
-    vee = np.stack([rot[:, 2, 1] - rot[:, 1, 2], rot[:, 0, 2] - rot[:, 2, 0],
-                    rot[:, 1, 0] - rot[:, 0, 1]], axis=1)
-    cos_angle = (np.trace(rot, axis1=1, axis2=2) - 1.0) / 2.0
-    angle = np.degrees(np.arctan2(np.linalg.norm(vee, axis=1) / 2.0, cos_angle))
-    trans_sq = np.sum(err[:, :3, 3] ** 2, axis=1)
+    (t_est, t_gt), unit = _normalized(est.translations[i_est], gt.translations[j_gt])
+    (q_est, d_est), (q_gt, d_gt) = [
+        (quat_mul(q[:-delta] * _CONJ, q[delta:]),
+         np.einsum("ni,nij->nj", t[delta:] - t[:-delta], quat_to_rotmat(q[:-delta])))
+        for q, t in ((est.quats[i_est], t_est), (gt.quats[j_gt], t_gt))]
+    err = quat_mul(q_gt * _CONJ, q_est)
+    angle = np.degrees(2.0 * np.arctan2(np.linalg.norm(err[:, 1:], axis=1), np.abs(err[:, 0])))
+    trans_sq = np.sum((d_est - d_gt) ** 2, axis=1)
     return float(np.sqrt(np.mean(trans_sq))) * unit, float(np.sqrt(np.mean(angle * angle)))
 
 

@@ -2,10 +2,11 @@
 
 Long sequences are processed in fixed-size chunks, each expressed in
 its own local frame with the first pose at the identity.  A chunk's
-anchor is the global pose of that first frame; stitching left-multiplies
-every local pose (and cloud point) by the anchor.  Consecutive chunks
-overlap by exactly one frame: the last frame of chunk k is the first
-frame of chunk k+1, which pins each anchor without any optimization.
+anchor is the global pose of that first frame; stitching composes it
+with every local pose (and cloud point) on the quaternion and
+translation columns.  Consecutive chunks overlap by exactly one frame:
+the last frame of chunk k is the first frame of chunk k+1, which pins
+each anchor without any optimization.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry_metrics import PointCloud, Trajectory, quat_to_rotmat, se3_inverse
+from .geometry_metrics import PointCloud, Trajectory, quat_mul, quat_to_rotmat
 
 __all__ = ["StitchError", "Chunk", "stitch", "split_trajectory"]
 
@@ -54,12 +55,14 @@ class Chunk:
 def stitch(chunks: Sequence[Chunk]):
     """Compose chunks into one global trajectory and merged cloud.
 
-    Each chunk after the first must re-observe the previous chunk's
-    final frame: its anchor has to coincide with that frame's
-    globalized pose within 1e-6 (rotation entries absolutely,
-    translation entries relative to max(1, |t|), with |t| that pose's
-    largest translation entry), and the duplicated frame is dropped
-    from the output.
+    A local pose (q, t) of a chunk anchored at (q_a, t_a) goes to the
+    world pose (q_a q, R_a t + t_a), and its cloud points p to
+    R_a p + t_a.  Each chunk after the first must re-observe the
+    previous chunk's final frame: its anchor has to coincide with that
+    frame's globalized pose within 1e-6 (rotation matrix entries
+    absolutely, as q and -q are one rotation; translation entries
+    relative to max(1, |t|), with |t| that pose's largest translation
+    entry), and the duplicated frame is dropped from the output.
 
     Returns (trajectory, cloud); the cloud is None when no chunk
     carries one.
@@ -67,15 +70,15 @@ def stitch(chunks: Sequence[Chunk]):
     chunks = list(chunks)
     if not chunks:
         raise ValueError("need at least one chunk")
-    timestamps, mats, points, normals = [], [], [], []
-    prev_last = None
+    timestamps, quats, translations, points, normals = [], [], [], [], []
+    last_rot = last_t = None
     for k, chunk in enumerate(chunks):
-        anchor = chunk.anchor.matrices()[0]
+        q_a, t_a = chunk.anchor.quats[0], chunk.anchor.translations[0]
+        rot = quat_to_rotmat(q_a)
         skip = int(k > 0)
         if skip:
-            diff = np.abs(anchor[:3] - prev_last[:3])
-            diff[:, 3] /= max(1.0, float(np.max(np.abs(prev_last[:3, 3]))))
-            gap = float(np.max(diff))
+            scale = max(1.0, float(np.max(np.abs(last_t))))
+            gap = float(max(np.max(np.abs(rot - last_rot)), np.max(np.abs(t_a - last_t)) / scale))
             if gap > _OVERLAP_TOL:
                 raise StitchError(
                     f"chunk {k}: anchor disagrees with the previous chunk's final pose "
@@ -83,19 +86,21 @@ def stitch(chunks: Sequence[Chunk]):
                 )
             if len(chunk.trajectory) == 1:
                 raise StitchError(f"chunk {k} has no frames beyond the shared one")
-        world = anchor @ chunk.trajectory.matrices()
-        prev_last = world[-1]
+        q = quat_mul(q_a, chunk.trajectory.quats)
+        t = chunk.trajectory.translations @ rot.T + t_a
+        last_rot, last_t = quat_to_rotmat(q[-1]), t[-1]
         timestamps.append(chunk.trajectory.timestamps[skip:])
-        mats.append(world[skip:])
+        quats.append(q[skip:])
+        translations.append(t[skip:])
         if chunk.cloud is not None:
-            r = anchor[:3, :3]
-            points.append(chunk.cloud.points @ r.T + anchor[:3, 3])
-            normals.append(None if chunk.cloud.normals is None else chunk.cloud.normals @ r.T)
+            points.append(chunk.cloud.points @ rot.T + t_a)
+            normals.append(None if chunk.cloud.normals is None else chunk.cloud.normals @ rot.T)
     merged = None
     if points:
         nrm = None if any(n is None for n in normals) else np.vstack(normals)
         merged = PointCloud(np.vstack(points), nrm)
-    return Trajectory.from_matrices(np.concatenate(timestamps), np.concatenate(mats)), merged
+    columns = (np.concatenate(c) for c in (timestamps, quats, translations))
+    return Trajectory(*columns), merged
 
 
 def split_trajectory(traj: Trajectory, period: int, cloud: Optional[PointCloud] = None):
@@ -103,33 +108,35 @@ def split_trajectory(traj: Trajectory, period: int, cloud: Optional[PointCloud] 
 
     Chunk k covers global frames [k*period, min((k+1)*period, N-1)]
     inclusive, so consecutive chunks share exactly one frame.  Each
-    chunk is re-expressed relative to its first pose, which becomes the
-    anchor.  A cloud, when given, is cut into len(chunks) contiguous
-    slices of at least one point each, and chunk k carries the k-th in
-    its local frame.  stitch() inverts this exactly (up to rounding).
+    chunk's poses (q, t) are re-expressed relative to its first pose
+    (q_a, t_a), the anchor, as (conj(q_a) q, R_a^T (t - t_a)).  A cloud,
+    when given, is cut into len(chunks) contiguous slices of at least
+    one point each, and chunk k carries the k-th in its local frame.
+    stitch() inverts this exactly (up to rounding).
     """
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
     n = len(traj)
     if n < 2:
         raise ValueError("need at least 2 poses to split")
-    mats = traj.matrices()
+    starts = range(0, n - 1, period)
+    if cloud is not None:
+        if len(cloud) < len(starts):
+            raise ValueError(
+                f"cloud has {len(cloud)} points but {len(starts)} chunks need one each")
+        bounds = np.linspace(0, len(cloud), len(starts) + 1).astype(int)
+    q, t = traj.quats, traj.translations
     chunks = []
-    for start in range(0, n - 1, period):
+    for k, start in enumerate(starts):
         end = min(start + period, n - 1) + 1
-        local = se3_inverse(mats[start]) @ mats[start:end]
-        chunks.append(Chunk(Trajectory.from_matrices(traj.timestamps[start:end], local),
-                            traj[start:start + 1]))
-    if cloud is None:
-        return chunks
-    if len(cloud) < len(chunks):
-        raise ValueError(f"cloud has {len(cloud)} points but {len(chunks)} chunks need one each")
-    bounds = np.linspace(0, len(cloud), len(chunks) + 1).astype(int)
-    localized = []
-    for chunk, lo, hi in zip(chunks, bounds[:-1], bounds[1:]):
-        anchor = chunk.anchor.matrices()[0]
-        rot_inv = anchor[:3, :3].T
-        pts = (cloud.points[lo:hi] - anchor[:3, 3]) @ rot_inv.T
-        nrm = None if cloud.normals is None else cloud.normals[lo:hi] @ rot_inv.T
-        localized.append(Chunk(chunk.trajectory, chunk.anchor, PointCloud(pts, nrm)))
-    return localized
+        rot = quat_to_rotmat(q[start])
+        inverse = q[start] * [1.0, -1.0, -1.0, -1.0]  # the conjugate
+        local = Trajectory(traj.timestamps[start:end], quat_mul(inverse, q[start:end]),
+                           (t[start:end] - t[start]) @ rot)
+        piece = None
+        if cloud is not None:
+            lo, hi = bounds[k], bounds[k + 1]
+            nrm = None if cloud.normals is None else cloud.normals[lo:hi] @ rot
+            piece = PointCloud((cloud.points[lo:hi] - t[start]) @ rot, nrm)
+        chunks.append(Chunk(local, traj[start:start + 1], piece))
+    return chunks

@@ -1,7 +1,8 @@
 """Golden output digests of the producing commands.
 
-traj-eval under each --align, stitch --cloud, chamfer, and depth-eval
-in both modes run on small seeded inputs from bench/recon_inputs.py;
+traj-eval under each --align and at --rpe-delta 7, stitch --cloud,
+chamfer, and depth-eval in both modes run on small seeded inputs from
+bench/recon_inputs.py;
 recall runs the default rules, the benchmark's recall-long and
 recall-wide flags at small sizes, the README's BLAS example,
 adversarial with every gate, and correlated keys; and gradcheck runs
@@ -39,6 +40,7 @@ RUNS = {
     "traj-eval-sim3": _TRAJ + ["sim3"],
     "traj-eval-se3": _TRAJ + ["se3"],
     "traj-eval-none": _TRAJ + ["none"],
+    "traj-eval-rpe-delta-7": _TRAJ + ["sim3", "--rpe-delta", "7"],
     "stitch": ["stitch", "--traj", "in/gt.tum", "--cloud", "in/cloud_a.ply"],
     "chamfer": ["chamfer", "--a", "in/cloud_a.ply", "--b", "in/cloud_b.ply"],
     "depth-eval-seq-scale": _DEPTH + ["seq-scale"],

@@ -15,8 +15,8 @@ from ttt_lab.geometry_metrics import (
     Sim3Transform,
     Trajectory,
     associate,
+    quat_mul,
     quat_to_rotmat,
-    rotmat_to_quat,
     umeyama_sim3,
 )
 from ttt_lab.io_formats import parse_pfm
@@ -45,8 +45,8 @@ _TRAJ = Trajectory(np.arange(3.0), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), np.zer
                  "value length 3 != c_v 2", id="recon-loss-value-width"),
     pytest.param(lambda: quat_to_rotmat(np.ones(3)),
                  "quaternion must have 4 components, got shape (3,)", id="quat-shape"),
-    pytest.param(lambda: rotmat_to_quat(np.eye(2)),
-                 "rotation matrix must be 3x3, got shape (2, 2)", id="rotmat-shape"),
+    pytest.param(lambda: quat_mul(np.ones(4), np.ones((2, 3))),
+                 "quaternion must have 4 components, got shape (2, 3)", id="quat-mul-shape"),
     pytest.param(lambda: Sim3Transform(1.0, np.eye(3), np.zeros(2)),
                  "rotation must be 3x3 and translation length 3", id="sim3-shapes"),
     pytest.param(lambda: PointCloud([[0.0, 0.0, np.nan]]),

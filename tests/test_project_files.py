@@ -8,7 +8,8 @@ as a FLAG line in a benchmark run or an ImportError at
 `from ttt_lab.x import *`.  The rule-spec grammar of the recall error
 messages, which the README copies, must name every rule and gate of
 the rule table, and the README's recall section must name every field
-of RecallTask and StreamConfig.  The package root binds no public name but
+of RecallTask and StreamConfig, and every function its evaluation
+section calls must exist.  The package root binds no public name but
 its submodules, so each name has one import path.
 """
 
@@ -94,3 +95,25 @@ def test_the_recall_section_names_every_task_and_config_field():
     missing = [f"{cls.__name__}.{field.name}" for cls in (RecallTask, StreamConfig)
                for field in dataclasses.fields(cls) if f"`{field.name}`" not in section]
     assert missing == []
+
+
+def test_the_evaluation_section_calls_only_functions_that_exist():
+    # A call is a backticked `name(` or `Class.name(`; a stale mention of
+    # a deleted function fails here.
+    from ttt_lab import geometry_metrics, io_formats, stitcher
+
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("## Evaluation stack"):]
+    section = section[:section.index("\n## ", 1)]
+    calls = set(re.findall(r"`(\w+(?:\.\w+)?)\(", section))
+
+    def resolves(call):
+        for owner in (geometry_metrics, io_formats, stitcher):
+            for attr in call.split("."):
+                owner = getattr(owner, attr, None)
+            if owner is not None:
+                return True
+        return False
+
+    assert {"quat_mul", "rpe", "split_trajectory"} <= calls
+    assert sorted(call for call in calls if not resolves(call)) == []

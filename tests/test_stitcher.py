@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from ttt_lab.geometry_metrics import (
     PointCloud,
@@ -25,34 +26,40 @@ def _rand_traj(n, seed=0):
     return Trajectory(0.1 * np.arange(n), [q for q, _ in draws], [t for _, t in draws])
 
 
+def _matrices(traj):
+    """(N, 4, 4) pose matrices of traj from quat_to_rotmat: the matrix-path oracle."""
+    out = np.tile(np.eye(4), (len(traj), 1, 1))
+    out[:, :3, :3] = quat_to_rotmat(traj.quats)
+    out[:, :3, 3] = traj.translations
+    return out
+
+
 def test_split_chunks_start_at_identity_and_share_boundaries():
     traj = _rand_traj(300)
     chunks = split_trajectory(traj, 100)
     assert len(chunks) == 3
     for chunk in chunks:
-        first = chunk.trajectory.matrices()[0]
-        np.testing.assert_allclose(first, np.eye(4), rtol=0, atol=1e-12)
+        # conj(q_a) q_a: an exactly zero vector part, and w = |q_a|^2
+        q, t = chunk.trajectory.quats[0], chunk.trajectory.translations[0]
+        assert q[1:].tolist() == [0.0, 0.0, 0.0] and t.tolist() == [0.0, 0.0, 0.0]
+        assert abs(q[0] - 1.0) <= 4 * 2.0**-52
     # consecutive chunks share one frame: timestamps overlap by one
     assert chunks[0].trajectory.timestamps[-1] == chunks[1].trajectory.timestamps[0]
 
 
 def test_split_matches_the_per_pose_oracle():
     traj = _rand_traj(23, seed=14)
-    mats = []
-    for q, t in zip(traj.quats, traj.translations):
-        m = np.eye(4)
-        m[:3, :3] = quat_to_rotmat(q)
-        m[:3, 3] = t
-        mats.append(m)
+    mats = _matrices(traj)
     chunks = split_trajectory(traj, 5)
     assert len(chunks) == 5
     for k, chunk in enumerate(chunks):
         start = 5 * k
         np.testing.assert_array_equal(chunk.anchor.timestamps, traj.timestamps[start:start + 1])
-        np.testing.assert_allclose(chunk.anchor.quats, traj.quats[start:start + 1],
-                                   rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(chunk.anchor.quats, traj.quats[start:start + 1])
+        np.testing.assert_array_equal(chunk.anchor.translations,
+                                      traj.translations[start:start + 1])
         origin_inv = np.linalg.inv(mats[start])
-        for j, local in enumerate(chunk.trajectory.matrices()):
+        for j, local in enumerate(_matrices(chunk.trajectory)):
             np.testing.assert_allclose(local, origin_inv @ mats[start + j], rtol=0, atol=1e-12)
         np.testing.assert_array_equal(chunk.trajectory.timestamps,
                                       traj.timestamps[start:start + len(chunk.trajectory)])
@@ -85,11 +92,14 @@ def test_localized_chunks_ignore_the_global_frame():
     world = np.eye(4)
     world[:3, :3] = quat_to_rotmat(_rand_quat(rng))
     world[:3, 3] = rng.standard_normal(3)
-    moved = Trajectory.from_matrices(traj.timestamps, world @ traj.matrices())
+    mats = world @ _matrices(traj)
+    moved = Trajectory(traj.timestamps,
+                       Rotation.from_matrix(mats[:, :3, :3]).as_quat(scalar_first=True),
+                       mats[:, :3, 3])
     for a, b in zip(split_trajectory(traj, 10), split_trajectory(moved, 10)):
-        np.testing.assert_allclose(a.trajectory.translations,
-                                   b.trajectory.translations, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(a.trajectory.quats, b.trajectory.quats, rtol=0, atol=1e-9)
+        # Rotations, not quaternions: scipy may return -q for q.
+        np.testing.assert_allclose(_matrices(a.trajectory), _matrices(b.trajectory),
+                                   rtol=0, atol=1e-9)
 
 
 def test_single_chunk_round_trip():
@@ -111,6 +121,20 @@ def test_inconsistent_anchor_is_rejected():
     chunks[1] = Chunk(chunks[1].trajectory, bad_anchor, chunks[1].cloud)
     with pytest.raises(StitchError):
         stitch(chunks)
+
+
+def test_an_anchor_of_the_opposite_quaternion_sign_is_accepted():
+    # q and -q are one rotation, so the overlap check compares rotation
+    # matrices and a sign-flipped anchor stitches to the same poses.
+    traj = _rand_traj(30, seed=7)
+    chunks = split_trajectory(traj, 10)
+    flipped = Trajectory(chunks[1].anchor.timestamps, -chunks[1].anchor.quats,
+                         chunks[1].anchor.translations)
+    chunks[1] = Chunk(chunks[1].trajectory, flipped, chunks[1].cloud)
+    stitched, _ = stitch(chunks)
+    np.testing.assert_array_equal(stitched.timestamps, traj.timestamps)
+    np.testing.assert_allclose(stitched.quats[11:21], -traj.quats[11:21], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_matrices(stitched), _matrices(traj), rtol=0, atol=1e-12)
 
 
 def test_a_later_chunk_of_only_the_shared_frame_is_rejected():
@@ -140,7 +164,7 @@ def test_stitch_carries_clouds_through_the_anchors():
         pts = rng.standard_normal((6, 3))
         nrm = np.tile([0.0, 0.0, 1.0], (6, 1))
         with_clouds.append(Chunk(chunk.trajectory, chunk.anchor, PointCloud(pts, nrm)))
-        anchor = chunk.anchor.matrices()[0]
+        anchor = _matrices(chunk.anchor)[0]
         expect_pts.append(pts @ anchor[:3, :3].T + anchor[:3, 3])
         expect_nrm.append(nrm @ anchor[:3, :3].T)
     stitched, merged = stitch(with_clouds)
@@ -185,7 +209,7 @@ def _cli_loop_chunks(traj, period, cloud):
     bounds = np.linspace(0, len(cloud), len(chunks) + 1).astype(int)
     localized = []
     for chunk, lo, hi in zip(chunks, bounds[:-1], bounds[1:]):
-        anchor = chunk.anchor.matrices()[0]
+        anchor = _matrices(chunk.anchor)[0]
         rot_inv = anchor[:3, :3].T
         pts = (cloud.points[lo:hi] - anchor[:3, 3]) @ rot_inv.T
         nrm = None if cloud.normals is None else cloud.normals[lo:hi] @ rot_inv.T
