@@ -30,7 +30,7 @@ from . import __version__
 from .geometry_metrics import _depth_maps, ate, associate, chamfer, depth_metrics, rpe, \
     sequence_depth_scale
 from .io_formats import ParseError, parse_pfm, parse_ply_ascii, parse_tum, \
-    write_metrics_csv, write_ply_ascii, write_tum
+    write_metrics_csv, write_ply_ascii, write_table, write_tum
 from .recall_bench import StateDims, StreamConfig, compare_rules, curves_to_csv, \
     gate_trace_to_csv, gen_adversarial_task, gen_recall_task, summary_to_csv
 from .seeding import derive_seed
@@ -167,9 +167,9 @@ def _run_gradcheck(args) -> int:
     _check(1 <= args.max_dim < 2**63, f"--max-dim must be from 1 to {2**63 - 1}")
     rng = np.random.default_rng(derive_seed(args.seed, "gradcheck"))
     step = args.step
-    rows = []
+    rels = []
     worst = (-1.0, None)
-    for trial in range(args.trials):
+    for _ in range(args.trials):
         c_k, c_v, m = (int(v) for v in rng.integers(1, args.max_dim + 1, 3))
         s = rng.standard_normal((c_v, c_k))
         keys = rng.standard_normal((c_k, m))
@@ -187,22 +187,19 @@ def _run_gradcheck(args) -> int:
                     lo = recon_loss(s - bump, keys.T, values.T)
                 fd[i, j] = (hi - lo) / (4.0 * step)
         rel = float(np.max(np.abs(grad - fd)) / max(1.0, float(np.max(np.abs(fd)))))
-        rows.append((trial, rel))
+        rels.append(rel)
         # A nan error is the worst trial there is: once seen, it stays the worst.
         if not math.isnan(worst[0]) and not rel <= worst[0]:
             worst = (rel, (s, keys, values))
     max_rel = worst[0]
-    lines = ["trial,rel_error"]
-    for trial, rel in rows:
-        lines.append(f"{trial},{rel!r}")
-    files = {"gradcheck.csv": "\n".join(lines) + "\n"}
+    files = {"gradcheck.csv": write_table("trial,rel_error\n", "%d,%r",
+                                          [range(args.trials), rels])}
     ok = max_rel <= args.tol
     if not ok:
-        dump = ["name,row,col,value"]
-        for name, arr in zip(("s", "keys", "values"), worst[1]):
-            for (i, j), v in np.ndenumerate(arr):
-                dump.append(f"{name},{i},{j},{float(v)!r}")
-        files["gradcheck_failure.csv"] = "\n".join(dump) + "\n"
+        files["gradcheck_failure.csv"] = "name,row,col,value\n" + "".join(
+            write_table("", "%s,%d,%d,%r",
+                        [[name] * arr.size, *np.indices(arr.shape).reshape(2, -1), arr.ravel()])
+            for name, arr in zip(("s", "keys", "values"), worst[1]))
     _write_outputs(args, files)
     print(f"max relative error {max_rel:.3e} over {args.trials} trials "
           f"(tolerance {args.tol:g})")
@@ -225,7 +222,7 @@ def _run_traj_eval(args) -> int:
         )
     ate_val = ate(est, gt, pairs, align=args.align)
     rpe_trans, rpe_rot = rpe(est, gt, pairs, delta=args.rpe_delta)
-    csv = "ate,rpe_trans,rpe_rot\n" + f"{ate_val!r},{rpe_trans!r},{rpe_rot!r}\n"
+    csv = write_table("ate,rpe_trans,rpe_rot\n", "%r,%r,%r", [[ate_val], [rpe_trans], [rpe_rot]])
     _write_outputs(args, {"traj_eval.csv": csv})
     print(f"matched={len(pairs)} ate={ate_val:.6e} "
           f"rpe_trans={rpe_trans:.6e} rpe_rot={rpe_rot:.6e}")
@@ -263,13 +260,11 @@ def _run_depth_eval(args) -> int:
         for pred, gt in zip(maps(args.pred), maps(args.gt)):
             _depth_maps(pred, gt)
     per_frame = [depth_metrics(p, g, scale) for p, g in zip(maps(args.pred), maps(args.gt))]
-    lines = ["frame,abs_rel,delta_125"]
-    for name, (abs_rel, d125) in zip(pred_names, per_frame):
-        lines.append(f"{name},{abs_rel!r},{d125!r}")
-    mean_abs = float(np.mean([m[0] for m in per_frame]))
-    mean_d = float(np.mean([m[1] for m in per_frame]))
-    lines.append(f"mean,{mean_abs!r},{mean_d!r}")
-    _write_outputs(args, {"depth_eval.csv": "\n".join(lines) + "\n"})
+    abs_rel, d125 = map(list, zip(*per_frame))
+    mean_abs, mean_d = float(np.mean(abs_rel)), float(np.mean(d125))
+    csv = write_table("frame,abs_rel,delta_125\n", "%s,%r,%r",
+                      [pred_names + ["mean"], abs_rel + [mean_abs], d125 + [mean_d]])
+    _write_outputs(args, {"depth_eval.csv": csv})
     if args.mode == "seq-scale":
         print(f"sequence scale {scale:.6e}")
     print(f"frames={len(per_frame)} abs_rel={mean_abs:.6e} delta_125={mean_d:.6f}")

@@ -28,6 +28,7 @@ __all__ = [
     "parse_pfm",
     "write_pfm",
     "write_metrics_csv",
+    "write_table",
 ]
 
 
@@ -80,22 +81,27 @@ def _float_rows(lines: Sequence[str], linenos: Sequence[int], width: int,
     return np.array(rows, dtype=np.float64).reshape(-1, width), error
 
 
-# Rows formatted per block by the text writers: one block's Python floats
-# and stacked columns are held at a time, not the whole array's.
+# Rows formatted per block by write_table: one block's Python values are
+# held at a time, not the whole table's.
 _ROW_BLOCK = 4096
 
 
-def _text_rows(head: str, columns: Sequence[np.ndarray]) -> str:
-    """head, then one line per row of the stacked columns, each field as %.17g.
+def write_table(head: str, row: str, columns: Sequence) -> str:
+    """head, then one line per row: row %-formatted with that row's entry of each column.
 
-    columns are 1-D or N x k arrays of one length N, stacked side by
-    side as np.column_stack stacks them, _ROW_BLOCK rows at a time.
+    row holds one % field per column, e.g. "%s,%d,%r".  columns are 1-D
+    sequences of one length: arrays, lists or ranges.  Arrays are
+    converted with .tolist(), so a %r field shows a Python float's repr.
+    Rows are formatted _ROW_BLOCK at a time.
     """
     blocks = [head]
-    for lo in range(0, len(columns[0]), _ROW_BLOCK):
-        block = np.column_stack([column[lo:lo + _ROW_BLOCK] for column in columns])
-        row_format = " ".join(["%.17g"] * block.shape[1]) + "\n"
-        blocks.append(row_format * len(block) % tuple(block.ravel().tolist()))
+    width, n = len(columns), len(columns[0])
+    for lo in range(0, n, _ROW_BLOCK):
+        fields = [None] * (width * min(_ROW_BLOCK, n - lo))
+        for j, column in enumerate(columns):
+            part = column[lo:lo + _ROW_BLOCK]
+            fields[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
+        blocks.append((row + "\n") * (len(fields) // width) % tuple(fields))
     return "".join(blocks)
 
 
@@ -144,9 +150,10 @@ def parse_tum(text: str) -> Trajectory:
 def write_tum(traj: Trajectory) -> str:
     """Render a trajectory in TUM format with 17 significant digits,
     enough for float64 values to survive a write/parse round trip."""
-    q = traj.quats
-    return _text_rows("# ttt-lab trajectory\n# timestamp tx ty tz qx qy qz qw\n",
-                      [traj.timestamps, traj.translations, q[:, 1:], q[:, :1]])
+    w, x, y, z = traj.quats.T
+    return write_table("# ttt-lab trajectory\n# timestamp tx ty tz qx qy qz qw\n",
+                       " ".join(["%.17g"] * 8),
+                       [traj.timestamps, *traj.translations.T, x, y, z, w])
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +303,12 @@ def write_ply_ascii(cloud: PointCloud) -> str:
     """Render a cloud as ASCII PLY; normals are written when present."""
     header = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}",
               "property double x", "property double y", "property double z"]
-    columns = [cloud.points]
+    columns = [*cloud.points.T]
     if cloud.normals is not None:
         header += ["property double nx", "property double ny", "property double nz"]
-        columns.append(cloud.normals)
+        columns += [*cloud.normals.T]
     header.append("end_header\n")
-    return _text_rows("\n".join(header), columns)
+    return write_table("\n".join(header), " ".join(["%.17g"] * len(columns)), columns)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +387,5 @@ def write_pfm(depth) -> bytes:
 
 def write_metrics_csv(rows: Sequence[Tuple[str, float]]) -> str:
     """Two-column report: metric,value with full float precision."""
-    lines = ["metric,value"]
-    for name, value in rows:
-        lines.append(f"{name},{float(value)!r}")
-    return "\n".join(lines) + "\n"
+    return write_table("metric,value\n", "%s,%r",
+                       [[name for name, _ in rows], [float(value) for _, value in rows]])

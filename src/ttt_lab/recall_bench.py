@@ -47,6 +47,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .io_formats import write_table
 from .seeding import derive_seed
 from .state_rules import (
     GATES,
@@ -616,11 +617,10 @@ def compare_rules(task: RecallTask, configs: Sequence[StreamConfig]) -> list:
 
 def curves_to_csv(runs: Sequence[RuleRun]) -> str:
     """One row per stored pair: rule,position,sq_error."""
-    lines = ["rule,position,sq_error"]
-    for run in runs:
-        label = run.rule_label
-        lines += [f"{label},{pos},{err!r}" for pos, err in enumerate(run.sq_errors.tolist())]
-    return "\n".join(lines) + "\n"
+    return "rule,position,sq_error\n" + "".join(
+        write_table("", "%s,%d,%r", [[run.rule_label] * run.sq_errors.size,
+                                     range(run.sq_errors.size), run.sq_errors])
+        for run in runs)
 
 
 def gate_trace_to_csv(run: RuleRun) -> str:
@@ -628,14 +628,11 @@ def gate_trace_to_csv(run: RuleRun) -> str:
     sizes = np.diff(run.gate_offsets)
     frames = np.repeat(np.arange(len(sizes)), sizes)
     tokens = np.arange(run.betas.size) - np.repeat(run.gate_offsets[:-1], sizes)
-    lines = ["frame,token,beta"]
-    lines += [f"{f},{i},{beta!r}"
-              for f, i, beta in zip(frames.tolist(), tokens.tolist(), run.betas.tolist())]
-    return "\n".join(lines) + "\n"
+    return write_table("frame,token,beta\n", "%d,%d,%r", [frames, tokens, run.betas])
 
 
 def summary_to_csv(runs: Sequence[RuleRun]) -> str:
     """One row per rule: rule,mean_sq_error,worst_sq_error."""
-    lines = ["rule,mean_sq_error,worst_sq_error"] + [
-        f"{r.rule_label},{r.mean_sq_error!r},{r.worst_sq_error!r}" for r in runs]
-    return "\n".join(lines) + "\n"
+    return write_table("rule,mean_sq_error,worst_sq_error\n", "%s,%r,%r",
+                       [[r.rule_label for r in runs], [r.mean_sq_error for r in runs],
+                        [r.worst_sq_error for r in runs]])

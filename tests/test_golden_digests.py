@@ -1,16 +1,18 @@
 """Golden output digests of the producing commands.
 
-traj-eval under each --align and at --rpe-delta 7, stitch --cloud,
-chamfer, and depth-eval in both modes run on small seeded inputs from
-bench/recon_inputs.py;
+traj-eval under each --align and at --rpe-delta 7, stitch --cloud at
+the default period and at --reset-period 7, chamfer, and depth-eval in
+both modes run on small seeded inputs from bench/recon_inputs.py;
 recall runs the default rules, the benchmark's recall-long and
 recall-wide flags at small sizes, the README's BLAS example,
-adversarial with every gate, and correlated keys; and gradcheck runs
-20 trials.  All run in one child process with one BLAS thread.  The
-sha256 of every input, every output file, every manifest and every
-command's stdout must equal the table in golden_digests.json.  The
-inputs are given as paths relative to the child's working directory, so
-the manifests hold no path of the machine.
+adversarial with every gate, adversarial with two gated rules under
+--gate-reduce mean and --scale 1.0, and correlated keys; gradcheck runs
+20 trials, and 3 trials at --tol 0, which fail and exit 1.  All run in
+one child process with one BLAS thread.  The sha256 of every input,
+every output file, every manifest and every command's stdout and
+stderr, and every command's exit code, must equal the table in
+golden_digests.json.  The inputs are given as paths relative to the
+child's working directory, so the manifests hold no path of the machine.
 
 The table names the numpy version and the OpenBLAS build it was made
 on.  Another build may round differently (its kernels and SIMD paths
@@ -42,6 +44,8 @@ RUNS = {
     "traj-eval-none": _TRAJ + ["none"],
     "traj-eval-rpe-delta-7": _TRAJ + ["sim3", "--rpe-delta", "7"],
     "stitch": ["stitch", "--traj", "in/gt.tum", "--cloud", "in/cloud_a.ply"],
+    "stitch-reset-period-7": ["stitch", "--traj", "in/gt.tum", "--cloud", "in/cloud_a.ply",
+                              "--reset-period", "7"],
     "chamfer": ["chamfer", "--a", "in/cloud_a.ply", "--b", "in/cloud_b.ply"],
     "depth-eval-seq-scale": _DEPTH + ["seq-scale"],
     "depth-eval-metric": _DEPTH + ["metric"],
@@ -56,12 +60,17 @@ RUNS = {
     "recall-adversarial": ["recall", "--task", "adversarial", "--rules",
                            "full,vanilla,hebbian,delta,delta:input,ttt3r:0.5,ttt3r:input,"
                            "ttt3r:per_token,ttt3r:confidence"],
+    "recall-adversarial-mean": ["recall", "--task", "adversarial", "--rules",
+                                "vanilla,ttt3r:confidence,ttt3r:per_token",
+                                "--gate-reduce", "mean", "--scale", "1.0"],
     "recall-correlated": ["recall", "--key-mode", "correlated", "--rho", "0.9"],
     "gradcheck": ["gradcheck", "--trials", "20"],
+    "gradcheck-fail": ["gradcheck", "--trials", "3", "--max-dim", "3", "--tol", "0"],
 }
 
 # Runs each command of RUNS (argv[1], as JSON) into the directory named
-# after it, and prints one JSON report: the platform, exit codes, stdout.
+# after it, and prints one JSON report: the platform, and each command's
+# exit code, stdout and stderr.
 _CHILD = r"""
 import contextlib, ctypes, io, json, sys
 import numpy
@@ -81,12 +90,13 @@ def blas_build():
     return None
 
 report = {"platform": {"numpy": numpy.__version__, "blas": blas_build()},
-          "codes": {}, "stdout": {}}
+          "codes": {}, "stdout": {}, "stderr": {}}
 for name, argv in json.loads(sys.argv[1]).items():
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         report["codes"][name] = main(argv + ["--out", name])
     report["stdout"][name] = out.getvalue()
+    report["stderr"][name] = err.getvalue()
 print(json.dumps(report))
 """
 
@@ -96,7 +106,12 @@ def _sha256(data: bytes) -> str:
 
 
 def run_and_digest(work: Path):
-    """(platform, {relative path: sha256}) of one run of RUNS in the empty directory work."""
+    """(platform, digests) of one run of RUNS in the empty directory work.
+
+    digests maps each file's relative path, and each run's "(stdout)"
+    and "(stderr)", to its sha256, and each run's "(exit code)" to the
+    code as text.
+    """
     spec = importlib.util.spec_from_file_location("recon_inputs", ROOT / "bench" / "recon_inputs.py")
     recon_inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(recon_inputs)
@@ -106,11 +121,12 @@ def run_and_digest(work: Path):
                            capture_output=True, text=True)
     assert child.returncode == 0 and child.stderr == "", child.stderr
     report = json.loads(child.stdout)
-    assert report["codes"] == {name: 0 for name in RUNS}
     digests = {path.relative_to(work).as_posix(): _sha256(path.read_bytes())
                for path in sorted(work.rglob("*")) if path.is_file()}
-    for name, text in report["stdout"].items():
-        digests[f"{name}/(stdout)"] = _sha256(text.encode())
+    for name in RUNS:
+        digests[f"{name}/(exit code)"] = str(report["codes"][name])
+        for stream in ("stdout", "stderr"):
+            digests[f"{name}/({stream})"] = _sha256(report[stream][name].encode())
     return report["platform"], dict(sorted(digests.items()))
 
 

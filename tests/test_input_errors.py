@@ -29,7 +29,13 @@ from ttt_lab.recall_bench import (
     run_stream,
 )
 from ttt_lab.seeding import derive_seed
-from ttt_lab.state_rules import confidence_gate, delta_rule_update, recon_loss, ttt3r_update
+from ttt_lab.state_rules import (
+    ProjectionSet,
+    confidence_gate,
+    delta_rule_update,
+    recon_loss,
+    ttt3r_update,
+)
 
 DIMS16 = StateDims(4, 16, 16, 16)
 DIMS8 = StateDims(4, 8, 8, 8)
@@ -97,6 +103,8 @@ _TRAJ = Trajectory(np.arange(3.0), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), np.zer
     pytest.param(lambda: derive_seed(0, ""), "label must be non-empty", id="seed-label-empty"),
     pytest.param(lambda: confidence_gate(np.ones((1, 0)), np.ones((1, 0))),
                  "c must be >= 1", id="gate-width-0"),
+    pytest.param(lambda: ProjectionSet.identity(0), "c must be >= 1",
+                 id="projection-set-width-0"),
     pytest.param(lambda: ttt3r_update(np.ones((2, 4)), np.ones((3, 4)), "per_token"),
                  "the per_token gate needs a finite gate_map of length 4",
                  id="ttt3r-per-token-gate-map-none"),

@@ -20,8 +20,10 @@ from ttt_lab.io_formats import (
     write_metrics_csv,
     write_pfm,
     write_ply_ascii,
+    write_table,
     write_tum,
 )
+from ttt_lab.recall_bench import RuleRun, curves_to_csv, gate_trace_to_csv
 
 
 def _rand_quat(rng):
@@ -604,7 +606,7 @@ def test_pfm_error_cases():
 
 
 # ---------------------------------------------------------------------------
-# metrics CSV
+# CSV tables
 
 
 def test_metrics_csv_round_trips_floats():
@@ -614,3 +616,46 @@ def test_metrics_csv_round_trips_floats():
     name, value = lines[1].split(",")
     assert name == "ate"
     assert float(value) == 0.1 + 0.2
+
+
+def _table_columns(n, seed):
+    """A str, an int and a float column of n rows, with extreme and non-finite floats."""
+    rng = np.random.default_rng(seed)
+    labels = [f"rule{i % 5}:%d" for i in range(n)]   # a % in a value is text, not a field
+    counts = rng.integers(-2**62, 2**62, n)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    values[:4] = [-0.0, 5e-324, np.inf, np.nan][:n]
+    return labels, counts, values
+
+
+# At n = 0 the table is its header alone, as an ungated gates.csv is.
+@pytest.mark.parametrize("n", [0, *_BLOCK_EDGES])
+def test_write_table_matches_the_f_string_oracle_at_every_block_edge(n):
+    labels, counts, values = _table_columns(n, seed=n)
+    for ints in (counts, range(n)):
+        expected = "head\n" + "".join(f"{s},{d},{r!r}\n" for s, d, r in
+                                       zip(labels, list(ints), values.tolist()))
+        assert write_table("head\n", "%s,%d,%r", [labels, ints, values]) == expected
+
+
+_RECALL_EDGES = [io_formats._ROW_BLOCK - 1, io_formats._ROW_BLOCK, io_formats._ROW_BLOCK + 1]
+
+
+@pytest.mark.parametrize("n", _RECALL_EDGES)
+def test_curves_csv_matches_the_per_row_oracle_at_the_block_edge(n):
+    errors = np.random.default_rng(n).uniform(0.0, 2.0, n)
+    errors[:2] = [0.0, 5e-324]
+    text = curves_to_csv([RuleRun("ttt3r:confidence", errors)])
+    assert text == "rule,position,sq_error\n" + "".join(
+        f"ttt3r:confidence,{pos},{err!r}\n" for pos, err in enumerate(errors.tolist()))
+
+
+@pytest.mark.parametrize("n", _RECALL_EDGES)
+def test_gate_trace_csv_matches_the_per_row_oracle_at_the_block_edge(n):
+    betas = np.random.default_rng(n).uniform(0.0, 1.0, n)
+    offsets = np.r_[np.arange(0, n, 3), n]   # frames of 3 tokens, the last of 1 to 3
+    lines = [f"{f},{t},{float(betas[lo + t])!r}"
+             for f, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])) for t in range(hi - lo)]
+    assert len(lines) == n
+    text = gate_trace_to_csv(RuleRun("ttt3r:confidence", [1.0], betas, offsets))
+    assert text == "frame,token,beta\n" + "".join(line + "\n" for line in lines)
