@@ -50,13 +50,13 @@ def _check(ok, message: str) -> None:
 
 
 def _atomic_write(path: str, data) -> None:
-    """Write via a temp file and rename so partial files never appear."""
+    """Write text, or an iterable of text blocks one block at a time, via a
+    temp file and rename so partial files never appear."""
     directory = os.path.dirname(path) or "."
-    mode = "wb" if isinstance(data, bytes) else "w"
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, mode) as handle:
-            handle.write(data)
+        with os.fdopen(fd, "w") as handle:
+            handle.writelines([data] if isinstance(data, str) else data)
         # mkstemp's file is private (0o600): give it the mode a plain open would.
         umask = os.umask(0)
         os.umask(umask)
@@ -86,9 +86,16 @@ def _write_outputs(args, files: dict) -> None:
 
 
 def _read_text(path: str) -> str:
-    # Undecodable bytes reach the parsers as surrogates: a usage error there.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         return handle.read()
+
+
+def _parse(parse, path: str):
+    """parse (parse_tum or parse_ply_ascii) of the open file, which it reads a
+    block of lines at a time.  Undecodable bytes reach the parser as
+    surrogates, where they fail a number or a keyword: a usage error."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+        return parse(handle)
 
 
 def _read_bytes(path: str) -> bytes:
@@ -197,9 +204,9 @@ def _run_gradcheck(args) -> int:
     ok = max_rel <= args.tol
     if not ok:
         files["gradcheck_failure.csv"] = "name,row,col,value\n" + "".join(
-            write_table("", "%s,%d,%d,%r",
-                        [[name] * arr.size, *np.indices(arr.shape).reshape(2, -1), arr.ravel()])
-            for name, arr in zip(("s", "keys", "values"), worst[1]))
+            block for name, arr in zip(("s", "keys", "values"), worst[1])
+            for block in write_table("", "%s,%d,%d,%r", [[name] * arr.size,
+                                     *np.indices(arr.shape).reshape(2, -1), arr.ravel()]))
     _write_outputs(args, files)
     print(f"max relative error {max_rel:.3e} over {args.trials} trials "
           f"(tolerance {args.tol:g})")
@@ -213,8 +220,8 @@ def _run_gradcheck(args) -> int:
 def _run_traj_eval(args) -> int:
     _check(0 < args.max_dt < math.inf, "--max-dt must be positive and finite")
     _check(args.rpe_delta >= 1, "--rpe-delta must be >= 1")
-    est = parse_tum(_read_text(args.est))
-    gt = parse_tum(_read_text(args.gt))
+    est = _parse(parse_tum, args.est)
+    gt = _parse(parse_tum, args.gt)
     pairs = associate(est, gt, args.max_dt)
     if len(pairs) < 3:
         raise ValueError(
@@ -227,6 +234,16 @@ def _run_traj_eval(args) -> int:
     print(f"matched={len(pairs)} ate={ate_val:.6e} "
           f"rpe_trans={rpe_trans:.6e} rpe_rot={rpe_rot:.6e}")
     return 0
+
+
+class _Maps:
+    """The PFM maps of names in directory, parsed afresh on each iteration."""
+
+    def __init__(self, directory: str, names: list):
+        self.paths = [os.path.join(directory, name) for name in names]
+
+    def __iter__(self):
+        return (parse_pfm(_read_bytes(path)) for path in self.paths)
 
 
 def _list_pfms(directory: str):
@@ -247,19 +264,18 @@ def _run_depth_eval(args) -> int:
     if pred_names != gt_names:
         raise ValueError("prediction and reference file names do not match")
 
-    def maps(directory):
-        return (parse_pfm(_read_bytes(os.path.join(directory, n))) for n in pred_names)
-
     # Maps are parsed when read, so one pair is held at a time.  The first
-    # pass parses and shape-checks every pair before any metric is computed;
-    # the second parses each pair again for its metrics.
+    # pass parses and shape-checks every pair before any metric is computed
+    # (sequence_depth_scale parses each pair once more to gather its middle
+    # bins); the last parses each pair again for its metrics.
+    preds, gts = _Maps(args.pred, pred_names), _Maps(args.gt, gt_names)
     scale = 1.0
     if args.mode == "seq-scale":
-        scale = sequence_depth_scale(maps(args.pred), maps(args.gt))
+        scale = sequence_depth_scale(preds, gts)
     else:
-        for pred, gt in zip(maps(args.pred), maps(args.gt)):
+        for pred, gt in zip(preds, gts):
             _depth_maps(pred, gt)
-    per_frame = [depth_metrics(p, g, scale) for p, g in zip(maps(args.pred), maps(args.gt))]
+    per_frame = [depth_metrics(p, g, scale) for p, g in zip(preds, gts)]
     abs_rel, d125 = map(list, zip(*per_frame))
     mean_abs, mean_d = float(np.mean(abs_rel)), float(np.mean(d125))
     csv = write_table("frame,abs_rel,delta_125\n", "%s,%r,%r",
@@ -272,8 +288,8 @@ def _run_depth_eval(args) -> int:
 
 
 def _run_chamfer(args) -> int:
-    cloud_a = parse_ply_ascii(_read_text(args.a))
-    cloud_b = parse_ply_ascii(_read_text(args.b))
+    cloud_a = _parse(parse_ply_ascii, args.a)
+    cloud_b = _parse(parse_ply_ascii, args.b)
     result = chamfer(cloud_a, cloud_b)
     rows = [("accuracy", result.accuracy), ("completeness", result.completeness),
             ("chamfer", result.chamfer)]
@@ -287,8 +303,8 @@ def _run_chamfer(args) -> int:
 
 def _run_stitch(args) -> int:
     _check(args.reset_period >= 1, "--reset-period must be >= 1")
-    traj = parse_tum(_read_text(args.traj))
-    cloud = None if args.cloud is None else parse_ply_ascii(_read_text(args.cloud))
+    traj = _parse(parse_tum, args.traj)
+    cloud = None if args.cloud is None else _parse(parse_ply_ascii, args.cloud)
     chunks = split_trajectory(traj, args.reset_period, cloud)
     stitched, merged = stitch(chunks)
     roundtrip = ate(stitched, traj, associate(stitched, traj), align="none")

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -396,8 +398,9 @@ def depth_metrics(pred, gt, scale: float = 1.0):
     pred and gt are H x W arrays of one shape; pixels are valid where
     both maps are finite and positive.
     """
-    if not (scale > 0) or not math.isfinite(scale):
-        raise ValueError(f"scale must be positive and finite, got {scale}")
+    if (isinstance(scale, bool) or not isinstance(scale, numbers.Real) or not scale > 0
+            or not math.isfinite(scale)):
+        raise ValueError(f"scale must be positive and finite, got {scale!r}")
     pred, gt = _depth_maps(pred, gt)
     mask = _valid_mask(pred, gt)
     if not np.any(mask):
@@ -416,44 +419,20 @@ def depth_metrics(pred, gt, scale: float = 1.0):
     return abs_rel, delta_125
 
 
-def _compact(pixels: np.ndarray) -> np.ndarray:
-    """The pixels as float32 when that keeps every value exactly, else unchanged."""
-    with np.errstate(over="ignore"):
-        single = pixels.astype(np.float32)
-    return single if np.array_equal(single, pixels) else pixels
-
-
 def _bins(part: np.ndarray) -> np.ndarray:
     """The top 16 bits of each value rounded to float32: its sign, exponent and 7 bits."""
     with np.errstate(over="ignore"):
         return np.asarray(part, np.float32).view(np.int32) >> 16
 
 
-def _pooled_median(parts: list) -> np.float64:
-    """Median of the positive values of all parts, without joining them.
-
-    Positive floats order as their bits, and rounding float64 to
-    float32 keeps the order (past float32's range to inf, below it to
-    0), so one histogram of _bins finds the one or two bins that hold
-    the middle pair.  Only their values are gathered and partitioned,
-    as float64 if any part is, and averaging the pair in float64 gives
-    numpy's median of the float64 pool, bit for bit.
-    """
-    counts = np.zeros(1 << 15, np.int64)
-    for part in parts:
-        counts += np.bincount(_bins(part), minlength=len(counts))
-    ends = np.cumsum(counts)
-    n = int(ends[-1])
-    first, last = np.searchsorted(ends, [(n - 1) // 2, n // 2], side="right")
-    # Any bins between the two are empty.
-    pool = np.concatenate([part[np.isin(_bins(part), (first, last))] for part in parts])
-    below = int(ends[first] - counts[first])
-    lo, hi = (n - 1) // 2 - below, n // 2 - below
-    pool.partition([lo, hi])
-    return np.mean(pool[lo:hi + 1], dtype=np.float64)
-
-
+_NBINS = 1 << 15     # the bins of the positive values, inf included
 _END = object()
+
+
+def _masked(pred, gt):
+    """A map pair, checked, as float64 arrays, and the mask of its valid pixels."""
+    pred, gt = _depth_maps(pred, gt)
+    return pred, gt, _valid_mask(pred, gt)
 
 
 def sequence_depth_scale(preds: Iterable, gts: Iterable) -> float:
@@ -461,35 +440,59 @@ def sequence_depth_scale(preds: Iterable, gts: Iterable) -> float:
 
     Medians are taken over the valid pixels pooled across all frames,
     so a single scale serves every map of the sequence; given one map
-    pair, it is that map's own median ratio.  Each prediction
-    has the shape of its reference.  preds and gts may be any iterables,
-    generators included: one map pair is held at a time, and each
-    frame's valid pixels are kept as float32 where that is exact (PFM
-    samples always are), else as float64.  Each median selects from
-    those kept parts without joining them (_pooled_median), so the
-    scale is the one a float64 pool would give, and unless the depths
-    crowd into one bin, the kept parts are all the memory that grows
-    with the sequence.  A ratio that overflows, or underflows to 0,
-    raises ValueError.
+    pair, it is that map's own median ratio.  Each prediction has the
+    shape of its reference.  preds and gts must be re-iterable, such as
+    lists, or objects whose iter() starts over and gives the same maps
+    again: the maps are read in two passes, one pair at a time.
+
+    Positive floats order as their bits, and rounding float64 to float32
+    keeps the order (past float32's range to inf, below it to 0).  So
+    the first pass, which checks every pair in order, counts each side's
+    valid pixels in a histogram of _bins, and finds the one or two bins
+    that hold its middle pair.  The second pass gathers only the values
+    in those bins, as float64, and partitions them; averaging the pair in
+    float64 gives numpy's median of the float64 pool, bit for bit.  No
+    pixel is kept across frames: the memory is one map pair's
+    temporaries, the histograms and, unless the depths crowd into one
+    bin, the few values gathered.  A ratio that overflows, or underflows
+    to 0, raises ValueError.
     """
-    p_parts, g_parts = [], []
+    for maps in (preds, gts):
+        if isinstance(maps, Iterator):
+            raise ValueError(f"sequence_depth_scale needs re-iterable inputs, such as lists, "
+                             f"not a one-shot {type(maps).__name__}")
+    counts = np.zeros((2, _NBINS), np.int64)    # pred's, then gt's
     n_pred = n_gt = 0
     for pred, gt in itertools.zip_longest(preds, gts, fillvalue=_END):
         n_pred += pred is not _END
         n_gt += gt is not _END
-        if n_pred != n_gt:
-            continue
-        pred, gt = _depth_maps(pred, gt)
-        mask = _valid_mask(pred, gt)
-        p_parts.append(_compact(pred[mask]))
-        g_parts.append(_compact(gt[mask]))
-    pred = gt = mask = None    # the last map pair is not held through the medians
+        if n_pred == n_gt:
+            pred, gt, mask = _masked(pred, gt)
+            for hist, depth in zip(counts, (pred, gt)):
+                hist += np.bincount(_bins(depth)[mask], minlength=_NBINS)
     if n_pred != n_gt or not n_pred:
         raise ValueError(f"need matching non-empty map lists, got {n_pred} and {n_gt}")
-    if not any(part.size for part in p_parts):
+    ends = np.cumsum(counts, axis=1)
+    n = int(ends[0, -1])
+    if not n:
         raise ValueError("no valid pixels in the whole sequence")
+    ranks = ((n - 1) // 2, n // 2)
+    # Any bins between a side's two are empty.
+    middle = [np.searchsorted(end, ranks, side="right") for end in ends]
+    pools = ([], [])
+    for pred, gt in zip(preds, gts):
+        pred, gt, mask = _masked(pred, gt)
+        for pool, bins, depth in zip(pools, middle, (pred, gt)):
+            pool.append(depth[mask & np.isin(_bins(depth), bins)])
+    medians = []
+    for pool, bins, end, hist in zip(pools, middle, ends, counts):
+        pool = np.concatenate(pool)
+        below = int(end[bins[0]] - hist[bins[0]])
+        lo, hi = ranks[0] - below, ranks[1] - below
+        pool.partition([lo, hi])
+        medians.append(float(np.mean(pool[lo:hi + 1], dtype=np.float64)))
     # Python floats divide without numpy's overflow warning.
-    g_median, p_median = float(_pooled_median(g_parts)), float(_pooled_median(p_parts))
+    p_median, g_median = medians
     scale = g_median / p_median
     if not 0.0 < scale < math.inf:
         raise ValueError(f"the depth scale median(gt) / median(pred) = {g_median!r} / "

@@ -1,8 +1,11 @@
 """Readers and writers for TUM trajectories, ASCII PLY clouds and PFM depth.
 
-Parsers take text or bytes and return the geometry containers (a depth
-map is a plain H x W float64 array, row 0 the top row); writers return
-text or bytes for the caller to put on disk.  Parse failures
+The TUM and PLY parsers take a str or an open text file, which they read
+a block of lines at a time; parse_pfm takes bytes.  They return the
+geometry containers (a depth map is a plain H x W float64 array, row 0
+the top row).  write_tum and write_ply_ascii return write_table's
+blocks of text for the caller to join or write one at a time;
+write_metrics_csv returns text and write_pfm bytes.  Parse failures
 raise ParseError carrying the 1-based line number where the problem
 was found.  Formats we deliberately do not read (binary PLY, color
 PFM) raise UnsupportedFormatError instead of producing garbage.
@@ -10,9 +13,10 @@ PFM) raise UnsupportedFormatError instead of producing garbage.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,56 +85,102 @@ def _float_rows(lines: Sequence[str], linenos: Sequence[int], width: int,
     return np.array(rows, dtype=np.float64).reshape(-1, width), error
 
 
-# Rows formatted per block by write_table: one block's Python values are
-# held at a time, not the whole table's.
+# Rows per block: write_table formats, and the parsers read, _ROW_BLOCK
+# lines at a time, so one block's Python values are held, not the file's.
 _ROW_BLOCK = 4096
 
 
-def write_table(head: str, row: str, columns: Sequence) -> str:
+def write_table(head: str, row: str, columns: Sequence) -> Iterator[str]:
     """head, then one line per row: row %-formatted with that row's entry of each column.
 
     row holds one % field per column, e.g. "%s,%d,%r".  columns are 1-D
-    sequences of one length: arrays, lists or ranges.  Arrays are
-    converted with .tolist(), so a %r field shows a Python float's repr.
-    Rows are formatted _ROW_BLOCK at a time.
+    sequences of one length: arrays, lists or ranges, checked here.
+    Arrays are converted with .tolist(), so a %r field shows a Python
+    float's repr.  Returns head and then the rows formatted _ROW_BLOCK
+    at a time, as an iterator of strings: "".join() gives the text.
     """
-    blocks = [head]
+    if not columns:
+        raise ValueError("write_table needs at least one column")
+    for j, column in enumerate(columns):
+        if getattr(column, "ndim", 1) != 1 or not hasattr(column, "__len__"):
+            raise ValueError(f"write_table column {j} must be a 1-D sequence, "
+                             f"got a {np.ndim(column)}-D {type(column).__name__}")
+        if len(column) != len(columns[0]):
+            raise ValueError(f"write_table column {j} has {len(column)} rows, "
+                             f"column 0 has {len(columns[0])}")
     width, n = len(columns), len(columns[0])
-    for lo in range(0, n, _ROW_BLOCK):
+
+    def block(lo: int) -> str:
         fields = [None] * (width * min(_ROW_BLOCK, n - lo))
         for j, column in enumerate(columns):
             part = column[lo:lo + _ROW_BLOCK]
             fields[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
-        blocks.append((row + "\n") * (len(fields) // width) % tuple(fields))
-    return "".join(blocks)
+        return (row + "\n") * (len(fields) // width) % tuple(fields)
+
+    return itertools.chain([head], map(block, range(0, n, _ROW_BLOCK)))
+
+
+# A file is read _CHUNK characters at a time; str.splitlines() breaks lines
+# at each of _LINE_BREAKS, and at \r\n.
+_CHUNK = 1 << 16
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _lines(source) -> Iterator[str]:
+    """The lines of source, a str or an open text file, as str.splitlines() gives them.
+
+    A str is one chunk; a file is read in chunks of _CHUNK characters,
+    each split with splitlines().  A line cut by the end of a chunk is
+    carried into the next, and so is a \\r\\n cut between two.  Any
+    newline mode of the file gives the same lines; newline="" reads them
+    without translating.
+    """
+    chunks = [source] if isinstance(source, str) else iter(lambda: source.read(_CHUNK), "")
+    tail, after_cr = "", False
+    for chunk in chunks:
+        if after_cr and chunk.startswith("\n"):
+            chunk = chunk[1:]
+        text = tail + chunk
+        lines = text.splitlines()
+        after_cr = text.endswith("\r")
+        tail = "" if text[-1:] in _LINE_BREAKS else lines.pop()
+        yield from lines
+    if tail:
+        yield tail
+
+
+def _blocks(lines: Iterator[str], first: int, count: float = math.inf):
+    """(number of the first line, list of lines) for each block of up to
+    _ROW_BLOCK lines taken from lines, whose first is line `first`.
+    Takes count lines, or all; a block shorter than asked for is the last.
+    """
+    while count > 0:
+        size = min(_ROW_BLOCK, count)
+        block = list(itertools.islice(lines, size))
+        if block:
+            yield first, block
+        if len(block) < size:
+            return
+        first += size
+        count -= size
 
 
 # ---------------------------------------------------------------------------
 # TUM trajectories: "timestamp tx ty tz qx qy qz qw" per line.
 
-def parse_tum(text: str) -> Trajectory:
-    """Parse TUM trajectory text; '#' lines and blank lines are skipped.
+def _unit_quats(data: np.ndarray, before: float, lines: list, linenos: list) -> np.ndarray:
+    """The (w, x, y, z) unit quaternions of one block of pose rows, after the
+    timestamp `before` (NaN for none); the first bad row raises its ParseError.
 
-    Reports the first offending line: a malformed pose line ends the
-    rows read (_float_rows), and the pose lines before it are checked
-    as columns.
+    A row is judged on its quaternion norm, then its timestamp order, then
+    finiteness; NaN passes the first two, as a comparison with NaN is false.
     """
-    lines = text.splitlines()
-    # A line is skipped when str.split() would find no field or a first
-    # field starting with '#'; lstrip() strips the same whitespace.
-    linenos = [i for i, raw in enumerate(lines, 1) if raw.lstrip()[:1] not in ("", "#")]
-    data, error = _float_rows([lines[i - 1] for i in linenos], linenos, 8,
-                              "expected 8 fields (timestamp tx ty tz qx qy qz qw), got {}",
-                              "non-numeric field in {!r}")
-    if not len(data):
-        raise error or ParseError("empty trajectory: no pose lines found")
     ts, tx, ty, tz, qx, qy, qz, qw = data.T
     with np.errstate(over="ignore"):   # a huge quaternion's norm is inf, and it fails below
         norm = np.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
-    # A line is judged on its quaternion norm, then its timestamp order, then
-    # finiteness; NaN passes the first two, as a comparison with NaN is false.
+    previous = np.r_[before, ts[:-1]]
     off_unit = np.abs(norm - 1.0) > 1e-3
-    late = np.r_[False, ts[1:] <= ts[:-1]]
+    late = ts <= previous
     bad = off_unit | late | ~np.all(np.isfinite(data), axis=1)
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -138,18 +188,45 @@ def parse_tum(text: str) -> Trajectory:
             message = f"quaternion norm {float(norm[i])!r} deviates from 1 by more than 1e-3"
         elif late[i]:
             message = (f"timestamps must strictly increase, got {float(ts[i])!r} "
-                       f"after {float(ts[i - 1])!r}")
+                       f"after {float(previous[i])!r}")
         else:
-            message = f"non-finite field in {lines[linenos[i] - 1].strip()!r}"
+            message = f"non-finite field in {lines[i].strip()!r}"
         raise ParseError(message, linenos[i])
-    if error is not None:
-        raise error
-    return Trajectory(ts, np.stack([qw, qx, qy, qz], axis=1) / norm[:, None], data[:, 1:4])
+    return np.stack([qw, qx, qy, qz], axis=1) / norm[:, None]
 
 
-def write_tum(traj: Trajectory) -> str:
+def parse_tum(source) -> Trajectory:
+    """Parse a TUM trajectory, a str or an open text file; '#' lines and blank lines are skipped.
+
+    Reports the first offending line: a malformed pose line ends the
+    rows read (_float_rows), and the pose lines before it are checked
+    as columns.  The lines are read and checked _ROW_BLOCK at a time.
+    """
+    data, quats, before = [], [], math.nan
+    for first, block in _blocks(_lines(source), 1):
+        # A line is skipped when str.split() would find no field or a first
+        # field starting with '#'; lstrip() strips the same whitespace.
+        linenos = [i for i, raw in enumerate(block, first) if raw.lstrip()[:1] not in ("", "#")]
+        lines = [block[i - first] for i in linenos]
+        rows, error = _float_rows(lines, linenos, 8,
+                                  "expected 8 fields (timestamp tx ty tz qx qy qz qw), got {}",
+                                  "non-numeric field in {!r}")
+        if len(rows):
+            quats.append(_unit_quats(rows, before, lines, linenos))
+            data.append(rows)
+            before = rows[-1, 0]
+        if error is not None:
+            raise error
+    if not data:
+        raise ParseError("empty trajectory: no pose lines found")
+    data, quats = np.concatenate(data), np.concatenate(quats)
+    return Trajectory(data[:, 0], quats, data[:, 1:4])
+
+
+def write_tum(traj: Trajectory) -> Iterator[str]:
     """Render a trajectory in TUM format with 17 significant digits,
-    enough for float64 values to survive a write/parse round trip."""
+    enough for float64 values to survive a write/parse round trip.
+    Returns write_table's blocks: "".join() gives the text."""
     w, x, y, z = traj.quats.T
     return write_table("# ttt-lab trajectory\n# timestamp tx ty tz qx qy qz qw\n",
                        " ".join(["%.17g"] * 8),
@@ -166,26 +243,53 @@ _PLY_SCALARS = {
 }
 
 
-def parse_ply_ascii(text: str) -> PointCloud:
-    """Parse an ASCII PLY vertex cloud.
+def _vertex_columns(rows: np.ndarray, first: int, col: dict, has_n: list):
+    """The points and unit normals (or None) of one block of vertex rows,
+    whose first is line `first`; the first bad row raises its ParseError.
+
+    Each row is judged on its point, then its normal.  A NaN length or
+    normal fails the unit check, as a comparison with NaN is false.
+    """
+    points = rows[:, [col["x"], col["y"], col["z"]]]
+    normals = None
+    failed = [(~np.isfinite(points).all(axis=1), "non-finite point")]
+    if has_n:
+        raw = rows[:, [col["nx"], col["ny"], col["nz"]]]
+        with np.errstate(all="ignore"):   # a bad normal's length is 0 or inf; it fails below
+            lengths = np.linalg.norm(raw, axis=1)
+            normals = raw / lengths[:, None]
+        failed += [(~np.isfinite(raw).all(axis=1), "non-finite normal"),
+                   (lengths == 0, "zero-length normal"),
+                   (~(np.abs(np.linalg.norm(normals, axis=1) - 1.0) <= 1e-6),
+                    "normal too large or too small to normalize")]
+    bad = np.logical_or.reduce([mask for mask, _ in failed])
+    if bad.any():
+        i = int(np.argmax(bad))
+        message = next(message for mask, message in failed if mask[i])
+        raise ParseError(f"{message} in vertex data", first + i)
+    return points, normals
+
+
+def parse_ply_ascii(source) -> PointCloud:
+    """Parse an ASCII PLY vertex cloud, a str or an open text file.
 
     Vertex properties x/y/z are required; nx/ny/nz are picked up when
     all three are present (normals are re-normalized to unit length).
     Other vertex properties and non-vertex elements are skipped, with a
     warning for unrecognized vertex properties.  One data line per
     element instance is assumed, which is how ASCII PLY is written in
-    practice.
+    practice.  The body is read and checked _ROW_BLOCK lines at a time.
     """
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "ply":
+    lines = _lines(source)
+    if next(lines, "").strip() != "ply":
         raise ParseError("not a PLY file: first line must be 'ply'", 1)
 
     elements = []          # (name, count, [property names]) in declared order
     current = None
     fmt_seen = False
     data_start = None
-    for lineno in range(1, len(lines)):
-        tokens = lines[lineno].strip().split()
+    for lineno, raw in enumerate(lines, 2):
+        tokens = raw.strip().split()
         if not tokens:
             continue
         keyword = tokens[0]
@@ -193,36 +297,36 @@ def parse_ply_ascii(text: str) -> PointCloud:
             continue
         if keyword == "format":
             if len(tokens) < 2:
-                raise ParseError("malformed format line", lineno + 1)
+                raise ParseError("malformed format line", lineno)
             if tokens[1] in ("binary_little_endian", "binary_big_endian"):
                 raise UnsupportedFormatError(
-                    "binary PLY is not supported; convert to ascii", lineno + 1
+                    "binary PLY is not supported; convert to ascii", lineno
                 )
             if tokens[1] != "ascii":
-                raise ParseError(f"unknown PLY format {tokens[1]!r}", lineno + 1)
+                raise ParseError(f"unknown PLY format {tokens[1]!r}", lineno)
             fmt_seen = True
         elif keyword == "element":
             if len(tokens) != 3:
-                raise ParseError("malformed element line", lineno + 1)
+                raise ParseError("malformed element line", lineno)
             try:
                 count = int(tokens[2])
             except ValueError:
-                raise ParseError(f"bad element count {tokens[2]!r}", lineno + 1) from None
+                raise ParseError(f"bad element count {tokens[2]!r}", lineno) from None
             if count < 0:
-                raise ParseError(f"negative element count {count}", lineno + 1)
+                raise ParseError(f"negative element count {count}", lineno)
             current = (tokens[1], count, [])
             elements.append(current)
         elif keyword == "property":
             if current is None:
-                raise ParseError("property before any element", lineno + 1)
+                raise ParseError("property before any element", lineno)
             if len(tokens) >= 2 and tokens[1] == "list":
                 current[2].append(("list", tokens[-1]))
             elif len(tokens) == 3 and tokens[1] in _PLY_SCALARS:
                 current[2].append(("scalar", tokens[2]))
             else:
-                raise ParseError(f"malformed property line {lines[lineno].strip()!r}", lineno + 1)
+                raise ParseError(f"malformed property line {raw.strip()!r}", lineno)
         elif keyword == "end_header":
-            data_start = lineno + 1
+            data_start = lineno
             break
         else:
             warnings.warn(f"skipping unknown PLY header keyword {keyword!r}")
@@ -250,57 +354,46 @@ def parse_ply_ascii(text: str) -> PointCloud:
     for name in names:
         if name not in known:
             warnings.warn(f"ignoring unknown vertex property {name!r}")
+    col = {nm: i for i, (_, nm) in enumerate(v_props)}   # a repeated name reads its last column
 
     # Data rows follow in element declaration order, one line per instance.
     # Only the first vertex element is read; the rest are skipped.
-    cursor = data_start
-    normals = None
+    cursor = data_start    # the lines read
+    points, normals = [], []
     for element in elements:
         name, count, props = element
+        start = cursor
         if element is not vertex:
-            cursor += count
-            if cursor > len(lines):
-                raise ParseError(
-                    f"file ends inside element {name!r}: expected {count} rows", len(lines)
-                )
+            cursor += sum(len(block) for _, block in _blocks(lines, 0, count))
+            if cursor - start < count:
+                raise ParseError(f"file ends inside element {name!r}: expected {count} rows",
+                                 cursor)
             continue
-        rows, error = _float_rows(lines[cursor:cursor + count],
-                                  range(cursor + 1, cursor + count + 1), len(props),
-                                  f"expected {len(props)} vertex values, got {{}}",
-                                  "non-numeric vertex value in {!r}")
-        col = {nm: i for i, (_, nm) in enumerate(props)}   # a repeated name reads its last column
-        points = rows[:, [col["x"], col["y"], col["z"]]]
-        # The rows read are judged before a malformed or missing row after
-        # them: each on its point, then its normal.  A NaN length or normal
-        # fails the unit check, as a comparison with NaN is false.
-        failed = [(~np.isfinite(points).all(axis=1), "non-finite point")]
-        if has_n:
-            raw = rows[:, [col["nx"], col["ny"], col["nz"]]]
-            with np.errstate(all="ignore"):   # a bad normal's length is 0 or inf; it fails below
-                lengths = np.linalg.norm(raw, axis=1)
-                normals = raw / lengths[:, None]
-            failed += [(~np.isfinite(raw).all(axis=1), "non-finite normal"),
-                       (lengths == 0, "zero-length normal"),
-                       (~(np.abs(np.linalg.norm(normals, axis=1) - 1.0) <= 1e-6),
-                        "normal too large or too small to normalize")]
-        bad = np.logical_or.reduce([mask for mask, _ in failed])
-        if bad.any():
-            i = int(np.argmax(bad))
-            message = next(message for mask, message in failed if mask[i])
-            raise ParseError(f"{message} in vertex data", cursor + i + 1)
-        if error is not None:
-            raise error
-        if len(rows) < count:
-            raise ParseError(f"file ends after {len(rows)} of {count} vertex rows", len(lines))
-        cursor += count
-    for extra in range(cursor, len(lines)):
-        if lines[extra].strip():
-            raise ParseError("unexpected trailing data after all elements", extra + 1)
+        for first, block in _blocks(lines, cursor + 1, count):
+            cursor += len(block)
+            rows, error = _float_rows(block, range(first, cursor + 1), len(props),
+                                      f"expected {len(props)} vertex values, got {{}}",
+                                      "non-numeric vertex value in {!r}")
+            # The rows read are judged before a malformed or missing row after them.
+            block_points, block_normals = _vertex_columns(rows, first, col, has_n)
+            points.append(block_points)
+            normals.append(block_normals)
+            if error is not None:
+                raise error
+        if cursor - start < count:
+            raise ParseError(f"file ends after {cursor - start} of {count} vertex rows", cursor)
+    for extra, raw in enumerate(lines, cursor + 1):
+        if raw.strip():
+            raise ParseError("unexpected trailing data after all elements", extra)
+    # Joined one at a time, so the blocks of one are freed before the other is built.
+    points = np.concatenate(points)
+    normals = np.concatenate(normals) if has_n else None
     return PointCloud(points, normals)
 
 
-def write_ply_ascii(cloud: PointCloud) -> str:
-    """Render a cloud as ASCII PLY; normals are written when present."""
+def write_ply_ascii(cloud: PointCloud) -> Iterator[str]:
+    """Render a cloud as ASCII PLY; normals are written when present.
+    Returns write_table's blocks: "".join() gives the text."""
     header = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}",
               "property double x", "property double y", "property double z"]
     columns = [*cloud.points.T]
@@ -387,5 +480,5 @@ def write_pfm(depth) -> bytes:
 
 def write_metrics_csv(rows: Sequence[Tuple[str, float]]) -> str:
     """Two-column report: metric,value with full float precision."""
-    return write_table("metric,value\n", "%s,%r",
-                       [[name for name, _ in rows], [float(value) for _, value in rows]])
+    return "".join(write_table("metric,value\n", "%s,%r",
+                               [[name for name, _ in rows], [float(value) for _, value in rows]]))

@@ -618,9 +618,9 @@ def compare_rules(task: RecallTask, configs: Sequence[StreamConfig]) -> list:
 def curves_to_csv(runs: Sequence[RuleRun]) -> str:
     """One row per stored pair: rule,position,sq_error."""
     return "rule,position,sq_error\n" + "".join(
-        write_table("", "%s,%d,%r", [[run.rule_label] * run.sq_errors.size,
-                                     range(run.sq_errors.size), run.sq_errors])
-        for run in runs)
+        block for run in runs
+        for block in write_table("", "%s,%d,%r", [[run.rule_label] * run.sq_errors.size,
+                                                  range(run.sq_errors.size), run.sq_errors]))
 
 
 def gate_trace_to_csv(run: RuleRun) -> str:
@@ -628,11 +628,11 @@ def gate_trace_to_csv(run: RuleRun) -> str:
     sizes = np.diff(run.gate_offsets)
     frames = np.repeat(np.arange(len(sizes)), sizes)
     tokens = np.arange(run.betas.size) - np.repeat(run.gate_offsets[:-1], sizes)
-    return write_table("frame,token,beta\n", "%d,%d,%r", [frames, tokens, run.betas])
+    return "".join(write_table("frame,token,beta\n", "%d,%d,%r", [frames, tokens, run.betas]))
 
 
 def summary_to_csv(runs: Sequence[RuleRun]) -> str:
     """One row per rule: rule,mean_sq_error,worst_sq_error."""
-    return write_table("rule,mean_sq_error,worst_sq_error\n", "%s,%r,%r",
-                       [[r.rule_label for r in runs], [r.mean_sq_error for r in runs],
-                        [r.worst_sq_error for r in runs]])
+    return "".join(write_table("rule,mean_sq_error,worst_sq_error\n", "%s,%r,%r",
+                               [[r.rule_label for r in runs], [r.mean_sq_error for r in runs],
+                                [r.worst_sq_error for r in runs]]))

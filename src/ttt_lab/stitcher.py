@@ -11,6 +11,7 @@ each anchor without any optimization.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -114,6 +115,8 @@ def split_trajectory(traj: Trajectory, period: int, cloud: Optional[PointCloud] 
     one point each, and chunk k carries the k-th in its local frame.
     stitch() inverts this exactly (up to rounding).
     """
+    if isinstance(period, bool) or not isinstance(period, numbers.Integral):
+        raise ValueError(f"period must be an integer, got {period!r}")
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
     n = len(traj)

@@ -250,12 +250,12 @@ def test_12_every_command_reruns_byte_identically(tmp_path):
     rng = np.random.default_rng(31)
 
     traj_file = tmp_path / "traj.tum"
-    traj_file.write_text(write_tum(_rand_traj(rng, 30)))
+    traj_file.write_text("".join(write_tum(_rand_traj(rng, 30))))
 
     cloud_a = tmp_path / "a.ply"
     cloud_b = tmp_path / "b.ply"
-    cloud_a.write_text(write_ply_ascii(PointCloud(rng.standard_normal((25, 3)))))
-    cloud_b.write_text(write_ply_ascii(PointCloud(rng.standard_normal((25, 3)))))
+    cloud_a.write_text("".join(write_ply_ascii(PointCloud(rng.standard_normal((25, 3))))))
+    cloud_b.write_text("".join(write_ply_ascii(PointCloud(rng.standard_normal((25, 3))))))
 
     for sub in ("gtd", "predd"):
         os.makedirs(tmp_path / sub)

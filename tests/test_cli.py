@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ttt_lab.cli import _build_parser, main
+from ttt_lab import io_formats
+from ttt_lab.cli import _atomic_write, _build_parser, main
 from ttt_lab.geometry_metrics import PointCloud, Trajectory, chamfer, depth_metrics, \
     sequence_depth_scale
 from ttt_lab.io_formats import parse_pfm, parse_ply_ascii, parse_tum, write_pfm, \
@@ -38,12 +39,12 @@ def _write_traj(path, n=30, seed=0, jitter=0.0):
     for _ in range(n):
         translations.append(rng.standard_normal(3) + jitter * rng.standard_normal(3))
         quats.append(_rand_quat(rng))
-    path.write_text(write_tum(Trajectory(0.1 * np.arange(n), quats, translations)))
+    path.write_text("".join(write_tum(Trajectory(0.1 * np.arange(n), quats, translations))))
 
 
 def _write_cloud(path, n=20, seed=0):
     rng = np.random.default_rng(seed)
-    path.write_text(write_ply_ascii(PointCloud(rng.standard_normal((n, 3)))))
+    path.write_text("".join(write_ply_ascii(PointCloud(rng.standard_normal((n, 3))))))
 
 
 def _write_depth_dir(directory, frames=2, factor=1.0, seed=0):
@@ -337,6 +338,39 @@ def test_outputs_take_the_mode_the_umask_gives(tmp_path):
         assert modes == {"chamfer.csv": 0o644, "manifest.json": 0o644}, run
 
 
+def test_a_block_iterator_that_raises_midway_leaves_no_file(tmp_path):
+    def blocks():
+        yield "ply\n"
+        raise ValueError("no more rows")
+
+    with pytest.raises(ValueError, match="no more rows"):
+        _atomic_write(str(tmp_path / "stitched.ply"), blocks())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stitched_ply_is_written_one_block_at_a_time(tmp_path):
+    # Joining write_table's blocks first held the text twice (2.0x the
+    # file's size).  Written one block at a time, the peak is one block's
+    # floats, its text and its encoded bytes: 3.3 blocks of text.
+    rng = np.random.default_rng(1)
+    n = 50_000
+    normals = rng.standard_normal((n, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    cloud = PointCloud(rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300, (n, 1)),
+                       normals)
+    path = tmp_path / "stitched.ply"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _atomic_write(str(path), write_ply_ascii(cloud))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    blocks = -(-n // io_formats._ROW_BLOCK)
+    assert peak - before < 4 * path.stat().st_size / blocks
+    assert path.read_text() == "".join(write_ply_ascii(cloud))
+
+
 def test_rerun_defaults_to_the_manifest_directory(tmp_path):
     out = tmp_path / "a"
     assert main(["recall", "--out", str(out), "--rules", "vanilla",
@@ -533,15 +567,15 @@ def test_traj_eval_without_overlap_is_a_runtime_failure(tmp_path):
     _write_traj(gt, seed=0)
     rng = np.random.default_rng(1)
     draws = [(_rand_quat(rng), rng.standard_normal(3)) for _ in range(10)]
-    est.write_text(write_tum(Trajectory(100.0 + 0.1 * np.arange(10),
-                                        [q for q, _ in draws], [t for _, t in draws])))
+    est.write_text("".join(write_tum(Trajectory(100.0 + 0.1 * np.arange(10),
+                                                [q for q, _ in draws], [t for _, t in draws]))))
     assert main(["traj-eval", "--est", str(est), "--gt", str(gt),
                  "--out", str(tmp_path / "t")]) == 1
 
 
 def _traj_eval_row(tmp_path, est, gt, name, *flags):
-    (tmp_path / "est.tum").write_text(write_tum(est))
-    (tmp_path / "gt.tum").write_text(write_tum(gt))
+    (tmp_path / "est.tum").write_text("".join(write_tum(est)))
+    (tmp_path / "gt.tum").write_text("".join(write_tum(gt)))
     assert main(["traj-eval", "--est", str(tmp_path / "est.tum"), "--gt",
                  str(tmp_path / "gt.tum"), "--out", str(tmp_path / name), *flags]) == 0
     row = (tmp_path / name / "traj_eval.csv").read_text().split()[1]
@@ -776,7 +810,7 @@ def test_chamfer_reports_normal_consistency_when_both_clouds_carry_normals(tmp_p
         unit = rng.standard_normal((30, 3))
         unit /= np.linalg.norm(unit, axis=1, keepdims=True)
         cloud = PointCloud(rng.standard_normal((30, 3)), unit if has_normals else None)
-        (tmp_path / name).write_text(write_ply_ascii(cloud))
+        (tmp_path / name).write_text("".join(write_ply_ascii(cloud)))
         clouds.append(parse_ply_ascii((tmp_path / name).read_text()))
     out = tmp_path / "c"
     assert main(["chamfer", "--a", str(tmp_path / "a.ply"), "--b", str(tmp_path / "b.ply"),
@@ -978,7 +1012,7 @@ def test_stitch_round_trips_translations_far_from_the_origin(tmp_path, capsys, m
     rng = np.random.default_rng(40)
     traj = Trajectory(0.1 * np.arange(300), [_rand_quat(rng) for _ in range(300)],
                       magnitude * rng.standard_normal((300, 3)))
-    (tmp_path / "t.tum").write_text(write_tum(traj))
+    (tmp_path / "t.tum").write_text("".join(write_tum(traj)))
     out = tmp_path / "s"
     assert main(["stitch", "--traj", str(tmp_path / "t.tum"), "--out", str(out),
                  "--reset-period", "10"]) == 0

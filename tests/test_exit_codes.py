@@ -37,12 +37,12 @@ def inputs(tmp_path_factory):
     rng = np.random.default_rng(0)
     quats = rng.standard_normal((30, 4))
     quats /= np.linalg.norm(quats, axis=1, keepdims=True)
-    (root / "t.tum").write_text(write_tum(Trajectory(0.1 * np.arange(30), quats,
-                                                     rng.standard_normal((30, 3)))))
+    (root / "t.tum").write_text("".join(write_tum(Trajectory(0.1 * np.arange(30), quats,
+                                                             rng.standard_normal((30, 3))))))
     normals = rng.standard_normal((20, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    (root / "c.ply").write_text(write_ply_ascii(PointCloud(rng.standard_normal((20, 3)),
-                                                           normals)))
+    cloud = PointCloud(rng.standard_normal((20, 3)), normals)
+    (root / "c.ply").write_text("".join(write_ply_ascii(cloud)))
     for name in ("pred", "gt"):
         (root / name).mkdir()
         for i in range(2):

@@ -582,6 +582,15 @@ def test_depth_metrics_rejects_a_scale_that_is_not_positive_and_finite(scale):
         depth_metrics(gt, gt, scale)
 
 
+@pytest.mark.parametrize("scale", [None, "2.0", True, np.array(2.0)])
+def test_depth_metrics_rejects_a_scale_that_is_not_a_real_number(scale):
+    gt = np.ones((2, 2))
+    message = f"scale must be positive and finite, got {scale!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        depth_metrics(gt, gt, scale)
+    assert depth_metrics(2.0 * gt, gt, np.float32(0.5)) == (0.0, 1.0)
+
+
 def _depth_mask(pred, gt):
     return np.isfinite(pred) & (pred > 0) & np.isfinite(gt) & (gt > 0)
 
@@ -655,20 +664,34 @@ def _depth_sequence(draw):
     return maps[:frames], maps[frames:]
 
 
+class _Reread:
+    """Re-iterable maps that give fresh copies one at a time, as the CLI's PFM
+    readers do; passes counts the iterations begun."""
+
+    def __init__(self, maps):
+        self.maps, self.passes = maps, 0
+
+    def __iter__(self):
+        self.passes += 1
+        return (m.copy() for m in self.maps)
+
+
 @settings(max_examples=300)
 @given(_depth_sequence())
-def test_sequence_scale_streams_generators_with_the_float64_pool_bits(maps):
+def test_sequence_scale_rereads_its_inputs_with_the_float64_pool_bits(maps):
     preds, gts = maps
     masks = [np.isfinite(p) & (p > 0) & np.isfinite(g) & (g > 0) for p, g in zip(preds, gts)]
     if not any(m.any() for m in masks):
         with pytest.raises(ValueError, match="no valid pixels in the whole sequence"):
-            sequence_depth_scale(iter(preds), iter(gts))
+            sequence_depth_scale(_Reread(preds), _Reread(gts))
         return
     pooled_p = np.concatenate([p[m] for p, m in zip(preds, masks)])
     pooled_g = np.concatenate([g[m] for g, m in zip(gts, masks)])
     expected = float(np.median(pooled_g) / np.median(pooled_p))
-    got = sequence_depth_scale((p for p in preds), (g for g in gts))
+    reread = _Reread(preds), _Reread(gts)
+    got = sequence_depth_scale(*reread)
     assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+    assert [maps.passes for maps in reread] == [2, 2]
     assert sequence_depth_scale(preds, gts) == got
 
 
@@ -688,12 +711,20 @@ def _median_values(rng, n, values):
     return rng.choice([1e-40, 1e-46, 2e-46, 1e-300, 5e-324], n)   # below float32: bin 0
 
 
+def _median_of(parts) -> float:
+    """The pooled median of the parts, as sequence_depth_scale takes it: the
+    parts are reference maps (an empty part an invalid pixel) over
+    predictions of 1.0, so the scale is that median divided by 1.0."""
+    gts = [part.reshape(1, -1) if part.size else np.zeros((1, 1)) for part in parts]
+    return sequence_depth_scale([np.ones(g.shape) for g in gts], gts)
+
+
 @pytest.mark.parametrize("sizes", [[1], [2], [7], [8], [3, 0, 4], [1000, 1001], [0, 5],
                                    [0, 6, 0, 9]])
 @pytest.mark.parametrize("kinds", ["float32", "float64", "mixed"])
 @pytest.mark.parametrize("values", ["spread", "duplicates", "constant", "two bins",
                                     "beyond float32", "below float32"])
-def test_pooled_median_has_the_bits_of_the_float64_median(sizes, kinds, values):
+def test_sequence_scale_median_has_the_bits_of_the_float64_median(sizes, kinds, values):
     rng = np.random.default_rng(len(sizes) * 1000 + sum(sizes))
     pool = _median_values(rng, sum(sizes), values)
     parts = np.split(pool, np.cumsum(sizes)[:-1])
@@ -703,32 +734,31 @@ def test_pooled_median_has_the_bits_of_the_float64_median(sizes, kinds, values):
             # float32 parts take the nearest float32 extreme in place of what it cannot hold.
             parts[k] = np.clip(part, single.smallest_subnormal, single.max).astype(np.float32)
     expected = np.median(np.concatenate(parts, dtype=np.float64))
-    got = geometry_metrics._pooled_median(list(parts))
-    assert type(got) is np.float64
-    assert got.tobytes() == expected.tobytes()
+    assert np.float64(_median_of(parts)).tobytes() == expected.tobytes()
 
 
-def test_pooled_median_averages_the_middle_pair_in_float64():
+def test_sequence_scale_averages_the_middle_pair_in_float64():
     big = np.float32(np.finfo(np.float32).max)
     # In float32 the two largest values would sum to inf.
-    got = geometry_metrics._pooled_median([np.array([big, big], dtype=np.float32)])
-    assert got == np.float64(big)
+    assert _median_of([np.array([big, big], dtype=np.float32)]) == np.float64(big)
     # Odd pools return their middle element, not (x + x) / 2, which overflows here.
     top = np.finfo(np.float64).max
-    assert geometry_metrics._pooled_median([np.array([top, top, top])]) == top
+    assert _median_of([np.array([top, top, top])]) == top
 
 
-def test_sequence_scale_holds_8_bytes_per_valid_pixel_and_two_map_pairs():
+def test_sequence_scale_holds_no_pixels_across_frames():
     frames, shape = 24, (160, 200)
     rng = np.random.default_rng(16)
     gts = [rng.uniform(1.0, 5.0, shape).astype(np.float32) for _ in range(frames)]
     preds = [(1.5 * g * rng.lognormal(0.0, 0.05, shape)).astype(np.float32) for g in gts]
     for g in gts:
         g[rng.random(shape) < 0.01] = 0.0
-    valid = sum(np.count_nonzero((p > 0) & (g > 0)) for p, g in zip(preds, gts))
-    # The kept float32 parts of both sides, and two float64 map pairs.  A
-    # joined pool of one side would add 4 bytes per valid pixel.
-    bound = 8 * valid + 2 * (2 * 8 * shape[0] * shape[1])
+    # The float64 map pair being read, the pair before it and the valid
+    # pixels of one, and four histograms' worth: the counts of both sides
+    # and their running sums.  Keeping each frame's valid pixels, as float32,
+    # would add 8 bytes per valid pixel: 6.1 MB here.
+    pair = 2 * 8 * shape[0] * shape[1]
+    bound = 3 * pair + 4 * 8 * geometry_metrics._NBINS
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -743,11 +773,21 @@ def test_sequence_scale_counts_the_frames_of_iterables():
     a = np.ones((2, 3))
     for preds, gts, counts in [([a, a, a, a], [a, a], "4 and 2"), ([a], [a, a, a], "1 and 3"),
                                ([], [], "0 and 0")]:
-        for p, g in [(preds, gts), (iter(preds), iter(gts))]:
+        for p, g in [(preds, gts), (_Reread(preds), _Reread(gts))]:
             with pytest.raises(ValueError, match=f"need matching non-empty map lists, got {counts}"):
                 sequence_depth_scale(p, g)
     with pytest.raises(ValueError, match="no valid pixels in the whole sequence"):
-        sequence_depth_scale(iter([a, -a]), iter([-a, a]))
+        sequence_depth_scale(_Reread([a, -a]), _Reread([-a, a]))
+
+
+@pytest.mark.parametrize("one_shot", [iter, lambda maps: (m for m in maps)],
+                         ids=["iterator", "generator"])
+def test_sequence_scale_rejects_one_shot_iterables(one_shot):
+    a = np.ones((2, 3))
+    for preds, gts in [(one_shot([a]), [a]), ([a], one_shot([a]))]:
+        with pytest.raises(ValueError, match="^sequence_depth_scale needs re-iterable inputs, "
+                                             "such as lists, not a one-shot "):
+            sequence_depth_scale(preds, gts)
 
 
 @pytest.mark.parametrize("pred, gt, way", [(1e-300, 1e300, "overflows"),

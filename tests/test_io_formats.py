@@ -1,6 +1,9 @@
 """Tests for the TUM, PLY, PFM and CSV readers and writers."""
 
+import io
+import re
 import struct
+import tempfile
 import tracemalloc
 import warnings
 from unittest import mock
@@ -40,11 +43,21 @@ def test_tum_round_trip_is_bitwise_exact_for_1000_poses():
     rng = np.random.default_rng(0)
     draws = [(_rand_quat(rng), rng.standard_normal(3)) for _ in range(1000)]
     traj = Trajectory(0.05 * np.arange(1000), [q for q, _ in draws], [t for _, t in draws])
-    back = parse_tum(write_tum(traj))
+    back = parse_tum("".join(write_tum(traj)))
     assert len(back) == 1000
     np.testing.assert_array_equal(traj.timestamps, back.timestamps)
     np.testing.assert_array_equal(traj.translations, back.translations)
     np.testing.assert_allclose(traj.quats, back.quats, rtol=0, atol=1e-15)
+
+
+def _assert_same_text(got: str, expected: str) -> None:
+    """got == expected, or a failure that names the first differing line and
+    its 0-based index: an assertion diff of two texts of thousands of lines
+    would run for minutes."""
+    got, expected = got.split("\n"), expected.split("\n")
+    assert len(got) == len(expected), f"{len(got)} lines, expected {len(expected)}"
+    i = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b), None)
+    assert i is None, f"line {i} is {got[i]!r}, expected {expected[i]!r}"
 
 
 def _tum_writer_oracle(traj):
@@ -68,7 +81,7 @@ def _writer_traj(n, seed):
 
 def test_tum_writer_matches_the_per_line_oracle():
     traj = _writer_traj(200, seed=4)
-    assert write_tum(traj) == _tum_writer_oracle(traj)
+    _assert_same_text("".join(write_tum(traj)), _tum_writer_oracle(traj))
 
 
 _BLOCK_EDGES = [1, io_formats._ROW_BLOCK - 1, io_formats._ROW_BLOCK,
@@ -78,12 +91,12 @@ _BLOCK_EDGES = [1, io_formats._ROW_BLOCK - 1, io_formats._ROW_BLOCK,
 @pytest.mark.parametrize("n", _BLOCK_EDGES)
 def test_tum_writer_matches_the_oracle_at_every_block_edge(n):
     traj = _writer_traj(n, seed=n)
-    assert write_tum(traj) == _tum_writer_oracle(traj)
+    _assert_same_text("".join(write_tum(traj)), _tum_writer_oracle(traj))
 
 
 def test_tum_header_names_the_artifact_and_columns():
     traj = Trajectory([0.0], [[1.0, 0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]])
-    lines = write_tum(traj).splitlines()
+    lines = "".join(write_tum(traj)).splitlines()
     assert lines[0].startswith("#") and "trajectory" in lines[0]
     assert lines[1] == "# timestamp tx ty tz qx qy qz qw"
     assert len(lines) == 3
@@ -228,7 +241,7 @@ _XYZN_HEADER = _XYZ_HEADER.replace(
 def test_ply_round_trip_without_normals():
     rng = np.random.default_rng(1)
     cloud = PointCloud(rng.standard_normal((50, 3)))
-    back = parse_ply_ascii(write_ply_ascii(cloud))
+    back = parse_ply_ascii("".join(write_ply_ascii(cloud)))
     np.testing.assert_array_equal(back.points, cloud.points)
     assert back.normals is None
 
@@ -238,7 +251,7 @@ def test_ply_round_trip_with_normals():
     normals = rng.standard_normal((20, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     cloud = PointCloud(rng.standard_normal((20, 3)), normals)
-    back = parse_ply_ascii(write_ply_ascii(cloud))
+    back = parse_ply_ascii("".join(write_ply_ascii(cloud)))
     np.testing.assert_array_equal(back.points, cloud.points)
     np.testing.assert_allclose(back.normals, normals, rtol=0, atol=1e-15)
 
@@ -478,6 +491,152 @@ def test_ply_values_are_bit_exact_against_float():
     assert cloud.points.tobytes() == expected.tobytes()
 
 
+# ---------------------------------------------------------------------------
+# Text and open files: one parser, read a block of lines at a time
+
+_B = io_formats._ROW_BLOCK
+_ROW_COUNTS = [1, 5, _B - 1, _B, _B + 1]
+# Line endings str.splitlines() breaks at: \r\n is one, \x0c, \x85 and
+# \u2028 are ones a plain file iteration would not split at.
+_ENDINGS = ["\n", "\r", "\r\n", "\x0c", "\x85", "\u2028"]
+
+
+def _outcome(parse, source):
+    """parse(source) as the result's bits, or as the ParseError's type, message and line."""
+    try:
+        result = parse(source)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line
+    return [None if a is None else a.tobytes() for a in vars(result).values()]
+
+
+def _file_outcome(parse, text, chunk):
+    """_outcome of parse on an open file holding text, read chunk characters at a time."""
+    with tempfile.TemporaryFile("w+", encoding="utf-8", errors="surrogateescape",
+                                newline="") as handle:
+        handle.write(text)
+        handle.seek(0)
+        with mock.patch.object(io_formats, "_CHUNK", chunk):
+            return _outcome(parse, handle)
+
+
+def _at(draw, n):
+    """A position among n lines, often at a block edge."""
+    edges = [k for k in (0, 1, _B - 1, _B, _B + 1, n - 1) if 0 <= k < n]
+    return draw(st.one_of(st.sampled_from(edges), st.integers(0, n - 1)))
+
+
+def _joined(draw, lines):
+    """The lines with one drawn ending each, mostly one default, and maybe no final one."""
+    endings = [draw(st.sampled_from(_ENDINGS))] * len(lines)
+    for _ in range(draw(st.integers(0, 4))):
+        endings[_at(draw, len(lines))] = draw(st.sampled_from(_ENDINGS))
+    if draw(st.booleans()):
+        endings[-1] = ""
+    return "".join(line + end for line, end in zip(lines, endings))
+
+
+@st.composite
+def _tum_texts(draw):
+    """TUM text around the block edges, with comments, blank lines and a bad line maybe."""
+    lines = [f"{0.25 * k!r} {k} 0 {-k} 0 0 0 1" for k in range(draw(st.sampled_from(_ROW_COUNTS)))]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(_at(draw, len(lines) + 1), draw(st.sampled_from(["", "  ", "# note"])))
+    if draw(st.booleans()):
+        i = _at(draw, len(lines))
+        # a short line, a non-number, a non-finite field, an off-unit quaternion,
+        # and a timestamp no later than the one before it
+        lines[i] = draw(st.sampled_from(["0 0 0", "x 0 0 0 0 0 0 1", "1e9 nan 0 0 0 0 0 1",
+                                         "1e9 0 0 0 0 0 0 2", "0.0 0 0 0 0 0 0 1"]))
+    return _joined(draw, lines)
+
+
+@st.composite
+def _ply_texts(draw):
+    """PLY text around the block edges: non-vertex elements before and after the
+    vertex element, blank lines and a bad row in the body, and a body one row
+    short of, at or one row past the declared count."""
+    rows = draw(st.sampled_from(_ROW_COUNTS))
+    body = [f"{k} {0.5 * k} {-k} 0 0 1" for k in range(rows)]
+    for _ in range(draw(st.integers(0, 2))):
+        body.insert(_at(draw, len(body) + 1), "")
+    if draw(st.booleans()):
+        body[_at(draw, len(body))] = draw(st.sampled_from(
+            ["1 2", "x 0 0 0 0 1", "nan 0 0 0 0 1", "0 0 0 0 0 0", "0 0 0 0 0 1 9"]))
+    before, after = draw(st.booleans()), draw(st.booleans())
+    header = ["ply", "format ascii 1.0"]
+    if before:
+        header += ["element face 2", "property list uchar int vertex_indices"]
+    header += [f"element vertex {max(1, rows + draw(st.integers(-1, 1)))}",
+               "property double x", "property double y", "property double z",
+               "property double nx", "property double ny", "property double nz"]
+    if after:
+        header += ["element edge 1", "property int vertex1"]
+    header.append("end_header")
+    return _joined(draw, header + (["3 0 1 2", "3 0 2 1"] if before else []) + body
+                   + (["0"] if after else []))
+
+
+@pytest.mark.parametrize("parse, texts", [(parse_tum, _tum_texts()),
+                                          (parse_ply_ascii, _ply_texts())],
+                         ids=["tum", "ply"])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_a_parser_reads_an_open_file_as_it_reads_its_text(parse, texts, data):
+    """The same arrays bit for bit, or the same ParseError type, message and line,
+    whatever chunk of characters the file is read in."""
+    text = data.draw(texts)
+    chunk = data.draw(st.sampled_from([1, 2, 3, 7, 61, io_formats._CHUNK]))
+    if len(text) > 1000:     # reads of a few characters are for short texts
+        chunk = max(chunk, 7)
+    assert _file_outcome(parse, text, chunk) == _outcome(parse, text)
+
+
+def test_a_bad_ply_row_in_the_second_block_reports_its_line():
+    rows = [f"{k} 0 0 0 0 1" for k in range(_B + 2)]
+    rows[_B] = "1 2"
+    text = _XYZN_HEADER.format(len(rows)) + "\n".join(rows) + "\n"
+    for source in (text, io.StringIO(text)):
+        with pytest.raises(ParseError) as exc:
+            parse_ply_ascii(source)
+        assert str(exc.value) == f"line {10 + _B + 1}: expected 6 vertex values, got 2"
+    # A bad normal in the first block is found before the short row in the second.
+    rows[_B - 1] = "0 0 0 0 0 0"
+    with pytest.raises(ParseError, match=f"^line {10 + _B}: zero-length normal in vertex data$"):
+        parse_ply_ascii(_XYZN_HEADER.format(len(rows)) + "\n".join(rows) + "\n")
+
+
+def test_a_tum_timestamp_is_ordered_against_the_block_before():
+    lines = [f"{0.25 * k!r} 0 0 0 0 0 0 1" for k in range(_B + 2)]
+    lines[_B] = lines[_B - 1]
+    with pytest.raises(ParseError) as exc:
+        parse_tum("\n".join(lines))
+    assert exc.value.line == _B + 1
+    assert str(exc.value).endswith(f"timestamps must strictly increase, got {0.25 * (_B - 1)!r} "
+                                   f"after {0.25 * (_B - 1)!r}")
+
+
+def test_parsing_a_50k_row_ply_file_holds_its_arrays_not_its_text():
+    cloud = _writer_cloud(50_000, seed=3, with_normals=True)
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as handle:
+        handle.writelines(write_ply_ascii(cloud))
+        size = handle.tell()
+        handle.seek(0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            back = parse_ply_ascii(handle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert back.points.tobytes() == cloud.points.tobytes()
+    # Reading the text whole held 3.9x the file's size here.  Now the peak is
+    # PointCloud's: the parsed arrays, its copies and its normal check's
+    # temporaries, 2.4x the arrays and 0.88x the file's size.
+    arrays = cloud.points.nbytes + cloud.normals.nbytes
+    assert peak - before < 2.6 * arrays < size
+
+
 def _ply_writer_oracle(cloud):
     lines = ["ply", "format ascii 1.0", f"element vertex {len(cloud)}",
              "property double x", "property double y", "property double z"]
@@ -505,14 +664,14 @@ def _writer_cloud(n, seed, with_normals):
 @pytest.mark.parametrize("with_normals", [False, True])
 def test_ply_writer_matches_the_per_row_oracle(with_normals):
     cloud = _writer_cloud(300, seed=6, with_normals=with_normals)
-    assert write_ply_ascii(cloud) == _ply_writer_oracle(cloud)
+    _assert_same_text("".join(write_ply_ascii(cloud)), _ply_writer_oracle(cloud))
 
 
 @pytest.mark.parametrize("with_normals", [False, True])
 @pytest.mark.parametrize("n", _BLOCK_EDGES)
 def test_ply_writer_matches_the_oracle_at_every_block_edge(n, with_normals):
     cloud = _writer_cloud(n, seed=n, with_normals=with_normals)
-    assert write_ply_ascii(cloud) == _ply_writer_oracle(cloud)
+    _assert_same_text("".join(write_ply_ascii(cloud)), _ply_writer_oracle(cloud))
 
 
 def test_ply_writer_holds_one_block_of_floats_at_a_time():
@@ -523,7 +682,7 @@ def test_ply_writer_holds_one_block_of_floats_at_a_time():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        text = write_ply_ascii(cloud)
+        text = "".join(write_ply_ascii(cloud))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -635,7 +794,22 @@ def test_write_table_matches_the_f_string_oracle_at_every_block_edge(n):
     for ints in (counts, range(n)):
         expected = "head\n" + "".join(f"{s},{d},{r!r}\n" for s, d, r in
                                        zip(labels, list(ints), values.tolist()))
-        assert write_table("head\n", "%s,%d,%r", [labels, ints, values]) == expected
+        _assert_same_text("".join(write_table("head\n", "%s,%d,%r", [labels, ints, values])),
+                          expected)
+
+
+@pytest.mark.parametrize("columns, message", [
+    ([[1, 2], np.float64(3.0)], "write_table column 1 must be a 1-D sequence, got a 0-D float64"),
+    ([np.array(2.5), [1]], "write_table column 0 must be a 1-D sequence, got a 0-D ndarray"),
+    ([[1, 2], 7], "write_table column 1 must be a 1-D sequence, got a 0-D int"),
+    ([[1, 2], np.ones((2, 2))], "write_table column 1 must be a 1-D sequence, got a 2-D ndarray"),
+    ([[1, 2, 3], range(2)], "write_table column 1 has 2 rows, column 0 has 3"),
+    ([np.arange(4), np.arange(5)], "write_table column 1 has 5 rows, column 0 has 4"),
+    ([], "write_table needs at least one column"),
+])
+def test_write_table_names_a_bad_column_before_it_formats_a_row(columns, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write_table("head\n", "%r," * len(columns), columns)
 
 
 _RECALL_EDGES = [io_formats._ROW_BLOCK - 1, io_formats._ROW_BLOCK, io_formats._ROW_BLOCK + 1]
@@ -646,8 +820,8 @@ def test_curves_csv_matches_the_per_row_oracle_at_the_block_edge(n):
     errors = np.random.default_rng(n).uniform(0.0, 2.0, n)
     errors[:2] = [0.0, 5e-324]
     text = curves_to_csv([RuleRun("ttt3r:confidence", errors)])
-    assert text == "rule,position,sq_error\n" + "".join(
-        f"ttt3r:confidence,{pos},{err!r}\n" for pos, err in enumerate(errors.tolist()))
+    _assert_same_text(text, "rule,position,sq_error\n" + "".join(
+        f"ttt3r:confidence,{pos},{err!r}\n" for pos, err in enumerate(errors.tolist())))
 
 
 @pytest.mark.parametrize("n", _RECALL_EDGES)
@@ -658,4 +832,4 @@ def test_gate_trace_csv_matches_the_per_row_oracle_at_the_block_edge(n):
              for f, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])) for t in range(hi - lo)]
     assert len(lines) == n
     text = gate_trace_to_csv(RuleRun("ttt3r:confidence", [1.0], betas, offsets))
-    assert text == "frame,token,beta\n" + "".join(line + "\n" for line in lines)
+    _assert_same_text(text, "frame,token,beta\n" + "".join(line + "\n" for line in lines))

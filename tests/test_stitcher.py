@@ -1,5 +1,7 @@
 """Tests for trajectory chunking and re-stitching."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
@@ -200,6 +202,19 @@ def test_split_validation():
     with pytest.raises(ValueError, match="^cloud has 2 points but 3 chunks need one each$"):
         split_trajectory(traj, 4, cloud)
     assert len(split_trajectory(traj, 5, cloud)) == 2
+
+
+@pytest.mark.parametrize("period", [2.5, 2.0, None, "3", True])
+def test_a_period_that_is_not_an_integer_is_one_value_error(period):
+    message = f"period must be an integer, got {period!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        split_trajectory(_rand_traj(10, seed=13), period)
+
+
+def test_a_numpy_integer_period_splits_as_its_int():
+    traj = _rand_traj(10, seed=13)
+    for a, b in zip(split_trajectory(traj, np.int64(4)), split_trajectory(traj, 4)):
+        assert a.trajectory.translations.tobytes() == b.trajectory.translations.tobytes()
 
 
 def _cli_loop_chunks(traj, period, cloud):
