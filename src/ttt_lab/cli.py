@@ -23,6 +23,7 @@ import math
 import os
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -85,22 +86,13 @@ def _write_outputs(args, files: dict) -> None:
     )
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        return handle.read()
-
-
 def _parse(parse, path: str):
-    """parse (parse_tum or parse_ply_ascii) of the open file, which it reads a
-    block of lines at a time.  Undecodable bytes reach the parser as
-    surrogates, where they fail a number or a keyword: a usage error."""
+    """parse (parse_tum, parse_ply_ascii or json.load) of the open file, whose
+    lines break at \\n, \\r and \\r\\n.  Undecodable bytes reach the parser
+    as surrogates, where a TUM or PLY parser fails them as a number or a
+    keyword: a usage error."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
         return parse(handle)
-
-
-def _read_bytes(path: str) -> bytes:
-    with open(path, "rb") as handle:
-        return handle.read()
 
 
 # --count default per task.  32 is gen_adversarial_task's own true_count:
@@ -243,7 +235,7 @@ class _Maps:
         self.paths = [os.path.join(directory, name) for name in names]
 
     def __iter__(self):
-        return (parse_pfm(_read_bytes(path)) for path in self.paths)
+        return (parse_pfm(Path(path).read_bytes()) for path in self.paths)
 
 
 def _list_pfms(directory: str):
@@ -326,7 +318,7 @@ def _replay(parser: argparse.ArgumentParser, args) -> list:
     applies to an edited manifest exactly as it does on the command line.
     """
     try:
-        manifest = json.loads(_read_text(args.manifest))
+        manifest = _parse(json.load, args.manifest)
     except ValueError as exc:
         raise UsageError(f"malformed manifest: {exc}") from None
     _check(isinstance(manifest, dict), "manifest must be a JSON object")

@@ -212,12 +212,15 @@ class ChamferResult(NamedTuple):
 def associate(est: Trajectory, gt: Trajectory, max_dt: float = 0.02):
     """Match poses by nearest timestamp within max_dt, each used once.
 
+    max_dt is a positive real number; inf makes every pair a candidate.
     Candidate pairs are taken in order of increasing |dt| (ties broken
     by index), and a pose already matched is skipped.  Returns index
     pairs (i_est, j_gt) sorted by estimated-pose index.  The candidates
     are built and sorted as arrays; only the greedy skip walks them in
     Python, once each.
     """
+    if isinstance(max_dt, bool) or not isinstance(max_dt, numbers.Real):
+        raise ValueError(f"max_dt must be a real number, got {max_dt!r}")
     if not (max_dt > 0):
         raise ValueError(f"max_dt must be positive, got {max_dt}")
     est_ts = est.timestamps
@@ -343,7 +346,7 @@ def ate(est: Trajectory, gt: Trajectory, pairs, align: str = "sim3") -> float:
 
 
 def rpe(est: Trajectory, gt: Trajectory, pairs, delta: int = 1):
-    """Relative pose error over matched pairs delta steps apart.
+    """Relative pose error over matched pairs delta steps apart, delta an integer >= 1.
 
     pairs are the matched (i_est, j_gt) indices that associate returns,
     checked as ate checks them.  Each trajectory moves from matched
@@ -356,6 +359,8 @@ def rpe(est: Trajectory, gt: Trajectory, pairs, delta: int = 1):
     scales them, so the translation error scales with them bit for bit
     and the angle does not change.
     """
+    if isinstance(delta, bool) or not isinstance(delta, numbers.Integral):
+        raise ValueError(f"delta must be an integer, got {delta!r}")
     if delta < 1:
         raise ValueError(f"delta must be >= 1, got {delta}")
     if len(pairs) < delta + 1:

@@ -1,9 +1,10 @@
 """Readers and writers for TUM trajectories, ASCII PLY clouds and PFM depth.
 
-The TUM and PLY parsers take a str or an open text file, which they read
-a block of lines at a time; parse_pfm takes bytes.  They return the
-geometry containers (a depth map is a plain H x W float64 array, row 0
-the top row).  write_tum and write_ply_ascii return write_table's
+The TUM and PLY parsers take an open text file, whose lines they read
+a block at a time, or a str, which they read as one (lines break at
+\\n, \\r and \\r\\n); parse_pfm takes bytes.  They return the
+geometry containers (a depth map is a plain H x W float64 array, row
+0 the top row).  write_tum and write_ply_ascii return write_table's
 blocks of text for the caller to join or write one at a time;
 write_metrics_csv returns text and write_pfm bytes.  Parse failures
 raise ParseError carrying the 1-based line number where the problem
@@ -13,6 +14,7 @@ PFM) raise UnsupportedFormatError instead of producing garbage.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import warnings
@@ -94,10 +96,11 @@ def write_table(head: str, row: str, columns: Sequence) -> Iterator[str]:
     """head, then one line per row: row %-formatted with that row's entry of each column.
 
     row holds one % field per column, e.g. "%s,%d,%r".  columns are 1-D
-    sequences of one length: arrays, lists or ranges, checked here.
-    Arrays are converted with .tolist(), so a %r field shows a Python
-    float's repr.  Returns head and then the rows formatted _ROW_BLOCK
-    at a time, as an iterator of strings: "".join() gives the text.
+    sequences of one length: arrays, lists or ranges.  Both are checked
+    here, row by formatting one row of zeros.  Arrays are converted with
+    .tolist(), so a %r field shows a Python float's repr.  Returns head
+    and then the rows formatted _ROW_BLOCK at a time, as an iterator of
+    strings: "".join() gives the text.
     """
     if not columns:
         raise ValueError("write_table needs at least one column")
@@ -109,6 +112,11 @@ def write_table(head: str, row: str, columns: Sequence) -> Iterator[str]:
             raise ValueError(f"write_table column {j} has {len(column)} rows, "
                              f"column 0 has {len(columns[0])}")
     width, n = len(columns), len(columns[0])
+    try:
+        row % ((0,) * width)
+    except TypeError:
+        raise ValueError(f"write_table row {row!r} needs one % field per column, got "
+                         f"{row.replace('%%', '').count('%')} for {width} columns") from None
 
     def block(lo: int) -> str:
         fields = [None] * (width * min(_ROW_BLOCK, n - lo))
@@ -118,35 +126,6 @@ def write_table(head: str, row: str, columns: Sequence) -> Iterator[str]:
         return (row + "\n") * (len(fields) // width) % tuple(fields)
 
     return itertools.chain([head], map(block, range(0, n, _ROW_BLOCK)))
-
-
-# A file is read _CHUNK characters at a time; str.splitlines() breaks lines
-# at each of _LINE_BREAKS, and at \r\n.
-_CHUNK = 1 << 16
-_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-
-
-def _lines(source) -> Iterator[str]:
-    """The lines of source, a str or an open text file, as str.splitlines() gives them.
-
-    A str is one chunk; a file is read in chunks of _CHUNK characters,
-    each split with splitlines().  A line cut by the end of a chunk is
-    carried into the next, and so is a \\r\\n cut between two.  Any
-    newline mode of the file gives the same lines; newline="" reads them
-    without translating.
-    """
-    chunks = [source] if isinstance(source, str) else iter(lambda: source.read(_CHUNK), "")
-    tail, after_cr = "", False
-    for chunk in chunks:
-        if after_cr and chunk.startswith("\n"):
-            chunk = chunk[1:]
-        text = tail + chunk
-        lines = text.splitlines()
-        after_cr = text.endswith("\r")
-        tail = "" if text[-1:] in _LINE_BREAKS else lines.pop()
-        yield from lines
-    if tail:
-        yield tail
 
 
 def _blocks(lines: Iterator[str], first: int, count: float = math.inf):
@@ -203,7 +182,8 @@ def parse_tum(source) -> Trajectory:
     as columns.  The lines are read and checked _ROW_BLOCK at a time.
     """
     data, quats, before = [], [], math.nan
-    for first, block in _blocks(_lines(source), 1):
+    source = io.StringIO(source, newline=None) if isinstance(source, str) else source
+    for first, block in _blocks(source, 1):
         # A line is skipped when str.split() would find no field or a first
         # field starting with '#'; lstrip() strips the same whitespace.
         linenos = [i for i, raw in enumerate(block, first) if raw.lstrip()[:1] not in ("", "#")]
@@ -280,7 +260,7 @@ def parse_ply_ascii(source) -> PointCloud:
     element instance is assumed, which is how ASCII PLY is written in
     practice.  The body is read and checked _ROW_BLOCK lines at a time.
     """
-    lines = _lines(source)
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
     if next(lines, "").strip() != "ply":
         raise ParseError("not a PLY file: first line must be 'ply'", 1)
 

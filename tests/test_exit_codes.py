@@ -156,7 +156,8 @@ _TOKENS = [b"nan", b"inf", b"-inf", b"1e308", b"-1e308", b"1e-320", b"0", b"-1",
            b"-1.0", b"end_header\n", b"format binary_little_endian 1.0\n",
            b"element vertex 99\n", b"element vertex -1\n", b"element face 1\n",
            b"property float nx\n", b"property list uchar int vertex_indices\n",
-           b"property double z\n", b"obj_info x\n", b"bogus keyword\n"]
+           b"property double z\n", b"obj_info x\n", b"bogus keyword\n",
+           b"\r", b"\x0b", b"\x0c", b"\xc2\x85", b"\xe2\x80\xa8"]
 
 
 @st.composite

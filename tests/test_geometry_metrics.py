@@ -244,14 +244,16 @@ def _associate_loop(est, gt, max_dt):
 
 
 # Timestamps on a 1/64 grid, where differences are exact: ties in |dt|,
-# poses with several candidates and |dt| == max_dt all come up.
+# poses with several candidates and |dt| == max_dt all come up; an inf
+# max_dt makes every pair a candidate.
 _TICK = 1.0 / 64
 _grid_stamps = st.lists(st.integers(0, 40), min_size=1, max_size=25, unique=True).map(
     lambda ticks: _stamps(*(_TICK * np.sort(ticks))))
 
 
 @settings(max_examples=300)
-@given(_grid_stamps, _grid_stamps, st.sampled_from([0.001, _TICK, 2 * _TICK, 3 * _TICK, 0.2]))
+@given(_grid_stamps, _grid_stamps,
+       st.sampled_from([0.001, _TICK, 2 * _TICK, 3 * _TICK, 0.2, np.inf]))
 def test_associate_matches_the_greedy_loop(est, gt, max_dt):
     pairs = associate(est, gt, max_dt)
     assert pairs == _associate_loop(est, gt, max_dt)

@@ -17,9 +17,10 @@ from ttt_lab.geometry_metrics import (
     associate,
     quat_mul,
     quat_to_rotmat,
+    rpe,
     umeyama_sim3,
 )
-from ttt_lab.io_formats import parse_pfm
+from ttt_lab.io_formats import parse_pfm, write_table
 from ttt_lab.recall_bench import (
     RuleRun,
     StateDims,
@@ -62,11 +63,18 @@ _TRAJ = Trajectory(np.arange(3.0), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), np.zer
                  id="cloud-normals-shape"),
     pytest.param(lambda: associate(_TRAJ, _TRAJ, max_dt=0.0),
                  "max_dt must be positive, got 0.0", id="associate-max-dt"),
+    pytest.param(lambda: associate(_TRAJ, _TRAJ, None),
+                 "max_dt must be a real number, got None", id="associate-max-dt-none"),
+    pytest.param(lambda: rpe(_TRAJ, _TRAJ, [(0, 0), (1, 1), (2, 2)], delta=1.5),
+                 "delta must be an integer, got 1.5", id="rpe-delta-float"),
     pytest.param(lambda: umeyama_sim3(np.zeros((4, 3)), np.zeros((5, 3))),
                  "src and dst must be matching Nx3 arrays, got (4, 3) and (5, 3)",
                  id="umeyama-shapes"),
     pytest.param(lambda: parse_pfm(b"Pf\n1 1\nabc\n" + bytes(4)),
                  "bad PFM scale b'abc'", id="pfm-scale"),
+    pytest.param(lambda: write_table("", "%r", [[1.0], [2.0]]),
+                 "write_table row '%r' needs one % field per column, got 1 for 2 columns",
+                 id="write-table-row-fields"),
     pytest.param(lambda: gen_recall_task(2, DIMS16, "spiral"),
                  "unknown key_mode 'spiral'", id="recall-key-mode"),
     pytest.param(lambda: gen_recall_task(2, StateDims(1, 1, 1, 1), "correlated"),

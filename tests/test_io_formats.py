@@ -496,8 +496,8 @@ def test_ply_values_are_bit_exact_against_float():
 
 _B = io_formats._ROW_BLOCK
 _ROW_COUNTS = [1, 5, _B - 1, _B, _B + 1]
-# Line endings str.splitlines() breaks at: \r\n is one, \x0c, \x85 and
-# \u2028 are ones a plain file iteration would not split at.
+# Line endings: \n, \r and \r\n break a line; \x0c, \x85 and \u2028,
+# which str.splitlines() breaks at, are whitespace within one.
 _ENDINGS = ["\n", "\r", "\r\n", "\x0c", "\x85", "\u2028"]
 
 
@@ -511,13 +511,13 @@ def _outcome(parse, source):
 
 
 def _file_outcome(parse, text, chunk):
-    """_outcome of parse on an open file holding text, read chunk characters at a time."""
+    """_outcome of parse on an open file holding text, read chunk bytes at a time."""
     with tempfile.TemporaryFile("w+", encoding="utf-8", errors="surrogateescape",
                                 newline="") as handle:
         handle.write(text)
         handle.seek(0)
-        with mock.patch.object(io_formats, "_CHUNK", chunk):
-            return _outcome(parse, handle)
+        handle._CHUNK_SIZE = chunk
+        return _outcome(parse, handle)
 
 
 def _at(draw, n):
@@ -584,12 +584,19 @@ def _ply_texts(draw):
 @given(data=st.data())
 def test_a_parser_reads_an_open_file_as_it_reads_its_text(parse, texts, data):
     """The same arrays bit for bit, or the same ParseError type, message and line,
-    whatever chunk of characters the file is read in."""
+    whatever chunk of bytes the file is read in, a \\r\\n cut between two or not."""
     text = data.draw(texts)
-    chunk = data.draw(st.sampled_from([1, 2, 3, 7, 61, io_formats._CHUNK]))
-    if len(text) > 1000:     # reads of a few characters are for short texts
+    chunk = data.draw(st.sampled_from([1, 2, 3, 7, 61, io.DEFAULT_BUFFER_SIZE]))
+    if len(text) > 1000:     # reads of a few bytes are for short texts
         chunk = max(chunk, 7)
     assert _file_outcome(parse, text, chunk) == _outcome(parse, text)
+
+
+def test_a_form_feed_is_whitespace_within_a_line_not_a_line_break():
+    text = "0 0 0 0 0 0 0 1\x0c1 0 0 0 0 0 0 1\n"
+    message = "line 1: expected 8 fields (timestamp tx ty tz qx qy qz qw), got 16"
+    assert _outcome(parse_tum, text) == (ParseError, message, 1)
+    assert _file_outcome(parse_tum, text, io.DEFAULT_BUFFER_SIZE) == (ParseError, message, 1)
 
 
 def test_a_bad_ply_row_in_the_second_block_reports_its_line():
