@@ -151,7 +151,8 @@ class Sim3Transform:
         t = np.asarray(self.translation, dtype=np.float64)
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValueError("rotation must be 3x3 and translation length 3")
-        if not (self.scale > 0) or not math.isfinite(self.scale):
+        if (isinstance(self.scale, bool) or not isinstance(self.scale, numbers.Real)
+                or not self.scale > 0 or not math.isfinite(self.scale)):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-9 or np.linalg.det(r) < 0:
             raise ValueError("rotation must be orthonormal with determinant +1")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import sys
 import warnings
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -221,6 +222,9 @@ _PLY_SCALARS = {
     "int8", "uint8", "int16", "uint16", "int32", "uint32",
     "float", "double", "float32", "float64",
 }
+# The tokens of each header line, keyword included: format ascii <version>, element <name>
+# <count>, property <type> <name>, property list <type> <type> <name>, and end_header.
+_PLY_HEADER = {"format": 3, "element": 3, "property": 3, "property list": 5, "end_header": 1}
 
 
 def _vertex_columns(rows: np.ndarray, first: int, col: dict, has_n: list):
@@ -264,53 +268,42 @@ def parse_ply_ascii(source) -> PointCloud:
     if next(lines, "").strip() != "ply":
         raise ParseError("not a PLY file: first line must be 'ply'", 1)
 
-    elements = []          # (name, count, [property names]) in declared order
-    current = None
-    fmt_seen = False
-    data_start = None
+    elements, fmt_seen = [], False   # elements: (name, count, [(kind, property name)])
     for lineno, raw in enumerate(lines, 2):
-        tokens = raw.strip().split()
-        if not tokens:
+        tokens = raw.split()
+        if not tokens or tokens[0] in ("comment", "obj_info"):
             continue
         keyword = tokens[0]
-        if keyword == "comment" or keyword == "obj_info":
+        if keyword not in _PLY_HEADER:
+            warnings.warn(f"skipping unknown PLY header keyword {keyword!r}")
             continue
+        is_list = tokens[:2] == ["property", "list"]
+        types = tokens[1 + is_list:-1] if keyword == "property" else ()
+        if (len(tokens) != _PLY_HEADER["property list" if is_list else keyword]
+                or not _PLY_SCALARS.issuperset(types)):
+            raise ParseError(f"malformed {keyword} line {raw.strip()!r}", lineno)
+        if keyword == "end_header":
+            break
         if keyword == "format":
-            if len(tokens) < 2:
-                raise ParseError("malformed format line", lineno)
             if tokens[1] in ("binary_little_endian", "binary_big_endian"):
-                raise UnsupportedFormatError(
-                    "binary PLY is not supported; convert to ascii", lineno
-                )
+                raise UnsupportedFormatError("binary PLY is not supported; convert to ascii",
+                                             lineno)
             if tokens[1] != "ascii":
                 raise ParseError(f"unknown PLY format {tokens[1]!r}", lineno)
             fmt_seen = True
         elif keyword == "element":
-            if len(tokens) != 3:
-                raise ParseError("malformed element line", lineno)
             try:
                 count = int(tokens[2])
             except ValueError:
                 raise ParseError(f"bad element count {tokens[2]!r}", lineno) from None
             if count < 0:
                 raise ParseError(f"negative element count {count}", lineno)
-            current = (tokens[1], count, [])
-            elements.append(current)
-        elif keyword == "property":
-            if current is None:
-                raise ParseError("property before any element", lineno)
-            if len(tokens) >= 2 and tokens[1] == "list":
-                current[2].append(("list", tokens[-1]))
-            elif len(tokens) == 3 and tokens[1] in _PLY_SCALARS:
-                current[2].append(("scalar", tokens[2]))
-            else:
-                raise ParseError(f"malformed property line {raw.strip()!r}", lineno)
-        elif keyword == "end_header":
-            data_start = lineno
-            break
+            elements.append((tokens[1], count, []))
+        elif not elements:
+            raise ParseError("property before any element", lineno)
         else:
-            warnings.warn(f"skipping unknown PLY header keyword {keyword!r}")
-    if data_start is None:
+            elements[-1][2].append(("list" if is_list else "scalar", tokens[-1]))
+    else:
         raise ParseError("unterminated PLY header: no end_header line")
     if not fmt_seen:
         raise ParseError("PLY header is missing the format line")
@@ -338,13 +331,13 @@ def parse_ply_ascii(source) -> PointCloud:
 
     # Data rows follow in element declaration order, one line per instance.
     # Only the first vertex element is read; the rest are skipped.
-    cursor = data_start    # the lines read
+    cursor = lineno    # the lines read: the header's, up to end_header
     points, normals = [], []
     for element in elements:
         name, count, props = element
         start = cursor
         if element is not vertex:
-            cursor += sum(len(block) for _, block in _blocks(lines, 0, count))
+            cursor += sum(1 for _ in itertools.islice(lines, min(count, sys.maxsize)))
             if cursor - start < count:
                 raise ParseError(f"file ends inside element {name!r}: expected {count} rows",
                                  cursor)

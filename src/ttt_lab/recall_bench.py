@@ -313,7 +313,7 @@ def gen_recall_task(count: int, dims: StateDims, key_mode: str = "orthonormal",
     _check_integer("seed", seed)
     if count < 1:
         raise ValueError("count must be >= 1")
-    if not (0.0 <= rho < 1.0):
+    if isinstance(rho, bool) or not isinstance(rho, numbers.Real) or not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     rng = np.random.default_rng(derive_seed(seed, "recall-task"))
     if key_mode == "orthonormal":
@@ -375,10 +375,6 @@ def gen_adversarial_task(dims: StateDims, seed: int = 0, true_count: int = 32,
 # rule lives in its entry, which _parse looks up.  Entries reach the
 # state_rules kernels through this module's globals at call time, so a
 # kernel wrapped here (as a profiler does) sees every call.
-
-_VALID_RULES = ("full, vanilla, hebbian, delta[:<beta>|:input], "
-                "ttt3r[:<beta>|:input|:per_token|:confidence]")
-
 
 class _RuleEntry(NamedTuple):
     """How the stream drives one rule.
@@ -523,6 +519,11 @@ _RULES = {
     "ttt3r": _RuleEntry("confidence", ("constant", *GATES), True, _init_tokens, _ingest_ttt3r,
                         _read_tokens),
 }
+# The spec grammar that errors name: each rule and its gates, as "delta[:<beta>|:input]".
+_VALID_RULES = ", ".join(
+    name + ("[%s]" % "|".join(":<beta>" if g == "constant" else f":{g}" for g in entry.gates)
+            if entry.gates else "")
+    for name, entry in _RULES.items())
 
 
 def _parse(spec: str):
@@ -537,6 +538,8 @@ def _parse(spec: str):
     names no rule or no gate, or gates an ungated rule;
     UnsupportedRuleCombination if the rule does not take the gate.
     """
+    if not isinstance(spec, str):
+        raise ValueError(f"rule spec must be a str, got {spec!r}")
     name, _, gate = spec.partition(":")
     entry = _RULES.get(name)
     if entry is None:

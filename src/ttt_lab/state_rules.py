@@ -44,6 +44,7 @@ identical outputs, and every array is carried in float64.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,15 +131,15 @@ class ProjectionSet:
 
 
 def _resolve_scale(scale, c: int) -> float:
-    """The attention scale: a positive finite float, or 1/sqrt(c) for None."""
+    """The attention scale as a float: a positive finite real, or 1/sqrt(c) for None."""
     if scale is None:
         if c < 1:
             raise ValueError("c must be >= 1")
         return 1.0 / math.sqrt(c)
-    scale = float(scale)
-    if not (scale > 0.0) or not math.isfinite(scale):
+    if (isinstance(scale, bool) or not isinstance(scale, numbers.Real) or not scale > 0
+            or not math.isfinite(scale)):
         raise ValueError(f"scale must be positive and finite, got {scale}")
-    return scale
+    return float(scale)
 
 
 def _token_segment(tokens, c: int, offsets=None, stacked: bool = False):
@@ -400,7 +401,7 @@ def lookup_gate(gate):
     """(kind, gate function) of a gate: a name in GATES is its own kind, and
     a rate (a number or its text) in (0, 1] is "constant", returned for
     every state token.  ValueError for anything else."""
-    if gate in GATES:
+    if isinstance(gate, str) and gate in GATES:
         return gate, GATES[gate]
     try:
         rate = float(gate)

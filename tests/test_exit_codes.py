@@ -6,8 +6,9 @@ than the PLY parser's two documented ones.  A success writes nothing to
 stderr.  An exit 1, and an exit 2 that main's handler reports, write
 exactly one stderr line, starting with "error:".  An argparse rejection
 ends in argparse's "<prog>: error:" line; under rerun, one more line
-follows that names the manifest.  Hypothesis draws under the suite's
-deterministic profile (conftest.py).
+follows that names the manifest.  A PLY header line of the wrong form
+is a usage error, exit 2, whose one line names it.  Hypothesis draws
+under the suite's deterministic profile (conftest.py).
 """
 
 import contextlib
@@ -24,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from ttt_lab.cli import main
 from ttt_lab.geometry_metrics import PointCloud, Trajectory
-from ttt_lab.io_formats import write_pfm, write_ply_ascii, write_tum
+from ttt_lab.io_formats import ParseError, parse_ply_ascii, write_pfm, write_ply_ascii, write_tum
 
 _DOCUMENTED_WARNINGS = ("skipping unknown PLY header keyword", "ignoring unknown vertex property")
 _ARGPARSE_ERROR = re.compile(r"^ttt-lab( \S+)?: error: ")
@@ -223,3 +224,82 @@ def test_extreme_integer_flags_keep_the_contract(inputs, tmp_path, command, flag
             continue
         argv = [a.format(root=inputs) for a in _BASE_ARGV[name]] + extra
         _assert_contract(argv + [flag, str(value), "--out", str(tmp_path / "out")])
+
+
+# ---------------------------------------------------------------------------
+# PLY header lines with a token more or one fewer
+
+# A valid header: every line the parser checks, and the comment and
+# obj_info lines it skips.  Its body is two vertices and one face.
+_PLY_HEADER = ["ply", "comment made by hand", "format ascii 1.0", "obj_info scanner 2",
+               "element vertex 2", "property double x", "property double y", "property double z",
+               "element face 1", "property list uchar int vertex_indices", "end_header"]
+_PLY_BODY = ["0 0 0", "1 1 1", "3 0 1 1"]
+_CHECKED_LINES = [i for i, line in enumerate(_PLY_HEADER)
+                  if line.split()[0] in ("format", "element", "property", "end_header")]
+# A token: no whitespace, no line break, nothing unprintable.
+_HEADER_TOKEN = st.text(st.characters(exclude_categories=("Z", "C")), min_size=1, max_size=4)
+
+
+def _ply_text(lines) -> str:
+    return "\n".join(lines + _PLY_BODY) + "\n"
+
+
+@st.composite
+def _malformed_header(draw):
+    """(text, line number, line) of the header with one checked line given a
+    token more, or one fewer after its keyword."""
+    i = draw(st.sampled_from(_CHECKED_LINES))
+    tokens = _PLY_HEADER[i].split()
+    if len(tokens) > 1 and draw(st.booleans()):
+        del tokens[draw(st.integers(1, len(tokens) - 1))]
+    else:
+        tokens.insert(draw(st.integers(1, len(tokens))), draw(_HEADER_TOKEN))
+    line = " ".join(tokens)
+    return _ply_text(_PLY_HEADER[:i] + [line] + _PLY_HEADER[i + 1:]), i + 1, line
+
+
+def _assert_malformed(inputs, text, lineno, line):
+    """text, as a str, as an open file and as the CLI's input, fails on line
+    lineno as "malformed <keyword> line '<line>'": a usage error, exit 2."""
+    message = f"line {lineno}: malformed {line.split()[0]} line {line!r}"
+    for source in (text, io.StringIO(text)):
+        with pytest.raises(ParseError) as exc:
+            parse_ply_ascii(source)
+        assert (str(exc.value), exc.value.line) == (message, lineno)
+    with tempfile.TemporaryDirectory(dir=inputs) as work:
+        bad = Path(work, "bad.ply")
+        bad.write_text(text, encoding="utf-8")
+        code, err = _call(["chamfer", "--a", str(bad), "--b", str(inputs / "c.ply"),
+                           "--out", str(Path(work, "out"))])
+    assert (code, err) == (2, f"error: {message}\n")
+
+
+def test_the_valid_header_parses():
+    cloud = parse_ply_ascii(_ply_text(_PLY_HEADER))
+    np.testing.assert_array_equal(cloud.points, [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+
+
+@settings(max_examples=100)
+@given(_malformed_header())
+def test_a_header_line_with_a_token_more_or_fewer_is_malformed(inputs, case):
+    _assert_malformed(inputs, *case)
+
+
+# Tokens after the version of a format line and after end_header.
+_TRAILING_TOKENS = ("ply\nformat ascii 7 x\nelement vertex 1\nproperty double x\n"
+                    "property double y\nproperty double z\nend_header 9 9 9\n0 0 0\n")
+
+
+@pytest.mark.parametrize("text, lineno, line", [
+    (_TRAILING_TOKENS, 2, "format ascii 7 x"),
+    (_TRAILING_TOKENS.replace(" 7 x", " 7"), 7, "end_header 9 9 9"),
+    (_ply_text(_PLY_HEADER[:9] + ["property list uchar int"] + _PLY_HEADER[10:]), 10,
+     "property list uchar int"),
+    (_ply_text(_PLY_HEADER[:9] + ["property list uchar word vertex_indices"] + _PLY_HEADER[10:]),
+     10, "property list uchar word vertex_indices"),
+    (_ply_text(_PLY_HEADER[:9] + ["property list x"] + _PLY_HEADER[10:]), 10, "property list x"),
+], ids=["extra-format-and-end-header-tokens", "extra-end-header-tokens", "list-without-name",
+        "list-of-unknown-type", "list-without-types"])
+def test_a_header_line_that_once_parsed_is_malformed(inputs, text, lineno, line):
+    _assert_malformed(inputs, text, lineno, line)

@@ -34,12 +34,14 @@ from ttt_lab.state_rules import (
     ProjectionSet,
     confidence_gate,
     delta_rule_update,
+    lookup_gate,
     recon_loss,
     ttt3r_update,
 )
 
 DIMS16 = StateDims(4, 16, 16, 16)
 DIMS8 = StateDims(4, 8, 8, 8)
+_UNKNOWN_GATE = "unknown gate [1]; valid gates: input, per_token, confidence or a rate in (0, 1]"
 _TRAJ = Trajectory(np.arange(3.0), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), np.zeros((3, 3)))
 
 
@@ -56,6 +58,8 @@ _TRAJ = Trajectory(np.arange(3.0), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), np.zer
                  "quaternion must have 4 components, got shape (2, 3)", id="quat-mul-shape"),
     pytest.param(lambda: Sim3Transform(1.0, np.eye(3), np.zeros(2)),
                  "rotation must be 3x3 and translation length 3", id="sim3-shapes"),
+    pytest.param(lambda: Sim3Transform(None, np.eye(3), np.zeros(3)),
+                 "scale must be positive and finite, got None", id="sim3-scale-none"),
     pytest.param(lambda: PointCloud([[0.0, 0.0, np.nan]]),
                  "points contain non-finite entries", id="cloud-non-finite"),
     pytest.param(lambda: PointCloud(np.zeros((2, 3)), np.ones((1, 3))),
@@ -77,6 +81,8 @@ _TRAJ = Trajectory(np.arange(3.0), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), np.zer
                  id="write-table-row-fields"),
     pytest.param(lambda: gen_recall_task(2, DIMS16, "spiral"),
                  "unknown key_mode 'spiral'", id="recall-key-mode"),
+    pytest.param(lambda: gen_recall_task(2, DIMS8, rho=None),
+                 "rho must lie in [0, 1), got None", id="recall-rho-none"),
     pytest.param(lambda: gen_recall_task(2, StateDims(1, 1, 1, 1), "correlated"),
                  "correlated mode needs key width >= 2", id="correlated-width-1"),
     pytest.param(lambda: gen_adversarial_task(StateDims(4, 64, 64, 64), true_count=0),
@@ -87,6 +93,14 @@ _TRAJ = Trajectory(np.arange(3.0), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), np.zer
     pytest.param(lambda: run_stream(gen_recall_task(2, StateDims(4, 16, 16, 8)),
                                     StreamConfig("delta", DIMS16)),
                  "task value width 8 != c_v 16", id="stream-value-width"),
+    pytest.param(lambda: StreamConfig(5, DIMS8), "rule spec must be a str, got 5",
+                 id="stream-rule-int"),
+    pytest.param(lambda: StreamConfig("vanilla", DIMS8, softmax_scale=True),
+                 "scale must be positive and finite, got True", id="stream-scale-bool"),
+    pytest.param(lambda: StreamConfig("vanilla", DIMS8, softmax_scale="2"),
+                 "scale must be positive and finite, got 2", id="stream-scale-str"),
+    pytest.param(lambda: StreamConfig("vanilla", DIMS8, softmax_scale=[2]),
+                 "scale must be positive and finite, got [2]", id="stream-scale-list"),
     pytest.param(lambda: StreamConfig("delta", DIMS8, seed=None),
                  "seed must be an integer, got None", id="stream-seed-none"),
     pytest.param(lambda: StreamConfig("delta", StateDims(4, 8.5, 8, 8)),
@@ -113,6 +127,9 @@ _TRAJ = Trajectory(np.arange(3.0), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), np.zer
                  "c must be >= 1", id="gate-width-0"),
     pytest.param(lambda: ProjectionSet.identity(0), "c must be >= 1",
                  id="projection-set-width-0"),
+    pytest.param(lambda: lookup_gate([1]), _UNKNOWN_GATE, id="gate-list"),
+    pytest.param(lambda: ttt3r_update(np.ones((2, 4)), np.ones((3, 4)), [1]), _UNKNOWN_GATE,
+                 id="ttt3r-gate-list"),
     pytest.param(lambda: ttt3r_update(np.ones((2, 4)), np.ones((3, 4)), "per_token"),
                  "the per_token gate needs a finite gate_map of length 4",
                  id="ttt3r-per-token-gate-map-none"),

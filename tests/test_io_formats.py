@@ -384,9 +384,11 @@ _XYZ_PROPERTIES = "property float x\nproperty float y\nproperty float z\n"
 
 @pytest.mark.parametrize("text, line, message", [
     # blank, comment and obj_info lines are skipped but counted
-    ("ply\n\ncomment by hand\nobj_info scanner 2\nformat\n", 5, "malformed format line"),
+    ("ply\n\ncomment by hand\nobj_info scanner 2\nformat\n", 5,
+     "malformed format line 'format'"),
     ("ply\nformat utf8 1.0\n", 2, "unknown PLY format 'utf8'"),
-    ("ply\nformat ascii 1.0\nelement vertex\n", 3, "malformed element line"),
+    ("ply\nformat ascii 1.0\nelement vertex\n", 3,
+     "malformed element line 'element vertex'"),
     ("ply\nformat ascii 1.0\nelement vertex many\n", 3, "bad element count 'many'"),
     ("ply\nformat ascii 1.0\nelement vertex -2\n", 3, "negative element count -2"),
     ("ply\nformat ascii 1.0\nproperty float x\n", 3, "property before any element"),
@@ -401,11 +403,14 @@ _XYZ_PROPERTIES = "property float x\nproperty float y\nproperty float z\n"
      + "element face 2\nproperty list uchar int vertex_indices\nend_header\n0 0 0\n3 0 0 0\n",
      11, "file ends inside element 'face': expected 2 rows"),
     ("ply\nformat ascii 1.0\nelement vertex 1\n" + _XYZ_PROPERTIES
+     + "element face 99999999999999999999\nproperty int a\nend_header\n0 0 0\n5\n",
+     11, "file ends inside element 'face': expected 99999999999999999999 rows"),
+    ("ply\nformat ascii 1.0\nelement vertex 1\n" + _XYZ_PROPERTIES
      + "element vertex 2\nproperty float a\nend_header\n0 0 0\n5\n",
      11, "file ends inside element 'vertex': expected 2 rows"),
 ], ids=["blank-comment-obj_info-format", "unknown-format", "element", "element-count",
         "negative-count", "property-first", "property", "no-vertex", "list-property",
-        "short-face", "short-second-vertex"])
+        "short-face", "face-count-beyond-any-file", "short-second-vertex"])
 def test_ply_bad_header_reports_its_line(text, line, message):
     with pytest.raises(ParseError) as exc:
         parse_ply_ascii(text)
