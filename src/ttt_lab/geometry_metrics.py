@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -50,6 +51,8 @@ def _quats(q) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if q.shape[-1:] != (4,):
         raise ValueError(f"quaternion must have 4 components, got shape {q.shape}")
+    if not np.isfinite(q).all():
+        raise ValueError("quaternion contains non-finite entries")
     return q
 
 
@@ -152,7 +155,7 @@ class Sim3Transform:
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValueError("rotation must be 3x3 and translation length 3")
         if (isinstance(self.scale, bool) or not isinstance(self.scale, numbers.Real)
-                or not self.scale > 0 or not math.isfinite(self.scale)):
+                or not 0 < self.scale < math.inf or int(self.scale) > sys.float_info.max):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-9 or np.linalg.det(r) < 0:
             raise ValueError("rotation must be orthonormal with determinant +1")
@@ -404,8 +407,8 @@ def depth_metrics(pred, gt, scale: float = 1.0):
     pred and gt are H x W arrays of one shape; pixels are valid where
     both maps are finite and positive.
     """
-    if (isinstance(scale, bool) or not isinstance(scale, numbers.Real) or not scale > 0
-            or not math.isfinite(scale)):
+    if (isinstance(scale, bool) or not isinstance(scale, numbers.Real)
+            or not 0 < scale < math.inf or int(scale) > sys.float_info.max):
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
     pred, gt = _depth_maps(pred, gt)
     mask = _valid_mask(pred, gt)

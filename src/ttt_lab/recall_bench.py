@@ -257,10 +257,10 @@ class RuleRun:
 def _orthonormal_rows(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     """Exactly orthonormal rows: a signed permutation mixed by reflections.
 
-    QR of a dense Gaussian matrix would also work but costs O(dim^3)
-    with a large constant; at dim 4096 it dominates the whole stream
-    run.  Householder mixing keeps the rows orthonormal to machine
-    precision at a fraction of the cost.
+    QR of a dense Gaussian matrix costs O(dim^3) with a large constant
+    (at dim 4096 it dominates the stream run); Householder mixing keeps
+    the rows orthonormal to machine precision at a fraction of the cost.
+    Fewer than dim rows are copied out: a view would hold the whole basis.
     """
     if count > dim:
         raise ValueError(f"cannot draw {count} orthonormal rows in width {dim}")
@@ -277,7 +277,7 @@ def _orthonormal_rows(count: int, dim: int, rng: np.random.Generator) -> np.ndar
         projected, v = basis @ v, 2.0 * v
         for lo in range(0, dim, 64):
             basis[lo:lo + 64] -= np.outer(projected[lo:lo + 64], v)
-    return basis[:count]
+    return basis[:count].copy() if count < dim else basis
 
 
 def _unit_rows(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:

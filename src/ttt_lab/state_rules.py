@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,13 +132,13 @@ class ProjectionSet:
 
 
 def _resolve_scale(scale, c: int) -> float:
-    """The attention scale as a float: a positive finite real, or 1/sqrt(c) for None."""
+    """The attention scale as a float: a positive real finite as a float, or 1/sqrt(c) for None."""
     if scale is None:
         if c < 1:
             raise ValueError("c must be >= 1")
         return 1.0 / math.sqrt(c)
-    if (isinstance(scale, bool) or not isinstance(scale, numbers.Real) or not scale > 0
-            or not math.isfinite(scale)):
+    if (isinstance(scale, bool) or not isinstance(scale, numbers.Real)
+            or not 0 < scale < math.inf or int(scale) > sys.float_info.max):
         raise ValueError(f"scale must be positive and finite, got {scale}")
     return float(scale)
 
@@ -277,15 +278,33 @@ def _check_unit_rows(keys: np.ndarray, name: str) -> None:
                          f"got norm {float(norms[bad[0]])}")
 
 
-# Pairs per chunk of the batched delta rule.  A chunk costs one triangular
-# solve and two GEMMs over the state, so the state is read and written
-# once per chunk instead of once per pair.
+# Pairs per chunk of the batched delta rule.  A chunk costs one 64 x 64
+# solve and three GEMMs, so the state is read and written once per chunk.
 _DELTA_CHUNK = 64
 
-# A chunk's U^T K is added to the state in blocks of state rows, a multiple
-# of 64 rows (64 at least) whose product stays within this many bytes: at
-# width 768 that is 64 rows, where one product would be a 4.7 MB temporary.
+# Products over a c_v x c_k state run in blocks of its rows, a multiple of
+# 64 rows (64 at least) whose operand and product blocks fit in this many
+# bytes: 64 rows at width 768, so BLAS never packs a whole 4.7 MB state.
 _UPDATE_BYTES = 1 << 19
+
+
+def _row_blocked(left, right, out=None) -> np.ndarray:
+    """left @ right, one GEMM per block of left's rows, or added to out if given.
+
+    Every block has the same number of rows (or all of them): a short
+    last block is taken from the end, overlapping the one before, and
+    only its new rows are kept.  numpy computes a one-row product as a
+    matrix-vector product, with other bits.
+    """
+    rows = 64 * max(1, _UPDATE_BYTES // (64 * 8 * max(left.shape[1], right.shape[1])))
+    result = np.empty((len(left), right.shape[1])) if out is None else out
+    for r in range(0, len(left), rows):
+        first = max(0, min(r, len(left) - rows))
+        if out is None:
+            result[r:r + rows] = (left[first:r + rows] @ right)[r - first:]
+        else:
+            result[r:r + rows] += (left[first:r + rows] @ right)[r - first:]
+    return result
 
 
 def delta_rule_update(s, keys, values, beta) -> np.ndarray:
@@ -296,9 +315,8 @@ def delta_rule_update(s, keys, values, beta) -> np.ndarray:
     in (0, 1] for every pair, or one per pair.
 
     The pairs are applied in chunks in the chunkwise (UT) form of Yang et
-    al., arXiv 2406.06484: within a chunk the sequential steps add
-    U^T K to S, where U solves the unit lower-triangular system
-    (I + diag(beta) strictlower(K K^T)) U = diag(beta) (V - K S^T).
+    al., arXiv 2406.06484: a chunk adds U^T K to S, where U = T (V - K S^T)
+    and T = (I + diag(beta) strictlower(K K^T))^-1 diag(beta) is chunk-sized.
     """
     s, keys, values = _pair_rows(s, keys, values)
     n = keys.shape[0]
@@ -313,35 +331,22 @@ def delta_rule_update(s, keys, values, beta) -> np.ndarray:
     if bad.size:
         raise ValueError(f"beta row {bad[0]} must lie in (0, 1], got {betas[bad[0]]}")
     out = s.copy()
-    c_v, c_k = out.shape
-    rows = 64 * max(1, _UPDATE_BYTES // (64 * 8 * c_k))
     for lo in range(0, n, _DELTA_CHUNK):
-        k = keys[lo:lo + _DELTA_CHUNK]
-        b = betas[lo:lo + _DELTA_CHUNK, None]
-        system = np.eye(k.shape[0]) + b * np.tril(k @ k.T, -1)
-        u = np.linalg.solve(system, b * (values[lo:lo + _DELTA_CHUNK] - (out @ k.T).T))
-        # One GEMM per block of rows.  Every block has the same number of
-        # rows (or all c_v): a short last block is taken from the end,
-        # overlapping the one before, and only its new rows are added.
-        # numpy computes a one-row product as a matrix-vector product,
-        # with other bits.
-        for r in range(0, c_v, rows):
-            first = max(0, min(r, c_v - rows))
-            out[r:r + rows] += (u[:, first:r + rows].T @ k)[r - first:]
+        k, b = keys[lo:lo + _DELTA_CHUNK], betas[lo:lo + _DELTA_CHUNK]
+        t = np.linalg.solve(np.eye(k.shape[0]) + b[:, None] * np.tril(k @ k.T, -1), np.diag(b))
+        u = t @ (values[lo:lo + _DELTA_CHUNK] - _row_blocked(out, k.T).T)
+        _row_blocked(u.T, k, out)
     return out
 
 
 def hebbian_update(s, keys, values) -> np.ndarray:
     """Accumulate the outer products of a batch of pairs: S' = S + V^T K.
 
-    A 1-D key and value are a batch of one, S' = S + v k^T.
+    A 1-D key and value are a batch of one, S' = S + v k^T.  V^T K is
+    added to a copy of S in blocks of state rows, as in delta_rule_update.
     """
     s, keys, values = _pair_rows(s, keys, values)
-    # S is added into the product, not the product into a copy of S: one
-    # c_v x c_k array instead of two, and addition is commutative.
-    out = values.T @ keys
-    out += s
-    return out
+    return _row_blocked(values.T, keys, s.copy())
 
 
 def _sigmoid_open(z) -> np.ndarray:
@@ -404,8 +409,10 @@ def lookup_gate(gate):
     if isinstance(gate, str) and gate in GATES:
         return gate, GATES[gate]
     try:
+        if isinstance(gate, bool):
+            raise TypeError(gate)
         rate = float(gate)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"unknown gate {gate!r}; valid gates: {', '.join(GATES)} "
                          f"or a rate in (0, 1]") from None
     if not 0.0 < rate <= 1.0:
@@ -479,10 +486,10 @@ def read_token_state(s, query, scale=None) -> np.ndarray:
 
 
 # Queries per column block of a fast-weight read.  Each block is one
-# c_k x 64 S @ Q_b^T GEMM, zero-padded if short, so the state is streamed
-# once per block instead of once per query, and a row's bits depend on
-# neither the batch size nor its place in the block.  (With Q_b @ S^T
-# they do depend on that place.)
+# c_k x 64 S @ Q_b^T product over row blocks of S, zero-padded if short, so
+# the state is streamed once per block instead of once per query, and a
+# row's bits depend on neither the batch size nor its place in the block.
+# (With Q_b @ S^T they do depend on that place.)
 _READ_BLOCK = 64
 
 
@@ -490,7 +497,7 @@ def read_fast_weight(s, queries) -> np.ndarray:
     """Linear readouts S q of a c_v x c_k fast-weight state: m x c_k rows in, m x c_v out.
 
     m >= 1, and a 1-D query gives one c_v vector.  The queries are read
-    in zero-padded column blocks of 64, one S @ Q_b^T GEMM per block, so
+    in zero-padded column blocks of 64, one S @ Q_b^T product per block, so
     a row has the same bits alone or in any batch, and lies within
     c_k * 2^-52 * (|S| |q|) of S @ q elementwise.  A non-finite entry in
     S or q reaches S q (inf * 0 and nan * 0 are nan), so the result is
@@ -511,7 +518,7 @@ def read_fast_weight(s, queries) -> np.ndarray:
             n = part.shape[0]
             block[:, :n] = part.T
             block[:, n:] = 0.0
-            out[lo:lo + n] = (s @ block)[:, :n].T
+            out[lo:lo + n] = _row_blocked(s, block)[:, :n].T
     if not np.isfinite(out).all():
         raise ValueError("S q is not finite: the state or the query holds non-finite "
                          "entries, or the product overflows")

@@ -129,6 +129,16 @@ def test_quat_mul_of_a_conjugate_has_an_exactly_zero_vector_part():
         assert np.max(np.abs(p[:, 0] - 1.0)) <= 4 * 2.0**-52
 
 
+@pytest.mark.parametrize("q", [[np.inf, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0],
+                               [[1.0, 0.0, 0.0, 0.0], [0.0, -np.inf, 0.0, 0.0]]])
+def test_non_finite_quaternions_raise_without_a_numpy_warning(q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (quat_to_rotmat, lambda q: quat_mul(q, [1.0, 0.0, 0.0, 0.0])):
+            with pytest.raises(ValueError, match="^quaternion contains non-finite entries$"):
+                call(q)
+
+
 # ---------------------------------------------------------------------------
 # pose containers
 

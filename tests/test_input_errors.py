@@ -15,6 +15,7 @@ from ttt_lab.geometry_metrics import (
     Sim3Transform,
     Trajectory,
     associate,
+    depth_metrics,
     quat_mul,
     quat_to_rotmat,
     rpe,
@@ -41,7 +42,7 @@ from ttt_lab.state_rules import (
 
 DIMS16 = StateDims(4, 16, 16, 16)
 DIMS8 = StateDims(4, 8, 8, 8)
-_UNKNOWN_GATE = "unknown gate [1]; valid gates: input, per_token, confidence or a rate in (0, 1]"
+_UNKNOWN_GATE = "unknown gate {}; valid gates: input, per_token, confidence or a rate in (0, 1]"
 _TRAJ = Trajectory(np.arange(3.0), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), np.zeros((3, 3)))
 
 
@@ -60,6 +61,12 @@ _TRAJ = Trajectory(np.arange(3.0), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), np.zer
                  "rotation must be 3x3 and translation length 3", id="sim3-shapes"),
     pytest.param(lambda: Sim3Transform(None, np.eye(3), np.zeros(3)),
                  "scale must be positive and finite, got None", id="sim3-scale-none"),
+    # An int past the float range is not finite as a float, and math.isfinite
+    # would raise OverflowError on it.
+    pytest.param(lambda: Sim3Transform(10**400, np.eye(3), np.zeros(3)),
+                 f"scale must be positive and finite, got {10**400}", id="sim3-scale-huge-int"),
+    pytest.param(lambda: depth_metrics(np.ones((2, 2)), np.ones((2, 2)), scale=10**400),
+                 f"scale must be positive and finite, got {10**400}", id="depth-scale-huge-int"),
     pytest.param(lambda: PointCloud([[0.0, 0.0, np.nan]]),
                  "points contain non-finite entries", id="cloud-non-finite"),
     pytest.param(lambda: PointCloud(np.zeros((2, 3)), np.ones((1, 3))),
@@ -101,6 +108,9 @@ _TRAJ = Trajectory(np.arange(3.0), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), np.zer
                  "scale must be positive and finite, got 2", id="stream-scale-str"),
     pytest.param(lambda: StreamConfig("vanilla", DIMS8, softmax_scale=[2]),
                  "scale must be positive and finite, got [2]", id="stream-scale-list"),
+    pytest.param(lambda: StreamConfig("vanilla", DIMS8, softmax_scale=10**400),
+                 f"scale must be positive and finite, got {10**400}",
+                 id="stream-scale-huge-int"),
     pytest.param(lambda: StreamConfig("delta", DIMS8, seed=None),
                  "seed must be an integer, got None", id="stream-seed-none"),
     pytest.param(lambda: StreamConfig("delta", StateDims(4, 8.5, 8, 8)),
@@ -127,9 +137,15 @@ _TRAJ = Trajectory(np.arange(3.0), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), np.zer
                  "c must be >= 1", id="gate-width-0"),
     pytest.param(lambda: ProjectionSet.identity(0), "c must be >= 1",
                  id="projection-set-width-0"),
-    pytest.param(lambda: lookup_gate([1]), _UNKNOWN_GATE, id="gate-list"),
-    pytest.param(lambda: ttt3r_update(np.ones((2, 4)), np.ones((3, 4)), [1]), _UNKNOWN_GATE,
-                 id="ttt3r-gate-list"),
+    pytest.param(lambda: lookup_gate([1]), _UNKNOWN_GATE.format([1]), id="gate-list"),
+    pytest.param(lambda: ttt3r_update(np.ones((2, 4)), np.ones((3, 4)), [1]),
+                 _UNKNOWN_GATE.format([1]), id="ttt3r-gate-list"),
+    # float(True) is 1.0, but a bool is no rate.
+    pytest.param(lambda: lookup_gate(True), _UNKNOWN_GATE.format(True), id="gate-bool"),
+    pytest.param(lambda: ttt3r_update(np.ones((2, 4)), np.ones((3, 4)), True),
+                 _UNKNOWN_GATE.format(True), id="ttt3r-gate-bool"),
+    pytest.param(lambda: lookup_gate(10**400), _UNKNOWN_GATE.format(10**400),
+                 id="gate-huge-int"),
     pytest.param(lambda: ttt3r_update(np.ones((2, 4)), np.ones((3, 4)), "per_token"),
                  "the per_token gate needs a finite gate_map of length 4",
                  id="ttt3r-per-token-gate-map-none"),

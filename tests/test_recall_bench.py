@@ -55,6 +55,13 @@ def test_orthonormal_keys_are_exactly_orthonormal():
     np.testing.assert_allclose(gram, np.eye(16), rtol=0, atol=1e-9)
 
 
+def test_orthonormal_keys_share_no_memory_with_a_larger_basis():
+    # 64 keys of width 1024 hold 0.5 MB, not a view into a 1024 x 1024 basis.
+    keys = gen_recall_task(64, StateDims(4, 1024, 1024, 8)).keys
+    assert keys.shape == (64, 1024)
+    assert keys.base is None or keys.base.nbytes == keys.nbytes
+
+
 def test_orthonormal_mode_rejects_overfull_count():
     with pytest.raises(ValueError):
         gen_recall_task(17, DIMS16, "orthonormal", seed=0)

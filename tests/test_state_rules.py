@@ -7,6 +7,7 @@ evaluated offline in 50-digit arithmetic.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from ttt_lab.state_rules import (
     _GATE_HI,
     _GATE_LO,
     _resolve_scale,
+    _row_blocked,
     confidence_gate,
     delta_rule_update,
     hebbian_update,
@@ -725,13 +727,34 @@ def test_hebbian_update_adds_outer_product():
     np.testing.assert_array_equal(out, s_arr + np.outer(v, k))
 
 
+def test_fast_weight_kernels_allocate_no_state_sized_temporary():
+    # At width 768 a state is 4.5 MiB.  Each kernel may allocate its result
+    # and at most 1.5 MiB more numpy memory: blocks of state rows, never a
+    # second state.  (BLAS packing buffers are not numpy memory.)
+    rng = np.random.default_rng(768)
+    keys = _key_rows("random_unit", 768, 768, rng)
+    values = rng.uniform(-1.0, 1.0, (768, 768))
+    s_arr = 0.01 * rng.standard_normal((768, 768))
+    for kernel in (lambda: hebbian_update(s_arr, keys, values),
+                   lambda: delta_rule_update(s_arr, keys, values, 0.5),
+                   lambda: read_fast_weight(s_arr, keys)):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = kernel()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before - out.nbytes <= 1.5 * 2**20
+
+
 def _one_gemm_delta(s_arr, keys, values, betas):
     """The chunkwise delta rule with U^T K added to S by one GEMM per chunk."""
     out = np.array(s_arr, dtype=np.float64)
     for lo in range(0, len(keys), 64):
-        k, b = keys[lo:lo + 64], betas[lo:lo + 64, None]
-        system = np.eye(len(k)) + b * np.tril(k @ k.T, -1)
-        u = np.linalg.solve(system, b * (values[lo:lo + 64] - (out @ k.T).T))
+        k, b = keys[lo:lo + 64], betas[lo:lo + 64]
+        t = np.linalg.solve(np.eye(len(k)) + b[:, None] * np.tril(k @ k.T, -1), np.diag(b))
+        u = t @ (values[lo:lo + 64] - _row_blocked(out, k.T).T)
         out += u.T @ k
     return out
 
