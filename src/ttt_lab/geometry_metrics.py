@@ -76,12 +76,17 @@ def quat_mul(a, b) -> np.ndarray:
     The rotation of a b is R(a) R(b).  The vector part sums
     a_w b_v + b_w a_v before it adds a_v x b_v, so conj(q) q has an
     exactly zero vector part: the first sum cancels term by term and the
-    cross product of parallel vectors is exactly zero.
+    cross product of parallel vectors is exactly zero.  A product past
+    the float range raises ValueError.
     """
     a, b = _quats(a), _quats(b)
     aw, av, bw, bv = a[..., :1], a[..., 1:], b[..., :1], b[..., 1:]
-    w = aw * bw - np.sum(av * bv, axis=-1, keepdims=True)
-    return np.concatenate([w, aw * bv + bw * av + np.cross(av, bv)], axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):    # checked below
+        w = aw * bw - np.sum(av * bv, axis=-1, keepdims=True)
+        product = np.concatenate([w, aw * bv + bw * av + np.cross(av, bv)], axis=-1)
+    if not np.isfinite(product).all():
+        raise ValueError("quaternion product overflows")
+    return product
 
 
 @dataclass(frozen=True)
@@ -141,6 +146,14 @@ class Trajectory:
         return Trajectory(self.timestamps[index], self.quats[index], self.translations[index])
 
 
+def _read_only(given, arr: np.ndarray) -> np.ndarray:
+    """arr (given, as float64) made read-only, copied unless no one else could write it."""
+    if not arr.flags.owndata or (arr is given and arr.flags.writeable):
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class Sim3Transform:
     """Similarity transform p -> scale * R p + t."""
@@ -159,12 +172,8 @@ class Sim3Transform:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-9 or np.linalg.det(r) < 0:
             raise ValueError("rotation must be orthonormal with determinant +1")
-        r = r.copy()
-        r.setflags(write=False)
-        t = t.copy()
-        t.setflags(write=False)
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
+        object.__setattr__(self, "rotation", _read_only(self.rotation, r))
+        object.__setattr__(self, "translation", _read_only(self.translation, t))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
@@ -173,7 +182,7 @@ class Sim3Transform:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """N >= 1 points, optionally with unit normals."""
+    """N >= 1 points, optionally with unit normals (a read-only array owning its data is kept)."""
 
     points: np.ndarray
     normals: Optional[np.ndarray] = None
@@ -184,9 +193,7 @@ class PointCloud:
             raise ValueError(f"points must be a non-empty Nx3 array, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points contain non-finite entries")
-        pts = pts.copy()
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _read_only(self.points, pts))
         if self.normals is not None:
             nrm = np.asarray(self.normals, dtype=np.float64)
             if nrm.shape != pts.shape:
@@ -198,9 +205,7 @@ class PointCloud:
             lengths = np.linalg.norm(nrm, axis=1)
             if np.any(np.abs(lengths - 1.0) > 1e-6):
                 raise ValueError("normals must be unit-norm within 1e-6")
-            nrm = nrm.copy()
-            nrm.setflags(write=False)
-            object.__setattr__(self, "normals", nrm)
+            object.__setattr__(self, "normals", _read_only(self.normals, nrm))
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -216,7 +221,7 @@ class ChamferResult(NamedTuple):
 def associate(est: Trajectory, gt: Trajectory, max_dt: float = 0.02):
     """Match poses by nearest timestamp within max_dt, each used once.
 
-    max_dt is a positive real number; inf makes every pair a candidate.
+    max_dt is a positive float or inf, which makes every pair a candidate.
     Candidate pairs are taken in order of increasing |dt| (ties broken
     by index), and a pose already matched is skipped.  Returns index
     pairs (i_est, j_gt) sorted by estimated-pose index.  The candidates
@@ -227,6 +232,8 @@ def associate(est: Trajectory, gt: Trajectory, max_dt: float = 0.02):
         raise ValueError(f"max_dt must be a real number, got {max_dt!r}")
     if not (max_dt > 0):
         raise ValueError(f"max_dt must be positive, got {max_dt}")
+    if max_dt < math.inf and int(max_dt) > sys.float_info.max:
+        raise ValueError(f"max_dt must be inf or at most the largest float, got {max_dt}")
     est_ts = est.timestamps
     gt_ts = gt.timestamps
     # A window or |dt| past the largest float is inf, which is still right.
@@ -311,17 +318,20 @@ def _pair_indices(pairs, est: Trajectory, gt: Trajectory):
     return idx[:, 0], idx[:, 1]
 
 
-def _normalized(*arrays):
-    """The coordinate arrays scaled by one power of two, and the factor that undoes it.
+def _shift(*arrays) -> int:
+    """Minus the exponent that brings the arrays' largest magnitude into [1, 2).
 
-    The power brings their largest magnitude into [1, 2), where no sum
-    of squared coordinate differences over arrays that fit in memory
-    overflows, nor one near that size underflows.  The scaling is exact,
-    so a metric of inputs times 2**k is 2**k times their metric, bit
-    for bit.
+    Scaled by 2**shift, exactly, no sum of squared coordinate differences
+    of arrays that fit in memory overflows, nor one near that size underflows,
+    and a metric of inputs times 2**k is 2**k times their metric, bit for bit.
     """
-    shift = math.frexp(max(float(np.abs(a).max()) for a in arrays))[1] - 1
-    return [np.ldexp(a, -shift) for a in arrays], math.ldexp(1.0, shift)
+    return 1 - math.frexp(max(max(-float(a.min()), float(a.max())) for a in arrays))[1]
+
+
+def _normalized(*arrays):
+    """The arrays scaled by 2**_shift, and the factor that undoes it."""
+    shift = _shift(*arrays)
+    return [np.ldexp(a, shift) for a in arrays], math.ldexp(1.0, -shift)
 
 
 def ate(est: Trajectory, gt: Trajectory, pairs, align: str = "sim3") -> float:
@@ -395,8 +405,10 @@ def _depth_maps(*maps) -> list:
     return arrays
 
 
-def _valid_mask(pred: np.ndarray, gt: np.ndarray) -> np.ndarray:
-    return np.isfinite(pred) & (pred > 0) & np.isfinite(gt) & (gt > 0)
+def _masked(pred, gt):
+    """A map pair, checked, as float64 arrays, and the mask of its valid pixels."""
+    pred, gt = _depth_maps(pred, gt)
+    return pred, gt, np.isfinite(pred) & (pred > 0) & np.isfinite(gt) & (gt > 0)
 
 
 def depth_metrics(pred, gt, scale: float = 1.0):
@@ -410,8 +422,7 @@ def depth_metrics(pred, gt, scale: float = 1.0):
     if (isinstance(scale, bool) or not isinstance(scale, numbers.Real)
             or not 0 < scale < math.inf or int(scale) > sys.float_info.max):
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
-    pred, gt = _depth_maps(pred, gt)
-    mask = _valid_mask(pred, gt)
+    pred, gt, mask = _masked(pred, gt)
     if not np.any(mask):
         raise ValueError("no valid pixels shared by prediction and reference")
     # In place on the masked copies, so a frame allocates no array beyond p, g and d.
@@ -436,12 +447,6 @@ def _bins(part: np.ndarray) -> np.ndarray:
 
 _NBINS = 1 << 15     # the bins of the positive values, inf included
 _END = object()
-
-
-def _masked(pred, gt):
-    """A map pair, checked, as float64 arrays, and the mask of its valid pixels."""
-    pred, gt = _depth_maps(pred, gt)
-    return pred, gt, _valid_mask(pred, gt)
 
 
 def sequence_depth_scale(preds: Iterable, gts: Iterable) -> float:
@@ -509,19 +514,20 @@ def sequence_depth_scale(preds: Iterable, gts: Iterable) -> float:
     return scale
 
 
-# Exact nearest neighbours on a uniform grid.  Sizes bound every temporary.
+# Exact nearest neighbours on a uniform grid.  A search holds the clouds, its results,
+# the query order, a cell index and the reference sorted by cell; else one chunk's arrays.
 _GRID_FILL = 2.0        # aimed-at reference points per occupied cell
 _GRID_CAP = 8           # at most this many cells per reference point
 _GRID_COARSEN = 2.0     # cell growth for queries a grid could not settle
 _GRID_PAIRS = 1 << 16   # candidate (or brute-force) distances held at once
-_GRID_CHUNK = 4096      # queries per chunk
+_GRID_CHUNK = 4096      # queries (or points hashed) per chunk
 _GRID_SLACK = 1e-12     # relative margin on the search bound, far above rounding
 _GRID_MIN_CELL = 2.0 ** -500  # smaller cells would square into subnormals
 _COLUMNS = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])
 
 
-def _cell_size(ref: np.ndarray, lo: np.ndarray, span: np.ndarray) -> float:
-    """Grid cell edge for ref; inf puts every point in one cell.
+def _cell_size(ref: np.ndarray, lo: np.ndarray, span: np.ndarray, shift: int = 0) -> float:
+    """Grid cell edge for ref scaled by 2**shift; inf puts every point in one cell.
 
     It starts from the edge that gives one cell per point over the axes
     whose span exceeds it, then rescales by the share of those cells
@@ -539,8 +545,9 @@ def _cell_size(ref: np.ndarray, lo: np.ndarray, span: np.ndarray) -> float:
     if not _GRID_MIN_CELL < h < math.inf:
         return math.inf
     dims = np.floor(span / h) + 1
-    occupied = np.count_nonzero(np.bincount(_cell_ids(ref, lo, h, dims)))
-    h *= math.sqrt(_GRID_FILL * occupied / n)
+    occupied = np.zeros(int(np.prod(dims)), dtype=bool)
+    occupied[_cell_ids(ref, lo, h, dims, shift)] = True
+    h *= math.sqrt(_GRID_FILL * np.count_nonzero(occupied) / n)
     while np.prod(np.floor(span / h) + 1) > _GRID_CAP * n:
         h *= 1.25
     return h if h > _GRID_MIN_CELL else math.inf
@@ -552,22 +559,26 @@ def _cells(points: np.ndarray, lo: np.ndarray, h: float, dims: np.ndarray):
     return t, np.clip(np.floor(t), 0, dims - 1).astype(np.int64)
 
 
-def _cell_ids(points: np.ndarray, lo: np.ndarray, h: float, dims: np.ndarray):
-    cell = _cells(points, lo, h, dims)[1]
-    return (cell[:, 0] * int(dims[1]) + cell[:, 1]) * int(dims[2]) + cell[:, 2]
+def _cell_ids(points: np.ndarray, lo: np.ndarray, h: float, dims: np.ndarray, shift: int):
+    """The cell of each point scaled by 2**shift, hashed _GRID_CHUNK points at a time."""
+    ids = np.empty(len(points), dtype=np.int64)
+    for c0 in range(0, len(points), _GRID_CHUNK):
+        x, y, z = _cells(np.ldexp(points[c0:c0 + _GRID_CHUNK], shift), lo, h, dims)[1].T
+        ids[c0:c0 + len(x)] = (x * int(dims[1]) + y) * int(dims[2]) + z
+    return ids
 
 
-def _brute_nearest(ref: np.ndarray, qry: np.ndarray):
-    """Squared distance to and index of each query's nearest ref point, in blocks."""
-    d2 = np.full(len(qry), np.inf)
-    idx = np.zeros(len(qry), dtype=np.int64)
-    q_block = min(len(qry), 256)
+def _brute_nearest(ref: np.ndarray, qry: np.ndarray, shift: int, rows: np.ndarray,
+                   d2: np.ndarray, idx: np.ndarray):
+    """Writes the nearest squared distance and index of qry[rows] into d2 and idx, in blocks."""
+    q_block = max(1, min(len(rows), 256))
     r_block = max(1, _GRID_PAIRS // q_block)
-    for q0 in range(0, len(qry), q_block):
-        q = qry[q0:q0 + q_block, :, None]
-        best, arg = d2[q0:q0 + q_block], idx[q0:q0 + q_block]
+    for q0 in range(0, len(rows), q_block):
+        sel = rows[q0:q0 + q_block]
+        q = np.ldexp(qry[sel], shift)[:, :, None]
+        best, arg = np.full(len(sel), np.inf), np.zeros(len(sel), dtype=np.int64)
         for r0 in range(0, len(ref), r_block):
-            r = ref[r0:r0 + r_block].T
+            r = np.ldexp(ref[r0:r0 + r_block], shift).T
             block = r[0] - q[:, 0]
             block *= block
             for axis in (1, 2):
@@ -579,25 +590,26 @@ def _brute_nearest(ref: np.ndarray, qry: np.ndarray):
             closer = nearest < best        # strict: the lower index wins a tie
             best[closer] = nearest[closer]
             arg[closer] = j[closer] + r0
-    return d2, idx
+        d2[sel], idx[sel] = best, arg
 
 
-def _scan_runs(ref_xyz: list, perm: np.ndarray, q: list, first: np.ndarray,
-               count: np.ndarray):
+def _scan_runs(ref_xyz: list, perm: np.ndarray, q: np.ndarray, first: np.ndarray,
+               count: np.ndarray, per_query: np.ndarray):
     """Each query's nearest squared distance over its runs of sorted ref points.
 
-    Row i of first and count gives the start and length of query i's
-    runs.  Returns the distances (inf for no candidate) and the lowest
-    original index among each query's ties.
+    q holds the queries' x, y and z rows; row i of first and count gives
+    the start and length of query i's runs, per_query their sum.  Returns
+    the distances (inf for no candidate) and each query's lowest tied index.
     """
-    per_query = count.sum(axis=1)
     runs = count.ravel()
     pos = np.repeat(first.ravel() - (np.cumsum(runs) - runs), runs)
     pos += np.arange(len(pos))
-    pair_d2 = ref_xyz[0][pos] - np.repeat(q[0], per_query)
+    pair_d2 = ref_xyz[0][pos]
+    pair_d2 -= np.repeat(q[0], per_query)
     pair_d2 *= pair_d2
     for axis in (1, 2):
-        d = ref_xyz[axis][pos] - np.repeat(q[axis], per_query)
+        d = ref_xyz[axis][pos]
+        d -= np.repeat(q[axis], per_query)
         d *= d
         pair_d2 += d
     ends = np.cumsum(per_query)
@@ -610,33 +622,32 @@ def _scan_runs(ref_xyz: list, perm: np.ndarray, q: list, first: np.ndarray,
     return best, arg
 
 
-def _grid_pass(ref: np.ndarray, qry: np.ndarray, lo: np.ndarray, span: np.ndarray,
-               h: float):
-    """One search on a grid of cells of edge h.
+def _grid_pass(ref: np.ndarray, qry: np.ndarray, todo, shift: int, lo: np.ndarray,
+               span: np.ndarray, h: float, d2: np.ndarray, idx: np.ndarray):
+    """One search of qry[todo] on a grid of cells of edge h, clouds scaled by 2**shift.
 
-    Returns each query's best squared distance and index over the
-    3x3x3 cells around its own, whether that match is settled (strictly
-    closer than any point outside those cells could be), and whether
-    its scan would pass _GRID_PAIRS distances and was skipped.
+    Writes each query's best match over the 3x3x3 cells around its own
+    into d2 and idx.  Returns the queries whose match is not settled
+    (strictly closer than any point outside those cells could be), and
+    those whose scan would pass _GRID_PAIRS distances and was skipped.
     """
     dims = np.floor(span / h) + 1
     nx, ny, nz = (int(d) for d in dims)
-    ref_ids = _cell_ids(ref, lo, h, dims)
+    ref_ids = _cell_ids(ref, lo, h, dims, shift)
     perm = np.argsort(ref_ids)
-    ref_xyz = [np.ascontiguousarray(ref[perm, axis]) for axis in range(3)]
-    starts = np.zeros(nx * ny * nz + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ref_ids, minlength=len(starts) - 1), out=starts[1:])
+    ref_xyz = [np.ldexp(ref[perm, axis], shift) for axis in range(3)]
+    count_type = np.int32 if len(ref) < 2**31 else np.int64    # holds any point count
+    starts = np.zeros(nx * ny * nz + 1, dtype=count_type)
+    np.add.at(starts[1:], ref_ids, count_type(1))
+    np.cumsum(starts, out=starts)
     del ref_ids
-    order = np.argsort(_cell_ids(qry, lo, h, dims))
-    qry_xyz = [np.ascontiguousarray(qry[order, axis]) for axis in range(3)]
-    d2 = np.empty(len(qry))
-    idx = np.empty(len(qry), dtype=np.int64)
-    settled = np.empty(len(qry), dtype=bool)
-    over = np.empty(len(qry), dtype=bool)
-    for c0 in range(0, len(qry), _GRID_CHUNK):
+    order = np.argsort(_cell_ids(qry[todo], lo, h, dims, shift))
+    order = todo[order] if isinstance(todo, np.ndarray) else order
+    unsettled, over = [], []
+    for c0 in range(0, len(order), _GRID_CHUNK):
         sel = order[c0:c0 + _GRID_CHUNK]
-        q = [column[c0:c0 + _GRID_CHUNK] for column in qry_xyz]
-        t, cell = _cells(np.column_stack(q), lo, h, dims)
+        block = np.ldexp(qry[sel], shift, order="F")    # columns: fast reductions over axes
+        t, cell = _cells(block, lo, h, dims)
         # The 9 runs: columns (x + i, y + j), z-cells z - 1 .. z + 1.
         cx = cell[:, :1] + _COLUMNS[:, 0]
         cy = cell[:, 1:2] + _COLUMNS[:, 1]
@@ -644,30 +655,30 @@ def _grid_pass(ref: np.ndarray, qry: np.ndarray, lo: np.ndarray, span: np.ndarra
         base = (np.clip(cx, 0, nx - 1) * ny + np.clip(cy, 0, ny - 1)) * nz
         first = starts[base + np.maximum(cell[:, 2:] - 1, 0)]
         count = np.where(inside, starts[base + np.minimum(cell[:, 2:] + 1, nz - 1) + 1] - first, 0)
+        del cx, cy, inside, base
         # No point outside the runs is closer than the gap to the block's
         # faces, in cells; the slack covers the rounding of t and of distances.
         low = np.where(cell >= 2, t - (cell - 1), np.inf)
         high = np.where(cell + 2 <= dims - 1, (cell + 2) - t, np.inf)
         gap = np.minimum(low, high) * (1 - _GRID_SLACK) - _GRID_SLACK * (2 * dims + 2)
         bound = h * gap.min(axis=1) * (1 - _GRID_SLACK)
-        big = count.sum(axis=1) > _GRID_PAIRS
-        count[big] = 0
-        ends = np.cumsum(count.sum(axis=1))
-        best = np.empty(len(sel))
-        arg = np.empty(len(sel), dtype=np.int64)
+        per_query = count.sum(axis=1)
+        big = per_query > _GRID_PAIRS
+        count[big] = per_query[big] = 0
+        ends = np.cumsum(per_query)
         i = 0
         while i < len(sel):  # sub-chunks of at most _GRID_PAIRS distances
             j = int(np.searchsorted(ends, (ends[i - 1] if i else 0) + _GRID_PAIRS, "right"))
-            best[i:j], arg[i:j] = _scan_runs(ref_xyz, perm, [c[i:j] for c in q],
-                                             first[i:j], count[i:j])
+            d2[sel[i:j]], idx[sel[i:j]] = _scan_runs(ref_xyz, perm, block[i:j].T, first[i:j],
+                                                     count[i:j], per_query[i:j])
             i = j
-        d2[sel], idx[sel], over[sel] = best, arg, big
         # With one cell every scan was exhaustive.
-        settled[sel] = ((np.sqrt(best) < bound) | (nx * ny * nz == 1)) & ~big
-    return d2, idx, settled, over
+        unsettled.append(sel[~((np.sqrt(d2[sel]) < bound) | (nx * ny * nz == 1) | big)])
+        over.append(sel[big])
+    return np.concatenate(unsettled), np.concatenate(over)
 
 
-def _nearest(ref: np.ndarray, qry: np.ndarray):
+def _nearest(ref: np.ndarray, qry: np.ndarray, shift: int = 0):
     """Squared distance to and index of each query's nearest ref point, exactly.
 
     Squares are summed x, then y, then z, as cKDTree sums them, so the
@@ -676,24 +687,21 @@ def _nearest(ref: np.ndarray, qry: np.ndarray):
     as 9 runs of z-cells and keeps its best match if that is strictly
     closer than any point outside them could be.  The other queries
     search again on grids of coarser cells, and those whose scan would
-    pass _GRID_PAIRS distances are brute-forced.  Coordinates must be
-    small enough that no squared distance overflows.
+    pass _GRID_PAIRS distances are brute-forced.  Both clouds are measured
+    scaled by 2**shift, a chunk at a time, small enough that no squared
+    distance overflows.
     """
-    lo = ref.min(axis=0)
-    span = ref.max(axis=0) - lo
-    h = _cell_size(ref, lo, span)
+    lo = np.ldexp(ref.min(axis=0), shift)
+    span = np.ldexp(ref.max(axis=0), shift) - lo
+    h = _cell_size(ref, lo, span, shift)
     d2 = np.empty(len(qry))
     idx = np.empty(len(qry), dtype=np.int64)
-    todo, brute = np.arange(len(qry)), []
-    while len(todo):
-        best, arg, settled, over = _grid_pass(ref, qry[todo], lo, span, h)
-        d2[todo[settled]], idx[todo[settled]] = best[settled], arg[settled]
-        brute.append(todo[over])
-        todo = todo[~settled & ~over]
+    todo, brute = slice(None), []     # slice(None): every query, with no index array
+    while isinstance(todo, slice) or len(todo):
+        todo, over = _grid_pass(ref, qry, todo, shift, lo, span, h, d2, idx)
+        brute.append(over)
         h *= _GRID_COARSEN
-    brute = np.concatenate(brute)
-    if len(brute):
-        d2[brute], idx[brute] = _brute_nearest(ref, qry[brute])
+    _brute_nearest(ref, qry, shift, np.concatenate(brute), d2, idx)
     return d2, idx
 
 
@@ -711,17 +719,16 @@ def chamfer(a: PointCloud, b: PointCloud) -> ChamferResult:
     distances scale with the clouds bit for bit and are finite unless
     they exceed the largest float.
     """
-    (pa, pb), scale = _normalized(a.points, b.points)
-    d2_ab, idx_ab = _nearest(pb, pa)
-    d2_ba, idx_ba = _nearest(pa, pb)
-    acc = float(np.mean(np.sqrt(d2_ab))) * scale
-    comp = float(np.mean(np.sqrt(d2_ba))) * scale
-    consistency = None
-    if a.normals is not None and b.normals is not None:
-        ab = float(np.mean(np.abs(np.sum(a.normals * b.normals[idx_ab], axis=1))))
-        ba = float(np.mean(np.abs(np.sum(b.normals * a.normals[idx_ba], axis=1))))
-        consistency = 0.5 * (ab + ba)
-    return ChamferResult(acc, comp, 0.5 * (acc + comp), consistency)
+    shift = _shift(a.points, b.points)
+    means, dots = [], []
+    for qry, ref in ((a, b), (b, a)):
+        d2, idx = _nearest(ref.points, qry.points, shift)
+        means.append(float(np.mean(np.sqrt(d2))) * math.ldexp(1.0, -shift))
+        if a.normals is not None and b.normals is not None:
+            dots.append(float(np.mean(np.abs(np.sum(qry.normals * ref.normals[idx], axis=1)))))
+        del d2, idx    # before the other direction's search
+    acc, comp = means
+    return ChamferResult(acc, comp, 0.5 * (acc + comp), 0.5 * sum(dots) if dots else None)
 
 
 def normal_consistency(a: PointCloud, b: PointCloud) -> float:

@@ -361,6 +361,8 @@ def parse_ply_ascii(source) -> PointCloud:
     # Joined one at a time, so the blocks of one are freed before the other is built.
     points = np.concatenate(points)
     normals = np.concatenate(normals) if has_n else None
+    for array in (points, normals) if has_n else (points,):
+        array.setflags(write=False)    # so PointCloud keeps it without a copy
     return PointCloud(points, normals)
 
 

@@ -139,6 +139,17 @@ def test_non_finite_quaternions_raise_without_a_numpy_warning(q):
                 call(q)
 
 
+# The first product overflows; the second's w is inf - inf.
+@pytest.mark.parametrize("a, b", [([1e200, 0.0, 0.0, 0.0], [1e200, 0.0, 0.0, 0.0]),
+                                  ([1e200, 1e200, 0.0, 0.0], [[1.0, 0.0, 0.0, 0.0],
+                                                              [1e200, 1e200, 0.0, 0.0]])])
+def test_a_quaternion_product_past_the_float_range_raises_without_a_numpy_warning(a, b):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^quaternion product overflows$"):
+            quat_mul(a, b)
+
+
 # ---------------------------------------------------------------------------
 # pose containers
 
@@ -1019,6 +1030,33 @@ def test_chamfer_of_huge_clouds_is_the_scaled_chamfer():
         assert got.normal_consistency == base.normal_consistency
 
 
+@pytest.mark.parametrize("k", [0, 10])
+def test_chamfer_holds_no_whole_cloud_temporaries(k):
+    # Two 50k-point clouds with normals, built like the recon-eval ones, at
+    # unit scale (where the power-of-two factor is 1) and times 2**10.  The
+    # search holds one cell index, the reference cloud sorted by cell, the
+    # query order, distances and indices, and one chunk's temporaries: 1.46x
+    # the clouds' bytes.  Scaled copies of both clouds alone would add 0.5x;
+    # with whole-cloud cell coordinates and a dense int64 cell count they
+    # held 3.4x.
+    rng = np.random.default_rng(21)
+    n = 50_000
+    unit_a = _unit_rows(rng, n)
+    unit_b = _unit_rows(rng, n)
+    a = PointCloud(np.ldexp(unit_a, k), unit_a)
+    b = PointCloud(np.ldexp(unit_b * (1.0 + 0.001 * rng.standard_normal((n, 1))), k), unit_b)
+    clouds = 2 * (a.points.nbytes + a.normals.nbytes)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = chamfer(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1.7 * clouds
+    assert 0.0 < result.accuracy < 0.01 * 2.0**k and result.normal_consistency > 0.99
+
+
 def test_grid_nearest_of_two_tight_clusters_grows_the_capped_cells():
     # 500 points within 1e-3 of each of two corners of the unit cube: cells
     # sized for the clusters would number far more than _GRID_CAP a point,
@@ -1058,3 +1096,22 @@ def test_point_cloud_validation():
         PointCloud(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         PointCloud(np.zeros((1, 3)), np.array([[0.0, 0.0, 2.0]]))
+
+
+def test_point_cloud_copies_an_array_unless_no_one_else_can_write_it():
+    points = np.zeros((4, 3))
+    cloud = PointCloud(points)
+    assert cloud.points is not points and not cloud.points.flags.writeable
+    points[0, 0] = 1.0
+    assert cloud.points[0, 0] == 0.0
+    # A read-only view of a writable array can change under the cloud.
+    view = points[::2]
+    view.setflags(write=False)
+    assert PointCloud(view).points is not view
+    # A read-only array that owns its data, as the PLY parser builds, is kept.
+    points.setflags(write=False)
+    assert PointCloud(points, np.tile([0.0, 0.0, 1.0], (4, 1))).points is points
+    assert PointCloud(points.astype(np.float32)).points.dtype == np.float64
+    rotation = np.eye(3)
+    transform = Sim3Transform(1.0, rotation, np.zeros(3))
+    assert transform.rotation is not rotation and not transform.rotation.flags.writeable

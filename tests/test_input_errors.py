@@ -76,6 +76,10 @@ _TRAJ = Trajectory(np.arange(3.0), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), np.zer
                  "max_dt must be positive, got 0.0", id="associate-max-dt"),
     pytest.param(lambda: associate(_TRAJ, _TRAJ, None),
                  "max_dt must be a real number, got None", id="associate-max-dt-none"),
+    # A finite window past the float range would overflow in est_ts - max_dt.
+    pytest.param(lambda: associate(_TRAJ, _TRAJ, max_dt=10**400),
+                 f"max_dt must be inf or at most the largest float, got {10**400}",
+                 id="associate-max-dt-huge-int"),
     pytest.param(lambda: rpe(_TRAJ, _TRAJ, [(0, 0), (1, 1), (2, 2)], delta=1.5),
                  "delta must be an integer, got 1.5", id="rpe-delta-float"),
     pytest.param(lambda: umeyama_sim3(np.zeros((4, 3)), np.zeros((5, 3))),
