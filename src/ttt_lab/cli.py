@@ -298,6 +298,7 @@ def _run_stitch(args) -> int:
     traj = _parse(parse_tum, args.traj)
     cloud = None if args.cloud is None else _parse(parse_ply_ascii, args.cloud)
     chunks = split_trajectory(traj, args.reset_period, cloud)
+    del cloud    # the chunks hold its pieces now: the cloud is held once
     stitched, merged = stitch(chunks)
     roundtrip = ate(stitched, traj, associate(stitched, traj), align="none")
     files = {"stitched.tum": write_tum(stitched)}

@@ -46,13 +46,22 @@ class DegenerateGeometryError(ValueError):
     """Point configuration does not determine the requested transform."""
 
 
+def _floats(value, message: str, copy: bool = False) -> np.ndarray:
+    """value as float64 (copied if copy); ValueError(message) unless all finite."""
+    try:
+        arr = (np.array if copy else np.asarray)(value, dtype=np.float64)
+    except OverflowError:    # an int past the float range
+        raise ValueError(message) from None
+    if not np.isfinite(arr).all():
+        raise ValueError(message)
+    return arr
+
+
 def _quats(q) -> np.ndarray:
     """q as a float64 array of quaternions (..., 4), checked."""
-    q = np.asarray(q, dtype=np.float64)
+    q = _floats(q, "quaternion contains non-finite entries")
     if q.shape[-1:] != (4,):
         raise ValueError(f"quaternion must have 4 components, got shape {q.shape}")
-    if not np.isfinite(q).all():
-        raise ValueError("quaternion contains non-finite entries")
     return q
 
 
@@ -60,11 +69,13 @@ def quat_to_rotmat(q) -> np.ndarray:
     """Rotation matrices (..., 3, 3) of unit quaternions (..., 4) in (w, x, y, z) order."""
     q = _quats(q)
     w, x, y, z = np.moveaxis(q, -1, 0)
-    return np.stack([
-        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
-        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
-        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
-    ], axis=-1).reshape(q.shape[:-1] + (3, 3))
+    with np.errstate(over="ignore", invalid="ignore"):    # an overflow fails _floats
+        rot = np.stack([
+            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+        ], axis=-1).reshape(q.shape[:-1] + (3, 3))
+    return _floats(rot, "quaternion's rotation matrix overflows")
 
 
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])  # q * _CONJ: the conjugate, the inverse rotation
@@ -81,12 +92,10 @@ def quat_mul(a, b) -> np.ndarray:
     """
     a, b = _quats(a), _quats(b)
     aw, av, bw, bv = a[..., :1], a[..., 1:], b[..., :1], b[..., 1:]
-    with np.errstate(over="ignore", invalid="ignore"):    # checked below
+    with np.errstate(over="ignore", invalid="ignore"):    # an overflow fails _floats
         w = aw * bw - np.sum(av * bv, axis=-1, keepdims=True)
         product = np.concatenate([w, aw * bv + bw * av + np.cross(av, bv)], axis=-1)
-    if not np.isfinite(product).all():
-        raise ValueError("quaternion product overflows")
-    return product
+    return _floats(product, "quaternion product overflows")
 
 
 @dataclass(frozen=True)
@@ -105,9 +114,8 @@ class Trajectory:
     translations: np.ndarray
 
     def __post_init__(self):
-        ts = np.array(self.timestamps, dtype=np.float64)
-        q = np.array(self.quats, dtype=np.float64)
-        t = np.array(self.translations, dtype=np.float64)
+        ts, q, t = (_floats(x, "trajectory contains non-finite entries", copy=True)
+                    for x in (self.timestamps, self.quats, self.translations))
         if ts.ndim != 1 or ts.size == 0:
             raise ValueError(
                 f"trajectory must contain at least one pose, got timestamps shape {ts.shape}"
@@ -118,8 +126,6 @@ class Trajectory:
                 f"{n} poses need quats ({n}, 4) and translations ({n}, 3), "
                 f"got {q.shape} and {t.shape}"
             )
-        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(q)) and np.all(np.isfinite(t))):
-            raise ValueError("trajectory contains non-finite entries")
         norms = np.linalg.norm(q, axis=1)
         off = np.abs(norms - 1.0) > 1e-9
         if np.any(off):
@@ -163,8 +169,8 @@ class Sim3Transform:
     translation: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=np.float64)
-        t = np.asarray(self.translation, dtype=np.float64)
+        r, t = (_floats(x, "rotation and translation must be finite")
+                for x in (self.rotation, self.translation))
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValueError("rotation must be 3x3 and translation length 3")
         if (isinstance(self.scale, bool) or not isinstance(self.scale, numbers.Real)
@@ -188,22 +194,21 @@ class PointCloud:
     normals: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+        pts = _floats(self.points, "points contain non-finite entries")
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
             raise ValueError(f"points must be a non-empty Nx3 array, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points contain non-finite entries")
         object.__setattr__(self, "points", _read_only(self.points, pts))
         if self.normals is not None:
-            nrm = np.asarray(self.normals, dtype=np.float64)
+            nrm = _floats(self.normals, "normals contain non-finite entries")
             if nrm.shape != pts.shape:
                 raise ValueError(
                     f"normals shape {nrm.shape} does not match points shape {pts.shape}"
                 )
-            if not np.all(np.isfinite(nrm)):
-                raise ValueError("normals contain non-finite entries")
-            lengths = np.linalg.norm(nrm, axis=1)
-            if np.any(np.abs(lengths - 1.0) > 1e-6):
+            # Row dots, then in place: one temporary of N lengths, none of N x 3 squares.
+            off = np.einsum("ij,ij->i", nrm, nrm)
+            np.sqrt(off, out=off)
+            off -= 1.0
+            if np.any(np.abs(off, out=off) > 1e-6):
                 raise ValueError("normals must be unit-norm within 1e-6")
             object.__setattr__(self, "normals", _read_only(self.normals, nrm))
 
@@ -515,11 +520,12 @@ def sequence_depth_scale(preds: Iterable, gts: Iterable) -> float:
 
 
 # Exact nearest neighbours on a uniform grid.  A search holds the clouds, its results,
-# the query order, a cell index and the reference sorted by cell; else one chunk's arrays.
+# the query order, a cell index and the reference sorted by cell; else one chunk's arrays,
+# whose scans of _GRID_PAIRS distances hold the most.
 _GRID_FILL = 2.0        # aimed-at reference points per occupied cell
 _GRID_CAP = 8           # at most this many cells per reference point
 _GRID_COARSEN = 2.0     # cell growth for queries a grid could not settle
-_GRID_PAIRS = 1 << 16   # candidate (or brute-force) distances held at once
+_GRID_PAIRS = 1 << 15   # candidate (or brute-force) distances held at once
 _GRID_CHUNK = 4096      # queries (or points hashed) per chunk
 _GRID_SLACK = 1e-12     # relative margin on the search bound, far above rounding
 _GRID_MIN_CELL = 2.0 ** -500  # smaller cells would square into subnormals
@@ -633,15 +639,15 @@ def _grid_pass(ref: np.ndarray, qry: np.ndarray, todo, shift: int, lo: np.ndarra
     """
     dims = np.floor(span / h) + 1
     nx, ny, nz = (int(d) for d in dims)
+    count_type = np.int32 if max(len(ref), len(qry)) < 2**31 else np.int64  # holds any index
     ref_ids = _cell_ids(ref, lo, h, dims, shift)
     perm = np.argsort(ref_ids)
     ref_xyz = [np.ldexp(ref[perm, axis], shift) for axis in range(3)]
-    count_type = np.int32 if len(ref) < 2**31 else np.int64    # holds any point count
     starts = np.zeros(nx * ny * nz + 1, dtype=count_type)
     np.add.at(starts[1:], ref_ids, count_type(1))
     np.cumsum(starts, out=starts)
     del ref_ids
-    order = np.argsort(_cell_ids(qry[todo], lo, h, dims, shift))
+    order = np.argsort(_cell_ids(qry[todo], lo, h, dims, shift)).astype(count_type)
     order = todo[order] if isinstance(todo, np.ndarray) else order
     unsettled, over = [], []
     for c0 in range(0, len(order), _GRID_CHUNK):
@@ -662,6 +668,7 @@ def _grid_pass(ref: np.ndarray, qry: np.ndarray, todo, shift: int, lo: np.ndarra
         high = np.where(cell + 2 <= dims - 1, (cell + 2) - t, np.inf)
         gap = np.minimum(low, high) * (1 - _GRID_SLACK) - _GRID_SLACK * (2 * dims + 2)
         bound = h * gap.min(axis=1) * (1 - _GRID_SLACK)
+        del t, cell, low, high, gap    # before the scans, which hold the most
         per_query = count.sum(axis=1)
         big = per_query > _GRID_PAIRS
         count[big] = per_query[big] = 0

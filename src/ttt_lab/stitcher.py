@@ -66,13 +66,22 @@ def stitch(chunks: Sequence[Chunk]):
     entry), and the duplicated frame is dropped from the output.
 
     Returns (trajectory, cloud); the cloud is None when no chunk
-    carries one.
+    carries one.  The merged points, and normals when every cloud has
+    them, are allocated once and each chunk's cloud is transformed into
+    its slice, so the merged cloud is held once, beside the chunks'.
     """
     chunks = list(chunks)
     if not chunks:
         raise ValueError("need at least one chunk")
-    timestamps, quats, translations, points, normals = [], [], [], [], []
+    clouds = [chunk.cloud for chunk in chunks if chunk.cloud is not None]
+    n = sum(map(len, clouds))
+    points = np.empty((n, 3)) if clouds else None
+    normals = None
+    if clouds and all(cloud.normals is not None for cloud in clouds):
+        normals = np.empty((n, 3))
+    timestamps, quats, translations = [], [], []
     last_rot = last_t = None
+    done = 0    # the merged rows written
     for k, chunk in enumerate(chunks):
         q_a, t_a = chunk.anchor.quats[0], chunk.anchor.translations[0]
         rot = quat_to_rotmat(q_a)
@@ -94,12 +103,17 @@ def stitch(chunks: Sequence[Chunk]):
         quats.append(q[skip:])
         translations.append(t[skip:])
         if chunk.cloud is not None:
-            points.append(chunk.cloud.points @ rot.T + t_a)
-            normals.append(None if chunk.cloud.normals is None else chunk.cloud.normals @ rot.T)
+            rows = slice(done, done + len(chunk.cloud))
+            np.matmul(chunk.cloud.points, rot.T, out=points[rows])
+            points[rows] += t_a
+            if normals is not None:
+                np.matmul(chunk.cloud.normals, rot.T, out=normals[rows])
+            done = rows.stop
     merged = None
-    if points:
-        nrm = None if any(n is None for n in normals) else np.vstack(normals)
-        merged = PointCloud(np.vstack(points), nrm)
+    if clouds:
+        for array in (points, normals) if normals is not None else (points,):
+            array.setflags(write=False)    # so PointCloud keeps it without a copy
+        merged = PointCloud(points, normals)
     columns = (np.concatenate(c) for c in (timestamps, quats, translations))
     return Trajectory(*columns), merged
 

@@ -10,6 +10,9 @@ a temporary directory removed when the session ends, so a run leaves no
 Collects the outcome of every test in test_acceptance.py and prints one
 PASS/FAIL line per criterion at the end of the run, so the acceptance
 status is readable without scanning the full log.
+
+assert_same_text compares long texts, such as written files, for the
+test modules, which import it from here.
 """
 
 import collections
@@ -23,6 +26,16 @@ settings.load_profile("deterministic")
 _ACCEPTANCE_FILE = "test_acceptance.py"
 _acceptance_titles = {}
 _acceptance_outcomes = collections.OrderedDict()
+
+
+def assert_same_text(got: str, expected: str) -> None:
+    """got == expected, or a failure that names the first differing line and
+    its 0-based index: an assertion diff of two texts of thousands of lines
+    would run for minutes."""
+    got, expected = got.split("\n"), expected.split("\n")
+    assert len(got) == len(expected), f"{len(got)} lines, expected {len(expected)}"
+    i = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b), None)
+    assert i is None, f"line {i} is {got[i]!r}, expected {expected[i]!r}"
 
 
 def pytest_configure(config):

@@ -26,6 +26,8 @@ from ttt_lab.geometry_metrics import PointCloud, Trajectory, chamfer, depth_metr
 from ttt_lab.io_formats import parse_pfm, parse_ply_ascii, parse_tum, write_pfm, \
     write_ply_ascii, write_tum
 
+from conftest import assert_same_text
+
 
 def _rand_quat(rng):
     q = rng.standard_normal(4)
@@ -368,7 +370,7 @@ def test_stitched_ply_is_written_one_block_at_a_time(tmp_path):
         tracemalloc.stop()
     blocks = -(-n // io_formats._ROW_BLOCK)
     assert peak - before < 4 * path.stat().st_size / blocks
-    assert path.read_text() == "".join(write_ply_ascii(cloud))
+    assert_same_text(path.read_text(), "".join(write_ply_ascii(cloud)))
 
 
 def test_rerun_defaults_to_the_manifest_directory(tmp_path):

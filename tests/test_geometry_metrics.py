@@ -1035,8 +1035,10 @@ def test_chamfer_holds_no_whole_cloud_temporaries(k):
     # Two 50k-point clouds with normals, built like the recon-eval ones, at
     # unit scale (where the power-of-two factor is 1) and times 2**10.  The
     # search holds one cell index, the reference cloud sorted by cell, the
-    # query order, distances and indices, and one chunk's temporaries: 1.46x
-    # the clouds' bytes.  Scaled copies of both clouds alone would add 0.5x;
+    # int32 query order, distances and indices, and one chunk's temporaries
+    # with at most 2**15 candidate distances: 1.18x the clouds' bytes, down
+    # from 1.46x at 2**16 distances with the chunk's cell coordinates held
+    # through its scans.  Scaled copies of both clouds alone would add 0.5x;
     # with whole-cloud cell coordinates and a dense int64 cell count they
     # held 3.4x.
     rng = np.random.default_rng(21)
@@ -1053,7 +1055,7 @@ def test_chamfer_holds_no_whole_cloud_temporaries(k):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - before < 1.7 * clouds
+    assert peak - before < 1.3 * clouds
     assert 0.0 < result.accuracy < 0.01 * 2.0**k and result.normal_consistency > 0.99
 
 

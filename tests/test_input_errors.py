@@ -65,6 +65,22 @@ _TRAJ = Trajectory(np.arange(3.0), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)), np.zer
     # would raise OverflowError on it.
     pytest.param(lambda: Sim3Transform(10**400, np.eye(3), np.zeros(3)),
                  f"scale must be positive and finite, got {10**400}", id="sim3-scale-huge-int"),
+    # numpy raises OverflowError on an int past the float range in an array.
+    pytest.param(lambda: Sim3Transform(1.0, np.eye(3), [10**400, 0, 0]),
+                 "rotation and translation must be finite", id="sim3-translation-huge-int"),
+    pytest.param(lambda: Sim3Transform(1.0, np.full((3, 3), np.nan), np.zeros(3)),
+                 "rotation and translation must be finite", id="sim3-rotation-nan"),
+    pytest.param(lambda: PointCloud(np.array([[10**400, 0, 0]], dtype=object)),
+                 "points contain non-finite entries", id="cloud-huge-int"),
+    pytest.param(lambda: PointCloud(np.zeros((1, 3)), np.array([[10**400, 0, 0]], dtype=object)),
+                 "normals contain non-finite entries", id="cloud-normals-huge-int"),
+    pytest.param(lambda: Trajectory([10**400], [[1.0, 0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]]),
+                 "trajectory contains non-finite entries", id="trajectory-huge-int"),
+    # Squares past the float range: the overflow is the error, not a warning.
+    pytest.param(lambda: quat_to_rotmat([0, 1e200, 0, 0]),
+                 "quaternion's rotation matrix overflows", id="quat-rotmat-overflow"),
+    pytest.param(lambda: PointCloud(np.zeros((1, 3)), [[1e200, 0, 0]]),
+                 "normals must be unit-norm within 1e-6", id="cloud-normal-overflow"),
     pytest.param(lambda: depth_metrics(np.ones((2, 2)), np.ones((2, 2)), scale=10**400),
                  f"scale must be positive and finite, got {10**400}", id="depth-scale-huge-int"),
     pytest.param(lambda: PointCloud([[0.0, 0.0, np.nan]]),

@@ -1,5 +1,6 @@
 """Tests for the TUM, PLY, PFM and CSV readers and writers."""
 
+import gzip
 import io
 import re
 import struct
@@ -28,6 +29,8 @@ from ttt_lab.io_formats import (
 )
 from ttt_lab.recall_bench import RuleRun, curves_to_csv, gate_trace_to_csv
 
+from conftest import assert_same_text
+
 
 def _rand_quat(rng):
     q = rng.standard_normal(4)
@@ -48,16 +51,6 @@ def test_tum_round_trip_is_bitwise_exact_for_1000_poses():
     np.testing.assert_array_equal(traj.timestamps, back.timestamps)
     np.testing.assert_array_equal(traj.translations, back.translations)
     np.testing.assert_allclose(traj.quats, back.quats, rtol=0, atol=1e-15)
-
-
-def _assert_same_text(got: str, expected: str) -> None:
-    """got == expected, or a failure that names the first differing line and
-    its 0-based index: an assertion diff of two texts of thousands of lines
-    would run for minutes."""
-    got, expected = got.split("\n"), expected.split("\n")
-    assert len(got) == len(expected), f"{len(got)} lines, expected {len(expected)}"
-    i = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b), None)
-    assert i is None, f"line {i} is {got[i]!r}, expected {expected[i]!r}"
 
 
 def _tum_writer_oracle(traj):
@@ -81,7 +74,7 @@ def _writer_traj(n, seed):
 
 def test_tum_writer_matches_the_per_line_oracle():
     traj = _writer_traj(200, seed=4)
-    _assert_same_text("".join(write_tum(traj)), _tum_writer_oracle(traj))
+    assert_same_text("".join(write_tum(traj)), _tum_writer_oracle(traj))
 
 
 _BLOCK_EDGES = [1, io_formats._ROW_BLOCK - 1, io_formats._ROW_BLOCK,
@@ -91,7 +84,7 @@ _BLOCK_EDGES = [1, io_formats._ROW_BLOCK - 1, io_formats._ROW_BLOCK,
 @pytest.mark.parametrize("n", _BLOCK_EDGES)
 def test_tum_writer_matches_the_oracle_at_every_block_edge(n):
     traj = _writer_traj(n, seed=n)
-    _assert_same_text("".join(write_tum(traj)), _tum_writer_oracle(traj))
+    assert_same_text("".join(write_tum(traj)), _tum_writer_oracle(traj))
 
 
 def test_tum_header_names_the_artifact_and_columns():
@@ -643,11 +636,44 @@ def test_parsing_a_50k_row_ply_file_holds_its_arrays_not_its_text():
             tracemalloc.stop()
     assert back.points.tobytes() == cloud.points.tobytes()
     # Reading the text whole held 3.9x the file's size here, and copying the
-    # parsed arrays into PointCloud 2.4x the arrays.  Now the peak is the
-    # parsed arrays and PointCloud's normal check's temporaries, 1.94x the
-    # arrays and 0.70x the file's size.
+    # parsed arrays into PointCloud 2.4x the arrays.  Joining the blocks' arrays
+    # at the end, with PointCloud's N x 3 normal check, held 1.94x the arrays.
+    # Now the rows go straight into the cloud's arrays, and the peak is those
+    # arrays, one block's text and values, and the check's N lengths: 1.28x
+    # the arrays and 0.46x the file's size.
     arrays = cloud.points.nbytes + cloud.normals.nbytes
-    assert peak - before < 2.0 * arrays < size
+    assert peak - before < 1.35 * arrays < size
+
+
+@pytest.mark.parametrize("count", [10**13, 2**63])
+def test_a_vertex_count_beyond_the_text_is_a_parse_error_not_an_allocation(count):
+    # The arrays grow with the rows read, never past the count, so the count
+    # alone allocates nothing: a str, a StringIO, a file and a pipe-like
+    # iterator of lines, which has no size, all end the same way.
+    text = ("ply\nformat ascii 1.0\nelement vertex %d\nproperty float x\n"
+            "property float y\nproperty float z\nend_header\n0 0 0\n" % count)
+    outcome = (ParseError, f"line 8: file ends after 1 of {count} vertex rows", 8)
+    assert _outcome(parse_ply_ascii, text) == outcome
+    assert _outcome(parse_ply_ascii, io.StringIO(text)) == outcome
+    assert _file_outcome(parse_ply_ascii, text, io.DEFAULT_BUFFER_SIZE) == outcome
+    assert _outcome(parse_ply_ascii, iter(text.splitlines(keepends=True))) == outcome
+
+
+def test_a_gzip_text_stream_parses_as_its_text():
+    # A compressed file's descriptor gives the compressed size, here fewer
+    # bytes than the text has rows; the arrays grow with the rows read.
+    rows = [f"{k % 7} {k % 11} {k % 13}\n" for k in range(50_000)]
+    text = ("ply\nformat ascii 1.0\nelement vertex 50000\nproperty float x\n"
+            "property float y\nproperty float z\nend_header\n" + "".join(rows))
+    with tempfile.TemporaryFile() as raw:
+        with gzip.open(raw, "wt", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        assert raw.tell() < len(rows)
+        raw.seek(0)
+        with gzip.open(raw, "rt", encoding="utf-8", newline="") as handle:
+            back = parse_ply_ascii(handle)
+    assert back.points.tobytes() == parse_ply_ascii(text).points.tobytes()
+    assert back.points[-1].tolist() == [49_999 % 7, 49_999 % 11, 49_999 % 13]
 
 
 def _ply_writer_oracle(cloud):
@@ -677,14 +703,14 @@ def _writer_cloud(n, seed, with_normals):
 @pytest.mark.parametrize("with_normals", [False, True])
 def test_ply_writer_matches_the_per_row_oracle(with_normals):
     cloud = _writer_cloud(300, seed=6, with_normals=with_normals)
-    _assert_same_text("".join(write_ply_ascii(cloud)), _ply_writer_oracle(cloud))
+    assert_same_text("".join(write_ply_ascii(cloud)), _ply_writer_oracle(cloud))
 
 
 @pytest.mark.parametrize("with_normals", [False, True])
 @pytest.mark.parametrize("n", _BLOCK_EDGES)
 def test_ply_writer_matches_the_oracle_at_every_block_edge(n, with_normals):
     cloud = _writer_cloud(n, seed=n, with_normals=with_normals)
-    _assert_same_text("".join(write_ply_ascii(cloud)), _ply_writer_oracle(cloud))
+    assert_same_text("".join(write_ply_ascii(cloud)), _ply_writer_oracle(cloud))
 
 
 def test_ply_writer_holds_one_block_of_floats_at_a_time():
@@ -807,7 +833,7 @@ def test_write_table_matches_the_f_string_oracle_at_every_block_edge(n):
     for ints in (counts, range(n)):
         expected = "head\n" + "".join(f"{s},{d},{r!r}\n" for s, d, r in
                                        zip(labels, list(ints), values.tolist()))
-        _assert_same_text("".join(write_table("head\n", "%s,%d,%r", [labels, ints, values])),
+        assert_same_text("".join(write_table("head\n", "%s,%d,%r", [labels, ints, values])),
                           expected)
 
 
@@ -833,7 +859,7 @@ def test_curves_csv_matches_the_per_row_oracle_at_the_block_edge(n):
     errors = np.random.default_rng(n).uniform(0.0, 2.0, n)
     errors[:2] = [0.0, 5e-324]
     text = curves_to_csv([RuleRun("ttt3r:confidence", errors)])
-    _assert_same_text(text, "rule,position,sq_error\n" + "".join(
+    assert_same_text(text, "rule,position,sq_error\n" + "".join(
         f"ttt3r:confidence,{pos},{err!r}\n" for pos, err in enumerate(errors.tolist())))
 
 
@@ -845,4 +871,4 @@ def test_gate_trace_csv_matches_the_per_row_oracle_at_the_block_edge(n):
              for f, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])) for t in range(hi - lo)]
     assert len(lines) == n
     text = gate_trace_to_csv(RuleRun("ttt3r:confidence", [1.0], betas, offsets))
-    _assert_same_text(text, "frame,token,beta\n" + "".join(line + "\n" for line in lines))
+    assert_same_text(text, "frame,token,beta\n" + "".join(line + "\n" for line in lines))
