@@ -45,7 +45,7 @@ class UsageError(Exception):
     """Bad invocation or unusable input; maps to exit code 2."""
 
 
-def _check(ok, message: str) -> None:
+def _require(ok, message: str) -> None:
     if not ok:
         raise UsageError(message)
 
@@ -110,19 +110,19 @@ def _slug(label: str) -> str:
 
 def _parse_dims(text: str) -> list:
     parts = text.split(",")
-    _check(len(parts) == 4, f"--dims wants n,c,c_k,c_v, got {text!r}")
+    _require(len(parts) == 4, f"--dims wants n,c,c_k,c_v, got {text!r}")
     try:
         dims = [int(p) for p in parts]
     except ValueError:
         raise UsageError(f"--dims wants four integers, got {text!r}") from None
-    _check(min(dims) >= 1, f"--dims entries must be >= 1, got {text!r}")
+    _require(min(dims) >= 1, f"--dims entries must be >= 1, got {text!r}")
     return dims
 
 
 def _run_recall(args) -> int:
     args.rules = [spec.strip() for spec in args.rules.split(",") if spec.strip()]
-    _check(args.rules, "--rules must name at least one rule")
-    _check(args.reset_period >= 0, "--reset-period cannot be negative (0 turns resets off)")
+    _require(args.rules, "--rules must name at least one rule")
+    _require(args.reset_period >= 0, "--reset-period cannot be negative (0 turns resets off)")
     args.dims = _parse_dims(args.dims)
     if args.count is None:
         args.count = _DEFAULT_COUNT[args.task]
@@ -160,10 +160,10 @@ def _run_recall(args) -> int:
 
 
 def _run_gradcheck(args) -> int:
-    _check(args.trials >= 1, "--trials must be >= 1")
-    _check(0 < args.step < math.inf, "--step must be positive and finite")
-    _check(0 <= args.tol < math.inf, "--tol must be finite and >= 0")
-    _check(1 <= args.max_dim < 2**63, f"--max-dim must be from 1 to {2**63 - 1}")
+    _require(args.trials >= 1, "--trials must be >= 1")
+    _require(0 < args.step < math.inf, "--step must be positive and finite")
+    _require(0 <= args.tol < math.inf, "--tol must be finite and >= 0")
+    _require(1 <= args.max_dim < 2**63, f"--max-dim must be from 1 to {2**63 - 1}")
     rng = np.random.default_rng(derive_seed(args.seed, "gradcheck"))
     step = args.step
     rels = []
@@ -210,8 +210,8 @@ def _run_gradcheck(args) -> int:
 
 
 def _run_traj_eval(args) -> int:
-    _check(0 < args.max_dt < math.inf, "--max-dt must be positive and finite")
-    _check(args.rpe_delta >= 1, "--rpe-delta must be >= 1")
+    _require(0 < args.max_dt < math.inf, "--max-dt must be positive and finite")
+    _require(args.rpe_delta >= 1, "--rpe-delta must be >= 1")
     est = _parse(parse_tum, args.est)
     gt = _parse(parse_tum, args.gt)
     pairs = associate(est, gt, args.max_dt)
@@ -239,9 +239,9 @@ class _Maps:
 
 
 def _list_pfms(directory: str):
-    _check(os.path.isdir(directory), f"not a directory: {directory}")
+    _require(os.path.isdir(directory), f"not a directory: {directory}")
     names = sorted(n for n in os.listdir(directory) if n.endswith(".pfm"))
-    _check(names, f"no .pfm files in {directory}")
+    _require(names, f"no .pfm files in {directory}")
     return names
 
 
@@ -294,7 +294,7 @@ def _run_chamfer(args) -> int:
 
 
 def _run_stitch(args) -> int:
-    _check(args.reset_period >= 1, "--reset-period must be >= 1")
+    _require(args.reset_period >= 1, "--reset-period must be >= 1")
     traj = _parse(parse_tum, args.traj)
     cloud = None if args.cloud is None else _parse(parse_ply_ascii, args.cloud)
     chunks = split_trajectory(traj, args.reset_period, cloud)
@@ -322,18 +322,18 @@ def _replay(parser: argparse.ArgumentParser, args) -> list:
         manifest = _parse(json.load, args.manifest)
     except ValueError as exc:
         raise UsageError(f"malformed manifest: {exc}") from None
-    _check(isinstance(manifest, dict), "manifest must be a JSON object")
+    _require(isinstance(manifest, dict), "manifest must be a JSON object")
     commands = next(a for a in parser._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
     command, config = manifest.get("command"), manifest.get("config")
-    _check(isinstance(command, str) and command in commands and command != "rerun",
-           f"manifest must name a producing command, got {command!r}")
-    _check(isinstance(config, dict), "manifest config must be an object")
+    _require(isinstance(command, str) and command in commands and command != "rerun",
+             f"manifest must name a producing command, got {command!r}")
+    _require(isinstance(config, dict), "manifest config must be an object")
     flags = {a.dest: a.option_strings[0] for a in commands[command]._actions
              if a.dest not in ("help", "out")}
     missing, unknown = sorted(flags.keys() - config.keys()), sorted(config.keys() - flags.keys())
-    _check(not missing and not unknown, f"manifest config does not match the {command} "
-           f"flags: missing keys {missing}, unknown keys {unknown}")
+    _require(not missing and not unknown, f"manifest config does not match the {command} "
+             f"flags: missing keys {missing}, unknown keys {unknown}")
     out = args.out if args.out is not None else (os.path.dirname(args.manifest) or ".")
     argv = [command, f"--out={out}"]
     for key, value in config.items():

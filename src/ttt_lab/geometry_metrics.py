@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
-import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
+
+from ._args import floats, integer, real
 
 __all__ = [
     "DegenerateGeometryError",
@@ -46,20 +46,9 @@ class DegenerateGeometryError(ValueError):
     """Point configuration does not determine the requested transform."""
 
 
-def _floats(value, message: str, copy: bool = False) -> np.ndarray:
-    """value as float64 (copied if copy); ValueError(message) unless all finite."""
-    try:
-        arr = (np.array if copy else np.asarray)(value, dtype=np.float64)
-    except OverflowError:    # an int past the float range
-        raise ValueError(message) from None
-    if not np.isfinite(arr).all():
-        raise ValueError(message)
-    return arr
-
-
 def _quats(q) -> np.ndarray:
     """q as a float64 array of quaternions (..., 4), checked."""
-    q = _floats(q, "quaternion contains non-finite entries")
+    q = floats(q, "quaternion")
     if q.shape[-1:] != (4,):
         raise ValueError(f"quaternion must have 4 components, got shape {q.shape}")
     return q
@@ -69,13 +58,15 @@ def quat_to_rotmat(q) -> np.ndarray:
     """Rotation matrices (..., 3, 3) of unit quaternions (..., 4) in (w, x, y, z) order."""
     q = _quats(q)
     w, x, y, z = np.moveaxis(q, -1, 0)
-    with np.errstate(over="ignore", invalid="ignore"):    # an overflow fails _floats
+    with np.errstate(over="ignore", invalid="ignore"):    # an overflow fails below
         rot = np.stack([
             1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
             2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
             2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
         ], axis=-1).reshape(q.shape[:-1] + (3, 3))
-    return _floats(rot, "quaternion's rotation matrix overflows")
+    if not np.isfinite(rot).all():
+        raise ValueError("quaternion's rotation matrix overflows")
+    return rot
 
 
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])  # q * _CONJ: the conjugate, the inverse rotation
@@ -92,10 +83,12 @@ def quat_mul(a, b) -> np.ndarray:
     """
     a, b = _quats(a), _quats(b)
     aw, av, bw, bv = a[..., :1], a[..., 1:], b[..., :1], b[..., 1:]
-    with np.errstate(over="ignore", invalid="ignore"):    # an overflow fails _floats
+    with np.errstate(over="ignore", invalid="ignore"):    # an overflow fails below
         w = aw * bw - np.sum(av * bv, axis=-1, keepdims=True)
         product = np.concatenate([w, aw * bv + bw * av + np.cross(av, bv)], axis=-1)
-    return _floats(product, "quaternion product overflows")
+    if not np.isfinite(product).all():
+        raise ValueError("quaternion product overflows")
+    return product
 
 
 @dataclass(frozen=True)
@@ -106,7 +99,8 @@ class Trajectory:
     (w, x, y, z) rotations, translations (N, 3); all finite.  Quaternions
     must be unit within 1e-9, and those off unit by more than 4 * 2**-52
     are normalized; one division leaves at most 1.5 * 2**-52, so a
-    rebuild or a slice keeps every bit.  The arrays are read-only copies.
+    rebuild or a slice keeps every bit.  The arrays are read-only, kept as
+    PointCloud keeps its arrays; quats is copied when a row is normalized.
     """
 
     timestamps: np.ndarray
@@ -114,8 +108,8 @@ class Trajectory:
     translations: np.ndarray
 
     def __post_init__(self):
-        ts, q, t = (_floats(x, "trajectory contains non-finite entries", copy=True)
-                    for x in (self.timestamps, self.quats, self.translations))
+        given = (self.timestamps, self.quats, self.translations)
+        ts, q, t = (floats(x, "trajectory") for x in given)
         if ts.ndim != 1 or ts.size == 0:
             raise ValueError(
                 f"trajectory must contain at least one pose, got timestamps shape {ts.shape}"
@@ -139,10 +133,10 @@ class Trajectory:
                 f"timestamps must strictly increase, got {float(ts[i])!r} then {float(ts[i + 1])!r}"
             )
         renorm = np.abs(norms - 1.0) > 4 * 2.0**-52
-        q[renorm] /= norms[renorm, None]
-        for name, arr in (("timestamps", ts), ("quats", q), ("translations", t)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        if renorm.any():    # a new array: q / 1.0 keeps the other rows' bits
+            q = q / np.where(renorm, norms, 1.0)[:, None]
+        for name, x, arr in zip(("timestamps", "quats", "translations"), given, (ts, q, t)):
+            object.__setattr__(self, name, _read_only(x, arr))
 
     def __len__(self) -> int:
         return self.timestamps.shape[0]
@@ -169,20 +163,17 @@ class Sim3Transform:
     translation: np.ndarray
 
     def __post_init__(self):
-        r, t = (_floats(x, "rotation and translation must be finite")
-                for x in (self.rotation, self.translation))
+        r, t = floats(self.rotation, "rotation"), floats(self.translation, "translation")
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValueError("rotation must be 3x3 and translation length 3")
-        if (isinstance(self.scale, bool) or not isinstance(self.scale, numbers.Real)
-                or not 0 < self.scale < math.inf or int(self.scale) > sys.float_info.max):
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        real(self.scale, "scale")
         if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-9 or np.linalg.det(r) < 0:
             raise ValueError("rotation must be orthonormal with determinant +1")
         object.__setattr__(self, "rotation", _read_only(self.rotation, r))
         object.__setattr__(self, "translation", _read_only(self.translation, t))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=np.float64)
+        points = floats(points, "points", finite=False)
         return self.scale * points @ self.rotation.T + self.translation
 
 
@@ -194,12 +185,12 @@ class PointCloud:
     normals: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        pts = _floats(self.points, "points contain non-finite entries")
+        pts = floats(self.points, "points")
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
             raise ValueError(f"points must be a non-empty Nx3 array, got shape {pts.shape}")
         object.__setattr__(self, "points", _read_only(self.points, pts))
         if self.normals is not None:
-            nrm = _floats(self.normals, "normals contain non-finite entries")
+            nrm = floats(self.normals, "normals")
             if nrm.shape != pts.shape:
                 raise ValueError(
                     f"normals shape {nrm.shape} does not match points shape {pts.shape}"
@@ -233,12 +224,7 @@ def associate(est: Trajectory, gt: Trajectory, max_dt: float = 0.02):
     are built and sorted as arrays; only the greedy skip walks them in
     Python, once each.
     """
-    if isinstance(max_dt, bool) or not isinstance(max_dt, numbers.Real):
-        raise ValueError(f"max_dt must be a real number, got {max_dt!r}")
-    if not (max_dt > 0):
-        raise ValueError(f"max_dt must be positive, got {max_dt}")
-    if max_dt < math.inf and int(max_dt) > sys.float_info.max:
-        raise ValueError(f"max_dt must be inf or at most the largest float, got {max_dt}")
+    real(max_dt, "max_dt", inf=True)
     est_ts = est.timestamps
     gt_ts = gt.timestamps
     # A window or |dt| past the largest float is inf, which is still right.
@@ -276,8 +262,7 @@ def umeyama_sim3(src: np.ndarray, dst: np.ndarray, with_scale: bool = True) -> S
     (_normalized), which is exact, and s and t are returned in input
     units.
     """
-    src = np.asarray(src, dtype=np.float64)
-    dst = np.asarray(dst, dtype=np.float64)
+    src, dst = floats(src, "src"), floats(dst, "dst")
     if src.ndim != 2 or src.shape[1] != 3 or src.shape != dst.shape:
         raise ValueError(
             f"src and dst must be matching Nx3 arrays, got {src.shape} and {dst.shape}"
@@ -378,10 +363,7 @@ def rpe(est: Trajectory, gt: Trajectory, pairs, delta: int = 1):
     scales them, so the translation error scales with them bit for bit
     and the angle does not change.
     """
-    if isinstance(delta, bool) or not isinstance(delta, numbers.Integral):
-        raise ValueError(f"delta must be an integer, got {delta!r}")
-    if delta < 1:
-        raise ValueError(f"delta must be >= 1, got {delta}")
+    integer(delta, "delta", 1)
     if len(pairs) < delta + 1:
         raise ValueError(
             f"need at least delta+1 = {delta + 1} matched pairs, got {len(pairs)}"
@@ -400,7 +382,7 @@ def rpe(est: Trajectory, gt: Trajectory, pairs, delta: int = 1):
 
 def _depth_maps(*maps) -> list:
     """Depth maps as float64 arrays, checked once: 2-D, non-empty, one shape."""
-    arrays = [np.asarray(m, dtype=np.float64) for m in maps]
+    arrays = [floats(m, "depth map", finite=False) for m in maps]
     for arr in arrays:
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError(f"depth map must be a non-empty H x W array, got shape {arr.shape}")
@@ -424,15 +406,13 @@ def depth_metrics(pred, gt, scale: float = 1.0):
     pred and gt are H x W arrays of one shape; pixels are valid where
     both maps are finite and positive.
     """
-    if (isinstance(scale, bool) or not isinstance(scale, numbers.Real)
-            or not 0 < scale < math.inf or int(scale) > sys.float_info.max):
-        raise ValueError(f"scale must be positive and finite, got {scale!r}")
+    scale = real(scale, "scale")
     pred, gt, mask = _masked(pred, gt)
     if not np.any(mask):
         raise ValueError("no valid pixels shared by prediction and reference")
     # In place on the masked copies, so a frame allocates no array beyond p, g and d.
     p, g = pred[mask], gt[mask]
-    p *= float(scale)
+    p *= scale
     d = p - g
     np.abs(d, out=d)
     d /= g

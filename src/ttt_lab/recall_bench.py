@@ -41,16 +41,17 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from ._args import choice, floats, integer, real, unit_norms
 from .io_formats import write_table
 from .seeding import derive_seed
 from .state_rules import (
     GATES,
+    REDUCES,
     ProjectionSet,
     delta_rule_update,
     hebbian_update,
@@ -62,7 +63,7 @@ from .state_rules import (
     update_full_attention,
     update_vanilla_rnn,
 )
-from .state_rules import _check_reduce, _check_unit_rows, _resolve_scale, _sigmoid_open
+from .state_rules import _sigmoid_open
 
 __all__ = [
     "QUERY_SATURATION",
@@ -100,17 +101,6 @@ class StateDims(NamedTuple):
     c_v: int
 
 
-def _check_integer(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_finite_rows(rows: np.ndarray, name: str) -> None:
-    bad = ~np.all(np.isfinite(rows), axis=-1)
-    if np.any(bad):
-        raise ValueError(f"{name} row {int(np.argmax(bad))} contains non-finite entries")
-
-
 @dataclass(frozen=True)
 class RecallTask:
     """The recall stream: stored pairs, one per frame, then distractor frames.
@@ -129,27 +119,27 @@ class RecallTask:
     frame_size: int = 1
 
     def __post_init__(self):
-        keys = np.asarray(self.keys, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.float64)
-        if keys.ndim != 2 or values.ndim != 2:
-            raise ValueError("keys and values must be 2-D")
+        keys = floats(self.keys, "keys", 2, finite=False)
+        values = floats(self.values, "values", 2, finite=False)
         if keys.shape[0] != values.shape[0]:
             raise ValueError(f"{keys.shape[0]} keys but {values.shape[0]} values")
-        rows, count = len(keys), len(keys) if self.count is None else self.count
-        _check_integer("count", count)
-        _check_integer("frame_size", self.frame_size)
+        rows = len(keys)
+        count = integer(rows if self.count is None else self.count, "count")
+        frame_size = integer(self.frame_size, "frame_size")
         if not 1 <= count <= rows:
             raise ValueError(f"count must lie in [1, {rows}], the stream's rows, got {count}")
-        if self.frame_size < 1 or (rows - count) % self.frame_size:
+        if frame_size < 1 or (rows - count) % frame_size:
             raise ValueError(f"the {rows - count} rows after the pairs are not whole frames "
-                             f"of frame_size {self.frame_size}")
-        _check_finite_rows(keys, "key")
-        _check_finite_rows(values, "value")
-        _check_unit_rows(keys, "key")
+                             f"of frame_size {frame_size}")
+        for name, arr in (("key", keys), ("value", values)):
+            bad = ~np.isfinite(arr).all(axis=1)
+            if bad.any():
+                raise ValueError(f"{name} row {int(np.argmax(bad))} contains non-finite entries")
+        unit_norms(keys, "key")
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "count", int(count))
-        object.__setattr__(self, "frame_size", int(self.frame_size))
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "frame_size", frame_size)
 
     @property
     def offsets(self) -> np.ndarray:
@@ -187,16 +177,13 @@ class StreamConfig:
         if not isinstance(dims, StateDims):
             raise ValueError(f"state_dims must be a StateDims, got {dims!r}")
         for name, value in zip(dims._fields, dims):
-            _check_integer(f"state_dims.{name}", value)
-        _check_integer("seed", self.seed)
+            integer(value, f"state_dims.{name}", 1)
+        integer(self.seed, "seed")
         if self.reset_period is not None:
-            _check_integer("reset_period", self.reset_period)
-            if self.reset_period < 1:
-                raise ValueError("reset_period must be >= 1 when set")
-        if min(dims) < 1:
-            raise ValueError(f"state dims must be >= 1, got {dims}")
-        _resolve_scale(self.softmax_scale, dims.c)
-        _check_reduce(self.gate_reduce)
+            integer(self.reset_period, "reset_period", 1)
+        if self.softmax_scale is not None:
+            real(self.softmax_scale, "scale")
+        choice(self.gate_reduce, "reduce", REDUCES)
         spec, entry, gate = _parse(self.rule)
         if entry.tokens and dims.c != dims.c_k:
             raise UnsupportedRuleCombination(
@@ -229,12 +216,10 @@ class RuleRun:
     gate_offsets: np.ndarray = field(default_factory=lambda: np.zeros(1, dtype=np.int64))
 
     def __post_init__(self):
-        sq_errors = np.asarray(self.sq_errors, dtype=np.float64)
-        if sq_errors.ndim != 1:
-            raise ValueError("sq_errors must be a 1-D array")
+        sq_errors = floats(self.sq_errors, "sq_errors", 1, finite=False)
         if not np.all(np.isfinite(sq_errors)) or np.any(sq_errors < 0):
             raise ValueError("squared errors must be finite and nonnegative")
-        betas = np.asarray(self.betas, dtype=np.float64)
+        betas = floats(self.betas, "betas", finite=False)
         offsets = np.asarray(self.gate_offsets)
         if (not np.issubdtype(offsets.dtype, np.integer) or betas.ndim != 1
                 or offsets.ndim != 1 or offsets.size < 1 or offsets[0] != 0
@@ -309,21 +294,17 @@ def _correlated_rows(count: int, dim: int, rho: float, rng: np.random.Generator)
 def gen_recall_task(count: int, dims: StateDims, key_mode: str = "orthonormal",
                     seed: int = 0, rho: float = 0.9) -> RecallTask:
     """Draw a seeded task of `count` pairs with the requested key geometry."""
-    _check_integer("count", count)
-    _check_integer("seed", seed)
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if isinstance(rho, bool) or not isinstance(rho, numbers.Real) or not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
+    integer(count, "count", 1)
+    integer(seed, "seed")
+    real(rho, "rho", 0.0, 1.0, closed=True)
+    choice(key_mode, "key_mode", ("orthonormal", "random_unit", "correlated"))
     rng = np.random.default_rng(derive_seed(seed, "recall-task"))
     if key_mode == "orthonormal":
         keys = _orthonormal_rows(count, dims.c_k, rng)
     elif key_mode == "random_unit":
         keys = _unit_rows(count, dims.c_k, rng)
-    elif key_mode == "correlated":
-        keys = _correlated_rows(count, dims.c_k, rho, rng)
     else:
-        raise ValueError(f"unknown key_mode {key_mode!r}")
+        keys = _correlated_rows(count, dims.c_k, rho, rng)
     return RecallTask(keys, rng.uniform(-1.0, 1.0, (count, dims.c_v)))
 
 
@@ -344,12 +325,11 @@ def gen_adversarial_task(dims: StateDims, seed: int = 0, true_count: int = 32,
     reduced logits and nearly freezes the state, while an ungated update
     keeps overwriting it.
     """
-    for name, value in (("seed", seed), ("true_count", true_count),
-                        ("distractor_count", distractor_count), ("frame_size", frame_size)):
-        _check_integer(name, value)
-    if true_count < 1 or distractor_count < 1:
-        raise ValueError("true_count and distractor_count must be >= 1")
-    if frame_size < 1 or distractor_count % frame_size:
+    integer(seed, "seed")
+    for name, value in (("true_count", true_count), ("distractor_count", distractor_count),
+                        ("frame_size", frame_size)):
+        integer(value, name, 1)
+    if distractor_count % frame_size:
         raise ValueError("distractor_count must be a positive multiple of frame_size")
     n_frames = distractor_count // frame_size
     if true_count + n_frames > dims.c_k:

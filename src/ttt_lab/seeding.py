@@ -13,6 +13,8 @@ same child seed on every platform.
 
 from __future__ import annotations
 
+from ._args import integer
+
 __all__ = ["derive_seed"]
 
 _MASK = (1 << 64) - 1
@@ -41,5 +43,5 @@ def derive_seed(master: int, label: str) -> int:
     """Child seed for a named component, stable across runs and platforms."""
     if not label:
         raise ValueError("label must be non-empty")
-    mixed = (int(master) & _MASK) ^ _fnv1a64(label.encode("utf-8"))
+    mixed = (integer(master, "master") & _MASK) ^ _fnv1a64(label.encode("utf-8"))
     return _splitmix64(mixed)

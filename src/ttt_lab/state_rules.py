@@ -44,15 +44,16 @@ identical outputs, and every array is carried in float64.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._args import choice, floats, integer, real, unit_norms
+
 __all__ = [
     "ProjectionSet",
     "GATES",
+    "REDUCES",
     "lookup_gate",
     "update_full_attention",
     "read_full_attention",
@@ -75,15 +76,6 @@ _GATE_LO = np.nextafter(0.0, 1.0)
 _GATE_HI = np.nextafter(1.0, 0.0)
 
 
-def _as_float_matrix(value, name: str, finite: bool = True, ndim: int = 2) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim != ndim:
-        raise ValueError(f"{name} must be a {ndim}-D array, got shape {arr.shape}")
-    if finite and arr.size and not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
 def _state(value, name: str, finite: bool = True, empty: bool = False,
            batch=None) -> np.ndarray:
     """A state as a 2-D float64 array, checked once at entry.
@@ -93,7 +85,7 @@ def _state(value, name: str, finite: bool = True, empty: bool = False,
     B x rows x width.  It is not copied: kernels build their result as
     a new array.
     """
-    arr = _as_float_matrix(value, name, finite, 2 if batch is None else 3)
+    arr = floats(value, name, 2 if batch is None else 3, finite)
     if arr.shape[-2] < (0 if empty else 1) or arr.shape[-1] < 1:
         raise ValueError(f"{name} must be non-empty, got shape {arr.shape}")
     if batch is not None and arr.shape[0] != batch:
@@ -119,8 +111,7 @@ class ProjectionSet:
         the map is the last c values of a 3 c^2 + c uniform draw from
         the seed.
         """
-        if c < 1:
-            raise ValueError("c must be >= 1")
+        c = integer(c, "c", 1)
         rng = np.random.default_rng(seed)
         rng.bit_generator.advance(3 * c * c)
         gate_map = rng.uniform(-1.0 / math.sqrt(c), 1.0 / math.sqrt(c), c)
@@ -132,15 +123,8 @@ class ProjectionSet:
 
 
 def _resolve_scale(scale, c: int) -> float:
-    """The attention scale as a float: a positive real finite as a float, or 1/sqrt(c) for None."""
-    if scale is None:
-        if c < 1:
-            raise ValueError("c must be >= 1")
-        return 1.0 / math.sqrt(c)
-    if (isinstance(scale, bool) or not isinstance(scale, numbers.Real)
-            or not 0 < scale < math.inf or int(scale) > sys.float_info.max):
-        raise ValueError(f"scale must be positive and finite, got {scale}")
-    return float(scale)
+    """The attention scale as a float: a positive finite real, or 1/sqrt(c) (c >= 1) for None."""
+    return 1.0 / math.sqrt(c) if scale is None else real(scale, "scale")
 
 
 def _token_segment(tokens, c: int, offsets=None, stacked: bool = False):
@@ -152,7 +136,7 @@ def _token_segment(tokens, c: int, offsets=None, stacked: bool = False):
     B x m x c: B segments that share the offsets.  Errors name the
     offending row or frame (and segment).
     """
-    arr = np.asarray(tokens, dtype=np.float64)
+    arr = floats(tokens, "tokens", finite=False)
     if arr.ndim not in ((2, 3) if stacked else (2,)) or 0 in arr.shape[:-1]:
         raise ValueError(f"tokens must be a non-empty {'2-D or 3-D' if stacked else '2-D'} "
                          f"array, got shape {arr.shape}")
@@ -240,8 +224,8 @@ def _pair_rows(s, keys, values):
     whole batch.
     """
     s = _state(s, "fast-weight state")
-    keys = _as_float_matrix(np.atleast_2d(keys), "keys")
-    values = _as_float_matrix(np.atleast_2d(values), "values")
+    keys = floats(np.atleast_2d(keys), "keys", 2)
+    values = floats(np.atleast_2d(values), "values", 2)
     if keys.shape[1] != s.shape[1]:
         raise ValueError(f"key length {keys.shape[1]} != c_k {s.shape[1]}")
     if values.shape[1] != s.shape[0]:
@@ -267,15 +251,6 @@ def recon_loss_grad(s, keys, values) -> np.ndarray:
     """
     s, keys, values = _pair_rows(s, keys, values)
     return (s @ keys.T - values.T) @ keys
-
-
-def _check_unit_rows(keys: np.ndarray, name: str) -> None:
-    # The delta rule's contraction argument needs unit keys.
-    norms = np.sqrt(np.einsum("ij,ij->i", keys, keys))
-    bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-9)
-    if bad.size:
-        raise ValueError(f"{name} row {bad[0]} must be unit-norm within 1e-9, "
-                         f"got norm {float(norms[bad[0]])}")
 
 
 # Pairs per chunk of the batched delta rule.  A chunk costs one 64 x 64
@@ -320,8 +295,8 @@ def delta_rule_update(s, keys, values, beta) -> np.ndarray:
     """
     s, keys, values = _pair_rows(s, keys, values)
     n = keys.shape[0]
-    _check_unit_rows(keys, "key")
-    betas = np.asarray(beta, dtype=np.float64)
+    unit_norms(keys, "key")    # the delta rule's contraction argument needs unit keys
+    betas = floats(beta, "beta", finite=False)
     if betas.ndim == 0:
         betas = np.full(n, betas)
     elif betas.shape != (n,):
@@ -367,20 +342,16 @@ def confidence_gate(q_s: np.ndarray, k_x: np.ndarray, reduce: str = "sum",
     freezes.  Outputs are clamped to the open interval (0, 1), even for
     saturated or overflowing reduced logits; overflowing logits raise.
     """
-    q_s = _as_float_matrix(q_s, "q_s")
-    k_x = _as_float_matrix(k_x, "k_x")
+    q_s, k_x = _state(q_s, "q_s", empty=True), _state(k_x, "k_x")
     if q_s.shape[1] != k_x.shape[1]:
         raise ValueError(f"q_s width {q_s.shape[1]} != k_x width {k_x.shape[1]}")
-    if k_x.shape[0] < 1:
-        raise ValueError("k_x must contain at least one token")
-    _check_reduce(reduce)
+    choice(reduce, "reduce", REDUCES)
     with np.errstate(over="ignore"):
         return _confidence(_scaled_logits(q_s, k_x, _resolve_scale(scale, q_s.shape[1])), reduce)
 
 
-def _check_reduce(reduce: str) -> None:
-    if reduce not in ("sum", "mean"):
-        raise ValueError(f"reduce must be 'sum' or 'mean', got {reduce!r}")
+# The reductions of the confidence gate's logits over the incoming tokens.
+REDUCES = ("sum", "mean")
 
 
 def _confidence(logits: np.ndarray, reduce: str) -> np.ndarray:
@@ -430,13 +401,13 @@ def _token_steps(s, tokens, gate, scale, offsets, reduce, gate_map):
     2-D call.
     """
     kind, gate = lookup_gate(gate)
-    _check_reduce(reduce)
+    choice(reduce, "reduce", REDUCES)
     stacked = np.ndim(tokens) == 3
     state = _state(s, "state", batch=len(tokens) if stacked else None)
     c = state.shape[-1]
     tokens, offsets = _token_segment(tokens, c, offsets, stacked=True)
     if kind in ("input", "per_token"):
-        gate_map = np.asarray(gate_map, dtype=np.float64)   # None is a 0-D nan
+        gate_map = floats(gate_map, "gate_map", finite=False)   # None is a 0-D nan
         if gate_map.shape != (c,) or not np.isfinite(gate_map).all():
             raise ValueError(f"the {kind} gate needs a finite gate_map of length {c}")
     if not stacked:
@@ -504,7 +475,7 @@ def read_fast_weight(s, queries) -> np.ndarray:
     checked instead of scanning the whole state on every read.
     """
     s = _state(s, "fast-weight state", finite=False)
-    queries = np.asarray(queries, dtype=np.float64)
+    queries = floats(queries, "query", finite=False)
     c_k = s.shape[1]
     if queries.ndim not in (1, 2) or queries.shape[-1] != c_k or queries.size == 0:
         raise ValueError(f"query must have shape ({c_k},) or (m, {c_k}) with m >= 1, "

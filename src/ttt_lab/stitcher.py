@@ -11,12 +11,12 @@ each anchor without any optimization.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ._args import integer
 from .geometry_metrics import PointCloud, Trajectory, quat_mul, quat_to_rotmat
 
 __all__ = ["StitchError", "Chunk", "stitch", "split_trajectory"]
@@ -109,13 +109,11 @@ def stitch(chunks: Sequence[Chunk]):
             if normals is not None:
                 np.matmul(chunk.cloud.normals, rot.T, out=normals[rows])
             done = rows.stop
-    merged = None
-    if clouds:
-        for array in (points, normals) if normals is not None else (points,):
-            array.setflags(write=False)    # so PointCloud keeps it without a copy
-        merged = PointCloud(points, normals)
-    columns = (np.concatenate(c) for c in (timestamps, quats, translations))
-    return Trajectory(*columns), merged
+    columns = [np.concatenate(c) for c in (timestamps, quats, translations)]
+    for array in [*columns, points, normals]:
+        if array is not None:
+            array.setflags(write=False)    # so Trajectory and PointCloud keep it without a copy
+    return Trajectory(*columns), PointCloud(points, normals) if clouds else None
 
 
 def split_trajectory(traj: Trajectory, period: int, cloud: Optional[PointCloud] = None):
@@ -129,10 +127,7 @@ def split_trajectory(traj: Trajectory, period: int, cloud: Optional[PointCloud] 
     one point each, and chunk k carries the k-th in its local frame.
     stitch() inverts this exactly (up to rounding).
     """
-    if isinstance(period, bool) or not isinstance(period, numbers.Integral):
-        raise ValueError(f"period must be an integer, got {period!r}")
-    if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
+    period = integer(period, "period", 1)
     n = len(traj)
     if n < 2:
         raise ValueError("need at least 2 poses to split")

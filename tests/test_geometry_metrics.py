@@ -934,7 +934,7 @@ def test_normal_consistency_conventions():
 def test_point_cloud_rejects_non_finite_normals(bad):
     normals = np.tile([0.0, 0.0, 1.0], (2, 1))
     normals[1, 0] = bad
-    with pytest.raises(ValueError, match="normals contain non-finite entries"):
+    with pytest.raises(ValueError, match="^normals contains non-finite entries$"):
         PointCloud(np.zeros((2, 3)), normals)
 
 
@@ -1114,6 +1114,20 @@ def test_point_cloud_copies_an_array_unless_no_one_else_can_write_it():
     points.setflags(write=False)
     assert PointCloud(points, np.tile([0.0, 0.0, 1.0], (4, 1))).points is points
     assert PointCloud(points.astype(np.float32)).points.dtype == np.float64
+    # A trajectory keeps its columns the same way, and copies quats to normalize a row.
+    timestamps, quats = np.arange(4.0), np.zeros((4, 4))
+    quats[:, 0] = 1.0
+    traj = Trajectory(timestamps, quats, points)
+    assert traj.translations is points and not traj.timestamps.flags.writeable
+    assert traj.timestamps is not timestamps and traj.quats is not quats
+    for column in (timestamps, quats):
+        column.setflags(write=False)
+    traj = Trajectory(timestamps, quats, points)
+    assert traj.timestamps is timestamps and traj.quats is quats
+    quats = quats * [[1.0 + 1e-12], [1.0], [1.0], [1.0]]
+    quats.setflags(write=False)
+    traj = Trajectory(timestamps, quats, points)
+    assert traj.quats is not quats and quats[0, 0] == 1.0 + 1e-12 and traj.quats[0, 0] == 1.0
     rotation = np.eye(3)
     transform = Sim3Transform(1.0, rotation, np.zeros(3))
     assert transform.rotation is not rotation and not transform.rotation.flags.writeable

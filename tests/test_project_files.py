@@ -10,9 +10,12 @@ messages, which the README copies, must name every rule and gate of
 the rule table, and the README's recall section must name every field
 of RecallTask and StreamConfig, and every function its evaluation
 section calls must exist.  The package root binds no public name but
-its submodules, so each name has one import path.
+its submodules, so each name has one import path.  The argument
+contract lives in one module, ttt_lab/_args.py, and the installed numpy
+meets the floor that pyproject.toml declares.
 """
 
+import ast
 import contextlib
 import dataclasses
 import importlib
@@ -21,6 +24,8 @@ import pkgutil
 import re
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import ttt_lab
 
@@ -117,3 +122,38 @@ def test_the_evaluation_section_calls_only_functions_that_exist():
 
     assert {"quat_mul", "rpe", "split_trajectory"} <= calls
     assert sorted(call for call in calls if not resolves(call)) == []
+
+
+def test_the_installed_numpy_meets_the_declared_floor():
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    floor = re.search(r'"numpy>=([\d.]+)"', pyproject).group(1)
+    installed = tuple(int(part) for part in re.findall(r"\d+", np.__version__)[:2])
+    assert installed >= tuple(int(part) for part in floor.split(".")), (np.__version__, floor)
+
+
+def _argument_contract_breaches(package: Path) -> list:
+    """What puts argument checks outside _args.py: a numbers import, a read
+    of sys.float_info, a _check* function, or recall_bench importing a
+    state_rules check."""
+    breaches = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "_args.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            imported = ([alias.name for alias in node.names]
+                        if isinstance(node, (ast.Import, ast.ImportFrom)) else [])
+            if "numbers" in imported or getattr(node, "module", None) == "numbers":
+                breaches.append(f"{path.name} imports numbers")
+            if (isinstance(node, ast.Attribute) and node.attr == "float_info"
+                    and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+                breaches.append(f"{path.name} reads sys.float_info")
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_check"):
+                breaches.append(f"{path.name} defines {node.name}")
+            private = {"_check_reduce", "_check_unit_rows", "_resolve_scale"} & set(imported)
+            if path.name == "recall_bench.py" and private:
+                breaches.append(f"recall_bench.py imports {sorted(private)}")
+    return breaches
+
+
+def test_the_argument_contract_lives_in_one_module():
+    assert _argument_contract_breaches(Path(ttt_lab.__file__).parent) == []

@@ -114,7 +114,8 @@ def test_task_validation():
     eye = np.eye(4)
     for keys, values, layout, message in [
         (eye, np.ones((3, 3)), {}, "^4 keys but 3 values$"),
-        (eye[0], np.ones(3), {}, "^keys and values must be 2-D$"),
+        (eye[0], np.ones(3), {}, r"^keys must be a 2-D array, got shape \(4,\)$"),
+        (eye, np.ones(3), {}, r"^values must be a 2-D array, got shape \(3,\)$"),
         (eye[:0], np.ones((0, 3)), {}, r"^count must lie in \[1, 0\], the stream's rows, got 0$"),
         (eye, np.ones((4, 3)), {"count": 0}, r"^count must lie in \[1, 4\], .* got 0$"),
         (eye, np.ones((4, 3)), {"count": 5}, r"^count must lie in \[1, 4\], .* got 5$"),
@@ -290,7 +291,7 @@ _RISE = ("gate_offsets must be integers that rise from 0 to the number of betas,
 @pytest.mark.parametrize("sq_errors, gate_offsets, message", [
     ([1.0, -2.0, 3.0], [0, 2, 6], "squared errors must be finite and nonnegative"),
     ([1.0, np.inf], [0, 2, 6], "squared errors must be finite and nonnegative"),
-    (np.ones((3, 1)), [0, 2, 6], "sq_errors must be a 1-D array"),
+    (np.ones((3, 1)), [0, 2, 6], "sq_errors must be a 1-D array, got shape (3, 1)"),
     ([1.0], [0, 2, 5], _RISE),
     ([1.0], [1, 6], _RISE),
     ([1.0], [0, 4, 4, 6], _RISE),
