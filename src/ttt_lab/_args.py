@@ -13,12 +13,13 @@ import numbers
 import numpy as np
 
 
-def integer(value, name: str, low=None) -> int:
-    """value as an int: an Integral that is not a bool, and at least low if given."""
+def integer(value, name: str, low=-math.inf, high=math.inf) -> int:
+    """value as an int: an Integral that is not a bool, from low to high."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if low is not None and value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if not low <= value <= high:
+        bound = f">= {low}" if value < low else f"<= {high}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
     return int(value)
 
 
@@ -55,6 +56,8 @@ def floats(value, name: str, ndim=None, finite: bool = True) -> np.ndarray:
     except OverflowError:    # an int past the float range
         raise ValueError(f"{name} contains non-finite entries" if finite
                          else f"{name} contains an integer past the float range") from None
+    except (TypeError, ValueError):    # an entry that is no number, or ragged rows
+        raise ValueError(f"{name} must be an array of real numbers") from None
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"{name} must be a {ndim}-D array, got shape {arr.shape}")
     if finite and not np.isfinite(arr).all():

@@ -1,13 +1,13 @@
 """Command-line interface.
 
-Every producing subcommand is one function: it checks its flags,
-computes, and writes its outputs plus a manifest.json into --out.
-The manifest records the command, the resolved flags (everything but
---out) and the output file names, nothing else (no timestamps, no host
-details).  `ttt-lab rerun --manifest <path>` gives that config back to
-the same parser as flags and calls the same function, so it reproduces
-every output byte for byte as long as the referenced input files are
-unchanged, and an edited manifest meets every check a flag does.
+The parser checks each flag's own value, through _args for a flag with
+a range, so no command function does.  Each producing subcommand is one
+function that writes its outputs and a manifest.json (the command, the
+resolved flags but --out, and the output names) into --out.  `ttt-lab
+rerun --manifest <path>` gives that config back to the same parser as
+flags and calls the same function, so it reproduces every output byte
+for byte while the inputs are unchanged, and an edited manifest meets
+every flag check.
 
 Exit codes: 0 success, 1 runtime or tolerance failure (association
 failure, frame-count mismatch, gradient check over tolerance), 2 usage
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _args
 from .geometry_metrics import _depth_maps, ate, associate, chamfer, depth_metrics, rpe, \
     sequence_depth_scale
 from .io_formats import ParseError, parse_pfm, parse_ply_ascii, parse_tum, \
@@ -105,41 +105,23 @@ def _slug(label: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Commands.  Each takes the parsed flags, checks them, computes, and
-# writes its outputs plus the manifest.  Flags and `rerun` both land here.
-
-def _parse_dims(text: str) -> list:
-    parts = text.split(",")
-    _require(len(parts) == 4, f"--dims wants n,c,c_k,c_v, got {text!r}")
-    try:
-        dims = [int(p) for p in parts]
-    except ValueError:
-        raise UsageError(f"--dims wants four integers, got {text!r}") from None
-    _require(min(dims) >= 1, f"--dims entries must be >= 1, got {text!r}")
-    return dims
-
+# Commands.  Each takes the parsed flags, computes, and writes its
+# outputs plus the manifest.  Flags and `rerun` both land here.
 
 def _run_recall(args) -> int:
-    args.rules = [spec.strip() for spec in args.rules.split(",") if spec.strip()]
-    _require(args.rules, "--rules must name at least one rule")
-    _require(args.reset_period >= 0, "--reset-period cannot be negative (0 turns resets off)")
-    args.dims = _parse_dims(args.dims)
     if args.count is None:
         args.count = _DEFAULT_COUNT[args.task]
-    dims = StateDims(*args.dims)
-    period = args.reset_period if args.reset_period else None
     # Rule specs and task arguments that cannot be built are usage errors.
     try:
-        configs = [StreamConfig(spec, dims, reset_period=period, seed=args.seed,
-                                softmax_scale=args.scale, gate_reduce=args.gate_reduce)
-                   for spec in args.rules]
+        configs = [StreamConfig(spec, args.dims, reset_period=args.reset_period or None,
+                                seed=args.seed, softmax_scale=args.scale,
+                                gate_reduce=args.gate_reduce) for spec in args.rules]
         if args.task == "adversarial":
-            task = gen_adversarial_task(
-                dims, args.seed, true_count=args.count,
-                distractor_count=args.distractors, frame_size=args.frame_size,
-            )
+            task = gen_adversarial_task(args.dims, args.seed, true_count=args.count,
+                                        distractor_count=args.distractors,
+                                        frame_size=args.frame_size)
         else:
-            task = gen_recall_task(args.count, dims, args.key_mode, args.seed, args.rho)
+            task = gen_recall_task(args.count, args.dims, args.key_mode, args.seed, args.rho)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     runs = compare_rules(task, configs)
@@ -160,12 +142,7 @@ def _run_recall(args) -> int:
 
 
 def _run_gradcheck(args) -> int:
-    _require(args.trials >= 1, "--trials must be >= 1")
-    _require(0 < args.step < math.inf, "--step must be positive and finite")
-    _require(0 <= args.tol < math.inf, "--tol must be finite and >= 0")
-    _require(1 <= args.max_dim < 2**63, f"--max-dim must be from 1 to {2**63 - 1}")
     rng = np.random.default_rng(derive_seed(args.seed, "gradcheck"))
-    step = args.step
     rels = []
     worst = (-1.0, None)
     for _ in range(args.trials):
@@ -179,12 +156,12 @@ def _run_gradcheck(args) -> int:
         for i in range(c_v):
             for j in range(c_k):
                 bump = np.zeros_like(s)
-                bump[i, j] = step
+                bump[i, j] = args.step
                 # A step too large to square gives inf losses: a nan error, not a warning.
                 with np.errstate(over="ignore"):
                     hi = recon_loss(s + bump, keys.T, values.T)
                     lo = recon_loss(s - bump, keys.T, values.T)
-                fd[i, j] = (hi - lo) / (4.0 * step)
+                fd[i, j] = (hi - lo) / (4.0 * args.step)
         rel = float(np.max(np.abs(grad - fd)) / max(1.0, float(np.max(np.abs(fd)))))
         rels.append(rel)
         # A nan error is the worst trial there is: once seen, it stays the worst.
@@ -210,15 +187,11 @@ def _run_gradcheck(args) -> int:
 
 
 def _run_traj_eval(args) -> int:
-    _require(0 < args.max_dt < math.inf, "--max-dt must be positive and finite")
-    _require(args.rpe_delta >= 1, "--rpe-delta must be >= 1")
     est = _parse(parse_tum, args.est)
     gt = _parse(parse_tum, args.gt)
     pairs = associate(est, gt, args.max_dt)
     if len(pairs) < 3:
-        raise ValueError(
-            f"association produced {len(pairs)} matched pairs; need at least 3"
-        )
+        raise ValueError(f"association produced {len(pairs)} matched pairs; need at least 3")
     ate_val = ate(est, gt, pairs, align=args.align)
     rpe_trans, rpe_rot = rpe(est, gt, pairs, delta=args.rpe_delta)
     csv = write_table("ate,rpe_trans,rpe_rot\n", "%r,%r,%r", [[ate_val], [rpe_trans], [rpe_rot]])
@@ -294,7 +267,6 @@ def _run_chamfer(args) -> int:
 
 
 def _run_stitch(args) -> int:
-    _require(args.reset_period >= 1, "--reset-period must be >= 1")
     traj = _parse(parse_tum, args.traj)
     cloud = None if args.cloud is None else _parse(parse_ply_ascii, args.cloud)
     chunks = split_trajectory(traj, args.reset_period, cloud)
@@ -315,7 +287,7 @@ def _run_stitch(args) -> int:
 def _replay(parser: argparse.ArgumentParser, args) -> list:
     """The argv that re-runs a manifest: its config given back as the command's flags.
 
-    The parser is the only schema: every flag check, type and choice
+    The parser is the only schema: every flag's type, range and choice
     applies to an edited manifest exactly as it does on the command line.
     """
     try:
@@ -344,6 +316,37 @@ def _replay(parser: argparse.ArgumentParser, args) -> list:
     return argv
 
 
+def _flag(read, check, **bounds):
+    """An argparse type: read(text) checked by check, an _args checker, whose
+    ValueError is the flag's error line; text read cannot take keeps argparse's."""
+    def parse(text: str, name: str = "value"):
+        value = read(text)
+        try:
+            return check(value, name, **bounds)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    parse.__name__ = read.__name__
+    return parse
+
+
+def _dims(text: str) -> StateDims:
+    """--dims n,c,c_k,c_v: four integers, each >= 1."""
+    parts, entry = text.split(","), _flag(int, _args.integer, low=1)
+    try:
+        if len(parts) == 4:
+            return StateDims(*map(entry, parts, StateDims._fields))
+    except ValueError:    # an entry that int cannot read
+        pass
+    raise argparse.ArgumentTypeError(f"value must be four integers n,c,c_k,c_v, got {text!r}")
+
+
+def _rules(text: str) -> list:
+    """--rules: the comma-separated rule specs, at least one."""
+    if not text.replace(",", "").strip():
+        raise argparse.ArgumentTypeError(f"value must name at least one rule, got {text!r}")
+    return [spec.strip() for spec in text.split(",") if spec.strip()]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ttt-lab",
@@ -351,10 +354,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("recall", help="run the associative-recall benchmark")
-    p.add_argument("--out", required=True, help="output directory")
+    def command(name: str, run, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--out", required=True, help="output directory")
+        p.set_defaults(run=run)
+        return p
+
+    p = command("recall", _run_recall, "run the associative-recall benchmark")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rules", default="full,vanilla,hebbian,delta,ttt3r",
+    p.add_argument("--rules", type=_rules, default="full,vanilla,hebbian,delta,ttt3r",
                    help="comma-separated rule specs, e.g. delta:0.5,ttt3r:confidence")
     p.add_argument("--task", choices=["recall", "adversarial"], default="recall")
     p.add_argument("--count", type=int, default=None,
@@ -362,8 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key-mode", choices=["orthonormal", "random_unit", "correlated"],
                    default="orthonormal")
     p.add_argument("--rho", type=float, default=0.9, help="correlated-mode key overlap")
-    p.add_argument("--dims", default="4,64,64,64", help="state dims n,c,c_k,c_v")
-    p.add_argument("--reset-period", type=int, default=0,
+    p.add_argument("--dims", type=_dims, default="4,64,64,64", help="state dims n,c,c_k,c_v")
+    p.add_argument("--reset-period", type=_flag(int, _args.integer, low=0), default=0,
                    help="reset the state every P frames (0 = never)")
     p.add_argument("--gate-reduce", choices=["sum", "mean"], default="sum",
                    help="reduce of the ttt3r confidence gate")
@@ -374,47 +382,37 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="adversarial task: distractor token count")
     p.add_argument("--frame-size", type=int, default=16,
                    help="adversarial task: identical tokens per distractor frame")
-    p.set_defaults(run=_run_recall)
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of the update gradient")
-    p.add_argument("--out", required=True)
+    p = command("gradcheck", _run_gradcheck, "finite-difference check of the update gradient")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--max-dim", type=int, default=8)
-    p.set_defaults(run=_run_gradcheck)
+    p.add_argument("--trials", type=_flag(int, _args.integer, low=1), default=100)
+    p.add_argument("--tol", type=_flag(float, _args.real, closed=True), default=1e-6)
+    p.add_argument("--step", type=_flag(float, _args.real), default=1e-5)
+    # numpy draws the sizes as int64.
+    p.add_argument("--max-dim", type=_flag(int, _args.integer, low=1, high=2**63 - 1), default=8)
 
-    p = sub.add_parser("traj-eval", help="ATE and RPE of an estimated trajectory")
+    p = command("traj-eval", _run_traj_eval, "ATE and RPE of an estimated trajectory")
     p.add_argument("--est", required=True, help="estimated trajectory (TUM)")
     p.add_argument("--gt", required=True, help="reference trajectory (TUM)")
-    p.add_argument("--out", required=True)
     p.add_argument("--align", choices=["sim3", "se3", "none"], default="sim3")
-    p.add_argument("--rpe-delta", type=int, default=1)
-    p.add_argument("--max-dt", type=float, default=0.02,
+    p.add_argument("--rpe-delta", type=_flag(int, _args.integer, low=1), default=1)
+    p.add_argument("--max-dt", type=_flag(float, _args.real), default=0.02,
                    help="association window in seconds")
-    p.set_defaults(run=_run_traj_eval)
 
-    p = sub.add_parser("depth-eval", help="absolute-relative depth error and inlier rate")
+    p = command("depth-eval", _run_depth_eval, "absolute-relative depth error and inlier rate")
     p.add_argument("--pred", required=True, help="directory of predicted .pfm maps")
     p.add_argument("--gt", required=True, help="directory of reference .pfm maps")
-    p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=["seq-scale", "metric"], default="seq-scale")
-    p.set_defaults(run=_run_depth_eval)
 
-    p = sub.add_parser("chamfer", help="point-cloud chamfer distance")
+    p = command("chamfer", _run_chamfer, "point-cloud chamfer distance")
     p.add_argument("--a", required=True, help="first cloud (ASCII PLY)")
     p.add_argument("--b", required=True, help="second cloud (ASCII PLY)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(run=_run_chamfer)
 
-    p = sub.add_parser("stitch", help="split a trajectory into chunks and re-stitch it")
+    p = command("stitch", _run_stitch, "split a trajectory into chunks and re-stitch it")
     p.add_argument("--traj", required=True, help="trajectory to split (TUM)")
-    p.add_argument("--out", required=True)
-    p.add_argument("--reset-period", type=int, default=100,
+    p.add_argument("--reset-period", type=_flag(int, _args.integer, low=1), default=100,
                    help="chunk length in frames")
     p.add_argument("--cloud", default=None, help="optional cloud to carry along (PLY)")
-    p.set_defaults(run=_run_stitch)
 
     p = sub.add_parser("rerun", help="re-execute a run from its manifest")
     p.add_argument("--manifest", required=True)
@@ -428,9 +426,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "rerun":
-            replayed = _replay(parser, args)
-            try:
-                args = parser.parse_args(replayed)
+            try:    # _replay's own errors are UsageErrors, not argparse's exit
+                args = parser.parse_args(_replay(parser, args))
             except SystemExit:
                 print(f"error: the rejected value comes from the config of the manifest "
                       f"{args.manifest}", file=sys.stderr)

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._args import floats, integer, real
+from ._args import choice, floats, integer, real
 
 __all__ = [
     "DegenerateGeometryError",
@@ -334,8 +334,7 @@ def ate(est: Trajectory, gt: Trajectory, pairs, align: str = "sim3") -> float:
     measured scaled by one power of two, exactly, as chamfer measures
     clouds, so the error scales with them bit for bit.
     """
-    if align not in ("sim3", "se3", "none"):
-        raise ValueError(f"align must be 'sim3', 'se3' or 'none', got {align!r}")
+    choice(align, "align", ("sim3", "se3", "none"))
     if not len(pairs):
         raise ValueError("no matched pose pairs within the association window")
     i_est, j_gt = _pair_indices(pairs, est, gt)

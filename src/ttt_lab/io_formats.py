@@ -23,6 +23,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._args import floats
 from .geometry_metrics import PointCloud, Trajectory, _depth_maps
 
 __all__ = [
@@ -461,5 +462,5 @@ def write_pfm(depth) -> bytes:
 
 def write_metrics_csv(rows: Sequence[Tuple[str, float]]) -> str:
     """Two-column report: metric,value with full float precision."""
-    return "".join(write_table("metric,value\n", "%s,%r",
-                               [[name for name, _ in rows], [float(value) for _, value in rows]]))
+    values = floats([value for _, value in rows], "metric values", 1, finite=False)
+    return "".join(write_table("metric,value\n", "%s,%r", [[name for name, _ in rows], values]))

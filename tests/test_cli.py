@@ -25,6 +25,7 @@ from ttt_lab.geometry_metrics import PointCloud, Trajectory, chamfer, depth_metr
     sequence_depth_scale
 from ttt_lab.io_formats import parse_pfm, parse_ply_ascii, parse_tum, write_pfm, \
     write_ply_ascii, write_tum
+from ttt_lab.recall_bench import StateDims
 
 from conftest import assert_same_text
 
@@ -166,7 +167,7 @@ def test_recall_unsupported_combination_is_a_usage_error(tmp_path):
 def test_recall_default_flags():
     args = _build_parser().parse_args(["recall", "--out", "x"])
     assert args.count is None          # resolved per task, see below
-    assert args.dims == "4,64,64,64"
+    assert args.dims == StateDims(4, 64, 64, 64)    # --dims's type reads its default text too
     assert args.gate_reduce == "sum"
     assert args.reset_period == 0
     assert args.key_mode == "orthonormal"
@@ -235,6 +236,9 @@ _BASE_ARGV = {      # small runs on the inputs test_flags_and_rerun_agree writes
     "stitch": ["stitch", "--traj", "t.tum", "--reset-period", "10"],
 }
 _DROP = object()
+# The exit code of a value the parser rejects: 2, with the same
+# `argument --flag:` line from the flags and from the manifest.
+_REJECTED = "rejected"
 
 
 @pytest.mark.parametrize("command, flags, edit, code", [
@@ -245,34 +249,48 @@ _DROP = object()
     pytest.param("stitch", ["--reset-period", "5"], {"reset_period": "5"}, 0,
                  id="stitch-reset-period-text"),
     # out of range or wrong type
-    pytest.param("recall", ["--dims", "2,8"], {"dims": [2, 8]}, 2, id="recall-dims-short"),
-    pytest.param("recall", ["--task", "bogus"], {"task": "bogus"}, 2, id="recall-task-bogus"),
-    pytest.param("recall", ["--gate-reduce", "max"], {"gate_reduce": "max"}, 2,
+    pytest.param("recall", ["--dims", "2,8"], {"dims": [2, 8]}, _REJECTED,
+                 id="recall-dims-short"),
+    pytest.param("recall", ["--dims", "2,8,8,0"], {"dims": [2, 8, 8, 0]}, _REJECTED,
+                 id="recall-dims-0"),
+    pytest.param("recall", ["--task", "bogus"], {"task": "bogus"}, _REJECTED,
+                 id="recall-task-bogus"),
+    pytest.param("recall", ["--gate-reduce", "max"], {"gate_reduce": "max"}, _REJECTED,
                  id="recall-gate-reduce-max"),
-    pytest.param("recall", ["--rules", ""], {"rules": []}, 2, id="recall-rules-empty"),
-    pytest.param("recall", ["--seed", "True"], {"seed": True}, 2, id="recall-seed-bool"),
-    pytest.param("recall", ["--count", "8.0"], {"count": 8.0}, 2, id="recall-count-float"),
+    pytest.param("recall", ["--rules", ""], {"rules": []}, _REJECTED, id="recall-rules-empty"),
+    pytest.param("recall", ["--seed", "True"], {"seed": True}, _REJECTED, id="recall-seed-bool"),
+    pytest.param("recall", ["--count", "8.0"], {"count": 8.0}, _REJECTED,
+                 id="recall-count-float"),
+    pytest.param("recall", ["--reset-period", "-1"], {"reset_period": -1}, _REJECTED,
+                 id="recall-reset-period--1"),
     pytest.param("recall", ["--scale", "nan"], {"scale": math.nan}, 2, id="recall-scale-nan"),
     pytest.param("recall", ["--extra", "1"], {"extra": 1}, 2, id="recall-extra-key"),
-    pytest.param("gradcheck", ["--step", "0"], {"step": 0}, 2, id="gradcheck-step-0"),
-    pytest.param("gradcheck", ["--step", "inf"], {"step": math.inf}, 2, id="gradcheck-step-inf"),
-    pytest.param("gradcheck", ["--tol", "nan"], {"tol": math.nan}, 2, id="gradcheck-tol-nan"),
-    pytest.param("gradcheck", ["--tol", "inf"], {"tol": math.inf}, 2, id="gradcheck-tol-inf"),
-    pytest.param("gradcheck", ["--trials", "0"], {"trials": 0}, 2, id="gradcheck-trials-0"),
-    pytest.param("gradcheck", ["--max-dim", "{'a': 2}"], {"max_dim": {"a": 2}}, 2,
+    pytest.param("gradcheck", ["--step", "0"], {"step": 0}, _REJECTED, id="gradcheck-step-0"),
+    pytest.param("gradcheck", ["--step", "inf"], {"step": math.inf}, _REJECTED,
+                 id="gradcheck-step-inf"),
+    pytest.param("gradcheck", ["--tol", "nan"], {"tol": math.nan}, _REJECTED,
+                 id="gradcheck-tol-nan"),
+    pytest.param("gradcheck", ["--tol", "inf"], {"tol": math.inf}, _REJECTED,
+                 id="gradcheck-tol-inf"),
+    pytest.param("gradcheck", ["--tol", "-1"], {"tol": -1}, _REJECTED, id="gradcheck-tol--1"),
+    pytest.param("gradcheck", ["--trials", "0"], {"trials": 0}, _REJECTED,
+                 id="gradcheck-trials-0"),
+    pytest.param("gradcheck", ["--max-dim", "{'a': 2}"], {"max_dim": {"a": 2}}, _REJECTED,
                  id="gradcheck-max-dim-object"),
+    pytest.param("gradcheck", ["--max-dim", str(2**63)], {"max_dim": 2**63}, _REJECTED,
+                 id="gradcheck-max-dim-2**63"),
     pytest.param("traj-eval", ["--est", "5"], {"est": 5}, 2, id="traj-eval-est-5"),
-    pytest.param("traj-eval", ["--max-dt", "inf"], {"max_dt": math.inf}, 2,
+    pytest.param("traj-eval", ["--max-dt", "inf"], {"max_dt": math.inf}, _REJECTED,
                  id="traj-eval-max-dt-inf"),
-    pytest.param("traj-eval", ["--max-dt", "nan"], {"max_dt": math.nan}, 2,
+    pytest.param("traj-eval", ["--max-dt", "nan"], {"max_dt": math.nan}, _REJECTED,
                  id="traj-eval-max-dt-nan"),
-    pytest.param("traj-eval", ["--rpe-delta", "0"], {"rpe_delta": 0}, 2,
+    pytest.param("traj-eval", ["--rpe-delta", "0"], {"rpe_delta": 0}, _REJECTED,
                  id="traj-eval-rpe-delta-0"),
-    pytest.param("depth-eval", ["--mode", "per-frame"], {"mode": "per-frame"}, 2,
+    pytest.param("depth-eval", ["--mode", "per-frame"], {"mode": "per-frame"}, _REJECTED,
                  id="depth-eval-mode-bogus"),
     pytest.param("chamfer", ["--a", "none.ply"], {"a": "none.ply"}, 2,
                  id="chamfer-a-missing-file"),
-    pytest.param("stitch", ["--reset-period", "0"], {"reset_period": 0}, 2,
+    pytest.param("stitch", ["--reset-period", "0"], {"reset_period": 0}, _REJECTED,
                  id="stitch-reset-period-0"),
     pytest.param("recall", ["--reset-period", str(2**63)], {"reset_period": 2**63}, 0,
                  id="recall-reset-period-2**63"),
@@ -289,8 +307,10 @@ def test_flags_and_rerun_agree(tmp_path, monkeypatch, capsys, command, flags, ed
     _write_cloud(tmp_path / "c.ply")
     _write_depth_dir(tmp_path / "depth")
     argv = _BASE_ARGV[command]
+    rejected, code = code is _REJECTED, 2 if code is _REJECTED else code
     if flags is not None:
         assert main(argv + ["--out", "flags"] + flags) == code
+    flags_err = capsys.readouterr().err
     assert main(argv + ["--out", "run"]) == 0
     manifest = json.loads(Path("run/manifest.json").read_text())
     target = manifest if "command" in edit else manifest["config"]
@@ -298,8 +318,15 @@ def test_flags_and_rerun_agree(tmp_path, monkeypatch, capsys, command, flags, ed
     for key in [k for k, v in target.items() if v is _DROP]:
         del target[key]
     Path("run/manifest.json").write_text(json.dumps(manifest))
+    run_err = capsys.readouterr().err
     assert main(["rerun", "--manifest", "run/manifest.json", "--out", "rerun"]) == code
-    assert "Traceback" not in capsys.readouterr().err
+    rerun_err = capsys.readouterr().err
+    assert "Traceback" not in flags_err + run_err + rerun_err
+    if rejected:
+        line = flags_err.splitlines()[-1]
+        assert line.startswith(f"ttt-lab {command}: error: argument {flags[0]}: ")
+        assert rerun_err.splitlines()[-2:] == [line, "error: the rejected value comes from "
+                                               "the config of the manifest run/manifest.json"]
     if code == 0:
         names = sorted(os.listdir("flags"))
         assert names == sorted(os.listdir("rerun"))
@@ -454,7 +481,9 @@ def test_gradcheck_flag_validation(tmp_path, capsys):
     # Past int64 numpy cannot draw the sizes: a usage error, not exit 1.
     capsys.readouterr()
     assert main(["gradcheck", "--out", out, "--max-dim", str(2**63)]) == 2
-    assert capsys.readouterr().err == f"error: --max-dim must be from 1 to {2**63 - 1}\n"
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"ttt-lab gradcheck: error: argument --max-dim: value must be <= {2**63 - 1}, "
+        f"got {2**63}")
 
 
 # ---------------------------------------------------------------------------

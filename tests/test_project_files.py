@@ -11,8 +11,9 @@ the rule table, and the README's recall section must name every field
 of RecallTask and StreamConfig, and every function its evaluation
 section calls must exist.  The package root binds no public name but
 its submodules, so each name has one import path.  The argument
-contract lives in one module, ttt_lab/_args.py, and the installed numpy
-meets the floor that pyproject.toml declares.
+contract lives in one module, ttt_lab/_args.py, the CLI's parser is its
+one flag check (no command function of cli.py checks a flag's value),
+and the installed numpy meets the floor that pyproject.toml declares.
 """
 
 import ast
@@ -157,3 +158,37 @@ def _argument_contract_breaches(package: Path) -> list:
 
 def test_the_argument_contract_lives_in_one_module():
     assert _argument_contract_breaches(Path(ttt_lab.__file__).parent) == []
+
+
+def _flag_checks(cli: Path) -> list:
+    """Range checks of a flag in the _run_* command functions of cli.py: a
+    comparison of an args attribute with a number (1, 2**63, math.inf), or
+    an args attribute given to _require."""
+    def is_flag(node):
+        return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "args")
+
+    def is_number(node):
+        parts = list(ast.walk(node))
+        return (all(part.id == "math" for part in parts if isinstance(part, ast.Name))
+                and all(type(part.value) in (int, float)
+                        for part in parts if isinstance(part, ast.Constant)))
+
+    checks = []
+    for func in ast.parse(cli.read_text()).body:
+        if not (isinstance(func, ast.FunctionDef) and func.name.startswith("_run_")):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(map(is_flag, operands)) and any(map(is_number, operands)):
+                    checks.append(f"{func.name} line {node.lineno} compares a flag")
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_require"
+                    and any(is_flag(part) for arg in node.args for part in ast.walk(arg))):
+                checks.append(f"{func.name} line {node.lineno} gives a flag to _require")
+    return checks
+
+
+def test_no_command_function_checks_a_flag():
+    # Each flag's argparse type checks its value, for the command line and rerun alike.
+    assert _flag_checks(Path(ttt_lab.__file__).parent / "cli.py") == []
