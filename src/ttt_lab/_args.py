@@ -1,10 +1,12 @@
-"""The argument contract of the public API, one checker per kind of argument.
+"""The argument contract of the public API, one checker per kind of argument:
+integer and real (a scalar in a range), choice (a name among options),
+floats (an array of real numbers), unit_norms (rows of norm 1), rates
+(learning rates in (0, 1]) and depth_maps (2-D maps of one shape).
 
-Each checker returns the argument in the form the code computes with, or
-raises one ValueError that names the argument.  A bool is not a number,
-an integer must be integral (2.0 is not), and an int past the largest
-float is neither finite nor inf.  The checkers run at the entry of a
-public function, never inside a kernel's loop over frames or blocks.
+Each returns the argument in the form the code computes with, or raises
+one ValueError that names it.  A bool is not a number, an integer must be
+integral (2.0 is not), and an int past the largest float is neither
+finite nor inf.  They run at a public function's entry, never in a kernel's loop.
 """
 
 import math
@@ -50,13 +52,18 @@ def choice(value, name: str, options) -> str:
 
 
 def floats(value, name: str, ndim=None, finite: bool = True) -> np.ndarray:
-    """value as a float64 array, itself if it is one: ndim axes if given, finite if finite."""
+    """value as a float64 array, itself if it is one: ndim axes if given, finite if finite.
+    Its dtype is a float or integer one, or its objects are Reals that are not bools."""
     try:
-        arr = np.asarray(value, dtype=np.float64)
+        arr = np.asarray(value)
+        if arr.dtype.kind not in "fiuO" or arr.dtype.kind == "O" and not all(
+                isinstance(x, numbers.Real) and not isinstance(x, bool) for x in arr.flat):
+            raise TypeError(arr.dtype)
+        arr = np.asarray(arr, dtype=np.float64)
     except OverflowError:    # an int past the float range
         raise ValueError(f"{name} contains non-finite entries" if finite
                          else f"{name} contains an integer past the float range") from None
-    except (TypeError, ValueError):    # an entry that is no number, or ragged rows
+    except (TypeError, ValueError):    # an entry that is no real number, or ragged rows
         raise ValueError(f"{name} must be an array of real numbers") from None
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"{name} must be a {ndim}-D array, got shape {arr.shape}")
@@ -65,10 +72,36 @@ def floats(value, name: str, ndim=None, finite: bool = True) -> np.ndarray:
     return arr
 
 
-def unit_norms(rows: np.ndarray, name: str) -> None:
-    """ValueError naming the first of the rows whose norm is off 1 by more than 1e-9."""
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    bad = np.flatnonzero(np.abs(norms - 1.0) > 1e-9)
+def unit_norms(rows: np.ndarray, name: str, tol: float = 1e-9) -> None:
+    """ValueError naming the first of the rows (float64, N x d) whose norm is off 1 by over tol."""
+    off = np.einsum("ij,ij->i", rows, rows)    # then in place: one float64 per row at peak
+    np.sqrt(off, out=off)
+    off -= 1.0
+    bad = np.abs(off, out=off) > tol
+    if bad.any():
+        i = int(np.argmax(bad))
+        norm = float(np.sqrt(np.einsum("ij,ij->i", rows[i:i + 1], rows[i:i + 1])[0]))
+        within = f"{tol:g}".replace("e-0", "e-")    # 1e-9, as the docs write it, not 1e-09
+        raise ValueError(f"{name} row {i} must be unit-norm within {within}, got norm {norm}")
+
+
+def rates(value, name: str) -> np.ndarray:
+    """value as float64 learning rates, each in (0, 1]; a bad one is named by its row if 1-D."""
+    arr = floats(value, name, finite=False)
+    bad = np.flatnonzero(~((arr > 0.0) & (arr <= 1.0)))
     if bad.size:
-        raise ValueError(f"{name} row {bad[0]} must be unit-norm within 1e-9, "
-                         f"got norm {float(norms[bad[0]])}")
+        row = f" row {bad[0]}" if arr.ndim else ""
+        raise ValueError(f"{name}{row} must lie in (0, 1], got {float(arr.flat[bad[0]])}")
+    return arr
+
+
+def depth_maps(*maps) -> list:
+    """Depth maps as float64 arrays, checked once: 2-D, non-empty, one shape."""
+    arrays = [floats(m, "depth map", finite=False) for m in maps]
+    for arr in arrays:
+        if arr.ndim != 2 or arr.size == 0:
+            raise ValueError(f"depth map must be a non-empty H x W array, got shape {arr.shape}")
+        if arr.shape != arrays[0].shape:
+            (h, w), (h2, w2) = arrays[0].shape, arr.shape
+            raise ValueError(f"depth map sizes differ: {w}x{h} vs {w2}x{h2}")
+    return arrays

@@ -28,8 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _args
-from .geometry_metrics import _depth_maps, ate, associate, chamfer, depth_metrics, rpe, \
-    sequence_depth_scale
+from .geometry_metrics import ate, associate, chamfer, depth_metrics, rpe, sequence_depth_scale
 from .io_formats import ParseError, parse_pfm, parse_ply_ascii, parse_tum, \
     write_metrics_csv, write_ply_ascii, write_table, write_tum
 from .recall_bench import StateDims, StreamConfig, compare_rules, curves_to_csv, \
@@ -223,9 +222,8 @@ def _run_depth_eval(args) -> int:
     pred_names = _list_pfms(args.pred)
     gt_names = _list_pfms(args.gt)
     if len(pred_names) != len(gt_names):
-        raise ValueError(
-            f"frame count mismatch: {len(pred_names)} predictions vs {len(gt_names)} references"
-        )
+        raise ValueError(f"frame count mismatch: {len(pred_names)} predictions "
+                         f"vs {len(gt_names)} references")
     if pred_names != gt_names:
         raise ValueError("prediction and reference file names do not match")
 
@@ -239,7 +237,7 @@ def _run_depth_eval(args) -> int:
         scale = sequence_depth_scale(preds, gts)
     else:
         for pred, gt in zip(preds, gts):
-            _depth_maps(pred, gt)
+            _args.depth_maps(pred, gt)
     per_frame = [depth_metrics(p, g, scale) for p, g in zip(preds, gts)]
     abs_rel, d125 = map(list, zip(*per_frame))
     mean_abs, mean_d = float(np.mean(abs_rel)), float(np.mean(d125))
@@ -423,20 +421,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    manifest = None    # the manifest whose config the command runs, once _replay has read it
     try:
         args = parser.parse_args(argv)
         if args.command == "rerun":
-            try:    # _replay's own errors are UsageErrors, not argparse's exit
-                args = parser.parse_args(_replay(parser, args))
-            except SystemExit:
-                print(f"error: the rejected value comes from the config of the manifest "
-                      f"{args.manifest}", file=sys.stderr)
-                raise
+            argv, manifest = _replay(parser, args), args.manifest
+            args = parser.parse_args(argv)
         return args.run(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    except (UsageError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
-            ParseError) as exc:
+    except (SystemExit, UsageError) as exc:
+        if isinstance(exc, UsageError):
+            print(f"error: {exc}", file=sys.stderr)
+        if manifest is not None:
+            print(f"error: the rejected value comes from the config of the manifest "
+                  f"{manifest}", file=sys.stderr)
+        return exc.code if isinstance(exc, SystemExit) and isinstance(exc.code, int) else 2
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, MemoryError) as exc:

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._args import choice, floats, integer, real
+from ._args import choice, depth_maps, floats, integer, real, unit_norms
 
 __all__ = [
     "DegenerateGeometryError",
@@ -111,27 +111,19 @@ class Trajectory:
         given = (self.timestamps, self.quats, self.translations)
         ts, q, t = (floats(x, "trajectory") for x in given)
         if ts.ndim != 1 or ts.size == 0:
-            raise ValueError(
-                f"trajectory must contain at least one pose, got timestamps shape {ts.shape}"
-            )
+            raise ValueError(f"trajectory must contain at least one pose, "
+                             f"got timestamps shape {ts.shape}")
         n = ts.shape[0]
         if q.shape != (n, 4) or t.shape != (n, 3):
-            raise ValueError(
-                f"{n} poses need quats ({n}, 4) and translations ({n}, 3), "
-                f"got {q.shape} and {t.shape}"
-            )
-        norms = np.linalg.norm(q, axis=1)
-        off = np.abs(norms - 1.0) > 1e-9
-        if np.any(off):
-            raise ValueError(
-                f"quaternion must be unit within 1e-9, got norm {float(norms[np.argmax(off)])!r}"
-            )
+            raise ValueError(f"{n} poses need quats ({n}, 4) and translations ({n}, 3), "
+                             f"got {q.shape} and {t.shape}")
+        unit_norms(q, "quaternion")
         late = ts[1:] <= ts[:-1]
         if np.any(late):
             i = int(np.argmax(late))
-            raise ValueError(
-                f"timestamps must strictly increase, got {float(ts[i])!r} then {float(ts[i + 1])!r}"
-            )
+            raise ValueError(f"timestamps must strictly increase, "
+                             f"got {float(ts[i])!r} then {float(ts[i + 1])!r}")
+        norms = np.linalg.norm(q, axis=1)
         renorm = np.abs(norms - 1.0) > 4 * 2.0**-52
         if renorm.any():    # a new array: q / 1.0 keeps the other rows' bits
             q = q / np.where(renorm, norms, 1.0)[:, None]
@@ -192,15 +184,9 @@ class PointCloud:
         if self.normals is not None:
             nrm = floats(self.normals, "normals")
             if nrm.shape != pts.shape:
-                raise ValueError(
-                    f"normals shape {nrm.shape} does not match points shape {pts.shape}"
-                )
-            # Row dots, then in place: one temporary of N lengths, none of N x 3 squares.
-            off = np.einsum("ij,ij->i", nrm, nrm)
-            np.sqrt(off, out=off)
-            off -= 1.0
-            if np.any(np.abs(off, out=off) > 1e-6):
-                raise ValueError("normals must be unit-norm within 1e-6")
+                raise ValueError(f"normals shape {nrm.shape} does not match "
+                                 f"points shape {pts.shape}")
+            unit_norms(nrm, "normals", 1e-6)
             object.__setattr__(self, "normals", _read_only(self.normals, nrm))
 
     def __len__(self) -> int:
@@ -379,21 +365,9 @@ def rpe(est: Trajectory, gt: Trajectory, pairs, delta: int = 1):
     return float(np.sqrt(np.mean(trans_sq))) * unit, float(np.sqrt(np.mean(angle * angle)))
 
 
-def _depth_maps(*maps) -> list:
-    """Depth maps as float64 arrays, checked once: 2-D, non-empty, one shape."""
-    arrays = [floats(m, "depth map", finite=False) for m in maps]
-    for arr in arrays:
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError(f"depth map must be a non-empty H x W array, got shape {arr.shape}")
-        if arr.shape != arrays[0].shape:
-            (h, w), (h2, w2) = arrays[0].shape, arr.shape
-            raise ValueError(f"depth map sizes differ: {w}x{h} vs {w2}x{h2}")
-    return arrays
-
-
 def _masked(pred, gt):
     """A map pair, checked, as float64 arrays, and the mask of its valid pixels."""
-    pred, gt = _depth_maps(pred, gt)
+    pred, gt = depth_maps(pred, gt)
     return pred, gt, np.isfinite(pred) & (pred > 0) & np.isfinite(gt) & (gt > 0)
 
 

@@ -23,8 +23,8 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._args import floats
-from .geometry_metrics import PointCloud, Trajectory, _depth_maps
+from ._args import depth_maps, floats
+from .geometry_metrics import PointCloud, Trajectory
 
 __all__ = [
     "ParseError",
@@ -446,7 +446,7 @@ def write_pfm(depth) -> bytes:
     NaN and +-inf pixels are written as they are; a finite pixel beyond
     the float32 range raises ValueError.
     """
-    (depth,) = _depth_maps(depth)
+    (depth,) = depth_maps(depth)
     with np.errstate(over="ignore"):
         single = depth.astype("<f4")
     over = np.argwhere(np.isinf(single) & np.isfinite(depth))

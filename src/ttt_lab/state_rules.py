@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._args import choice, floats, integer, real, unit_norms
+from ._args import choice, floats, integer, rates, real, unit_norms
 
 __all__ = [
     "ProjectionSet",
@@ -297,14 +297,10 @@ def delta_rule_update(s, keys, values, beta) -> np.ndarray:
     n = keys.shape[0]
     unit_norms(keys, "key")    # the delta rule's contraction argument needs unit keys
     betas = floats(beta, "beta", finite=False)
-    if betas.ndim == 0:
-        betas = np.full(n, betas)
-    elif betas.shape != (n,):
+    if betas.shape not in ((), (n,)):
         raise ValueError(f"beta must be a scalar or one per pair, got shape {betas.shape} "
                          f"for {n} pairs")
-    bad = np.flatnonzero(~((betas > 0.0) & (betas <= 1.0)))
-    if bad.size:
-        raise ValueError(f"beta row {bad[0]} must lie in (0, 1], got {betas[bad[0]]}")
+    betas = rates(np.broadcast_to(betas, n), "beta")
     out = s.copy()
     for lo in range(0, n, _DELTA_CHUNK):
         k, b = keys[lo:lo + _DELTA_CHUNK], betas[lo:lo + _DELTA_CHUNK]
@@ -386,9 +382,7 @@ def lookup_gate(gate):
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"unknown gate {gate!r}; valid gates: {', '.join(GATES)} "
                          f"or a rate in (0, 1]") from None
-    if not 0.0 < rate <= 1.0:
-        raise ValueError(f"constant gate must lie in (0, 1], got {rate}")
-    beta = np.full(1, rate)
+    beta = np.full(1, rates(rate, "constant gate"))
     return "constant", lambda g, s, x, z, reduce: beta
 
 
@@ -407,8 +401,8 @@ def _token_steps(s, tokens, gate, scale, offsets, reduce, gate_map):
     c = state.shape[-1]
     tokens, offsets = _token_segment(tokens, c, offsets, stacked=True)
     if kind in ("input", "per_token"):
-        gate_map = floats(gate_map, "gate_map", finite=False)   # None is a 0-D nan
-        if gate_map.shape != (c,) or not np.isfinite(gate_map).all():
+        gate_map = None if gate_map is None else floats(gate_map, "gate_map", finite=False)
+        if gate_map is None or gate_map.shape != (c,) or not np.isfinite(gate_map).all():
             raise ValueError(f"the {kind} gate needs a finite gate_map of length {c}")
     if not stacked:
         state, tokens = state[None], tokens[None]

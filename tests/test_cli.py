@@ -212,16 +212,18 @@ def test_every_subcommand_runs_with_only_its_required_flags(tmp_path):
 @pytest.mark.parametrize("path", ["flags", "manifest"])
 def test_task_argument_errors_are_usage_errors(tmp_path, capsys, flags, edit, path):
     argv = ["recall", "--out", str(tmp_path / "run"), "--rules", "hebbian", "--count", "4"]
+    manifest_path = tmp_path / "run" / "manifest.json"
     if path == "flags":
         assert main(argv + flags) == 2
     else:
         assert main(argv) == 0
-        manifest_path = tmp_path / "run" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         manifest["config"].update(edit)
         manifest_path.write_text(json.dumps(manifest))
         assert main(["rerun", "--manifest", str(manifest_path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.endswith(f"the config of the manifest {manifest_path}\n") == (path == "manifest")
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +428,20 @@ def test_rerun_rejects_bad_manifests(tmp_path, capsys):
                  "--count", "4", "--dims", "2,8,8,8"]) == 0
     edited = tmp_path / "run" / "manifest.json"
     manifest = json.loads(edited.read_text())
-    manifest["config"]["seed"] = True
+    seed, manifest["config"]["seed"] = manifest["config"]["seed"], True
     edited.write_text(json.dumps(manifest))
     capsys.readouterr()
     assert main(["rerun", "--manifest", str(edited)]) == 2
     err = capsys.readouterr().err
     assert "--seed: invalid int value: 'True'" in err
     assert f"config of the manifest {edited}" in err
+    # and so is a value that the command itself rejects
+    manifest["config"].update(seed=seed, rho=1.5, key_mode="correlated")
+    edited.write_text(json.dumps(manifest))
+    assert main(["rerun", "--manifest", str(edited)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: rho must lie in [0, 1), got 1.5",
+        f"error: the rejected value comes from the config of the manifest {edited}"]
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ checks that the per-module tests do not otherwise reach.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ttt_lab import _args
 from ttt_lab.geometry_metrics import (
     PointCloud,
     Sim3Transform,
@@ -88,7 +90,14 @@ _PAST_RANGE = "{} contains an integer past the float range"
     pytest.param(lambda: quat_to_rotmat([0, 1e200, 0, 0]),
                  "quaternion's rotation matrix overflows", id="quat-rotmat-overflow"),
     pytest.param(lambda: PointCloud(np.zeros((1, 3)), [[1e200, 0, 0]]),
-                 "normals must be unit-norm within 1e-6", id="cloud-normal-overflow"),
+                 "normals row 0 must be unit-norm within 1e-6, got norm inf",
+                 id="cloud-normal-overflow"),
+    pytest.param(lambda: Trajectory([0.0], [[2.0, 0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]]),
+                 "quaternion row 0 must be unit-norm within 1e-9, got norm 2.0",
+                 id="trajectory-quaternion-norm"),
+    pytest.param(lambda: Trajectory([0.0], [[1e200, 0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]]),
+                 "quaternion row 0 must be unit-norm within 1e-9, got norm inf",
+                 id="trajectory-quaternion-overflow"),
     pytest.param(lambda: depth_metrics(np.ones((2, 2)), np.ones((2, 2)), scale=10**400),
                  f"scale must be positive and finite, got {10**400}", id="depth-scale-huge-int"),
     # numpy raises TypeError on an entry that is not a number.
@@ -96,6 +105,24 @@ _PAST_RANGE = "{} contains an integer past the float range"
                  id="cloud-dict-entry"),
     pytest.param(lambda: hebbian_update(np.zeros((2, 2)), [{}, 0], [1.0, 0.0]),
                  "keys must be an array of real numbers", id="hebbian-dict-entry"),
+    # An entry must be a real number that is not a bool: numpy would read
+    # None as nan, numeric text as its number and a bool as 0 or 1.
+    pytest.param(lambda: Sim3Transform(1.0, np.eye(3), np.zeros(3)).apply([[None, 0, 0]]),
+                 "points must be an array of real numbers", id="sim3-apply-none"),
+    pytest.param(lambda: depth_metrics([[None, 1.0]], np.ones((1, 2))),
+                 "depth map must be an array of real numbers", id="depth-none"),
+    pytest.param(lambda: sequence_depth_scale([[[None, 1.0]]], [np.ones((1, 2))]),
+                 "depth map must be an array of real numbers", id="depth-scale-none"),
+    pytest.param(lambda: write_pfm([[None]]), "depth map must be an array of real numbers",
+                 id="write-pfm-none"),
+    pytest.param(lambda: write_metrics_csv([("x", None)]),
+                 "metric values must be an array of real numbers", id="metrics-csv-none"),
+    pytest.param(lambda: read_fast_weight(np.eye(2), ["1", "0"]),
+                 "query must be an array of real numbers", id="read-fast-weight-text"),
+    pytest.param(lambda: write_metrics_csv([("ate", "0.25")]),
+                 "metric values must be an array of real numbers", id="metrics-csv-text"),
+    pytest.param(lambda: PointCloud([[True, False, False]]),
+                 "points must be an array of real numbers", id="cloud-bool"),
     pytest.param(lambda: PointCloud([[0.0, 0.0, np.nan]]),
                  "points contains non-finite entries", id="cloud-non-finite"),
     pytest.param(lambda: PointCloud(np.zeros((2, 3)), np.ones((1, 3))),
@@ -184,6 +211,9 @@ _PAST_RANGE = "{} contains an integer past the float range"
     pytest.param(lambda: ttt3r_update(np.ones((2, 4)), np.ones((3, 4)), "per_token"),
                  "the per_token gate needs a finite gate_map of length 4",
                  id="ttt3r-per-token-gate-map-none"),
+    pytest.param(lambda: ttt3r_update(np.ones((2, 4)), np.ones((3, 4)), "input", gate_map=None),
+                 "the input gate needs a finite gate_map of length 4",
+                 id="ttt3r-input-gate-map-none"),
     pytest.param(lambda: ttt3r_update(np.ones((2, 4)), np.ones((3, 4)), "input",
                                       gate_map=np.zeros(3)),
                  "the input gate needs a finite gate_map of length 4",
@@ -237,3 +267,18 @@ _PAST_RANGE = "{} contains an integer past the float range"
 def test_a_bad_input_is_one_value_error(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_the_unit_row_check_holds_one_float_per_row():
+    rows = np.random.default_rng(0).standard_normal((50_000, 3))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _args.unit_norms(rows, "row")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The norms, then |norm - 1| as a new array, held 3.0 float64s per row;
+    # in place they are one array of N floats and its N-byte mask.
+    assert peak - before < 1.5 * 8 * len(rows)

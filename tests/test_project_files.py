@@ -134,8 +134,8 @@ def test_the_installed_numpy_meets_the_declared_floor():
 
 def _argument_contract_breaches(package: Path) -> list:
     """What puts argument checks outside _args.py: a numbers import, a read
-    of sys.float_info, a _check* function, or recall_bench importing a
-    state_rules check."""
+    of sys.float_info, a _check* function, or a module importing a private
+    check of a sibling module."""
     breaches = []
     for path in sorted(package.glob("*.py")):
         if path.name == "_args.py":
@@ -150,9 +150,10 @@ def _argument_contract_breaches(package: Path) -> list:
                 breaches.append(f"{path.name} reads sys.float_info")
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_check"):
                 breaches.append(f"{path.name} defines {node.name}")
-            private = {"_check_reduce", "_check_unit_rows", "_resolve_scale"} & set(imported)
-            if path.name == "recall_bench.py" and private:
-                breaches.append(f"recall_bench.py imports {sorted(private)}")
+            private = {"_check_reduce", "_check_unit_rows", "_depth_maps",
+                       "_resolve_scale"} & set(imported)
+            if private:
+                breaches.append(f"{path.name} imports {sorted(private)}")
     return breaches
 
 
