@@ -53,12 +53,16 @@ def choice(value, name: str, options) -> str:
 
 def floats(value, name: str, ndim=None, finite: bool = True) -> np.ndarray:
     """value as a float64 array, itself if it is one: ndim axes if given, finite if finite.
-    Its dtype is a float or integer one, or its objects are Reals that are not bools."""
+    Its dtype is a float or integer one, or its objects are Reals that are not bools.
+    A value that is not an array holds no bool: numpy would fold it into a number."""
     try:
         arr = np.asarray(value)
         if arr.dtype.kind not in "fiuO" or arr.dtype.kind == "O" and not all(
                 isinstance(x, numbers.Real) and not isinstance(x, bool) for x in arr.flat):
             raise TypeError(arr.dtype)
+        if not isinstance(value, np.ndarray) and not {bool, np.bool_}.isdisjoint(
+                map(type, np.asarray(value, dtype=object).flat)):
+            raise TypeError(value)
         arr = np.asarray(arr, dtype=np.float64)
     except OverflowError:    # an int past the float range
         raise ValueError(f"{name} contains non-finite entries" if finite

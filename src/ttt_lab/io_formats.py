@@ -17,6 +17,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import re
 import sys
 import warnings
 from typing import Iterator, Optional, Sequence, Tuple
@@ -389,52 +390,48 @@ def write_ply_ascii(cloud: PointCloud) -> Iterator[str]:
 # ---------------------------------------------------------------------------
 # PFM depth maps: grayscale "Pf", rows stored bottom-up, float32 samples.
 
-def _pfm_token(buf: bytes, pos: int) -> Tuple[bytes, int]:
-    while pos < len(buf) and buf[pos:pos + 1].isspace():
-        pos += 1
-    start = pos
-    while pos < len(buf) and not buf[pos:pos + 1].isspace():
-        pos += 1
-    if start == pos:
-        raise ParseError("truncated PFM header")
-    return buf[start:pos], pos
+# Magic, width, height and scale; a group is None from the first missing token on.
+_PFM_HEADER = re.compile(rb"(?:\s*(\S+))?" * 4)
 
 
 def parse_pfm(data: bytes) -> np.ndarray:
     """Parse a grayscale PFM image into an H x W float64 array, top row first.
 
-    The scale line is finite and non-zero, and its sign encodes
-    endianness (negative = little).
+    The header's four tokens are runs of bytes that are not ASCII
+    whitespace, read by one compiled pattern; the first bad or missing
+    one is named.  The scale is finite and non-zero, and its sign
+    encodes endianness (negative = little).
     Exactly one whitespace byte separates the header from the payload;
     the payload must hold exactly width*height float32 samples.
     """
-    magic, pos = _pfm_token(data, 0)
+    header = _PFM_HEADER.match(data)
+    magic, w_tok, h_tok, scale_tok = header.groups()
+    if magic is None:
+        raise ParseError("truncated PFM header")
     if magic == b"PF":
         raise UnsupportedFormatError("color PFM ('PF') is not supported, only grayscale 'Pf'")
     if magic != b"Pf":
         raise ParseError(f"not a PFM file: bad magic {magic!r}")
-    w_tok, pos = _pfm_token(data, pos)
-    h_tok, pos = _pfm_token(data, pos)
+    if h_tok is None:
+        raise ParseError("truncated PFM header")
     try:
-        width = int(w_tok)
-        height = int(h_tok)
+        width, height = int(w_tok), int(h_tok)
     except ValueError:
         raise ParseError(f"bad PFM dimensions {w_tok!r} x {h_tok!r}") from None
     if width < 1 or height < 1:
         raise ParseError(f"bad PFM dimensions {width} x {height}")
-    scale_tok, pos = _pfm_token(data, pos)
+    if scale_tok is None:
+        raise ParseError("truncated PFM header")
     try:
         scale = float(scale_tok)
     except ValueError:
         raise ParseError(f"bad PFM scale {scale_tok!r}") from None
     if scale == 0 or not math.isfinite(scale):
         raise ParseError(f"PFM scale must be finite and non-zero, got {scale_tok!r}")
-    payload = data[pos + 1:]
+    payload = data[header.end() + 1:]
     expected = 4 * width * height
     if len(payload) != expected:
-        raise ParseError(
-            f"PFM payload holds {len(payload)} bytes, header implies {expected}"
-        )
+        raise ParseError(f"PFM payload holds {len(payload)} bytes, header implies {expected}")
     dtype = "<f4" if scale < 0 else ">f4"
     rows = np.frombuffer(payload, dtype=dtype).reshape(height, width)
     return np.flipud(rows).astype(np.float64)

@@ -173,11 +173,7 @@ class StreamConfig:
     gate_reduce: str = "sum"
 
     def __post_init__(self):
-        dims = self.state_dims
-        if not isinstance(dims, StateDims):
-            raise ValueError(f"state_dims must be a StateDims, got {dims!r}")
-        for name, value in zip(dims._fields, dims):
-            integer(value, f"state_dims.{name}", 1)
+        dims = _state_dims(self.state_dims, "state_dims")
         integer(self.seed, "seed")
         if self.reset_period is not None:
             integer(self.reset_period, "reset_period", 1)
@@ -239,6 +235,15 @@ class RuleRun:
         return float(np.max(self.sq_errors))
 
 
+def _state_dims(dims, name: str) -> StateDims:
+    """dims, checked: a StateDims of integers >= 1."""
+    if not isinstance(dims, StateDims):
+        raise ValueError(f"{name} must be a StateDims, got {dims!r}")
+    for field_name, value in zip(dims._fields, dims):
+        integer(value, f"{name}.{field_name}", 1)
+    return dims
+
+
 def _orthonormal_rows(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     """Exactly orthonormal rows: a signed permutation mixed by reflections.
 
@@ -276,24 +281,24 @@ def _correlated_rows(count: int, dim: int, rho: float, rng: np.random.Generator)
     Each key mixes a shared base direction with an independent unit
     direction orthogonal to it: k_i = sqrt(rho) b + sqrt(1-rho) g_i.
     Cross terms vanish, so k_i . k_j = rho + (1-rho) g_i . g_j, and the
-    second term is O(1/sqrt(dim)).
+    second term is O(1/sqrt(dim)).  np.vecdot gives each row the bits of
+    g_i @ b and of a 1-D norm, as one draw and step per key would.
     """
     if dim < 2:
         raise ValueError("correlated mode needs key width >= 2")
     base = rng.standard_normal(dim)
     base /= np.linalg.norm(base)
-    keys = np.empty((count, dim))
-    for i in range(count):
-        g = rng.standard_normal(dim)
-        g -= (g @ base) * base
-        g /= np.linalg.norm(g)
-        keys[i] = math.sqrt(rho) * base + math.sqrt(1.0 - rho) * g
+    g = rng.standard_normal((count, dim))
+    g -= np.vecdot(g, base)[:, None] * base
+    g /= np.sqrt(np.vecdot(g, g))[:, None]
+    keys = math.sqrt(rho) * base + math.sqrt(1.0 - rho) * g
     return keys / np.linalg.norm(keys, axis=1, keepdims=True)
 
 
 def gen_recall_task(count: int, dims: StateDims, key_mode: str = "orthonormal",
                     seed: int = 0, rho: float = 0.9) -> RecallTask:
     """Draw a seeded task of `count` pairs with the requested key geometry."""
+    dims = _state_dims(dims, "dims")
     integer(count, "count", 1)
     integer(seed, "seed")
     real(rho, "rho", 0.0, 1.0, closed=True)
@@ -325,6 +330,7 @@ def gen_adversarial_task(dims: StateDims, seed: int = 0, true_count: int = 32,
     reduced logits and nearly freezes the state, while an ungated update
     keeps overwriting it.
     """
+    dims = _state_dims(dims, "dims")
     integer(seed, "seed")
     for name, value in (("true_count", true_count), ("distractor_count", distractor_count),
                         ("frame_size", frame_size)):
@@ -343,7 +349,7 @@ def gen_adversarial_task(dims: StateDims, seed: int = 0, true_count: int = 32,
     values = rng.uniform(-1.0, 1.0, (true_count, dims.c_v))
     k_mean = keys.sum(axis=0) / math.sqrt(true_count)
     directions = -_ANTI * k_mean + math.sqrt(1.0 - _ANTI * _ANTI) * extra
-    directions /= np.array([[np.linalg.norm(d)] for d in directions])
+    directions /= np.sqrt(np.vecdot(directions, directions))[:, None]    # a 1-D norm's bits
     d_values = rng.uniform(-1.0, 1.0, (n_frames, dims.c_v))
     return RecallTask(np.concatenate((keys, np.repeat(directions, frame_size, axis=0))),
                       np.concatenate((values, np.repeat(d_values, frame_size, axis=0))),

@@ -123,6 +123,15 @@ _PAST_RANGE = "{} contains an integer past the float range"
                  "metric values must be an array of real numbers", id="metrics-csv-text"),
     pytest.param(lambda: PointCloud([[True, False, False]]),
                  "points must be an array of real numbers", id="cloud-bool"),
+    # A bool among numbers: numpy would fold it into the float or integer dtype.
+    pytest.param(lambda: PointCloud([[1.0, True, 0.0]]),
+                 "points must be an array of real numbers", id="cloud-bool-among-floats"),
+    pytest.param(lambda: read_fast_weight(np.eye(2), [1.0, True]),
+                 "query must be an array of real numbers", id="read-fast-weight-bool-entry"),
+    pytest.param(lambda: hebbian_update(np.zeros((2, 2)), [[1.0, True]], [[0.0, 1.0]]),
+                 "keys must be an array of real numbers", id="hebbian-bool-entry"),
+    pytest.param(lambda: write_metrics_csv([("a", 1.0), ("b", True)]),
+                 "metric values must be an array of real numbers", id="metrics-csv-bool"),
     pytest.param(lambda: PointCloud([[0.0, 0.0, np.nan]]),
                  "points contains non-finite entries", id="cloud-non-finite"),
     pytest.param(lambda: PointCloud(np.zeros((2, 3)), np.ones((1, 3))),
@@ -179,6 +188,10 @@ _PAST_RANGE = "{} contains an integer past the float range"
                  "state_dims.c must be an integer, got 8.5", id="stream-dims-float"),
     pytest.param(lambda: StreamConfig("delta", (4, 8, 8, 8)),
                  "state_dims must be a StateDims, got (4, 8, 8, 8)", id="stream-dims-tuple"),
+    pytest.param(lambda: gen_recall_task(4, (4, 8, 8, 8)),
+                 "dims must be a StateDims, got (4, 8, 8, 8)", id="recall-task-dims-tuple"),
+    pytest.param(lambda: gen_adversarial_task((4, 64, 64, 64)),
+                 "dims must be a StateDims, got (4, 64, 64, 64)", id="adversarial-dims-tuple"),
     pytest.param(lambda: gen_recall_task(2.5, DIMS8),
                  "count must be an integer, got 2.5", id="recall-count-float"),
     pytest.param(lambda: gen_recall_task(True, DIMS8),

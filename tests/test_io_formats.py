@@ -803,6 +803,82 @@ def test_pfm_error_cases():
         parse_pfm(b"Pf\n2 2\n-1.0\n" + b"\x00" * 8)
 
 
+def _loop_pfm(data: bytes):
+    """parse_pfm's outcome with its header read a byte at a time: ("ok", the
+    array's bytes), or the error's type name and message."""
+    pos = 0
+
+    def token():
+        nonlocal pos
+        while pos < len(data) and data[pos:pos + 1].isspace():
+            pos += 1
+        start = pos
+        while pos < len(data) and not data[pos:pos + 1].isspace():
+            pos += 1
+        if start == pos:
+            raise ParseError("truncated PFM header")
+        return data[start:pos]
+
+    try:
+        magic = token()
+        if magic == b"PF":
+            raise UnsupportedFormatError("color PFM ('PF') is not supported, only grayscale 'Pf'")
+        if magic != b"Pf":
+            raise ParseError(f"not a PFM file: bad magic {magic!r}")
+        w_tok, h_tok = token(), token()
+        try:
+            width, height = int(w_tok), int(h_tok)
+        except ValueError:
+            raise ParseError(f"bad PFM dimensions {w_tok!r} x {h_tok!r}") from None
+        if width < 1 or height < 1:
+            raise ParseError(f"bad PFM dimensions {width} x {height}")
+        scale_tok = token()
+        try:
+            scale = float(scale_tok)
+        except ValueError:
+            raise ParseError(f"bad PFM scale {scale_tok!r}") from None
+        if scale == 0 or not np.isfinite(scale):
+            raise ParseError(f"PFM scale must be finite and non-zero, got {scale_tok!r}")
+        payload = data[pos + 1:]
+        if len(payload) != 4 * width * height:
+            raise ParseError(f"PFM payload holds {len(payload)} bytes, "
+                             f"header implies {4 * width * height}")
+    except ParseError as err:
+        return type(err).__name__, str(err)
+    rows = np.frombuffer(payload, "<f4" if scale < 0 else ">f4").reshape(height, width)
+    return "ok", np.flipud(rows).astype(np.float64).tobytes()
+
+
+def _pfm_outcome(data: bytes):
+    try:
+        return "ok", parse_pfm(data).tobytes()
+    except ParseError as err:
+        return type(err).__name__, str(err)
+
+
+def test_pfm_header_separators_are_the_byte_loops_ascii_whitespace():
+    # Every byte value as the separator after the magic: bytes.isspace
+    # counts only the six ASCII whitespace bytes, and so must the pattern.
+    for byte in range(256):
+        data = b"Pf" + bytes([byte]) + b"1 1\n-1.0\n" + struct.pack("<f", 2.0)
+        assert _pfm_outcome(data) == _loop_pfm(data), byte
+
+
+_PFM_SEPARATORS = [b"", b" ", b"\n", b"\t\r\n", b"\x0b", b"\x0c ", b"\x1c", b"\x85"]
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(_PFM_SEPARATORS), min_size=5, max_size=5),
+       st.sampled_from([b"Pf", b"PF", b"P5", b""]),
+       st.lists(st.sampled_from([b"1", b"2", b"0", b"-1", b"w", b""]), min_size=2, max_size=2),
+       st.sampled_from([b"-1.0", b"1.0", b"0", b"nan", b"abc", b""]),
+       st.sampled_from([0, 3, 4, 8, 16]))
+def test_pfm_header_matches_the_byte_loop_oracle(seps, magic, dims, scale, payload):
+    tokens = [magic, *dims, scale]
+    data = b"".join(sep + tok for sep, tok in zip(seps, tokens)) + seps[4] + bytes(payload)
+    assert _pfm_outcome(data) == _loop_pfm(data)
+
+
 # ---------------------------------------------------------------------------
 # CSV tables
 

@@ -90,6 +90,34 @@ def test_correlated_overlap_concentrates_across_seeds():
     assert max(means) <= 0.95
 
 
+def _loop_correlated_task(count, c_k, c_v, seed, rho):
+    """gen_recall_task's correlated keys and values, one draw, projection and
+    normalization per key."""
+    rng = np.random.default_rng(derive_seed(seed, "recall-task"))
+    base = rng.standard_normal(c_k)
+    base /= np.linalg.norm(base)
+    keys = np.empty((count, c_k))
+    for i in range(count):
+        g = rng.standard_normal(c_k)
+        g -= (g @ base) * base
+        g /= np.linalg.norm(g)
+        keys[i] = math.sqrt(rho) * base + math.sqrt(1.0 - rho) * g
+    keys /= np.linalg.norm(keys, axis=1, keepdims=True)
+    return keys, rng.uniform(-1.0, 1.0, (count, c_v))
+
+
+@pytest.mark.parametrize("count, c_k", [(64, 64), (300, 400), (1000, 130), (1, 2), (7, 3)])
+@pytest.mark.parametrize("seed", [0, 11])
+def test_correlated_keys_match_the_per_key_loop(count, c_k, seed):
+    # The values come from the same generator after the keys, so they
+    # match only if the keys took the same normals.
+    for rho in (0.0, 0.5, 0.9):
+        task = gen_recall_task(count, StateDims(1, 1, c_k, 3), "correlated", seed, rho)
+        keys, values = _loop_correlated_task(count, c_k, 3, seed, rho)
+        assert task.keys.tobytes() == keys.tobytes()
+        assert task.values.tobytes() == values.tobytes()
+
+
 def test_task_generation_is_pure_in_the_seed():
     a = gen_recall_task(8, DIMS16, "random_unit", seed=5)
     b = gen_recall_task(8, DIMS16, "random_unit", seed=5)
@@ -787,6 +815,28 @@ def test_adversarial_task_shape():
     # distractor directions lean away from the stored keys
     k_mean = task.keys[:32].sum(axis=0)
     assert np.all(task.keys[32:] @ k_mean < 0.0)
+
+
+@pytest.mark.parametrize("c_k, distractors, frame_size", [(64, 128, 16), (1024, 64, 8),
+                                                          (130, 80, 2)])
+@pytest.mark.parametrize("seed", [0, 4])
+def test_adversarial_directions_match_the_per_row_norm_loop(c_k, distractors, frame_size, seed):
+    # 8 x 64, 8 x 1024 and 40 x 130 directions, each divided by its own 1-D norm.
+    task = gen_adversarial_task(StateDims(4, c_k, c_k, 5), seed, 32, distractors, frame_size)
+    n_frames = distractors // frame_size
+    rng = np.random.default_rng(derive_seed(seed, "adversarial-task"))
+    basis = recall_bench._orthonormal_rows(32 + n_frames, c_k, rng)
+    values = rng.uniform(-1.0, 1.0, (32, 5))
+    k_mean = basis[:32].sum(axis=0) / math.sqrt(32)
+    anti = recall_bench._ANTI
+    directions = -anti * k_mean + math.sqrt(1.0 - anti * anti) * basis[32:]
+    for d in directions:
+        d /= np.linalg.norm(d)
+    d_values = rng.uniform(-1.0, 1.0, (n_frames, 5))
+    assert task.keys[:32].tobytes() == basis[:32].tobytes()
+    assert task.keys[32::frame_size].tobytes() == directions.tobytes()
+    assert task.values[:32].tobytes() == values.tobytes()
+    assert task.values[32::frame_size].tobytes() == d_values.tobytes()
 
 
 def test_adversarial_task_validation():

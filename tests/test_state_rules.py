@@ -282,7 +282,7 @@ def test_vanilla_update_matches_scalar_loop_oracle():
 _STATE_KERNELS = {
     "full": ("cache", update_full_attention),
     "vanilla": ("tokens", update_vanilla_rnn),
-    "ttt3r": ("tokens", lambda s, x: ttt3r_update(s, x, "confidence")[0]),
+    "ttt3r": ("tokens", lambda s, x, **kw: ttt3r_update(s, x, "confidence", **kw)[0]),
     "hebbian": ("fast", lambda s, x: hebbian_update(s, x, x[:, :3])),
     "delta": ("fast", lambda s, x: delta_rule_update(s, x, x[:, :3], 0.5)),
     "read_full": ("cache", read_full_attention),
@@ -299,13 +299,22 @@ def test_vanilla_update_does_not_mutate_inputs(name):
     kind, call = _STATE_KERNELS[name]
     s_arr = {"tokens": rng.standard_normal((2, 4)), "fast": rng.standard_normal((3, 4)),
              "cache": x_arr}[kind]
-    s = s_arr.copy()
-    x = x_arr.copy()
-    out = call(s, x)
-    np.testing.assert_array_equal(s, s_arr)
-    np.testing.assert_array_equal(x, x_arr)
-    if not name.startswith("read"):
-        assert isinstance(out, np.ndarray) and not np.shares_memory(out, s)
+    calls = [(s_arr, x_arr, {})]
+    if name in ("vanilla", "ttt3r"):
+        # One-token frames, and a stack of two segments: a kernel that
+        # stepped the caller's state in place would change it.
+        one_token = {"offsets": np.arange(len(x_arr) + 1)}
+        calls += [(s_arr, x_arr, one_token),
+                  (np.stack((s_arr, -s_arr)), np.stack((x_arr, x_arr[::-1])), {}),
+                  (np.stack((s_arr, -s_arr)), np.stack((x_arr, x_arr[::-1])), one_token)]
+    for s_arr, x_arr, kwargs in calls:
+        s = s_arr.copy()
+        x = x_arr.copy()
+        out = call(s, x, **kwargs)
+        np.testing.assert_array_equal(s, s_arr)
+        np.testing.assert_array_equal(x, x_arr)
+        if not name.startswith("read"):
+            assert isinstance(out, np.ndarray) and not np.shares_memory(out, s)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -485,6 +494,36 @@ def test_token_updates_raise_when_the_scaled_logits_overflow(gate):
                 update_vanilla_rnn(s, tokens, 1e308, offsets=offsets)
             else:
                 ttt3r_update(s, tokens, gate, 1e308, offsets=offsets, gate_map=gate_map)
+
+
+def _frame_sum(s0, betas, x):
+    """S_0 + sum_f beta_f x_f, added one frame at a time in frame order."""
+    state = s0
+    for beta, row in zip(betas, x):
+        state = state + beta[:, None] * row
+    return state
+
+
+def test_one_token_frames_add_their_gated_tokens_exactly():
+    # The softmax weight of one finite logit is exactly 1.0, so a one-token
+    # frame adds beta_f x_f to the state.  Over a stream of 8,192 frames of
+    # random unit rows the kernel's state is that running sum, bit for bit,
+    # from the betas it returns, and so is each segment of a lockstep call.
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((8192, 64))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    s0 = rng.uniform(-1.0, 1.0, (4, 64)) / 8.0
+    offsets = np.arange(len(x) + 1)
+    for gate in ("confidence", 0.5):
+        state, betas = ttt3r_update(s0, x, gate, offsets=offsets)
+        assert state.tobytes() == _frame_sum(s0, betas, x).tobytes()
+    state = update_vanilla_rnn(s0, x, offsets=offsets)
+    assert state.tobytes() == _frame_sum(s0, np.ones((len(x), 4)), x).tobytes()
+    segments = x.reshape(128, 64, 64)
+    states, betas = ttt3r_update(np.broadcast_to(s0, (128, 4, 64)), segments, "confidence",
+                                 offsets=np.arange(65))
+    for b in (0, 77, 127):
+        assert states[b].tobytes() == _frame_sum(s0, betas[b], segments[b]).tobytes()
 
 
 def test_read_token_state_matches_scalar_loop_oracle():
