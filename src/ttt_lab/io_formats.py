@@ -415,7 +415,8 @@ def parse_pfm(data: bytes) -> np.ndarray:
     if h_tok is None:
         raise ParseError("truncated PFM header")
     try:
-        width, height = int(w_tok), int(h_tok)
+        width = int(w_tok)
+        height = int(h_tok)
     except ValueError:
         raise ParseError(f"bad PFM dimensions {w_tok!r} x {h_tok!r}") from None
     if width < 1 or height < 1:
@@ -431,7 +432,9 @@ def parse_pfm(data: bytes) -> np.ndarray:
     payload = data[header.end() + 1:]
     expected = 4 * width * height
     if len(payload) != expected:
-        raise ParseError(f"PFM payload holds {len(payload)} bytes, header implies {expected}")
+        raise ParseError(
+            f"PFM payload holds {len(payload)} bytes, header implies {expected}"
+        )
     dtype = "<f4" if scale < 0 else ">f4"
     rows = np.frombuffer(payload, dtype=dtype).reshape(height, width)
     return np.flipud(rows).astype(np.float64)

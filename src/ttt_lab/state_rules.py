@@ -321,14 +321,11 @@ def hebbian_update(s, keys, values) -> np.ndarray:
 
 
 def _sigmoid_open(z) -> np.ndarray:
-    # In one array: exp(-z) overflows to inf for z below about -709.8, and
-    # 1/(1 + inf) is the correct limit 0, which the clamp then lifts.
-    out = np.negative(z, dtype=np.float64)
+    # exp(-z) overflows to inf for z below about -709.8, and 1/(1 + inf) is
+    # the correct limit 0, which the clamp then lifts.
     with np.errstate(over="ignore"):
-        np.exp(out, out=out)
-    out += 1.0
-    np.divide(1.0, out, out=out)
-    return np.clip(out, _GATE_LO, _GATE_HI, out=out)
+        out = 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=np.float64)))
+    return np.minimum(np.maximum(out, _GATE_LO), _GATE_HI)
 
 
 def confidence_gate(q_s: np.ndarray, k_x: np.ndarray, reduce: str = "sum",
@@ -395,11 +392,7 @@ def _token_steps(s, tokens, gate, scale, offsets, reduce, gate_map):
     A 2-D call is a stack of one segment.  Frame f of every stacked
     segment steps at once; numpy's stacked matmul runs the 2-D BLAS
     product once per segment, so each segment gets the bits of its own
-    2-D call.  Each frame adds beta * read to one copy of the state, in
-    place.  A one-token frame reads its token x itself: the softmax
-    weight of one finite logit is exactly 1.0, and 1.0 * x is x, so the
-    state is S_0 + sum_f beta_f x_f.  Every frame's logits are still
-    formed and checked for overflow.
+    2-D call.
     """
     kind, gate = lookup_gate(gate)
     choice(reduce, "reduce", REDUCES)
@@ -416,17 +409,12 @@ def _token_steps(s, tokens, gate, scale, offsets, reduce, gate_map):
     scale = _resolve_scale(scale, c)
     bounds = offsets.tolist()
     betas = np.empty((len(tokens), len(bounds) - 1, state.shape[1]))
-    # In C order: np.array keeps a broadcast stack's batch-fastest layout,
-    # with which the per-segment products round differently.
-    state = state.copy()
-    step = np.empty_like(state)
     with np.errstate(over="ignore"):
         for f, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
             x = tokens[:, lo:hi]
             z = _scaled_logits(state, x, scale)
             betas[:, f] = beta = gate(gate_map, state, x, z, reduce)
-            np.multiply(beta[..., None], x if hi - lo == 1 else _softmax(z) @ x, out=step)
-            state += step
+            state = state + beta[..., None] * (_softmax(z) @ x)
     return (state, betas) if stacked else (state[0], betas[0])
 
 
