@@ -53,16 +53,13 @@ def choice(value, name: str, options) -> str:
 
 def floats(value, name: str, ndim=None, finite: bool = True) -> np.ndarray:
     """value as a float64 array, itself if it is one: ndim axes if given, finite if finite.
-    Its dtype is a float or integer one, or its objects are Reals that are not bools.
-    A value that is not an array holds no bool: numpy would fold it into a number."""
+    An array has a float, integer or object dtype; any other value is read once as an object
+    array. Object entries must be Reals but not bools, so a 0-d array in a list is refused."""
     try:
-        arr = np.asarray(value)
+        arr = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
         if arr.dtype.kind not in "fiuO" or arr.dtype.kind == "O" and not all(
-                isinstance(x, numbers.Real) and not isinstance(x, bool) for x in arr.flat):
+                issubclass(t, numbers.Real) and t is not bool for t in set(map(type, arr.flat))):
             raise TypeError(arr.dtype)
-        if not isinstance(value, np.ndarray) and not {bool, np.bool_}.isdisjoint(
-                map(type, np.asarray(value, dtype=object).flat)):
-            raise TypeError(value)
         arr = np.asarray(arr, dtype=np.float64)
     except OverflowError:    # an int past the float range
         raise ValueError(f"{name} contains non-finite entries" if finite

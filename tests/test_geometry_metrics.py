@@ -187,6 +187,15 @@ def test_trajectory_normalizes_and_freezes_its_columns():
             column[0] = 0.0
 
 
+def test_trajectory_renormalizes_only_past_four_ulps_off_unit():
+    # A quaternion within 4 * 2**-52 of unit norm keeps its bits; one
+    # further off is divided by its norm, which here gives exactly 1.0.
+    kept = Trajectory([0.0], [[1.0 + 2.0**-50, 0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]])
+    assert kept.quats[0, 0] == 1.0 + 2.0**-50
+    moved = Trajectory([0.0], [[1.0 + 2.0**-49, 0.0, 0.0, 0.0]], [[0.0, 0.0, 0.0]])
+    assert moved.quats.tolist() == [[1.0, 0.0, 0.0, 0.0]]
+
+
 def test_trajectory_slices_and_rebuilds_keep_every_bit():
     # Normalized once, these quaternions are within 4 * 2**-52 of unit,
     # so a rebuild or a slice leaves them as they are; dividing by the
@@ -1011,6 +1020,31 @@ def test_grid_nearest_has_the_bits_of_ckdtree_on_a_noisy_sphere():
         want_d, want_idx = cKDTree(ref).query(qry)
         assert np.sqrt(d2).tobytes() == want_d.tobytes()
         np.testing.assert_array_equal(idx, want_idx)
+
+
+def test_chamfer_scans_a_bounded_number_of_candidates_per_query(monkeypatch):
+    # A deterministic work bound: on a 5,000-point unit sphere against a
+    # noisy copy, the grid's scans and any brute force measure about 25
+    # candidate distances per query.  Cells sized for count * n points
+    # instead of count / n measure every pair, 5,000 per query.
+    scanned = []
+    scan_runs, brute_nearest = geometry_metrics._scan_runs, geometry_metrics._brute_nearest
+
+    def counting_scan(ref_xyz, perm, q, first, count, per_query):
+        scanned.append(int(per_query.sum()))
+        return scan_runs(ref_xyz, perm, q, first, count, per_query)
+
+    def counting_brute(ref, qry, shift, rows, d2, idx):
+        scanned.append(len(rows) * len(ref))
+        return brute_nearest(ref, qry, shift, rows, d2, idx)
+
+    monkeypatch.setattr(geometry_metrics, "_scan_runs", counting_scan)
+    monkeypatch.setattr(geometry_metrics, "_brute_nearest", counting_brute)
+    rng = np.random.default_rng(22)
+    a = _unit_rows(rng, 5000)
+    b = a + 1e-3 * rng.standard_normal(a.shape)
+    chamfer(PointCloud(a), PointCloud(b))
+    assert sum(scanned) <= 64 * 2 * 5000
 
 
 def test_chamfer_of_huge_clouds_is_the_scaled_chamfer():

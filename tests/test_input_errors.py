@@ -132,6 +132,16 @@ _PAST_RANGE = "{} contains an integer past the float range"
                  "keys must be an array of real numbers", id="hebbian-bool-entry"),
     pytest.param(lambda: write_metrics_csv([("a", 1.0), ("b", True)]),
                  "metric values must be an array of real numbers", id="metrics-csv-bool"),
+    # A 0-d array inside a list is one entry that is not a real number,
+    # where numpy would fold it into the float dtype.
+    pytest.param(lambda: PointCloud([[1.0, np.array(True), 0.0]]),
+                 "points must be an array of real numbers", id="cloud-0d-bool-among-floats"),
+    pytest.param(lambda: PointCloud([[1.0, np.array(2.0), 0.0]]),
+                 "points must be an array of real numbers", id="cloud-0d-float-among-floats"),
+    pytest.param(lambda: hebbian_update(np.zeros((2, 2)), [[1.0, np.array(True)]], [[0.0, 1.0]]),
+                 "keys must be an array of real numbers", id="hebbian-0d-bool-entry"),
+    pytest.param(lambda: write_metrics_csv([("a", 1.0), ("b", np.array(True))]),
+                 "metric values must be an array of real numbers", id="metrics-csv-0d-bool"),
     pytest.param(lambda: PointCloud([[0.0, 0.0, np.nan]]),
                  "points contains non-finite entries", id="cloud-non-finite"),
     pytest.param(lambda: PointCloud(np.zeros((2, 3)), np.ones((1, 3))),

@@ -801,6 +801,10 @@ def test_pfm_error_cases():
         parse_pfm(b"Pf\n1 1\n0\n" + b"\x00" * 4)
     with pytest.raises(ParseError, match="payload"):
         parse_pfm(b"Pf\n2 2\n-1.0\n" + b"\x00" * 8)
+    # No magic at all, and dimensions with no scale after them.
+    for data in (b"", b" \n", b"Pf\n4 4\n"):
+        with pytest.raises(ParseError, match="truncated PFM header"):
+            parse_pfm(data)
 
 
 def _loop_pfm(data: bytes):

@@ -641,6 +641,62 @@ def test_lockstep_ttt3r_equals_per_segment_calls(spec, monkeypatch):
             assert len(calls) == sum(-(-members // cap) for members in layouts.values())
 
 
+def test_the_stream_state_is_the_gated_token_sum_of_its_last_segment():
+    # recall-long's shape: 8,192 one-pair frames of random unit keys, a
+    # reset every 64.  A one-token frame's softmax weight is exactly 1.0,
+    # so the state the lockstep path returns is S_0 + sum_f beta_f x_f
+    # over the last segment, added in frame order, bit for bit.
+    dims = StateDims(4, 64, 64, 64)
+    task = gen_recall_task(8192, dims, "random_unit", seed=0)
+    cfg = StreamConfig("ttt3r", dims, reset_period=64)
+    _, entry, gate = _parse(cfg.rule)
+    gate_map = ProjectionSet.identity(dims.c, derive_seed(cfg.seed, "projections")).gate_map
+    s0 = entry.init(dims, cfg.seed)
+    starts = np.arange(0, 8192, 64)
+    state, betas, _ = entry.ingest(s0, task.keys, task.values, task.offsets, starts, gate, cfg,
+                                   gate_map)
+    betas = betas.reshape(8192, dims.n)
+    want = s0
+    for f in range(starts[-1], 8192):
+        want = want + betas[f][:, None] * task.keys[f]
+    assert state.tobytes() == want.tobytes()
+
+
+def test_identical_token_frames_add_their_gated_token_within_the_softmax_rounding():
+    # The adversarial task: 32 one-token frames, then 8 frames of m = 16
+    # identical tokens x.  Such a frame adds beta * (w @ X), where w is the
+    # softmax of its logits, so the state is S_0 + sum_f beta_f x_f but for
+    # rounding (u = 2**-53, first order).  The weights sum to 1 within
+    # (m + 1) u: one rounded sum of m terms and one rounded division each;
+    # the product w @ X adds m u |x| more, and beta * (w @ X) and beta * x
+    # each round once, so the two steps differ by at most (2m + 3) u |beta x|,
+    # taken as (2m + 4) u to cover the second-order terms.
+    # Both running states then round once per add, at most u |S| each.  So
+    # the rebuilt state R_F and the kernel's differ by at most
+    # B_F = sum_f (2m + 4) u |beta_f x_f| + u (2 |R_f| + B_f) over the frames
+    # from the first of more than one token on; one-token frames before
+    # it have the same bits.  Under the confidence gate the kernel's state
+    # differed by 3.3e-16 at most, against a bound of 2.9e-15.
+    dims = StateDims(4, 64, 64, 64)
+    task = gen_adversarial_task(dims)
+    offsets = task.offsets.tolist()
+    assert np.diff(offsets).tolist() == [1] * 32 + [16] * 8
+    s0 = recall_bench._init_tokens(dims, 0)
+    u = 2.0**-53
+    for gate in ("confidence", 0.5, 1.0):
+        state, betas = ttt3r_update(s0, task.keys, gate, offsets=task.offsets)
+        rebuilt, bound = s0, np.zeros_like(s0)
+        for beta, lo, hi in zip(betas, offsets, offsets[1:]):
+            assert np.all(task.keys[lo:hi] == task.keys[lo])
+            step = beta[:, None] * task.keys[lo]
+            rebuilt = rebuilt + step
+            if hi - lo > 1 or bound.any():
+                bound = bound + (2 * (hi - lo) + 4) * u * np.abs(step) + u * (
+                    2 * np.abs(rebuilt) + bound)
+        assert np.all(np.abs(state - rebuilt) <= bound)
+        assert 0.0 < bound.max() < 1e-13
+
+
 _KERNELS = ["update_full_attention", "update_vanilla_rnn", "hebbian_update",
             "delta_rule_update", "ttt3r_update"]
 
